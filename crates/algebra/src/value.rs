@@ -1,6 +1,7 @@
 //! The universe of the algebra (paper §2.2.1): atomic XPath values, nodes,
 //! and ordered tuple sequences; tuples map attributes to values.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use xmlstore::{NodeId, XmlStore};
@@ -8,7 +9,7 @@ use xpath_syntax::xvalue;
 
 /// A runtime value: the union of the atomic XPath types, document nodes
 /// and (nested) tuple sequences.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum Value {
     /// Absent / unbound attribute slot.
     Null,
@@ -26,6 +27,35 @@ pub enum Value {
     Seq(Arc<Vec<Tuple>>),
 }
 
+impl Clone for Value {
+    #[inline]
+    fn clone(&self) -> Value {
+        match self {
+            Value::Null => Value::Null,
+            Value::Bool(b) => Value::Bool(*b),
+            Value::Num(n) => Value::Num(*n),
+            Value::Str(s) => Value::Str(Arc::clone(s)),
+            Value::Node(n) => Value::Node(*n),
+            Value::Seq(ts) => Value::Seq(Arc::clone(ts)),
+        }
+    }
+
+    /// Frames are copied slot by slot with `Vec::clone_from` on every
+    /// tuple the pipeline produces, and nearly all slots hold nodes,
+    /// numbers or nothing: assign those in place, without building a
+    /// temporary and without the reference-count path.
+    #[inline]
+    fn clone_from(&mut self, source: &Value) {
+        match source {
+            Value::Null => *self = Value::Null,
+            Value::Bool(b) => *self = Value::Bool(*b),
+            Value::Num(n) => *self = Value::Num(*n),
+            Value::Node(n) => *self = Value::Node(*n),
+            shared => *self = shared.clone(),
+        }
+    }
+}
+
 /// A tuple: a register frame indexed by attribute slots (the attribute
 /// manager assigns the slots at code-generation time, paper §5.1).
 pub type Tuple = Vec<Value>;
@@ -34,19 +64,26 @@ impl Value {
     /// String conversion per XPath `string()`; nodes use their
     /// string-value, which needs the store.
     pub fn to_str(&self, store: &dyn XmlStore) -> String {
+        self.as_str(store).into_owned()
+    }
+
+    /// [`Value::to_str`] for readers that only look at the string
+    /// (comparisons, string functions, number conversion): borrows from
+    /// the value or from the store wherever either can lend the text.
+    pub fn as_str<'a>(&'a self, store: &'a dyn XmlStore) -> Cow<'a, str> {
         match self {
-            Value::Null => String::new(),
-            Value::Bool(b) => if *b { "true" } else { "false" }.to_owned(),
-            Value::Num(n) => xvalue::number_to_string(*n),
-            Value::Str(s) => s.to_string(),
-            Value::Node(n) => store.string_value(*n),
+            Value::Null => Cow::Borrowed(""),
+            Value::Bool(b) => Cow::Borrowed(if *b { "true" } else { "false" }),
+            Value::Num(n) => Cow::Owned(xvalue::number_to_string(*n)),
+            Value::Str(s) => Cow::Borrowed(s),
+            Value::Node(n) => store.string_value_ref(*n),
             Value::Seq(ts) => {
                 // string() of a node sequence: string-value of the first
                 // node in document order (empty for an empty sequence).
                 // Sequences store the node in their `cn` slot by
                 // convention; find the first node value.
                 crate::docorder::first_node_in_doc_order(ts, store)
-                    .map(|n| store.string_value(n))
+                    .map(|n| store.string_value_ref(n))
                     .unwrap_or_default()
             }
         }
@@ -65,7 +102,7 @@ impl Value {
             }
             Value::Num(n) => *n,
             Value::Str(s) => xvalue::string_to_number(s),
-            Value::Node(_) | Value::Seq(_) => xvalue::string_to_number(&self.to_str(store)),
+            Value::Node(_) | Value::Seq(_) => xvalue::string_to_number(&self.as_str(store)),
         }
     }
 

@@ -368,9 +368,11 @@ impl<'a> Interpreter<'a> {
             "count" => QueryOutput::Num(self.eval_nodeset_arg(&args[0], ctx)?.len() as f64),
             "sum" => {
                 let ns = self.eval_nodeset_arg(&args[0], ctx)?;
-                QueryOutput::Num(
-                    ns.iter().map(|&n| xvalue::string_to_number(&self.store.string_value(n))).sum(),
-                )
+                // Folded from +0: `Iterator::sum` starts from -0.0, which
+                // an empty node-set would return as is.
+                QueryOutput::Num(ns.iter().fold(0.0, |sum, &n| {
+                    sum + xvalue::string_to_number(&self.store.string_value(n))
+                }))
             }
             "exists" => QueryOutput::Bool(!self.eval_nodeset_arg(&args[0], ctx)?.is_empty()),
             "id" => {

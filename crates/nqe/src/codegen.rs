@@ -8,8 +8,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use algebra::attrmgr::{AttrManager, Slot};
-use algebra::scalar::ScalarExpr;
-use algebra::LogicalOp;
+use algebra::scalar::{CmpMode, ScalarExpr};
+use algebra::{ConvKind, LogicalOp};
 use compiler::CompiledQuery;
 
 use crate::iter::{
@@ -125,6 +125,17 @@ fn finish_frame(mgr: &mut AttrManager) -> FrameInfo {
     let cp = mgr.slot("cp");
     let cs = mgr.slot("cs");
     FrameInfo { width: mgr.frame_width(), cn, cp, cs }
+}
+
+/// The expression to compile for one side of a comparison. A string-mode
+/// `Cmp` reads both operands as strings itself, borrowing them; an
+/// explicit `string()` below it would only materialise a copy per
+/// evaluation.
+fn cmp_operand(mode: CmpMode, e: &ScalarExpr) -> &ScalarExpr {
+    match e {
+        ScalarExpr::Convert(ConvKind::ToString, inner) if mode == CmpMode::Str => inner,
+        other => other,
+    }
 }
 
 struct Codegen<'m> {
@@ -371,7 +382,7 @@ impl Codegen<'_> {
         let mut nested = Vec::new();
         let result = self.emit(e, &mut prog, &mut nested);
         prog.result = result;
-        CompiledPred { prog, nested }
+        CompiledPred::new(prog, nested)
     }
 
     fn new_reg(&mut self, prog: &mut Program) -> Reg {
@@ -385,7 +396,7 @@ impl Codegen<'_> {
         match e {
             S::Const(c) => {
                 let dst = self.new_reg(prog);
-                prog.instrs.push(Instr::LoadConst { dst, value: c.clone() });
+                prog.instrs.push(Instr::LoadConst { dst, value: c.to_value() });
                 dst
             }
             S::Attr(name) => {
@@ -426,8 +437,8 @@ impl Codegen<'_> {
                 dst
             }
             S::Compare { op, mode, lhs, rhs } => {
-                let ra = self.emit(lhs, prog, nested);
-                let rb = self.emit(rhs, prog, nested);
+                let ra = self.emit(cmp_operand(*mode, lhs), prog, nested);
+                let rb = self.emit(cmp_operand(*mode, rhs), prog, nested);
                 let dst = self.new_reg(prog);
                 prog.instrs.push(Instr::Cmp { op: *op, mode: *mode, dst, a: ra, b: rb });
                 dst
@@ -449,9 +460,9 @@ impl Codegen<'_> {
                 let ra = self.emit(a, prog, nested);
                 let dst = self.new_reg(prog);
                 prog.instrs.push(match kind {
-                    algebra::ConvKind::ToNumber => Instr::ToNumber { dst, a: ra },
-                    algebra::ConvKind::ToString => Instr::ToString { dst, a: ra },
-                    algebra::ConvKind::ToBoolean => Instr::ToBoolean { dst, a: ra },
+                    ConvKind::ToNumber => Instr::ToNumber { dst, a: ra },
+                    ConvKind::ToString => Instr::ToString { dst, a: ra },
+                    ConvKind::ToBoolean => Instr::ToBoolean { dst, a: ra },
                 });
                 dst
             }

@@ -81,8 +81,8 @@ impl PhysicalQuery {
                 // the budget by reaching the top of the plan.
                 let mut ledger = ChargeLedger::new();
                 let mut nodes: Vec<NodeId> = Vec::new();
-                while gov.ok() && !store.storage_tripped() {
-                    let Some(t) = root.next(&rt) else { break };
+                let mut t = Tuple::new();
+                while gov.ok() && !store.storage_tripped() && root.next(&rt, &mut t) {
                     if let Some(n) = t[frame.cn].as_node() {
                         if !ledger.charge(gov, std::mem::size_of::<NodeId>() as u64) {
                             break;

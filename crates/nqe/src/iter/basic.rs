@@ -30,17 +30,19 @@ impl Default for SingletonIter {
 
 impl PhysIter for SingletonIter {
     fn open(&mut self, _rt: &Runtime<'_>, seed: &Tuple) {
-        self.seed = seed.clone();
+        self.seed.clone_from(seed);
         self.done = false;
     }
 
-    fn next(&mut self, _rt: &Runtime<'_>) -> Option<Tuple> {
+    fn next(&mut self, _rt: &Runtime<'_>, out: &mut Tuple) -> bool {
         if self.done {
-            None
-        } else {
-            self.done = true;
-            Some(std::mem::take(&mut self.seed))
+            return false;
         }
+        self.done = true;
+        // The seed is spent once emitted: trade buffers instead of
+        // copying; the next `open` refills whichever buffer this keeps.
+        std::mem::swap(out, &mut self.seed);
+        true
     }
 }
 
@@ -62,14 +64,13 @@ impl PhysIter for SelectIter {
         self.input.open(rt, seed);
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
         loop {
-            if !rt.gov.tick() {
-                return None;
+            if !rt.gov.tick() || !self.input.next(rt, out) {
+                return false;
             }
-            let t = self.input.next(rt)?;
-            if self.pred.eval(rt, &t).to_bool() {
-                return Some(t);
+            if self.pred.eval(rt, out).to_bool() {
+                return true;
             }
         }
     }
@@ -98,11 +99,12 @@ impl PhysIter for MapIter {
         self.input.open(rt, seed);
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
-        let mut t = self.input.next(rt)?;
-        let v = self.expr.eval(rt, &t);
-        t[self.out] = v;
-        Some(t)
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
+        if !self.input.next(rt, out) {
+            return false;
+        }
+        out[self.out] = self.expr.eval(rt, out);
+        true
     }
 
     fn close(&mut self, rt: &Runtime<'_>) {
@@ -130,10 +132,12 @@ impl PhysIter for RenameCopyIter {
         self.input.open(rt, seed);
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
-        let mut t = self.input.next(rt)?;
-        t[self.to] = t[self.from].clone();
-        Some(t)
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
+        if !self.input.next(rt, out) {
+            return false;
+        }
+        out[self.to] = out[self.from].clone();
+        true
     }
 
     fn close(&mut self, rt: &Runtime<'_>) {
@@ -165,18 +169,20 @@ impl PhysIter for CounterIter {
         self.last_group = None;
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
-        let mut t = self.input.next(rt)?;
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
+        if !self.input.next(rt, out) {
+            return false;
+        }
         if let Some(slot) = self.reset_on {
-            let key = GroupKey::of(t.get(slot).unwrap_or(&Value::Null), rt);
+            let key = GroupKey::of(out.get(slot).unwrap_or(&Value::Null), rt);
             if self.last_group.as_ref() != Some(&key) {
                 self.count = 0.0;
                 self.last_group = Some(key);
             }
         }
         self.count += 1.0;
-        t[self.out] = Value::Num(self.count);
-        Some(t)
+        out[self.out] = Value::Num(self.count);
+        true
     }
 
     fn close(&mut self, rt: &Runtime<'_>) {
@@ -201,28 +207,28 @@ impl ConcatIter {
 
 impl PhysIter for ConcatIter {
     fn open(&mut self, _rt: &Runtime<'_>, seed: &Tuple) {
-        self.seed = seed.clone();
+        self.seed.clone_from(seed);
         self.idx = 0;
         self.opened = false;
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
         while self.idx < self.parts.len() {
             if !rt.gov.tick() {
-                return None;
+                return false;
             }
             if !self.opened {
                 self.parts[self.idx].open(rt, &self.seed);
                 self.opened = true;
             }
-            if let Some(t) = self.parts[self.idx].next(rt) {
-                return Some(t);
+            if self.parts[self.idx].next(rt, out) {
+                return true;
             }
             self.parts[self.idx].close(rt);
             self.idx += 1;
             self.opened = false;
         }
-        None
+        false
     }
 
     fn close(&mut self, rt: &Runtime<'_>) {

@@ -139,17 +139,17 @@ impl PhysIter for PartitionSourceIter {
         }
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
         if !rt.gov.tick() {
-            return None;
+            return false;
         }
-        let data = self.data.as_ref()?;
-        if self.pos < self.end {
-            let t = data[self.pos].clone();
-            self.pos += 1;
-            Some(t)
-        } else {
-            None
+        match &self.data {
+            Some(data) if self.pos < self.end => {
+                out.clone_from(&data[self.pos]);
+                self.pos += 1;
+                true
+            }
+            _ => false,
         }
     }
 
@@ -299,14 +299,14 @@ impl PhysIter for ExchangeIter {
         self.source.open(rt, seed);
         let mut buf: Vec<Tuple> = Vec::new();
         let mut source_bytes = 0u64;
-        while rt.gov.ok() && !rt.store.storage_tripped() {
-            let Some(t) = self.source.next(rt) else { break };
-            let bytes = tuple_bytes(&t);
-            if !self.ledger.charge_tuple(rt.gov, &t) {
+        let mut row = Tuple::new();
+        while rt.gov.ok() && !rt.store.storage_tripped() && self.source.next(rt, &mut row) {
+            let bytes = tuple_bytes(&row);
+            if !self.ledger.charge_tuple(rt.gov, &row) {
                 break;
             }
             source_bytes += bytes;
-            buf.push(t);
+            buf.push(std::mem::take(&mut row));
         }
         self.source.close(rt);
         if !rt.gov.ok() || rt.store.storage_tripped() {
@@ -360,12 +360,13 @@ impl PhysIter for ExchangeIter {
                             feed.set(data.clone(), chunk_list[c].clone());
                             body.open(rt, seed);
                             let mut rows = Vec::new();
-                            while let Some(t) = body.next(rt) {
-                                if !out.ledger.charge_tuple(rt.gov, &t) {
+                            let mut row = Tuple::new();
+                            while body.next(rt, &mut row) {
+                                if !out.ledger.charge_tuple(rt.gov, &row) {
                                     break;
                                 }
                                 out.produced += 1;
-                                rows.push(t);
+                                rows.push(std::mem::take(&mut row));
                             }
                             body.close(rt);
                             out.chunks.push((c, rows));
@@ -430,10 +431,13 @@ impl PhysIter for ExchangeIter {
         }
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
-        let t = self.out.pop_front()?;
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
+        let Some(t) = self.out.pop_front() else {
+            return false;
+        };
         self.ledger.release(rt.gov, tuple_bytes(&t));
-        Some(t)
+        *out = t;
+        true
     }
 
     fn close(&mut self, rt: &Runtime<'_>) {

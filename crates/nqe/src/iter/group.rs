@@ -63,13 +63,12 @@ impl PhysIter for DedupIter {
         self.ledger.release_all(rt.gov);
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
         loop {
-            if !rt.gov.tick() {
-                return None;
+            if !rt.gov.tick() || !self.input.next(rt, out) {
+                return false;
             }
-            let t = self.input.next(rt)?;
-            let rank = t
+            let rank = out
                 .get(self.slot)
                 .and_then(|v| v.as_node())
                 .and_then(|n| rt.store.structural_index().and_then(|idx| idx.rank_of(n)));
@@ -77,7 +76,7 @@ impl PhysIter for DedupIter {
                 if self.bits.is_none() {
                     let words = rt.store.structural_index().map_or(0, |idx| idx.len()).div_ceil(64);
                     if !self.ledger.charge(rt.gov, (words * 8) as u64) {
-                        return None;
+                        return false;
                     }
                     self.bits = Some(vec![0u64; words]);
                 }
@@ -86,17 +85,17 @@ impl PhysIter for DedupIter {
                 if bits[word] & (1 << bit) == 0 {
                     bits[word] |= 1 << bit;
                     self.bitset_keys += 1;
-                    return Some(t);
+                    return true;
                 }
             } else {
-                let key = GroupKey::of(t.get(self.slot).unwrap_or(&Value::Null), rt);
+                let key = GroupKey::of(out.get(self.slot).unwrap_or(&Value::Null), rt);
                 let key_bytes = group_key_bytes(&key);
                 if self.seen.insert(key) {
                     if !self.ledger.charge(rt.gov, key_bytes) {
-                        return None;
+                        return false;
                     }
                     self.hash_keys += 1;
-                    return Some(t);
+                    return true;
                 }
             }
             self.dropped += 1;
@@ -157,21 +156,22 @@ impl PhysIter for SortIter {
         self.ledger.release_all(rt.gov);
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
         if !rt.gov.ok() {
-            return None;
+            return false;
         }
         if self.buffer.is_none() {
             let mut buf = Vec::new();
-            while let Some(t) = self.input.next(rt) {
-                if !self.ledger.charge_tuple(rt.gov, &t) {
+            let mut row = Tuple::new();
+            while self.input.next(rt, &mut row) {
+                if !self.ledger.charge_tuple(rt.gov, &row) {
                     break;
                 }
-                buf.push(t);
+                buf.push(std::mem::take(&mut row));
             }
             self.input.close(rt);
             if !rt.gov.ok() {
-                return None;
+                return false;
             }
             self.sorted_tuples += buf.len() as u64;
             self.sort_runs += 1;
@@ -196,13 +196,13 @@ impl PhysIter for SortIter {
         }
         let buf = self.buffer.as_mut().expect("filled above");
         if self.pos < buf.len() {
-            let bytes = tuple_bytes(&buf[self.pos]);
-            let t = std::mem::take(&mut buf[self.pos]);
+            self.ledger.release(rt.gov, tuple_bytes(&buf[self.pos]));
+            // A sorted row is handed out once: trade buffers.
+            std::mem::swap(out, &mut buf[self.pos]);
             self.pos += 1;
-            self.ledger.release(rt.gov, bytes);
-            Some(t)
+            true
         } else {
-            None
+            false
         }
     }
 
@@ -255,12 +255,15 @@ impl TmpCsIter {
 
     fn fill_group(&mut self, rt: &Runtime<'_>) {
         let first = match self.lookahead.take() {
-            Some(t) => Some(t),
-            None => self.input.next(rt),
-        };
-        let Some(first) = first else {
-            self.exhausted = true;
-            return;
+            Some(t) => t,
+            None => {
+                let mut t = Tuple::new();
+                if !self.input.next(rt, &mut t) {
+                    self.exhausted = true;
+                    return;
+                }
+                t
+            }
         };
         let group_key =
             self.group.map(|slot| GroupKey::of(first.get(slot).unwrap_or(&Value::Null), rt));
@@ -270,25 +273,22 @@ impl TmpCsIter {
                 self.exhausted = true;
                 return;
             }
-            match self.input.next(rt) {
-                None => {
-                    self.exhausted = true;
-                    break;
+            let mut t = Tuple::new();
+            if !self.input.next(rt, &mut t) {
+                self.exhausted = true;
+                break;
+            }
+            let same = match (&group_key, self.group) {
+                (Some(k), Some(slot)) => {
+                    &GroupKey::of(t.get(slot).unwrap_or(&Value::Null), rt) == k
                 }
-                Some(t) => {
-                    let same = match (&group_key, self.group) {
-                        (Some(k), Some(slot)) => {
-                            &GroupKey::of(t.get(slot).unwrap_or(&Value::Null), rt) == k
-                        }
-                        _ => true,
-                    };
-                    if same {
-                        group.push(t);
-                    } else {
-                        self.lookahead = Some(t);
-                        break;
-                    }
-                }
+                _ => true,
+            };
+            if same {
+                group.push(t);
+            } else {
+                self.lookahead = Some(t);
+                break;
             }
         }
         let cs = Value::Num(group.len() as f64);
@@ -314,21 +314,22 @@ impl PhysIter for TmpCsIter {
         self.ledger.release_all(rt.gov);
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
         loop {
             if !rt.gov.ok() {
-                return None;
+                return false;
             }
             if let Some(t) = self.buf.pop_front() {
                 self.ledger.release(rt.gov, tuple_bytes(&t));
-                return Some(t);
+                *out = t;
+                return true;
             }
             if self.exhausted && self.lookahead.is_none() {
-                return None;
+                return false;
             }
             self.fill_group(rt);
             if self.buf.is_empty() && self.exhausted && self.lookahead.is_none() {
-                return None;
+                return false;
             }
         }
     }
@@ -430,63 +431,62 @@ impl PhysIter for MemoXIter {
         }
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
         if !rt.gov.tick() {
-            return None;
+            return false;
         }
         match &mut self.mode {
-            MemoMode::Idle => None,
-            MemoMode::Replay { seq, pos } => {
-                let t = seq.get(*pos).cloned();
-                if t.is_some() {
-                    *pos += 1;
-                }
-                t
-            }
-            MemoMode::Record { key, acc } => match self.input.next(rt) {
+            MemoMode::Idle => false,
+            MemoMode::Replay { seq, pos } => match seq.get(*pos) {
                 Some(t) => {
-                    if !self.ledger.charge_tuple(rt.gov, &t) {
-                        return None;
-                    }
-                    acc.push(t.clone());
-                    Some(t)
+                    out.clone_from(t);
+                    *pos += 1;
+                    true
                 }
-                None => {
-                    if !rt.gov.ok() {
-                        // The producer stopped because the governor
-                        // tripped, not because the sequence ended — do
-                        // not memoise the truncated recording.
-                        return None;
-                    }
-                    let key = key.clone();
-                    let acc = std::mem::take(acc);
-                    match &self.shared {
-                        Some(shared) => {
-                            let n = acc.len() as u64;
-                            let (_, won) = shared.insert(key, acc);
-                            if won {
-                                self.stored_tuples += n;
-                                // The table entry survives re-opens:
-                                // reclassify its bytes as persistent.
-                                self.ledger.commit_all(rt.gov);
-                            } else {
-                                // Another replica recorded this key
-                                // first: discard the duplicate and
-                                // return its transient charge.
-                                self.ledger.release_all(rt.gov);
-                            }
-                        }
-                        None => {
-                            self.stored_tuples += acc.len() as u64;
-                            self.table.insert(key, Arc::new(acc));
-                            self.ledger.commit_all(rt.gov);
-                        }
-                    }
-                    self.input.close(rt);
-                    self.mode = MemoMode::Idle;
-                    None
-                }
+                None => false,
             },
+            MemoMode::Record { key, acc } => {
+                if self.input.next(rt, out) {
+                    if !self.ledger.charge_tuple(rt.gov, out) {
+                        return false;
+                    }
+                    acc.push(out.clone());
+                    return true;
+                }
+                if !rt.gov.ok() {
+                    // The producer stopped because the governor
+                    // tripped, not because the sequence ended — do
+                    // not memoise the truncated recording.
+                    return false;
+                }
+                let key = key.clone();
+                let acc = std::mem::take(acc);
+                match &self.shared {
+                    Some(shared) => {
+                        let n = acc.len() as u64;
+                        let (_, won) = shared.insert(key, acc);
+                        if won {
+                            self.stored_tuples += n;
+                            // The table entry survives re-opens:
+                            // reclassify its bytes as persistent.
+                            self.ledger.commit_all(rt.gov);
+                        } else {
+                            // Another replica recorded this key
+                            // first: discard the duplicate and
+                            // return its transient charge.
+                            self.ledger.release_all(rt.gov);
+                        }
+                    }
+                    None => {
+                        self.stored_tuples += acc.len() as u64;
+                        self.table.insert(key, Arc::new(acc));
+                        self.ledger.commit_all(rt.gov);
+                    }
+                }
+                self.input.close(rt);
+                self.mode = MemoMode::Idle;
+                false
+            }
         }
     }
 
@@ -551,9 +551,11 @@ impl PhysIter for MemoMapIter {
         self.input.open(rt, seed);
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
-        let mut t = self.input.next(rt)?;
-        let key = GroupKey::of(t.get(self.key).unwrap_or(&Value::Null), rt);
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
+        if !self.input.next(rt, out) {
+            return false;
+        }
+        let key = GroupKey::of(out.get(self.key).unwrap_or(&Value::Null), rt);
         let v = match self.cache.get(&key) {
             Some(v) => {
                 self.hits += 1;
@@ -561,20 +563,20 @@ impl PhysIter for MemoMapIter {
             }
             None => {
                 self.misses += 1;
-                let v = self.expr.eval(rt, &t);
+                let v = self.expr.eval(rt, out);
                 // The cache entry survives re-opens and closes: charge
                 // it as persistent.
                 let bytes = group_key_bytes(&key) + value_bytes(&v);
                 if !self.ledger.charge(rt.gov, bytes) {
-                    return None;
+                    return false;
                 }
                 self.ledger.commit_all(rt.gov);
                 self.cache.insert(key, v.clone());
                 v
             }
         };
-        t[self.out] = v;
-        Some(t)
+        out[self.out] = v;
+        true
     }
 
     fn close(&mut self, rt: &Runtime<'_>) {

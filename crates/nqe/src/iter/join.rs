@@ -14,6 +14,8 @@ use crate::iter::{CompiledPred, Gauge, PhysIter};
 pub struct DJoinIter {
     left: Box<dyn PhysIter>,
     right: Box<dyn PhysIter>,
+    /// The left tuple the dependent side is currently opened with.
+    left_frame: Tuple,
     right_active: bool,
     /// Statistics: dependent-side re-opens (one per left tuple).
     pub reopens: u64,
@@ -22,7 +24,13 @@ pub struct DJoinIter {
 impl DJoinIter {
     /// New d-join.
     pub fn new(left: Box<dyn PhysIter>, right: Box<dyn PhysIter>) -> DJoinIter {
-        DJoinIter { left, right, right_active: false, reopens: 0 }
+        DJoinIter {
+            left,
+            right,
+            left_frame: Tuple::new(),
+            right_active: false,
+            reopens: 0,
+        }
     }
 }
 
@@ -32,20 +40,22 @@ impl PhysIter for DJoinIter {
         self.right_active = false;
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
         loop {
             if !rt.gov.tick() {
-                return None;
+                return false;
             }
             if self.right_active {
-                if let Some(t) = self.right.next(rt) {
-                    return Some(t);
+                if self.right.next(rt, out) {
+                    return true;
                 }
                 self.right.close(rt);
                 self.right_active = false;
             }
-            let lt = self.left.next(rt)?;
-            self.right.open(rt, &lt);
+            if !self.left.next(rt, &mut self.left_frame) {
+                return false;
+            }
+            self.right.open(rt, &self.left_frame);
             self.reopens += 1;
             self.right_active = true;
         }
@@ -79,6 +89,8 @@ pub struct SemiJoinIter {
     right_defined: Vec<Slot>,
     anti: bool,
     seed: Tuple,
+    /// The probe tuple `∘` one match-side row, for the predicate.
+    merged: Tuple,
     right_mat: Option<Vec<Tuple>>,
     ledger: ChargeLedger,
     /// Statistics: total match-side tuples materialised (all opens).
@@ -101,6 +113,7 @@ impl SemiJoinIter {
             right_defined,
             anti,
             seed: Tuple::new(),
+            merged: Tuple::new(),
             right_mat: None,
             ledger: ChargeLedger::new(),
             right_materialized: 0,
@@ -111,51 +124,53 @@ impl SemiJoinIter {
 impl PhysIter for SemiJoinIter {
     fn open(&mut self, rt: &Runtime<'_>, seed: &Tuple) {
         self.left.open(rt, seed);
-        self.seed = seed.clone();
+        self.seed.clone_from(seed);
         self.right_mat = None;
         self.ledger.release_all(rt.gov);
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
         if !rt.gov.ok() {
-            return None;
+            return false;
         }
         if self.right_mat.is_none() {
             self.right.open(rt, &self.seed);
             let mut mat = Vec::new();
-            while let Some(t) = self.right.next(rt) {
-                if !self.ledger.charge_tuple(rt.gov, &t) {
+            let mut row = Tuple::new();
+            while self.right.next(rt, &mut row) {
+                if !self.ledger.charge_tuple(rt.gov, &row) {
                     break;
                 }
-                mat.push(t);
+                mat.push(std::mem::take(&mut row));
             }
             self.right.close(rt);
             if !rt.gov.ok() {
-                return None;
+                return false;
             }
             self.right_materialized += mat.len() as u64;
             self.right_mat = Some(mat);
         }
         'probe: loop {
-            if !rt.gov.tick() {
-                return None;
+            if !rt.gov.tick() || !self.left.next(rt, out) {
+                return false;
             }
-            let lt = self.left.next(rt)?;
             let mat = self.right_mat.as_ref().expect("materialised above");
+            // Every row overwrites the same match-side slots, so one copy
+            // of the probe tuple serves all of them.
+            self.merged.clone_from(out);
             for rtup in mat {
-                let mut merged = lt.clone();
                 for &s in &self.right_defined {
-                    merged[s] = rtup[s].clone();
+                    self.merged[s] = rtup[s].clone();
                 }
-                if self.pred.eval(rt, &merged).to_bool() {
+                if self.pred.eval(rt, &self.merged).to_bool() {
                     if self.anti {
                         continue 'probe;
                     }
-                    return Some(lt);
+                    return true;
                 }
             }
             if self.anti {
-                return Some(lt);
+                return true;
             }
         }
     }

@@ -3,6 +3,14 @@
 //! plan-wide width fixed by the attribute manager; the dependent side of
 //! a d-join (and every nested plan) is *seeded* with the outer tuple,
 //! which implements free-variable binding (§2.2.2).
+//!
+//! Frames are caller-owned (DESIGN.md §5, "Frame protocol"): `next`
+//! fills the buffer it is handed. Pass-through operators hand that
+//! buffer on to their input; an operator that needs an input tuple for
+//! several outputs keeps one frame of its own and copies it out with
+//! `clone_from`, which reuses the buffer's allocation. Frames are still
+//! copied, never shared: a nested plan rebinds `cn` in *its* frame, and a
+//! 𝔐 replay carries the bindings it was recorded under.
 
 mod basic;
 mod exchange;
@@ -37,10 +45,12 @@ pub trait PhysIter: Send {
     /// (MemoX, χ^mat, independent aggregates) survive re-opens.
     fn open(&mut self, rt: &Runtime<'_>, seed: &Tuple);
 
-    /// Produce the next tuple. Returning `None` with the runtime's
-    /// governor tripped means "stopped by the budget", not exhaustion —
-    /// the executor turns the trip into a typed error after closing.
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple>;
+    /// Write the next tuple into `out` (whatever it held is overwritten)
+    /// and return `true`, or return `false` at the end, leaving `out`
+    /// unspecified. `false` with the runtime's governor tripped means
+    /// "stopped by the budget", not exhaustion — the executor turns the
+    /// trip into a typed error after closing.
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool;
 
     /// Release per-evaluation state and return any transient governor
     /// charges (default: nothing to do — Rust drops buffers with the
@@ -53,19 +63,24 @@ pub trait PhysIter: Send {
     fn gauges(&self, _out: &mut Vec<Gauge>) {}
 }
 
-/// A compiled scalar subscript: an NVM program plus the nested iterator
-/// plans its `EvalNested` instructions refer to.
+/// A compiled scalar subscript: an NVM program, the nested iterator
+/// plans its `EvalNested` instructions refer to, and the register file
+/// the program runs in.
 pub struct CompiledPred {
-    /// The NVM program.
-    pub prog: Program,
-    /// Nested sequence plans (aggregations).
-    pub nested: Vec<NestedEval>,
+    prog: Program,
+    nested: Vec<NestedEval>,
+    regs: Vec<Value>,
 }
 
 impl CompiledPred {
+    /// A subscript from its program and nested sequence plans.
+    pub fn new(prog: Program, nested: Vec<NestedEval>) -> CompiledPred {
+        CompiledPred { prog, nested, regs: Vec::new() }
+    }
+
     /// Evaluate against one tuple.
     pub fn eval(&mut self, rt: &Runtime<'_>, tuple: &Tuple) -> Value {
-        nvm::run(&self.prog, rt, tuple, &mut self.nested)
+        nvm::run(&self.prog, rt, tuple, &mut self.nested, &mut self.regs)
     }
 }
 
@@ -78,12 +93,22 @@ pub struct NestedEval {
     func: AggFunc,
     independent: bool,
     cached: Option<Value>,
+    /// The nested plan's output frame — never the caller's tuple, whose
+    /// bindings the nested plan must not touch.
+    frame: Tuple,
 }
 
 impl NestedEval {
     /// Wrap a built nested plan.
     pub fn new(iter: Box<dyn PhysIter>, over: Slot, func: AggFunc, independent: bool) -> Self {
-        NestedEval { iter, over, func, independent, cached: None }
+        NestedEval {
+            iter,
+            over,
+            func,
+            independent,
+            cached: None,
+            frame: Tuple::new(),
+        }
     }
 
     /// Run the nested plan seeded with `tuple` and aggregate.
@@ -95,30 +120,29 @@ impl NestedEval {
         }
         self.iter.open(rt, tuple);
         let store = rt.store;
+        let (iter, frame, over) = (&mut self.iter, &mut self.frame, self.over);
+        let num = |frame: &Tuple| frame.get(over).map_or(f64::NAN, |v| v.to_num(store));
         let result = match self.func {
-            AggFunc::Exists => {
-                // Smart aggregation: stop after the first tuple.
-                let found = self.iter.next(rt).is_some();
-                Value::Bool(found)
-            }
+            // Smart aggregation: stop after the first tuple.
+            AggFunc::Exists => Value::Bool(iter.next(rt, frame)),
             AggFunc::Count => {
                 let mut n = 0u64;
-                while self.iter.next(rt).is_some() {
+                while iter.next(rt, frame) {
                     n += 1;
                 }
                 Value::Num(n as f64)
             }
             AggFunc::Sum => {
                 let mut total = 0.0f64;
-                while let Some(t) = self.iter.next(rt) {
-                    total += t.get(self.over).map_or(f64::NAN, |v| v.to_num(store));
+                while iter.next(rt, frame) {
+                    total += num(frame);
                 }
                 Value::Num(total)
             }
             AggFunc::Max | AggFunc::Min => {
                 let mut best: Option<f64> = None;
-                while let Some(t) = self.iter.next(rt) {
-                    let x = t.get(self.over).map_or(f64::NAN, |v| v.to_num(store));
+                while iter.next(rt, frame) {
+                    let x = num(frame);
                     best = Some(match best {
                         None => x,
                         Some(b) => {
@@ -135,8 +159,8 @@ impl NestedEval {
             AggFunc::FirstNode => {
                 let keys = algebra::DocOrderKeys::new(store);
                 let mut best: Option<(u64, xmlstore::NodeId)> = None;
-                while let Some(t) = self.iter.next(rt) {
-                    if let Some(Value::Node(n)) = t.get(self.over) {
+                while iter.next(rt, frame) {
+                    if let Some(Value::Node(n)) = frame.get(over) {
                         let o = keys.key(*n);
                         if best.is_none_or(|(bo, _)| o < bo) {
                             best = Some((o, *n));

@@ -136,7 +136,11 @@ pub struct UnnestMapIter {
     /// every context falls back to the plain scan.
     postings: Option<Option<Vec<(u32, NodeId)>>>,
     resolved: Option<ResolvedTest>,
-    current: Option<(Tuple, Scan)>,
+    /// The input tuple whose axis is being walked: the input fills it,
+    /// every output is a copy of it plus the step's node.
+    frame: Tuple,
+    /// The walk over `frame`'s context node; `None` between contexts.
+    scan: Option<Scan>,
     /// Statistics: context nodes served by an interval range scan.
     pub range_scans: u64,
     /// Statistics: context nodes on an interval axis that fell back to
@@ -169,7 +173,8 @@ impl UnnestMapIter {
             probe,
             postings: None,
             resolved: None,
-            current: None,
+            frame: Tuple::new(),
+            scan: None,
             range_scans: 0,
             cursor_fallbacks: 0,
             index_probes: 0,
@@ -189,22 +194,23 @@ impl UnnestMapIter {
 impl PhysIter for UnnestMapIter {
     fn open(&mut self, rt: &Runtime<'_>, seed: &Tuple) {
         self.input.open(rt, seed);
-        self.current = None;
+        self.scan = None;
         if self.resolved.is_none() {
             self.resolved = Some(ResolvedTest::resolve(&self.test, self.axis, rt));
         }
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
         let resolved = self.resolved.as_ref().expect("opened");
         if matches!(resolved, ResolvedTest::Impossible) {
-            return None;
+            return false;
         }
         loop {
-            if let Some((tuple, scan)) = &mut self.current {
+            if let Some(scan) = &mut self.scan {
                 // The axis scan is the engine's innermost unbounded loop:
                 // tick per advance so deadlines and cancellation are
                 // observed even when nothing matches the node test.
+                let mut found = None;
                 match scan {
                     Scan::Range(range) => {
                         // One virtual call per output tuple, not per hop:
@@ -215,9 +221,8 @@ impl PhysIter for UnnestMapIter {
                                 break;
                             };
                             if resolved.matches_rank(rank, idx, rt) {
-                                let mut out = tuple.clone();
-                                out[self.out] = Value::Node(idx.node_at(rank));
-                                return Some(out);
+                                found = Some(idx.node_at(rank));
+                                break;
                             }
                         }
                     }
@@ -227,9 +232,8 @@ impl PhysIter for UnnestMapIter {
                                 break;
                             };
                             if resolved.matches(n, rt) {
-                                let mut out = tuple.clone();
-                                out[self.out] = Value::Node(n);
-                                return Some(out);
+                                found = Some(n);
+                                break;
                             }
                         }
                     }
@@ -237,21 +241,24 @@ impl PhysIter for UnnestMapIter {
                         // Candidates are already axis- and test-filtered,
                         // so every advance emits: tick per output tuple.
                         if rt.gov.tick() {
-                            if let Some((_, n)) = cands.next() {
-                                let mut out = tuple.clone();
-                                out[self.out] = Value::Node(n);
-                                return Some(out);
-                            }
+                            found = cands.next().map(|(_, n)| n);
                         }
                     }
                 }
-                if !rt.gov.ok() {
-                    return None;
+                if let Some(n) = found {
+                    out.clone_from(&self.frame);
+                    out[self.out] = Value::Node(n);
+                    return true;
                 }
-                self.current = None;
+                if !rt.gov.ok() {
+                    return false;
+                }
+                self.scan = None;
             }
-            let t = self.input.next(rt)?;
-            let Some(node) = t.get(self.ctx).and_then(|v| v.as_node()) else {
+            if !self.input.next(rt, &mut self.frame) {
+                return false;
+            }
+            let Some(node) = self.frame.get(self.ctx).and_then(|v| v.as_node()) else {
                 continue; // unbound context yields nothing
             };
             // A probe annotation takes precedence over either scan
@@ -276,7 +283,7 @@ impl PhysIter for UnnestMapIter {
                         &mut self.probe_postings,
                     ) {
                         self.index_probes += 1;
-                        self.current = Some((t, Scan::Probe(cands.into_iter())));
+                        self.scan = Some(Scan::Probe(cands.into_iter()));
                         continue;
                     }
                 }
@@ -301,13 +308,13 @@ impl PhysIter for UnnestMapIter {
                     Scan::Cursor(AxisCursor::new(rt.store, self.axis, node))
                 }
             };
-            self.current = Some((t, scan));
+            self.scan = Some(scan);
         }
     }
 
     fn close(&mut self, rt: &Runtime<'_>) {
         self.input.close(rt);
-        self.current = None;
+        self.scan = None;
     }
 
     fn gauges(&self, out: &mut Vec<Gauge>) {
@@ -376,6 +383,8 @@ pub struct TokenizeIter {
     input: Box<dyn PhysIter>,
     out: Slot,
     expr: CompiledPred,
+    /// The input tuple being tokenised.
+    frame: Tuple,
     pending: VecDeque<Tuple>,
     ledger: ChargeLedger,
 }
@@ -387,6 +396,7 @@ impl TokenizeIter {
             input,
             out,
             expr,
+            frame: Tuple::new(),
             pending: VecDeque::new(),
             ledger: ChargeLedger::new(),
         }
@@ -400,24 +410,27 @@ impl PhysIter for TokenizeIter {
         self.ledger.release_all(rt.gov);
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
         loop {
             if !rt.gov.tick() {
-                return None;
+                return false;
             }
             if let Some(t) = self.pending.pop_front() {
                 self.ledger.release(rt.gov, tuple_bytes(&t));
-                return Some(t);
+                *out = t;
+                return true;
             }
-            let t = self.input.next(rt)?;
-            let s = self.expr.eval(rt, &t).to_str(rt.store);
-            for token in s.split_ascii_whitespace() {
-                let mut out = t.clone();
-                out[self.out] = Value::Str(token.into());
-                if !self.ledger.charge_tuple(rt.gov, &out) {
-                    return None;
+            if !self.input.next(rt, &mut self.frame) {
+                return false;
+            }
+            let s = self.expr.eval(rt, &self.frame);
+            for token in s.as_str(rt.store).split_ascii_whitespace() {
+                let mut t = self.frame.clone();
+                t[self.out] = Value::Str(token.into());
+                if !self.ledger.charge_tuple(rt.gov, &t) {
+                    return false;
                 }
-                self.pending.push_back(out);
+                self.pending.push_back(t);
             }
         }
     }

@@ -13,7 +13,7 @@ use xpath_syntax::{ArithOp, CompOp};
 
 use algebra::attrmgr::Slot;
 use algebra::scalar::{CmpMode, NodeFn, NumFn, StrFn};
-use algebra::{Const, Tuple, Value};
+use algebra::{Tuple, Value};
 
 use crate::exec::Runtime;
 use crate::iter::NestedEval;
@@ -24,8 +24,9 @@ pub type Reg = usize;
 /// NVM instructions.
 #[derive(Clone, Debug)]
 pub enum Instr {
-    /// `dst ← const`
-    LoadConst { dst: Reg, value: Const },
+    /// `dst ← const`. The constant is lifted to a [`Value`] once at code
+    /// generation, so loading a string is a reference-count bump.
+    LoadConst { dst: Reg, value: Value },
     /// `dst ← tuple[slot]`
     LoadSlot { dst: Reg, slot: Slot },
     /// `dst ← vars[name]` (Null if unbound).
@@ -89,14 +90,22 @@ pub struct Program {
 }
 
 /// Run a program against `tuple`. `nested` supplies the nested iterator
-/// plans referenced by `EvalNested`.
-pub fn run(prog: &Program, rt: &Runtime<'_>, tuple: &Tuple, nested: &mut [NestedEval]) -> Value {
-    let mut regs: Vec<Value> = vec![Value::Null; prog.nregs];
+/// plans referenced by `EvalNested`; `regs` is the caller's register
+/// file, reset here and reused from run to run.
+pub fn run(
+    prog: &Program,
+    rt: &Runtime<'_>,
+    tuple: &Tuple,
+    nested: &mut [NestedEval],
+    regs: &mut Vec<Value>,
+) -> Value {
+    regs.clear();
+    regs.resize(prog.nregs, Value::Null);
     let store = rt.store;
     let mut pc = 0usize;
     while pc < prog.instrs.len() {
         match &prog.instrs[pc] {
-            Instr::LoadConst { dst, value } => regs[*dst] = value.to_value(),
+            Instr::LoadConst { dst, value } => regs[*dst] = value.clone(),
             Instr::LoadSlot { dst, slot } => {
                 regs[*dst] = tuple.get(*slot).cloned().unwrap_or(Value::Null)
             }
@@ -114,10 +123,16 @@ pub fn run(prog: &Program, rt: &Runtime<'_>, tuple: &Tuple, nested: &mut [Nested
             }
             Instr::Not { dst, a } => regs[*dst] = Value::Bool(!regs[*a].to_bool()),
             Instr::ToNumber { dst, a } => regs[*dst] = Value::Num(regs[*a].to_num(store)),
-            Instr::ToString { dst, a } => regs[*dst] = Value::Str(regs[*a].to_str(store).into()),
+            Instr::ToString { dst, a } => {
+                let v = match &regs[*a] {
+                    Value::Str(s) => Value::Str(s.clone()),
+                    other => Value::Str(other.as_str(store).as_ref().into()),
+                };
+                regs[*dst] = v;
+            }
             Instr::ToBoolean { dst, a } => regs[*dst] = Value::Bool(regs[*a].to_bool()),
             Instr::StrOp { f, dst, args } => {
-                regs[*dst] = str_op(*f, args, &regs, rt);
+                regs[*dst] = str_op(*f, args, regs, rt);
             }
             Instr::NumOp { f, dst, a } => {
                 let x = regs[*a].to_num(store);
@@ -139,19 +154,15 @@ pub fn run(prog: &Program, rt: &Runtime<'_>, tuple: &Tuple, nested: &mut [Nested
                 );
             }
             Instr::Lang { dst, a, ctx } => {
-                let lang = regs[*a].to_str(store);
-                let node = tuple.get(*ctx).and_then(|v| v.as_node());
-                regs[*dst] = Value::Bool(match node {
-                    Some(n) => lang_matches(rt, n, &lang),
+                let matched = match tuple.get(*ctx).and_then(|v| v.as_node()) {
+                    Some(n) => lang_matches(rt, n, &regs[*a].as_str(store)),
                     None => false,
-                });
+                };
+                regs[*dst] = Value::Bool(matched);
             }
             Instr::Deref { dst, a } => {
-                let id = regs[*a].to_str(store);
-                regs[*dst] = match store.element_by_id(&id) {
-                    Some(n) => Value::Node(n),
-                    None => Value::Null,
-                };
+                let found = store.element_by_id(&regs[*a].as_str(store));
+                regs[*dst] = found.map_or(Value::Null, Value::Node);
             }
             Instr::RootOf { dst, a } => {
                 // Single-document stores: the root is store.root()
@@ -213,7 +224,7 @@ fn compare(op: CompOp, mode: CmpMode, a: &Value, b: &Value, rt: &Runtime<'_>) ->
             }
         }
         CmpMode::Str => {
-            let (x, y) = (a.to_str(store), b.to_str(store));
+            let (x, y) = (a.as_str(store), b.as_str(store));
             match op {
                 CompOp::Eq => x == y,
                 CompOp::Ne => x != y,
@@ -226,17 +237,17 @@ fn compare(op: CompOp, mode: CmpMode, a: &Value, b: &Value, rt: &Runtime<'_>) ->
 
 fn str_op(f: StrFn, args: &[Reg], regs: &[Value], rt: &Runtime<'_>) -> Value {
     let store = rt.store;
-    let s = |i: usize| regs[args[i]].to_str(store);
+    let s = |i: usize| regs[args[i]].as_str(store);
     match f {
         StrFn::Concat => {
             let mut out = String::new();
             for &r in args {
-                out.push_str(&regs[r].to_str(store));
+                out.push_str(&regs[r].as_str(store));
             }
             Value::Str(out.into())
         }
-        StrFn::Contains => Value::Bool(s(0).contains(&s(1))),
-        StrFn::StartsWith => Value::Bool(s(0).starts_with(&s(1))),
+        StrFn::Contains => Value::Bool(s(0).contains(&*s(1))),
+        StrFn::StartsWith => Value::Bool(s(0).starts_with(&*s(1))),
         StrFn::SubstringBefore => Value::Str(xvalue::substring_before(&s(0), &s(1)).into()),
         StrFn::SubstringAfter => Value::Str(xvalue::substring_after(&s(0), &s(1)).into()),
         StrFn::Substring => {
@@ -289,14 +300,14 @@ mod tests {
         let rt = Runtime { store: &store, vars: &vars, gov: &gov };
         let prog = Program {
             instrs: vec![
-                Instr::LoadConst { dst: 0, value: Const::Num(4.0) },
-                Instr::LoadConst { dst: 1, value: Const::Num(38.0) },
+                Instr::LoadConst { dst: 0, value: Value::Num(4.0) },
+                Instr::LoadConst { dst: 1, value: Value::Num(38.0) },
                 Instr::Arith { op: ArithOp::Add, dst: 2, a: 0, b: 1 },
             ],
             nregs: 3,
             result: 2,
         };
-        let v = run(&prog, &rt, &vec![], &mut []);
+        let v = run(&prog, &rt, &vec![], &mut [], &mut Vec::new());
         assert!(matches!(v, Value::Num(n) if n == 42.0));
     }
 
@@ -314,13 +325,13 @@ mod tests {
             instrs: vec![
                 Instr::LoadSlot { dst: 0, slot: 0 },
                 Instr::ToNumber { dst: 1, a: 0 },
-                Instr::LoadConst { dst: 2, value: Const::Num(7.0) },
+                Instr::LoadConst { dst: 2, value: Value::Num(7.0) },
                 Instr::Cmp { op: CompOp::Eq, mode: CmpMode::Num, dst: 3, a: 1, b: 2 },
             ],
             nregs: 4,
             result: 3,
         };
-        let v = run(&prog, &rt, &tuple, &mut []);
+        let v = run(&prog, &rt, &tuple, &mut [], &mut Vec::new());
         assert!(matches!(v, Value::Bool(true)));
     }
 
@@ -331,25 +342,25 @@ mod tests {
         let rt = Runtime { store: &store, vars: &vars, gov: &gov };
         let prog = Program {
             instrs: vec![
-                Instr::LoadConst { dst: 0, value: Const::Str("k1".into()) },
+                Instr::LoadConst { dst: 0, value: Value::Str("k1".into()) },
                 Instr::Deref { dst: 1, a: 0 },
             ],
             nregs: 2,
             result: 1,
         };
-        match run(&prog, &rt, &vec![], &mut []) {
+        match run(&prog, &rt, &vec![], &mut [], &mut Vec::new()) {
             Value::Node(n) => assert_eq!(store.node_name(n), "b"),
             other => panic!("{other:?}"),
         }
         let prog_missing = Program {
             instrs: vec![
-                Instr::LoadConst { dst: 0, value: Const::Str("zzz".into()) },
+                Instr::LoadConst { dst: 0, value: Value::Str("zzz".into()) },
                 Instr::Deref { dst: 1, a: 0 },
             ],
             nregs: 2,
             result: 1,
         };
-        assert!(run(&prog_missing, &rt, &vec![], &mut []).is_null());
+        assert!(run(&prog_missing, &rt, &vec![], &mut [], &mut Vec::new()).is_null());
     }
 
     #[test]
@@ -365,14 +376,14 @@ mod tests {
         for (lang, expect) in [("en", true), ("en-us", true), ("EN", true), ("de", false)] {
             let prog = Program {
                 instrs: vec![
-                    Instr::LoadConst { dst: 0, value: Const::Str(lang.into()) },
+                    Instr::LoadConst { dst: 0, value: Value::Str(lang.into()) },
                     Instr::Lang { dst: 1, a: 0, ctx: 0 },
                 ],
                 nregs: 2,
                 result: 1,
             };
             assert!(
-                matches!(run(&prog, &rt, &tuple, &mut []), Value::Bool(b) if b == expect),
+                matches!(run(&prog, &rt, &tuple, &mut [], &mut Vec::new()), Value::Bool(b) if b == expect),
                 "lang({lang})"
             );
         }
@@ -385,29 +396,15 @@ mod tests {
         let rt = Runtime { store: &store, vars: &vars, gov: &gov };
         let cmp = |a: Value, b: Value, op: CompOp| {
             let prog = Program {
-                instrs: vec![Instr::Cmp { op, mode: CmpMode::Dyn, dst: 2, a: 0, b: 1 }],
+                instrs: vec![
+                    Instr::LoadConst { dst: 0, value: a },
+                    Instr::LoadConst { dst: 1, value: b },
+                    Instr::Cmp { op, mode: CmpMode::Dyn, dst: 2, a: 0, b: 1 },
+                ],
                 nregs: 3,
                 result: 2,
             };
-            let tuple = vec![];
-            let mut regs_in = prog.clone();
-            // Pre-load via constants: rebuild with loads.
-            regs_in.instrs = vec![
-                match &a {
-                    Value::Bool(x) => Instr::LoadConst { dst: 0, value: Const::Bool(*x) },
-                    Value::Num(x) => Instr::LoadConst { dst: 0, value: Const::Num(*x) },
-                    Value::Str(x) => Instr::LoadConst { dst: 0, value: Const::Str(x.to_string()) },
-                    _ => unreachable!(),
-                },
-                match &b {
-                    Value::Bool(x) => Instr::LoadConst { dst: 1, value: Const::Bool(*x) },
-                    Value::Num(x) => Instr::LoadConst { dst: 1, value: Const::Num(*x) },
-                    Value::Str(x) => Instr::LoadConst { dst: 1, value: Const::Str(x.to_string()) },
-                    _ => unreachable!(),
-                },
-                Instr::Cmp { op, mode: CmpMode::Dyn, dst: 2, a: 0, b: 1 },
-            ];
-            matches!(run(&regs_in, &rt, &tuple, &mut []), Value::Bool(true))
+            matches!(run(&prog, &rt, &vec![], &mut [], &mut Vec::new()), Value::Bool(true))
         };
         // bool beats number: true = 1 → boolean(1)=true.
         assert!(cmp(Value::Bool(true), Value::Num(1.0), CompOp::Eq));
@@ -428,13 +425,13 @@ mod tests {
         // r0 = false; if false jump over the part that would set r0=true.
         let prog = Program {
             instrs: vec![
-                Instr::LoadConst { dst: 0, value: Const::Bool(false) },
+                Instr::LoadConst { dst: 0, value: Value::Bool(false) },
                 Instr::JumpIfFalse { cond: 0, target: 3 },
-                Instr::LoadConst { dst: 0, value: Const::Bool(true) },
+                Instr::LoadConst { dst: 0, value: Value::Bool(true) },
             ],
             nregs: 1,
             result: 0,
         };
-        assert!(matches!(run(&prog, &rt, &vec![], &mut []), Value::Bool(false)));
+        assert!(matches!(run(&prog, &rt, &vec![], &mut [], &mut Vec::new()), Value::Bool(false)));
     }
 }

@@ -194,15 +194,13 @@ impl PhysIter for ProfiledIter {
         s.opens += 1;
     }
 
-    fn next(&mut self, rt: &Runtime<'_>) -> Option<Tuple> {
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
         let t0 = Instant::now();
-        let t = self.inner.next(rt);
+        let produced = self.inner.next(rt, out);
         let mut s = self.stats.lock();
         s.nanos += t0.elapsed().as_nanos() as u64;
-        if t.is_some() {
-            s.tuples += 1;
-        }
-        t
+        s.tuples += u64::from(produced);
+        produced
     }
 
     fn close(&mut self, rt: &Runtime<'_>) {

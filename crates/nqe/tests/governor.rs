@@ -42,8 +42,9 @@ fn unnest(ctx: usize, out: usize, axis: Axis, test: NodeTest) -> Box<dyn PhysIte
 fn drain(it: &mut dyn PhysIter, rt: &Runtime<'_>, seed: &Tuple) -> Vec<Tuple> {
     it.open(rt, seed);
     let mut out = Vec::new();
-    while let Some(t) = it.next(rt) {
-        out.push(t);
+    let mut t = Tuple::new();
+    while it.next(rt, &mut t) {
+        out.push(t.clone());
     }
     it.close(rt);
     out

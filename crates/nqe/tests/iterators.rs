@@ -5,13 +5,13 @@
 use std::collections::HashMap;
 
 use algebra::scalar::{AggFunc, CmpMode};
-use algebra::{Const, ScanHint, Tuple, Value};
+use algebra::{ScanHint, Tuple, Value};
 use xmlstore::{parse_document, ArenaStore, Axis, XmlStore};
 use xpath_syntax::{CompOp, NodeTest};
 
 use nqe::iter::{
-    CompiledPred, ConcatIter, CounterIter, DJoinIter, DedupIter, MemoXIter, NestedEval, PhysIter,
-    SelectIter, SingletonIter, SortIter, TmpCsIter, UnnestMapIter,
+    CompiledPred, ConcatIter, CounterIter, DJoinIter, DedupIter, MapIter, MemoXIter, NestedEval,
+    PhysIter, SelectIter, SingletonIter, SortIter, TmpCsIter, UnnestMapIter,
 };
 use nqe::nvm::{Instr, Program};
 use nqe::{ResourceGovernor, Runtime};
@@ -40,8 +40,9 @@ fn seed(store: &ArenaStore) -> Tuple {
 fn drain(it: &mut dyn PhysIter, rt: &Runtime<'_>, seed: &Tuple) -> Vec<Tuple> {
     it.open(rt, seed);
     let mut out = Vec::new();
-    while let Some(t) = it.next(rt) {
-        out.push(t);
+    let mut t = Tuple::new();
+    while it.next(rt, &mut t) {
+        out.push(t.clone());
     }
     it.close(rt);
     out
@@ -241,19 +242,19 @@ fn select_filters_by_compiled_predicate() {
     let gov = ResourceGovernor::unlimited();
     let rt = rt(&s, &vars, &gov);
     // pred: number(string-value of slot1 node) >= 2
-    let pred = CompiledPred {
-        prog: Program {
+    let pred = CompiledPred::new(
+        Program {
             instrs: vec![
                 Instr::LoadSlot { dst: 0, slot: 1 },
                 Instr::ToNumber { dst: 1, a: 0 },
-                Instr::LoadConst { dst: 2, value: Const::Num(2.0) },
+                Instr::LoadConst { dst: 2, value: Value::Num(2.0) },
                 Instr::Cmp { op: CompOp::Ge, mode: CmpMode::Num, dst: 3, a: 1, b: 2 },
             ],
             nregs: 4,
             result: 3,
         },
-        nested: vec![],
-    };
+        vec![],
+    );
     let bs = unnest(0, 1, Axis::Descendant, NodeTest::Name("b".into()));
     let mut select = SelectIter::new(bs, pred);
     let out = drain(&mut select, &rt, &seed(&s));
@@ -310,7 +311,7 @@ fn memox_discards_partial_recordings() {
     };
     // Early exit: take one tuple, close.
     memo.open(&rt, &a1);
-    assert!(memo.next(&rt).is_some());
+    assert!(memo.next(&rt, &mut Tuple::new()));
     memo.close(&rt);
     // The partial sequence must not have been cached.
     let full = drain(&mut memo, &rt, &a1);
@@ -359,6 +360,86 @@ fn nested_eval_aggregates_and_caches_independent_plans() {
     assert!(matches!(agg.evaluate(&rt, &seed(&s)), Value::Bool(false)));
 }
 
+/// A subscript that is one nested aggregate.
+fn nested_pred(plan: Box<dyn PhysIter>, over: usize, func: AggFunc) -> CompiledPred {
+    CompiledPred::new(
+        Program {
+            instrs: vec![Instr::EvalNested { dst: 0, idx: 0 }],
+            nregs: 1,
+            result: 0,
+        },
+        vec![NestedEval::new(plan, over, func, false)],
+    )
+}
+
+#[test]
+fn nested_predicate_rebinding_cn_does_not_leak_into_the_outer_frame() {
+    let s = store();
+    let vars = HashMap::new();
+    let gov = ResourceGovernor::unlimited();
+    let rt = rt(&s, &vars, &gov);
+    // The predicate context of `a[b]`: the nested plan rebinds cn
+    // (slot 0) to the candidate <a> in slot 1, then steps to its b's
+    // (slot 2) — all of it in the nested plan's own frame.
+    let rebind = MapIter::new(
+        Box::new(SingletonIter::new()),
+        0,
+        CompiledPred::new(
+            Program {
+                instrs: vec![Instr::LoadSlot { dst: 0, slot: 1 }],
+                nregs: 1,
+                result: 0,
+            },
+            vec![],
+        ),
+    );
+    let step = UnnestMapIter::new(
+        Box::new(rebind),
+        0,
+        2,
+        Axis::Child,
+        NodeTest::Name("b".into()),
+        ScanHint::Auto,
+        None,
+    );
+    let outer = unnest(0, 1, Axis::Descendant, NodeTest::Name("a".into()));
+    let mut select = SelectIter::new(outer, nested_pred(Box::new(step), 2, AggFunc::Exists));
+    let out = drain(&mut select, &rt, &seed(&s));
+    assert_eq!(out.len(), 2, "both <a> have b children");
+    for t in &out {
+        assert_eq!(t[0].as_node(), Some(s.root()), "outer cn survives the nested rebinding");
+        assert!(t[2].is_null(), "the nested step's output stays in the nested frame");
+    }
+}
+
+#[test]
+fn memox_replay_does_not_overwrite_the_outer_binding() {
+    let s = store();
+    let vars = HashMap::new();
+    let gov = ResourceGovernor::unlimited();
+    let rt = rt(&s, &vars, &gov);
+    // Outer: every b (slot 3) with its parent a (slot 1): the first two
+    // tuples share the memo key a₁ but bind different b's. χ counts a's
+    // b children (slot 2) through 𝔐 keyed on slot 1 into slot 4, so the
+    // second count is a replay of rows recorded while slot 3 held b₁.
+    let bs = unnest(0, 3, Axis::Descendant, NodeTest::Name("b".into()));
+    let parents =
+        UnnestMapIter::new(bs, 3, 1, Axis::Parent, NodeTest::Wildcard, ScanHint::Auto, None);
+    let children = unnest(1, 2, Axis::Child, NodeTest::Name("b".into()));
+    let memo = MemoXIter::new(children, 1);
+    let mut map =
+        MapIter::new(Box::new(parents), 4, nested_pred(Box::new(memo), 2, AggFunc::Count));
+    let mut wide = seed(&s);
+    wide.push(Value::Null);
+    let out = drain(&mut map, &rt, &wide);
+    let text = |v: &Value| s.string_value(v.as_node().expect("node"));
+    let bound: Vec<String> = out.iter().map(|t| text(&t[3])).collect();
+    assert_eq!(bound, ["1", "2", "3"], "each tuple keeps the b it was produced for");
+    let counts: Vec<f64> = out.iter().map(|t| t[4].to_num(&s)).collect();
+    assert_eq!(counts, [2.0, 2.0, 1.0]);
+    assert!(out.iter().all(|t| t[2].is_null()), "replayed rows stay in the nested frame");
+}
+
 #[test]
 fn semi_and_anti_join_are_complementary() {
     use nqe::iter::SemiJoinIter;
@@ -368,37 +449,39 @@ fn semi_and_anti_join_are_complementary() {
     let rt = rt(&s, &vars, &gov);
     // left: all b's (slot 1); right: b's with value >= 2 (slot 2);
     // pred: string-values equal.
-    let pred = || CompiledPred {
-        prog: Program {
-            instrs: vec![
-                Instr::LoadSlot { dst: 0, slot: 1 },
-                Instr::ToString { dst: 1, a: 0 },
-                Instr::LoadSlot { dst: 2, slot: 2 },
-                Instr::ToString { dst: 3, a: 2 },
-                Instr::Cmp { op: CompOp::Eq, mode: CmpMode::Str, dst: 4, a: 1, b: 3 },
-            ],
-            nregs: 5,
-            result: 4,
-        },
-        nested: vec![],
+    let pred = || {
+        CompiledPred::new(
+            Program {
+                instrs: vec![
+                    Instr::LoadSlot { dst: 0, slot: 1 },
+                    Instr::ToString { dst: 1, a: 0 },
+                    Instr::LoadSlot { dst: 2, slot: 2 },
+                    Instr::ToString { dst: 3, a: 2 },
+                    Instr::Cmp { op: CompOp::Eq, mode: CmpMode::Str, dst: 4, a: 1, b: 3 },
+                ],
+                nregs: 5,
+                result: 4,
+            },
+            vec![],
+        )
     };
     let right = || -> Box<dyn PhysIter> {
         let bs = unnest(0, 2, Axis::Descendant, NodeTest::Name("b".into()));
         Box::new(SelectIter::new(
             bs,
-            CompiledPred {
-                prog: Program {
+            CompiledPred::new(
+                Program {
                     instrs: vec![
                         Instr::LoadSlot { dst: 0, slot: 2 },
                         Instr::ToNumber { dst: 1, a: 0 },
-                        Instr::LoadConst { dst: 2, value: Const::Num(2.0) },
+                        Instr::LoadConst { dst: 2, value: Value::Num(2.0) },
                         Instr::Cmp { op: CompOp::Ge, mode: CmpMode::Num, dst: 3, a: 1, b: 2 },
                     ],
                     nregs: 4,
                     result: 3,
                 },
-                nested: vec![],
-            },
+                vec![],
+            ),
         ))
     };
     let semi_out = {

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use algebra::scalar::{CmpMode, NodeFn, NumFn, StrFn};
-use algebra::{Const, Value};
+use algebra::Value;
 use xmlstore::{parse_document, ArenaStore, XmlStore};
 use xpath_syntax::{ArithOp, CompOp};
 
@@ -21,11 +21,11 @@ fn eval(store: &ArenaStore, instrs: Vec<Instr>, nregs: usize, result: usize) -> 
     let gov = ResourceGovernor::unlimited();
     let rt = Runtime { store, vars: &vars, gov: &gov };
     let prog = Program { instrs, nregs, result };
-    run(&prog, &rt, &vec![], &mut [])
+    run(&prog, &rt, &vec![], &mut [], &mut Vec::new())
 }
 
 fn s(v: &str) -> Instr {
-    Instr::LoadConst { dst: 0, value: Const::Str(v.into()) }
+    Instr::LoadConst { dst: 0, value: Value::Str(v.into()) }
 }
 
 #[test]
@@ -41,8 +41,8 @@ fn arithmetic_instructions() {
         let v = eval(
             &st,
             vec![
-                Instr::LoadConst { dst: 0, value: Const::Num(3.0) },
-                Instr::LoadConst { dst: 1, value: Const::Num(2.0) },
+                Instr::LoadConst { dst: 0, value: Value::Num(3.0) },
+                Instr::LoadConst { dst: 1, value: Value::Num(2.0) },
                 Instr::Arith { op, dst: 2, a: 0, b: 1 },
             ],
             3,
@@ -53,7 +53,7 @@ fn arithmetic_instructions() {
     let v = eval(
         &st,
         vec![
-            Instr::LoadConst { dst: 0, value: Const::Num(4.5) },
+            Instr::LoadConst { dst: 0, value: Value::Num(4.5) },
             Instr::Neg { dst: 1, a: 0 },
         ],
         2,
@@ -79,7 +79,7 @@ fn string_instructions() {
         let mut instrs = Vec::new();
         let regs: Vec<usize> = (0..args.len()).collect();
         for (i, a) in args.iter().enumerate() {
-            instrs.push(Instr::LoadConst { dst: i, value: Const::Str((*a).into()) });
+            instrs.push(Instr::LoadConst { dst: i, value: Value::Str((*a).into()) });
         }
         let dst = args.len();
         instrs.push(Instr::StrOp { f, dst, args: regs });
@@ -95,9 +95,9 @@ fn string_instructions() {
     let v = eval(
         &fixture(),
         vec![
-            Instr::LoadConst { dst: 0, value: Const::Str("12345".into()) },
-            Instr::LoadConst { dst: 1, value: Const::Num(2.0) },
-            Instr::LoadConst { dst: 2, value: Const::Num(3.0) },
+            Instr::LoadConst { dst: 0, value: Value::Str("12345".into()) },
+            Instr::LoadConst { dst: 1, value: Value::Num(2.0) },
+            Instr::LoadConst { dst: 2, value: Value::Num(3.0) },
             Instr::StrOp { f: StrFn::Substring, dst: 3, args: vec![0, 1, 2] },
         ],
         4,
@@ -118,7 +118,7 @@ fn numeric_function_instructions() {
         let v = eval(
             &st,
             vec![
-                Instr::LoadConst { dst: 0, value: Const::Num(input) },
+                Instr::LoadConst { dst: 0, value: Value::Num(input) },
                 Instr::NumOp { f, dst: 1, a: 0 },
             ],
             2,
@@ -147,7 +147,9 @@ fn node_and_conversion_instructions() {
         nregs: 2,
         result: 1,
     };
-    assert!(matches!(run(&prog, &rt, &tuple, &mut []), Value::Str(s) if &*s == "x"));
+    assert!(
+        matches!(run(&prog, &rt, &tuple, &mut [], &mut Vec::new()), Value::Str(s) if &*s == "x")
+    );
     // Conversions chain: node → string → number → boolean.
     let prog = Program {
         instrs: vec![
@@ -159,7 +161,7 @@ fn node_and_conversion_instructions() {
         nregs: 4,
         result: 3,
     };
-    assert!(matches!(run(&prog, &rt, &tuple, &mut []), Value::Bool(true)));
+    assert!(matches!(run(&prog, &rt, &tuple, &mut [], &mut Vec::new()), Value::Bool(true)));
     // NamespaceUri is always empty (verbatim names).
     let prog = Program {
         instrs: vec![
@@ -169,7 +171,9 @@ fn node_and_conversion_instructions() {
         nregs: 2,
         result: 1,
     };
-    assert!(matches!(run(&prog, &rt, &tuple, &mut []), Value::Str(s) if s.is_empty()));
+    assert!(
+        matches!(run(&prog, &rt, &tuple, &mut [], &mut Vec::new()), Value::Str(s) if s.is_empty())
+    );
 }
 
 #[test]
@@ -187,14 +191,16 @@ fn variable_and_move_instructions() {
         nregs: 2,
         result: 1,
     };
-    assert!(matches!(run(&prog, &rt, &vec![], &mut []), Value::Num(n) if n == 9.0));
+    assert!(
+        matches!(run(&prog, &rt, &vec![], &mut [], &mut Vec::new()), Value::Num(n) if n == 9.0)
+    );
     // Unbound variables load Null.
     let prog = Program {
         instrs: vec![Instr::LoadVar { dst: 0, name: "missing".into() }],
         nregs: 1,
         result: 0,
     };
-    assert!(run(&prog, &rt, &vec![], &mut []).is_null());
+    assert!(run(&prog, &rt, &vec![], &mut [], &mut Vec::new()).is_null());
 }
 
 #[test]
@@ -205,7 +211,7 @@ fn comparison_modes() {
         &st,
         vec![
             s("10"),
-            Instr::LoadConst { dst: 1, value: Const::Str("9".into()) },
+            Instr::LoadConst { dst: 1, value: Value::Str("9".into()) },
             Instr::Cmp { op: CompOp::Gt, mode: CmpMode::Str, dst: 2, a: 0, b: 1 },
         ],
         3,
@@ -216,8 +222,8 @@ fn comparison_modes() {
     let v = eval(
         &st,
         vec![
-            Instr::LoadConst { dst: 0, value: Const::Bool(true) },
-            Instr::LoadConst { dst: 1, value: Const::Num(3.0) },
+            Instr::LoadConst { dst: 0, value: Value::Bool(true) },
+            Instr::LoadConst { dst: 1, value: Value::Num(3.0) },
             Instr::Cmp { op: CompOp::Eq, mode: CmpMode::Bool, dst: 2, a: 0, b: 1 },
         ],
         3,
@@ -233,9 +239,9 @@ fn jumps_skip_instructions() {
     let v = eval(
         &st,
         vec![
-            Instr::LoadConst { dst: 0, value: Const::Num(1.0) },
+            Instr::LoadConst { dst: 0, value: Value::Num(1.0) },
             Instr::JumpIfTrue { cond: 0, target: 3 },
-            Instr::LoadConst { dst: 0, value: Const::Num(99.0) },
+            Instr::LoadConst { dst: 0, value: Value::Num(99.0) },
         ],
         1,
         0,

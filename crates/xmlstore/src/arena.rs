@@ -15,6 +15,7 @@
 //! [`RepairStats::full_renumbers`]) only when even the root interval is
 //! dense.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::fault::RepairFailPoint;
@@ -159,11 +160,6 @@ impl ArenaStore {
 
     fn opt(v: u32) -> Option<NodeId> {
         (v != NIL).then_some(NodeId(v))
-    }
-
-    /// Raw value without cloning (arena-only fast path).
-    pub fn value_ref(&self, n: NodeId) -> Option<&str> {
-        self.node(n).value.as_deref()
     }
 
     // ----- update support (see crate::update for the public API) ---------
@@ -867,6 +863,32 @@ impl XmlStore for ArenaStore {
 
     fn value(&self, n: NodeId) -> Option<String> {
         self.node(n).value.as_deref().map(str::to_owned)
+    }
+
+    fn value_ref(&self, n: NodeId) -> Option<Cow<'_, str>> {
+        self.node(n).value.as_deref().map(Cow::Borrowed)
+    }
+
+    /// Borrows whenever the string-value is one stored string: content
+    /// nodes, and elements whose subtree text is a single text child (the
+    /// `year`/`author`/`title` leaf case). Only mixed content allocates.
+    fn string_value_ref(&self, n: NodeId) -> Cow<'_, str> {
+        let node = self.node(n);
+        if !matches!(node.kind, NodeKind::Document | NodeKind::Element) {
+            return Cow::Borrowed(node.value.as_deref().unwrap_or_default());
+        }
+        let mut only = None;
+        let mut child = node.first_child;
+        while child != NIL {
+            let c = &self.nodes[child as usize];
+            match c.kind {
+                NodeKind::Text if only.is_none() => only = c.value.as_deref(),
+                NodeKind::Text | NodeKind::Element => return Cow::Owned(self.string_value(n)),
+                _ => {}
+            }
+            child = c.next_sibling;
+        }
+        Cow::Borrowed(only.unwrap_or_default())
     }
 
     fn parent(&self, n: NodeId) -> Option<NodeId> {

@@ -5,6 +5,8 @@
 //! (paper §5.2.2): location steps and node tests are resolved directly
 //! against the stored representation — no separate main-memory DOM is built.
 
+use std::borrow::Cow;
+
 use crate::buffer::BufferStats;
 use crate::error::StorageFault;
 use crate::index::StructuralIndex;
@@ -98,6 +100,21 @@ pub trait XmlStore: Sync {
             }
             _ => self.value(n).unwrap_or_default(),
         }
+    }
+
+    /// [`XmlStore::value`] without the copy where the store can lend the
+    /// text: main-memory stores borrow it, paged stores (whose bytes live
+    /// in evictable buffer frames) keep the owned default.
+    fn value_ref(&self, n: NodeId) -> Option<Cow<'_, str>> {
+        self.value(n).map(Cow::Owned)
+    }
+
+    /// [`XmlStore::string_value`] without the copy where the store can
+    /// lend the text (see [`XmlStore::value_ref`]). Comparisons and
+    /// conversions read through this; only callers that keep the string
+    /// need the owned form.
+    fn string_value_ref(&self, n: NodeId) -> Cow<'_, str> {
+        Cow::Owned(self.string_value(n))
     }
 
     /// Append the concatenated text content of the subtree rooted at `n`.
@@ -322,6 +339,33 @@ mod tests {
         b.end_element();
         let store = b.finish();
         assert_eq!(store.string_value(store.root()), "xyz");
+    }
+
+    #[test]
+    fn borrowed_accessors_agree_with_the_owned_ones() {
+        use crate::node::NodeId;
+        use std::borrow::Cow;
+        let store = crate::parse_document(
+            r#"<r k="v"><leaf>one</leaf><mixed>a<b>b</b>c</mixed><two>x<!--c-->y</two><e/></r>"#,
+        )
+        .unwrap();
+        let plain = NoIndex(&store);
+        for i in 0..store.node_count() as u32 {
+            let n = NodeId(i);
+            assert_eq!(store.string_value_ref(n), store.string_value(n), "node {i}");
+            assert_eq!(store.value_ref(n).as_deref(), store.value(n).as_deref(), "node {i}");
+            // A store without an override serves the same text, owned.
+            assert_eq!(plain.string_value_ref(n), store.string_value(n), "node {i}");
+        }
+        let r = store.first_child(store.root()).unwrap();
+        let leaf = store.first_child(r).unwrap();
+        let mixed = store.next_sibling(leaf).unwrap();
+        assert!(matches!(store.string_value_ref(leaf), Cow::Borrowed("one")));
+        assert!(matches!(store.string_value_ref(mixed), Cow::Owned(_)));
+        assert!(matches!(
+            store.value_ref(store.first_attribute(r).unwrap()),
+            Some(Cow::Borrowed("v"))
+        ));
     }
 
     #[test]

@@ -55,6 +55,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use telemetry::Counter;
+use xpath_syntax::xvalue;
 
 use crate::engine::{Engine, Session, WriteBatch};
 use crate::{
@@ -253,7 +254,7 @@ pub fn render_output(out: &QueryOutput) -> String {
             }
             s
         }
-        QueryOutput::Num(n) => format!("OK num {n}"),
+        QueryOutput::Num(n) => format!("OK num {}", xvalue::number_to_string(*n)),
         QueryOutput::Bool(b) => format!("OK bool {b}"),
         QueryOutput::Str(v) => format!("OK str {}", escape_line(v)),
     }
@@ -595,19 +596,17 @@ impl ClientSession {
     /// and TCP front-ends share this loop).
     pub fn serve(&mut self, input: impl BufRead, mut output: impl Write) -> std::io::Result<()> {
         for line in input.lines() {
-            let line = line?;
-            match self.handle(&line) {
-                Reply::Line(r) => {
-                    output.write_all(r.as_bytes())?;
-                    output.write_all(b"\n")?;
-                    output.flush()?;
-                }
-                Reply::Close(r) => {
-                    output.write_all(r.as_bytes())?;
-                    output.write_all(b"\n")?;
-                    output.flush()?;
-                    break;
-                }
+            let (mut reply, close) = match self.handle(&line?) {
+                Reply::Line(r) => (r, false),
+                Reply::Close(r) => (r, true),
+            };
+            // One segment per reply: a newline written on its own waits
+            // under Nagle for the client's delayed ACK of the reply body.
+            reply.push('\n');
+            output.write_all(reply.as_bytes())?;
+            output.flush()?;
+            if close {
+                break;
             }
         }
         Ok(())
@@ -691,6 +690,7 @@ pub fn serve_tcp(service: Arc<QueryService>, addr: &str) -> std::io::Result<Serv
 
 fn serve_connection(service: &Arc<QueryService>, stream: TcpStream) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)?;
     let reader = BufReader::new(stream.try_clone()?);
     let mut client = service.client(None);
     client.serve(reader, stream)
@@ -727,6 +727,10 @@ mod tests {
         let mut c = service.client(None);
         assert_eq!(c.handle("count(/a/b)").text(), "OK num 2");
         assert_eq!(c.handle("query string(/a/b[2])").text(), "OK str 2");
+        // Numbers print as XPath string() prints them.
+        assert_eq!(c.handle("sum(/a/nosuch)").text(), "OK num 0");
+        assert_eq!(c.handle("-0").text(), "OK num 0");
+        assert_eq!(c.handle("-1 div 0").text(), "OK num -Infinity");
         assert_eq!(c.handle("doc").text(), "OK docs *main");
         assert!(c.handle("stats").text().starts_with("OK cache hits="));
         assert_eq!(c.handle("quit"), Reply::Close("OK bye".to_owned()));

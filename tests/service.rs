@@ -214,6 +214,43 @@ fn tcp_loopback_serves_concurrent_clients() {
     handle.stop();
 }
 
+/// A reply must leave in one segment. Written as body then newline with
+/// Nagle on, the newline waits for the client's ACK of the body, and a
+/// client that reads to the newline before it sends anything delays that
+/// ACK by the kernel's 40 ms timer — on every request.
+#[test]
+fn tcp_replies_do_not_wait_for_delayed_acks() {
+    use std::io::{BufRead, BufReader, Write};
+
+    const REQUESTS: u32 = 50;
+    let engine = Engine::new();
+    engine.register_document(
+        "dblp",
+        Document::Arena(generate_dblp(DblpParams { records: 20, seed: 42 })),
+    );
+    let service = QueryService::new(engine, ServiceConfig { workers: 1, queue_depth: 4 });
+    let handle = natix::service::serve_tcp(service, "127.0.0.1:0").expect("bind loopback");
+
+    // An ordinary client: default socket options, no TCP_QUICKACK.
+    let mut stream = std::net::TcpStream::connect(handle.addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let started = std::time::Instant::now();
+    for _ in 0..REQUESTS {
+        writeln!(stream, "count(/dblp/article)").expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("recv");
+        assert!(line.starts_with("OK num "), "{line:?}");
+    }
+    let elapsed = started.elapsed();
+    writeln!(stream, "quit").expect("send");
+    handle.stop();
+    // Stalled, the loop takes REQUESTS × 40 ms = 2 s; unstalled, a few ms.
+    assert!(
+        elapsed < std::time::Duration::from_millis(u64::from(REQUESTS) * 40 / 4),
+        "{REQUESTS} sequential requests took {elapsed:?}"
+    );
+}
+
 // ---------- random-input differential ------------------------------------
 
 const NAMES: [&str; 4] = ["a", "b", "c", "d"];
