@@ -68,6 +68,10 @@ pub struct StorageReport {
     /// Pages whose trailer did not match (each surfaced as a typed
     /// storage error).
     pub checksum_failures: u64,
+    /// Wall-clock nanoseconds the buffer manager spent reading pages.
+    pub read_ns: u64,
+    /// Wall-clock nanoseconds it spent checking CRC32C trailers.
+    pub verify_ns: u64,
 }
 
 /// One operator's estimated vs. actual cardinality, the reconciliation
@@ -207,6 +211,8 @@ pub fn execute_observed(
             evictions: a.evictions - b.evictions,
             pages_verified: a.pages_verified - b.pages_verified,
             checksum_failures: a.checksum_failures - b.checksum_failures,
+            read_ns: a.read_ns - b.read_ns,
+            verify_ns: a.verify_ns - b.verify_ns,
         }),
         _ => None,
     };
@@ -324,8 +330,14 @@ impl AnalyzeReport {
         if let Some(s) = &self.storage {
             out.push_str(&format!(
                 "storage: {} page reads ({} hits, {} evictions), {} verified, \
-                 {} checksum failures\n",
-                s.pages_read, s.page_hits, s.evictions, s.pages_verified, s.checksum_failures,
+                 {} checksum failures, io_ms {:.3}, verify_ms {:.3}\n",
+                s.pages_read,
+                s.page_hits,
+                s.evictions,
+                s.pages_verified,
+                s.checksum_failures,
+                s.read_ns as f64 / 1e6,
+                s.verify_ns as f64 / 1e6,
             ));
         }
         for (i, stats) in self.profile.parallel.iter().enumerate() {
@@ -391,7 +403,8 @@ impl AnalyzeReport {
     ///                  "gauges": {"dup_dropped": 2, "mem_charged": 0,
     ///                             "mem_peak": 0, ...}}, ...],
     ///   "storage": {"page_hits": 0, "pages_read": 0, "evictions": 0,
-    ///               "pages_verified": 0, "checksum_failures": 0},
+    ///               "pages_verified": 0, "checksum_failures": 0,
+    ///               "io_ms": 0.0, "verify_ms": 0.0},
     ///   "parallel": [{"workers": 4, "partitions": 16,
     ///                 "source_tuples": 500, "worker_tuples": [120, ...],
     ///                 "worker_chunks": [4, ...], "merge_nanos": 123,
@@ -438,6 +451,8 @@ impl AnalyzeReport {
                         ("evictions", Json::Num(s.evictions as f64)),
                         ("pages_verified", Json::Num(s.pages_verified as f64)),
                         ("checksum_failures", Json::Num(s.checksum_failures as f64)),
+                        ("io_ms", Json::Num(s.read_ns as f64 / 1e6)),
+                        ("verify_ms", Json::Num(s.verify_ns as f64 / 1e6)),
                     ])
                 })
                 .unwrap_or(Json::Null),

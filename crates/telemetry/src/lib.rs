@@ -110,6 +110,10 @@ pub struct EngineMetrics {
     pub pages_verified_total: Counter,
     /// `natix_checksum_failures_total`.
     pub checksum_failures_total: Counter,
+    /// `natix_page_read_nanos_total` (buffer misses: time in file reads).
+    pub page_read_nanos_total: Counter,
+    /// `natix_page_verify_nanos_total` (time in CRC32C trailer checks).
+    pub page_verify_nanos_total: Counter,
     /// `natix_exchange_runs_total` (Exchange open/drain cycles).
     pub exchange_runs_total: Counter,
     /// `natix_exchange_source_tuples_total`.
@@ -179,6 +183,8 @@ impl EngineMetrics {
             page_evictions_total: reg.counter("natix_page_evictions_total"),
             pages_verified_total: reg.counter("natix_pages_verified_total"),
             checksum_failures_total: reg.counter("natix_checksum_failures_total"),
+            page_read_nanos_total: reg.counter("natix_page_read_nanos_total"),
+            page_verify_nanos_total: reg.counter("natix_page_verify_nanos_total"),
             exchange_runs_total: reg.counter("natix_exchange_runs_total"),
             exchange_source_tuples_total: reg.counter("natix_exchange_source_tuples_total"),
             exchange_worker_tuples_total: reg.counter("natix_exchange_worker_tuples_total"),
@@ -381,6 +387,8 @@ impl Telemetry {
             m.page_evictions_total.add(s.evictions);
             m.pages_verified_total.add(s.pages_verified);
             m.checksum_failures_total.add(s.checksum_failures);
+            m.page_read_nanos_total.add(s.read_ns);
+            m.page_verify_nanos_total.add(s.verify_ns);
         }
 
         // Exchange statistics (profiled parallel runs only).

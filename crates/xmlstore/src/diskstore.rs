@@ -48,13 +48,14 @@
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::Mutex;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use crate::arena::{ArenaStore, NameTable};
-use crate::buffer::{BufferManager, BufferOptions, BufferStats};
+use crate::buffer::{BufferManager, BufferOptions, BufferStats, PageRef};
 use crate::error::StorageFault;
 use crate::fault::IoFailPoint;
 use crate::index::StructuralIndex;
@@ -602,6 +603,10 @@ pub struct DiskStore {
     /// First storage fault observed while serving infallible [`XmlStore`]
     /// navigation; drained by the executor (`take_storage_fault`).
     fault: Mutex<Option<StorageFault>>,
+    /// `fault` holds a fault. Written only with the `fault` lock held, so
+    /// the two never disagree; the executor polls it once per tuple
+    /// without taking the lock.
+    tripped: AtomicBool,
 }
 
 impl std::fmt::Debug for DiskStore {
@@ -738,6 +743,7 @@ impl DiskStore {
             long_ids: std::sync::OnceLock::new(),
             indexes_enabled: true,
             fault: Mutex::new(None),
+            tripped: AtomicBool::new(false),
         })
     }
 
@@ -1233,6 +1239,8 @@ impl DiskStore {
                 let mut guard = self.fault.lock();
                 if guard.is_none() {
                     *guard = Some(StorageFault::from(&e));
+                    // Pairs with the Acquire load in `storage_tripped`.
+                    self.tripped.store(true, Ordering::Release);
                 }
                 fallback
             }
@@ -1247,7 +1255,9 @@ impl DiskStore {
         )
     }
 
-    fn try_record(&self, n: NodeId) -> Result<[u8; NODE_REC], DiskError> {
+    /// Pin the page holding node `n`'s record; fields are read in place
+    /// at the returned byte offset.
+    fn pin_record(&self, n: NodeId) -> Result<(PageRef, usize), DiskError> {
         if n.0 >= self.header.node_count {
             return Err(DiskError::corrupt(format!(
                 "node id {n} out of range (store has {} nodes)",
@@ -1255,23 +1265,20 @@ impl DiskStore {
             )));
         }
         let (page, idx) = self.node_coord(n);
-        let p = self.buffer.pin(page)?;
-        let off = idx as usize * NODE_REC;
-        let mut rec = [0u8; NODE_REC];
-        rec.copy_from_slice(&p[off..off + NODE_REC]);
-        Ok(rec)
+        Ok((self.buffer.pin(page)?, idx as usize * NODE_REC))
     }
 
     fn try_kind(&self, n: NodeId) -> Result<NodeKind, DiskError> {
-        let rec = self.try_record(n)?;
-        let (page, idx) = self.node_coord(n);
-        NodeKind::from_u8(rec[0]).ok_or_else(|| {
-            DiskError::corrupt_at_slot(format!("invalid node kind byte {}", rec[0]), page, idx)
+        let (p, off) = self.pin_record(n)?;
+        NodeKind::from_u8(p[off]).ok_or_else(|| {
+            let (page, idx) = self.node_coord(n);
+            DiskError::corrupt_at_slot(format!("invalid node kind byte {}", p[off]), page, idx)
         })
     }
 
     fn try_name(&self, n: NodeId) -> Result<Option<NameId>, DiskError> {
-        let v = get_u32(&self.try_record(n)?, 4);
+        let (p, off) = self.pin_record(n)?;
+        let v = get_u32(&p[..], off + 4);
         if v == NIL {
             return Ok(None);
         }
@@ -1287,7 +1294,8 @@ impl DiskStore {
     }
 
     fn try_link(&self, n: NodeId, field: usize) -> Result<Option<NodeId>, DiskError> {
-        let v = get_u32(&self.try_record(n)?, field);
+        let (p, off) = self.pin_record(n)?;
+        let v = get_u32(&p[..], off + field);
         if v == NIL {
             return Ok(None);
         }
@@ -1306,12 +1314,15 @@ impl DiskStore {
     }
 
     fn try_value(&self, n: NodeId) -> Result<Option<String>, DiskError> {
-        let rec = self.try_record(n)?;
-        let vp = get_u32(&rec, 36);
+        let (p, off) = self.pin_record(n)?;
+        let vp = get_u32(&p[..], off + 36);
         if vp == NIL {
             return Ok(None);
         }
-        let vs = get_u16(&rec, 1);
+        let vs = get_u16(&p[..], off + 1);
+        // Release the record's page before walking the string chain: a
+        // one-frame buffer must be able to evict it.
+        drop(p);
         Ok(Some(self.try_read_string(vp, vs)?))
     }
 
@@ -1534,7 +1545,7 @@ impl XmlStore for DiskStore {
     }
 
     fn order(&self, n: NodeId) -> u64 {
-        self.note(self.try_record(n).map(|r| get_u32(&r, 32) as u64), 0)
+        self.note(self.pin_record(n).map(|(p, off)| get_u32(&p[..], off + 32) as u64), 0)
     }
 
     fn intern_lookup(&self, name: &str) -> Option<NameId> {
@@ -1599,11 +1610,13 @@ impl XmlStore for DiskStore {
     }
 
     fn storage_tripped(&self) -> bool {
-        self.fault.lock().is_some()
+        self.tripped.load(Ordering::Acquire)
     }
 
     fn take_storage_fault(&self) -> Option<StorageFault> {
-        self.fault.lock().take()
+        let mut guard = self.fault.lock();
+        self.tripped.store(false, Ordering::Release);
+        guard.take()
     }
 
     fn buffer_stats(&self) -> Option<BufferStats> {

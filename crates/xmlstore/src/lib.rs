@@ -27,8 +27,11 @@
 //! Robustness: everything read back from disk is treated as untrusted
 //! bytes (DESIGN.md §13). This crate is lint-gated against `unwrap`/
 //! `expect` outside test code — decode failures must surface as typed
-//! [`error::DiskError`] values, never panics.
+//! [`error::DiskError`] values, never panics — and against `unsafe`: the
+//! one exception is the hardware CRC32C kernel in [`crc`], which carries
+//! the crate's only `#[allow(unsafe_code)]`.
 
+#![deny(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 

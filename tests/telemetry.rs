@@ -246,6 +246,7 @@ fn disk_store_page_counters_reconcile() {
     let mut hits = 0u64;
     let mut reads = 0u64;
     let mut evictions = 0u64;
+    let (mut read_ns, mut verify_ns) = (0u64, 0u64);
     for q in [
         "count(//*)",
         "/xdoc/child::*/attribute::id",
@@ -257,8 +258,22 @@ fn disk_store_page_counters_reconcile() {
         hits += s.page_hits;
         reads += s.pages_read;
         evictions += s.evictions;
+        read_ns += s.read_ns;
+        verify_ns += s.verify_ns;
+        // Where a miss's time went is readable from the artefact itself.
+        if s.pages_read > 0 {
+            assert!(s.read_ns > 0 && s.verify_ns > 0, "{s:?}");
+        }
+        let line = report.text();
+        let line = line.lines().find(|l| l.starts_with("storage:")).expect("storage line");
+        assert!(line.contains(", io_ms ") && line.contains(", verify_ms "), "{line}");
+        let json = report.to_json();
+        let storage = json.get("storage").expect("storage object");
+        assert!(storage.get("io_ms").is_some() && storage.get("verify_ms").is_some());
     }
     assert!(hits + reads > 0, "paged evaluation touched the buffer manager");
+    assert_eq!(registry_value(&t, "natix_page_read_nanos_total"), read_ns);
+    assert_eq!(registry_value(&t, "natix_page_verify_nanos_total"), verify_ns);
     assert_eq!(registry_value(&t, "natix_page_hits_total"), hits);
     assert_eq!(registry_value(&t, "natix_page_reads_total"), reads);
     assert_eq!(registry_value(&t, "natix_page_evictions_total"), evictions);
