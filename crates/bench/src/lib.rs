@@ -42,228 +42,6 @@ pub const FIG10_QUERIES: [&str; 13] = [
     "/dblp/inproceedings[author='Guido Moerkotte'][position()=last()]/title",
 ];
 
-/// The experiment B7 service corpus: compile-heavy queries (long
-/// unions, multi-step paths, stacked predicates) that execute cheaply on
-/// a small DBLP document, so the compiled-plan cache's savings —
-/// skipping parse/semantic/fold/translate — dominate the per-query cost.
-/// Shared by `bench/bin/throughput` and the `regress` warm-cache gate so
-/// their measurements are comparable.
-pub const SERVICE_CORPUS: [&str; 12] = [
-    "/dblp/article/title | /dblp/inproceedings/title | /dblp/article/year | /dblp/inproceedings/year",
-    "/dblp/article[position()=1]/title | /dblp/article[position()=last()]/title",
-    "count(/dblp/article/author) + count(/dblp/inproceedings/author) + count(/dblp/article/title)",
-    "/dblp/*[author and year]/title",
-    "/dblp/article[count(author)=2]/@key",
-    "string(/dblp/article[1]/title)",
-    "/dblp/article[year='1991' or year='1992' or year='1993']/@key",
-    "/dblp/inproceedings[position() < 5]/title",
-    "/dblp/child::*/child::title/parent::*/child::author",
-    "boolean(/dblp/article) and boolean(/dblp/inproceedings)",
-    "/dblp/article[last()]/preceding-sibling::article[1]/title",
-    "/dblp/inproceedings[author][title][year]/@key | /dblp/article[author][title][year]/@key \
-     | /dblp/inproceedings[author][year]/title | /dblp/article[author][year]/title \
-     | /dblp/inproceedings[title]/year | /dblp/article[title]/year",
-];
-
-/// The experiment B8 gate queries: the Fig. 10 rows whose inner-path
-/// memos have no key reuse (every article is a distinct memo key), so
-/// the always-on §4 improvements pay memo bookkeeping for nothing and
-/// the cost-based optimizer's drop/fuse decisions are a measurable win.
-/// Shared by `bench/bin/optimizer` (which pins the baseline) and the
-/// `regress` gate (which re-measures it).
-pub const OPTIMIZER_GATE_QUERIES: [&str; 3] = [
-    "/dblp/article[count(author)=4]/@key",
-    "/dblp/article[year='1991']/@key",
-    "/dblp/*[author='Guido Moerkotte']/@key",
-];
-
-/// Median warm-plan latency of `runs` session evaluations: the first,
-/// unmeasured, call compiles into the engine's plan cache, so the timed
-/// samples compare the chosen plans rather than compile cost.
-pub fn warm_session_time(
-    session: &natix::Session,
-    store: &dyn XmlStore,
-    query: &str,
-    runs: usize,
-) -> Duration {
-    warm_session_times(&[session], store, query, runs)[0]
-}
-
-/// [`warm_session_time`] over several sessions at once, round-robin: one
-/// sample per session per round, so clock-frequency drift and cache
-/// warmth land on every configuration equally instead of biasing
-/// whichever was timed last. Returns one median per session.
-pub fn warm_session_times(
-    sessions: &[&natix::Session],
-    store: &dyn XmlStore,
-    query: &str,
-    runs: usize,
-) -> Vec<Duration> {
-    for s in sessions {
-        std::hint::black_box(s.evaluate(store, query).expect("warm query"));
-    }
-    let mut samples = vec![Vec::with_capacity(runs.max(1)); sessions.len()];
-    for _ in 0..runs.max(1) {
-        for (s, out) in sessions.iter().zip(samples.iter_mut()) {
-            let t0 = Instant::now();
-            std::hint::black_box(s.evaluate(store, query).expect("query"));
-            out.push(t0.elapsed());
-        }
-    }
-    samples
-        .into_iter()
-        .map(|mut v| {
-            v.sort();
-            v[v.len() / 2]
-        })
-        .collect()
-}
-
-/// Geometric-mean warm-plan speedup of the cost-based optimizer over
-/// the always-on improvements on [`OPTIMIZER_GATE_QUERIES`]. Both sides
-/// run on the same machine in the same process, so the ratio needs no
-/// calibration workload.
-pub fn optimizer_gate_speedup(records: usize, seed: u64, runs: usize) -> f64 {
-    let engine = natix::Engine::with_config(natix::EngineConfig::default(), None);
-    let doc = engine
-        .register_document("dblp", natix::Document::Arena(dblp_document_seeded(records, seed)));
-    let improved = engine.session();
-    let cost = engine.session().with_options(TranslateOptions::cost_based());
-    let mut log_sum = 0.0;
-    for q in OPTIMIZER_GATE_QUERIES {
-        let times = warm_session_times(&[&improved, &cost], doc.store(), q, runs);
-        log_sum += (times[0].as_secs_f64() / times[1].as_secs_f64()).ln();
-    }
-    (log_sum / OPTIMIZER_GATE_QUERIES.len() as f64).exp()
-}
-
-/// Queries the B10 disk-index gate replays: three content-index probes
-/// (attribute and element value predicates, point and multi-hit) and a
-/// structural sweep the persisted structural index turns into
-/// range-scan kernels instead of cursor walks.
-pub const DISK_GATE_QUERIES: [&str; 4] = [
-    "/dblp/inproceedings[@key='conf/er/LockemannM91']/title",
-    "/dblp/article[year='1991']/@key",
-    "/dblp/inproceedings[year='1991']/@key",
-    "count(//author)",
-];
-
-/// Median warm-plan latencies of one query on the indexed and plain
-/// stores, sampled round-robin so clock drift lands on both sides
-/// equally. The first, unmeasured round fills the plan cache and the
-/// buffer pool.
-pub fn disk_pair_times(
-    fast: &natix::Session,
-    indexed: &dyn XmlStore,
-    slow: &natix::Session,
-    plain: &dyn XmlStore,
-    query: &str,
-    runs: usize,
-) -> (Duration, Duration) {
-    std::hint::black_box(fast.evaluate(indexed, query).expect("warm indexed"));
-    std::hint::black_box(slow.evaluate(plain, query).expect("warm plain"));
-    let mut tf = Vec::with_capacity(runs.max(1));
-    let mut tp = Vec::with_capacity(runs.max(1));
-    for _ in 0..runs.max(1) {
-        let t0 = Instant::now();
-        std::hint::black_box(fast.evaluate(indexed, query).expect("indexed query"));
-        tf.push(t0.elapsed());
-        let t0 = Instant::now();
-        std::hint::black_box(slow.evaluate(plain, query).expect("plain query"));
-        tp.push(t0.elapsed());
-    }
-    tf.sort();
-    tp.sort();
-    (tf[tf.len() / 2], tp[tp.len() / 2])
-}
-
-/// The B10 gate measurement: geometric-mean warm-plan speedup of an
-/// indexed `DiskStore` (persisted structural + content indexes, cost-
-/// based probes) over `DiskStore::open_plain` (the pre-index cursor
-/// path) on [`DISK_GATE_QUERIES`]. Both sides read the same page file
-/// through same-sized buffer pools in the same process, so the ratio
-/// needs no calibration workload.
-pub fn disk_index_gate_speedup(records: usize, seed: u64, runs: usize, buffer_pages: usize) -> f64 {
-    let tmp = xmlstore::tmp::TempPath::new(".natix");
-    xmlstore::diskstore::create_store_file(&dblp_document_seeded(records, seed), tmp.path())
-        .expect("persist gate document");
-    let engine = natix::Engine::with_config(natix::EngineConfig::default(), None);
-    let indexed = engine.register_document(
-        "b10-indexed",
-        natix::Document::Disk(
-            xmlstore::diskstore::DiskStore::open(tmp.path(), buffer_pages).expect("open indexed"),
-        ),
-    );
-    let plain = engine.register_document(
-        "b10-plain",
-        natix::Document::Disk(
-            xmlstore::diskstore::DiskStore::open_plain(tmp.path(), buffer_pages)
-                .expect("open plain"),
-        ),
-    );
-    let fast = engine.session().with_options(TranslateOptions::cost_based());
-    let slow = engine.session().with_options(TranslateOptions::improved());
-    let mut log_sum = 0.0;
-    for q in DISK_GATE_QUERIES {
-        let (tf, tp) = disk_pair_times(&fast, indexed.store(), &slow, plain.store(), q, runs);
-        log_sum += (tp.as_secs_f64() / tf.as_secs_f64().max(f64::EPSILON)).ln();
-    }
-    (log_sum / DISK_GATE_QUERIES.len() as f64).exp()
-}
-
-/// Time one B9 update batch: append `ops` publication records (an
-/// element with a `key` attribute and a `title` child with text) under
-/// the store's current repair mode, then remove them again so the next
-/// sample sees the same document. Append and remove both splice the
-/// structural index, so the sample covers insert- and delete-side
-/// repair.
-pub fn update_batch_time(store: &mut ArenaStore, ops: usize) -> Duration {
-    let dblp = store.first_child(store.root()).expect("dblp root element");
-    let t0 = Instant::now();
-    let mut added = Vec::with_capacity(ops);
-    for i in 0..ops {
-        let e = store.append_element(dblp, "article").expect("append record");
-        store.set_attribute(e, "key", &format!("bench/b9/{i}")).expect("key attr");
-        let t = store.append_element(e, "title").expect("title child");
-        store.append_text(t, "Incremental Repair Probe").expect("title text");
-        added.push(e);
-    }
-    for e in added {
-        store.remove_subtree(e).expect("remove record");
-    }
-    t0.elapsed()
-}
-
-/// Median over `runs` of [`update_batch_time`] under `mode`.
-pub fn update_batch_median(
-    store: &mut ArenaStore,
-    mode: xmlstore::RepairMode,
-    ops: usize,
-    runs: usize,
-) -> Duration {
-    store.set_repair_mode(mode);
-    let mut samples: Vec<Duration> =
-        (0..runs.max(1)).map(|_| update_batch_time(store, ops)).collect();
-    store.set_repair_mode(xmlstore::RepairMode::Incremental);
-    samples.sort();
-    samples[samples.len() / 2]
-}
-
-/// The B9 gate measurement: how many times faster a small update batch
-/// commits with incremental index repair than with the full-`renumber()`
-/// fallback, on a `records`-record DBLP document. Both sides run on the
-/// same store in the same process, so the ratio needs no calibration
-/// workload.
-pub fn update_gate_speedup(records: usize, seed: u64, ops: usize, runs: usize) -> f64 {
-    let mut store = dblp_document_seeded(records, seed);
-    // Warm both paths once outside the measurement.
-    update_batch_median(&mut store, xmlstore::RepairMode::Incremental, ops, 1);
-    update_batch_median(&mut store, xmlstore::RepairMode::FullRenumber, ops, 1);
-    let inc = update_batch_median(&mut store, xmlstore::RepairMode::Incremental, ops, runs);
-    let full = update_batch_median(&mut store, xmlstore::RepairMode::FullRenumber, ops, runs);
-    full.as_secs_f64() / inc.as_secs_f64().max(f64::EPSILON)
-}
-
 /// The paper's small documents: 2000–8000 elements (fanout 6).
 pub const SMALL_SIZES: [usize; 4] = [2000, 4000, 6000, 8000];
 
@@ -281,12 +59,7 @@ pub fn tree_document(elements: usize) -> ArenaStore {
 
 /// The default document-generator seed shared by every harness (keeps
 /// DBLP documents byte-identical across bins and runs).
-pub const DEFAULT_SEED: u64 = 42;
-
-/// Build the synthetic DBLP document with the default seed.
-pub fn dblp_document(records: usize) -> ArenaStore {
-    dblp_document_seeded(records, DEFAULT_SEED)
-}
+const DEFAULT_SEED: u64 = 42;
 
 /// Build the synthetic DBLP document with an explicit seed (`--seed`).
 pub fn dblp_document_seeded(records: usize, seed: u64) -> ArenaStore {
@@ -416,7 +189,7 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
 }
 
-/// The `--seed` argument, defaulting to [`DEFAULT_SEED`].
+/// The `--seed` argument, defaulting to `DEFAULT_SEED`.
 pub fn arg_seed(args: &[String]) -> u64 {
     arg_value(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_SEED)
 }
@@ -425,7 +198,7 @@ pub fn arg_seed(args: &[String]) -> u64 {
 /// with the document-generator seed: timings from different core counts,
 /// page sizes or build profiles (or different generated documents) are
 /// not comparable, and the JSON should say so machine-readably.
-pub fn host_json(seed: u64) -> Json {
+fn host_json(seed: u64) -> Json {
     Json::obj(vec![
         (
             "cores",
@@ -450,7 +223,7 @@ pub fn host_json(seed: u64) -> Json {
 /// Write a bench results file:
 /// `{"bench": <name>, "host": {...}, "results": [...]}`, pretty-printed.
 /// `host` carries core count, page size, build profile and the generator
-/// seed (see [`host_json`]). Each result element is harness-specific but
+/// seed (see `host_json`). Each result element is harness-specific but
 /// always carries the query and, for algebraic evaluators, a `profile`
 /// field with the per-operator EXPLAIN ANALYZE export.
 pub fn write_results_json(path: &str, bench: &str, seed: u64, results: Vec<Json>) {
@@ -480,7 +253,7 @@ mod tests {
             let b = Evaluator::ContextList.run(&tree, q);
             assert_eq!(a, b, "{q}");
         }
-        let dblp = dblp_document(80);
+        let dblp = dblp_document_seeded(80, DEFAULT_SEED);
         for q in FIG10_QUERIES {
             let a = Evaluator::NatixImproved.run(&dblp, q);
             let b = Evaluator::ContextList.run(&dblp, q);

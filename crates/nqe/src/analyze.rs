@@ -150,35 +150,15 @@ pub fn explain_analyze_governed(
     ctx: NodeId,
     vars: &HashMap<String, Value>,
 ) -> Result<(Result<QueryOutput, QueryError>, AnalyzeReport), PipelineError> {
-    observe_governed(store, query, opts, limits, ctx, vars, true)
-}
-
-/// The engine observability entry point behind both EXPLAIN ANALYZE and
-/// engine telemetry: compile with trace, lower (profiled or plain),
-/// execute governed, capture the storage delta and resource accounting.
-/// `profiled` selects between [`build_physical_profiled`] (per-operator
-/// timings, needed for EXPLAIN and slow-query capture) and the untimed
-/// [`crate::codegen::build_physical`] path (the report's profile is then
-/// empty, but the trace/resource/storage sections are still filled) —
-/// telemetry-enabled engines use the cheap path for plain evaluation.
-pub fn observe_governed(
-    store: &dyn XmlStore,
-    query: &str,
-    opts: &TranslateOptions,
-    limits: &ResourceLimits,
-    ctx: NodeId,
-    vars: &HashMap<String, Value>,
-    profiled: bool,
-) -> Result<(Result<QueryOutput, QueryError>, AnalyzeReport), PipelineError> {
     let stats = store.structural_index().map(|idx| idx.stats());
     let (compiled, trace) = compile_traced_with_stats(query, opts, stats)?;
-    Ok(execute_observed(store, &compiled, trace, limits, ctx, vars, profiled))
+    Ok(execute_observed(store, &compiled, trace, limits, ctx, vars, true))
 }
 
 /// Execute an already-compiled query under full observability: lower it
 /// (profiled or plain), run governed, capture the storage delta and
 /// resource accounting, and append the `codegen`/`execute` phases to the
-/// caller-provided `trace`. This is [`observe_governed`] minus the
+/// caller-provided `trace`. This is [`explain_analyze_governed`] minus the
 /// compile step — the entry point behind the plan cache, where a hit
 /// skips parse/semantic/fold/translate entirely and the trace carries
 /// only the per-execution phases.

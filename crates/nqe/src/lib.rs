@@ -22,8 +22,8 @@ pub mod nvm;
 pub mod profile;
 
 pub use analyze::{
-    execute_observed, explain_analyze, explain_analyze_governed, observe_governed, AnalyzeReport,
-    CardinalityCheck, StorageReport,
+    execute_observed, explain_analyze, explain_analyze_governed, AnalyzeReport, CardinalityCheck,
+    StorageReport,
 };
 pub use codegen::{build_physical, build_physical_profiled, FrameInfo, PhysicalQuery};
 pub use exec::{evaluate, evaluate_governed, evaluate_with, Runtime};

@@ -227,8 +227,8 @@ fn rewrite_series(rewrite: &str) -> String {
 }
 
 /// The engine's telemetry bundle: registry + pre-registered metric
-/// handles + query logger. Attach one to an `XPathEngine` (wrapped in
-/// `Arc` so sessions can share it) to aggregate every query.
+/// handles + query logger. Hand one to `natix::Engine::with_config`
+/// (wrapped in `Arc` so sessions share it) to aggregate every query.
 pub struct Telemetry {
     /// The metrics registry (exposition source).
     pub registry: MetricsRegistry,

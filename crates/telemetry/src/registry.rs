@@ -14,8 +14,7 @@
 //! before `{`), emits one `# TYPE` header per family, and renders
 //! histograms as `_bucket`-less summary series (`_count`, `_sum`,
 //! `_min`, `_max` and `{quantile="…"}` gauges) — quantile readout, not
-//! raw buckets, is what the engine's dashboards and the regression
-//! harness consume.
+//! raw buckets, is what the engine's dashboards consume.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -95,7 +94,7 @@ struct Series {
 }
 
 /// A registry of named metrics. Lives on the engine (one per
-/// [`XPathEngine`](../natix), not a process global) so embedders can run
+/// `natix::Engine`, not a process global) so embedders can run
 /// isolated engines with isolated metrics.
 #[derive(Default)]
 pub struct MetricsRegistry {

@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use interp::{InterpOptions, Interpreter};
-use natix::{QueryOutput, XPathEngine, XmlStore};
+use natix::{Engine, QueryOutput, XmlStore};
 use xmlstore::gen::{generate_dblp, DblpParams};
 
 const QUERIES: &[&str] = &[
@@ -42,12 +42,12 @@ fn main() {
     let records: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(5_000);
     println!("generating synthetic DBLP with {records} records…");
     let store = generate_dblp(DblpParams { records, seed: 42 });
-    let engine = XPathEngine::new();
+    let session = Engine::new().session();
     let interp = Interpreter::new(&store, InterpOptions::context_list());
 
     for q in QUERIES {
         let t0 = Instant::now();
-        let algebraic = engine.evaluate(&store, q).expect("algebraic evaluation");
+        let algebraic = session.evaluate(&store, q).expect("algebraic evaluation");
         let t_alg = t0.elapsed();
         let t0 = Instant::now();
         let interpreted = interp.evaluate(q, store.root()).expect("interpreter evaluation");

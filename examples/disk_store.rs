@@ -6,7 +6,7 @@
 //! cargo run --release --example disk_store [elements]
 //! ```
 
-use natix::{Document, XPathEngine};
+use natix::{Document, Engine};
 use xmlstore::gen::{generate_tree, TreeParams};
 use xmlstore::tmp::TempPath;
 
@@ -23,15 +23,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bytes = std::fs::metadata(path.path())?.len();
     println!("page file: {} KiB at {}", bytes / 1024, path.path().display());
 
-    let engine = XPathEngine::new();
+    let session = Engine::new().session();
     for q in [
         "count(/xdoc/descendant::*)",
         "count(//*[@id='42'])",
         "string(/child::xdoc/child::*[1]/@id)",
         "count(/child::xdoc/descendant::*/ancestor::*)",
     ] {
-        let mem = engine.evaluate(arena_doc.store(), q)?;
-        let disk = engine.evaluate(disk_doc.store(), q)?;
+        let mem = session.evaluate(arena_doc.store(), q)?;
+        let disk = session.evaluate(disk_doc.store(), q)?;
         assert_eq!(mem, disk, "stores disagree on {q}");
         println!("{q:<55} => {disk:?}");
     }

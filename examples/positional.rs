@@ -6,10 +6,10 @@
 //! cargo run --example positional
 //! ```
 
-use natix::{Document, QueryOutput, XPathEngine};
+use natix::{Document, Engine, QueryOutput, Session};
 
-fn show(doc: &Document, engine: &XPathEngine, q: &str) {
-    let out = engine.evaluate(doc.store(), q).expect("evaluation");
+fn show(doc: &Document, session: &Session, q: &str) {
+    let out = session.evaluate(doc.store(), q).expect("evaluation");
     let rendered = match &out {
         QueryOutput::Nodes(ns) => {
             ns.iter().map(|&n| doc.store().string_value(n)).collect::<Vec<_>>().join(", ")
@@ -27,24 +27,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             <team name="C"><player>c1</player><player>c2</player><player>c3</player><player>c4</player></team>
         </league>"#,
     )?;
-    let engine = XPathEngine::new();
+    let session = Engine::new().session();
 
     println!("— per-context positions (counter resets per team):");
-    show(&doc, &engine, "/league/team/player[1]");
-    show(&doc, &engine, "/league/team/player[last()]");
-    show(&doc, &engine, "/league/team/player[position() = last() - 1]");
-    show(&doc, &engine, "/league/team/player[position() mod 2 = 1]");
+    show(&doc, &session, "/league/team/player[1]");
+    show(&doc, &session, "/league/team/player[last()]");
+    show(&doc, &session, "/league/team/player[position() = last() - 1]");
+    show(&doc, &session, "/league/team/player[position() mod 2 = 1]");
 
     println!("— filter expressions count over the whole sequence:");
-    show(&doc, &engine, "(/league/team/player)[1]");
-    show(&doc, &engine, "(/league/team/player)[last()]");
-    show(&doc, &engine, "(/league/team/player)[position() > 6]");
+    show(&doc, &session, "(/league/team/player)[1]");
+    show(&doc, &session, "(/league/team/player)[last()]");
+    show(&doc, &session, "(/league/team/player)[position() > 6]");
 
     println!("— reverse axes count from the context node:");
-    show(&doc, &engine, "//player[. = 'c3']/preceding-sibling::player[1]");
-    show(&doc, &engine, "//player[. = 'c3']/preceding::player[3]");
+    show(&doc, &session, "//player[. = 'c3']/preceding-sibling::player[1]");
+    show(&doc, &session, "//player[. = 'c3']/preceding::player[3]");
 
     println!("— the Tmp^cs plan behind a last() predicate:");
-    print!("{}", engine.explain("/league/team/player[position() = last()]")?);
+    print!("{}", session.explain(doc.store(), "/league/team/player[position() = last()]")?);
     Ok(())
 }

@@ -4,7 +4,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use natix::{Document, QueryOutput, XPathEngine};
+use natix::{Document, Engine, QueryOutput};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let doc = Document::parse(
@@ -14,10 +14,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             <cd genre="rock"><title>Nevermind</title><year>1991</year><price>7.49</price></cd>
         </catalog>"#,
     )?;
-    let engine = XPathEngine::new();
+    let session = Engine::new().session();
 
     // Node-set query.
-    let titles = engine.evaluate(doc.store(), "/catalog/cd[@genre='rock']/title")?;
+    let titles = session.evaluate(doc.store(), "/catalog/cd[@genre='rock']/title")?;
     if let QueryOutput::Nodes(nodes) = &titles {
         println!("rock titles:");
         for &n in nodes {
@@ -26,21 +26,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Scalar queries.
-    println!("cd count   = {:?}", engine.evaluate(doc.store(), "count(/catalog/cd)")?);
-    println!("total cost = {:?}", engine.evaluate(doc.store(), "sum(/catalog/cd/price)")?);
+    println!("cd count   = {:?}", session.evaluate(doc.store(), "count(/catalog/cd)")?);
+    println!("total cost = {:?}", session.evaluate(doc.store(), "sum(/catalog/cd/price)")?);
     println!(
         "pre-1990?  = {:?}",
-        engine.evaluate(doc.store(), "boolean(/catalog/cd[year < 1990])")?
+        session.evaluate(doc.store(), "boolean(/catalog/cd[year < 1990])")?
     );
 
     // Positional predicates (the paper's §3.3 machinery).
     println!(
         "last cd    = {:?}",
-        engine.evaluate(doc.store(), "string(/catalog/cd[last()]/title)")?
+        session.evaluate(doc.store(), "string(/catalog/cd[last()]/title)")?
     );
 
     // Look at the translated algebra plan (paper Fig. 3 shape).
     println!("\nplan for /catalog/cd[last()]/title:");
-    print!("{}", engine.explain("/catalog/cd[last()]/title")?);
+    print!("{}", session.explain(doc.store(), "/catalog/cd[last()]/title")?);
     Ok(())
 }

@@ -192,14 +192,10 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Parse a `--threads`/`:threads` count; `0` means "all cores".
+/// Parse a `--threads`/`:threads` count (`Session::with_threads` resolves
+/// `0` to "all cores").
 fn parse_threads(v: &str) -> Result<usize, String> {
-    let n: usize = v.parse().map_err(|_| format!("threads: `{v}` is not a number"))?;
-    Ok(if n == 0 {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-    } else {
-        n
-    })
+    v.parse().map_err(|_| format!("threads: `{v}` is not a number"))
 }
 
 fn print_help() {
@@ -328,7 +324,7 @@ fn run_query(
     json_out: Option<&mut Vec<Json>>,
 ) -> i32 {
     if explain {
-        return match engine.explain(q) {
+        return match engine.explain(doc.store(), q) {
             Ok(plan) => {
                 print!("{plan}");
                 0
@@ -440,7 +436,6 @@ fn main() {
     } else {
         TranslateOptions::improved()
     };
-    let options = options.with_threads(args.threads);
     // Telemetry is always on in the CLI (the REPL's `:metrics` needs it);
     // the zero-overhead-when-disabled path is for embedders.
     let slow = args.slow_ms.map(Duration::from_millis);
@@ -474,7 +469,11 @@ fn main() {
         Some(telemetry.clone()),
     );
     let doc = shared.register_document("main", doc);
-    let mut engine = shared.session().with_options(options).with_limits(args.limits);
+    let mut engine = shared
+        .session()
+        .with_options(options)
+        .with_threads(args.threads)
+        .with_limits(args.limits);
 
     if let Some(spec) = &args.serve {
         // Serving mode: line protocol over stdio or TCP loopback. Each
@@ -570,8 +569,8 @@ fn main() {
             } else if let Some(n) = line.strip_prefix(":threads ") {
                 match parse_threads(n.trim()) {
                     Ok(n) => {
-                        engine.options = engine.options.with_threads(n);
-                        println!("threads: {n}");
+                        engine = engine.with_threads(n);
+                        println!("threads: {}", engine.options.threads);
                     }
                     Err(e) => eprintln!("error: {e}"),
                 }

@@ -5,11 +5,11 @@
 //! [`Session`] values carrying what is client-local: translation options,
 //! resource limits, and the session's current document.
 //!
-//! The one-shot [`crate::XPathEngine`] facade remains for embedders that
-//! compile-and-run a handful of queries; the serving surfaces (the
-//! `--serve` CLI mode, the REPL, `bench/bin/throughput`) all run through
-//! sessions so concurrent clients share one plan cache and one metrics
-//! registry.
+//! Sessions are the only evaluation façade: one-shot embedders write
+//! `Engine::new().session()`, and the serving surfaces (the CLI, its
+//! REPL and `--serve` mode, the benchmark's workloads) run through
+//! sessions of one shared engine so concurrent clients share one plan
+//! cache and one metrics registry.
 //!
 //! ## The plan cache
 //!
@@ -80,9 +80,7 @@ use compiler::{
 use nqe::{AnalyzeReport, FailPoint, ResourceGovernor};
 use parking_lot::{Mutex, RwLock};
 use telemetry::{Counter, Gauge, Telemetry};
-use xmlstore::{
-    ArenaStore, NodeId, RepairFailPoint, RepairStats, StoreStats, UpdateError, XmlStore,
-};
+use xmlstore::{ArenaStore, NodeId, RepairFailPoint, RepairStats, UpdateError, XmlStore};
 
 use crate::{Document, NatixError, QueryError, QueryOutput, Value};
 
@@ -1032,8 +1030,7 @@ impl Drop for WriteBatch {
 /// A per-client session: translation options + resource limits over a
 /// shared [`Engine`]. Cloning a session shares the engine but copies the
 /// client-local state — the natural way to fan a connection's settings
-/// out to a worker. The evaluation surface mirrors
-/// [`crate::XPathEngine`] so the CLI and REPL drive either.
+/// out to a worker.
 #[derive(Clone)]
 pub struct Session {
     engine: Arc<Engine>,
@@ -1088,40 +1085,19 @@ impl Session {
         static_context_hash(&self.options, &self.limits)
     }
 
-    /// Resolve `query` through the plan cache: on a hit the returned
-    /// trace carries no compile phases (nothing was compiled); on a miss
-    /// the query is compiled with full phase tracing and the plan is
-    /// inserted. Compile errors are *not* cached — a mistyped query
-    /// costs a compile each time but can never poison the cache.
-    ///
-    /// Store-statistics-free variant: with `CostMode::CostBased` the
-    /// cost pass needs the target store's statistics, so this compiles
-    /// (and keys the cache) as if no statistics were available —
-    /// fingerprint `0`, historical plan shape. Store-bound evaluation
-    /// goes through [`Session::compile_cached_for`].
-    pub fn compile_cached(
-        &self,
-        query: &str,
-    ) -> Result<(Arc<CompiledQuery>, QueryTrace, bool), NatixError> {
-        self.compile_cached_with_stats(query, None)
-    }
-
-    /// [`Session::compile_cached`] against a concrete store: the store's
-    /// statistics feed the cost-based optimizer and their fingerprint
-    /// becomes part of the cache key.
+    /// Resolve `query` through the plan cache for a concrete store: on a
+    /// hit the returned trace carries no compile phases (nothing was
+    /// compiled); on a miss the query is compiled with full phase tracing
+    /// and the plan is inserted. Compile errors are *not* cached — a
+    /// mistyped query costs a compile each time but can never poison the
+    /// cache. The store's statistics feed the cost-based optimizer and
+    /// their fingerprint becomes part of the cache key.
     pub fn compile_cached_for(
         &self,
         store: &dyn XmlStore,
         query: &str,
     ) -> Result<(Arc<CompiledQuery>, QueryTrace, bool), NatixError> {
-        self.compile_cached_with_stats(query, store.structural_index().map(|idx| idx.stats()))
-    }
-
-    fn compile_cached_with_stats(
-        &self,
-        query: &str,
-        stats: Option<&StoreStats>,
-    ) -> Result<(Arc<CompiledQuery>, QueryTrace, bool), NatixError> {
+        let stats = store.structural_index().map(|idx| idx.stats());
         let hash = self.ctx_hash();
         let stats_fp = if compiler::cost_active(&self.options, stats) {
             stats.map_or(0, |s| s.fingerprint)
@@ -1193,9 +1169,11 @@ impl Session {
         Ok(out?)
     }
 
-    /// Render the query plan in the paper's operator notation.
-    pub fn explain(&self, query: &str) -> Result<String, NatixError> {
-        let (plan, _, _) = self.compile_cached(query)?;
+    /// Render, in the paper's operator notation, the plan this session
+    /// executes for `query` against `store` (under `CostMode::CostBased`
+    /// the plan depends on the store's statistics).
+    pub fn explain(&self, store: &dyn XmlStore, query: &str) -> Result<String, NatixError> {
+        let (plan, _, _) = self.compile_cached_for(store, query)?;
         Ok(match &*plan {
             CompiledQuery::Sequence(p) => algebra::explain::explain(p),
             CompiledQuery::Scalar(s) => format!("scalar: {s}\n"),

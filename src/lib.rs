@@ -7,11 +7,11 @@
 //! against paged document storage.
 //!
 //! ```
-//! use natix::{Document, XPathEngine};
+//! use natix::{Document, Engine};
 //!
 //! let doc = Document::parse("<a><b>1</b><b>2</b></a>").unwrap();
-//! let engine = XPathEngine::new();
-//! let out = engine.evaluate(doc.store(), "count(/a/b)").unwrap();
+//! let session = Engine::new().session();
+//! let out = session.evaluate(doc.store(), "count(/a/b)").unwrap();
 //! assert_eq!(out, natix::QueryOutput::Num(2.0));
 //! ```
 //!
@@ -47,10 +47,7 @@ pub use xmlstore::{
     UpdateError, XmlStore,
 };
 
-use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Unified error type of the facade.
 #[derive(Debug)]
@@ -222,249 +219,6 @@ pub fn verify_store(path: &Path, buffer_pages: usize) -> Result<VerifyReport, Na
     Ok(store.verify()?)
 }
 
-/// The algebraic XPath engine: compile once, execute against any store.
-///
-/// Optionally carries an engine-wide [`Telemetry`] bundle (metrics
-/// registry + query log). With `telemetry: None` — the default — every
-/// evaluation method takes exactly the pre-telemetry code path behind a
-/// single `Option` branch; with telemetry attached, each query is routed
-/// through [`nqe::observe_governed`] and its report folded into the
-/// registry and the JSONL query log. The registry lives on the engine
-/// value, not in a process global: independent engines aggregate
-/// independently.
-#[derive(Clone, Debug, Default)]
-pub struct XPathEngine {
-    /// Translation options (improved by default).
-    pub options: TranslateOptions,
-    /// Per-query execution budget (unlimited by default). Enforced by
-    /// every evaluation method; trips surface as [`NatixError::Resource`].
-    pub limits: ResourceLimits,
-    /// Engine-wide metrics/query-log bundle (`None` = telemetry off).
-    pub telemetry: Option<Arc<Telemetry>>,
-}
-
-impl XPathEngine {
-    /// Engine with the improved translation (paper §4).
-    pub fn new() -> XPathEngine {
-        XPathEngine {
-            options: TranslateOptions::improved(),
-            limits: ResourceLimits::unlimited(),
-            telemetry: None,
-        }
-    }
-
-    /// Engine with the canonical translation (paper §3).
-    pub fn canonical() -> XPathEngine {
-        XPathEngine {
-            options: TranslateOptions::canonical(),
-            limits: ResourceLimits::unlimited(),
-            telemetry: None,
-        }
-    }
-
-    /// This engine with a resource budget (builder style).
-    pub fn with_limits(mut self, limits: ResourceLimits) -> XPathEngine {
-        self.limits = limits;
-        self
-    }
-
-    /// This engine with a telemetry bundle attached (builder style).
-    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> XPathEngine {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// This engine with a worker-thread count for parallel execution
-    /// (builder style). `1` is the exact serial path; `0` resolves to all
-    /// available cores. See DESIGN.md §14.
-    pub fn with_threads(mut self, threads: usize) -> XPathEngine {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-        } else {
-            threads
-        };
-        self.options = self.options.with_threads(threads);
-        self
-    }
-
-    /// Compile a query to its logical algebra form.
-    pub fn compile(&self, query: &str) -> Result<CompiledQuery, NatixError> {
-        Ok(compiler::compile(query, &self.options)?)
-    }
-
-    /// Render the query plan in the paper's operator notation.
-    pub fn explain(&self, query: &str) -> Result<String, NatixError> {
-        Ok(match self.compile(query)? {
-            CompiledQuery::Sequence(plan) => explain::explain(&plan),
-            CompiledQuery::Scalar(s) => format!("scalar: {s}\n"),
-        })
-    }
-
-    /// Compile and execute with the document node as context. Honours the
-    /// engine's [`ResourceLimits`]: a tripped budget, deadline or
-    /// cancellation surfaces as [`NatixError::Resource`].
-    pub fn evaluate(&self, store: &dyn XmlStore, query: &str) -> Result<QueryOutput, NatixError> {
-        match &self.telemetry {
-            // Telemetry off: the hot path touches no telemetry atomics
-            // beyond this one branch (asserted by tests/telemetry.rs).
-            None => Ok(nqe::evaluate_governed(
-                store,
-                query,
-                &self.options,
-                &self.limits,
-                store.root(),
-                &HashMap::new(),
-            )?),
-            Some(t) => {
-                let (out, _) = self.observe(
-                    t,
-                    store,
-                    query,
-                    store.root(),
-                    &HashMap::new(),
-                    t.wants_profile(),
-                )?;
-                Ok(out?)
-            }
-        }
-    }
-
-    /// Execute with per-operator profiling; returns the result and the
-    /// profile report (opens/tuples per physical operator).
-    pub fn profile(
-        &self,
-        store: &dyn XmlStore,
-        query: &str,
-    ) -> Result<(QueryOutput, String), NatixError> {
-        match &self.telemetry {
-            None => {
-                let compiled = self.compile(query)?;
-                let (mut phys, profile) = nqe::build_physical_profiled(&compiled);
-                let out = phys.execute(store, &std::collections::HashMap::new(), store.root())?;
-                Ok((out, profile.report()))
-            }
-            Some(t) => {
-                let (out, report) =
-                    self.observe(t, store, query, store.root(), &HashMap::new(), true)?;
-                Ok((out?, report.profile.report()))
-            }
-        }
-    }
-
-    /// EXPLAIN ANALYZE: compile, lower and execute with full
-    /// observability — per-phase compile timings, per-operator wall-clock
-    /// profiles and gauges, and the result shape. Render the report with
-    /// [`AnalyzeReport::text`] or export it with [`AnalyzeReport::to_json`].
-    pub fn analyze(
-        &self,
-        store: &dyn XmlStore,
-        query: &str,
-    ) -> Result<(QueryOutput, AnalyzeReport), NatixError> {
-        let (out, report) = self.analyze_governed(store, query)?;
-        Ok((out?, report))
-    }
-
-    /// EXPLAIN ANALYZE under the engine's resource limits, keeping the
-    /// report even when execution stops on a governor trip: the outer
-    /// error covers compilation, the inner one execution.
-    pub fn analyze_governed(
-        &self,
-        store: &dyn XmlStore,
-        query: &str,
-    ) -> Result<(Result<QueryOutput, QueryError>, AnalyzeReport), NatixError> {
-        match &self.telemetry {
-            None => Ok(nqe::explain_analyze_governed(
-                store,
-                query,
-                &self.options,
-                &self.limits,
-                store.root(),
-                &HashMap::new(),
-            )?),
-            Some(t) => self.observe(t, store, query, store.root(), &HashMap::new(), true),
-        }
-    }
-
-    /// Compile and execute while tracing the pipeline phases only (no
-    /// per-operator profiling overhead): `parse → semantic → fold →
-    /// translate [→ prune] → codegen → execute`, each timed.
-    pub fn evaluate_traced(
-        &self,
-        store: &dyn XmlStore,
-        query: &str,
-    ) -> Result<(QueryOutput, QueryTrace), NatixError> {
-        match &self.telemetry {
-            None => {
-                let (compiled, mut trace) = compiler::compile_traced(query, &self.options)?;
-                let t0 = Instant::now();
-                let mut phys = nqe::build_physical(&compiled);
-                trace.add_phase("codegen", t0.elapsed().as_nanos() as u64);
-                let t0 = Instant::now();
-                let out = phys.execute(store, &HashMap::new(), store.root());
-                trace.add_phase("execute", t0.elapsed().as_nanos() as u64);
-                Ok((out?, trace))
-            }
-            Some(t) => {
-                let (out, report) = self.observe(
-                    t,
-                    store,
-                    query,
-                    store.root(),
-                    &HashMap::new(),
-                    t.wants_profile(),
-                )?;
-                Ok((out?, report.trace))
-            }
-        }
-    }
-
-    /// Compile and execute with explicit context node and variables,
-    /// under the engine's resource limits.
-    pub fn evaluate_with(
-        &self,
-        store: &dyn XmlStore,
-        query: &str,
-        ctx: NodeId,
-        vars: &HashMap<String, Value>,
-    ) -> Result<QueryOutput, NatixError> {
-        match &self.telemetry {
-            None => {
-                Ok(nqe::evaluate_governed(store, query, &self.options, &self.limits, ctx, vars)?)
-            }
-            Some(t) => {
-                let (out, _) = self.observe(t, store, query, ctx, vars, t.wants_profile())?;
-                Ok(out?)
-            }
-        }
-    }
-
-    /// The telemetry-enabled execution path: run through
-    /// [`nqe::observe_governed`], fold the report into the registry and
-    /// query log (compile failures count too), hand both back.
-    fn observe(
-        &self,
-        t: &Telemetry,
-        store: &dyn XmlStore,
-        query: &str,
-        ctx: NodeId,
-        vars: &HashMap<String, Value>,
-        profiled: bool,
-    ) -> Result<(Result<QueryOutput, QueryError>, AnalyzeReport), NatixError> {
-        let t0 = Instant::now();
-        match nqe::observe_governed(store, query, &self.options, &self.limits, ctx, vars, profiled)
-        {
-            Ok((out, report)) => {
-                t.record_query(t0.elapsed(), &report, out.as_ref().err());
-                Ok((out, report))
-            }
-            Err(e) => {
-                t.record_compile_error(query, t0.elapsed(), &e.to_string());
-                Err(e.into())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,12 +226,12 @@ mod tests {
     #[test]
     fn facade_roundtrip() {
         let doc = Document::parse("<a><b>x</b></a>").unwrap();
-        let engine = XPathEngine::new();
+        let session = Engine::new().session();
         assert_eq!(
-            engine.evaluate(doc.store(), "string(/a/b)").unwrap(),
+            session.evaluate(doc.store(), "string(/a/b)").unwrap(),
             QueryOutput::Str("x".into())
         );
-        let plan = engine.explain("/a/b").unwrap();
+        let plan = session.explain(doc.store(), "/a/b").unwrap();
         assert!(plan.contains("Υ["));
     }
 
@@ -485,7 +239,8 @@ mod tests {
     fn error_paths() {
         assert!(Document::parse("<a>").is_err());
         let doc = Document::parse("<a/>").unwrap();
-        assert!(XPathEngine::new().evaluate(doc.store(), "///").is_err());
-        assert!(XPathEngine::new().evaluate(doc.store(), "bogus()").is_err());
+        let session = Engine::new().session();
+        assert!(session.evaluate(doc.store(), "///").is_err());
+        assert!(session.evaluate(doc.store(), "bogus()").is_err());
     }
 }

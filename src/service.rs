@@ -1,7 +1,8 @@
 //! The concurrent query service: a bounded worker pool executing
 //! [`Session`] queries for many clients over a simple line protocol
 //! (DESIGN.md §16). The CLI surfaces it as `--serve stdio` / `--serve
-//! <addr>`; `bench/bin/throughput` drives it in-process.
+//! <addr>`; the benchmark's `service_warm` workload drives it over
+//! loopback TCP.
 //!
 //! ## Line protocol
 //!
@@ -309,6 +310,9 @@ pub fn apply_limits_directive(limits: &mut ResourceLimits, spec: &str) -> Result
     Ok(())
 }
 
+/// The reply of every verb that needs a selected document and has none.
+const NO_DOCUMENT: &str = "ERR usage no document selected (use `doc <name>`)";
+
 /// What [`ClientSession::handle`] decided about the connection.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Reply {
@@ -436,7 +440,7 @@ impl ClientSession {
                     Some(e) => Reply::Line(format!("OK epoch {e}")),
                     None => Reply::Line(format!("ERR usage unknown document `{name}`")),
                 },
-                None => Reply::Line("ERR usage no document selected (use `doc <name>`)".to_owned()),
+                None => Reply::Line(NO_DOCUMENT.to_owned()),
             },
             "update" => self.run_update(rest),
             "commit" => match self.batch.take() {
@@ -468,7 +472,15 @@ impl ClientSession {
                 if rest.is_empty() {
                     return Reply::Line("ERR usage explain <xpath>".to_owned());
                 }
-                match self.session.explain(rest) {
+                let Some((name, doc)) = &self.current else {
+                    return Reply::Line(NO_DOCUMENT.to_owned());
+                };
+                // The plan depends on the store's statistics under
+                // cost-based options, so explain the snapshot a `query`
+                // issued now would run against.
+                let pin = self.service.engine().pin(name);
+                let doc = pin.as_ref().map_or(doc, |p| p.doc());
+                match self.session.explain(doc.store(), rest) {
                     Ok(plan) => Reply::Line(format!("OK plan {}", escape_line(plan.trim_end()))),
                     Err(e) => Reply::Line(format!("ERR {} {}", error_token(&e), e)),
                 }
@@ -484,7 +496,7 @@ impl ClientSession {
             return Reply::Line("ERR usage query <xpath>".to_owned());
         }
         let Some((name, doc)) = &self.current else {
-            return Reply::Line("ERR usage no document selected (use `doc <name>`)".to_owned());
+            return Reply::Line(NO_DOCUMENT.to_owned());
         };
         // Re-pin the registry's current epoch snapshot: between queries
         // the session observes newly committed epochs; within one query
@@ -533,7 +545,7 @@ impl ClientSession {
             matches!(op, "set-attr" | "append-element" | "insert-before" | "remove-attr" | "move");
         if self.batch.is_none() {
             let Some((name, _)) = &self.current else {
-                return Reply::Line("ERR usage no document selected (use `doc <name>`)".to_owned());
+                return Reply::Line(NO_DOCUMENT.to_owned());
             };
             match self.service.engine().write_batch(name) {
                 Ok(b) => self.batch = Some(b),
@@ -696,7 +708,7 @@ fn serve_connection(service: &Arc<QueryService>, stream: TcpStream) -> std::io::
     client.serve(reader, stream)
 }
 
-/// Convenience used by tests and the throughput bench: run a whole query
+/// Convenience used by the differential tests: run a whole query
 /// corpus serially on a fresh session (no pool, no cache bypass) and
 /// return the rendered protocol lines — the reference output the
 /// concurrent paths must match byte-for-byte.
@@ -744,6 +756,18 @@ mod tests {
         c.handle("limits mem=1");
         let r = c.handle("query //b[. = '1']").text().to_owned();
         assert!(r.starts_with("ERR memory "), "{r}");
+    }
+
+    #[test]
+    fn explain_needs_a_selected_document_like_query() {
+        let service = service_with_doc();
+        let mut c = service.client(None);
+        assert!(c.handle("explain /a/b").text().starts_with("OK plan Π^D[cn]"));
+        // No document registered ⇒ none selected: both verbs answer alike.
+        let empty = QueryService::new(Engine::new(), ServiceConfig { workers: 1, queue_depth: 1 });
+        let mut c = empty.client(None);
+        assert_eq!(c.handle("explain /a/b").text(), NO_DOCUMENT);
+        assert_eq!(c.handle("query /a/b").text(), NO_DOCUMENT);
     }
 
     #[test]

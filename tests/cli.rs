@@ -198,3 +198,18 @@ fn verify_store_without_path_is_usage_error() {
     let out = cli().arg("--verify-store").output().unwrap();
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
+
+/// `--explain` prints the plan `--analyze` would run: under
+/// `--cost-based` on an indexed document that is the probe plan.
+#[test]
+fn cost_based_explain_shows_the_probe_plan() {
+    let out = cli()
+        .args(["--generate", "dblp:2000", "--cost-based", "--explain"])
+        .arg("/dblp/article[author='Guido Moerkotte']/title")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let plan = String::from_utf8_lossy(&out.stdout);
+    assert!(plan.contains("probe=author='Guido Moerkotte'"), "{plan}");
+    assert!(!plan.contains("χ^mat"), "{plan}");
+}

@@ -4,7 +4,7 @@
 //! on all three evaluators.
 
 use interp::{InterpOptions, Interpreter};
-use natix::{Document, QueryOutput, XPathEngine};
+use natix::{Document, Engine, QueryOutput, TranslateOptions};
 
 const FIXTURE: &str = r#"<shop xml:lang="en">
   <dept name="fruit">
@@ -34,13 +34,16 @@ fn check(doc: &Document, q: &str, want: &Want) {
     let engines: Vec<(String, QueryOutput)> = vec![
         (
             "improved".into(),
-            XPathEngine::new()
+            Engine::new()
+                .session()
                 .evaluate(doc.store(), q)
                 .unwrap_or_else(|e| panic!("{q}: {e}")),
         ),
         (
             "canonical".into(),
-            XPathEngine::canonical()
+            Engine::new()
+                .session()
+                .with_options(TranslateOptions::canonical())
                 .evaluate(doc.store(), q)
                 .unwrap_or_else(|e| panic!("{q}: {e}")),
         ),

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use compiler::TranslateOptions;
-use natix::{Document, NatixError, QueryError, ResourceLimits, XPathEngine};
+use natix::{Document, Engine, NatixError, QueryError, ResourceLimits};
 use nqe::{FailPoint, ResourceGovernor};
 use xmlstore::gen::{generate_tree, TreeParams};
 use xmlstore::{ArenaBuilder, XmlStore};
@@ -161,21 +161,25 @@ fn expired_deadline_trips() {
     );
 }
 
-/// The engine facade honours `with_limits` and maps trips to
-/// `NatixError::Resource`.
+/// A session honours `with_limits` in every evaluation method — not
+/// just `evaluate` — and maps trips to `NatixError::Resource`.
 #[test]
 fn facade_engine_surfaces_resource_errors() {
     let doc = Document::parse("<r><a><b/><b/><b/></a></r>").unwrap();
-    let engine = XPathEngine::new().with_limits(ResourceLimits::unlimited().with_max_memory(8));
-    let out = engine.evaluate(doc.store(), "/r/a/b[position()=last()]");
-    match out {
+    let q = "/r/a/b[position()=last()]";
+    let session = Engine::new()
+        .session()
+        .with_limits(ResourceLimits::unlimited().with_max_memory(8));
+    let tripped = |r: Result<(), NatixError>, method: &str| match r {
         Err(NatixError::Resource(QueryError::MemoryExceeded { limit: 8, .. })) => {}
-        other => panic!("expected Resource(MemoryExceeded), got {other:?}"),
-    }
-    // The same engine with room finishes.
-    let engine =
-        XPathEngine::new().with_limits(ResourceLimits::unlimited().with_max_memory(1 << 20));
-    assert!(engine.evaluate(doc.store(), "/r/a/b[position()=last()]").is_ok());
+        other => panic!("{method}: expected Resource(MemoryExceeded), got {other:?}"),
+    };
+    tripped(session.evaluate(doc.store(), q).map(drop), "evaluate");
+    tripped(session.profile(doc.store(), q).map(drop), "profile");
+    tripped(session.evaluate_traced(doc.store(), q).map(drop), "evaluate_traced");
+    // The same session with room finishes.
+    let session = session.with_limits(ResourceLimits::unlimited().with_max_memory(1 << 20));
+    assert!(session.evaluate(doc.store(), q).is_ok());
 }
 
 /// EXPLAIN ANALYZE keeps the report when the governor stops the query:
@@ -184,8 +188,10 @@ fn facade_engine_surfaces_resource_errors() {
 #[test]
 fn analyze_reports_survive_governor_trips() {
     let doc = Document::parse("<r><a><b/><b/><b/></a></r>").unwrap();
-    let engine =
-        XPathEngine::canonical().with_limits(ResourceLimits::unlimited().with_max_memory(8));
+    let engine = Engine::new()
+        .session()
+        .with_options(TranslateOptions::canonical())
+        .with_limits(ResourceLimits::unlimited().with_max_memory(8));
     let (out, report) = engine.analyze_governed(doc.store(), "/r/a/b[position()=last()]").unwrap();
     assert!(matches!(out, Err(QueryError::MemoryExceeded { .. })));
     assert_eq!(report.resources.transient_bytes, 0, "trip unwound cleanly");

@@ -115,3 +115,31 @@ fn optimizer_metrics_fold_into_registry() {
         "optimize phase series present"
     );
 }
+
+/// EXPLAIN shows the plan that executes. Under `CostMode::CostBased` the
+/// plan depends on the store's statistics, so `Session::explain` takes
+/// the store: on an indexed store it renders the very plan
+/// `compile_cached_for` hands the executor — the content-index probe and
+/// the fused aggregate, not the statistics-free `χ^mat` shape — and that
+/// plan's operator count is the `plan_ops` EXPLAIN ANALYZE reports.
+#[test]
+fn explain_renders_the_cost_based_plan_that_executes() {
+    const Q: &str = "/dblp/article[author='Guido Moerkotte']/title";
+    let store = generate_dblp(DblpParams { records: 2000, seed: 42 });
+    let s = Engine::new().session().with_options(TranslateOptions::cost_based());
+
+    let text = s.explain(&store, Q).unwrap();
+    let (plan, _, _) = s.compile_cached_for(&store, Q).unwrap();
+    let natix::CompiledQuery::Sequence(plan) = &*plan else {
+        panic!("`{Q}` compiles to a sequence plan");
+    };
+    assert_eq!(text, natix::explain::explain(plan), "explain renders the cached plan");
+    assert!(text.contains("probe=author='Guido Moerkotte'"), "{text}");
+    assert!(!text.contains("χ^mat"), "{text}");
+
+    // One rendered line per operator; `(nested)` only introduces a
+    // subscript's plan.
+    let rendered_ops = text.lines().filter(|l| l.trim() != "(nested)").count();
+    let (_, report) = s.analyze(&store, Q).unwrap();
+    assert_eq!(rendered_ops, report.trace.plan_ops, "{text}");
+}

@@ -5,9 +5,13 @@
 //! registry at all (the zero-overhead-when-disabled guarantee).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
-use natix::{expr_hash, Document, Json, QueryLogger, ResourceLimits, Telemetry, XPathEngine};
+use natix::{
+    expr_hash, Document, Engine, EngineConfig, Json, QueryLogger, ResourceLimits, Session,
+    Telemetry, TranslateOptions,
+};
 use telemetry::parse_exposition;
 use xmlstore::gen::{generate_dblp, generate_tree, DblpParams, TreeParams};
 
@@ -28,6 +32,11 @@ fn dblp(records: usize) -> xmlstore::ArenaStore {
     generate_dblp(DblpParams { records, seed: 42 })
 }
 
+/// A session of a fresh engine that folds every query into `t`.
+fn observed(t: &Arc<Telemetry>) -> Session {
+    Engine::with_config(EngineConfig::default(), Some(t.clone())).session()
+}
+
 fn registry_value(t: &Telemetry, name: &str) -> u64 {
     t.registry.value(name).unwrap_or_else(|| panic!("series {name} not registered"))
 }
@@ -41,7 +50,7 @@ fn registry_value(t: &Telemetry, name: &str) -> u64 {
 fn thousand_query_batch_reconciles_with_profiles() {
     let store = dblp(120);
     let t = Telemetry::new().shared();
-    let engine = XPathEngine::new().with_telemetry(t.clone());
+    let engine = observed(&t);
 
     let mut queries = 0u64;
     let mut tuples = 0u64;
@@ -115,7 +124,7 @@ fn thousand_query_batch_reconciles_with_profiles() {
 fn slow_threshold_zero_captures_explain_for_every_query() {
     let store = dblp(50);
     let t = Telemetry::with_logger(QueryLogger::in_memory(Some(Duration::ZERO))).shared();
-    let engine = XPathEngine::new().with_telemetry(t.clone());
+    let engine = observed(&t);
 
     for q in ["/dblp/article/title", "count(/dblp/article)"] {
         engine.evaluate(&store, q).expect("evaluates");
@@ -141,7 +150,7 @@ fn slow_threshold_zero_captures_explain_for_every_query() {
 fn slow_threshold_discriminates_fast_from_slow() {
     let tree = generate_tree(TreeParams::small(2000));
     let t = Telemetry::with_logger(QueryLogger::in_memory(Some(Duration::from_millis(5)))).shared();
-    let engine = XPathEngine::new().with_telemetry(t.clone());
+    let engine = observed(&t);
 
     engine.evaluate(&tree, "count(/xdoc)").expect("fast query");
     engine
@@ -172,7 +181,7 @@ fn query_log_file_round_trips() {
         QueryLogger::to_file(&path, Some(Duration::ZERO)).expect("open log"),
     )
     .shared();
-    let engine = XPathEngine::new().with_telemetry(t.clone());
+    let engine = observed(&t);
     let batch = [
         "/dblp/article/title",
         "count(//author)",
@@ -216,9 +225,9 @@ fn governor_trips_count_per_error_class() {
     // The canonical translation buffers the context sequence for the
     // positional predicate, charging one tuple per buffered row — which
     // blows the 50-tuple cap on a 200-record document.
-    let engine = XPathEngine::canonical()
-        .with_limits(ResourceLimits::unlimited().with_max_tuples(50))
-        .with_telemetry(t.clone());
+    let engine = observed(&t)
+        .with_options(TranslateOptions::canonical())
+        .with_limits(ResourceLimits::unlimited().with_max_tuples(50));
 
     let out = engine.evaluate(&store, "/dblp/article[position()=last()]/title");
     assert!(out.is_err(), "tuple cap must trip");
@@ -241,7 +250,7 @@ fn disk_store_page_counters_reconcile() {
     let arena = Document::Arena(generate_tree(TreeParams::small(500)));
     let disk = arena.persist(&path, 16).expect("persist");
     let t = Telemetry::new().shared();
-    let engine = XPathEngine::new().with_telemetry(t.clone());
+    let engine = observed(&t);
 
     let mut hits = 0u64;
     let mut reads = 0u64;
@@ -289,7 +298,7 @@ fn disk_store_page_counters_reconcile() {
 fn parallel_runs_populate_exchange_counters() {
     let tree = generate_tree(TreeParams::small(2000));
     let t = Telemetry::new().shared();
-    let engine = XPathEngine::new().with_threads(4).with_telemetry(t.clone());
+    let engine = observed(&t).with_threads(4);
 
     let (out, report) = engine
         .analyze_governed(&tree, "/xdoc/descendant::*/attribute::id")
@@ -315,7 +324,7 @@ fn parallel_runs_populate_exchange_counters() {
 fn reset_zeroes_counters_but_keeps_registration_and_log() {
     let store = dblp(30);
     let t = Telemetry::new().shared();
-    let engine = XPathEngine::new().with_telemetry(t.clone());
+    let engine = observed(&t);
 
     for _ in 0..3 {
         engine.evaluate(&store, "/dblp/article/title").unwrap();
@@ -334,27 +343,28 @@ fn reset_zeroes_counters_but_keeps_registration_and_log() {
     assert_eq!(registry_value(&t, "natix_queries_total"), 1);
 }
 
-/// The zero-overhead-when-disabled guarantee: with `telemetry: None` the
-/// engine's evaluation methods take the pre-telemetry code path behind a
-/// single `Option` branch (see the `match &self.telemetry` arms in
-/// src/lib.rs) and record into nothing. A registry held elsewhere in the
-/// process must stay untouched — every series zero, the histogram empty,
-/// the query log silent — and results must be identical to a
-/// telemetry-enabled engine's.
+/// The zero-overhead-when-disabled guarantee: an engine built without a
+/// telemetry bundle skips every fold behind a single `Option` branch
+/// (the `if let Some(t) = &self.engine.telemetry` arms of
+/// `Session::observe` in src/engine.rs) and records into nothing — its
+/// plan-cache counters are detached instruments. A registry held
+/// elsewhere in the process must stay untouched — every series zero, the
+/// histogram empty, the query log silent — and results must be identical
+/// to a telemetry-enabled engine's.
 #[test]
 fn disabled_telemetry_records_nothing_and_changes_no_result() {
     let store = dblp(40);
     let bystander = Telemetry::new().shared();
-    let plain = XPathEngine::new();
-    assert!(plain.telemetry.is_none(), "telemetry is off by default");
-    let observed = XPathEngine::new().with_telemetry(bystander.clone());
+    let plain = Engine::new().session();
+    assert!(plain.engine().telemetry().is_none(), "telemetry is off by default");
+    let watched = observed(&bystander);
 
     for i in 0..50 {
         let q = BATCH_QUERIES[i % BATCH_QUERIES.len()];
         let a = plain.evaluate(&store, q).expect("plain engine evaluates");
         // Cross-check results against the observed engine once per shape.
         if i < BATCH_QUERIES.len() {
-            let b = observed.evaluate(&store, q).expect("observed engine evaluates");
+            let b = watched.evaluate(&store, q).expect("observed engine evaluates");
             assert_eq!(a, b, "telemetry must not change results for {q}");
         }
     }
@@ -372,6 +382,7 @@ fn disabled_telemetry_records_nothing_and_changes_no_result() {
             || name.starts_with("natix_rewrites_fired_total")
             || name.starts_with("natix_mem_")
             || name.starts_with("natix_tuples_")
+            || name.starts_with("natix_plan_cache_")
         {
             continue; // the observed engine's own 8 queries
         }
@@ -452,7 +463,7 @@ fn metrics_reset_is_atomic_under_concurrent_queries() {
 
     let store = dblp(10);
     let t = Telemetry::new().shared();
-    let engine = XPathEngine::new().with_telemetry(t.clone());
+    let engine = observed(&t);
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
