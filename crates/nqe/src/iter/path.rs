@@ -57,21 +57,23 @@ impl ResolvedTest {
         }
     }
 
-    fn matches(&self, n: NodeId, rt: &Runtime<'_>) -> bool {
-        let store = rt.store;
+    /// The test against a candidate's kind and name as the cursor read
+    /// them — no further store call except for the rare `prefix:*` test,
+    /// which needs name text.
+    fn matches(&self, kind: NodeKind, name: Option<NameId>, rt: &Runtime<'_>) -> bool {
         match self {
             ResolvedTest::Impossible => false,
-            ResolvedTest::Name(kind, id) => store.kind(n) == *kind && store.name(n) == Some(*id),
-            ResolvedTest::AnyPrincipal(kind) => store.kind(n) == *kind,
-            ResolvedTest::Prefix(kind, prefix) => {
-                store.kind(n) == *kind && store.node_name(n).starts_with(prefix)
+            ResolvedTest::Name(principal, id) => kind == *principal && name == Some(*id),
+            ResolvedTest::AnyPrincipal(principal) => kind == *principal,
+            ResolvedTest::Prefix(principal, prefix) => {
+                kind == *principal
+                    && name.is_some_and(|id| rt.store.name_text(id).starts_with(prefix))
             }
             ResolvedTest::AnyNode => true,
-            ResolvedTest::Text => store.kind(n) == NodeKind::Text,
-            ResolvedTest::Comment => store.kind(n) == NodeKind::Comment,
+            ResolvedTest::Text => kind == NodeKind::Text,
+            ResolvedTest::Comment => kind == NodeKind::Comment,
             ResolvedTest::Pi(target) => {
-                store.kind(n) == NodeKind::ProcessingInstruction
-                    && target.is_none_or(|t| store.name(n) == Some(t))
+                kind == NodeKind::ProcessingInstruction && target.is_none_or(|t| name == Some(t))
             }
         }
     }
@@ -106,7 +108,8 @@ impl ResolvedTest {
 /// otherwise.
 enum Scan {
     Range(RangeScan),
-    Cursor(AxisCursor),
+    /// The operator's [`AxisCursor`] is walking this context.
+    Cursor,
     /// Candidates pre-computed from the content index's postings,
     /// already axis- and test-filtered, in document order.
     Probe(std::vec::IntoIter<(u32, NodeId)>),
@@ -141,6 +144,10 @@ pub struct UnnestMapIter {
     frame: Tuple,
     /// The walk over `frame`'s context node; `None` between contexts.
     scan: Option<Scan>,
+    /// The one cursor behind every `Scan::Cursor` of this operator,
+    /// re-aimed per context so the page it holds carries over; let go in
+    /// `close`.
+    cursor: AxisCursor,
     /// Statistics: context nodes served by an interval range scan.
     pub range_scans: u64,
     /// Statistics: context nodes on an interval axis that fell back to
@@ -175,6 +182,7 @@ impl UnnestMapIter {
             resolved: None,
             frame: Tuple::new(),
             scan: None,
+            cursor: AxisCursor::default(),
             range_scans: 0,
             cursor_fallbacks: 0,
             index_probes: 0,
@@ -226,12 +234,12 @@ impl PhysIter for UnnestMapIter {
                             }
                         }
                     }
-                    Scan::Cursor(cursor) => {
+                    Scan::Cursor => {
                         while rt.gov.tick() {
-                            let Some(n) = cursor.advance(rt.store) else {
+                            let Some(n) = self.cursor.advance(rt.store) else {
                                 break;
                             };
-                            if resolved.matches(n, rt) {
+                            if resolved.matches(self.cursor.kind(), self.cursor.name(), rt) {
                                 found = Some(n);
                                 break;
                             }
@@ -305,7 +313,8 @@ impl PhysIter for UnnestMapIter {
                     if Self::interval_axis(self.axis) && self.hint != ScanHint::Cursor {
                         self.cursor_fallbacks += 1;
                     }
-                    Scan::Cursor(AxisCursor::new(rt.store, self.axis, node))
+                    self.cursor.start(rt.store, self.axis, node);
+                    Scan::Cursor
                 }
             };
             self.scan = Some(scan);
@@ -315,6 +324,7 @@ impl PhysIter for UnnestMapIter {
     fn close(&mut self, rt: &Runtime<'_>) {
         self.input.close(rt);
         self.scan = None;
+        self.cursor.release();
     }
 
     fn gauges(&self, out: &mut Vec<Gauge>) {

@@ -267,7 +267,7 @@ fn lang_matches(rt: &Runtime<'_>, node: xmlstore::NodeId, want: &str) -> bool {
     let store = rt.store;
     let mut cursor = AxisCursor::new(store, Axis::AncestorOrSelf, node);
     while let Some(n) = cursor.advance(store) {
-        if store.kind(n) != NodeKind::Element {
+        if cursor.kind() != NodeKind::Element {
             continue;
         }
         if let Some(v) = store.attribute_value(n, "xml:lang") {

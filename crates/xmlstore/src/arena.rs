@@ -21,10 +21,8 @@ use std::collections::HashMap;
 use crate::fault::RepairFailPoint;
 use crate::index::StructuralIndex;
 use crate::node::{NameId, NodeId, NodeKind};
-use crate::store::XmlStore;
+use crate::store::{NodeRec, PagePin, XmlStore, NIL};
 use crate::update::{RepairMode, RepairStats, UpdateError};
-
-const NIL: u32 = u32::MAX;
 
 /// log2 of the key gap left between adjacent nodes by a full (re)build.
 pub const ORDER_GAP_SHIFT: u32 = 20;
@@ -154,7 +152,7 @@ impl ArenaStore {
     }
 
     #[inline]
-    fn node(&self, n: NodeId) -> &NodeData {
+    fn data(&self, n: NodeId) -> &NodeData {
         &self.nodes[n.index()]
     }
 
@@ -241,7 +239,7 @@ impl ArenaStore {
 
     pub(crate) fn unlink(&mut self, n: NodeId) {
         let (parent, prev, next) = {
-            let d = self.node(n);
+            let d = self.data(n);
             (d.parent, d.prev_sibling, d.next_sibling)
         };
         if prev != NIL {
@@ -262,7 +260,7 @@ impl ArenaStore {
 
     pub(crate) fn unlink_attribute(&mut self, owner: NodeId, attr: NodeId) {
         let (prev, next) = {
-            let d = self.node(attr);
+            let d = self.data(attr);
             (d.prev_sibling, d.next_sibling)
         };
         if prev != NIL {
@@ -853,27 +851,27 @@ impl XmlStore for ArenaStore {
     }
 
     fn kind(&self, n: NodeId) -> NodeKind {
-        self.node(n).kind
+        self.data(n).kind
     }
 
     fn name(&self, n: NodeId) -> Option<NameId> {
-        let v = self.node(n).name;
+        let v = self.data(n).name;
         (v != NIL).then_some(NameId(v))
     }
 
     fn value(&self, n: NodeId) -> Option<String> {
-        self.node(n).value.as_deref().map(str::to_owned)
+        self.data(n).value.as_deref().map(str::to_owned)
     }
 
     fn value_ref(&self, n: NodeId) -> Option<Cow<'_, str>> {
-        self.node(n).value.as_deref().map(Cow::Borrowed)
+        self.data(n).value.as_deref().map(Cow::Borrowed)
     }
 
     /// Borrows whenever the string-value is one stored string: content
     /// nodes, and elements whose subtree text is a single text child (the
     /// `year`/`author`/`title` leaf case). Only mixed content allocates.
     fn string_value_ref(&self, n: NodeId) -> Cow<'_, str> {
-        let node = self.node(n);
+        let node = self.data(n);
         if !matches!(node.kind, NodeKind::Document | NodeKind::Element) {
             return Cow::Borrowed(node.value.as_deref().unwrap_or_default());
         }
@@ -892,31 +890,46 @@ impl XmlStore for ArenaStore {
     }
 
     fn parent(&self, n: NodeId) -> Option<NodeId> {
-        Self::opt(self.node(n).parent)
+        Self::opt(self.data(n).parent)
     }
 
     fn first_child(&self, n: NodeId) -> Option<NodeId> {
-        Self::opt(self.node(n).first_child)
+        Self::opt(self.data(n).first_child)
     }
 
     fn last_child(&self, n: NodeId) -> Option<NodeId> {
-        Self::opt(self.node(n).last_child)
+        Self::opt(self.data(n).last_child)
     }
 
     fn next_sibling(&self, n: NodeId) -> Option<NodeId> {
-        Self::opt(self.node(n).next_sibling)
+        Self::opt(self.data(n).next_sibling)
     }
 
     fn prev_sibling(&self, n: NodeId) -> Option<NodeId> {
-        Self::opt(self.node(n).prev_sibling)
+        Self::opt(self.data(n).prev_sibling)
     }
 
     fn first_attribute(&self, n: NodeId) -> Option<NodeId> {
-        Self::opt(self.node(n).first_attr)
+        Self::opt(self.data(n).first_attr)
+    }
+
+    fn node(&self, n: NodeId, _pin: &mut PagePin) -> NodeRec {
+        let d = self.data(n);
+        // Same "none" encoding on both sides: a plain copy.
+        NodeRec {
+            kind: d.kind,
+            name: d.name,
+            parent: d.parent,
+            first_child: d.first_child,
+            last_child: d.last_child,
+            next_sibling: d.next_sibling,
+            prev_sibling: d.prev_sibling,
+            first_attribute: d.first_attr,
+        }
     }
 
     fn order(&self, n: NodeId) -> u64 {
-        self.node(n).order
+        self.data(n).order
     }
 
     fn intern_lookup(&self, name: &str) -> Option<NameId> {

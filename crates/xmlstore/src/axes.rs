@@ -8,8 +8,8 @@
 //! The `namespace` axis is accepted but yields nothing: the stores do not
 //! materialise namespace nodes (see crate docs).
 
-use crate::node::{NodeId, NodeKind};
-use crate::store::XmlStore;
+use crate::node::{NameId, NodeId, NodeKind};
+use crate::store::{NodeRec, PagePin, XmlStore};
 
 /// An XPath axis.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -124,57 +124,60 @@ impl std::fmt::Display for Axis {
 
 /// Deepest last descendant of `n` (the node that ends `n`'s subtree in
 /// document order), or `n` itself if it has no children.
-fn deepest_last(store: &dyn XmlStore, mut n: NodeId) -> NodeId {
-    while let Some(c) = store.last_child(n) {
+fn deepest_last(store: &dyn XmlStore, pin: &mut PagePin, mut n: NodeId) -> NodeId {
+    while let Some(c) = store.node(n, pin).last_child() {
         n = c;
     }
     n
 }
 
-/// Next node in document preorder after `n`, optionally skipping `n`'s
-/// subtree. Attributes are not visited (they are not on the child axis);
-/// starting *from* an attribute climbs to its owner first.
-fn next_preorder(store: &dyn XmlStore, n: NodeId, skip_children: bool) -> Option<NodeId> {
-    let mut cur = if store.kind(n) == NodeKind::Attribute {
+/// Next node in document preorder after the node whose record is `rec`,
+/// optionally skipping that node's subtree. Attributes are not visited
+/// (they are not on the child axis); starting *from* an attribute climbs
+/// to its owner first.
+fn next_preorder(
+    store: &dyn XmlStore,
+    pin: &mut PagePin,
+    rec: NodeRec,
+    skip_children: bool,
+) -> Option<NodeId> {
+    let mut rec = if rec.kind() == NodeKind::Attribute {
         // Doc order continues with the owner's children.
-        let owner = store.parent(n)?;
-        if let Some(c) = store.first_child(owner) {
-            return Some(c);
+        let owner = store.node(rec.parent()?, pin);
+        if owner.first_child().is_some() {
+            return owner.first_child();
         }
         owner
     } else {
-        if !skip_children {
-            if let Some(c) = store.first_child(n) {
-                return Some(c);
-            }
+        if !skip_children && rec.first_child().is_some() {
+            return rec.first_child();
         }
-        n
+        rec
     };
     loop {
-        if let Some(s) = store.next_sibling(cur) {
-            return Some(s);
+        if rec.next_sibling().is_some() {
+            return rec.next_sibling();
         }
-        cur = store.parent(cur)?;
+        rec = store.node(rec.parent()?, pin);
     }
 }
 
+/// What the cursor yields next. Every walk state names the node to yield;
+/// its record is read once, when it is yielded, and the successor is
+/// worked out from that record.
+#[derive(Default)]
 enum State {
-    /// Yield exactly one node (`self` axis).
-    SelfOnly(Option<NodeId>),
-    /// Yield `self` next, then continue with ancestors (`ancestor-or-self`).
-    SelfFirst(NodeId),
-    /// Chain along a link function (parent / next_sibling / prev_sibling).
-    Parent(Option<NodeId>),
+    /// Yield at most one node (`self`, `parent`).
+    Once(Option<NodeId>),
+    /// Chains along one link: parent, next sibling (children, attributes,
+    /// following siblings), previous sibling.
     Ancestors(Option<NodeId>),
     NextSiblings(Option<NodeId>),
     PrevSiblings(Option<NodeId>),
-    Attributes(Option<NodeId>),
-    /// Preorder walk inside the subtree rooted at `root`; `cur` is the last
-    /// yielded node (None before the first).
+    /// Preorder walk inside the subtree rooted at `root`.
     Subtree {
         root: NodeId,
-        cur: Option<NodeId>,
-        include_self: bool,
+        next: Option<NodeId>,
     },
     /// Document-order walk for `following`.
     Following(Option<NodeId>),
@@ -187,197 +190,200 @@ enum State {
         /// Active subtree walk: (subtree root, node to yield next).
         walk: Option<(NodeId, NodeId)>,
     },
+    #[default]
     Done,
 }
 
-/// Store-free axis cursor: holds only the traversal state, so physical
-/// operators can embed it without borrowing the store. Every advance takes
-/// the store explicitly.
+/// Store-free axis cursor: holds the traversal state, kind and name of
+/// the node it yielded last and the page that node's record came from
+/// ([`PagePin`]), so physical operators can embed it without borrowing
+/// the store. Every advance takes the store explicitly and reads each
+/// visited record once, through [`XmlStore::node`]; on a paged store a
+/// walk therefore costs one buffer-manager call per page change.
+///
+/// One cursor serves any number of walks: [`AxisCursor::start`] re-aims
+/// it and keeps the held page, which the next context's records usually
+/// share. [`AxisCursor::release`] (or dropping the cursor) lets the page
+/// go. The default cursor is at rest: nothing to yield, no page held.
 pub struct AxisCursor {
     state: State,
+    /// Kind and name of the node yielded last. Only these two fields of
+    /// its record are kept: copying the whole record out of the store's
+    /// return slot costs more than the store call itself.
+    kind: NodeKind,
+    name: Option<NameId>,
+    pin: PagePin,
+}
+
+impl Default for AxisCursor {
+    fn default() -> AxisCursor {
+        AxisCursor {
+            state: State::Done,
+            kind: NodeRec::INERT.kind(),
+            name: None,
+            pin: PagePin::default(),
+        }
+    }
 }
 
 impl AxisCursor {
     /// Start the `axis` from context node `n`.
     pub fn new(store: &dyn XmlStore, axis: Axis, n: NodeId) -> AxisCursor {
-        let kind = store.kind(n);
-        let state = match axis {
-            Axis::SelfAxis => State::SelfOnly(Some(n)),
-            Axis::Child => State::NextSiblings(store.first_child(n)),
-            Axis::Parent => State::Parent(store.parent(n)),
-            Axis::Ancestor => State::Ancestors(store.parent(n)),
-            Axis::AncestorOrSelf => State::SelfFirst(n),
-            Axis::FollowingSibling => {
-                if kind == NodeKind::Attribute {
-                    State::Done
-                } else {
-                    State::NextSiblings(store.next_sibling(n))
+        let mut cursor = AxisCursor::default();
+        cursor.start(store, axis, n);
+        cursor
+    }
+
+    /// Re-aim at the `axis` from context node `n`, keeping the held page.
+    /// The context's record is read only by the axes that need it.
+    pub fn start(&mut self, store: &dyn XmlStore, axis: Axis, n: NodeId) {
+        let pin = &mut self.pin;
+        self.state = match axis {
+            Axis::SelfAxis => State::Once(Some(n)),
+            Axis::Parent => State::Once(store.node(n, pin).parent()),
+            Axis::Child => State::NextSiblings(store.node(n, pin).first_child()),
+            Axis::Ancestor => State::Ancestors(store.node(n, pin).parent()),
+            Axis::AncestorOrSelf => State::Ancestors(Some(n)),
+            Axis::FollowingSibling => match store.node(n, pin) {
+                rec if rec.kind() == NodeKind::Attribute => State::Done,
+                rec => State::NextSiblings(rec.next_sibling()),
+            },
+            Axis::PrecedingSibling => match store.node(n, pin) {
+                rec if rec.kind() == NodeKind::Attribute => State::Done,
+                rec => State::PrevSiblings(rec.prev_sibling()),
+            },
+            Axis::Attribute => match store.node(n, pin) {
+                // Attributes chain through their next-sibling links.
+                rec if rec.kind() == NodeKind::Element => {
+                    State::NextSiblings(rec.first_attribute())
                 }
-            }
-            Axis::PrecedingSibling => {
-                if kind == NodeKind::Attribute {
-                    State::Done
-                } else {
-                    State::PrevSiblings(store.prev_sibling(n))
-                }
-            }
-            Axis::Attribute => {
-                if kind == NodeKind::Element {
-                    State::Attributes(store.first_attribute(n))
-                } else {
-                    State::Done
-                }
-            }
+                _ => State::Done,
+            },
             Axis::Namespace => State::Done,
-            Axis::Descendant => State::Subtree { root: n, cur: None, include_self: false },
-            Axis::DescendantOrSelf => State::Subtree { root: n, cur: None, include_self: true },
-            Axis::Following => State::Following(next_preorder(store, n, true)),
+            Axis::Descendant => State::Subtree { root: n, next: store.node(n, pin).first_child() },
+            Axis::DescendantOrSelf => State::Subtree { root: n, next: Some(n) },
+            Axis::Following => {
+                let rec = store.node(n, pin);
+                State::Following(next_preorder(store, pin, rec, true))
+            }
             Axis::Preceding => {
-                let start = if kind == NodeKind::Attribute {
-                    store.parent(n).unwrap_or(n)
+                let rec = store.node(n, pin);
+                let start = if rec.kind() == NodeKind::Attribute {
+                    rec.parent().unwrap_or(n)
                 } else {
                     n
                 };
                 State::Preceding { anc: Some(start), walk: None }
             }
         };
-        AxisCursor { state }
+    }
+
+    /// Stop walking and let the held page go.
+    pub fn release(&mut self) {
+        self.state = State::Done;
+        self.pin.release();
+    }
+
+    /// Kind of the node the last [`AxisCursor::advance`] yielded (node
+    /// tests read it here instead of asking the store again).
+    pub fn kind(&self) -> NodeKind {
+        self.kind
+    }
+
+    /// Name of the node the last [`AxisCursor::advance`] yielded.
+    pub fn name(&self) -> Option<NameId> {
+        self.name
     }
 
     /// Next node on the axis, or `None` when exhausted.
     pub fn advance(&mut self, store: &dyn XmlStore) -> Option<NodeId> {
-        match &mut self.state {
-            State::Done => None,
-            State::SelfOnly(n) => n.take(),
-            State::SelfFirst(n) => {
-                let n = *n;
-                self.state = State::Ancestors(store.parent(n));
-                Some(n)
-            }
-            State::Parent(p) => {
-                let r = p.take();
-                self.state = State::Done;
-                r
+        let pin = &mut self.pin;
+        // Every arm reads the record of the node it yields exactly once
+        // and works the successor out from it.
+        let (n, rec) = match &mut self.state {
+            State::Done => return None,
+            State::Once(n) => {
+                let n = n.take()?;
+                (n, store.node(n, pin))
             }
             State::Ancestors(cur) => {
-                let r = *cur;
-                if let Some(n) = r {
-                    *cur = store.parent(n);
-                }
-                r
+                let n = (*cur)?;
+                let rec = store.node(n, pin);
+                *cur = rec.parent();
+                (n, rec)
             }
             State::NextSiblings(cur) => {
-                let r = *cur;
-                if let Some(n) = r {
-                    *cur = store.next_sibling(n);
-                }
-                r
+                let n = (*cur)?;
+                let rec = store.node(n, pin);
+                *cur = rec.next_sibling();
+                (n, rec)
             }
             State::PrevSiblings(cur) => {
-                let r = *cur;
-                if let Some(n) = r {
-                    *cur = store.prev_sibling(n);
-                }
-                r
+                let n = (*cur)?;
+                let rec = store.node(n, pin);
+                *cur = rec.prev_sibling();
+                (n, rec)
             }
-            State::Attributes(cur) => {
-                let r = *cur;
-                if let Some(n) = r {
-                    *cur = store.next_sibling(n);
-                }
-                r
-            }
-            State::Subtree { root, cur, include_self } => {
-                let next = match cur {
-                    None => {
-                        if *include_self {
-                            Some(*root)
-                        } else {
-                            store.first_child(*root)
+            State::Subtree { root, next } => {
+                let n = (*next)?;
+                let rec = store.node(n, pin);
+                // Preorder successor bounded by `root`.
+                *next = rec.first_child().or_else(|| {
+                    let (mut up, mut up_rec) = (n, rec);
+                    loop {
+                        if up == *root {
+                            break None;
                         }
-                    }
-                    Some(c) => {
-                        // Preorder advance bounded by `root`.
-                        if let Some(fc) = store.first_child(*c) {
-                            Some(fc)
-                        } else {
-                            let mut up = *c;
-                            loop {
-                                if up == *root {
-                                    break None;
-                                }
-                                if let Some(s) = store.next_sibling(up) {
-                                    break Some(s);
-                                }
-                                match store.parent(up) {
-                                    Some(p) => up = p,
-                                    None => break None,
-                                }
-                            }
+                        if up_rec.next_sibling().is_some() {
+                            break up_rec.next_sibling();
                         }
+                        up = up_rec.parent()?;
+                        up_rec = store.node(up, pin);
                     }
-                };
-                match next {
-                    Some(n) => {
-                        *cur = Some(n);
-                        Some(n)
-                    }
-                    None => {
-                        self.state = State::Done;
-                        None
-                    }
-                }
+                });
+                (n, rec)
             }
             State::Following(cur) => {
-                let r = *cur;
-                if let Some(n) = r {
-                    *cur = next_preorder(store, n, false);
-                }
-                r
+                let n = (*cur)?;
+                let rec = store.node(n, pin);
+                *cur = next_preorder(store, pin, rec, false);
+                (n, rec)
             }
-            State::Preceding { anc, walk } => {
-                loop {
-                    if let Some((root, cur)) = walk {
-                        let out = *cur;
-                        if out == *root {
-                            // Subtree done; continue with the root's own
-                            // previous sibling, if any.
-                            match store.prev_sibling(*root) {
-                                Some(ps) => *walk = Some((ps, deepest_last(store, ps))),
-                                None => *walk = None,
-                            }
-                        } else {
-                            // Reverse preorder step inside the subtree.
-                            *cur = match (store.prev_sibling(*cur), store.parent(*cur)) {
-                                (Some(ps), _) => deepest_last(store, ps),
-                                (None, Some(p)) => p,
-                                // Unreachable on an intact store (we are
-                                // strictly inside the subtree rooted at
-                                // `root`); on a corrupted one the missing
-                                // parent link ends the walk instead of
-                                // panicking.
-                                (None, None) => {
-                                    *walk = None;
-                                    return Some(out);
-                                }
-                            };
+            State::Preceding { anc, walk } => loop {
+                if let Some((root, cur)) = *walk {
+                    let rec = store.node(cur, pin);
+                    *walk = match (rec.prev_sibling(), rec.parent()) {
+                        // Subtree done when its root was yielded; either
+                        // way the walk continues below the previous
+                        // sibling, if any.
+                        (Some(ps), _) => {
+                            let root = if cur == root { ps } else { root };
+                            Some((root, deepest_last(store, pin, ps)))
                         }
-                        return Some(out);
-                    }
-                    let a = match anc.take() {
-                        Some(a) => a,
-                        None => {
-                            self.state = State::Done;
-                            return None;
-                        }
+                        (None, _) if cur == root => None,
+                        // Reverse preorder step inside the subtree.
+                        (None, Some(p)) => Some((root, p)),
+                        // Unreachable on an intact store (we are strictly
+                        // inside the subtree rooted at `root`); on a
+                        // corrupted one the missing parent link ends the
+                        // walk instead of panicking.
+                        (None, None) => None,
                     };
-                    *anc = store.parent(a);
-                    if let Some(ps) = store.prev_sibling(a) {
-                        *walk = Some((ps, deepest_last(store, ps)));
-                    }
+                    break (cur, rec);
                 }
-            }
-        }
+                let Some(a) = anc.take() else {
+                    self.state = State::Done;
+                    return None;
+                };
+                let above = store.node(a, pin);
+                *anc = above.parent();
+                if let Some(ps) = above.prev_sibling() {
+                    *walk = Some((ps, deepest_last(store, pin, ps)));
+                }
+            },
+        };
+        (self.kind, self.name) = (rec.kind(), rec.name());
+        Some(n)
     }
 }
 

@@ -55,20 +55,19 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use crate::arena::{ArenaStore, NameTable};
-use crate::buffer::{BufferManager, BufferOptions, BufferStats, PageRef};
+use crate::buffer::{BufferManager, BufferOptions, BufferStats};
 use crate::error::StorageFault;
 use crate::fault::IoFailPoint;
 use crate::index::StructuralIndex;
 use crate::node::{NameId, NodeId, NodeKind};
 use crate::page::{seal_page, SlottedPage, SlottedPageBuilder, PAGE_PAYLOAD, PAGE_SIZE};
-use crate::store::{ContentKind, XmlStore};
+use crate::store::{ContentKind, NodeRec, PagePin, XmlStore, NIL};
 
 pub use crate::error::DiskError;
 
 const MAGIC: &[u8; 8] = b"NATIXSTR";
 /// On-disk format version (v3: persisted structural + content indexes).
 pub const FORMAT_VERSION: u32 = 3;
-const NIL: u32 = u32::MAX;
 
 /// Bytes per node record.
 const NODE_REC: usize = 40;
@@ -119,6 +118,13 @@ fn put_u32(buf: &mut [u8], off: usize, v: u32) {
 
 fn get_u32(buf: &[u8], off: usize) -> u32 {
     u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]])
+}
+
+/// Where a node record's value starts in the strings region (page,
+/// slot), if the node has one.
+fn value_head(rec: &[u8; NODE_REC]) -> Option<(u32, u16)> {
+    let page = get_u32(rec, 36);
+    (page != NIL).then(|| (page, get_u16(rec, 1)))
 }
 
 fn get_u16(buf: &[u8], off: usize) -> u16 {
@@ -1155,6 +1161,12 @@ impl DiskStore {
         self.buffer.stats()
     }
 
+    /// The buffer manager every read of this store goes through (frame
+    /// occupancy and raw pages, for tools and tests).
+    pub fn buffer(&self) -> &BufferManager {
+        &self.buffer
+    }
+
     /// Full-file integrity check: every page checksum, every node record
     /// (kind, name, all links, value chains), the complete dictionary,
     /// the structural-index region (rank/size bounds), and the content
@@ -1255,9 +1267,12 @@ impl DiskStore {
         )
     }
 
-    /// Pin the page holding node `n`'s record; fields are read in place
-    /// at the returned byte offset.
-    fn pin_record(&self, n: NodeId) -> Result<(PageRef, usize), DiskError> {
+    /// Node `n`'s record, read in place on the page `pin` holds; the held
+    /// page is swapped when the record lies on another one. The old page
+    /// is let go before the new one is pinned, so a one-frame buffer can
+    /// evict it. The single-field readers below pass a pin of their own,
+    /// which makes each of them one buffer-manager call.
+    fn record<'p>(&self, n: NodeId, pin: &'p mut PagePin) -> Result<&'p [u8; NODE_REC], DiskError> {
         if n.0 >= self.header.node_count {
             return Err(DiskError::corrupt(format!(
                 "node id {n} out of range (store has {} nodes)",
@@ -1265,24 +1280,30 @@ impl DiskStore {
             )));
         }
         let (page, idx) = self.node_coord(n);
-        Ok((self.buffer.pin(page)?, idx as usize * NODE_REC))
+        let p = match pin.held.take() {
+            Some((held, p)) if held == page => p,
+            other => {
+                drop(other);
+                self.buffer.pin(page)?
+            }
+        };
+        let (_, p) = pin.held.insert((page, p));
+        // `idx < NODES_PER_PAGE`, so the record lies inside the payload.
+        Ok(&p.as_chunks().0[idx as usize])
     }
 
-    fn try_kind(&self, n: NodeId) -> Result<NodeKind, DiskError> {
-        let (p, off) = self.pin_record(n)?;
-        NodeKind::from_u8(p[off]).ok_or_else(|| {
+    fn decode_kind(&self, rec: &[u8; NODE_REC], n: NodeId) -> Result<NodeKind, DiskError> {
+        NodeKind::from_u8(rec[0]).ok_or_else(|| {
             let (page, idx) = self.node_coord(n);
-            DiskError::corrupt_at_slot(format!("invalid node kind byte {}", p[off]), page, idx)
+            DiskError::corrupt_at_slot(format!("invalid node kind byte {}", rec[0]), page, idx)
         })
     }
 
-    fn try_name(&self, n: NodeId) -> Result<Option<NameId>, DiskError> {
-        let (p, off) = self.pin_record(n)?;
-        let v = get_u32(&p[..], off + 4);
-        if v == NIL {
-            return Ok(None);
-        }
-        if v as usize >= self.names.len() {
+    /// The name field as stored (`NIL` = unnamed), checked against the
+    /// dictionary.
+    fn name_field(&self, rec: &[u8; NODE_REC], n: NodeId) -> Result<u32, DiskError> {
+        let v = get_u32(rec, 4);
+        if v != NIL && v as usize >= self.names.len() {
             let (page, idx) = self.node_coord(n);
             return Err(DiskError::corrupt_at_slot(
                 format!("name id {v} out of range (dictionary has {} names)", self.names.len()),
@@ -1290,16 +1311,14 @@ impl DiskStore {
                 idx,
             ));
         }
-        Ok(Some(NameId(v)))
+        Ok(v)
     }
 
-    fn try_link(&self, n: NodeId, field: usize) -> Result<Option<NodeId>, DiskError> {
-        let (p, off) = self.pin_record(n)?;
-        let v = get_u32(&p[..], off + field);
-        if v == NIL {
-            return Ok(None);
-        }
-        if v >= self.header.node_count {
+    /// A link field as stored (`NIL` = no node), checked against the node
+    /// count.
+    fn link_field(&self, rec: &[u8; NODE_REC], n: NodeId, field: usize) -> Result<u32, DiskError> {
+        let v = get_u32(rec, field);
+        if v != NIL && v >= self.header.node_count {
             let (page, idx) = self.node_coord(n);
             return Err(DiskError::corrupt_at_slot(
                 format!(
@@ -1310,20 +1329,87 @@ impl DiskStore {
                 idx,
             ));
         }
-        Ok(Some(NodeId(v)))
+        Ok(v)
+    }
+
+    fn decode_link(
+        &self,
+        rec: &[u8; NODE_REC],
+        n: NodeId,
+        field: usize,
+    ) -> Result<Option<NodeId>, DiskError> {
+        let v = self.link_field(rec, n, field)?;
+        Ok((v != NIL).then_some(NodeId(v)))
+    }
+
+    fn try_kind(&self, n: NodeId) -> Result<NodeKind, DiskError> {
+        self.decode_kind(self.record(n, &mut PagePin::default())?, n)
+    }
+
+    fn try_name(&self, n: NodeId) -> Result<Option<NameId>, DiskError> {
+        let v = self.name_field(self.record(n, &mut PagePin::default())?, n)?;
+        Ok((v != NIL).then_some(NameId(v)))
+    }
+
+    fn try_link(&self, n: NodeId, field: usize) -> Result<Option<NodeId>, DiskError> {
+        self.decode_link(self.record(n, &mut PagePin::default())?, n, field)
+    }
+
+    /// Every fixed field of `n`'s record, validated like the single-field
+    /// readers above, from the page `pin` holds.
+    fn try_node(&self, n: NodeId, pin: &mut PagePin) -> Result<NodeRec, DiskError> {
+        let rec = self.record(n, pin)?;
+        Ok(NodeRec {
+            kind: self.decode_kind(rec, n)?,
+            name: self.name_field(rec, n)?,
+            parent: self.link_field(rec, n, 8)?,
+            first_child: self.link_field(rec, n, 12)?,
+            last_child: self.link_field(rec, n, 16)?,
+            next_sibling: self.link_field(rec, n, 20)?,
+            prev_sibling: self.link_field(rec, n, 24)?,
+            first_attribute: self.link_field(rec, n, 28)?,
+        })
     }
 
     fn try_value(&self, n: NodeId) -> Result<Option<String>, DiskError> {
-        let (p, off) = self.pin_record(n)?;
-        let vp = get_u32(&p[..], off + 36);
-        if vp == NIL {
+        let mut pin = PagePin::default();
+        let Some((vp, vs)) = value_head(self.record(n, &mut pin)?) else {
             return Ok(None);
-        }
-        let vs = get_u16(&p[..], off + 1);
+        };
         // Release the record's page before walking the string chain: a
         // one-frame buffer must be able to evict it.
-        drop(p);
+        pin.release();
         Ok(Some(self.try_read_string(vp, vs)?))
+    }
+
+    /// [`XmlStore::collect_text`] over records read through one `pin`
+    /// (the whole subtree shares it): per text child one record read and
+    /// its string chain, not a pin per field.
+    fn try_collect_text(
+        &self,
+        n: NodeId,
+        out: &mut String,
+        pin: &mut PagePin,
+    ) -> Result<(), DiskError> {
+        let mut child = self.decode_link(self.record(n, pin)?, n, 12)?;
+        while let Some(c) = child {
+            let rec = self.record(c, pin)?;
+            let kind = self.decode_kind(rec, c)?;
+            child = self.decode_link(rec, c, 20)?;
+            match kind {
+                NodeKind::Text => {
+                    if let Some((vp, vs)) = value_head(rec) {
+                        // As in `try_value`: the record's page goes before
+                        // the string chain is followed.
+                        pin.release();
+                        out.push_str(&self.try_read_string(vp, vs)?);
+                    }
+                }
+                NodeKind::Element => self.try_collect_text(c, out, pin)?,
+                _ => {}
+            }
+        }
+        Ok(())
     }
 
     fn check_string_coord(&self, page: u32, slot: u16) -> Result<(), DiskError> {
@@ -1544,8 +1630,17 @@ impl XmlStore for DiskStore {
         self.note(self.try_link(n, 28), None)
     }
 
+    fn node(&self, n: NodeId, pin: &mut PagePin) -> NodeRec {
+        self.note(self.try_node(n, pin), NodeRec::INERT)
+    }
+
+    fn collect_text(&self, n: NodeId, out: &mut String) {
+        self.note(self.try_collect_text(n, out, &mut PagePin::default()), ());
+    }
+
     fn order(&self, n: NodeId) -> u64 {
-        self.note(self.pin_record(n).map(|(p, off)| get_u32(&p[..], off + 32) as u64), 0)
+        let rank = self.record(n, &mut PagePin::default()).map(|rec| get_u32(rec, 32) as u64);
+        self.note(rank, 0)
     }
 
     fn intern_lookup(&self, name: &str) -> Option<NameId> {
@@ -1870,6 +1965,36 @@ mod tests {
         let fault = disk.take_storage_fault().unwrap();
         assert!(fault.message.contains("out of range"), "{fault:?}");
         assert!(!disk.storage_tripped(), "take drains the fault cell");
+    }
+
+    #[test]
+    fn node_faults_and_answers_inert_instead_of_panicking() {
+        let (t, disk) = roundtrip("<a><b/></a>");
+        let mut pin = PagePin::default();
+        assert_eq!(disk.node(NodeId(999), &mut pin), NodeRec::INERT);
+        let fault = disk.take_storage_fault().unwrap();
+        assert!(fault.message.contains("out of range"), "{fault:?}");
+
+        // A kind byte no `NodeKind` has, under a valid checksum: only the
+        // record decode can catch it.
+        let b = disk.first_child(disk.first_child(disk.root()).unwrap()).unwrap();
+        let (page, slot) = disk.node_coord(b);
+        drop(disk);
+        let mut bytes = std::fs::read(t.path()).unwrap();
+        let start = page as usize * PAGE_SIZE;
+        let mut node_page = [0u8; PAGE_SIZE];
+        node_page.copy_from_slice(&bytes[start..start + PAGE_SIZE]);
+        node_page[slot as usize * NODE_REC] = 0xEE;
+        seal_page(&mut node_page);
+        bytes[start..start + PAGE_SIZE].copy_from_slice(&node_page);
+        std::fs::write(t.path(), &bytes).unwrap();
+        let plain = DiskStore::open_plain(t.path(), 4).unwrap();
+        assert_ne!(plain.node(NodeId(b.0 - 1), &mut pin), NodeRec::INERT, "intact neighbour");
+        assert!(!plain.storage_tripped());
+        assert_eq!(plain.node(b, &mut pin), NodeRec::INERT);
+        let fault = plain.take_storage_fault().unwrap();
+        assert!(fault.message.contains("invalid node kind byte 238"), "{fault:?}");
+        assert!(!fault.is_io);
     }
 
     #[test]

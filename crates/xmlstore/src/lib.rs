@@ -63,5 +63,5 @@ pub use node::{NameId, NodeId, NodeKind};
 pub use parser::{parse_document, parse_document_with_limits, ParseLimits, XmlError};
 pub use serialize::{to_xml, to_xml_node};
 pub use stats::{StoreStats, TagStat};
-pub use store::{ContentKind, NoIndex, XmlStore};
+pub use store::{ContentKind, NoIndex, NodeRec, PagePin, XmlStore};
 pub use update::{RepairMode, RepairStats, UpdateError};

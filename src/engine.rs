@@ -828,14 +828,6 @@ impl WriteBatch {
         self.working.as_ref().expect("batch not yet resolved")
     }
 
-    /// Switch the working store's index-repair mode (benchmark harness;
-    /// [`xmlstore::RepairMode::Incremental`] is the default).
-    pub fn set_repair_mode(&mut self, mode: xmlstore::RepairMode) {
-        if let Some(w) = self.working.as_mut() {
-            w.set_repair_mode(mode);
-        }
-    }
-
     /// Evaluate an XPath expression against the working store and
     /// return the matched node-set (scalar results are a
     /// [`UpdateError::TargetNotFound`] — update targets are nodes).

@@ -408,6 +408,126 @@ fn verification_counters_reconcile_with_hand_computed_page_reads() {
     assert!(report.storage.is_none(), "arena stores report no storage section");
 }
 
+// ---- hit path: manager calls per page change, pins let go ----------------
+
+/// Hits + misses: every `BufferManager::pin` call is one or the other.
+fn manager_calls(store: &DiskStore) -> u64 {
+    let s = store.buffer_stats();
+    s.hits + s.misses
+}
+
+#[test]
+fn walks_cost_one_manager_call_per_page_change() {
+    use xmlstore::gen::{generate_dblp, DblpParams};
+    use xmlstore::{axis_nodes, Axis, AxisCursor};
+
+    let arena = generate_dblp(DblpParams { records: 2000, seed: 17 });
+    let t = TempPath::new(".natix");
+    create_store_file(&arena, t.path()).unwrap();
+    let file_pages = (std::fs::metadata(t.path()).unwrap().len() / PAGE_SIZE as u64) as usize;
+
+    // Node ids are the same in both stores, so the arena names the
+    // records without touching the page file. With room for the whole
+    // file nothing is evicted: misses = distinct pages touched.
+    let dblp = arena.first_child(arena.root()).unwrap();
+    let records = axis_nodes(&arena, Axis::Child, dblp);
+    assert_eq!(records.len(), 2000);
+    let disk = DiskStore::open_plain(t.path(), file_pages).unwrap();
+    let (calls0, misses0) = (manager_calls(&disk), disk.buffer_stats().misses);
+    let mut cursor = AxisCursor::default();
+    let mut fields = 0usize;
+    for &record in &records {
+        cursor.start(&disk, Axis::Child, record);
+        while cursor.advance(&disk).is_some() {
+            fields += 1;
+        }
+    }
+    let expect: usize = records.iter().map(|&r| axis_nodes(&arena, Axis::Child, r).len()).sum();
+    assert_eq!(fields, expect);
+    let pages = disk.buffer_stats().misses - misses0;
+    let calls = manager_calls(&disk) - calls0;
+    assert!(pages >= 10, "the walk must cross pages ({pages})");
+    assert!(
+        calls <= pages + 8,
+        "{calls} manager calls for {} nodes on {pages} pages",
+        fields + records.len()
+    );
+    drop(cursor);
+
+    // The engine on top: a structural sweep behind a buffer a tenth of
+    // the file, where most of its page changes are reads.
+    let disk = DiskStore::open(t.path(), file_pages / 10).unwrap();
+    let (calls0, misses0) = (manager_calls(&disk), disk.buffer_stats().misses);
+    let out = nqe::evaluate(&disk, "count(//author)", &TranslateOptions::cost_based()).unwrap();
+    let want = nqe::evaluate(&arena, "count(//author)", &TranslateOptions::cost_based()).unwrap();
+    assert_eq!(out, want);
+    let reads = disk.buffer_stats().misses - misses0;
+    let calls = manager_calls(&disk) - calls0;
+    assert!(calls <= 3 * reads, "{calls} manager calls for {reads} page reads");
+}
+
+#[test]
+fn no_frame_stays_pinned_after_a_query_ends_however_it_ends() {
+    use nqe::{FailPoint, ResourceGovernor};
+    use xmlstore::gen::{generate_dblp, DblpParams};
+
+    let arena = generate_dblp(DblpParams { records: 400, seed: 17 });
+    let t = TempPath::new(".natix");
+    create_store_file(&arena, t.path()).unwrap();
+    let unlimited = ResourceLimits::unlimited;
+    let cases: [(&str, &str, ResourceGovernor); 4] = [
+        ("completes", "/dblp/article/title", ResourceGovernor::unlimited()),
+        (
+            "stops early",
+            "/dblp/article[position() = 3]/title",
+            ResourceGovernor::unlimited(),
+        ),
+        (
+            "tuple limit",
+            "/dblp/article[position() = last()]/title",
+            ResourceGovernor::new(ResourceLimits { max_tuples: Some(50), ..unlimited() }),
+        ),
+        (
+            "cancelled",
+            "/dblp/*[author]/title",
+            ResourceGovernor::with_failpoint(
+                unlimited(),
+                FailPoint { fail_at_alloc: None, cancel_at_tick: Some(500) },
+            ),
+        ),
+    ];
+    for (what, q, gov) in cases {
+        // One frame: any page still held would push the table past its
+        // capacity on the next miss.
+        let disk = DiskStore::open_plain(t.path(), 1).unwrap();
+        let compiled = compiler::compile(q, &TranslateOptions::canonical()).unwrap();
+        // The plan outlives the checks: frames must go at `close`, not
+        // only when the operators are dropped.
+        let mut phys = nqe::build_physical(&compiled);
+        let out = phys.execute_governed(&disk, &HashMap::new(), disk.root(), &gov);
+        match (what, out) {
+            ("tuple limit", Err(QueryError::TuplesExceeded { .. })) => {}
+            ("cancelled", Err(QueryError::Cancelled)) => {}
+            ("completes" | "stops early", Ok(QueryOutput::Nodes(nodes))) => {
+                assert!(!nodes.is_empty(), "{what}")
+            }
+            (_, other) => panic!("{what}: ended with {:?}", other.map(|_| "an answer")),
+        }
+        let buffer = disk.buffer();
+        assert!(buffer.stats().misses > 1, "{what}: the query read pages");
+        for fresh in 0..=buffer.capacity() as u32 {
+            buffer.pin(fresh).unwrap();
+        }
+        assert!(
+            buffer.resident() <= buffer.capacity(),
+            "{what}: {} frames resident behind a {}-frame buffer",
+            buffer.resident(),
+            buffer.capacity()
+        );
+        drop(phys);
+    }
+}
+
 #[test]
 fn checksum_failure_counter_increments_on_damaged_page() {
     use xmlstore::buffer::{BufferManager, BufferOptions};

@@ -295,6 +295,7 @@ proptest! {
 /// out of the `proptest!` block (the vendored macro munches its input
 /// token by token, so long bodies overflow the recursion limit).
 fn check_axes_against_cursor(store: &ArenaStore) -> Result<(), proptest::prelude::TestCaseError> {
+    use xmlstore::diskstore::DiskStore;
     use xmlstore::{axis_nodes, indexed_axis_nodes, Axis};
     const AXES: [Axis; 13] = [
         Axis::Child,
@@ -313,12 +314,28 @@ fn check_axes_against_cursor(store: &ArenaStore) -> Result<(), proptest::prelude
     ];
     let idx = store.structural_index().expect("arena stores are indexed");
     prop_assert_eq!(idx.len(), store.node_count(), "every node is ranked");
+    // The same cursor over the paged store, behind a buffer that can
+    // hold one page, two, or the whole file.
+    let path = xmlstore::tmp::TempPath::new(".natix");
+    xmlstore::diskstore::create_store_file(store, path.path()).expect("page file");
+    let paged =
+        [1usize, 2, 128].map(|frames| DiskStore::open_plain(path.path(), frames).expect("reopen"));
     for rank in 0..idx.len() as u32 {
         let node = idx.node_at(rank);
         prop_assert_eq!(idx.rank_of(node), Some(rank), "rank_of inverts node_at");
         for ax in AXES {
             let fast = indexed_axis_nodes(store, ax, node);
             let slow = axis_nodes(store, ax, node);
+            for disk in &paged {
+                prop_assert_eq!(
+                    &axis_nodes(disk, ax, node),
+                    &slow,
+                    "axis {:?} of rank {} behind {} frame(s)",
+                    ax,
+                    rank,
+                    disk.buffer().capacity()
+                );
+            }
             prop_assert_eq!(fast, slow, "axis {:?} of rank {}", ax, rank);
             let interval = matches!(
                 ax,
@@ -332,7 +349,18 @@ fn check_axes_against_cursor(store: &ArenaStore) -> Result<(), proptest::prelude
             );
         }
     }
+    for disk in &paged {
+        prop_assert!(!disk.storage_tripped(), "{} frame(s)", disk.buffer().capacity());
+    }
     Ok(())
+}
+
+/// The random documents fit one node page; the generated tree spans
+/// several, so the one- and two-frame buffers change pages mid-axis.
+#[test]
+fn axes_agree_on_a_tree_of_several_pages() {
+    use xmlstore::gen::{generate_tree, TreeParams};
+    check_axes_against_cursor(&generate_tree(TreeParams::small(600))).unwrap();
 }
 
 // A second block: the vendored `proptest!` macro's recursion depth grows
@@ -344,7 +372,9 @@ proptest! {
     // The structural index's range scans are a pure optimisation: on
     // every random document, for every node and all thirteen axes, the
     // indexed kernel returns exactly what the `AxisCursor` oracle walks
-    // — and the four interval axes really do take the range-scan path.
+    // — and the four interval axes really do take the range-scan path;
+    // the cursor walks the same nodes over the page file behind 1, 2 and
+    // 128 buffer frames.
     // (Plain comments: `///` desugars to `#[doc]`, which the vendored
     // macro's `#[test] fn` matcher does not accept.)
     #[test]
