@@ -102,7 +102,7 @@ fn count_assignments(plan: &LogicalOp, counts: &mut HashMap<Attr, usize>) {
         | LogicalOp::AntiJoin { pred, .. } => count_in_scalar(pred, counts),
         _ => {}
     }
-    for c in plan.children() {
+    for c in plan.inputs() {
         count_assignments(c, counts);
     }
 }

@@ -63,7 +63,7 @@ fn render(plan: &LogicalOp, depth: usize, out: &mut String) {
     }
     out.push_str(&op_label(plan));
     out.push('\n');
-    for c in plan.children() {
+    for c in plan.inputs() {
         render(c, depth + 1, out);
     }
     // Nested plans inside scalar subscripts, marked distinctly.

@@ -300,27 +300,29 @@ impl LogicalOp {
     }
 
     /// Direct child operators.
-    pub fn children(&self) -> Vec<&LogicalOp> {
-        match self {
-            LogicalOp::Singleton | LogicalOp::PartitionSource => vec![],
-            LogicalOp::Select { input, .. }
-            | LogicalOp::DedupBy { input, .. }
-            | LogicalOp::Rename { input, .. }
-            | LogicalOp::MapExpr { input, .. }
-            | LogicalOp::CounterMap { input, .. }
-            | LogicalOp::MemoMap { input, .. }
-            | LogicalOp::UnnestMap { input, .. }
-            | LogicalOp::TokenizeMap { input, .. }
-            | LogicalOp::SortBy { input, .. }
-            | LogicalOp::TmpCs { input, .. }
-            | LogicalOp::MemoX { input, .. } => vec![input],
-            LogicalOp::DJoin { left, right }
-            | LogicalOp::Cross { left, right }
-            | LogicalOp::SemiJoin { left, right, .. }
-            | LogicalOp::AntiJoin { left, right, .. } => vec![left, right],
-            LogicalOp::Exchange { source, body, .. } => vec![source, body],
-            LogicalOp::Concat { parts } => parts.iter().collect(),
-        }
+    pub fn inputs(&self) -> impl Iterator<Item = &LogicalOp> {
+        let (first, second, parts): (Option<&LogicalOp>, Option<&LogicalOp>, &[LogicalOp]) =
+            match self {
+                LogicalOp::Singleton | LogicalOp::PartitionSource => (None, None, &[]),
+                LogicalOp::Select { input, .. }
+                | LogicalOp::DedupBy { input, .. }
+                | LogicalOp::Rename { input, .. }
+                | LogicalOp::MapExpr { input, .. }
+                | LogicalOp::CounterMap { input, .. }
+                | LogicalOp::MemoMap { input, .. }
+                | LogicalOp::UnnestMap { input, .. }
+                | LogicalOp::TokenizeMap { input, .. }
+                | LogicalOp::SortBy { input, .. }
+                | LogicalOp::TmpCs { input, .. }
+                | LogicalOp::MemoX { input, .. } => (Some(input), None, &[]),
+                LogicalOp::DJoin { left, right }
+                | LogicalOp::Cross { left, right }
+                | LogicalOp::SemiJoin { left, right, .. }
+                | LogicalOp::AntiJoin { left, right, .. } => (Some(left), Some(right), &[]),
+                LogicalOp::Exchange { source, body, .. } => (Some(source), Some(body), &[]),
+                LogicalOp::Concat { parts } => (None, None, parts),
+            };
+        first.into_iter().chain(second).chain(parts)
     }
 
     /// Attributes defined (written) anywhere in this plan.
@@ -331,73 +333,72 @@ impl LogicalOp {
     }
 
     fn collect_defined(&self, out: &mut BTreeSet<Attr>) {
-        match self {
-            LogicalOp::Rename { to, .. } => {
-                out.insert(to.clone());
-            }
-            LogicalOp::MapExpr { attr, .. }
-            | LogicalOp::CounterMap { attr, .. }
-            | LogicalOp::MemoMap { attr, .. }
-            | LogicalOp::UnnestMap { attr, .. }
-            | LogicalOp::TokenizeMap { attr, .. } => {
-                out.insert(attr.clone());
-            }
-            LogicalOp::TmpCs { cs, .. } => {
-                out.insert(cs.clone());
-            }
-            _ => {}
+        if let Some(a) = self.own_attr() {
+            out.insert(a.clone());
         }
-        for c in self.children() {
+        for c in self.inputs() {
             c.collect_defined(out);
+        }
+    }
+
+    /// The attribute this operator itself defines (writes), if any.
+    pub fn own_attr(&self) -> Option<&Attr> {
+        match self {
+            LogicalOp::Rename { to: a, .. }
+            | LogicalOp::MapExpr { attr: a, .. }
+            | LogicalOp::CounterMap { attr: a, .. }
+            | LogicalOp::MemoMap { attr: a, .. }
+            | LogicalOp::UnnestMap { attr: a, .. }
+            | LogicalOp::TokenizeMap { attr: a, .. }
+            | LogicalOp::TmpCs { cs: a, .. } => Some(a),
+            _ => None,
         }
     }
 
     /// Attributes referenced (read) anywhere in this plan, including
     /// through scalar subscripts and nested plans.
     pub fn referenced_attrs(&self) -> BTreeSet<Attr> {
-        let mut out = Vec::new();
-        self.collect_referenced(&mut out);
-        out.into_iter().collect()
+        let mut out = BTreeSet::new();
+        self.any_read(&mut |a| {
+            out.insert(a.to_owned());
+            false
+        });
+        out
     }
 
-    fn collect_referenced(&self, out: &mut Vec<Attr>) {
+    /// `f` over the attributes this operator itself (not its inputs)
+    /// reads from its input tuples, until it returns true. A subscript's
+    /// nested plan counts with every attribute it reads
+    /// ([`ScalarExpr::any_read`]).
+    pub fn own_reads(&self, f: &mut dyn FnMut(&str) -> bool) -> bool {
         match self {
+            LogicalOp::Select { pred: e, .. }
+            | LogicalOp::MapExpr { expr: e, .. }
+            | LogicalOp::TokenizeMap { expr: e, .. }
+            | LogicalOp::SemiJoin { pred: e, .. }
+            | LogicalOp::AntiJoin { pred: e, .. } => e.any_read(f),
+            LogicalOp::MemoMap { expr, key, .. } => expr.any_read(f) || f(key),
+            LogicalOp::DedupBy { attr: a, .. }
+            | LogicalOp::SortBy { attr: a, .. }
+            | LogicalOp::Rename { from: a, .. }
+            | LogicalOp::UnnestMap { context: a, .. }
+            | LogicalOp::MemoX { key: a, .. } => f(a),
+            LogicalOp::CounterMap { reset_on: g, .. } | LogicalOp::TmpCs { group: g, .. } => {
+                g.as_deref().is_some_and(f)
+            }
             LogicalOp::Singleton
+            | LogicalOp::DJoin { .. }
+            | LogicalOp::Cross { .. }
             | LogicalOp::Concat { .. }
             | LogicalOp::Exchange { .. }
-            | LogicalOp::PartitionSource => {}
-            LogicalOp::Select { pred, .. } => pred.collect_attr_refs(out),
-            LogicalOp::DedupBy { attr, .. } | LogicalOp::SortBy { attr, .. } => {
-                out.push(attr.clone())
-            }
-            LogicalOp::Rename { from, .. } => out.push(from.clone()),
-            LogicalOp::MapExpr { expr, .. } | LogicalOp::TokenizeMap { expr, .. } => {
-                expr.collect_attr_refs(out)
-            }
-            LogicalOp::CounterMap { reset_on, .. } => {
-                if let Some(a) = reset_on {
-                    out.push(a.clone());
-                }
-            }
-            LogicalOp::MemoMap { expr, key, .. } => {
-                expr.collect_attr_refs(out);
-                out.push(key.clone());
-            }
-            LogicalOp::DJoin { .. } | LogicalOp::Cross { .. } => {}
-            LogicalOp::SemiJoin { pred, .. } | LogicalOp::AntiJoin { pred, .. } => {
-                pred.collect_attr_refs(out)
-            }
-            LogicalOp::UnnestMap { context, .. } => out.push(context.clone()),
-            LogicalOp::TmpCs { group, .. } => {
-                if let Some(g) = group {
-                    out.push(g.clone());
-                }
-            }
-            LogicalOp::MemoX { key, .. } => out.push(key.clone()),
+            | LogicalOp::PartitionSource => false,
         }
-        for c in self.children() {
-            c.collect_referenced(out);
-        }
+    }
+
+    /// `f` over the attributes any operator of this plan reads, until it
+    /// returns true.
+    pub fn any_read(&self, f: &mut dyn FnMut(&str) -> bool) -> bool {
+        self.own_reads(f) || self.inputs().any(|c| c.any_read(f))
     }
 
     /// Free attributes: attributes read from the *seed* tuple, i.e.
@@ -550,7 +551,7 @@ impl LogicalOp {
 
     /// Number of operators in the plan (diagnostics, tests).
     pub fn op_count(&self) -> usize {
-        1 + self.children().iter().map(|c| c.op_count()).sum::<usize>()
+        1 + self.inputs().map(|c| c.op_count()).sum::<usize>()
     }
 }
 

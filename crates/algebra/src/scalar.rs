@@ -192,46 +192,38 @@ impl ScalarExpr {
         ScalarExpr::Const(Const::Bool(b))
     }
 
-    /// Collect the attribute names this expression references, including
-    /// free attributes of nested plans.
-    pub fn collect_attr_refs(&self, out: &mut Vec<Attr>) {
+    /// `f` over the attributes this expression reads from the tuple it
+    /// runs on, until it returns true. A nested plan is seeded with that
+    /// tuple; every attribute one of its operators reads counts (a
+    /// superset of its free attributes).
+    pub fn any_read(&self, f: &mut dyn FnMut(&str) -> bool) -> bool {
         match self {
-            ScalarExpr::Const(_) | ScalarExpr::Var(_) => {}
-            ScalarExpr::Attr(a) => out.push(a.clone()),
-            ScalarExpr::And(a, b) | ScalarExpr::Or(a, b) => {
-                a.collect_attr_refs(out);
-                b.collect_attr_refs(out);
-            }
-            ScalarExpr::Not(a)
-            | ScalarExpr::Neg(a)
-            | ScalarExpr::Convert(_, a)
-            | ScalarExpr::NumFn(_, a)
-            | ScalarExpr::NodeFn(_, a)
-            | ScalarExpr::Deref(a)
-            | ScalarExpr::RootOf(a) => a.collect_attr_refs(out),
-            ScalarExpr::Lang(a, ctx) => {
-                a.collect_attr_refs(out);
-                out.push(ctx.clone());
-            }
-            ScalarExpr::Compare { lhs, rhs, .. } => {
-                lhs.collect_attr_refs(out);
-                rhs.collect_attr_refs(out);
-            }
-            ScalarExpr::Arith(_, a, b) => {
-                a.collect_attr_refs(out);
-                b.collect_attr_refs(out);
-            }
-            ScalarExpr::StrFn(_, args) => {
-                for a in args {
-                    a.collect_attr_refs(out);
-                }
-            }
-            ScalarExpr::Agg(agg) => {
-                for a in agg.plan.free_attrs() {
-                    out.push(a);
-                }
-            }
+            ScalarExpr::Attr(a) => f(a),
+            ScalarExpr::Lang(a, ctx) => a.any_read(f) || f(ctx),
+            ScalarExpr::Agg(agg) => agg.plan.any_read(f),
+            _ => self.operands().any(|e| e.any_read(f)),
         }
+    }
+
+    /// Direct sub-expressions (an aggregate's nested plan is not one).
+    pub fn operands(&self) -> impl Iterator<Item = &ScalarExpr> {
+        use ScalarExpr as S;
+        let (first, second, rest): (Option<&ScalarExpr>, Option<&ScalarExpr>, &[ScalarExpr]) =
+            match self {
+                S::Const(_) | S::Attr(_) | S::Var(_) | S::Agg(_) => (None, None, &[]),
+                S::And(a, b) | S::Or(a, b) | S::Arith(_, a, b) => (Some(a), Some(b), &[]),
+                S::Compare { lhs, rhs, .. } => (Some(lhs), Some(rhs), &[]),
+                S::Not(a)
+                | S::Neg(a)
+                | S::Convert(_, a)
+                | S::NumFn(_, a)
+                | S::NodeFn(_, a)
+                | S::Deref(a)
+                | S::RootOf(a)
+                | S::Lang(a, _) => (Some(a), None, &[]),
+                S::StrFn(_, args) => (None, None, args),
+            };
+        first.into_iter().chain(second).chain(rest)
     }
 }
 
@@ -273,6 +265,15 @@ mod tests {
     use super::*;
     use crate::ops::LogicalOp;
 
+    fn reads(e: &ScalarExpr) -> Vec<String> {
+        let mut out = Vec::new();
+        e.any_read(&mut |a| {
+            out.push(a.to_owned());
+            false
+        });
+        out
+    }
+
     #[test]
     fn attr_ref_collection() {
         let e = ScalarExpr::And(
@@ -284,14 +285,13 @@ mod tests {
             }),
             Box::new(ScalarExpr::Not(Box::new(ScalarExpr::attr("flag")))),
         );
-        let mut refs = Vec::new();
-        e.collect_attr_refs(&mut refs);
-        assert_eq!(refs, vec!["cp".to_owned(), "cs".to_owned(), "flag".to_owned()]);
+        assert_eq!(reads(&e), ["cp", "cs", "flag"]);
+        assert!(e.any_read(&mut |a| a == "cs"), "stops at the first hit");
     }
 
     #[test]
-    fn agg_contributes_free_attrs_of_plan() {
-        // Nested plan: Υ_{c1:c0/child::*}(□) — free attr c0.
+    fn agg_contributes_the_reads_of_its_plan() {
+        // Nested plan: Υ_{c1:c0/child::*}(□) — reads c0.
         let plan = LogicalOp::unnest_map(
             LogicalOp::Singleton,
             "c0",
@@ -305,9 +305,7 @@ mod tests {
             over: "c1".into(),
             independent: false,
         });
-        let mut refs = Vec::new();
-        agg.collect_attr_refs(&mut refs);
-        assert_eq!(refs, vec!["c0".to_owned()]);
+        assert_eq!(reads(&agg), ["c0"]);
     }
 
     #[test]

@@ -386,7 +386,7 @@ fn has_real_work(plan: &LogicalOp) -> bool {
         LogicalOp::MapExpr { input, expr, .. } | LogicalOp::MemoMap { input, expr, .. } => {
             scalar_has_plan(expr) || has_real_work(input)
         }
-        other => other.children().into_iter().any(has_real_work),
+        other => other.inputs().any(has_real_work),
     }
 }
 
@@ -762,7 +762,7 @@ mod tests {
             if let LogicalOp::Exchange { body, .. } = op {
                 return Some(body);
             }
-            op.children().into_iter().find_map(exchange_body)
+            op.inputs().find_map(exchange_body)
         }
         let body = exchange_body(&par).expect("an Exchange was inserted");
         assert!(

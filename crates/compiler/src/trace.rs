@@ -144,7 +144,7 @@ fn walk(
         Some((_, n)) => *n += 1,
         None => counts.push((class.to_owned(), 1)),
     }
-    for c in plan.children() {
+    for c in plan.inputs() {
         walk(c, depth + 1, ops, max_depth, counts);
     }
     for nested in nested_plans(plan) {

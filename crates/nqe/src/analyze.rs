@@ -15,7 +15,7 @@ use compiler::{
 };
 use xmlstore::{NodeId, XmlStore};
 
-use crate::codegen::build_physical_profiled;
+use crate::codegen::{build_physical_profiled, set_mode_label};
 use crate::governor::ResourceGovernor;
 use crate::json::Json;
 use crate::profile::{fmt_nanos, Profile};
@@ -221,12 +221,14 @@ pub fn execute_observed(
 
 /// Pair the optimizer's pre-execution estimates with the measured
 /// profile, positionally and label-guarded: both walks emit operators in
-/// the same pre-order, so position `i` refers to the same operator in
-/// both — but if a label ever disagrees (a plan-shape drift bug, or a
-/// cache entry replayed against a different plan) the pair is dropped
-/// rather than reported wrong. Reconciliation only happens when the
-/// store's current statistics fingerprint equals the one the plan was
-/// optimized under.
+/// the same pre-order, so the two lists advance together — but if a
+/// label ever disagrees (a plan-shape drift bug, or a cache entry
+/// replayed against a different plan) the pair is dropped rather than
+/// reported wrong. A set-mode Υ is one profile entry for two estimates,
+/// its Π^D's and its own: it is paired with the Π^D's, whose output it
+/// produces, and the Υ's estimate is skipped. Reconciliation only
+/// happens when the store's current statistics fingerprint equals the
+/// one the plan was optimized under.
 fn reconcile_cardinalities(
     store: &dyn XmlStore,
     compiled: &compiler::CompiledQuery,
@@ -239,21 +241,28 @@ fn reconcile_cardinalities(
     if stats.fingerprint != opt.stats_fingerprint {
         return Vec::new();
     }
-    cost::estimate_operators(compiled, stats)
-        .iter()
-        .zip(&profile.entries)
-        .filter(|(est, entry)| est.label == entry.label)
-        .map(|(est, entry)| {
-            let actual = entry.stats.lock().tuples;
-            CardinalityCheck {
-                label: est.label.clone(),
-                est_tuples: est.est_tuples,
-                actual_tuples: actual,
-                error_pct: (est.est_tuples - actual as f64).abs() / (actual as f64).max(1.0)
-                    * 100.0,
-            }
-        })
-        .collect()
+    let estimates = cost::estimate_operators(compiled, stats);
+    let mut estimates = estimates.iter().peekable();
+    let mut checks = Vec::new();
+    for entry in &profile.entries {
+        let Some(est) = estimates.next() else {
+            break;
+        };
+        let fused = estimates
+            .next_if(|step| entry.label == set_mode_label(&step.label, &est.label))
+            .is_some();
+        if !fused && est.label != entry.label {
+            continue;
+        }
+        let actual = entry.stats.lock().tuples;
+        checks.push(CardinalityCheck {
+            label: entry.label.clone(),
+            est_tuples: est.est_tuples,
+            actual_tuples: actual,
+            error_pct: (est.est_tuples - actual as f64).abs() / (actual as f64).max(1.0) * 100.0,
+        });
+    }
+    checks
 }
 
 impl AnalyzeReport {
@@ -700,6 +709,23 @@ mod tests {
             for key in ["label", "est_tuples", "actual_tuples", "error_pct"] {
                 assert!(c.get(key).is_some(), "cardinality missing {key}");
             }
+        }
+    }
+
+    /// A set-mode Υ is one operator in the profile, paired with its Π^D's
+    /// estimate; every row still reconciles, in order.
+    #[test]
+    fn set_mode_sites_keep_cardinalities_aligned() {
+        let store = parse_document("<r><a><b>x</b><b>y</b></a><a><b>x</b></a></r>").unwrap();
+        let opts = TranslateOptions::cost_based();
+        for q in ["count(//b)", "//b/ancestor::*"] {
+            let (_, rep) =
+                explain_analyze(&store, q, &opts, store.root(), &HashMap::new()).unwrap();
+            let labels: Vec<&str> = rep.profile.entries.iter().map(|e| e.label.as_str()).collect();
+            assert!(labels.iter().any(|l| l.contains(" (set, Π^D[")), "{labels:?}");
+            assert!(!labels.iter().any(|l| l.starts_with("Π^D[c")), "Π^D absorbed: {labels:?}");
+            let paired: Vec<&str> = rep.cardinality.iter().map(|c| c.label.as_str()).collect();
+            assert_eq!(paired, labels, "`{q}`");
         }
     }
 

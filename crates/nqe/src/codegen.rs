@@ -8,6 +8,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use algebra::attrmgr::{AttrManager, Slot};
+use algebra::explain::op_label;
 use algebra::scalar::{CmpMode, ScalarExpr};
 use algebra::{ConvKind, LogicalOp};
 use compiler::CompiledQuery;
@@ -70,11 +71,13 @@ pub fn build_physical_profiled(q: &CompiledQuery) -> (PhysicalQuery, Profile) {
 }
 
 fn build(q: &CompiledQuery, profile: Option<Profile>) -> (PhysicalQuery, Option<Profile>) {
+    let sites = set_sites(q);
     match q {
         CompiledQuery::Sequence(plan) => {
             let mut mgr = AttrManager::for_plan(plan);
             let mut cg = Codegen {
                 mgr: &mut mgr,
+                sites: &sites,
                 profile,
                 depth: 0,
                 partition_feed: None,
@@ -92,6 +95,7 @@ fn build(q: &CompiledQuery, profile: Option<Profile>) -> (PhysicalQuery, Option<
             let mut mgr = AttrManager::for_plan(&wrapper);
             let mut cg = Codegen {
                 mgr: &mut mgr,
+                sites: &sites,
                 profile,
                 depth: 0,
                 partition_feed: None,
@@ -140,6 +144,8 @@ fn cmp_operand(mode: CmpMode, e: &ScalarExpr) -> &ScalarExpr {
 
 struct Codegen<'m> {
     mgr: &'m mut AttrManager,
+    /// The Π^D operators lowered into a set-mode Υ ([`set_sites`]).
+    sites: &'m [&'m LogicalOp],
     profile: Option<Profile>,
     depth: usize,
     /// Set while lowering an Exchange body replica: the feed its ▤ leaf
@@ -162,18 +168,33 @@ struct MemoRegistry {
 
 impl Codegen<'_> {
     fn build_iter(&mut self, op: &LogicalOp) -> Box<dyn PhysIter> {
+        // A fused site is one operator: the Υ in set mode, profiled once
+        // under a label that names the Π^D it absorbed.
+        let fused = match op {
+            LogicalOp::DedupBy { input, .. } if self.sites.iter().any(|s| std::ptr::eq(*s, op)) => {
+                Some(&**input)
+            }
+            _ => None,
+        };
         // Register the entry before recursing so the profile reads in
         // plan (pre-order) order.
         let prof_idx = self.profile.as_mut().map(|p| {
+            let label = match fused {
+                Some(step) => set_mode_label(&op_label(step), &op_label(op)),
+                None => op_label(op),
+            };
             p.entries.push(ProfileEntry {
-                label: algebra::explain::op_label(op),
+                label,
                 depth: self.depth,
                 stats: Arc::new(Mutex::new(OpStats::default())),
             });
             p.entries.len() - 1
         });
         self.depth += 1;
-        let inner = self.build_iter_inner(op);
+        let inner = match fused {
+            Some(step) => self.build_unnest(step, true),
+            None => self.build_iter_inner(op),
+        };
         self.depth -= 1;
         match (prof_idx, &mut self.profile) {
             (Some(i), Some(p)) => {
@@ -236,20 +257,7 @@ impl Codegen<'_> {
             }
             LogicalOp::SemiJoin { left, right, pred } => self.build_semi(left, right, pred, false),
             LogicalOp::AntiJoin { left, right, pred } => self.build_semi(left, right, pred, true),
-            LogicalOp::UnnestMap { input, context, attr, axis, test, hint, probe } => {
-                let input = self.build_iter(input);
-                let ctx = self.mgr.slot(context);
-                let out = self.mgr.slot(attr);
-                Box::new(UnnestMapIter::new(
-                    input,
-                    ctx,
-                    out,
-                    *axis,
-                    test.clone(),
-                    *hint,
-                    probe.clone(),
-                ))
-            }
+            LogicalOp::UnnestMap { .. } => self.build_unnest(op, false),
             LogicalOp::TokenizeMap { input, attr, expr } => {
                 let input = self.build_iter(input);
                 let out = self.mgr.slot(attr);
@@ -297,6 +305,22 @@ impl Codegen<'_> {
         }
     }
 
+    /// Lower a Υ, in set mode when it is the input of a fused Π^D.
+    fn build_unnest(&mut self, op: &LogicalOp, set_mode: bool) -> Box<dyn PhysIter> {
+        let LogicalOp::UnnestMap { input, context, attr, axis, test, hint, probe } = op else {
+            unreachable!("build_unnest on {}", op_label(op));
+        };
+        let input = self.build_iter(input);
+        let ctx = self.mgr.slot(context);
+        let out = self.mgr.slot(attr);
+        let (axis, test) = (*axis, test.clone());
+        Box::new(if set_mode {
+            UnnestMapIter::set_at_a_time(input, ctx, out, axis, test, *hint)
+        } else {
+            UnnestMapIter::new(input, ctx, out, axis, test, *hint, probe.clone())
+        })
+    }
+
     /// Lower an Exchange: build the source normally, then one full body
     /// replica per worker. With profiling on, each replica records into
     /// its own shard profile (the traversal is identical across
@@ -321,6 +345,7 @@ impl Codegen<'_> {
             let feed = Arc::new(PartitionFeed::new());
             let mut sub = Codegen {
                 mgr: &mut *self.mgr,
+                sites: self.sites,
                 profile: self.profile.as_ref().map(|_| Profile::default()),
                 depth: 0,
                 partition_feed: Some(feed.clone()),
@@ -513,5 +538,463 @@ impl Codegen<'_> {
                 dst
             }
         }
+    }
+}
+
+// ===================== Set-at-a-time sites =====================
+//
+// `Π^D[a](Υ[a:c/axis::test](X))` over a ppd axis runs as one set-mode Υ
+// (DESIGN.md §12 "Set-at-a-time steps"), which emits each node once, in
+// document order, on the frame of X's first tuple. Against Υ + Π^D its
+// output is permuted, and its frames differ in the attributes X defines;
+// a site is fused only where no consumer above can tell ([`permutable`]).
+// One walk down the plan, carrying the chain of consumers above the
+// current operator on the stack, decides that per site; it allocates
+// only when it finds one.
+
+/// EXPLAIN ANALYZE label of a fused site: the Υ's own label (so the
+/// operator still reads as a Υ) plus the Π^D it absorbed.
+pub fn set_mode_label(unnest: &str, dedup: &str) -> String {
+    format!("{unnest} (set, {dedup})")
+}
+
+/// The Π^D operators of `q` that codegen lowers into a set-mode Υ.
+fn set_sites(q: &CompiledQuery) -> Vec<&LogicalOp> {
+    let mut sites = Vec::new();
+    match q {
+        CompiledQuery::Sequence(plan) => {
+            // The executor reads the result from `cn`.
+            let end = Above { reader: Reader::Result("cn"), up: None, source: None };
+            walk(plan, &end, None, &mut sites);
+        }
+        CompiledQuery::Scalar(expr) => walk_aggs(expr, &mut sites),
+    }
+    sites
+}
+
+/// One consumer of a stream, and the consumers of *its* output.
+struct Above<'s, 'p> {
+    reader: Reader<'p>,
+    up: Option<&'s Above<'s, 'p>>,
+    /// What a ▤ leaf in the stream this consumer reads stands for.
+    source: Option<&'p LogicalOp>,
+}
+
+#[derive(Clone, Copy)]
+enum Reader<'p> {
+    /// An operator reading its input tuples through its own attributes
+    /// and subscripts; its output flows on to `up` (a semi-join's match
+    /// side flows nowhere: only the predicate reads it).
+    Op(&'p LogicalOp),
+    /// A d-join's dependent side, seeded with every tuple: it may read
+    /// any attribute anywhere in it; its output flows on to `up`.
+    Seeded(&'p LogicalOp),
+    /// The end of a plan: the executor or an aggregate reads this one
+    /// attribute.
+    Result(&'p str),
+    /// The stream is one of several runs `up` reads back to back: a
+    /// d-join's dependent side (one run per left tuple) or a ∪ part.
+    Seam,
+}
+
+impl Above<'_, '_> {
+    /// The chain from this consumer up.
+    fn chain(&self) -> impl Iterator<Item = &Above<'_, '_>> {
+        std::iter::successors(Some(self), |a| a.up)
+    }
+
+    /// Does this consumer read `attr`?
+    fn reads(&self, attr: &str) -> bool {
+        match self.reader {
+            Reader::Op(op) => op.own_reads(&mut |a| a == attr),
+            Reader::Seeded(plan) => plan.any_read(&mut |a| a == attr),
+            Reader::Result(a) => a == attr,
+            Reader::Seam => false,
+        }
+    }
+
+    /// Does this consumer (re)define `attr` for the consumers above it?
+    fn defines(&self, attr: &str) -> bool {
+        match self.reader {
+            Reader::Op(op) => op.own_attr().is_some_and(|a| a == attr),
+            Reader::Seeded(plan) => plan_defines_any(plan, None, &mut |a| a == attr),
+            Reader::Result(_) | Reader::Seam => false,
+        }
+    }
+
+    /// The last consumer from this one up to `here` (exclusive) that
+    /// defines `attr`: the definition `here` reads.
+    fn last_definer(&self, attr: &str, here: &Above<'_, '_>) -> Option<&Above<'_, '_>> {
+        self.chain()
+            .take_while(|a| !std::ptr::eq(*a, here))
+            .filter(|a| a.defines(attr))
+            .last()
+    }
+}
+
+/// May the stream `below` produces (▤ standing for `source`), once a Π^D
+/// on `key` has dropped its repeats, reach the consumers from `above` up
+/// in any order, each `key` on the frame of any of its tuples? The
+/// consumers up to the first Π^D above must not
+/// - read an attribute `below` defines, other than `key`, before a
+///   consumer redefines it;
+/// - count positions (a counter, a grouped Tmp^cs) unless each group is
+///   one run whatever the order, with no seam or sort since the Π^D:
+///   groups of `key` itself, or of an attribute a non-ppd step (one
+///   parent per result) derives from such an attribute on the way.
+///
+/// That Π^D ends the check if the same holds for it, with its own key —
+/// a permuted input then changes its output only in ways its consumers
+/// cannot tell either. Exchanges are transparent: under the Π^D above
+/// its merge, an Exchange equals its body run over its whole source
+/// (DESIGN.md §14).
+fn permutable<'p>(
+    key: &str,
+    below: &'p LogicalOp,
+    source: Option<&'p LogicalOp>,
+    above: &Above<'_, 'p>,
+    sites: &[&'p LogicalOp],
+) -> bool {
+    let mut seam = false;
+    for here in above.chain() {
+        let reads_below = |d: &str| here.reads(d) && above.last_definer(d, here).is_none();
+        if plan_defines_any(below, source, &mut |d| d != key && reads_below(d)) {
+            return false;
+        }
+        match here.reader {
+            Reader::Seam | Reader::Op(LogicalOp::SortBy { .. }) => seam = true,
+            Reader::Op(op @ LogicalOp::DedupBy { input, attr }) => {
+                return sites.iter().any(|s| std::ptr::eq(*s, op))
+                    || here.up.is_none_or(|up| permutable(attr, input, here.source, up, sites));
+            }
+            Reader::Op(
+                LogicalOp::CounterMap { reset_on: group, .. }
+                | LogicalOp::TmpCs { group: group @ Some(_), .. },
+            ) => {
+                let one_run = |g: &String| keyed(g, key, above, here);
+                if seam || !group.as_ref().is_some_and(one_run) {
+                    return false;
+                }
+            }
+            _ => {}
+        }
+    }
+    true
+}
+
+/// Is `g` at `here` the attribute `key`, or derived from it by non-ppd
+/// steps between the start of the chain `above` and `here`? Distinct
+/// nodes have disjoint child, attribute and self results, so each such
+/// `g` lies within the run of one `key`.
+fn keyed(g: &str, key: &str, above: &Above<'_, '_>, here: &Above<'_, '_>) -> bool {
+    match above.last_definer(g, here) {
+        None => g == key,
+        Some(def) => matches!(def.reader, Reader::Op(LogicalOp::UnnestMap { axis, context, .. })
+            if !axis.is_ppd() && keyed(context, key, above, def)),
+    }
+}
+
+/// Record the fusable sites of `op`'s subtree. `source` is what an
+/// Exchange body's ▤ leaf stands for.
+fn walk<'p>(
+    op: &'p LogicalOp,
+    above: &Above<'_, 'p>,
+    source: Option<&'p LogicalOp>,
+    sites: &mut Vec<&'p LogicalOp>,
+) {
+    use LogicalOp as L;
+    if let L::DedupBy { input, attr } = op {
+        if let L::UnnestMap { attr: a, axis, probe: None, .. } = &**input {
+            if a == attr && axis.is_ppd() && permutable(attr, input, source, above, sites) {
+                sites.push(op);
+            }
+        }
+    }
+    let here = Above { reader: Reader::Op(op), up: Some(above), source };
+    let seam = Above { reader: Reader::Seam, up: Some(above), source };
+    match op {
+        L::Singleton => {}
+        L::PartitionSource => {
+            if let Some(s) = source {
+                walk(s, above, None, sites);
+            }
+        }
+        L::Select { input, pred: e }
+        | L::MapExpr { input, expr: e, .. }
+        | L::MemoMap { input, expr: e, .. }
+        | L::TokenizeMap { input, expr: e, .. } => {
+            walk_aggs(e, sites);
+            walk(input, &here, source, sites);
+        }
+        L::DedupBy { input, .. }
+        | L::Rename { input, .. }
+        | L::CounterMap { input, .. }
+        | L::UnnestMap { input, .. }
+        | L::SortBy { input, .. }
+        | L::TmpCs { input, .. }
+        | L::MemoX { input, .. } => walk(input, &here, source, sites),
+        L::DJoin { left, right } | L::Cross { left, right } => {
+            walk(right, &seam, source, sites);
+            let seeded = Above { reader: Reader::Seeded(right), up: Some(above), source };
+            walk(left, &seeded, source, sites);
+        }
+        L::SemiJoin { left, right, pred } | L::AntiJoin { left, right, pred } => {
+            walk_aggs(pred, sites);
+            walk(left, &here, source, sites);
+            walk(right, &Above { reader: Reader::Op(op), up: None, source }, source, sites);
+        }
+        L::Concat { parts } => parts.iter().for_each(|part| walk(part, &seam, source, sites)),
+        L::Exchange { source: s, body, .. } => walk(body, above, Some(s), sites),
+    }
+}
+
+/// Walk the nested plans of a subscript; each ends at its aggregate.
+fn walk_aggs<'p>(e: &'p ScalarExpr, sites: &mut Vec<&'p LogicalOp>) {
+    match e {
+        ScalarExpr::Agg(agg) => {
+            let end = Above { reader: Reader::Result(&agg.over), up: None, source: None };
+            walk(&agg.plan, &end, None, sites);
+        }
+        _ => e.operands().for_each(|o| walk_aggs(o, sites)),
+    }
+}
+
+/// `f` over the attributes `plan` defines (▤ standing for `source`)
+/// until it returns true. Nested aggregate plans run in frames of their
+/// own, so their definitions never reach `plan`'s output.
+fn plan_defines_any(
+    plan: &LogicalOp,
+    source: Option<&LogicalOp>,
+    f: &mut dyn FnMut(&str) -> bool,
+) -> bool {
+    use LogicalOp as L;
+    if plan.own_attr().is_some_and(|a| f(a)) {
+        return true;
+    }
+    match plan {
+        L::PartitionSource => source.is_some_and(|s| plan_defines_any(s, None, f)),
+        L::Exchange { source: s, body, .. } => {
+            plan_defines_any(s, source, f) || plan_defines_any(body, Some(s), f)
+        }
+        _ => plan.inputs().any(|c| plan_defines_any(c, source, f)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use algebra::ProbeKind;
+    use compiler::TranslateOptions;
+    use xmlstore::gen::{generate_dblp, DblpParams};
+    use xmlstore::{Axis, XmlStore};
+    use xpath_syntax::NodeTest;
+
+    const FIG5: [&str; 4] = [
+        "/child::xdoc/descendant::*/ancestor::*/descendant::*/attribute::id",
+        "/child::xdoc/descendant::*/preceding-sibling::*/following::*/attribute::id",
+        "/child::xdoc/descendant::*/ancestor::*/ancestor::*/attribute::id",
+        "/child::xdoc/child::*/parent::*/descendant::*/attribute::id",
+    ];
+
+    fn sites(q: &str, opts: &TranslateOptions) -> usize {
+        set_sites(&compiler::compile(q, opts).unwrap()).len()
+    }
+
+    fn labels(q: &CompiledQuery) -> Vec<String> {
+        set_sites(q).into_iter().map(op_label).collect()
+    }
+
+    /// `Π^D[c2](Υ[c2:c1/descendant::*](χ[c1:root(cn)](□)))`.
+    fn site() -> LogicalOp {
+        let start = LogicalOp::map(
+            LogicalOp::Singleton,
+            "c1",
+            ScalarExpr::RootOf(Box::new(ScalarExpr::attr("cn"))),
+        );
+        LogicalOp::dedup(
+            LogicalOp::unnest_map(start, "c1", "c2", Axis::Descendant, NodeTest::Wildcard),
+            "c2",
+        )
+    }
+
+    fn to_cn(plan: LogicalOp, from: &str) -> CompiledQuery {
+        CompiledQuery::Sequence(LogicalOp::Rename {
+            input: Box::new(plan),
+            from: from.into(),
+            to: "cn".into(),
+        })
+    }
+
+    #[test]
+    fn fig5_improved_plans_fuse_eleven_sites() {
+        let per_query: Vec<usize> =
+            FIG5.iter().map(|q| sites(q, &TranslateOptions::improved())).collect();
+        assert_eq!(per_query, [3, 3, 3, 2]);
+        // q4's parent step and every recursive step; never the top Π^D[cn]
+        // (a Π sits between it and the last Υ).
+        let q4 = compiler::compile(FIG5[3], &TranslateOptions::improved()).unwrap();
+        assert_eq!(labels(&q4), ["Π^D[c5]", "Π^D[c4]"]);
+    }
+
+    #[test]
+    fn count_authors_on_an_indexed_store_fuses_one_site() {
+        let store = generate_dblp(DblpParams { records: 50, seed: 42 });
+        let stats = store.structural_index().map(|idx| idx.stats());
+        let (q, opt) =
+            compiler::compile_with_stats("count(//author)", &TranslateOptions::cost_based(), stats)
+                .unwrap();
+        assert!(opt.is_some(), "the cost pass ran");
+        assert_eq!(labels(&q), ["Π^D[c2]"], "the site inside the aggregate's plan");
+    }
+
+    #[test]
+    fn canonical_plans_never_fuse_and_the_walk_allocates_nothing() {
+        let more = [
+            "//a/ancestor::b",
+            "/xdoc/*[descendant::c]/following::*",
+            "//a | //b",
+        ];
+        for q in FIG5.iter().chain(&more) {
+            let plan = compiler::compile(q, &TranslateOptions::canonical()).unwrap();
+            let found = set_sites(&plan);
+            assert!(found.is_empty(), "`{q}`");
+            assert_eq!(found.capacity(), 0, "`{q}`: no site, no allocation");
+        }
+    }
+
+    #[test]
+    fn a_read_of_an_attribute_defined_below_the_step_blocks_fusion() {
+        // χ[v:c1] above the Π^D reads the step's context attribute.
+        let reads_context = LogicalOp::map(site(), "v", ScalarExpr::attr("c1"));
+        assert!(set_sites(&to_cn(reads_context, "c2")).is_empty());
+        // Reading the step's own result is fine.
+        let reads_result = LogicalOp::map(site(), "v", ScalarExpr::attr("c2"));
+        assert_eq!(set_sites(&to_cn(reads_result, "c2")).len(), 1);
+        // So is a read the plan's end makes of the result alone.
+        assert_eq!(set_sites(&to_cn(site(), "c2")).len(), 1);
+        // And a read of c1 once χ[c1:0] has redefined it.
+        let redefined = LogicalOp::map(site(), "c1", ScalarExpr::num(0.0));
+        let reads_new = LogicalOp::map(redefined, "v", ScalarExpr::attr("c1"));
+        assert_eq!(set_sites(&to_cn(reads_new, "c2")).len(), 1);
+    }
+
+    #[test]
+    fn probes_and_operators_between_dedup_and_step_block_fusion() {
+        let LogicalOp::DedupBy { input, .. } = site() else {
+            unreachable!()
+        };
+        let with = |f: &dyn Fn(LogicalOp) -> LogicalOp| {
+            set_sites(&to_cn(LogicalOp::dedup(f((*input).clone()), "c2"), "c2")).len()
+        };
+        assert_eq!(with(&|step| step), 1);
+        let probed = |step| match step {
+            LogicalOp::UnnestMap { input, context, attr, axis, test, hint, .. } => {
+                let probe = Some(algebra::ProbeSpec {
+                    kind: ProbeKind::Attribute,
+                    name: "id".into(),
+                    value: "1".into(),
+                });
+                LogicalOp::UnnestMap { input, context, attr, axis, test, hint, probe }
+            }
+            other => other,
+        };
+        assert_eq!(with(&probed), 0, "a content-index probe");
+        assert_eq!(with(&|step| LogicalOp::select(step, ScalarExpr::boolean(true))), 0, "σ");
+        assert_eq!(with(&|step| counter(step, Some("c1"))), 0, "a counter");
+    }
+
+    /// `site()` under `Υ[c3:c2/axis::*]` and `above`, read out through `c3`.
+    fn under(axis: Axis, above: impl FnOnce(LogicalOp) -> LogicalOp) -> usize {
+        let step = LogicalOp::unnest_map(site(), "c2", "c3", axis, NodeTest::Wildcard);
+        set_sites(&to_cn(above(step), "c3")).len()
+    }
+
+    fn counter(input: LogicalOp, reset_on: Option<&str>) -> LogicalOp {
+        LogicalOp::CounterMap {
+            input: Box::new(input),
+            attr: "cp".into(),
+            reset_on: reset_on.map(Into::into),
+        }
+    }
+
+    #[test]
+    fn counters_above_may_only_group_by_runs_the_order_keeps() {
+        let counted = |axis, reset_on| under(axis, |step| counter(step, reset_on));
+        assert_eq!(counted(Axis::Child, Some("c2")), 1, "grouped by the step's result");
+        assert_eq!(counted(Axis::Parent, Some("c2")), 1, "…whatever comes after it");
+        assert_eq!(counted(Axis::Child, Some("c3")), 1, "grouped by children of the result");
+        assert_eq!(counted(Axis::SelfAxis, Some("c3")), 1);
+        assert_eq!(counted(Axis::Child, None), 0, "one count across the permuted stream");
+        // Contexts [B, A], A ⊃ {a1, B, a3}, B ⊃ {b1}: per context the
+        // parents of b1, a1, B, a3 are B, A, A, A (a3 counts 3); in
+        // document order a1, B, b1, a3 they are A, A, B, A (a3 counts 1).
+        assert_eq!(counted(Axis::Parent, Some("c3")), 0, "parents do not form one run each");
+        assert_eq!(counted(Axis::Ancestor, Some("c3")), 0);
+        // Between the site and the counter, runs of c2 are broken by a
+        // sort or by the seams of a d-join's dependent side.
+        let sorted = |step| {
+            counter(LogicalOp::SortBy { input: Box::new(step), attr: "c3".into() }, Some("c2"))
+        };
+        assert_eq!(under(Axis::Child, sorted), 0, "a sort");
+        let start = LogicalOp::map(LogicalOp::Singleton, "c0", ScalarExpr::attr("cn"));
+        let per_tuple = counter(LogicalOp::djoin(start, site()), Some("c2"));
+        assert_eq!(set_sites(&to_cn(per_tuple, "c2")).len(), 0, "one run per left tuple");
+    }
+
+    #[test]
+    fn a_dedup_above_ends_the_check_only_if_its_own_output_may_be_permuted() {
+        // Π^D[c3](σ(Υ[c3:c2/ancestor::*](site))): not a site, but the
+        // check for the one below stops there when Π^D[c3]'s consumers
+        // read only c3 …
+        let dedup =
+            |step| LogicalOp::dedup(LogicalOp::select(step, ScalarExpr::boolean(true)), "c3");
+        assert_eq!(under(Axis::Ancestor, dedup), 1);
+        // … and fails when they read c2 (which c2 a c3 keeps depends on
+        // the order c2 arrives in) or count across its output (the order
+        // of c3 depends on it too).
+        let reads_c2 = |step| LogicalOp::map(dedup(step), "v", ScalarExpr::attr("c2"));
+        assert_eq!(under(Axis::Ancestor, reads_c2), 0);
+        assert_eq!(under(Axis::Ancestor, |step| counter(dedup(step), None)), 0);
+    }
+
+    #[test]
+    fn the_walk_reaches_djoin_and_semijoin_right_sides() {
+        let start = LogicalOp::map(
+            LogicalOp::Singleton,
+            "c1",
+            ScalarExpr::RootOf(Box::new(ScalarExpr::attr("cn"))),
+        );
+        let dependent = LogicalOp::dedup(
+            LogicalOp::unnest_map(
+                LogicalOp::Singleton,
+                "c1",
+                "c2",
+                Axis::Ancestor,
+                NodeTest::Wildcard,
+            ),
+            "c2",
+        );
+        let djoin = LogicalOp::djoin(start.clone(), dependent);
+        assert_eq!(set_sites(&to_cn(djoin, "c2")).len(), 1);
+        let semi = |pred_attr: &str| {
+            let plan = LogicalOp::SemiJoin {
+                left: Box::new(start.clone()),
+                right: Box::new(site()),
+                pred: ScalarExpr::attr(pred_attr),
+            };
+            set_sites(&to_cn(plan, "c1")).len()
+        };
+        assert_eq!(semi("c2"), 1, "the predicate reads the match side's result");
+        assert_eq!(semi("c1"), 0, "…or an attribute the match side defines below the step");
+    }
+
+    #[test]
+    fn exchange_bodies_fuse_per_chunk() {
+        let q = compiler::compile(FIG5[0], &TranslateOptions::improved().with_threads(2)).unwrap();
+        let CompiledQuery::Sequence(plan) = &q else {
+            unreachable!()
+        };
+        assert!(algebra::explain::explain(plan).contains('⇶'), "an Exchange was placed");
+        assert!(!set_sites(&q).is_empty());
     }
 }

@@ -10,33 +10,143 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
+use xmlstore::StructuralIndex;
+
 use algebra::attrmgr::Slot;
 use algebra::{Tuple, Value};
 
 use crate::exec::Runtime;
-use crate::governor::{group_key_bytes, tuple_bytes, value_bytes, ChargeLedger};
+use crate::governor::{group_key_bytes, tuple_bytes, value_bytes, ChargeLedger, ResourceGovernor};
 use crate::iter::{CompiledPred, Gauge, GroupKey, PhysIter};
 
+/// The seen-set behind every duplicate elimination — Π^D and set-mode Υ
+/// (DESIGN.md §12) share it. Nodes the store's index ranks land in a
+/// bitset over document-order ranks: ⌈n/64⌉ words, charged once per
+/// open when the first rank arrives, kept allocated across opens and
+/// zeroed in place when re-armed. Scalars, and nodes a store cannot
+/// rank, land in a hash set charged per key.
+#[derive(Default)]
+pub(crate) struct SeenSet {
+    words: Vec<u64>,
+    /// The bitset is charged and zeroed for the current open.
+    armed: bool,
+    hash: HashSet<GroupKey>,
+    /// Statistics: distinct keys recorded in the rank bitset (all opens).
+    pub(crate) bitset_keys: u64,
+    /// Statistics: distinct keys recorded in the hash set (all opens).
+    pub(crate) hash_keys: u64,
+}
+
+impl SeenSet {
+    /// Forget every key. Called at open and close, beside the owner's
+    /// `ledger.release_all`, which returns what [`SeenSet::arm`] and
+    /// [`SeenSet::insert`] charged.
+    pub(crate) fn reset(&mut self) {
+        self.armed = false;
+        self.hash.clear();
+    }
+
+    /// Charge and zero the bitset for an index of `ranks` nodes, once per
+    /// open. `false`: the governor refused the charge.
+    pub(crate) fn arm(
+        &mut self,
+        ranks: usize,
+        ledger: &mut ChargeLedger,
+        gov: &ResourceGovernor,
+    ) -> bool {
+        if !self.armed {
+            let words = ranks.div_ceil(64);
+            if !ledger.charge(gov, (words * 8) as u64) {
+                return false;
+            }
+            self.words.clear();
+            self.words.resize(words, 0);
+            self.armed = true;
+        }
+        true
+    }
+
+    /// Words of the armed bitset.
+    pub(crate) fn words(&self) -> usize {
+        if self.armed {
+            self.words.len()
+        } else {
+            0
+        }
+    }
+
+    /// Set `rank`'s bit (the bitset must be armed); `true` if it was
+    /// clear.
+    #[inline]
+    pub(crate) fn mark(&mut self, rank: u32) -> bool {
+        let (word, bit) = ((rank / 64) as usize, rank % 64);
+        let fresh = self.words[word] & (1 << bit) == 0;
+        self.words[word] |= 1 << bit;
+        self.bitset_keys += u64::from(fresh);
+        fresh
+    }
+
+    /// True if `rank`'s bit is set (the bitset must be armed).
+    #[inline]
+    pub(crate) fn is_marked(&self, rank: u32) -> bool {
+        self.words[(rank / 64) as usize] & (1 << (rank % 64)) != 0
+    }
+
+    /// The first marked rank at or after `from`.
+    pub(crate) fn next_marked(&self, from: u32) -> Option<u32> {
+        let mut word = (from / 64) as usize;
+        let mut bits = self.words.get(word)? & (u64::MAX << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(word as u32 * 64 + bits.trailing_zeros());
+            }
+            word += 1;
+            bits = *self.words.get(word)?;
+        }
+    }
+
+    /// Record `v`: `Some(true)` for its first occurrence this open,
+    /// `Some(false)` for a duplicate, `None` when the governor refused a
+    /// charge.
+    pub(crate) fn insert(
+        &mut self,
+        v: &Value,
+        idx: Option<&StructuralIndex>,
+        ledger: &mut ChargeLedger,
+        rt: &Runtime<'_>,
+    ) -> Option<bool> {
+        if let Some(idx) = idx {
+            if let Some(rank) = v.as_node().and_then(|n| idx.rank_of(n)) {
+                if !self.arm(idx.len(), ledger, rt.gov) {
+                    return None;
+                }
+                return Some(self.mark(rank));
+            }
+        }
+        let key = GroupKey::of(v, rt);
+        let key_bytes = group_key_bytes(&key);
+        if !self.hash.insert(key) {
+            return Some(false);
+        }
+        if !ledger.charge(rt.gov, key_bytes) {
+            return None;
+        }
+        self.hash_keys += 1;
+        Some(true)
+    }
+}
+
 /// Π^D_a — duplicate elimination on one attribute, keeping the first
-/// occurrence and all other attributes.
-///
-/// Node-valued keys on indexed stores use a compact bitset over document
-/// order ranks — one governor charge of `⌈n/64⌉` words when the first
-/// node key arrives — instead of a `HashSet` entry per distinct node.
-/// Null/scalar keys (and nodes a store cannot rank) keep the hash set.
+/// occurrence and all other attributes. Keys go through the shared
+/// [`SeenSet`]: a rank bitset for nodes on indexed stores, a hash set
+/// otherwise.
 pub struct DedupIter {
     input: Box<dyn PhysIter>,
     slot: Slot,
-    seen: HashSet<GroupKey>,
-    /// Rank bitset, lazily sized from the index on first node key.
-    bits: Option<Vec<u64>>,
+    seen: SeenSet,
     ledger: ChargeLedger,
     /// Statistics: input tuples dropped as duplicates (all opens).
     pub dropped: u64,
-    /// Statistics: distinct keys recorded in the rank bitset (all opens).
-    pub bitset_keys: u64,
-    /// Statistics: distinct keys recorded in the hash set (all opens).
-    pub hash_keys: u64,
 }
 
 impl DedupIter {
@@ -45,12 +155,9 @@ impl DedupIter {
         DedupIter {
             input,
             slot,
-            seen: HashSet::new(),
-            bits: None,
+            seen: SeenSet::default(),
             ledger: ChargeLedger::new(),
             dropped: 0,
-            bitset_keys: 0,
-            hash_keys: 0,
         }
     }
 }
@@ -58,61 +165,35 @@ impl DedupIter {
 impl PhysIter for DedupIter {
     fn open(&mut self, rt: &Runtime<'_>, seed: &Tuple) {
         self.input.open(rt, seed);
-        self.seen.clear();
-        self.bits = None;
+        self.seen.reset();
         self.ledger.release_all(rt.gov);
     }
 
     fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
+        let idx = rt.store.structural_index();
         loop {
             if !rt.gov.tick() || !self.input.next(rt, out) {
                 return false;
             }
-            let rank = out
-                .get(self.slot)
-                .and_then(|v| v.as_node())
-                .and_then(|n| rt.store.structural_index().and_then(|idx| idx.rank_of(n)));
-            if let Some(rank) = rank {
-                if self.bits.is_none() {
-                    let words = rt.store.structural_index().map_or(0, |idx| idx.len()).div_ceil(64);
-                    if !self.ledger.charge(rt.gov, (words * 8) as u64) {
-                        return false;
-                    }
-                    self.bits = Some(vec![0u64; words]);
-                }
-                let bits = self.bits.as_mut().expect("allocated above");
-                let (word, bit) = ((rank / 64) as usize, rank % 64);
-                if bits[word] & (1 << bit) == 0 {
-                    bits[word] |= 1 << bit;
-                    self.bitset_keys += 1;
-                    return true;
-                }
-            } else {
-                let key = GroupKey::of(out.get(self.slot).unwrap_or(&Value::Null), rt);
-                let key_bytes = group_key_bytes(&key);
-                if self.seen.insert(key) {
-                    if !self.ledger.charge(rt.gov, key_bytes) {
-                        return false;
-                    }
-                    self.hash_keys += 1;
-                    return true;
-                }
+            let key = out.get(self.slot).unwrap_or(&Value::Null);
+            match self.seen.insert(key, idx, &mut self.ledger, rt) {
+                Some(true) => return true,
+                Some(false) => self.dropped += 1,
+                None => return false,
             }
-            self.dropped += 1;
         }
     }
 
     fn close(&mut self, rt: &Runtime<'_>) {
         self.input.close(rt);
-        self.seen.clear();
-        self.bits = None;
+        self.seen.reset();
         self.ledger.release_all(rt.gov);
     }
 
     fn gauges(&self, out: &mut Vec<Gauge>) {
         out.push(("dup_dropped", self.dropped));
-        out.push(("bitset_keys", self.bitset_keys));
-        out.push(("hash_keys", self.hash_keys));
+        out.push(("bitset_keys", self.seen.bitset_keys));
+        out.push(("hash_keys", self.seen.hash_keys));
         self.ledger.gauges(out);
     }
 }

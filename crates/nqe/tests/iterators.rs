@@ -500,3 +500,149 @@ fn semi_and_anti_join_are_complementary() {
     assert_eq!(values(&semi_out), ["2", "3"]);
     assert_eq!(values(&anti_out), ["1"]);
 }
+
+/// Feeds a fixed list of context values: slot 0 holds the value, slot 2
+/// the tuple's position in the list (so an output frame names the input
+/// tuple it was built on).
+struct Feed(Vec<Value>, usize);
+
+impl PhysIter for Feed {
+    fn open(&mut self, _rt: &Runtime<'_>, _seed: &Tuple) {
+        self.1 = 0;
+    }
+
+    fn next(&mut self, _rt: &Runtime<'_>, out: &mut Tuple) -> bool {
+        let Some(v) = self.0.get(self.1) else {
+            return false;
+        };
+        *out = vec![
+            v.clone(),
+            Value::Null,
+            Value::Num(self.1 as f64),
+            Value::Null,
+        ];
+        self.1 += 1;
+        true
+    }
+}
+
+/// Set-mode Υ (Π^D fused into the step) against Υ + Π^D on every ppd
+/// axis, from a context stream that is unsorted, repeats a node, nests
+/// contexts inside each other and includes an attribute: the same nodes,
+/// in ascending document order, all on the first input tuple's frame;
+/// the ledger charges exactly 4 bytes per context, plus one ⌈n/64⌉-word
+/// bitset on the collect-mode axes (whatever the scan hint), and returns
+/// all of it at close.
+#[test]
+fn set_mode_step_equals_step_plus_dedup_on_every_ppd_axis() {
+    let s = parse_document(
+        r#"<r id="1"><a x="2"><b/><c y="3"><d/>t</c><b/></a><e/><f z="4"><g/><h><i/><b/></h></f></r>"#,
+    )
+    .unwrap();
+    let idx = s.structural_index().unwrap();
+    assert_eq!(idx.len(), 18, "about twenty nodes");
+    let node = |path: &str| match nqe::evaluate(&s, path, &compiler::TranslateOptions::improved()) {
+        Ok(algebra::QueryOutput::Nodes(ns)) => ns[0],
+        other => panic!("{path}: {other:?}"),
+    };
+    let contexts: Vec<Value> = ["//h", "//c", "//c/@y", "/r/a", "//d", "//h", "//b", "/r/f"]
+        .iter()
+        .map(|p| Value::Node(node(p)))
+        .collect();
+    let vars = HashMap::new();
+    let bitset = (idx.len().div_ceil(64) * 8) as u64;
+    let ppd = [
+        Axis::Descendant,
+        Axis::DescendantOrSelf,
+        Axis::Following,
+        Axis::Preceding,
+        Axis::Ancestor,
+        Axis::AncestorOrSelf,
+        Axis::Parent,
+        Axis::FollowingSibling,
+        Axis::PrecedingSibling,
+    ];
+    let tests = [
+        NodeTest::Wildcard,
+        NodeTest::Kind(xpath_syntax::KindTest::Node),
+    ];
+    for (axis, test) in ppd.iter().flat_map(|&a| tests.iter().map(move |t| (a, t))) {
+        for hint in [ScanHint::Auto, ScanHint::Cursor] {
+            let feed = || Box::new(Feed(contexts.clone(), 0));
+            let oracle_gov = ResourceGovernor::unlimited();
+            let step = UnnestMapIter::new(feed(), 0, 1, axis, test.clone(), hint, None);
+            let mut dedup = DedupIter::new(Box::new(step), 1);
+            let mut want: Vec<_> = drain(&mut dedup, &rt(&s, &vars, &oracle_gov), &seed(&s))
+                .iter()
+                .map(|t| t[1].as_node().unwrap())
+                .collect();
+            want.sort_by_key(|&n| idx.rank_of(n));
+
+            let gov = ResourceGovernor::unlimited();
+            let mut set = UnnestMapIter::set_at_a_time(feed(), 0, 1, axis, test.clone(), hint);
+            let out = drain(&mut set, &rt(&s, &vars, &gov), &seed(&s));
+            let got: Vec<_> = out.iter().map(|t| t[1].as_node().unwrap()).collect();
+            assert_eq!(got, want, "{axis}::{test} ({hint:?})");
+            assert!(!got.is_empty(), "{axis}: the fixture reaches something");
+            assert!(
+                out.iter().all(|t| matches!(t[2], Value::Num(n) if n == 0.0)),
+                "{axis}: first tuple's frame"
+            );
+            let interval = matches!(
+                axis,
+                Axis::Descendant | Axis::DescendantOrSelf | Axis::Following | Axis::Preceding
+            );
+            let charged = 4 * contexts.len() as u64 + if interval { 0 } else { bitset };
+            assert_eq!(gov.charged_total(), charged, "{axis} ({hint:?})");
+            assert_eq!(gov.transient_bytes(), 0, "{axis}: everything returned at close");
+        }
+    }
+}
+
+/// A context the index does not rank (a removed node) turns set mode
+/// into per-context walks with first-occurrence dedup over the restarted
+/// input — the same nodes as Υ + Π^D.
+#[test]
+fn set_mode_falls_back_on_an_unranked_context() {
+    let mut s = store();
+    let b3 = match nqe::evaluate(&s, "//a[2]/b", &compiler::TranslateOptions::improved()) {
+        Ok(algebra::QueryOutput::Nodes(ns)) => ns[0],
+        other => panic!("{other:?}"),
+    };
+    let a2 = s.parent(b3).unwrap();
+    let b1 = s.first_child(s.first_child(s.first_child(s.root()).unwrap()).unwrap()).unwrap();
+    s.remove_subtree(b3).unwrap();
+    assert!(s.structural_index().unwrap().rank_of(b3).is_none());
+    let contexts = vec![
+        Value::Node(a2),
+        Value::Node(b1),
+        Value::Node(b3),
+        Value::Node(a2),
+    ];
+    let vars = HashMap::new();
+    for axis in [Axis::Ancestor, Axis::Following, Axis::DescendantOrSelf] {
+        let gov = ResourceGovernor::unlimited();
+        let rt = rt(&s, &vars, &gov);
+        let feed = || Box::new(Feed(contexts.clone(), 0));
+        let nodes = |ts: Vec<Tuple>| -> Vec<_> {
+            let mut ns: Vec<_> = ts.iter().map(|t| t[1].as_node().unwrap()).collect();
+            ns.sort();
+            ns
+        };
+        let step = UnnestMapIter::new(feed(), 0, 1, axis, NodeTest::Wildcard, ScanHint::Auto, None);
+        let want = nodes(drain(&mut DedupIter::new(Box::new(step), 1), &rt, &seed(&s)));
+        let mut set =
+            UnnestMapIter::set_at_a_time(feed(), 0, 1, axis, NodeTest::Wildcard, ScanHint::Auto);
+        let got = drain(&mut set, &rt, &seed(&s));
+        assert_eq!(nodes(got.clone()), want, "{axis}");
+        assert_eq!(got.len(), want.len(), "{axis}: no repeats");
+        assert_eq!(gov.transient_bytes(), 0);
+        // The per-context walks ran instead of the set pass: no context
+        // was kept for one, the seen-set filtered their output.
+        let mut gauges = Vec::new();
+        set.gauges(&mut gauges);
+        let gauge = |name: &str| gauges.iter().find(|(k, _)| *k == name).map(|&(_, v)| v);
+        assert_eq!(gauge("contexts_kept"), Some(0), "{axis}: {gauges:?}");
+        assert!(gauge("bitset_keys") > Some(0), "{axis}: {gauges:?}");
+    }
+}

@@ -3,9 +3,19 @@
 //! exercising every axis, positional machinery, nested predicates,
 //! scalars and unions, plus 17 dblp-shaped queries matching the
 //! generated bibliography documents (root `dblp`,
-//! `article`/`inproceedings` records). Not every test binary uses both
-//! corpora, hence the allow.
+//! `article`/`inproceedings` records). At the bottom, the axis-level
+//! oracle for set-mode steps ([`check_set_mode`]), shared by
+//! `tests/property.rs` and `tests/updates.rs`. Not every test binary
+//! uses every part, hence the allow.
 #![allow(dead_code)]
+
+use std::collections::HashMap;
+
+use algebra::{ScanHint, Tuple, Value};
+use nqe::iter::{DedupIter, PhysIter, UnnestMapIter};
+use nqe::{ResourceGovernor, Runtime};
+use xmlstore::{Axis, NodeId, XmlStore};
+use xpath_syntax::{KindTest, NodeTest};
 
 /// Queries over the generated tree documents (root `xdoc`, elements
 /// named a–e with consecutive `id` attributes).
@@ -78,3 +88,89 @@ pub const DBLP_QUERIES: &[&str] = &[
     "/dblp/*[ee][position() mod 50 = 0]/@key",
     "/dblp/article[starts-with(@key, 'journals/tods')]/year",
 ];
+
+/// The nine axes that reach one node from several contexts: the ones a
+/// set-mode Υ serves (DESIGN.md §12 "Set-at-a-time steps").
+pub const PPD_AXES: [Axis; 9] = [
+    Axis::Descendant,
+    Axis::DescendantOrSelf,
+    Axis::Following,
+    Axis::Preceding,
+    Axis::Ancestor,
+    Axis::AncestorOrSelf,
+    Axis::Parent,
+    Axis::FollowingSibling,
+    Axis::PrecedingSibling,
+];
+
+/// Feeds a fixed list of context nodes through slot 0.
+struct Contexts(Vec<NodeId>, usize);
+
+impl PhysIter for Contexts {
+    fn open(&mut self, _rt: &Runtime<'_>, _seed: &Tuple) {
+        self.1 = 0;
+    }
+
+    fn next(&mut self, _rt: &Runtime<'_>, out: &mut Tuple) -> bool {
+        let Some(&n) = self.0.get(self.1) else {
+            return false;
+        };
+        *out = vec![Value::Node(n), Value::Null];
+        self.1 += 1;
+        true
+    }
+}
+
+/// Run one step over the contexts; the step's nodes (slot 1), checking
+/// that it handed every governor charge back.
+fn step_nodes(step: &mut dyn PhysIter, store: &dyn XmlStore) -> Result<Vec<NodeId>, String> {
+    let (vars, gov) = (HashMap::new(), ResourceGovernor::unlimited());
+    let rt = Runtime { store, vars: &vars, gov: &gov };
+    step.open(&rt, &vec![Value::Null; 2]);
+    let mut out = Vec::new();
+    let mut t = Tuple::new();
+    while step.next(&rt, &mut t) {
+        out.push(t[1].as_node().ok_or("step emitted a non-node")?);
+    }
+    step.close(&rt);
+    match gov.transient_bytes() {
+        0 => Ok(out),
+        n => Err(format!("{n} transient bytes left after close")),
+    }
+}
+
+/// Set-mode Υ against its oracle — per-context cursor walks under Π^D —
+/// over `contexts` (any order, repeats allowed), for every ppd axis,
+/// three node tests and both scan hints: the same nodes, and where the
+/// store's index ranks every context, in ascending document order.
+pub fn check_set_mode(store: &dyn XmlStore, contexts: &[NodeId]) -> Result<(), String> {
+    let ordered = store
+        .structural_index()
+        .is_some_and(|idx| contexts.iter().all(|&c| idx.rank_of(c).is_some()));
+    let tests = [
+        NodeTest::Kind(KindTest::Node),
+        NodeTest::Wildcard,
+        NodeTest::Name("b".into()),
+    ];
+    for axis in PPD_AXES {
+        for test in &tests {
+            let feed = || Box::new(Contexts(contexts.to_vec(), 0));
+            let walk = UnnestMapIter::new(feed(), 0, 1, axis, test.clone(), ScanHint::Cursor, None);
+            let mut want = step_nodes(&mut DedupIter::new(Box::new(walk), 1), store)?;
+            want.sort_by_key(|&n| store.order(n));
+            for hint in [ScanHint::Auto, ScanHint::Cursor] {
+                let mut set = UnnestMapIter::set_at_a_time(feed(), 0, 1, axis, test.clone(), hint);
+                let mut got = step_nodes(&mut set, store)?;
+                if !ordered {
+                    got.sort_by_key(|&n| store.order(n));
+                }
+                if got != want {
+                    return Err(format!(
+                        "{axis}::{test} ({hint:?}) from {contexts:?}: {got:?}, want {want:?}"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}

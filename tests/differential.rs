@@ -283,6 +283,53 @@ fn run_injected(
     out
 }
 
+/// Fig. 5 q1 and q2, whose improved plans run every step set-at-a-time,
+/// under a fault at each single charge and each single tick of their
+/// execution: a typed error or the right answer, nothing leaked.
+#[test]
+fn fault_injection_sweep_over_set_mode_steps() {
+    let store = generate_tree(TreeParams { max_elements: 60, fanout: 3, max_depth: 3 });
+    let opts = TranslateOptions::improved();
+    for q in &TREE_QUERIES[..2] {
+        let oracle = nqe::evaluate(&store, q, &opts).unwrap();
+        // Past the run's last charge the failpoint never fires.
+        let mut charges = 0;
+        loop {
+            let fp = nqe::FailPoint { fail_at_alloc: Some(charges + 1), cancel_at_tick: None };
+            match run_injected(&store, q, &opts, fp) {
+                Ok(out) => {
+                    assert!(outputs_agree(&out, &oracle), "wrong after injection on `{q}`");
+                    break;
+                }
+                Err(e) => assert!(
+                    matches!(e, algebra::QueryError::MemoryExceeded { .. }),
+                    "charge {} on `{q}`: {e:?}",
+                    charges + 1
+                ),
+            }
+            charges += 1;
+        }
+        assert!(charges >= 3, "`{q}`: every step charges its context ranks");
+        let ticks = {
+            let gov = nqe::ResourceGovernor::unlimited();
+            let mut phys = nqe::build_physical(&compiler::compile(q, &opts).unwrap());
+            phys.execute_governed(&store, &std::collections::HashMap::new(), store.root(), &gov)
+                .unwrap();
+            gov.ticks_seen()
+        };
+        for tick in 1..=ticks {
+            let fp = nqe::FailPoint { fail_at_alloc: None, cancel_at_tick: Some(tick) };
+            match run_injected(&store, q, &opts, fp) {
+                Ok(out) => assert!(outputs_agree(&out, &oracle), "tick {tick} on `{q}`"),
+                Err(e) => assert!(
+                    matches!(e, algebra::QueryError::Cancelled),
+                    "tick {tick} on `{q}`: {e:?}"
+                ),
+            }
+        }
+    }
+}
+
 /// Deterministic fault sweep: budget exhaustion at the Nth allocation and
 /// cancellation at the Nth tick, over the whole tree corpus, for both the
 /// improved and the canonical plans.

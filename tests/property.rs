@@ -8,6 +8,8 @@ use compiler::TranslateOptions;
 use interp::{InterpOptions, Interpreter};
 use xmlstore::{parse_document, to_xml, ArenaBuilder, ArenaStore, NodeId, NodeKind, XmlStore};
 
+mod corpus;
+
 // ---------- random documents -------------------------------------------
 
 #[derive(Clone, Debug)]
@@ -396,6 +398,45 @@ proptest! {
         let slow = nqe::evaluate(&plain, &q, &TranslateOptions::improved()).expect("unindexed");
         prop_assert_eq!(nodes_of(&fast), nodes_of(&slow), "indexed vs NoIndex: {}", q);
     }
+
+    // Set-mode steps ≡ per-context cursor walks + dedup, for all nine ppd
+    // axes from random context subsets (attributes and repeats included)
+    // of random documents, on the arena, with its index hidden, and on
+    // the indexed page file behind two buffer frames.
+    #[test]
+    fn set_mode_steps_equal_per_context_walks(
+        t in tree_strategy(),
+        picks in proptest::collection::vec(0usize..1000, 1..12),
+    ) {
+        check_set_mode_on_three_stores(&make_store(&t), &picks)?;
+    }
+}
+
+/// Body of `set_mode_steps_equal_per_context_walks` (hoisted like
+/// `check_axes_against_cursor`): `picks` index the arena's ranks.
+fn check_set_mode_on_three_stores(
+    store: &ArenaStore,
+    picks: &[usize],
+) -> Result<(), proptest::prelude::TestCaseError> {
+    use xmlstore::diskstore::{create_store_file, DiskStore};
+    let idx = store.structural_index().expect("arena stores are indexed");
+    let contexts: Vec<NodeId> =
+        picks.iter().map(|&p| idx.node_at((p % idx.len()) as u32)).collect();
+    let path = xmlstore::tmp::TempPath::new(".natix");
+    create_store_file(store, path.path()).expect("page file");
+    let disk = DiskStore::open(path.path(), 2).expect("reopen");
+    prop_assert!(disk.structural_index().is_some(), "the page file carries its index");
+    let stores: [(&str, &dyn XmlStore); 3] = [
+        ("arena", store),
+        ("NoIndex", &xmlstore::NoIndex(store)),
+        ("disk", &disk),
+    ];
+    for (name, s) in stores {
+        corpus::check_set_mode(s, &contexts)
+            .map_err(|e| TestCaseError::fail(format!("{name}: {e}")))?;
+    }
+    prop_assert!(!disk.storage_tripped());
+    Ok(())
 }
 
 /// Body of `parallel_governed_runs_trip_typed_and_leak_nothing` (hoisted:

@@ -208,3 +208,53 @@ fn random_update_sequences_match_rebuilt_store() {
     // The sequence must have exercised the incremental path.
     assert!(s.repair_stats().incremental > 50, "{:?}", s.repair_stats());
 }
+
+/// A random element below the document element (so it has an element
+/// parent and may take a sibling).
+fn random_inner_element(s: &ArenaStore, rng: &mut Rng) -> xmlstore::NodeId {
+    loop {
+        let n = random_node(s, rng);
+        let inner = s.parent(n).is_some_and(|p| s.kind(p) == xmlstore::NodeKind::Element);
+        if s.kind(n) == xmlstore::NodeKind::Element && inner {
+            return n;
+        }
+    }
+}
+
+/// Set-mode steps over a published snapshot after random committed
+/// `WriteBatch`es: the index was repaired in place, and the contexts are
+/// the nodes the batches inserted (ranks spliced in, not assigned by a
+/// parse) plus older ones, in no particular order — the set pass must
+/// still equal per-context walks + dedup on every ppd axis.
+#[test]
+fn set_mode_steps_agree_after_committed_write_batches() {
+    use natix::{Document, Engine};
+    use xmlstore::gen::{generate_tree, TreeParams};
+    let engine = Engine::new();
+    let tree = generate_tree(TreeParams { max_elements: 80, fanout: 4, max_depth: 3 });
+    engine.register_document("doc", Document::Arena(tree));
+    let mut rng = Rng(0x5e7_2026_1015);
+    let mut fresh = Vec::new();
+    for round in 0..6 {
+        let mut batch = engine.write_batch("doc").unwrap();
+        for _ in 0..10 {
+            let target = random_inner_element(batch.store(), &mut rng);
+            let name = ["a", "b", "c"][rng.below(3) as usize];
+            let inserted = match rng.below(3) {
+                0 => batch.append_element(target, name),
+                1 => batch.insert_element_before(target, name),
+                _ => batch.set_attribute(target, "tag", "v"),
+            };
+            fresh.push(inserted.expect("valid update"));
+        }
+        batch.commit().expect("commit");
+        let doc = engine.document("doc").unwrap();
+        let Document::Arena(store) = &*doc else {
+            panic!("batches publish arena snapshots");
+        };
+        let old = random_node(store, &mut rng);
+        let mut contexts: Vec<_> = fresh.iter().rev().copied().collect();
+        contexts.extend([old, fresh[0]]);
+        corpus::check_set_mode(store, &contexts).unwrap_or_else(|e| panic!("round {round}: {e}"));
+    }
+}
