@@ -5,26 +5,12 @@
 //! behind the [`BufferManager`](crate::buffer::BufferManager) — no
 //! main-memory DOM is ever built (paper §5.2.2).
 //!
-//! File layout (all pages are [`PAGE_SIZE`] bytes; the last 4 bytes of
-//! every page are its CRC32C trailer, so [`PAGE_PAYLOAD`] bytes are
-//! usable):
-//!
-//! ```text
-//! page 0            header (magic, format version, counts, region
-//!                   boundaries, total page count)
-//! names region      the name dictionary, a length-prefixed byte stream
-//! nodes region      fixed 40-byte node records, addressed arithmetically
-//! strings region    slotted pages holding value records, chained when a
-//!                   value exceeds one page
-//! index region      fixed 16-byte structural-index records, one per
-//!                   document-order rank (node, subtree size, name, kind)
-//! postings region   slotted pages of content-index postings — chained
-//!                   (rank, node) pair lists, ascending by rank
-//! meta region       content-index metadata byte stream: uncovered
-//!                   element names + the first key of every dir page
-//! dir region        slotted pages of content-index directory entries,
-//!                   sorted by (kind, name, value), pointing at postings
-//! ```
+//! File layout: page 0 is the header (magic, then the u32 fields of
+//! [`Layout`]); the regions follow in the order and with the sizing rules
+//! of the [`Region`] table, from which the writer, header validation,
+//! chain walks and [`DiskStore::verify`] are all derived. Every page is
+//! [`PAGE_SIZE`] bytes and ends in its CRC32C trailer, so
+//! [`PAGE_PAYLOAD`] bytes are usable.
 //!
 //! Robustness contract (DESIGN.md §13):
 //!
@@ -96,20 +82,245 @@ const CONTENT_ELEM: u8 = 1;
 /// (u32), head slot (u16).
 const DIR_FIXED: usize = 1 + 4 + 2 + 4 + 4 + 2;
 
+/// Byte offsets of a node record's fields. Links and the name are `NIL`
+/// when absent; the value lives in the strings region at (page, slot).
+mod field {
+    pub const KIND: usize = 0;
+    pub const VALUE_SLOT: usize = 1;
+    pub const NAME: usize = 4;
+    pub const PARENT: usize = 8;
+    pub const FIRST_CHILD: usize = 12;
+    pub const LAST_CHILD: usize = 16;
+    pub const NEXT_SIBLING: usize = 20;
+    pub const PREV_SIBLING: usize = 24;
+    pub const FIRST_ATTRIBUTE: usize = 28;
+    /// Dense document-order rank.
+    pub const ORDER: usize = 32;
+    pub const VALUE_PAGE: usize = 36;
+}
+
+/// Header (page 0) offsets of the u32 fields that are not region starts.
+const VERSION: usize = 8;
+const NODE_COUNT: usize = 12;
+const NAMES_BYTES: usize = 20;
+const NAME_COUNT: usize = 32;
+const TOTAL_PAGES: usize = 36;
+const INDEX_COUNT: usize = 56;
+const META_BYTES: usize = 60;
+/// u32 words of page 0 up to the last field (the first two are the magic).
+const HEADER_WORDS: usize = 16;
+
+/// How a region's page count follows from the header.
 #[derive(Clone, Copy)]
-struct Header {
-    node_count: u32,
-    names_start: u32,
-    names_bytes: u32,
-    nodes_start: u32,
-    strings_start: u32,
-    total_pages: u32,
-    index_start: u32,
-    postings_start: u32,
-    meta_start: u32,
-    dir_start: u32,
-    index_count: u32,
-    meta_bytes: u32,
+enum Sizing {
+    /// A byte stream as long as the header field at this offset:
+    /// ⌈len / PAGE_PAYLOAD⌉ pages, at least 1.
+    Bytes(usize),
+    /// As many fixed records as the header field at this offset says,
+    /// `.1` to a page: ⌈count / per_page⌉ pages, at least 1.
+    Records(usize, usize),
+    /// Slotted pages, as many as the records took: at least 1.
+    Slotted,
+}
+
+/// The regions after the header page, in file order.
+#[derive(Clone, Copy)]
+enum Region {
+    /// The name dictionary: length-prefixed UTF-8 names.
+    Names,
+    /// Node records ([`NODE_REC`] bytes, fields at [`field`]).
+    Nodes,
+    /// Value records, chained when a value exceeds a page.
+    Strings,
+    /// Structural-index records, one per document-order rank.
+    Index,
+    /// Content-index posting chains of (rank, node) pairs.
+    Postings,
+    /// Uncovered element names, then one fence key per directory page.
+    Meta,
+    /// Sorted (kind, name, value) → posting-chain-head records.
+    Dir,
+}
+
+impl Region {
+    /// In declaration order: [`Layout::end`] finds a region's successor
+    /// by its discriminant.
+    const ALL: [Region; 7] = [
+        Region::Names,
+        Region::Nodes,
+        Region::Strings,
+        Region::Index,
+        Region::Postings,
+        Region::Meta,
+        Region::Dir,
+    ];
+
+    /// The region table: the region's name in diagnostics, the header
+    /// offset of its start-page field, and its sizing rule.
+    const fn row(self) -> (&'static str, usize, Sizing) {
+        match self {
+            Region::Names => ("names", 16, Sizing::Bytes(NAMES_BYTES)),
+            Region::Nodes => ("nodes", 24, Sizing::Records(NODE_COUNT, NODES_PER_PAGE)),
+            Region::Strings => ("strings", 28, Sizing::Slotted),
+            Region::Index => ("index", 40, Sizing::Records(INDEX_COUNT, IDX_PER_PAGE)),
+            Region::Postings => ("postings", 44, Sizing::Slotted),
+            Region::Meta => ("meta", 48, Sizing::Bytes(META_BYTES)),
+            Region::Dir => ("directory", 52, Sizing::Slotted),
+        }
+    }
+
+    fn name(self) -> &'static str {
+        self.row().0
+    }
+}
+
+/// The header's fields, indexed by byte offset / 4: counts, region
+/// starts and the total page count. The writer fills it region by region;
+/// open decodes and [validates](Layout::validate) it before any other page
+/// is read.
+#[derive(Clone, Copy)]
+struct Layout {
+    words: [u32; HEADER_WORDS],
+}
+
+impl Layout {
+    fn get(&self, off: usize) -> u32 {
+        self.words[off / 4]
+    }
+
+    fn set(&mut self, off: usize, v: usize) {
+        self.words[off / 4] = v as u32;
+    }
+
+    fn node_count(&self) -> u32 {
+        self.get(NODE_COUNT)
+    }
+
+    fn index_count(&self) -> u32 {
+        self.get(INDEX_COUNT)
+    }
+
+    fn total_pages(&self) -> u32 {
+        self.get(TOTAL_PAGES)
+    }
+
+    fn start(&self, r: Region) -> u32 {
+        self.get(r.row().1)
+    }
+
+    /// One past the region's last page: the next region's start, or the
+    /// file end for the last region.
+    fn end(&self, r: Region) -> u32 {
+        Region::ALL
+            .get(r as usize + 1)
+            .map_or(self.total_pages(), |&next| self.start(next))
+    }
+
+    fn pages(&self, r: Region) -> u32 {
+        self.end(r) - self.start(r)
+    }
+
+    /// The pages `r`'s sizing rule gives: exactly these for a sized
+    /// region, at least these (1) for a slotted one.
+    fn table_pages(&self, r: Region) -> u64 {
+        let pages = match r.row().2 {
+            Sizing::Bytes(len) => u64::from(self.get(len)).div_ceil(PAGE_PAYLOAD as u64),
+            Sizing::Records(count, per_page) => {
+                u64::from(self.get(count)).div_ceil(per_page as u64)
+            }
+            Sizing::Slotted => 1,
+        };
+        pages.max(1)
+    }
+
+    /// Writer side: lay `r` out at the current end of the file, `pages`
+    /// long.
+    fn append(&mut self, r: Region, pages: u64) {
+        let start = self.total_pages() as usize;
+        self.set(r.row().1, start);
+        self.set(TOTAL_PAGES, start + pages as usize);
+    }
+
+    /// `page` (a chain link at `slot`) must lie inside region `r`.
+    fn check_in(&self, r: Region, page: u32, slot: u16) -> Result<(), DiskError> {
+        let (start, end) = (self.start(r), self.end(r));
+        if page < start || page >= end {
+            return Err(DiskError::corrupt_at_slot(
+                format!(
+                    "ref points at page {page}, outside the {} region [{start}, {end})",
+                    r.name()
+                ),
+                page,
+                slot,
+            ));
+        }
+        Ok(())
+    }
+
+    fn encode(&self) -> Box<[u8; PAGE_SIZE]> {
+        let mut page = Box::new([0u8; PAGE_SIZE]);
+        page[0..8].copy_from_slice(MAGIC);
+        for off in (VERSION..HEADER_WORDS * 4).step_by(4) {
+            put_u32(&mut page[..], off, self.get(off));
+        }
+        seal_page(&mut page);
+        page
+    }
+
+    fn decode(page: &[u8]) -> Layout {
+        let mut words = [0u32; HEADER_WORDS];
+        for (i, w) in words.iter_mut().enumerate().skip(VERSION / 4) {
+            *w = get_u32(page, i * 4);
+        }
+        Layout { words }
+    }
+
+    /// Every region starts where the previous one ends (the first right
+    /// after the header), sized regions span exactly their pages, slotted
+    /// ones at least one, and the last ends at the file's page count.
+    /// All sums are u64: a start field near `u32::MAX` rejects typed.
+    fn validate(&self, file_pages: u64) -> Result<(), DiskError> {
+        let corrupt = |msg: String| Err(DiskError::corrupt_at(msg, 0));
+        let total = self.total_pages();
+        if u64::from(total) != file_pages {
+            return corrupt(format!(
+                "header says {total} pages but the file has {file_pages} (truncated?)"
+            ));
+        }
+        let (nodes, index) = (self.node_count(), self.index_count());
+        if nodes == 0 {
+            return corrupt("node count is zero (no document node)".into());
+        }
+        if index == 0 || index > nodes {
+            return corrupt(format!(
+                "index entry count {index} out of range for {nodes} node records"
+            ));
+        }
+        // Each dictionary entry needs at least its 4-byte length prefix.
+        let (names, names_bytes) = (self.get(NAME_COUNT), self.get(NAMES_BYTES));
+        if u64::from(names) * 4 > u64::from(names_bytes) {
+            return corrupt(format!(
+                "{names} dictionary entries cannot fit in {names_bytes} name-region bytes"
+            ));
+        }
+        let mut at = 1u64;
+        for r in Region::ALL {
+            let (start, end) = (u64::from(self.start(r)), u64::from(self.end(r)));
+            if start != at {
+                return corrupt(format!("{} region starts at page {start}, not {at}", r.name()));
+            }
+            let (pages, slotted) = (self.table_pages(r), matches!(r.row().2, Sizing::Slotted));
+            if end < start + pages || (!slotted && end != start + pages) {
+                return corrupt(format!(
+                    "{} region spans pages [{start}, {end}) but needs {}{pages} page(s)",
+                    r.name(),
+                    if slotted { "at least " } else { "" }
+                ));
+            }
+            at = end;
+        }
+        Ok(())
+    }
 }
 
 fn put_u32(buf: &mut [u8], off: usize, v: u32) {
@@ -120,15 +331,116 @@ fn get_u32(buf: &[u8], off: usize) -> u32 {
     u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]])
 }
 
+fn get_u16(buf: &[u8], off: usize) -> u16 {
+    u16::from_le_bytes([buf[off], buf[off + 1]])
+}
+
 /// Where a node record's value starts in the strings region (page,
 /// slot), if the node has one.
 fn value_head(rec: &[u8; NODE_REC]) -> Option<(u32, u16)> {
-    let page = get_u32(rec, 36);
-    (page != NIL).then(|| (page, get_u16(rec, 1)))
+    let page = get_u32(rec, field::VALUE_PAGE);
+    (page != NIL).then(|| (page, get_u16(rec, field::VALUE_SLOT)))
 }
 
-fn get_u16(buf: &[u8], off: usize) -> u16 {
-    u16::from_le_bytes([buf[off], buf[off + 1]])
+/// Record `slot` of the slotted page `sp` (page `page` of region `r`).
+fn slot_record<'a>(
+    sp: &SlottedPage<'a>,
+    r: Region,
+    page: u32,
+    slot: u16,
+) -> Result<&'a [u8], DiskError> {
+    sp.record(slot).ok_or_else(|| {
+        DiskError::corrupt_at_slot(
+            format!("invalid {} slot (page has {} slots)", r.name(), sp.slot_count()),
+            page,
+            slot,
+        )
+    })
+}
+
+/// Read a byte-stream region whole.
+fn read_blob(buffer: &BufferManager, layout: &Layout, r: Region) -> Result<Vec<u8>, DiskError> {
+    let Sizing::Bytes(len) = r.row().2 else {
+        unreachable!("only byte-stream regions are read as blobs");
+    };
+    let len = layout.get(len) as usize;
+    let mut blob = Vec::with_capacity(len);
+    for page in layout.start(r)..layout.end(r) {
+        let p = buffer.pin(page)?;
+        let take = (len - blob.len()).min(PAGE_PAYLOAD);
+        blob.extend_from_slice(&p[..take]);
+    }
+    Ok(blob)
+}
+
+/// A slotted region under construction, numbered from page `first`: a
+/// record goes on the last page, or on a fresh one when it does not fit.
+struct SlottedWriter {
+    first: u32,
+    pages: Vec<SlottedPageBuilder>,
+    /// Reused buffer for the chain segment being encoded.
+    segment: Vec<u8>,
+}
+
+impl SlottedWriter {
+    fn new(first: u32) -> SlottedWriter {
+        SlottedWriter {
+            first,
+            pages: vec![SlottedPageBuilder::new()],
+            segment: Vec::new(),
+        }
+    }
+
+    /// Append one record (sized to fit an empty page) and return its
+    /// (page, slot).
+    fn push(&mut self, rec: &[u8]) -> (u32, u16) {
+        assert!(rec.len() <= SlottedPageBuilder::max_record(), "record exceeds an empty page");
+        loop {
+            if let Some(slot) = self.pages.last_mut().and_then(|p| p.insert(rec)) {
+                return (self.first + (self.pages.len() - 1) as u32, slot);
+            }
+            self.pages.push(SlottedPageBuilder::new());
+        }
+    }
+
+    /// Append `segments` as one chain and return its head. Built back to
+    /// front so each segment's header names its successor; a walk from
+    /// the head then reads the segments in order.
+    fn push_chain<'s, T: 's>(
+        &mut self,
+        segments: impl DoubleEndedIterator<Item = &'s [T]>,
+        encode: impl Fn(&mut Vec<u8>, &'s [T]),
+    ) -> (u32, u16) {
+        let mut next: (u32, u16) = (NIL, 0);
+        let mut rec = std::mem::take(&mut self.segment);
+        for seg in segments.rev() {
+            rec.clear();
+            rec.extend_from_slice(&next.0.to_le_bytes());
+            rec.extend_from_slice(&next.1.to_le_bytes());
+            encode(&mut rec, seg);
+            next = self.push(&rec);
+        }
+        self.segment = rec;
+        next
+    }
+}
+
+/// A fixed-record region: record `i` of `count` sits on page
+/// `i / per_page` at byte `(i % per_page) · REC`, filled by `fill`; at
+/// least one page.
+fn fixed_records<const REC: usize>(
+    count: usize,
+    mut fill: impl FnMut(usize, &mut [u8; REC]),
+) -> Vec<u8> {
+    let per_page = PAGE_PAYLOAD / REC;
+    let mut region = vec![0u8; count.div_ceil(per_page).max(1) * PAGE_SIZE];
+    for (p, page) in region.chunks_exact_mut(PAGE_SIZE).enumerate() {
+        let recs = page[..PAGE_PAYLOAD].as_chunks_mut::<REC>().0;
+        for (s, rec) in recs.iter_mut().enumerate().take(count.saturating_sub(p * per_page)) {
+            fill(p * per_page + s, rec);
+        }
+    }
+    region
 }
 
 /// Page-granular writer that counts writes so the fault-injection
@@ -146,6 +458,36 @@ impl PageWriter {
             return Err(DiskError::io(IoFailPoint::injected_error()));
         }
         self.inner.write_all(&page[..]).map_err(DiskError::io)
+    }
+
+    /// A byte stream, [`PAGE_PAYLOAD`] bytes to a zero-padded page, at
+    /// least one page.
+    fn write_blob(&mut self, blob: &[u8]) -> Result<(), DiskError> {
+        let mut page = Box::new([0u8; PAGE_SIZE]);
+        for i in 0..blob.len().div_ceil(PAGE_PAYLOAD).max(1) {
+            let chunk = &blob[i * PAGE_PAYLOAD..((i + 1) * PAGE_PAYLOAD).min(blob.len())];
+            page.fill(0);
+            page[..chunk.len()].copy_from_slice(chunk);
+            seal_page(&mut page);
+            self.write_page(&page)?;
+        }
+        Ok(())
+    }
+
+    /// A region of whole pages (from [`fixed_records`]), each sealed.
+    fn write_fixed(&mut self, mut region: Vec<u8>) -> Result<(), DiskError> {
+        for page in region.as_chunks_mut::<PAGE_SIZE>().0 {
+            seal_page(page);
+            self.write_page(page)?;
+        }
+        Ok(())
+    }
+
+    fn write_slotted(&mut self, region: SlottedWriter) -> Result<(), DiskError> {
+        for p in region.pages {
+            self.write_page(&p.finish())?;
+        }
+        Ok(())
     }
 }
 
@@ -192,93 +534,61 @@ fn write_store(
     path: &Path,
     failpoint: &IoFailPoint,
 ) -> Result<(), DiskError> {
-    // --- names region ---------------------------------------------------
+    // Each region is laid out at the file's current end as it is built;
+    // the header is encoded from the finished layout.
+    let mut layout = Layout { words: [0; HEADER_WORDS] };
+    layout.set(VERSION, FORMAT_VERSION as usize);
+    layout.set(TOTAL_PAGES, 1);
+
     let mut names_blob = Vec::new();
     for name in store.names().iter() {
         let bytes = name.as_bytes();
         names_blob.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
         names_blob.extend_from_slice(bytes);
     }
-    let names_pages = names_blob.len().div_ceil(PAGE_PAYLOAD).max(1);
+    layout.set(NAMES_BYTES, names_blob.len());
+    layout.set(NAME_COUNT, store.names().len());
+    layout.append(Region::Names, layout.table_pages(Region::Names));
 
+    // Node records; their values go to the strings region as they are
+    // filled, so the strings region is numbered before it is built.
     let node_count = store.node_count();
-    let node_pages = node_count.div_ceil(NODES_PER_PAGE).max(1);
-
-    let names_start = 1u32;
-    let nodes_start = names_start + names_pages as u32;
-    let strings_start = nodes_start + node_pages as u32;
-
-    // --- strings region (built first so node records know their refs) ---
-    let mut string_pages: Vec<SlottedPageBuilder> = vec![SlottedPageBuilder::new()];
-    // Insert `data` as a chain of records, returning the head (page, slot).
-    // Chains are built back-to-front so each segment knows its successor.
-    let mut insert_string = |data: &[u8]| -> (u32, u16) {
-        let seg_cap = SlottedPageBuilder::max_record() - CHAIN_HDR;
-        let mut next: (u32, u16) = (NIL, 0);
-        let chunks: Vec<&[u8]> = if data.is_empty() {
-            vec![&[][..]]
-        } else {
-            data.chunks(seg_cap).collect()
-        };
-        for chunk in chunks.iter().rev() {
-            let mut rec = Vec::with_capacity(CHAIN_HDR + chunk.len());
-            rec.extend_from_slice(&next.0.to_le_bytes());
-            rec.extend_from_slice(&next.1.to_le_bytes());
-            rec.extend_from_slice(chunk);
-            let slot = match string_pages.last_mut().and_then(|p| p.insert(&rec)) {
-                Some(s) => s,
-                None => {
-                    // Segments are sized to fit an empty page, so the
-                    // insert after pushing a fresh page cannot fail.
-                    let mut fresh = SlottedPageBuilder::new();
-                    let Some(s) = fresh.insert(&rec) else {
-                        unreachable!("string segment sized to fit an empty page");
-                    };
-                    string_pages.push(fresh);
-                    s
-                }
-            };
-            next = (strings_start + (string_pages.len() - 1) as u32, slot);
-        }
-        next
-    };
-
-    // --- node records ----------------------------------------------------
-    let mut node_region = vec![0u8; node_pages * PAGE_SIZE];
-    for i in 0..node_count {
+    layout.set(NODE_COUNT, node_count);
+    layout.append(Region::Nodes, layout.table_pages(Region::Nodes));
+    let mut strings = SlottedWriter::new(layout.total_pages());
+    let seg_cap = SlottedPageBuilder::max_record() - CHAIN_HDR;
+    let ranks = store.structural_index();
+    let node_region = fixed_records::<NODE_REC>(node_count, |i, rec| {
         let n = NodeId(i as u32);
-        let page = i / NODES_PER_PAGE;
-        let off = page * PAGE_SIZE + (i % NODES_PER_PAGE) * NODE_REC;
-        let rec = &mut node_region[off..off + NODE_REC];
-        rec[0] = store.kind(n) as u8;
-        let enc = |v: Option<NodeId>| v.map_or(NIL, |x| x.0);
-        put_u32(rec, 4, store.name(n).map_or(NIL, |x| x.0));
-        put_u32(rec, 8, enc(store.parent(n)));
-        put_u32(rec, 12, enc(store.first_child(n)));
-        put_u32(rec, 16, enc(store.last_child(n)));
-        put_u32(rec, 20, enc(store.next_sibling(n)));
-        put_u32(rec, 24, enc(store.prev_sibling(n)));
-        put_u32(rec, 28, enc(store.first_attribute(n)));
+        let link = |v: Option<NodeId>| v.map_or(NIL, |x| x.0);
+        rec[field::KIND] = store.kind(n) as u8;
+        put_u32(rec, field::NAME, store.name(n).map_or(NIL, |x| x.0));
+        put_u32(rec, field::PARENT, link(store.parent(n)));
+        put_u32(rec, field::FIRST_CHILD, link(store.first_child(n)));
+        put_u32(rec, field::LAST_CHILD, link(store.last_child(n)));
+        put_u32(rec, field::NEXT_SIBLING, link(store.next_sibling(n)));
+        put_u32(rec, field::PREV_SIBLING, link(store.prev_sibling(n)));
+        put_u32(rec, field::FIRST_ATTRIBUTE, link(store.first_attribute(n)));
         // The arena's sparse u64 gap keys would overflow the u32 record
         // field; persisting compacts them to dense index ranks (same
         // relative order, tombstones get NIL — they are unreachable).
-        let dense_order = store.structural_index().and_then(|idx| idx.rank_of(n)).unwrap_or(NIL);
-        put_u32(rec, 32, dense_order);
-        match store.value_ref(n) {
-            None => {
-                put_u32(rec, 36, NIL);
-            }
+        put_u32(rec, field::ORDER, ranks.and_then(|idx| idx.rank_of(n)).unwrap_or(NIL));
+        let (page, slot) = match store.value_ref(n) {
+            None => (NIL, 0),
             Some(v) => {
-                let (vp, vs) = insert_string(v.as_bytes());
-                // Pack page (26 bits would do; we store page u32 in a
-                // side encoding: 36..40 = page, slot goes into rec[1..3]).
-                put_u32(rec, 36, vp);
-                rec[1..3].copy_from_slice(&vs.to_le_bytes());
+                // An empty value is one empty segment.
+                let v = v.as_bytes();
+                let segments = v.chunks(seg_cap).chain(v.is_empty().then_some(v));
+                strings.push_chain(segments, |out, seg| out.extend_from_slice(seg))
             }
-        }
-    }
+        };
+        put_u32(rec, field::VALUE_PAGE, page);
+        rec[field::VALUE_SLOT..field::VALUE_SLOT + 2].copy_from_slice(&slot.to_le_bytes());
+    });
+    layout.append(Region::Strings, strings.pages.len() as u64);
 
-    // --- structural-index region (one fixed record per rank) -------------
+    // Structural index: node (u32), subtree size (u32), name (u32), kind
+    // (u8) per rank.
     let built;
     let idx = match store.structural_index() {
         Some(idx) => idx,
@@ -287,64 +597,35 @@ fn write_store(
             &built
         }
     };
-    let index_count = idx.len();
-    let index_pages = index_count.div_ceil(IDX_PER_PAGE).max(1);
-    let index_start = strings_start + string_pages.len() as u32;
-    let postings_start = index_start + index_pages as u32;
-
-    let mut index_region = vec![0u8; index_pages * PAGE_SIZE];
-    for r in 0..index_count {
-        let off = (r / IDX_PER_PAGE) * PAGE_SIZE + (r % IDX_PER_PAGE) * IDX_REC;
-        let rec = &mut index_region[off..off + IDX_REC];
+    layout.set(INDEX_COUNT, idx.len());
+    layout.append(Region::Index, layout.table_pages(Region::Index));
+    let index_region = fixed_records::<IDX_REC>(idx.len(), |r, rec| {
         let rank = r as u32;
         put_u32(rec, 0, idx.node_at(rank).0);
         put_u32(rec, 4, idx.size_at(rank));
         put_u32(rec, 8, idx.name_at(rank).map_or(NIL, |n| n.0));
         rec[12] = idx.kind_at(rank) as u8;
-    }
+    });
 
-    // --- content index ----------------------------------------------------
+    // Content index: one posting chain per key (ascending ranks from the
+    // head), and the sorted directory pointing at them. The directory is
+    // only ever addressed by page index — fence key i is the first key of
+    // directory page i — so it is numbered from 0.
     let (entries, uncovered) = collect_content_entries(store, idx);
-
-    // Postings pages: per-key chains of (rank, node) pairs, built
-    // back-to-front (like string chains) so a walk from the head yields
-    // ascending ranks.
-    let mut posting_pages: Vec<SlottedPageBuilder> = vec![SlottedPageBuilder::new()];
+    let mut postings = SlottedWriter::new(layout.total_pages());
+    let mut dir = SlottedWriter::new(0);
+    let mut fences = Vec::new();
     let pair_cap = (SlottedPageBuilder::max_record() - CHAIN_HDR) / POST_PAIR;
-    let mut insert_postings = |pairs: &[(u32, u32)]| -> (u32, u16) {
-        let mut next: (u32, u16) = (NIL, 0);
-        let chunks: Vec<&[(u32, u32)]> = pairs.chunks(pair_cap).collect();
-        for chunk in chunks.iter().rev() {
-            let mut rec = Vec::with_capacity(CHAIN_HDR + chunk.len() * POST_PAIR);
-            rec.extend_from_slice(&next.0.to_le_bytes());
-            rec.extend_from_slice(&next.1.to_le_bytes());
-            for &(rank, node) in *chunk {
-                rec.extend_from_slice(&rank.to_le_bytes());
-                rec.extend_from_slice(&node.to_le_bytes());
+    let mut rec = Vec::with_capacity(DIR_FIXED + VALUE_CAP);
+    for (key, pairs) in &entries {
+        let head = postings.push_chain(pairs.chunks(pair_cap), |out, seg| {
+            for &(rank, node) in seg {
+                out.extend_from_slice(&rank.to_le_bytes());
+                out.extend_from_slice(&node.to_le_bytes());
             }
-            let slot = match posting_pages.last_mut().and_then(|p| p.insert(&rec)) {
-                Some(s) => s,
-                None => {
-                    let mut fresh = SlottedPageBuilder::new();
-                    let Some(s) = fresh.insert(&rec) else {
-                        unreachable!("posting segment sized to fit an empty page");
-                    };
-                    posting_pages.push(fresh);
-                    s
-                }
-            };
-            next = (postings_start + (posting_pages.len() - 1) as u32, slot);
-        }
-        next
-    };
-
-    // Directory pages: sorted (kind, name, value) keys pointing at their
-    // posting chains; the first key of each page becomes an ISAM fence.
-    let mut dir_pages: Vec<SlottedPageBuilder> = vec![SlottedPageBuilder::new()];
-    let mut fences: Vec<(u8, u32, Vec<u8>)> = Vec::new();
-    for ((kind, name, value), pairs) in &entries {
-        let head = insert_postings(pairs);
-        let mut rec = Vec::with_capacity(DIR_FIXED + value.len());
+        });
+        let (kind, name, value) = key;
+        rec.clear();
         rec.push(*kind);
         rec.extend_from_slice(&name.to_le_bytes());
         rec.extend_from_slice(&(value.len() as u16).to_le_bytes());
@@ -352,106 +633,44 @@ fn write_store(
         rec.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
         rec.extend_from_slice(&head.0.to_le_bytes());
         rec.extend_from_slice(&head.1.to_le_bytes());
-        let page_index = match dir_pages.last_mut().and_then(|p| p.insert(&rec)) {
-            Some(_) => dir_pages.len() - 1,
-            None => {
-                let mut fresh = SlottedPageBuilder::new();
-                if fresh.insert(&rec).is_none() {
-                    unreachable!("directory record sized to fit an empty page");
-                }
-                dir_pages.push(fresh);
-                dir_pages.len() - 1
-            }
-        };
-        if page_index == fences.len() {
-            fences.push((*kind, *name, value.clone()));
+        if dir.push(&rec).0 as usize == fences.len() {
+            fences.push(key);
         }
     }
+    layout.append(Region::Postings, postings.pages.len() as u64);
 
-    // Meta blob: uncovered element names, then the dir fence keys.
+    // Meta blob: uncovered element names, then the directory fence keys.
     let mut meta_blob = Vec::new();
     meta_blob.extend_from_slice(&(uncovered.len() as u32).to_le_bytes());
     for name in &uncovered {
         meta_blob.extend_from_slice(&name.to_le_bytes());
     }
     meta_blob.extend_from_slice(&(fences.len() as u32).to_le_bytes());
-    for (kind, name, value) in &fences {
+    for (kind, name, value) in fences {
         meta_blob.push(*kind);
         meta_blob.extend_from_slice(&name.to_le_bytes());
         meta_blob.extend_from_slice(&(value.len() as u16).to_le_bytes());
         meta_blob.extend_from_slice(value);
     }
-    let meta_pages = meta_blob.len().div_ceil(PAGE_PAYLOAD).max(1);
-    let meta_start = postings_start + posting_pages.len() as u32;
-    let dir_start = meta_start + meta_pages as u32;
-    let total_pages = dir_start + dir_pages.len() as u32;
+    layout.set(META_BYTES, meta_blob.len());
+    layout.append(Region::Meta, layout.table_pages(Region::Meta));
+    layout.append(Region::Dir, dir.pages.len() as u64);
 
-    // --- header ----------------------------------------------------------
-    let mut header = Box::new([0u8; PAGE_SIZE]);
-    header[0..8].copy_from_slice(MAGIC);
-    put_u32(&mut header[..], 8, FORMAT_VERSION);
-    put_u32(&mut header[..], 12, node_count as u32);
-    put_u32(&mut header[..], 16, names_start);
-    put_u32(&mut header[..], 20, names_blob.len() as u32);
-    put_u32(&mut header[..], 24, nodes_start);
-    put_u32(&mut header[..], 28, strings_start);
-    put_u32(&mut header[..], 32, store.names().len() as u32);
-    put_u32(&mut header[..], 36, total_pages);
-    put_u32(&mut header[..], 40, index_start);
-    put_u32(&mut header[..], 44, postings_start);
-    put_u32(&mut header[..], 48, meta_start);
-    put_u32(&mut header[..], 52, dir_start);
-    put_u32(&mut header[..], 56, index_count as u32);
-    put_u32(&mut header[..], 60, meta_blob.len() as u32);
-    seal_page(&mut header);
-
-    // --- write the temp file, page by page, each sealed ------------------
+    // --- write the temp file: the header, then the regions in order ------
     let file = std::fs::File::create(tmp).map_err(DiskError::io)?;
     let mut w = PageWriter {
         inner: std::io::BufWriter::new(file),
         pages_written: 0,
         fail_write_at: failpoint.fail_write_at,
     };
-    w.write_page(&header)?;
-    let mut page = Box::new([0u8; PAGE_SIZE]);
-    for i in 0..names_pages {
-        let start = (i * PAGE_PAYLOAD).min(names_blob.len());
-        let end = ((i + 1) * PAGE_PAYLOAD).min(names_blob.len());
-        page[..].fill(0);
-        page[..end - start].copy_from_slice(&names_blob[start..end]);
-        seal_page(&mut page);
-        w.write_page(&page)?;
-    }
-    for chunk in node_region.chunks_exact_mut(PAGE_SIZE) {
-        // chunks_exact_mut guarantees PAGE_SIZE-long chunks.
-        if let Ok(arr) = <&mut [u8; PAGE_SIZE]>::try_from(chunk) {
-            seal_page(arr);
-            w.write_page(arr)?;
-        }
-    }
-    for p in string_pages {
-        w.write_page(&p.finish())?;
-    }
-    for chunk in index_region.chunks_exact_mut(PAGE_SIZE) {
-        if let Ok(arr) = <&mut [u8; PAGE_SIZE]>::try_from(chunk) {
-            seal_page(arr);
-            w.write_page(arr)?;
-        }
-    }
-    for p in posting_pages {
-        w.write_page(&p.finish())?;
-    }
-    for i in 0..meta_pages {
-        let start = (i * PAGE_PAYLOAD).min(meta_blob.len());
-        let end = ((i + 1) * PAGE_PAYLOAD).min(meta_blob.len());
-        page[..].fill(0);
-        page[..end - start].copy_from_slice(&meta_blob[start..end]);
-        seal_page(&mut page);
-        w.write_page(&page)?;
-    }
-    for p in dir_pages {
-        w.write_page(&p.finish())?;
-    }
+    w.write_page(&layout.encode())?;
+    w.write_blob(&names_blob)?;
+    w.write_fixed(node_region)?;
+    w.write_slotted(strings)?;
+    w.write_fixed(index_region)?;
+    w.write_slotted(postings)?;
+    w.write_blob(&meta_blob)?;
+    w.write_slotted(dir)?;
 
     // --- durability: flush + fsync data, rename, fsync directory ---------
     w.inner.flush().map_err(DiskError::io)?;
@@ -586,14 +805,14 @@ struct DirEntry<'a> {
     name: u32,
     value: &'a [u8],
     count: u32,
-    head_page: u32,
-    head_slot: u16,
+    /// Where the posting chain starts (page, slot).
+    head: (u32, u16),
 }
 
 /// Read-only paged document store.
 pub struct DiskStore {
     buffer: BufferManager,
-    header: Header,
+    layout: Layout,
     names: NameTable,
     /// Lazily loaded structural index (streamed off the index region on
     /// first use; `None` after a failed load, with the fault latched).
@@ -618,8 +837,8 @@ pub struct DiskStore {
 impl std::fmt::Debug for DiskStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DiskStore")
-            .field("nodes", &self.header.node_count)
-            .field("pages", &self.header.total_pages)
+            .field("nodes", &self.layout.node_count())
+            .field("pages", &self.layout.total_pages())
             .finish_non_exhaustive()
     }
 }
@@ -667,74 +886,45 @@ impl DiskStore {
         if &h[0..8] != MAGIC {
             return Err(DiskError::corrupt_at("bad magic", 0));
         }
-        let version = get_u32(&h[..], 8);
+        let layout = Layout::decode(&h[..]);
+        // Release the header pin before reading further pages: a
+        // one-frame buffer must be able to evict page 0.
+        drop(h);
+        let version = layout.get(VERSION);
         if version != FORMAT_VERSION {
             return Err(DiskError::corrupt_at(
                 format!("unsupported store format version {version} (expected {FORMAT_VERSION})"),
                 0,
             ));
         }
-        let header = Header {
-            node_count: get_u32(&h[..], 12),
-            names_start: get_u32(&h[..], 16),
-            names_bytes: get_u32(&h[..], 20),
-            nodes_start: get_u32(&h[..], 24),
-            strings_start: get_u32(&h[..], 28),
-            total_pages: get_u32(&h[..], 36),
-            index_start: get_u32(&h[..], 40),
-            postings_start: get_u32(&h[..], 44),
-            meta_start: get_u32(&h[..], 48),
-            dir_start: get_u32(&h[..], 52),
-            index_count: get_u32(&h[..], 56),
-            meta_bytes: get_u32(&h[..], 60),
-        };
-        let name_count = get_u32(&h[..], 32);
-        // Release the header pin before reading further pages: a
-        // one-frame buffer must be able to evict page 0.
-        drop(h);
-        validate_header(&header, name_count, len / PAGE_SIZE as u64)?;
+        layout.validate(len / PAGE_SIZE as u64)?;
 
         // Load the name dictionary (kept resident; it is tiny relative to
         // the document and node tests hit it constantly).
-        let names_bytes = header.names_bytes as usize;
-        let mut blob = Vec::with_capacity(names_bytes);
-        let npages = names_bytes.div_ceil(PAGE_PAYLOAD).max(1);
-        for i in 0..npages {
-            let p = buffer.pin(header.names_start + i as u32)?;
-            let take = (names_bytes - blob.len()).min(PAGE_PAYLOAD);
-            blob.extend_from_slice(&p[..take]);
-        }
+        let blob = read_blob(&buffer, &layout, Region::Names)?;
+        let at = layout.start(Region::Names);
+        let name_count = layout.get(NAME_COUNT);
+        let corrupt = |msg: String| DiskError::corrupt_at(msg, at);
         let mut names = NameTable::default();
         let mut off = 0usize;
         for i in 0..name_count {
             if off + 4 > blob.len() {
-                return Err(DiskError::corrupt_at(
-                    format!("name dictionary truncated at entry {i}"),
-                    header.names_start,
-                ));
+                return Err(corrupt(format!("name dictionary truncated at entry {i}")));
             }
             let nlen = get_u32(&blob, off) as usize;
             off += 4;
             let Some(bytes) = blob.get(off..off.saturating_add(nlen)) else {
-                return Err(DiskError::corrupt_at(
-                    format!("name dictionary entry {i} runs past the region ({nlen} bytes)"),
-                    header.names_start,
-                ));
+                return Err(corrupt(format!(
+                    "name dictionary entry {i} runs past the region ({nlen} bytes)"
+                )));
             };
-            let s = std::str::from_utf8(bytes).map_err(|_| {
-                DiskError::corrupt_at(
-                    format!("name dictionary entry {i} is not UTF-8"),
-                    header.names_start,
-                )
-            })?;
+            let s = std::str::from_utf8(bytes)
+                .map_err(|_| corrupt(format!("name dictionary entry {i} is not UTF-8")))?;
             names.intern(s);
             off += nlen;
         }
         if names.len() as u32 != name_count {
-            return Err(DiskError::corrupt_at(
-                "name dictionary contains duplicate entries",
-                header.names_start,
-            ));
+            return Err(corrupt("name dictionary contains duplicate entries".into()));
         }
 
         // No O(n) open-time scans: the structural index, content
@@ -742,7 +932,7 @@ impl DiskStore {
         // use, streamed through the buffer manager.
         Ok(DiskStore {
             buffer,
-            header,
+            layout,
             names,
             index: std::sync::OnceLock::new(),
             content: std::sync::OnceLock::new(),
@@ -768,69 +958,44 @@ impl DiskStore {
     /// range, no duplicate ranks, kinds and names decodable, subtree
     /// intervals inside the document.
     fn try_load_structural_index(&self) -> Result<StructuralIndex, DiskError> {
-        let n = self.header.index_count as usize;
-        let mut rank_of = vec![NIL; self.header.node_count as usize];
+        let n = self.layout.index_count() as usize;
+        let node_count = self.layout.node_count();
+        let mut rank_of = vec![NIL; node_count as usize];
         let mut node_at = Vec::with_capacity(n);
         let mut size = Vec::with_capacity(n);
         let mut kind = Vec::with_capacity(n);
         let mut name = Vec::with_capacity(n);
-        let pages = n.div_ceil(IDX_PER_PAGE).max(1);
         let mut rank = 0usize;
-        for pi in 0..pages {
-            let pageno = self.header.index_start + pi as u32;
+        for pageno in self.layout.start(Region::Index)..self.layout.end(Region::Index) {
             let pg = self.buffer.pin(pageno)?;
-            for s in 0..IDX_PER_PAGE {
-                if rank >= n {
-                    break;
-                }
-                let off = s * IDX_REC;
-                let rec = &pg[off..off + IDX_REC];
-                let node = get_u32(rec, 0);
-                let sz = get_u32(rec, 4);
-                let nm = get_u32(rec, 8);
-                let slot = s as u16;
-                if node >= self.header.node_count {
-                    return Err(DiskError::corrupt_at_slot(
-                        format!(
-                            "index entry {rank} names node {node}, past the node count {}",
-                            self.header.node_count
-                        ),
-                        pageno,
-                        slot,
+            let recs = pg[..PAGE_PAYLOAD].as_chunks::<IDX_REC>().0;
+            for (s, rec) in recs.iter().enumerate().take(n - rank) {
+                let corrupt = |msg: String| Err(DiskError::corrupt_at_slot(msg, pageno, s as u16));
+                let (node, sz, nm) = (get_u32(rec, 0), get_u32(rec, 4), get_u32(rec, 8));
+                if node >= node_count {
+                    return corrupt(format!(
+                        "index entry {rank} names node {node}, past the node count {node_count}"
                     ));
                 }
                 if rank_of[node as usize] != NIL {
-                    return Err(DiskError::corrupt_at_slot(
-                        format!("index entry {rank} ranks node {node} twice"),
-                        pageno,
-                        slot,
-                    ));
+                    return corrupt(format!("index entry {rank} ranks node {node} twice"));
                 }
                 let Some(k) = NodeKind::from_u8(rec[12]) else {
-                    return Err(DiskError::corrupt_at_slot(
-                        format!("index entry {rank} has invalid kind byte {}", rec[12]),
-                        pageno,
-                        slot,
+                    return corrupt(format!(
+                        "index entry {rank} has invalid kind byte {}",
+                        rec[12]
                     ));
                 };
                 if nm != NIL && nm as usize >= self.names.len() {
-                    return Err(DiskError::corrupt_at_slot(
-                        format!(
-                            "index entry {rank} names name id {nm} (dictionary has {} names)",
-                            self.names.len()
-                        ),
-                        pageno,
-                        slot,
+                    let names = self.names.len();
+                    return corrupt(format!(
+                        "index entry {rank} names name id {nm} (dictionary has {names} names)"
                     ));
                 }
                 if rank as u64 + u64::from(sz) >= n as u64 {
-                    return Err(DiskError::corrupt_at_slot(
-                        format!(
-                            "index entry {rank} claims subtree size {sz}, past the last rank {}",
-                            n - 1
-                        ),
-                        pageno,
-                        slot,
+                    let last = n - 1;
+                    return corrupt(format!(
+                        "index entry {rank} claims subtree size {sz}, past the last rank {last}"
                     ));
                 }
                 rank_of[node as usize] = rank as u32;
@@ -844,7 +1009,7 @@ impl DiskStore {
         if node_at.first() != Some(&NodeId::DOCUMENT) {
             return Err(DiskError::corrupt_at(
                 "index rank 0 is not the document node",
-                self.header.index_start,
+                self.layout.start(Region::Index),
             ));
         }
         Ok(StructuralIndex::from_disk_parts(rank_of, node_at, size, kind, name, self))
@@ -853,23 +1018,14 @@ impl DiskStore {
     /// Load the resident content-index metadata (uncovered element
     /// names + directory fence keys) off the meta region.
     fn try_load_content_meta(&self) -> Result<ContentMeta, DiskError> {
-        let bytes = self.header.meta_bytes as usize;
-        let mut blob = Vec::with_capacity(bytes);
-        let mpages = bytes.div_ceil(PAGE_PAYLOAD).max(1);
-        for i in 0..mpages {
-            let p = self.buffer.pin(self.header.meta_start + i as u32)?;
-            let take = (bytes - blob.len()).min(PAGE_PAYLOAD);
-            blob.extend_from_slice(&p[..take]);
-        }
-        let at = self.header.meta_start;
+        let blob = read_blob(&self.buffer, &self.layout, Region::Meta)?;
+        let at = self.layout.start(Region::Meta);
         let corrupt = |msg: String| DiskError::corrupt_at(msg, at);
         let mut off = 0usize;
-        let read_u32 = |o: &mut usize| -> Result<u32, DiskError> {
-            let Some(b) = blob.get(*o..*o + 4) else {
-                return Err(DiskError::corrupt_at("content metadata truncated", at));
-            };
+        let read_u32 = |o: &mut usize| {
+            let v = blob.get(*o..*o + 4).map(|b| get_u32(b, 0));
             *o += 4;
-            Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            v.ok_or_else(|| corrupt("content metadata truncated".into()))
         };
         let unc = read_u32(&mut off)?;
         if u64::from(unc) * 4 > blob.len() as u64 {
@@ -887,7 +1043,7 @@ impl DiskStore {
             uncovered.insert(name);
         }
         let fcount = read_u32(&mut off)?;
-        let dir_page_count = self.header.total_pages - self.header.dir_start;
+        let dir_page_count = self.layout.pages(Region::Dir);
         if !(fcount == dir_page_count || (fcount == 0 && dir_page_count == 1)) {
             return Err(corrupt(format!(
                 "{fcount} fence keys for {dir_page_count} directory page(s)"
@@ -931,13 +1087,7 @@ impl DiskStore {
     /// with the fault latched for the executor).
     fn content_meta(&self) -> Option<&ContentMeta> {
         self.content
-            .get_or_init(|| match self.try_load_content_meta() {
-                Ok(m) => Some(m),
-                Err(e) => {
-                    self.note(Err::<(), DiskError>(e), ());
-                    None
-                }
-            })
+            .get_or_init(|| self.note(self.try_load_content_meta().map(Some), None))
             .as_ref()
     }
 
@@ -948,146 +1098,114 @@ impl DiskStore {
         page: u32,
         slot: u16,
     ) -> Result<DirEntry<'a>, DiskError> {
+        let corrupt = |msg: String| Err(DiskError::corrupt_at_slot(msg, page, slot));
         if rec.len() < DIR_FIXED {
-            return Err(DiskError::corrupt_at_slot(
-                format!("directory record too short ({} bytes)", rec.len()),
-                page,
-                slot,
-            ));
+            return corrupt(format!("directory record too short ({} bytes)", rec.len()));
         }
         let kind = rec[0];
         if kind != CONTENT_ATTR && kind != CONTENT_ELEM {
-            return Err(DiskError::corrupt_at_slot(
-                format!("directory record has invalid kind byte {kind}"),
-                page,
-                slot,
-            ));
+            return corrupt(format!("directory record has invalid kind byte {kind}"));
         }
-        let name = get_u32(rec, 1);
-        if name as usize >= self.names.len() {
-            return Err(DiskError::corrupt_at_slot(
-                format!(
-                    "directory record names name id {name} (dictionary has {} names)",
-                    self.names.len()
-                ),
-                page,
-                slot,
+        let (name, names) = (get_u32(rec, 1), self.names.len());
+        if name as usize >= names {
+            return corrupt(format!(
+                "directory record names name id {name} (dictionary has {names} names)"
             ));
         }
         let vlen = get_u16(rec, 5) as usize;
         if vlen > VALUE_CAP || rec.len() != DIR_FIXED + vlen {
-            return Err(DiskError::corrupt_at_slot(
-                format!(
-                    "directory record length {} does not match its value length {vlen}",
-                    rec.len()
-                ),
-                page,
-                slot,
+            return corrupt(format!(
+                "directory record length {} does not match its value length {vlen}",
+                rec.len()
             ));
         }
         let value = &rec[7..7 + vlen];
         let count = get_u32(rec, 7 + vlen);
-        if count == 0 || u64::from(count) > u64::from(self.header.index_count) {
-            return Err(DiskError::corrupt_at_slot(
-                format!("directory record posting count {count} out of range"),
-                page,
-                slot,
-            ));
+        if count == 0 || count > self.layout.index_count() {
+            return corrupt(format!("directory record posting count {count} out of range"));
         }
         Ok(DirEntry {
             kind,
             name,
             value,
             count,
-            head_page: get_u32(rec, 11 + vlen),
-            head_slot: get_u16(rec, 15 + vlen),
+            head: (get_u32(rec, 11 + vlen), get_u16(rec, 15 + vlen)),
         })
     }
 
-    /// Walk a posting chain from its head, validating coordinates,
-    /// rank/node bounds, ascending rank order, and the directory count.
-    fn try_walk_postings(
+    /// Follow a chain of slotted records through region `r` from its head
+    /// (page, slot), handing each segment's payload (what follows the
+    /// chain header) and coordinates to `visit`. More than `max_hops`
+    /// segments is a cycle. Returns the last segment's coordinates.
+    fn walk_chain(
         &self,
-        mut page: u32,
-        mut slot: u16,
-        count: u32,
-    ) -> Result<Vec<(u32, NodeId)>, DiskError> {
-        let mut out: Vec<(u32, NodeId)> = Vec::with_capacity(count.min(65_536) as usize);
+        r: Region,
+        (mut page, mut slot): (u32, u16),
+        max_hops: u64,
+        mut visit: impl FnMut(&[u8], u32, u16) -> Result<(), DiskError>,
+    ) -> Result<(u32, u16), DiskError> {
         let mut hops = 0u64;
         loop {
-            if page < self.header.postings_start || page >= self.header.meta_start {
-                return Err(DiskError::corrupt_at_slot(
-                    format!(
-                        "posting ref points at page {page}, outside the postings region [{}, {})",
-                        self.header.postings_start, self.header.meta_start
-                    ),
-                    page,
-                    slot,
-                ));
-            }
-            // Every segment written carries at least one pair, so more
-            // hops than the directory count is a cycle.
+            let corrupt = |msg: String| Err(DiskError::corrupt_at_slot(msg, page, slot));
+            self.layout.check_in(r, page, slot)?;
             hops += 1;
-            if hops > u64::from(count) {
-                return Err(DiskError::corrupt_at_slot("posting chain cycle", page, slot));
+            if hops > max_hops {
+                return corrupt(format!("{} chain cycle", r.name()));
             }
             let p = self.buffer.pin(page)?;
-            let sp = SlottedPage::new(&p[..]);
-            let Some(rec) = sp.record(slot) else {
-                return Err(DiskError::corrupt_at_slot(
-                    format!("invalid posting slot (page has {} slots)", sp.slot_count()),
-                    page,
-                    slot,
-                ));
-            };
-            if rec.len() <= CHAIN_HDR || !(rec.len() - CHAIN_HDR).is_multiple_of(POST_PAIR) {
-                return Err(DiskError::corrupt_at_slot(
-                    format!("posting record size {} is not a chain of pairs", rec.len()),
-                    page,
-                    slot,
+            let rec = slot_record(&SlottedPage::new(&p[..]), r, page, slot)?;
+            if rec.len() < CHAIN_HDR {
+                let len = rec.len();
+                return corrupt(format!(
+                    "{} record too short for its chain header ({len} bytes)",
+                    r.name()
                 ));
             }
-            let next_page = get_u32(rec, 0);
-            let next_slot = get_u16(rec, 4);
-            for pair in rec[CHAIN_HDR..].chunks_exact(POST_PAIR) {
-                let rank = get_u32(pair, 0);
-                let node = get_u32(pair, 4);
-                if rank >= self.header.index_count {
-                    return Err(DiskError::corrupt_at_slot(
-                        format!("posting rank {rank} out of range"),
-                        page,
-                        slot,
-                    ));
-                }
-                if node >= self.header.node_count {
-                    return Err(DiskError::corrupt_at_slot(
-                        format!("posting node {node} out of range"),
-                        page,
-                        slot,
-                    ));
-                }
-                if out.last().is_some_and(|&(prev, _)| prev >= rank) {
-                    return Err(DiskError::corrupt_at_slot(
-                        "postings not sorted by ascending rank",
-                        page,
-                        slot,
-                    ));
-                }
-                if out.len() as u64 >= u64::from(count) {
-                    return Err(DiskError::corrupt_at_slot(
-                        format!("posting chain longer than its directory count {count}"),
-                        page,
-                        slot,
-                    ));
-                }
-                out.push((rank, NodeId(node)));
+            visit(&rec[CHAIN_HDR..], page, slot)?;
+            let next = (get_u32(rec, 0), get_u16(rec, 4));
+            if next.0 == NIL {
+                return Ok((page, slot));
             }
-            if next_page == NIL {
-                break;
-            }
-            page = next_page;
-            slot = next_slot;
+            (page, slot) = next;
         }
+    }
+
+    /// Walk a directory record's posting chain, validating rank/node
+    /// bounds, ascending rank order, and the directory count.
+    fn try_walk_postings(&self, e: &DirEntry<'_>) -> Result<Vec<(u32, NodeId)>, DiskError> {
+        let count = e.count;
+        let mut out: Vec<(u32, NodeId)> = Vec::with_capacity(count.min(65_536) as usize);
+        // Every segment written carries at least one pair, so more hops
+        // than the directory count is a cycle.
+        let (page, slot) =
+            self.walk_chain(Region::Postings, e.head, u64::from(count), |pairs, page, slot| {
+                let corrupt = |msg: String| Err(DiskError::corrupt_at_slot(msg, page, slot));
+                if pairs.is_empty() || !pairs.len().is_multiple_of(POST_PAIR) {
+                    return corrupt(format!(
+                        "posting record size {} is not a chain of pairs",
+                        CHAIN_HDR + pairs.len()
+                    ));
+                }
+                for pair in pairs.chunks_exact(POST_PAIR) {
+                    let (rank, node) = (get_u32(pair, 0), get_u32(pair, 4));
+                    if rank >= self.layout.index_count() {
+                        return corrupt(format!("posting rank {rank} out of range"));
+                    }
+                    if node >= self.layout.node_count() {
+                        return corrupt(format!("posting node {node} out of range"));
+                    }
+                    if out.last().is_some_and(|&(prev, _)| prev >= rank) {
+                        return corrupt("postings not sorted by ascending rank".into());
+                    }
+                    if out.len() as u64 >= u64::from(count) {
+                        return corrupt(format!(
+                            "posting chain longer than its directory count {count}"
+                        ));
+                    }
+                    out.push((rank, NodeId(node)));
+                }
+                Ok(())
+            })?;
         if out.len() as u64 != u64::from(count) {
             return Err(DiskError::corrupt_at_slot(
                 format!("posting chain holds {} pairs, directory says {count}", out.len()),
@@ -1096,6 +1214,43 @@ impl DiskStore {
             ));
         }
         Ok(out)
+    }
+
+    /// Decode directory page `i`'s records in order, handing each to
+    /// `visit` until it returns `Some`. The page must begin with fence key
+    /// `i` — the one unfenced page of an empty content index must hold no
+    /// records — so a page whose records were lost or replaced cannot
+    /// pass for a definitive miss. The probe and `verify` both scan
+    /// through here.
+    fn scan_dir_page<T>(
+        &self,
+        meta: &ContentMeta,
+        i: u32,
+        mut visit: impl FnMut(DirEntry<'_>, u32, u16) -> Result<Option<T>, DiskError>,
+    ) -> Result<Option<T>, DiskError> {
+        let page = self.layout.start(Region::Dir) + i;
+        let p = self.buffer.pin(page)?;
+        let sp = SlottedPage::new(&p[..]);
+        let fence = meta.fences.get(i as usize).map(|f| (f.0, f.1, f.2.as_slice()));
+        if fence.is_some() && sp.slot_count() == 0 {
+            let msg = format!("directory page holds no records but has fence key {i}");
+            return Err(DiskError::corrupt_at(msg, page));
+        }
+        for slot in 0..sp.slot_count() {
+            let e =
+                self.parse_dir_record(slot_record(&sp, Region::Dir, page, slot)?, page, slot)?;
+            if slot == 0 && fence != Some((e.kind, e.name, e.value)) {
+                return Err(DiskError::corrupt_at_slot(
+                    "directory fence key disagrees with the page's first key",
+                    page,
+                    slot,
+                ));
+            }
+            if let Some(found) = visit(e, page, slot)? {
+                return Ok(Some(found));
+            }
+        }
+        Ok(None)
     }
 
     /// Directory lookup: fence binary search → one dir page scan →
@@ -1114,23 +1269,11 @@ impl DiskStore {
             // The key sorts before the first directory key: not present.
             return Ok(Vec::new());
         }
-        let page = self.header.dir_start + (pos as u32 - 1);
-        let p = self.buffer.pin(page)?;
-        let sp = SlottedPage::new(&p[..]);
-        for slot in 0..sp.slot_count() {
-            let Some(rec) = sp.record(slot) else {
-                return Err(DiskError::corrupt_at_slot(
-                    format!("invalid directory slot (page has {} slots)", sp.slot_count()),
-                    page,
-                    slot,
-                ));
-            };
-            let e = self.parse_dir_record(rec, page, slot)?;
-            if (e.kind, e.name, e.value) == (kind, name, value) {
-                return self.try_walk_postings(e.head_page, e.head_slot, e.count);
-            }
-        }
-        Ok(Vec::new())
+        let postings = self.scan_dir_page(meta, pos as u32 - 1, |e, _, _| {
+            let hit = (e.kind, e.name, e.value) == (kind, name, value);
+            hit.then(|| self.try_walk_postings(&e)).transpose()
+        })?;
+        Ok(postings.unwrap_or_default())
     }
 
     /// Scan for `id` attributes the content index does not cover:
@@ -1142,14 +1285,23 @@ impl DiskStore {
         let Some(id_name) = self.names.lookup("id") else {
             return Ok(index);
         };
-        for i in 0..self.header.node_count {
+        let mut pin = PagePin::default();
+        for i in 0..self.layout.node_count() {
             let n = NodeId(i);
-            if self.try_kind(n)? == NodeKind::Attribute && self.try_name(n)? == Some(id_name) {
-                if let (Some(v), Some(owner)) = (self.try_value(n)?, self.try_link(n, 8)?) {
-                    if !self.indexes_enabled || v.len() > VALUE_CAP {
-                        index.entry(v.into_boxed_str()).or_insert(owner);
-                    }
-                }
+            let node = self.try_node(n, &mut pin)?;
+            if node.kind != NodeKind::Attribute || node.name != id_name.0 || node.parent == NIL {
+                continue;
+            }
+            // Still the held page: no second buffer-manager call.
+            let Some(head) = value_head(self.record(n, &mut pin)?) else {
+                continue;
+            };
+            // As in `try_value`: the record's page goes before the string
+            // chain is followed.
+            pin.release();
+            let v = self.try_read_string(head)?;
+            if !self.indexes_enabled || v.len() > VALUE_CAP {
+                index.entry(v.into_boxed_str()).or_insert(NodeId(node.parent));
             }
         }
         Ok(index)
@@ -1167,73 +1319,69 @@ impl DiskStore {
         &self.buffer
     }
 
-    /// Full-file integrity check: every page checksum, every node record
-    /// (kind, name, all links, value chains), the complete dictionary,
-    /// the structural-index region (rank/size bounds), and the content
-    /// index (directory sort order, fence agreement, posting chains
-    /// sorted by rank with exact counts). Stops at the first fault with
-    /// its coordinates.
+    /// Full-file integrity check: every page checksum, then each region's
+    /// check in file order — every node record (kind, name, all links,
+    /// value chains), the structural-index region (rank/size bounds), and
+    /// the content index (directory sort order, fence agreement, posting
+    /// chains sorted by rank with exact counts); the dictionary was
+    /// checked whole at open. Stops at the first fault with its
+    /// coordinates.
     pub fn verify(&self) -> Result<VerifyReport, DiskError> {
         let mut report = VerifyReport { names: self.names.len() as u64, ..VerifyReport::default() };
-        for p in 0..self.header.total_pages {
+        for p in 0..self.layout.total_pages() {
             self.buffer.pin(p)?;
             report.pages += 1;
         }
-        for i in 0..self.header.node_count {
-            let n = NodeId(i);
-            self.try_kind(n)?;
-            self.try_name(n)?;
-            for field in [8usize, 12, 16, 20, 24, 28] {
-                self.try_link(n, field)?;
-            }
-            if let Some(v) = self.try_value(n)? {
-                report.string_bytes += v.len() as u64;
-            }
-            report.nodes += 1;
-        }
-        // Structural-index region: full decode with bounds checks
-        // (independent of the lazily cached copy).
-        let idx = self.try_load_structural_index()?;
-        report.index_entries = idx.len() as u64;
-        // Content index: metadata, directory, postings.
-        let meta = self.try_load_content_meta()?;
-        let mut prev: Option<(u8, u32, Vec<u8>)> = None;
-        let dir_page_count = self.header.total_pages - self.header.dir_start;
-        for pi in 0..dir_page_count {
-            let page = self.header.dir_start + pi;
-            let p = self.buffer.pin(page)?;
-            let sp = SlottedPage::new(&p[..]);
-            for slot in 0..sp.slot_count() {
-                let Some(rec) = sp.record(slot) else {
-                    return Err(DiskError::corrupt_at_slot(
-                        format!("invalid directory slot (page has {} slots)", sp.slot_count()),
-                        page,
-                        slot,
-                    ));
-                };
-                let e = self.parse_dir_record(rec, page, slot)?;
-                let key = (e.kind, e.name, e.value.to_vec());
-                if slot == 0 && meta.fences.get(pi as usize) != Some(&key) {
-                    return Err(DiskError::corrupt_at_slot(
-                        "directory fence key disagrees with the page's first key",
-                        page,
-                        slot,
-                    ));
-                }
-                if prev.as_ref().is_some_and(|pk| *pk >= key) {
-                    return Err(DiskError::corrupt_at_slot(
-                        "directory keys not in ascending order",
-                        page,
-                        slot,
-                    ));
-                }
-                let pairs = self.try_walk_postings(e.head_page, e.head_slot, e.count)?;
-                report.content_keys += 1;
-                report.postings += pairs.len() as u64;
-                prev = Some(key);
-            }
+        for r in Region::ALL {
+            self.verify_region(r, &mut report)?;
         }
         Ok(report)
+    }
+
+    fn verify_region(&self, r: Region, report: &mut VerifyReport) -> Result<(), DiskError> {
+        match r {
+            // Names: parsed whole at open. Strings and postings: followed
+            // from the node and directory records that head their chains.
+            // Meta: decoded with the directory it fences.
+            Region::Names | Region::Strings | Region::Postings | Region::Meta => {}
+            // Each record is read once and its value chain followed with
+            // the record's page still held (a one-frame buffer lends one
+            // extra frame for the walk), so the sweep costs one
+            // buffer-manager call per node page.
+            Region::Nodes => {
+                let mut pin = PagePin::default();
+                for i in 0..self.layout.node_count() {
+                    let n = NodeId(i);
+                    self.try_node(n, &mut pin)?;
+                    if let Some(head) = value_head(self.record(n, &mut pin)?) {
+                        report.string_bytes += self.try_read_string(head)?.len() as u64;
+                    }
+                    report.nodes += 1;
+                }
+            }
+            // A full decode, independent of the lazily cached copy.
+            Region::Index => {
+                report.index_entries = self.try_load_structural_index()?.len() as u64;
+            }
+            Region::Dir => {
+                let meta = self.try_load_content_meta()?;
+                let mut prev: Option<(u8, u32, Vec<u8>)> = None;
+                for i in 0..self.layout.pages(Region::Dir) {
+                    self.scan_dir_page(&meta, i, |e, page, slot| {
+                        let key = (e.kind, e.name, e.value.to_vec());
+                        if prev.as_ref().is_some_and(|pk| *pk >= key) {
+                            let msg = "directory keys not in ascending order";
+                            return Err(DiskError::corrupt_at_slot(msg, page, slot));
+                        }
+                        report.postings += self.try_walk_postings(&e)?.len() as u64;
+                        report.content_keys += 1;
+                        prev = Some(key);
+                        Ok(None::<()>)
+                    })?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The first storage fault recorded by infallible navigation, if any
@@ -1262,7 +1410,7 @@ impl DiskStore {
     /// Page/slot coordinate of node `n`'s record.
     fn node_coord(&self, n: NodeId) -> (u32, u16) {
         (
-            self.header.nodes_start + n.0 / NODES_PER_PAGE as u32,
+            self.layout.start(Region::Nodes) + n.0 / NODES_PER_PAGE as u32,
             (n.0 as usize % NODES_PER_PAGE) as u16,
         )
     }
@@ -1273,10 +1421,10 @@ impl DiskStore {
     /// evict it. The single-field readers below pass a pin of their own,
     /// which makes each of them one buffer-manager call.
     fn record<'p>(&self, n: NodeId, pin: &'p mut PagePin) -> Result<&'p [u8; NODE_REC], DiskError> {
-        if n.0 >= self.header.node_count {
+        if n.0 >= self.layout.node_count() {
             return Err(DiskError::corrupt(format!(
                 "node id {n} out of range (store has {} nodes)",
-                self.header.node_count
+                self.layout.node_count()
             )));
         }
         let (page, idx) = self.node_coord(n);
@@ -1292,42 +1440,38 @@ impl DiskStore {
         Ok(&p.as_chunks().0[idx as usize])
     }
 
+    /// A decode failure in `n`'s record, at the record's coordinates.
+    fn bad_record(&self, n: NodeId, msg: String) -> DiskError {
+        let (page, idx) = self.node_coord(n);
+        DiskError::corrupt_at_slot(msg, page, idx)
+    }
+
     fn decode_kind(&self, rec: &[u8; NODE_REC], n: NodeId) -> Result<NodeKind, DiskError> {
-        NodeKind::from_u8(rec[0]).ok_or_else(|| {
-            let (page, idx) = self.node_coord(n);
-            DiskError::corrupt_at_slot(format!("invalid node kind byte {}", rec[0]), page, idx)
-        })
+        let byte = rec[field::KIND];
+        NodeKind::from_u8(byte)
+            .ok_or_else(|| self.bad_record(n, format!("invalid node kind byte {byte}")))
     }
 
     /// The name field as stored (`NIL` = unnamed), checked against the
     /// dictionary.
     fn name_field(&self, rec: &[u8; NODE_REC], n: NodeId) -> Result<u32, DiskError> {
-        let v = get_u32(rec, 4);
-        if v != NIL && v as usize >= self.names.len() {
-            let (page, idx) = self.node_coord(n);
-            return Err(DiskError::corrupt_at_slot(
-                format!("name id {v} out of range (dictionary has {} names)", self.names.len()),
-                page,
-                idx,
-            ));
+        let v = get_u32(rec, field::NAME);
+        let names = self.names.len();
+        if v != NIL && v as usize >= names {
+            let msg = format!("name id {v} out of range (dictionary has {names} names)");
+            return Err(self.bad_record(n, msg));
         }
         Ok(v)
     }
 
-    /// A link field as stored (`NIL` = no node), checked against the node
-    /// count.
-    fn link_field(&self, rec: &[u8; NODE_REC], n: NodeId, field: usize) -> Result<u32, DiskError> {
-        let v = get_u32(rec, field);
-        if v != NIL && v >= self.header.node_count {
-            let (page, idx) = self.node_coord(n);
-            return Err(DiskError::corrupt_at_slot(
-                format!(
-                    "link field {field} points at node {v}, past the node count {}",
-                    self.header.node_count
-                ),
-                page,
-                idx,
-            ));
+    /// The link field at byte `off` as stored (`NIL` = no node), checked
+    /// against the node count.
+    fn link_field(&self, rec: &[u8; NODE_REC], n: NodeId, off: usize) -> Result<u32, DiskError> {
+        let v = get_u32(rec, off);
+        let nodes = self.layout.node_count();
+        if v != NIL && v >= nodes {
+            let msg = format!("link field {off} points at node {v}, past the node count {nodes}");
+            return Err(self.bad_record(n, msg));
         }
         Ok(v)
     }
@@ -1336,9 +1480,9 @@ impl DiskStore {
         &self,
         rec: &[u8; NODE_REC],
         n: NodeId,
-        field: usize,
+        off: usize,
     ) -> Result<Option<NodeId>, DiskError> {
-        let v = self.link_field(rec, n, field)?;
+        let v = self.link_field(rec, n, off)?;
         Ok((v != NIL).then_some(NodeId(v)))
     }
 
@@ -1351,35 +1495,39 @@ impl DiskStore {
         Ok((v != NIL).then_some(NameId(v)))
     }
 
-    fn try_link(&self, n: NodeId, field: usize) -> Result<Option<NodeId>, DiskError> {
-        self.decode_link(self.record(n, &mut PagePin::default())?, n, field)
+    fn try_link(&self, n: NodeId, off: usize) -> Result<Option<NodeId>, DiskError> {
+        self.decode_link(self.record(n, &mut PagePin::default())?, n, off)
     }
 
     /// Every fixed field of `n`'s record, validated like the single-field
     /// readers above, from the page `pin` holds.
+    // `verify` and `try_scan_ids` call it too; left to itself the compiler
+    // then outlines it from `XmlStore::node`, which made every navigation
+    // step about 10 ns slower.
+    #[inline(always)]
     fn try_node(&self, n: NodeId, pin: &mut PagePin) -> Result<NodeRec, DiskError> {
         let rec = self.record(n, pin)?;
         Ok(NodeRec {
             kind: self.decode_kind(rec, n)?,
             name: self.name_field(rec, n)?,
-            parent: self.link_field(rec, n, 8)?,
-            first_child: self.link_field(rec, n, 12)?,
-            last_child: self.link_field(rec, n, 16)?,
-            next_sibling: self.link_field(rec, n, 20)?,
-            prev_sibling: self.link_field(rec, n, 24)?,
-            first_attribute: self.link_field(rec, n, 28)?,
+            parent: self.link_field(rec, n, field::PARENT)?,
+            first_child: self.link_field(rec, n, field::FIRST_CHILD)?,
+            last_child: self.link_field(rec, n, field::LAST_CHILD)?,
+            next_sibling: self.link_field(rec, n, field::NEXT_SIBLING)?,
+            prev_sibling: self.link_field(rec, n, field::PREV_SIBLING)?,
+            first_attribute: self.link_field(rec, n, field::FIRST_ATTRIBUTE)?,
         })
     }
 
     fn try_value(&self, n: NodeId) -> Result<Option<String>, DiskError> {
         let mut pin = PagePin::default();
-        let Some((vp, vs)) = value_head(self.record(n, &mut pin)?) else {
+        let Some(head) = value_head(self.record(n, &mut pin)?) else {
             return Ok(None);
         };
         // Release the record's page before walking the string chain: a
         // one-frame buffer must be able to evict it.
         pin.release();
-        Ok(Some(self.try_read_string(vp, vs)?))
+        Ok(Some(self.try_read_string(head)?))
     }
 
     /// [`XmlStore::collect_text`] over records read through one `pin`
@@ -1391,18 +1539,18 @@ impl DiskStore {
         out: &mut String,
         pin: &mut PagePin,
     ) -> Result<(), DiskError> {
-        let mut child = self.decode_link(self.record(n, pin)?, n, 12)?;
+        let mut child = self.decode_link(self.record(n, pin)?, n, field::FIRST_CHILD)?;
         while let Some(c) = child {
             let rec = self.record(c, pin)?;
             let kind = self.decode_kind(rec, c)?;
-            child = self.decode_link(rec, c, 20)?;
+            child = self.decode_link(rec, c, field::NEXT_SIBLING)?;
             match kind {
                 NodeKind::Text => {
-                    if let Some((vp, vs)) = value_head(rec) {
+                    if let Some(head) = value_head(rec) {
                         // As in `try_value`: the record's page goes before
                         // the string chain is followed.
                         pin.release();
-                        out.push_str(&self.try_read_string(vp, vs)?);
+                        out.push_str(&self.try_read_string(head)?);
                     }
                 }
                 NodeKind::Element => self.try_collect_text(c, out, pin)?,
@@ -1412,185 +1560,25 @@ impl DiskStore {
         Ok(())
     }
 
-    fn check_string_coord(&self, page: u32, slot: u16) -> Result<(), DiskError> {
-        if page < self.header.strings_start || page >= self.header.index_start {
-            return Err(DiskError::corrupt_at_slot(
-                format!(
-                    "string ref points at page {page}, outside the strings region [{}, {})",
-                    self.header.strings_start, self.header.index_start
-                ),
-                page,
-                slot,
-            ));
-        }
-        Ok(())
-    }
-
-    fn try_read_string(&self, mut page: u32, mut slot: u16) -> Result<String, DiskError> {
-        let mut out = Vec::new();
+    fn try_read_string(&self, head: (u32, u16)) -> Result<String, DiskError> {
         // Every chain segment occupies at least CHAIN_HDR + 4 directory
         // bytes on its page, bounding how many distinct segments the
         // strings region can hold; more hops than that is a cycle.
-        let strings_pages = (self.header.index_start - self.header.strings_start) as u64;
-        let max_segments = strings_pages * (PAGE_PAYLOAD / (CHAIN_HDR + 4)) as u64 + 1;
-        let mut hops = 0u64;
-        loop {
-            self.check_string_coord(page, slot)?;
-            hops += 1;
-            if hops > max_segments {
-                return Err(DiskError::corrupt_at_slot("string chain cycle", page, slot));
-            }
-            let p = self.buffer.pin(page)?;
-            let sp = SlottedPage::new(&p[..]);
-            let Some(rec) = sp.record(slot) else {
-                return Err(DiskError::corrupt_at_slot(
-                    format!("invalid string slot (page has {} slots)", sp.slot_count()),
-                    page,
-                    slot,
-                ));
-            };
-            if rec.len() < CHAIN_HDR {
-                return Err(DiskError::corrupt_at_slot(
-                    format!("string record too short for its chain header ({} bytes)", rec.len()),
-                    page,
-                    slot,
-                ));
-            }
-            let next_page = get_u32(rec, 0);
-            let next_slot = get_u16(rec, 4);
-            out.extend_from_slice(&rec[CHAIN_HDR..]);
-            if next_page == NIL {
-                break;
-            }
-            page = next_page;
-            slot = next_slot;
-        }
+        let pages = u64::from(self.layout.pages(Region::Strings));
+        let max_segments = pages * (PAGE_PAYLOAD / (CHAIN_HDR + 4)) as u64 + 1;
+        let mut out = Vec::new();
+        let (page, slot) = self.walk_chain(Region::Strings, head, max_segments, |seg, _, _| {
+            out.extend_from_slice(seg);
+            Ok(())
+        })?;
         String::from_utf8(out)
             .map_err(|_| DiskError::corrupt_at_slot("stored string is not UTF-8", page, slot))
     }
 }
 
-fn validate_header(h: &Header, name_count: u32, file_pages: u64) -> Result<(), DiskError> {
-    if h.total_pages as u64 != file_pages {
-        return Err(DiskError::corrupt_at(
-            format!(
-                "header says {} pages but the file has {file_pages} (truncated?)",
-                h.total_pages
-            ),
-            0,
-        ));
-    }
-    if h.node_count == 0 {
-        return Err(DiskError::corrupt_at("node count is zero (no document node)", 0));
-    }
-    if h.names_start != 1 {
-        return Err(DiskError::corrupt_at(
-            format!("names region must start at page 1, not {}", h.names_start),
-            0,
-        ));
-    }
-    let names_pages = (h.names_bytes as usize).div_ceil(PAGE_PAYLOAD).max(1) as u32;
-    if h.nodes_start != h.names_start + names_pages {
-        return Err(DiskError::corrupt_at(
-            format!(
-                "nodes region starts at page {} but the {}-byte name dictionary ends at page {}",
-                h.nodes_start,
-                h.names_bytes,
-                h.names_start + names_pages
-            ),
-            0,
-        ));
-    }
-    let node_pages = (h.node_count as usize).div_ceil(NODES_PER_PAGE).max(1) as u32;
-    if h.strings_start != h.nodes_start + node_pages {
-        return Err(DiskError::corrupt_at(
-            format!(
-                "strings region starts at page {} but {} node records end at page {}",
-                h.strings_start,
-                h.node_count,
-                h.nodes_start + node_pages
-            ),
-            0,
-        ));
-    }
-    if h.strings_start >= h.index_start {
-        return Err(DiskError::corrupt_at(
-            format!(
-                "strings region (page {}) leaves no room before the index region (page {})",
-                h.strings_start, h.index_start
-            ),
-            0,
-        ));
-    }
-    if h.index_count == 0 || h.index_count > h.node_count {
-        return Err(DiskError::corrupt_at(
-            format!(
-                "index entry count {} out of range for {} node records",
-                h.index_count, h.node_count
-            ),
-            0,
-        ));
-    }
-    // Region-start sums are done in u64: a damaged start field near
-    // u32::MAX must be rejected typed, not overflow the addition.
-    let index_pages = (h.index_count as usize).div_ceil(IDX_PER_PAGE).max(1) as u32;
-    if h.postings_start as u64 != h.index_start as u64 + index_pages as u64 {
-        return Err(DiskError::corrupt_at(
-            format!(
-                "postings region starts at page {} but {} index entries end at page {}",
-                h.postings_start,
-                h.index_count,
-                h.index_start as u64 + index_pages as u64
-            ),
-            0,
-        ));
-    }
-    if h.postings_start >= h.meta_start {
-        return Err(DiskError::corrupt_at(
-            format!(
-                "postings region (page {}) leaves no room before the meta region (page {})",
-                h.postings_start, h.meta_start
-            ),
-            0,
-        ));
-    }
-    let meta_pages = (h.meta_bytes as usize).div_ceil(PAGE_PAYLOAD).max(1) as u32;
-    if h.dir_start as u64 != h.meta_start as u64 + meta_pages as u64 {
-        return Err(DiskError::corrupt_at(
-            format!(
-                "directory region starts at page {} but {} meta bytes end at page {}",
-                h.dir_start,
-                h.meta_bytes,
-                h.meta_start as u64 + meta_pages as u64
-            ),
-            0,
-        ));
-    }
-    if h.dir_start >= h.total_pages {
-        return Err(DiskError::corrupt_at(
-            format!(
-                "directory region (page {}) lies past the file end (page {})",
-                h.dir_start, h.total_pages
-            ),
-            0,
-        ));
-    }
-    // Each dictionary entry needs at least its 4-byte length prefix.
-    if name_count as u64 * 4 > h.names_bytes as u64 {
-        return Err(DiskError::corrupt_at(
-            format!(
-                "{} dictionary entries cannot fit in {} name-region bytes",
-                name_count, h.names_bytes
-            ),
-            0,
-        ));
-    }
-    Ok(())
-}
-
 impl XmlStore for DiskStore {
     fn node_count(&self) -> usize {
-        self.header.node_count as usize
+        self.layout.node_count() as usize
     }
 
     fn kind(&self, n: NodeId) -> NodeKind {
@@ -1607,27 +1595,27 @@ impl XmlStore for DiskStore {
     }
 
     fn parent(&self, n: NodeId) -> Option<NodeId> {
-        self.note(self.try_link(n, 8), None)
+        self.note(self.try_link(n, field::PARENT), None)
     }
 
     fn first_child(&self, n: NodeId) -> Option<NodeId> {
-        self.note(self.try_link(n, 12), None)
+        self.note(self.try_link(n, field::FIRST_CHILD), None)
     }
 
     fn last_child(&self, n: NodeId) -> Option<NodeId> {
-        self.note(self.try_link(n, 16), None)
+        self.note(self.try_link(n, field::LAST_CHILD), None)
     }
 
     fn next_sibling(&self, n: NodeId) -> Option<NodeId> {
-        self.note(self.try_link(n, 20), None)
+        self.note(self.try_link(n, field::NEXT_SIBLING), None)
     }
 
     fn prev_sibling(&self, n: NodeId) -> Option<NodeId> {
-        self.note(self.try_link(n, 24), None)
+        self.note(self.try_link(n, field::PREV_SIBLING), None)
     }
 
     fn first_attribute(&self, n: NodeId) -> Option<NodeId> {
-        self.note(self.try_link(n, 28), None)
+        self.note(self.try_link(n, field::FIRST_ATTRIBUTE), None)
     }
 
     fn node(&self, n: NodeId, pin: &mut PagePin) -> NodeRec {
@@ -1639,7 +1627,9 @@ impl XmlStore for DiskStore {
     }
 
     fn order(&self, n: NodeId) -> u64 {
-        let rank = self.record(n, &mut PagePin::default()).map(|rec| get_u32(rec, 32) as u64);
+        let rank = self
+            .record(n, &mut PagePin::default())
+            .map(|rec| u64::from(get_u32(rec, field::ORDER)));
         self.note(rank, 0)
     }
 
@@ -1670,13 +1660,7 @@ impl XmlStore for DiskStore {
             return None;
         }
         self.index
-            .get_or_init(|| match self.try_load_structural_index() {
-                Ok(idx) => Some(idx),
-                Err(e) => {
-                    self.note(Err::<(), DiskError>(e), ());
-                    None
-                }
-            })
+            .get_or_init(|| self.note(self.try_load_structural_index().map(Some), None))
             .as_ref()
     }
 
@@ -1836,7 +1820,7 @@ mod tests {
     fn verify_reports_exact_counts() {
         let (_t, disk) = roundtrip(r#"<r><x id="k1">text</x></r>"#);
         let report = disk.verify().unwrap();
-        assert_eq!(report.pages, disk.header.total_pages as u64);
+        assert_eq!(report.pages, u64::from(disk.layout.total_pages()));
         assert_eq!(report.nodes, disk.node_count() as u64);
         assert_eq!(report.names, disk.names.len() as u64);
         // "k1" + "text"
@@ -2021,6 +2005,38 @@ mod tests {
         // And a subsequent clean build over the same path succeeds.
         let disk = DiskStore::create_from(&arena, t.path(), 4).unwrap();
         assert_eq!(to_xml(&disk), "<r><a>text</a><b/></r>");
+    }
+
+    /// Format pin: the CRC32C of whole store files built from fixed
+    /// documents, so any byte that moves in the v3 layout fails here. A
+    /// deliberate format change bumps [`FORMAT_VERSION`] and these
+    /// constants together.
+    #[test]
+    fn v3_store_files_are_byte_pinned() {
+        use crate::gen::{generate_dblp, generate_tree, DblpParams, TreeParams};
+        assert_eq!(FORMAT_VERSION, 3, "re-pin the constants below with the version bump");
+        let long = "x".repeat(2 * PAGE_SIZE + 100);
+        let hand = parse_document(&format!(r#"<r><t>{long}</t><e a=""/></r>"#)).unwrap();
+        let docs = [
+            (
+                "dblp:120 seed 7",
+                generate_dblp(DblpParams { records: 120, seed: 7 }),
+                0xeb97_0d53,
+            ),
+            ("tree small(2000)", generate_tree(TreeParams::small(2000)), 0x17be_3959),
+            ("long text + empty attribute", hand, 0x8bae_2c88),
+        ];
+        let moved: Vec<String> = docs
+            .into_iter()
+            .filter_map(|(what, arena, want)| {
+                let t = TempPath::new(".natix");
+                create_store_file(&arena, t.path()).unwrap();
+                let got = crate::crc::crc32c(&std::fs::read(t.path()).unwrap());
+                (got != want)
+                    .then(|| format!("{what}: file crc32c {got:#010x}, pinned {want:#010x}"))
+            })
+            .collect();
+        assert!(moved.is_empty(), "{moved:#?}");
     }
 
     #[test]

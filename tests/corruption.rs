@@ -369,12 +369,27 @@ fn verification_counters_reconcile_with_hand_computed_page_reads() {
     // With a buffer larger than the file, open + full verify reads every
     // page from disk exactly once, and every read is verified.
     let store = DiskStore::open(t.path(), file_pages as usize + 8).unwrap();
+    let opened = store.buffer_stats();
     let report = store.verify().unwrap();
     assert_eq!(report.pages, file_pages, "verify covers the whole file");
     let s = store.buffer_stats();
     assert_eq!(s.misses, file_pages, "each page read exactly once");
     assert_eq!(s.pages_verified, file_pages, "every read is checksummed");
     assert_eq!(s.checksum_failures, 0);
+    // verify's buffer-manager calls, by hand. The checksum sweep pins
+    // every page once. The node sweep reads each record once and holds
+    // its page across the value's chain walk: 1 204 records (document,
+    // <log>, 300 × entry/@seq/text/text node, <blob> and its text), 204
+    // to a page, are 6 pages; 600 short values are one segment each and
+    // the 24 576-byte blob text takes ⌈24 576 / 8 174⌉ = 4. Then the 3
+    // index pages (1 204 ranks, 511 to a page) plus one record per
+    // distinct tag name for the index statistics (log, entry, seq, text,
+    // blob), the meta page, the 3 directory pages (300 @seq keys and 300
+    // `text` keys at 17 bytes + value + a 4-byte slot: 16 580 bytes,
+    // 8 184 to a page) and one posting segment per key (the blob text is
+    // over the value cap).
+    let calls = (s.hits + s.misses) - (opened.hits + opened.misses);
+    assert_eq!(calls, file_pages + 6 + (600 + 4) + (3 + 5) + 1 + 3 + 600);
 
     // The EXPLAIN ANALYZE storage section reports the same counters as an
     // execution delta: with a 1-frame buffer the query's reads all miss,

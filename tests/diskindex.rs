@@ -12,9 +12,9 @@ use compiler::TranslateOptions;
 use proptest::prelude::*;
 use xmlstore::diskstore::{create_store_file, DiskStore};
 use xmlstore::gen::{generate_dblp, generate_tree, DblpParams, TreeParams};
-use xmlstore::page::PAGE_SIZE;
+use xmlstore::page::{seal_page, SlottedPage, SlottedPageBuilder, PAGE_SIZE};
 use xmlstore::tmp::TempPath;
-use xmlstore::{ArenaBuilder, ArenaStore, XmlStore};
+use xmlstore::{ArenaBuilder, ArenaStore, ContentKind, NameId, XmlStore};
 
 mod corpus;
 use corpus::{DBLP_QUERIES, TREE_QUERIES};
@@ -309,6 +309,108 @@ fn index_and_posting_page_flips_are_detected() {
             match nqe::evaluate(&store, q, &TranslateOptions::cost_based()) {
                 Ok(got) => assert_eq!(&got, want, "silent wrong answer for `{q}` (flip at {off})"),
                 Err(e) => assert!(!e.to_string().is_empty()),
+            }
+        }
+    }
+}
+
+// ---- directory pages against their fence keys ---------------------------
+
+/// The (kind byte, name id, value) keys of a directory page's records.
+fn dir_keys(page: &[u8]) -> Vec<(u8, u32, String)> {
+    let sp = SlottedPage::new(page);
+    (0..sp.slot_count())
+        .map(|s| {
+            let rec = sp.record(s).unwrap();
+            let vlen = u16::from_le_bytes([rec[5], rec[6]]) as usize;
+            (
+                rec[0],
+                header_u32(rec, 1),
+                String::from_utf8(rec[7..7 + vlen].to_vec()).unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// A directory page that lost its records, or whose first key no longer
+/// equals its fence key, is re-sealed so only the fence check can see the
+/// damage: `verify()` must report it, and probes of the keys that lived
+/// on the page must answer as on the pristine file or fail typed — never
+/// as a definitive miss.
+#[test]
+fn directory_pages_disagreeing_with_their_fences_are_corrupt() {
+    let arena = generate_dblp(DblpParams { records: 400, seed: 7 });
+    let tmp = TempPath::new(".natix");
+    create_store_file(&arena, tmp.path()).unwrap();
+    let pristine_bytes = std::fs::read(tmp.path()).unwrap();
+    let pristine = DiskStore::open(tmp.path(), 64).unwrap();
+
+    // Directory pages run from the start at header offset 52 to the total
+    // page count at offset 36.
+    let (dir_start, total) = (header_u32(&pristine_bytes, 52), header_u32(&pristine_bytes, 36));
+    assert!(total - dir_start > 2, "dblp:400 spans several directory pages");
+    let page = dir_start + 2;
+    let at = page as usize * PAGE_SIZE;
+    let original: [u8; PAGE_SIZE] = pristine_bytes[at..at + PAGE_SIZE].try_into().unwrap();
+    let keys = dir_keys(&original);
+    assert!(keys.len() > 1);
+
+    let mut emptied = original;
+    emptied[0..2].copy_from_slice(&0u16.to_le_bytes());
+    seal_page(&mut emptied);
+    let sp = SlottedPage::new(&original);
+    let mut rest = SlottedPageBuilder::new();
+    for s in 1..sp.slot_count() {
+        rest.insert(sp.record(s).unwrap()).unwrap();
+    }
+    let shifted = *rest.finish();
+
+    let damaged = TempPath::new(".natix");
+    for (what, bytes) in [
+        ("no records", emptied),
+        ("first key is not the fence", shifted),
+    ] {
+        let mut file = pristine_bytes.clone();
+        file[at..at + PAGE_SIZE].copy_from_slice(&bytes);
+        std::fs::write(damaged.path(), &file).unwrap();
+        let store = DiskStore::open(damaged.path(), 64).unwrap();
+        let err = store.verify().expect_err(what);
+        assert!(err.is_corrupt(), "{what}: {err}");
+        assert!(err.to_string().contains(&format!("page {page}")), "{what}: {err}");
+
+        for (kind, name, value) in &keys {
+            let kind = if *kind == 0 {
+                ContentKind::Attribute
+            } else {
+                ContentKind::Element
+            };
+            let name = pristine.name_text(NameId(*name));
+            let Some(want) = pristine.content_probe(kind, &name, value) else {
+                continue;
+            };
+            match store.content_probe(kind, &name, value) {
+                Some(got) => assert_eq!(got, want, "{what}: probe {name}={value} lies"),
+                None => assert!(store.take_storage_fault().is_some(), "{what}: untyped refusal"),
+            }
+        }
+        // The same keys through the engine, first and last of the page.
+        for (kind, name, value) in [&keys[0], &keys[keys.len() - 1]] {
+            let name = pristine.name_text(NameId(*name));
+            let mut queries = vec![if *kind == 0 {
+                format!("//*[@{name}='{value}']")
+            } else {
+                format!("//*[{name}='{value}']")
+            }];
+            if *kind == 0 && name == "id" {
+                queries.push(format!("id('{value}')"));
+            }
+            let store = DiskStore::open(damaged.path(), 64).unwrap();
+            for q in &queries {
+                let want = nqe::evaluate(&arena, q, &TranslateOptions::cost_based()).unwrap();
+                match nqe::evaluate(&store, q, &TranslateOptions::cost_based()) {
+                    Ok(got) => assert_eq!(got, want, "{what}: silent wrong answer for `{q}`"),
+                    Err(e) => assert!(e.to_string().contains("corrupt"), "{what}: `{q}`: {e}"),
+                }
             }
         }
     }
