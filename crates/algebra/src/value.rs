@@ -205,6 +205,12 @@ pub enum QueryError {
         /// two classes to distinct exit codes.
         io: bool,
     },
+    /// The query reads a `$` variable the execution context does not
+    /// bind (XPath 1.0 §3.1).
+    UnboundVariable {
+        /// The variable's name, without the `$`.
+        name: String,
+    },
 }
 
 impl std::fmt::Display for QueryError {
@@ -221,6 +227,7 @@ impl std::fmt::Display for QueryError {
             }
             QueryError::Cancelled => write!(f, "query cancelled"),
             QueryError::Storage { detail, .. } => write!(f, "storage failure: {detail}"),
+            QueryError::UnboundVariable { name } => write!(f, "unbound variable ${name}"),
         }
     }
 }

@@ -15,7 +15,7 @@ use compiler::{
 };
 use xmlstore::{NodeId, XmlStore};
 
-use crate::codegen::{build_physical_profiled, set_mode_label};
+use crate::codegen::{build_physical_profiled, kernel_step, set_mode_label};
 use crate::governor::ResourceGovernor;
 use crate::json::Json;
 use crate::profile::{fmt_nanos, Profile};
@@ -228,7 +228,8 @@ pub fn execute_observed(
 /// its Π^D's and its own: it is paired with the Π^D's, whose output it
 /// produces, and the Υ's estimate is skipped. Reconciliation only
 /// happens when the store's current statistics fingerprint equals the
-/// one the plan was optimized under.
+/// one the plan was optimized under. A predicate kernel is one entry for
+/// its nested plan's estimates.
 fn reconcile_cardinalities(
     store: &dyn XmlStore,
     compiled: &compiler::CompiledQuery,
@@ -251,7 +252,13 @@ fn reconcile_cardinalities(
         let fused = estimates
             .next_if(|step| entry.label == set_mode_label(&step.label, &est.label))
             .is_some();
-        if !fused && est.label != entry.label {
+        if let Some(step) = kernel_step(&entry.label) {
+            // A kernel is one entry for its whole nested plan, paired with
+            // the plan's root (whose tuples are its matches); the plan's
+            // other estimates, down to the walked Υ and its □, are skipped.
+            while estimates.next_if(|e| e.label != step).is_some() {}
+            estimates.nth(1);
+        } else if !fused && est.label != entry.label {
             continue;
         }
         let actual = entry.stats.lock().tuples;

@@ -9,15 +9,17 @@ use parking_lot::Mutex;
 
 use algebra::attrmgr::{AttrManager, Slot};
 use algebra::explain::op_label;
-use algebra::scalar::{CmpMode, ScalarExpr};
-use algebra::{ConvKind, LogicalOp};
+use algebra::scalar::{AggExpr, AggFunc, CmpMode, ScalarExpr};
+use algebra::{Const, ConvKind, LogicalOp};
 use compiler::CompiledQuery;
+use xmlstore::Axis;
+use xpath_syntax::{CompOp, NodeTest};
 
 use crate::iter::{
-    CompiledPred, ConcatIter, CounterIter, DJoinIter, DedupIter, ExchangeIter, MapIter,
+    CompiledPred, ConcatIter, CounterIter, DJoinIter, DedupIter, ExchangeIter, KernelCmp, MapIter,
     MemoMapIter, MemoXIter, NestedEval, ParallelStats, PartitionFeed, PartitionSourceIter,
-    PhysIter, RenameCopyIter, SelectIter, SemiJoinIter, SharedMemo, SingletonIter, SortIter,
-    TmpCsIter, TokenizeIter, UnnestMapIter,
+    PhysIter, PredKernel, RenameCopyIter, SelectIter, SemiJoinIter, SharedMemo, SingletonIter,
+    SortIter, TmpCsIter, TokenizeIter, UnnestMapIter,
 };
 use crate::nvm::{Instr, Program, Reg};
 use crate::profile::{OpStats, Profile, ProfileEntry, ProfiledIter, SharedStats};
@@ -43,6 +45,9 @@ pub enum PhysicalQuery {
         root: Box<dyn PhysIter>,
         /// Frame layout.
         frame: FrameInfo,
+        /// The `$` variables the plan reads, each once (empty, and
+        /// unallocated, when it reads none).
+        vars: Vec<String>,
     },
     /// Scalar-valued: a compiled subscript (with nested plans).
     Scalar {
@@ -54,6 +59,8 @@ pub enum PhysicalQuery {
         /// (`None` when built without profiling — the untimed path
         /// allocates nothing).
         stats: Option<SharedStats>,
+        /// The `$` variables the subscript reads (as for `Sequence`).
+        vars: Vec<String>,
     },
 }
 
@@ -75,32 +82,18 @@ fn build(q: &CompiledQuery, profile: Option<Profile>) -> (PhysicalQuery, Option<
     match q {
         CompiledQuery::Sequence(plan) => {
             let mut mgr = AttrManager::for_plan(plan);
-            let mut cg = Codegen {
-                mgr: &mut mgr,
-                sites: &sites,
-                profile,
-                depth: 0,
-                partition_feed: None,
-                memos: None,
-            };
+            let mut cg = Codegen::new(&mut mgr, &sites, profile);
             let root = cg.build_iter(plan);
-            let profile = cg.profile.take();
+            let (profile, vars) = (cg.profile.take(), cg.vars);
             let frame = finish_frame(&mut mgr);
-            (PhysicalQuery::Sequence { root, frame }, profile)
+            (PhysicalQuery::Sequence { root, frame, vars }, profile)
         }
         CompiledQuery::Scalar(expr) => {
             // Reuse the plan-wide assignment analysis by wrapping the
             // scalar in a selection over □.
             let wrapper = LogicalOp::select(LogicalOp::Singleton, expr.clone());
             let mut mgr = AttrManager::for_plan(&wrapper);
-            let mut cg = Codegen {
-                mgr: &mut mgr,
-                sites: &sites,
-                profile,
-                depth: 0,
-                partition_feed: None,
-                memos: None,
-            };
+            let mut cg = Codegen::new(&mut mgr, &sites, profile);
             // With profiling on, synthesize a root entry for the scalar
             // evaluation itself so the profile of a boolean/numeric query
             // is never empty; nested sequence plans hang one level below.
@@ -117,9 +110,9 @@ fn build(q: &CompiledQuery, profile: Option<Profile>) -> (PhysicalQuery, Option<
                 cg.depth = 1;
             }
             let pred = cg.compile_pred(expr);
-            let profile = cg.profile.take();
+            let (profile, vars) = (cg.profile.take(), cg.vars);
             let frame = finish_frame(&mut mgr);
-            (PhysicalQuery::Scalar { pred, frame, stats }, profile)
+            (PhysicalQuery::Scalar { pred, frame, stats, vars }, profile)
         }
     }
 }
@@ -155,6 +148,8 @@ struct Codegen<'m> {
     /// keyed by occurrence order (every replica traverses the same body
     /// plan, so the k-th MemoX of each replica shares table k).
     memos: Option<MemoRegistry>,
+    /// The `$` variables emitted so far, each once.
+    vars: Vec<String>,
 }
 
 /// Occurrence-ordered registry of MemoX tables shared across the body
@@ -166,7 +161,23 @@ struct MemoRegistry {
     replica: usize,
 }
 
-impl Codegen<'_> {
+impl<'m> Codegen<'m> {
+    fn new(
+        mgr: &'m mut AttrManager,
+        sites: &'m [&'m LogicalOp],
+        profile: Option<Profile>,
+    ) -> Codegen<'m> {
+        Codegen {
+            mgr,
+            sites,
+            profile,
+            depth: 0,
+            partition_feed: None,
+            memos: None,
+            vars: Vec::new(),
+        }
+    }
+
     fn build_iter(&mut self, op: &LogicalOp) -> Box<dyn PhysIter> {
         // A fused site is one operator: the Υ in set mode, profiled once
         // under a label that names the Π^D it absorbed.
@@ -179,9 +190,12 @@ impl Codegen<'_> {
         // Register the entry before recursing so the profile reads in
         // plan (pre-order) order.
         let prof_idx = self.profile.as_mut().map(|p| {
-            let label = match fused {
-                Some(step) => set_mode_label(&op_label(step), &op_label(op)),
-                None => op_label(op),
+            let label = match (fused, op) {
+                (Some(step), _) => set_mode_label(&op_label(step), &op_label(op)),
+                (None, LogicalOp::MemoMap { attr, expr, .. }) if kernels_only(expr) => {
+                    format!("χ[{attr}:{expr}]")
+                }
+                (None, _) => op_label(op),
             };
             p.entries.push(ProfileEntry {
                 label,
@@ -245,8 +259,16 @@ impl Codegen<'_> {
                 let input = self.build_iter(input);
                 let out = self.mgr.slot(attr);
                 let key = self.mgr.slot(key);
+                let lower = kernels_only(expr);
                 let expr = self.compile_pred(expr);
-                Box::new(MemoMapIter::new(input, out, key, expr))
+                if lower {
+                    // A hit would save one bounded walk per kernel, and
+                    // the keys (the candidates) barely repeat: hashing
+                    // and storing every value costs more than it saves.
+                    Box::new(MapIter::new(input, out, expr))
+                } else {
+                    Box::new(MemoMapIter::new(input, out, key, expr))
+                }
             }
             LogicalOp::DJoin { left, right } | LogicalOp::Cross { left, right } => {
                 // A cross product is a d-join whose dependent side happens
@@ -344,16 +366,19 @@ impl Codegen<'_> {
             registry.replica = w;
             let feed = Arc::new(PartitionFeed::new());
             let mut sub = Codegen {
-                mgr: &mut *self.mgr,
-                sites: self.sites,
-                profile: self.profile.as_ref().map(|_| Profile::default()),
-                depth: 0,
                 partition_feed: Some(feed.clone()),
                 memos: Some(registry),
+                vars: std::mem::take(&mut self.vars),
+                ..Codegen::new(
+                    &mut *self.mgr,
+                    self.sites,
+                    self.profile.as_ref().map(|_| Profile::default()),
+                )
             };
             let body_iter = sub.build_iter(body);
             let sub_profile = sub.profile.take();
             registry = sub.memos.take().expect("registry survives the replica build");
+            self.vars = sub.vars;
             if let Some(p) = sub_profile {
                 if w == 0 {
                     rows = p.entries.iter().map(|e| (e.label.clone(), e.depth)).collect();
@@ -410,6 +435,28 @@ impl Codegen<'_> {
         CompiledPred::new(prog, nested)
     }
 
+    /// Lower a kernel-shaped aggregate: one profile row, where its nested
+    /// plan's rows would have been.
+    fn build_kernel(&mut self, shape: &KernelShape<'_>) -> PredKernel {
+        let stats = self.profile.as_mut().map(|p| {
+            let stats: SharedStats = Arc::new(Mutex::new(OpStats::default()));
+            p.entries.push(ProfileEntry {
+                label: shape.label(),
+                depth: self.depth,
+                stats: stats.clone(),
+            });
+            stats
+        });
+        let cmp = shape.cmp.map(|(op, mode, constant, constant_first)| KernelCmp {
+            op,
+            mode,
+            constant: constant.to_value(),
+            constant_first,
+        });
+        let ctx = self.mgr.slot(shape.source);
+        PredKernel::new(ctx, shape.axis, shape.test.clone(), shape.func, cmp, stats)
+    }
+
     fn new_reg(&mut self, prog: &mut Program) -> Reg {
         let r = prog.nregs;
         prog.nregs += 1;
@@ -431,6 +478,9 @@ impl Codegen<'_> {
                 dst
             }
             S::Var(name) => {
+                if !self.vars.contains(name) {
+                    self.vars.push(name.clone());
+                }
                 let dst = self.new_reg(prog);
                 prog.instrs.push(Instr::LoadVar { dst, name: name.clone() });
                 dst
@@ -529,16 +579,139 @@ impl Codegen<'_> {
                 dst
             }
             S::Agg(agg) => {
-                let over = self.mgr.slot(&agg.over);
-                let iter = self.build_iter(&agg.plan);
+                let eval = match kernel_shape(agg) {
+                    Some(shape) => NestedEval::Kernel(Box::new(self.build_kernel(&shape))),
+                    None => {
+                        let over = self.mgr.slot(&agg.over);
+                        let iter = self.build_iter(&agg.plan);
+                        NestedEval::new(iter, over, agg.func, agg.independent)
+                    }
+                };
                 let idx = nested.len();
-                nested.push(NestedEval::new(iter, over, agg.func, agg.independent));
+                nested.push(eval);
                 let dst = self.new_reg(prog);
                 prog.instrs.push(Instr::EvalNested { dst, idx });
                 dst
             }
         }
     }
+}
+
+// ===================== Predicate kernels =====================
+//
+// The translators emit `[step]`, `[step θ literal]` and `[count(step) θ k]`
+// as an aggregate over one step per candidate; codegen runs those as a
+// `PredKernel` (DESIGN.md §5 "Predicate kernels"). Every other aggregate
+// keeps its nested plan, which is also the kernels' oracle.
+
+/// The parts of a kernel-shaped aggregate
+/// `𝔄[func](σ[o θ const](χ[c:source](□) <> Υ[o:c/axis::test](□)))`.
+struct KernelShape<'p> {
+    func: AggFunc,
+    /// The attribute of the outer tuple holding the candidate.
+    source: &'p str,
+    /// The Υ the kernel walks.
+    step: &'p LogicalOp,
+    axis: Axis,
+    test: &'p NodeTest,
+    /// σ's comparison, if any: operator, mode, constant, and whether the
+    /// constant is the left operand.
+    cmp: Option<(CompOp, CmpMode, &'p Const, bool)>,
+}
+
+impl KernelShape<'_> {
+    /// EXPLAIN ANALYZE label: the Υ's own, plus what the kernel absorbed
+    /// (`Υ[c5:c4/child::year] (kernel, 𝔄[Exists], = '1991')`).
+    fn label(&self) -> String {
+        let cmp = match self.cmp {
+            None => String::new(),
+            Some((op, _, c, false)) => {
+                format!(", {} {}", op.symbol(), ScalarExpr::Const(c.clone()))
+            }
+            Some((op, _, c, true)) => format!(", {} {}", ScalarExpr::Const(c.clone()), op.symbol()),
+        };
+        format!("{}{KERNEL_TAG}𝔄[{:?}]{cmp})", op_label(self.step), self.func)
+    }
+}
+
+const KERNEL_TAG: &str = " (kernel, ";
+
+/// The label of the Υ a kernel walks, if `label` is a kernel's.
+pub fn kernel_step(label: &str) -> Option<&str> {
+    label.split_once(KERNEL_TAG).map(|(step, _)| step)
+}
+
+/// `agg` as a kernel, if it is one: not independent, `Exists` or `Count`,
+/// over one probe-free step on an axis Υ walks with its cursor (not the
+/// four interval axes its range scans serve), optionally under one σ
+/// comparing the step's node with a constant, aggregating the step's
+/// attribute.
+fn kernel_shape(agg: &AggExpr) -> Option<KernelShape<'_>> {
+    use LogicalOp as L;
+    if agg.independent || !matches!(agg.func, AggFunc::Exists | AggFunc::Count) {
+        return None;
+    }
+    let (join, pred) = match &*agg.plan {
+        L::Select { input, pred } => (&**input, Some(pred)),
+        plan => (plan, None),
+    };
+    let L::DJoin { left, right } = join else {
+        return None;
+    };
+    let L::MapExpr { input: seed, attr: c, expr: ScalarExpr::Attr(source) } = &**left else {
+        return None;
+    };
+    let step = &**right;
+    let L::UnnestMap { input: leaf, context, attr: o, axis, test, probe: None, .. } = step else {
+        return None;
+    };
+    let leaves = matches!(**seed, L::Singleton) && matches!(**leaf, L::Singleton);
+    if !leaves || context != c || *o != agg.over || UnnestMapIter::interval_axis(*axis) {
+        return None;
+    }
+    let cmp = match pred {
+        Some(pred) => Some(const_compare(pred, o)?),
+        None => None,
+    };
+    Some(KernelShape { func: agg.func, source, step, axis: *axis, test, cmp })
+}
+
+/// `pred` as `o θ const` or `const θ o`, with `o` bare or under the
+/// conversion the comparison mode applies to it anyway (`string()` in
+/// string mode, `number()` in number mode).
+fn const_compare<'p>(pred: &'p ScalarExpr, o: &str) -> Option<(CompOp, CmpMode, &'p Const, bool)> {
+    let ScalarExpr::Compare { op, mode, lhs, rhs } = pred else {
+        return None;
+    };
+    let reads_o = |e: &ScalarExpr| {
+        let bare = match (e, mode) {
+            (ScalarExpr::Convert(ConvKind::ToString, inner), CmpMode::Str)
+            | (ScalarExpr::Convert(ConvKind::ToNumber, inner), CmpMode::Num) => &**inner,
+            _ => e,
+        };
+        matches!(bare, ScalarExpr::Attr(a) if a == o)
+    };
+    match (&**lhs, &**rhs) {
+        (ScalarExpr::Const(c), e) if reads_o(e) => Some((*op, *mode, c, true)),
+        (e, ScalarExpr::Const(c)) if reads_o(e) => Some((*op, *mode, c, false)),
+        _ => None,
+    }
+}
+
+/// Does `e` hold an aggregate, and does every one lower to a kernel? A
+/// χ^mat over such a subscript runs as a plain χ.
+fn kernels_only(e: &ScalarExpr) -> bool {
+    fn all(e: &ScalarExpr, found: &mut bool) -> bool {
+        match e {
+            ScalarExpr::Agg(agg) => {
+                *found = true;
+                kernel_shape(agg).is_some()
+            }
+            _ => e.operands().all(|o| all(o, found)),
+        }
+    }
+    let mut found = false;
+    all(e, &mut found) && found
 }
 
 // ===================== Set-at-a-time sites =====================
@@ -783,11 +956,12 @@ fn plan_defines_any(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use algebra::ProbeKind;
+    use crate::exec::Runtime;
+    use crate::governor::ResourceGovernor;
+    use algebra::{ProbeKind, Value};
     use compiler::TranslateOptions;
     use xmlstore::gen::{generate_dblp, DblpParams};
-    use xmlstore::{Axis, XmlStore};
-    use xpath_syntax::NodeTest;
+    use xmlstore::{NodeId, XmlStore};
 
     const FIG5: [&str; 4] = [
         "/child::xdoc/descendant::*/ancestor::*/descendant::*/attribute::id",
@@ -986,6 +1160,227 @@ mod tests {
         };
         assert_eq!(semi("c2"), 1, "the predicate reads the match side's result");
         assert_eq!(semi("c1"), 0, "…or an attribute the match side defines below the step");
+    }
+
+    // ---- predicate kernels ----
+
+    /// The differential corpus's edge-case document.
+    const PREDICATE_DOC: &str = include_str!("../../../tests/corpus/predicates.xml");
+
+    /// `𝔄[func](σ[pred](χ[c4:cn](□) <> Υ[c5:c4/axis::test](□)))`, the
+    /// per-candidate shape the translators emit (σ optional).
+    fn per_candidate(
+        func: AggFunc,
+        axis: Axis,
+        test: &NodeTest,
+        pred: Option<ScalarExpr>,
+    ) -> AggExpr {
+        let seed = LogicalOp::map(LogicalOp::Singleton, "c4", ScalarExpr::attr("cn"));
+        let step = LogicalOp::unnest_map(LogicalOp::Singleton, "c4", "c5", axis, test.clone());
+        let join = LogicalOp::djoin(seed, step);
+        let plan = match pred {
+            Some(pred) => LogicalOp::select(join, pred),
+            None => join,
+        };
+        AggExpr {
+            func,
+            plan: Box::new(plan),
+            over: "c5".into(),
+            independent: false,
+        }
+    }
+
+    /// Every comparison of `c5` with one of `consts`: six operators, both
+    /// modes, bare or under the mode's own conversion, either side.
+    fn comparisons(strs: &[&str], nums: &[f64]) -> Vec<ScalarExpr> {
+        use xpath_syntax::CompOp as Op;
+        let c5 = || ScalarExpr::attr("c5");
+        let conv = |kind, e| ScalarExpr::Convert(kind, Box::new(e));
+        let mut out = Vec::new();
+        for op in [Op::Eq, Op::Ne, Op::Lt, Op::Le, Op::Gt, Op::Ge] {
+            let cases = strs
+                .iter()
+                .map(|s| (CmpMode::Str, ConvKind::ToString, Const::Str((*s).into())))
+                .chain(nums.iter().map(|n| (CmpMode::Num, ConvKind::ToNumber, Const::Num(*n))));
+            for (mode, kind, c) in cases {
+                for operand in [c5(), conv(kind, c5())] {
+                    let (o, k) = (Box::new(operand), Box::new(ScalarExpr::Const(c.clone())));
+                    out.push(ScalarExpr::Compare { op, mode, lhs: o.clone(), rhs: k.clone() });
+                    out.push(ScalarExpr::Compare { op, mode, lhs: k, rhs: o });
+                }
+            }
+        }
+        out
+    }
+
+    /// Evaluate `agg` as the kernel codegen makes of it and as a nested
+    /// plan over `build_iter(&agg.plan)`, on every candidate: the same
+    /// value each time.
+    fn kernel_matches_nested_plan(store: &dyn XmlStore, agg: &AggExpr, candidates: &[NodeId]) {
+        assert!(kernel_shape(agg).is_some(), "not a kernel: {}", op_label(&agg.plan));
+        let expr = ScalarExpr::Agg(agg.clone());
+        let mut mgr = AttrManager::default();
+        let mut cg = Codegen::new(&mut mgr, &[], None);
+        let mut kernel = cg.compile_pred(&expr);
+        let over = cg.mgr.slot(&agg.over);
+        let mut nested = NestedEval::new(cg.build_iter(&agg.plan), over, agg.func, false);
+        let cn = mgr.slot("cn");
+        let (vars, gov) = (std::collections::HashMap::new(), ResourceGovernor::unlimited());
+        let rt = Runtime { store, vars: &vars, gov: &gov };
+        let mut tuple = vec![Value::Null; mgr.frame_width()];
+        for &c in candidates {
+            tuple[cn] = Value::Node(c);
+            let (got, want) = (kernel.eval(&rt, &tuple), nested.evaluate(&rt, &tuple));
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "{:?} over {} on {c:?}",
+                agg.func,
+                algebra::explain::explain(&agg.plan)
+            );
+        }
+        kernel.release();
+    }
+
+    #[test]
+    fn kernels_equal_their_nested_plans() {
+        use xpath_syntax::KindTest;
+        let name = |n: &str| NodeTest::Name(n.into());
+        let edge = xmlstore::parse_document(PREDICATE_DOC).unwrap();
+        let dblp = generate_dblp(DblpParams { records: 300, seed: 42 });
+        let every_node: Vec<NodeId> = (0..edge.node_count() as u32).map(NodeId).collect();
+        let records: Vec<NodeId> =
+            xmlstore::axis_nodes(&dblp, Axis::Child, dblp.first_child(dblp.root()).unwrap());
+        let steps = [
+            (Axis::Child, name("year")),
+            (Axis::Child, name("author")),
+            (Axis::Attribute, name("key")),
+            (Axis::Child, NodeTest::Wildcard),
+            (Axis::Attribute, NodeTest::Wildcard),
+            (Axis::Child, NodeTest::Kind(KindTest::Text)),
+            (Axis::Child, NodeTest::Kind(KindTest::Node)),
+            (Axis::SelfAxis, NodeTest::Kind(KindTest::Node)),
+            (Axis::FollowingSibling, name("year")),
+        ];
+        let check = |store: &dyn XmlStore, candidates: &[NodeId], steps: &[_], preds: Vec<_>| {
+            for (axis, test) in steps {
+                for func in [AggFunc::Exists, AggFunc::Count] {
+                    for pred in std::iter::once(None).chain(preds.iter().cloned().map(Some)) {
+                        let agg = per_candidate(func, *axis, test, pred);
+                        kernel_matches_nested_plan(store, &agg, candidates);
+                    }
+                }
+            }
+        };
+        let strs = ["1991", "Guido Moerkotte", "", "M"];
+        check(&edge, &every_node, &steps, comparisons(&strs, &[1991.0, 0.5]));
+        check(&dblp, &records, &steps[..4], comparisons(&strs[..2], &[1991.0]));
+    }
+
+    #[test]
+    fn only_the_per_candidate_shapes_become_kernels() {
+        let year = || NodeTest::Name("year".into());
+        let eq = |lhs: ScalarExpr, rhs: ScalarExpr| ScalarExpr::Compare {
+            op: xpath_syntax::CompOp::Eq,
+            mode: CmpMode::Str,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        };
+        let lit = || ScalarExpr::Const(Const::Str("1991".into()));
+        let kernel = |agg: &AggExpr| kernel_shape(agg).is_some();
+        assert!(kernel(&per_candidate(AggFunc::Exists, Axis::Child, &year(), None)));
+        assert!(kernel(&per_candidate(
+            AggFunc::Count,
+            Axis::Child,
+            &year(),
+            Some(eq(lit(), ScalarExpr::attr("c5")))
+        )));
+        for func in [AggFunc::Sum, AggFunc::Max, AggFunc::Min, AggFunc::FirstNode] {
+            assert!(!kernel(&per_candidate(func, Axis::Child, &year(), None)), "{func:?}");
+        }
+        for axis in [
+            Axis::Descendant,
+            Axis::DescendantOrSelf,
+            Axis::Following,
+            Axis::Preceding,
+        ] {
+            assert!(!kernel(&per_candidate(AggFunc::Exists, axis, &year(), None)), "{axis}");
+        }
+        let not_kernels = [
+            ("no constant", eq(ScalarExpr::attr("c5"), ScalarExpr::attr("c4"))),
+            ("another attribute", eq(ScalarExpr::attr("c4"), lit())),
+            (
+                "number() in string mode",
+                eq(
+                    ScalarExpr::Convert(ConvKind::ToNumber, Box::new(ScalarExpr::attr("c5"))),
+                    lit(),
+                ),
+            ),
+            ("not a comparison", ScalarExpr::attr("c5")),
+        ];
+        for (what, pred) in not_kernels {
+            assert!(
+                !kernel(&per_candidate(AggFunc::Exists, Axis::Child, &year(), Some(pred))),
+                "{what}"
+            );
+        }
+        let mut independent = per_candidate(AggFunc::Exists, Axis::Child, &year(), None);
+        independent.independent = true;
+        assert!(!kernel(&independent));
+    }
+
+    /// The kernel rows of a query's profile, and whether a χ^mat row is
+    /// left in it.
+    fn kernel_rows(q: &str, opts: &TranslateOptions) -> (usize, bool) {
+        let (_, profile) = build_physical_profiled(&compiler::compile(q, opts).unwrap());
+        let labels = || profile.entries.iter().map(|e| e.label.as_str());
+        (
+            labels().filter(|l| kernel_step(l).is_some()).count(),
+            labels().any(|l| l.starts_with("χ^mat")),
+        )
+    }
+
+    #[test]
+    fn fig10_predicate_rows_run_as_kernels() {
+        const FIG10: [&str; 13] = [
+            "/dblp/article/title",
+            "/dblp/*/title",
+            "/dblp/article[position() = 3]/title",
+            "/dblp/article[position() < 100]/title",
+            "/dblp/article[position() = last()]/title",
+            "/dblp/article[position()=last()-10]/title",
+            "/dblp/article/title | /dblp/inproceedings/title",
+            "/dblp/article[count(author)=4]/@key",
+            "/dblp/article[year='1991']/@key",
+            "/dblp/inproceedings[year='1991']/@key",
+            "/dblp/*[author='Guido Moerkotte']/@key",
+            "/dblp/inproceedings[@key='conf/er/LockemannM91']/title",
+            "/dblp/inproceedings[author='Guido Moerkotte'][position()=last()]/title",
+        ];
+        for opts in [
+            TranslateOptions::canonical(),
+            TranslateOptions::improved(),
+            TranslateOptions::extended(),
+        ] {
+            for (row, q) in FIG10.iter().enumerate() {
+                let want = usize::from(row >= 7);
+                assert_eq!(kernel_rows(q, &opts), (want, false), "row {} `{q}` {opts:?}", row + 1);
+            }
+        }
+        // Two kernels in one subscript; and what keeps its nested plan
+        // (and so its χ^mat): a path, a descendant step, a positional
+        // predicate inside, a sum, a parent step under its Π^D.
+        let improved = TranslateOptions::improved();
+        assert_eq!(kernel_rows("/dblp/*[year='1991' and author]/@key", &improved), (2, false));
+        for q in [
+            "/dblp/*[.//i='M']/@key",
+            "/dblp/*[descendant::author]/@key",
+            "/dblp/*[author[2]]/@key",
+            "/dblp/*[sum(year) > 1990]/@key",
+            "//i[parent::author='Guido Moerkotte']",
+        ] {
+            assert_eq!(kernel_rows(q, &improved), (0, true), "`{q}`");
+        }
     }
 
     #[test]

@@ -64,13 +64,20 @@ impl PhysicalQuery {
         ctx: NodeId,
         gov: &ResourceGovernor,
     ) -> Result<QueryOutput, QueryError> {
+        // XPath 1.0 §3.1: a variable with no binding is an error, not an
+        // empty value.
+        let (PhysicalQuery::Sequence { vars: read, .. } | PhysicalQuery::Scalar { vars: read, .. }) =
+            &*self;
+        if let Some(name) = read.iter().find(|name| !vars.contains_key(*name)) {
+            return Err(QueryError::UnboundVariable { name: name.clone() });
+        }
         let rt = Runtime { store, vars, gov };
         gov.check_now();
         // A fault left over from an earlier (already reported) execution
         // must not poison this one.
         store.take_storage_fault();
         match self {
-            PhysicalQuery::Sequence { root, frame } => {
+            PhysicalQuery::Sequence { root, frame, .. } => {
                 let mut seed: Tuple = vec![Value::Null; frame.width];
                 seed[frame.cn] = Value::Node(ctx);
                 seed[frame.cp] = Value::Num(1.0);
@@ -105,13 +112,14 @@ impl PhysicalQuery {
                 }
                 Ok(QueryOutput::Nodes(nodes))
             }
-            PhysicalQuery::Scalar { pred, frame, stats } => {
+            PhysicalQuery::Scalar { pred, frame, stats, .. } => {
                 let mut seed: Tuple = vec![Value::Null; frame.width];
                 seed[frame.cn] = Value::Node(ctx);
                 seed[frame.cp] = Value::Num(1.0);
                 seed[frame.cs] = Value::Num(1.0);
                 let t0 = stats.as_ref().map(|_| std::time::Instant::now());
                 let value = pred.eval(&rt, &seed);
+                pred.release();
                 if let (Some(stats), Some(t0)) = (stats, t0) {
                     let mut s = stats.lock();
                     s.nanos += t0.elapsed().as_nanos() as u64;

@@ -77,6 +77,7 @@ impl PhysIter for SelectIter {
 
     fn close(&mut self, rt: &Runtime<'_>) {
         self.input.close(rt);
+        self.pred.release();
     }
 }
 
@@ -109,6 +110,7 @@ impl PhysIter for MapIter {
 
     fn close(&mut self, rt: &Runtime<'_>) {
         self.input.close(rt);
+        self.expr.release();
     }
 }
 

@@ -662,6 +662,7 @@ impl PhysIter for MemoMapIter {
 
     fn close(&mut self, rt: &Runtime<'_>) {
         self.input.close(rt);
+        self.expr.release();
     }
 
     fn gauges(&self, out: &mut Vec<Gauge>) {

@@ -177,6 +177,7 @@ impl PhysIter for SemiJoinIter {
 
     fn close(&mut self, rt: &Runtime<'_>) {
         self.left.close(rt);
+        self.pred.release();
         self.right_mat = None;
         self.ledger.release_all(rt.gov);
     }

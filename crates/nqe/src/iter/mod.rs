@@ -16,12 +16,16 @@ mod basic;
 mod exchange;
 mod group;
 mod join;
+mod kernel;
+mod nodetest;
 mod path;
 
 pub use basic::{ConcatIter, CounterIter, MapIter, RenameCopyIter, SelectIter, SingletonIter};
 pub use exchange::{ExchangeIter, ParallelStats, PartitionFeed, PartitionSourceIter, SharedMemo};
 pub use group::{DedupIter, MemoMapIter, MemoXIter, SortIter, TmpCsIter};
 pub use join::{DJoinIter, SemiJoinIter};
+pub(crate) use kernel::KernelCmp;
+pub use kernel::PredKernel;
 pub use path::{TokenizeIter, UnnestMapIter};
 
 use algebra::attrmgr::Slot;
@@ -63,9 +67,9 @@ pub trait PhysIter: Send {
     fn gauges(&self, _out: &mut Vec<Gauge>) {}
 }
 
-/// A compiled scalar subscript: an NVM program, the nested iterator
-/// plans its `EvalNested` instructions refer to, and the register file
-/// the program runs in.
+/// A compiled scalar subscript: an NVM program, the nested aggregates
+/// its `EvalNested` instructions refer to, and the register file the
+/// program runs in.
 pub struct CompiledPred {
     prog: Program,
     nested: Vec<NestedEval>,
@@ -73,7 +77,7 @@ pub struct CompiledPred {
 }
 
 impl CompiledPred {
-    /// A subscript from its program and nested sequence plans.
+    /// A subscript from its program and nested aggregates.
     pub fn new(prog: Program, nested: Vec<NestedEval>) -> CompiledPred {
         CompiledPred { prog, nested, regs: Vec::new() }
     }
@@ -82,12 +86,54 @@ impl CompiledPred {
     pub fn eval(&mut self, rt: &Runtime<'_>, tuple: &Tuple) -> Value {
         nvm::run(&self.prog, rt, tuple, &mut self.nested, &mut self.regs)
     }
+
+    /// Let go of the pages the kernels hold. Owners call it from `close`:
+    /// no page stays pinned once a query ends.
+    pub fn release(&mut self) {
+        for n in &mut self.nested {
+            if let NestedEval::Kernel(k) = n {
+                k.release();
+            }
+        }
+    }
+}
+
+/// A nested aggregate of a scalar subscript (paper §5.2.3), reached by
+/// NVM's `EvalNested`.
+pub enum NestedEval {
+    /// The general case: a nested iterator plan, opened per evaluation.
+    Plan(NestedPlan),
+    /// A per-candidate `exists`/`count` over one step, run as one cursor
+    /// walk (DESIGN.md §5 "Predicate kernels").
+    Kernel(Box<PredKernel>),
+}
+
+impl NestedEval {
+    /// Wrap a built nested plan.
+    pub fn new(iter: Box<dyn PhysIter>, over: Slot, func: AggFunc, independent: bool) -> Self {
+        NestedEval::Plan(NestedPlan {
+            iter,
+            over,
+            func,
+            independent,
+            cached: None,
+            frame: Tuple::new(),
+        })
+    }
+
+    /// The aggregate's value for the outer tuple `tuple`.
+    pub fn evaluate(&mut self, rt: &Runtime<'_>, tuple: &Tuple) -> Value {
+        match self {
+            NestedEval::Plan(plan) => plan.evaluate(rt, tuple),
+            NestedEval::Kernel(kernel) => kernel.evaluate(rt, tuple),
+        }
+    }
 }
 
 /// A nested sequence-valued plan consumed as an aggregate value
 /// (paper §5.2.3), with premature termination for `exists()` (§5.2.5)
 /// and one-shot caching for plans without free attributes.
-pub struct NestedEval {
+pub struct NestedPlan {
     iter: Box<dyn PhysIter>,
     over: Slot,
     func: AggFunc,
@@ -98,21 +144,9 @@ pub struct NestedEval {
     frame: Tuple,
 }
 
-impl NestedEval {
-    /// Wrap a built nested plan.
-    pub fn new(iter: Box<dyn PhysIter>, over: Slot, func: AggFunc, independent: bool) -> Self {
-        NestedEval {
-            iter,
-            over,
-            func,
-            independent,
-            cached: None,
-            frame: Tuple::new(),
-        }
-    }
-
+impl NestedPlan {
     /// Run the nested plan seeded with `tuple` and aggregate.
-    pub fn evaluate(&mut self, rt: &Runtime<'_>, tuple: &Tuple) -> Value {
+    fn evaluate(&mut self, rt: &Runtime<'_>, tuple: &Tuple) -> Value {
         if self.independent {
             if let Some(v) = &self.cached {
                 return v.clone();
@@ -174,24 +208,11 @@ impl NestedEval {
             }
         };
         self.iter.close(rt);
-        if trace_enabled() {
-            eprintln!(
-                "nested {:?} over slot {} -> {:?} (indep={})",
-                self.func, self.over, result, self.independent
-            );
-        }
         if self.independent {
             self.cached = Some(result.clone());
         }
         result
     }
-}
-
-/// Debug tracing of nested-aggregate evaluations (`NQE_TRACE=1`).
-fn trace_enabled() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("NQE_TRACE").is_ok())
 }
 
 /// Key for duplicate elimination / grouping on an attribute. Result

@@ -193,7 +193,7 @@ pub fn run(
     std::mem::replace(&mut regs[prog.result], Value::Null)
 }
 
-fn compare(op: CompOp, mode: CmpMode, a: &Value, b: &Value, rt: &Runtime<'_>) -> bool {
+pub(crate) fn compare(op: CompOp, mode: CmpMode, a: &Value, b: &Value, rt: &Runtime<'_>) -> bool {
     let store = rt.store;
     let mode = if mode == CmpMode::Dyn {
         // Runtime dispatch (variables of unknown type): booleans win,

@@ -1,8 +1,10 @@
 //! Allocation regression test for the frame protocol (DESIGN.md §5):
 //! executing a plan must not allocate per tuple. A plan's buffers —
-//! operator frames, NVM registers, memo tables, the result vector — are
-//! set up once per execution or grow by doubling, so the allocation count
-//! of an execution is O(operators + log n) while its tuple count is O(n).
+//! operator frames, NVM registers, kernel cursors, memo tables, the
+//! result vector — are set up once per execution or grow by doubling, so
+//! the allocation count of an execution is O(operators + log n) while
+//! its candidate count (and the tuple count of a nested plan per
+//! candidate) is O(n).
 //!
 //! The counting allocator is this binary's own, and it counts only on
 //! the thread that switched it on: the test harness's other threads
@@ -13,6 +15,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use algebra::QueryOutput;
 use compiler::TranslateOptions;
 use xmlstore::gen::{generate_dblp, DblpParams};
 use xmlstore::{ArenaStore, XmlStore};
@@ -59,12 +62,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations and tuples (summed over all operators) of one execution of
-/// `query` on `store`. The query ran once before, so whatever the process
-/// sets up lazily exists; the plan itself is freshly built, outside the
-/// counted region — a plan that ran before answers its predicates from
-/// its χ^mat cache and would leave the nested pipeline unexercised.
-fn execution_cost(store: &ArenaStore, query: &str) -> (u64, u64) {
+/// Allocations of one execution of `query` on `store`, and the number of
+/// its profile rows that are predicate kernels. The query ran once
+/// before, so whatever the process sets up lazily exists; the plan itself
+/// is freshly built, outside the counted region — a plan that ran before
+/// may answer its predicates from a χ^mat cache and leave the nested
+/// pipeline unexercised.
+fn execution_cost(store: &ArenaStore, query: &str) -> (u64, usize) {
     let vars = HashMap::new();
     let compiled = compiler::compile(query, &TranslateOptions::improved()).expect("compiles");
     let warm = nqe::build_physical(&compiled)
@@ -79,7 +83,20 @@ fn execution_cost(store: &ArenaStore, query: &str) -> (u64, u64) {
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     assert_eq!(out.expect("counted execution"), warm);
-    (allocations, profile.total_tuples())
+    let kernels = profile
+        .entries
+        .iter()
+        .filter(|e| nqe::codegen::kernel_step(&e.label).is_some())
+        .count();
+    (allocations, kernels)
+}
+
+/// The number of nodes `path` selects: a predicate's candidates.
+fn candidates(store: &ArenaStore, path: &str) -> u64 {
+    match nqe::evaluate(store, &format!("count({path})"), &TranslateOptions::improved()) {
+        Ok(QueryOutput::Num(n)) => n as u64,
+        other => panic!("count({path}): {other:?}"),
+    }
 }
 
 #[test]
@@ -87,22 +104,28 @@ fn executions_do_not_allocate_per_tuple() {
     const RECORDS: usize = 1000;
     let small = generate_dblp(DblpParams { records: RECORDS, seed: 42 });
     let large = generate_dblp(DblpParams { records: 2 * RECORDS, seed: 42 });
-    for query in [
-        "/dblp/article[year='1991']/@key",
-        "/dblp/*[author='Guido Moerkotte']/@key",
+    // Each query with the path its predicate filters, and whether the
+    // predicate runs as a kernel. The last one keeps a nested plan per
+    // candidate (kernels leave the descendant axis to Υ's range scan), so
+    // that path keeps its gate too.
+    for (query, path, kernel) in [
+        ("/dblp/article[year='1991']/@key", "/dblp/article", true),
+        ("/dblp/*[author='Guido Moerkotte']/@key", "/dblp/*", true),
+        ("/dblp/*[descendant::author='Guido Moerkotte']/@key", "/dblp/*", false),
     ] {
-        let (allocs_n, tuples_n) = execution_cost(&small, query);
-        let (allocs_2n, tuples_2n) = execution_cost(&large, query);
-        assert!(tuples_n as usize > 5 * RECORDS / 2, "`{query}`: only {tuples_n} tuples");
-        assert!(tuples_2n > tuples_n * 3 / 2, "`{query}`: {tuples_n} -> {tuples_2n} tuples");
-        for (allocs, tuples) in [(allocs_n, tuples_n), (allocs_2n, tuples_2n)] {
+        let (allocs_n, kernels_n) = execution_cost(&small, query);
+        let (allocs_2n, _) = execution_cost(&large, query);
+        assert_eq!(kernels_n > 0, kernel, "`{query}`: {kernels_n} kernels");
+        for (allocs, store) in [(allocs_n, &small), (allocs_2n, &large)] {
+            let n = candidates(store, path);
+            assert!(n as usize >= RECORDS / 3, "`{path}`: only {n} candidates");
             assert!(
-                allocs as f64 <= 0.1 * tuples as f64,
-                "`{query}`: {allocs} allocations for {tuples} tuples"
+                allocs as f64 <= 0.1 * n as f64,
+                "`{query}`: {allocs} allocations for {n} candidates"
             );
         }
-        // Doubling the document doubles the tuples; the allocations may
-        // grow by the few doublings of the buffers that hold results.
+        // Doubling the document doubles the candidates; the allocations
+        // may grow by the few doublings of the buffers that hold results.
         assert!(
             allocs_2n <= allocs_n + 16,
             "`{query}`: allocations grow with the document: {allocs_n} at n, {allocs_2n} at 2n"

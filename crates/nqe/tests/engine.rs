@@ -3,8 +3,8 @@
 
 use std::collections::HashMap;
 
-use algebra::{QueryOutput, Value};
-use compiler::TranslateOptions;
+use algebra::{QueryError, QueryOutput, Value};
+use compiler::{PipelineError, TranslateOptions};
 use nqe::{evaluate, evaluate_with};
 use xmlstore::{parse_document, ArenaStore, NodeId, XmlStore};
 
@@ -361,24 +361,27 @@ fn variables() {
     let mut vars = HashMap::new();
     vars.insert("y".to_owned(), Value::Str("1999".into()));
     vars.insert("n".to_owned(), Value::Num(2.0));
-    let r = evaluate_with(
-        &d,
-        "/library/book[@year = $y]/@id",
-        &TranslateOptions::improved(),
-        d.root(),
-        &vars,
-    )
-    .unwrap();
-    assert_eq!(strings(&d, &r), ["b4"]);
-    let r = evaluate_with(
-        &d,
-        "/library/book[position() = $n]/@id",
-        &TranslateOptions::improved(),
-        d.root(),
-        &vars,
-    )
-    .unwrap();
-    assert_eq!(strings(&d, &r), ["b2"]);
+    for opts in [
+        TranslateOptions::canonical(),
+        TranslateOptions::improved(),
+        TranslateOptions::cost_based(),
+    ] {
+        let r = evaluate_with(&d, "/library/book[@year = $y]/@id", &opts, d.root(), &vars).unwrap();
+        assert_eq!(strings(&d, &r), ["b4"]);
+        let r = evaluate_with(&d, "/library/book[position() = $n]/@id", &opts, d.root(), &vars)
+            .unwrap();
+        assert_eq!(strings(&d, &r), ["b2"]);
+        // XPath 1.0 §3.1: an unbound variable is an error, not an empty
+        // node-set — in a predicate and in a scalar alike.
+        for q in ["/library/book[@year = $v]/@id", "count(//book) + $y + $v"] {
+            match evaluate_with(&d, q, &opts, d.root(), &vars) {
+                Err(PipelineError::Resource(QueryError::UnboundVariable { name })) => {
+                    assert_eq!(name, "v", "`{q}`")
+                }
+                other => panic!("`{q}` under {opts:?}: {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]

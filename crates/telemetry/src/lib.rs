@@ -47,13 +47,14 @@ const PHASES: [&str; 8] = [
 ];
 
 /// Typed-error classes, pre-registered like the phases.
-const ERROR_CLASSES: [&str; 7] = [
+const ERROR_CLASSES: [&str; 8] = [
     "memory",
     "tuples",
     "deadline",
     "cancelled",
     "storage_io",
     "storage_corrupt",
+    "unbound_variable",
     "compile",
 ];
 
@@ -66,6 +67,7 @@ pub fn error_class(e: &QueryError) -> &'static str {
         QueryError::Cancelled => "cancelled",
         QueryError::Storage { io: true, .. } => "storage_io",
         QueryError::Storage { io: false, .. } => "storage_corrupt",
+        QueryError::UnboundVariable { .. } => "unbound_variable",
     }
 }
 

@@ -16,7 +16,8 @@
 //! ```
 //!
 //! `outcome` is `"ok"` or the typed error class (`memory`, `tuples`,
-//! `deadline`, `cancelled`, `storage_io`, `storage_corrupt`). `explain`
+//! `deadline`, `cancelled`, `storage_io`, `storage_corrupt`,
+//! `unbound_variable`). `explain`
 //! is the full [`AnalyzeReport::to_json`] document for slow queries and
 //! `null` otherwise. `expr_hash` is a stable FNV-1a 64 hash of the
 //! expression text, rendered as hex so log aggregation can group

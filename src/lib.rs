@@ -57,7 +57,7 @@ pub enum NatixError {
     /// Query compilation failed.
     Compile(PipelineError),
     /// Execution stopped by the resource governor (budget, deadline,
-    /// cancellation).
+    /// cancellation), or refused for an unbound `$` variable.
     Resource(QueryError),
     /// Disk store I/O or corruption.
     Disk(xmlstore::diskstore::DiskError),

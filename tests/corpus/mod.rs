@@ -3,7 +3,8 @@
 //! exercising every axis, positional machinery, nested predicates,
 //! scalars and unions, plus 17 dblp-shaped queries matching the
 //! generated bibliography documents (root `dblp`,
-//! `article`/`inproceedings` records). At the bottom, the axis-level
+//! `article`/`inproceedings` records), and the predicate-kernel queries
+//! with their edge-case document. At the bottom, the axis-level
 //! oracle for set-mode steps ([`check_set_mode`]), shared by
 //! `tests/property.rs` and `tests/updates.rs`. Not every test binary
 //! uses every part, hence the allow.
@@ -87,6 +88,68 @@ pub const DBLP_QUERIES: &[&str] = &[
     "/dblp/phdthesis/author",
     "/dblp/*[ee][position() mod 50 = 0]/@key",
     "/dblp/article[starts-with(@key, 'journals/tods')]/year",
+];
+
+/// A dblp-shaped document of predicate edge cases: mixed content
+/// (`<author>Guido <i>M</i>oerkotte</author>`), a repeated `year`,
+/// `" 1991 "` and `"1991.0"`, empty elements and attributes, and comment,
+/// processing-instruction and text children.
+pub const PREDICATE_DOC: &str = include_str!("predicates.xml");
+
+/// Predicates over one step — the shapes codegen runs as predicate
+/// kernels (DESIGN.md §5 "Predicate kernels") — and their neighbours that
+/// keep a nested plan, for `PREDICATE_DOC` and the generated dblp
+/// documents alike.
+pub const PREDICATE_QUERIES: &[&str] = &[
+    // Child = literal, string and number mode, either operand order.
+    "/dblp/*[author='Guido Moerkotte']/@key",
+    "/dblp/*[author!='Guido Moerkotte']/@key",
+    "/dblp/*[year='1991']/@key",
+    "/dblp/*['1991'=year]/@key",
+    "/dblp/*[year=1991]/@key",
+    "/dblp/*[year!=1991]/@key",
+    "/dblp/*[year<1991]/@key",
+    "/dblp/*[year<=1991.0]/@key",
+    "/dblp/*[1990<year]/@key",
+    "/dblp/*[year>='1991']/@key",
+    "/dblp/*[title='']/@key",
+    "/dblp/*[ee='']/@key",
+    // Attributes.
+    "/dblp/*[@key='conf/er/LockemannM91']/year",
+    "/dblp/*[@key='']/year",
+    "/dblp/*[@mdate='']/@key",
+    "/dblp/*[@mdate=1991]/@key",
+    "/dblp/*[@*='']/year",
+    "/dblp/*[@key]/year",
+    // Counts and existence.
+    "/dblp/*[count(author)=2]/@key",
+    "/dblp/*[count(year)>1]/@key",
+    "/dblp/*[count(*)=0]/@key",
+    "/dblp/*[count(@*)=2]/@key",
+    "/dblp/*[count(node())>3]/@key",
+    "/dblp/*[count(text())>4]/@key",
+    "/dblp/*[title]/@key",
+    "/dblp/*[not(ee)]/@key",
+    // Other node tests.
+    "/dblp/*[*='1991']/@key",
+    "/dblp/*[text()]/@key",
+    "/dblp/*[node()='1991']/@key",
+    "/dblp/*[comment()='1991']/@key",
+    "/dblp/*[processing-instruction()]/@key",
+    "/dblp/*[processing-instruction('note')='1991']/@key",
+    "//author[i='M']",
+    "//author[text()='Guido ']",
+    "//*[self::year=1991]",
+    "//i[parent::author='Guido Moerkotte']",
+    // Combinations, and shapes that keep a nested plan.
+    "/dblp/*[author='Guido Moerkotte'][position()=last()]/@key",
+    "/dblp/*[year='1991' and author='Guido Moerkotte']/@key",
+    "/dblp/*[year='1991' or title]/@key",
+    "/dblp/*[.//i='M']/@key",
+    "/dblp/*[descendant::i]/@key",
+    "/dblp/*[author[2]]/@key",
+    "/dblp/*[sum(year) > 1990]/@key",
+    "count(/dblp/*[year=1991])",
 ];
 
 /// The nine axes that reach one node from several contexts: the ones a

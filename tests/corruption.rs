@@ -218,49 +218,60 @@ fn pin_failure_at_every_point_unwinds_typed_with_no_leaked_charges() {
     let t = TempPath::new(".natix");
     create_store_file(&arena, t.path()).unwrap();
 
-    // Count pins deterministically: a 1-frame buffer makes every probe
-    // repin, and hits+misses is exactly the pin count.
-    let probe = DiskStore::open(t.path(), 1).unwrap();
-    let s = probe.buffer_stats();
-    let open_pins = s.hits + s.misses;
-    let q = "count(//entry[@seq = '250'])";
-    let want = nqe::evaluate(&probe, q, &TranslateOptions::improved()).unwrap();
-    let s = probe.buffer_stats();
-    let total_pins = s.hits + s.misses;
-    assert!(total_pins > open_pins, "the probe query must pin pages");
-    drop(probe);
+    // Both predicates run as kernels, so the failing pin lands in their
+    // cursor walks as well as in the steps around them.
+    for q in [
+        "count(//entry[@seq = '250'])",
+        "count(//entry[text = 'message 7'])",
+    ] {
+        // Count pins deterministically: a 1-frame buffer makes every probe
+        // repin, and hits+misses is exactly the pin count.
+        let probe = DiskStore::open(t.path(), 1).unwrap();
+        let s = probe.buffer_stats();
+        let open_pins = s.hits + s.misses;
+        let want = nqe::evaluate(&probe, q, &TranslateOptions::improved()).unwrap();
+        let s = probe.buffer_stats();
+        let total_pins = s.hits + s.misses;
+        assert!(total_pins > open_pins, "the probe query must pin pages");
+        drop(probe);
 
-    // Fail each pin the query performs (capped: the interesting behaviour
-    // is identical across the plateau in the middle).
-    let picks: Vec<u64> = (open_pins + 1..=total_pins).collect();
-    let step = (picks.len() / 40).max(1);
-    for &n in picks.iter().step_by(step).chain(std::iter::once(&total_pins)) {
-        let store = DiskStore::open_with(
-            t.path(),
-            1,
-            IoFailPoint { fail_pin_at: Some(n), ..IoFailPoint::none() },
-        )
-        .unwrap();
-        let (out, report) = nqe::explain_analyze_governed(
-            &store,
-            q,
-            &TranslateOptions::improved(),
-            &ResourceLimits::unlimited(),
-            store.root(),
-            &HashMap::new(),
-        )
-        .unwrap();
-        match out {
-            Err(QueryError::Storage { io, ref detail }) => {
-                assert!(io, "an injected read error is an I/O fault: {detail}");
-                assert!(detail.contains("injected"), "{detail}");
+        // Fail each pin the query performs (capped: the interesting
+        // behaviour is identical across the plateau in the middle).
+        let picks: Vec<u64> = (open_pins + 1..=total_pins).collect();
+        let step = (picks.len() / 40).max(1);
+        for &n in picks.iter().step_by(step).chain(std::iter::once(&total_pins)) {
+            let store = DiskStore::open_with(
+                t.path(),
+                1,
+                IoFailPoint { fail_pin_at: Some(n), ..IoFailPoint::none() },
+            )
+            .unwrap();
+            let (out, report) = nqe::explain_analyze_governed(
+                &store,
+                q,
+                &TranslateOptions::improved(),
+                &ResourceLimits::unlimited(),
+                store.root(),
+                &HashMap::new(),
+            )
+            .unwrap();
+            let mut labels = report.profile.entries.iter().map(|e| e.label.as_str());
+            assert!(
+                labels.any(|l| nqe::codegen::kernel_step(l).is_some()),
+                "`{q}` runs its predicate as a kernel"
+            );
+            match out {
+                Err(QueryError::Storage { io, ref detail }) => {
+                    assert!(io, "an injected read error is an I/O fault: {detail}");
+                    assert!(detail.contains("injected"), "{detail}");
+                }
+                Ok(ref got) => assert_eq!(got, &want, "pin {n}: wrong answer"),
+                Err(ref e) => panic!("pin {n}: unexpected error class {e}"),
             }
-            Ok(ref got) => assert_eq!(got, &want, "pin {n}: wrong answer"),
-            Err(ref e) => panic!("pin {n}: unexpected error class {e}"),
+            // A storage unwind must not leak transient charges (the same
+            // invariant the governor enforces for budget trips).
+            assert_eq!(report.resources.transient_bytes, 0, "pin {n} leaked charges");
         }
-        // A storage unwind must not leak transient charges (the same
-        // invariant the governor enforces for budget trips).
-        assert_eq!(report.resources.transient_bytes, 0, "pin {n} leaked charges");
     }
 }
 
@@ -490,8 +501,13 @@ fn no_frame_stays_pinned_after_a_query_ends_however_it_ends() {
     let t = TempPath::new(".natix");
     create_store_file(&arena, t.path()).unwrap();
     let unlimited = ResourceLimits::unlimited;
-    let cases: [(&str, &str, ResourceGovernor); 4] = [
+    let cases: [(&str, &str, ResourceGovernor); 5] = [
         ("completes", "/dblp/article/title", ResourceGovernor::unlimited()),
+        (
+            "kernel completes",
+            "/dblp/*[author='Guido Moerkotte']/title",
+            ResourceGovernor::unlimited(),
+        ),
         (
             "stops early",
             "/dblp/article[position() = 3]/title",
@@ -523,7 +539,7 @@ fn no_frame_stays_pinned_after_a_query_ends_however_it_ends() {
         match (what, out) {
             ("tuple limit", Err(QueryError::TuplesExceeded { .. })) => {}
             ("cancelled", Err(QueryError::Cancelled)) => {}
-            ("completes" | "stops early", Ok(QueryOutput::Nodes(nodes))) => {
+            ("completes" | "kernel completes" | "stops early", Ok(QueryOutput::Nodes(nodes))) => {
                 assert!(!nodes.is_empty(), "{what}")
             }
             (_, other) => panic!("{what}: ended with {:?}", other.map(|_| "an answer")),

@@ -9,7 +9,7 @@ use xmlstore::gen::{generate_dblp, generate_tree, DblpParams, TreeParams};
 use xmlstore::{ArenaStore, XmlStore};
 
 mod corpus;
-use corpus::{DBLP_QUERIES, TREE_QUERIES};
+use corpus::{DBLP_QUERIES, PREDICATE_DOC, PREDICATE_QUERIES, TREE_QUERIES};
 
 fn run_all(store: &ArenaStore, queries: &[&str]) {
     for q in queries {
@@ -77,6 +77,31 @@ fn naive_interpreter_agrees_on_small_documents() {
 fn dblp_document_all_engines_agree() {
     let store = generate_dblp(DblpParams { records: 300, seed: 11 });
     run_all(&store, DBLP_QUERIES);
+}
+
+/// Predicate kernels against their nested plans and both interpreters:
+/// every preset (the canonical plan keeps d-joins, improved and extended
+/// memoise, cost-based fuses), on the edge-case document and a generated
+/// one.
+#[test]
+fn predicate_corpus_all_engines_agree() {
+    let edge = xmlstore::parse_document(PREDICATE_DOC).unwrap();
+    let dblp = generate_dblp(DblpParams { records: 300, seed: 11 });
+    for store in [&edge, &dblp] {
+        run_all(store, PREDICATE_QUERIES);
+        for q in PREDICATE_QUERIES {
+            let want = nqe::evaluate(store, q, &TranslateOptions::canonical()).unwrap();
+            for opts in [TranslateOptions::extended(), TranslateOptions::cost_based()] {
+                let got = nqe::evaluate(store, q, &opts)
+                    .unwrap_or_else(|e| panic!("{opts:?} `{q}`: {e}"));
+                assert_eq!(got, want, "{opts:?} vs canonical on `{q}`");
+            }
+            let naive = Interpreter::new(store, InterpOptions::naive())
+                .evaluate(q, store.root())
+                .unwrap_or_else(|e| panic!("naive `{q}`: {e}"));
+            assert_eq!(naive, want, "naive vs canonical on `{q}`");
+        }
+    }
 }
 
 /// DESIGN.md §14: the parallel plan must be byte-identical to the serial
@@ -310,22 +335,48 @@ fn fault_injection_sweep_over_set_mode_steps() {
             charges += 1;
         }
         assert!(charges >= 3, "`{q}`: every step charges its context ranks");
-        let ticks = {
-            let gov = nqe::ResourceGovernor::unlimited();
-            let mut phys = nqe::build_physical(&compiler::compile(q, &opts).unwrap());
-            phys.execute_governed(&store, &std::collections::HashMap::new(), store.root(), &gov)
-                .unwrap();
-            gov.ticks_seen()
-        };
-        for tick in 1..=ticks {
-            let fp = nqe::FailPoint { fail_at_alloc: None, cancel_at_tick: Some(tick) };
-            match run_injected(&store, q, &opts, fp) {
-                Ok(out) => assert!(outputs_agree(&out, &oracle), "tick {tick} on `{q}`"),
-                Err(e) => assert!(
-                    matches!(e, algebra::QueryError::Cancelled),
-                    "tick {tick} on `{q}`: {e:?}"
-                ),
+        cancel_at_every_tick(&store, q, &opts, &oracle);
+    }
+}
+
+/// `q` cancelled at each single tick of its execution: cancelled, or the
+/// right answer, nothing leaked. The number of ticks the run took.
+fn cancel_at_every_tick(
+    store: &ArenaStore,
+    q: &str,
+    opts: &TranslateOptions,
+    oracle: &QueryOutput,
+) -> u64 {
+    let ticks = {
+        let gov = nqe::ResourceGovernor::unlimited();
+        let mut phys = nqe::build_physical(&compiler::compile(q, opts).unwrap());
+        phys.execute_governed(store, &std::collections::HashMap::new(), store.root(), &gov)
+            .unwrap();
+        gov.ticks_seen()
+    };
+    for tick in 1..=ticks {
+        let fp = nqe::FailPoint { fail_at_alloc: None, cancel_at_tick: Some(tick) };
+        match run_injected(store, q, opts, fp) {
+            Ok(out) => assert!(outputs_agree(&out, oracle), "tick {tick} on `{q}`"),
+            Err(e) => {
+                assert!(matches!(e, algebra::QueryError::Cancelled), "tick {tick} on `{q}`: {e:?}")
             }
+        }
+    }
+    ticks
+}
+
+/// Fig. 10's predicate rows, whose predicates run as kernels under every
+/// preset, cancelled at each single tick: a kernel walk stops where its
+/// cursor stopped, and the query ends cancelled or right.
+#[test]
+fn fault_injection_sweep_over_predicate_kernels() {
+    let store = generate_dblp(DblpParams { records: 40, seed: 11 });
+    for q in &DBLP_QUERIES[7..13] {
+        let oracle = nqe::evaluate(&store, q, &TranslateOptions::canonical()).unwrap();
+        for opts in [TranslateOptions::canonical(), TranslateOptions::improved()] {
+            let ticks = cancel_at_every_tick(&store, q, &opts, &oracle);
+            assert!(ticks > 40, "`{q}`: {ticks} ticks for 40 records");
         }
     }
 }

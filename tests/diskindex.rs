@@ -17,7 +17,7 @@ use xmlstore::tmp::TempPath;
 use xmlstore::{ArenaBuilder, ArenaStore, ContentKind, NameId, XmlStore};
 
 mod corpus;
-use corpus::{DBLP_QUERIES, TREE_QUERIES};
+use corpus::{DBLP_QUERIES, PREDICATE_DOC, PREDICATE_QUERIES, TREE_QUERIES};
 
 /// Persist `arena` and open it twice: once with the persisted indexes
 /// loaded, once index-blind (`open_plain`, the pre-index cursor path).
@@ -64,6 +64,13 @@ fn tree_corpus_agrees_across_disk_and_arena() {
 #[test]
 fn dblp_corpus_agrees_across_disk_and_arena() {
     differential(&generate_dblp(DblpParams { records: 300, seed: 11 }), DBLP_QUERIES);
+}
+
+/// Predicate kernels walk through the page file's cursor too.
+#[test]
+fn predicate_corpus_agrees_across_disk_and_arena() {
+    differential(&xmlstore::parse_document(PREDICATE_DOC).unwrap(), PREDICATE_QUERIES);
+    differential(&generate_dblp(DblpParams { records: 300, seed: 11 }), PREDICATE_QUERIES);
 }
 
 // ---- probes visible in EXPLAIN ANALYZE ---------------------------------
