@@ -82,25 +82,11 @@ fn bump(counts: &mut HashMap<Attr, usize>, name: &Attr) {
 }
 
 fn count_assignments(plan: &LogicalOp, counts: &mut HashMap<Attr, usize>) {
-    match plan {
-        LogicalOp::Rename { to, .. } => bump(counts, to),
-        LogicalOp::MapExpr { attr, expr, .. } => {
-            bump(counts, attr);
-            count_in_scalar(expr, counts);
-        }
-        LogicalOp::CounterMap { attr, .. } => bump(counts, attr),
-        LogicalOp::MemoMap { attr, expr, .. } => {
-            bump(counts, attr);
-            count_in_scalar(expr, counts);
-        }
-        LogicalOp::UnnestMap { attr, .. } | LogicalOp::TokenizeMap { attr, .. } => {
-            bump(counts, attr)
-        }
-        LogicalOp::TmpCs { cs, .. } => bump(counts, cs),
-        LogicalOp::Select { pred, .. }
-        | LogicalOp::SemiJoin { pred, .. }
-        | LogicalOp::AntiJoin { pred, .. } => count_in_scalar(pred, counts),
-        _ => {}
+    if let Some(a) = plan.own_attr() {
+        bump(counts, a);
+    }
+    if let Some(e) = plan.subscript() {
+        count_in_scalar(e, counts);
     }
     for c in plan.inputs() {
         count_assignments(c, counts);
@@ -110,35 +96,9 @@ fn count_assignments(plan: &LogicalOp, counts: &mut HashMap<Attr, usize>) {
 fn count_in_scalar(e: &crate::scalar::ScalarExpr, counts: &mut HashMap<Attr, usize>) {
     // Nested plans inside aggregations also assign attributes; they share
     // the register frame, so their assignments count too.
-    use crate::scalar::ScalarExpr as S;
     match e {
-        S::Agg(agg) => count_assignments(&agg.plan, counts),
-        S::And(a, b) | S::Or(a, b) => {
-            count_in_scalar(a, counts);
-            count_in_scalar(b, counts);
-        }
-        S::Compare { lhs, rhs, .. } => {
-            count_in_scalar(lhs, counts);
-            count_in_scalar(rhs, counts);
-        }
-        S::Arith(_, a, b) => {
-            count_in_scalar(a, counts);
-            count_in_scalar(b, counts);
-        }
-        S::Not(a)
-        | S::Neg(a)
-        | S::Convert(_, a)
-        | S::NumFn(_, a)
-        | S::NodeFn(_, a)
-        | S::Deref(a)
-        | S::RootOf(a)
-        | S::Lang(a, _) => count_in_scalar(a, counts),
-        S::StrFn(_, args) => {
-            for a in args {
-                count_in_scalar(a, counts);
-            }
-        }
-        S::Const(_) | S::Attr(_) | S::Var(_) => {}
+        crate::scalar::ScalarExpr::Agg(agg) => count_assignments(&agg.plan, counts),
+        _ => e.operands().for_each(|o| count_in_scalar(o, counts)),
     }
 }
 

@@ -1,13 +1,22 @@
 //! Plan pretty-printer: renders query trees in the paper's operator
-//! notation (Fig. 2–4), for diagnostics and plan-shape tests.
+//! notation (Fig. 2–4), for diagnostics and plan-shape tests. Every label
+//! is also the EXPLAIN ANALYZE label of the operator the plan lowers to.
 
 use crate::ops::{LogicalOp, ScanHint};
-use crate::scalar::ScalarExpr;
+use crate::scalar::{KernelExpr, ScalarExpr};
 
 /// Render a plan as an indented operator tree.
 pub fn explain(plan: &LogicalOp) -> String {
     let mut out = String::new();
     render(plan, 0, &mut out);
+    out
+}
+
+/// Render a scalar query: the expression, then what it evaluates below
+/// itself.
+pub fn explain_scalar(e: &ScalarExpr) -> String {
+    let mut out = format!("scalar: {e}\n");
+    render_nested(e, 1, &mut out);
     out
 }
 
@@ -30,7 +39,7 @@ pub fn op_label(plan: &LogicalOp) -> String {
         LogicalOp::Cross { .. } => "×".to_owned(),
         LogicalOp::SemiJoin { pred, .. } => format!("⋉[{pred}]"),
         LogicalOp::AntiJoin { pred, .. } => format!("▷[{pred}]"),
-        LogicalOp::UnnestMap { context, attr, axis, test, hint, probe, .. } => {
+        LogicalOp::UnnestMap { context, attr, axis, test, hint, probe, set, .. } => {
             let mut label = match hint {
                 // `Auto` renders exactly as before the hint existed, so
                 // every `CostMode::Off` plan keeps its historical label.
@@ -41,6 +50,10 @@ pub fn op_label(plan: &LogicalOp) -> String {
             if let Some(p) = probe {
                 label.pop();
                 label.push_str(&format!(" probe={p}]"));
+            }
+            if *set {
+                // Still a Υ first, then the Π^D it absorbed.
+                label.push_str(&format!(" (set, Π^D[{attr}])"));
             }
             label
         }
@@ -57,80 +70,76 @@ pub fn op_label(plan: &LogicalOp) -> String {
     }
 }
 
-fn render(plan: &LogicalOp, depth: usize, out: &mut String) {
+/// The label of a kernel: the step it walks (so it reads as a Υ), plus
+/// what it absorbed (`Υ[c5:c4/child::year] (kernel, 𝔄[Exists], = '1991')`).
+pub fn kernel_label(k: &KernelExpr) -> String {
+    let cmp = match &k.cmp {
+        None => String::new(),
+        Some(c) => {
+            let (op, constant) = (c.op.symbol(), ScalarExpr::Const(c.constant.clone()));
+            if c.constant_first {
+                format!(", {constant} {op}")
+            } else {
+                format!(", {op} {constant}")
+            }
+        }
+    };
+    let (attr, context, axis, test) = (&k.attr, &k.context, k.axis, &k.test);
+    format!("Υ[{attr}:{context}/{axis}::{test}] (kernel, 𝔄[{:?}]{cmp})", k.func)
+}
+
+fn line(depth: usize, label: &str, out: &mut String) {
     for _ in 0..depth {
         out.push_str("  ");
     }
-    out.push_str(&op_label(plan));
+    out.push_str(label);
     out.push('\n');
+}
+
+fn render(plan: &LogicalOp, depth: usize, out: &mut String) {
+    line(depth, &op_label(plan), out);
     for c in plan.inputs() {
         render(c, depth + 1, out);
     }
-    // Nested plans inside scalar subscripts, marked distinctly.
-    for nested in nested_plans(plan) {
-        for _ in 0..depth + 1 {
-            out.push_str("  ");
+    if let Some(e) = plan.subscript() {
+        render_nested(e, depth + 1, out);
+    }
+}
+
+/// The nested items of a subscript, each marked distinctly.
+fn render_nested(e: &ScalarExpr, depth: usize, out: &mut String) {
+    for nested in scalar_nested(e) {
+        line(depth, "(nested)", out);
+        match nested {
+            Nested::Plan(plan) => render(plan, depth + 1, out),
+            Nested::Kernel(k) => line(depth + 1, &kernel_label(k), out),
         }
-        out.push_str("(nested)\n");
-        render(nested, depth + 2, out);
     }
 }
 
-/// The nested sequence plans hanging off `plan`'s scalar subscripts
-/// (aggregate arguments inside predicates), in subscript order.
-pub fn nested_plans(plan: &LogicalOp) -> Vec<&LogicalOp> {
-    let mut out = Vec::new();
-    match plan {
-        LogicalOp::Select { pred, .. }
-        | LogicalOp::SemiJoin { pred, .. }
-        | LogicalOp::AntiJoin { pred, .. } => collect_nested(pred, &mut out),
-        LogicalOp::MapExpr { expr, .. }
-        | LogicalOp::MemoMap { expr, .. }
-        | LogicalOp::TokenizeMap { expr, .. } => collect_nested(expr, &mut out),
-        _ => {}
-    }
-    out
+/// What a scalar subscript evaluates below itself: a nested sequence
+/// plan (an aggregate's argument), or the kernel that replaced one.
+#[derive(Clone, Copy, Debug)]
+pub enum Nested<'a> {
+    /// An aggregate's nested plan.
+    Plan(&'a LogicalOp),
+    /// A predicate kernel.
+    Kernel(&'a KernelExpr),
 }
 
-/// The nested sequence plans inside a standalone scalar expression (the
+/// The nested items of a scalar expression, in evaluation order (the
 /// roots of a scalar query's profile).
-pub fn scalar_plans(e: &ScalarExpr) -> Vec<&LogicalOp> {
-    let mut out = Vec::new();
-    collect_nested(e, &mut out);
-    out
-}
-
-fn collect_nested<'a>(e: &'a ScalarExpr, out: &mut Vec<&'a LogicalOp>) {
-    use ScalarExpr as S;
-    match e {
-        S::Agg(agg) => out.push(&agg.plan),
-        S::And(a, b) | S::Or(a, b) => {
-            collect_nested(a, out);
-            collect_nested(b, out);
+pub fn scalar_nested(e: &ScalarExpr) -> Vec<Nested<'_>> {
+    fn collect<'a>(e: &'a ScalarExpr, out: &mut Vec<Nested<'a>>) {
+        match e {
+            ScalarExpr::Agg(agg) => out.push(Nested::Plan(&agg.plan)),
+            ScalarExpr::Kernel(k) => out.push(Nested::Kernel(k)),
+            _ => e.operands().for_each(|o| collect(o, out)),
         }
-        S::Compare { lhs, rhs, .. } => {
-            collect_nested(lhs, out);
-            collect_nested(rhs, out);
-        }
-        S::Arith(_, a, b) => {
-            collect_nested(a, out);
-            collect_nested(b, out);
-        }
-        S::Not(a)
-        | S::Neg(a)
-        | S::Convert(_, a)
-        | S::NumFn(_, a)
-        | S::NodeFn(_, a)
-        | S::Deref(a)
-        | S::RootOf(a)
-        | S::Lang(a, _) => collect_nested(a, out),
-        S::StrFn(_, args) => {
-            for a in args {
-                collect_nested(a, out);
-            }
-        }
-        S::Const(_) | S::Attr(_) | S::Var(_) => {}
     }
+    let mut out = Vec::new();
+    collect(e, &mut out);
+    out
 }
 
 #[cfg(test)]

@@ -20,5 +20,7 @@ pub use attrmgr::{AttrManager, Slot};
 pub use docorder::DocOrderKeys;
 pub use explain::explain;
 pub use ops::{Attr, LogicalOp, ProbeKind, ProbeSpec, ScanHint};
-pub use scalar::{AggExpr, AggFunc, CmpMode, ConvKind, NodeFn, NumFn, ScalarExpr, StrFn};
+pub use scalar::{
+    AggExpr, AggFunc, CmpMode, ConstCmp, ConvKind, KernelExpr, NodeFn, NumFn, ScalarExpr, StrFn,
+};
 pub use value::{Const, QueryError, QueryOutput, Tuple, Value};

@@ -191,6 +191,10 @@ pub enum LogicalOp {
         /// (`None` unless an equality predicate above this Υ was
         /// recognised as index-answerable).
         probe: Option<ProbeSpec>,
+        /// Set mode, written by the physical phase: this Υ also does the
+        /// work of the `Π^D[attr]` it replaced, emitting each node once
+        /// (DESIGN.md §12 "Set-at-a-time steps").
+        set: bool,
     },
     /// Υ_{t:tokenize(e)} — unnest a whitespace-tokenised string (used only
     /// by the `id()` translation on non-node-set input, §3.6.3).
@@ -271,6 +275,7 @@ impl LogicalOp {
             test,
             hint: ScanHint::Auto,
             probe: None,
+            set: false,
         }
     }
 
@@ -323,6 +328,58 @@ impl LogicalOp {
                 LogicalOp::Concat { parts } => (None, None, parts),
             };
         first.into_iter().chain(second).chain(parts)
+    }
+
+    /// [`LogicalOp::inputs`], mutably.
+    pub fn inputs_mut(&mut self) -> impl Iterator<Item = &mut LogicalOp> {
+        type Children<'a> = (Option<&'a mut LogicalOp>, Option<&'a mut LogicalOp>);
+        let ((first, second), parts): (Children<'_>, &mut [LogicalOp]) = match self {
+            LogicalOp::Singleton | LogicalOp::PartitionSource => ((None, None), &mut []),
+            LogicalOp::Select { input, .. }
+            | LogicalOp::DedupBy { input, .. }
+            | LogicalOp::Rename { input, .. }
+            | LogicalOp::MapExpr { input, .. }
+            | LogicalOp::CounterMap { input, .. }
+            | LogicalOp::MemoMap { input, .. }
+            | LogicalOp::UnnestMap { input, .. }
+            | LogicalOp::TokenizeMap { input, .. }
+            | LogicalOp::SortBy { input, .. }
+            | LogicalOp::TmpCs { input, .. }
+            | LogicalOp::MemoX { input, .. } => ((Some(input), None), &mut []),
+            LogicalOp::DJoin { left, right }
+            | LogicalOp::Cross { left, right }
+            | LogicalOp::SemiJoin { left, right, .. }
+            | LogicalOp::AntiJoin { left, right, .. } => ((Some(left), Some(right)), &mut []),
+            LogicalOp::Exchange { source, body, .. } => ((Some(source), Some(body)), &mut []),
+            LogicalOp::Concat { parts } => ((None, None), parts),
+        };
+        first.into_iter().chain(second).chain(parts)
+    }
+
+    /// The scalar subscript of this operator, if it has one.
+    pub fn subscript(&self) -> Option<&ScalarExpr> {
+        match self {
+            LogicalOp::Select { pred: e, .. }
+            | LogicalOp::MapExpr { expr: e, .. }
+            | LogicalOp::MemoMap { expr: e, .. }
+            | LogicalOp::TokenizeMap { expr: e, .. }
+            | LogicalOp::SemiJoin { pred: e, .. }
+            | LogicalOp::AntiJoin { pred: e, .. } => Some(e),
+            _ => None,
+        }
+    }
+
+    /// [`LogicalOp::subscript`], mutably.
+    pub fn subscript_mut(&mut self) -> Option<&mut ScalarExpr> {
+        match self {
+            LogicalOp::Select { pred: e, .. }
+            | LogicalOp::MapExpr { expr: e, .. }
+            | LogicalOp::MemoMap { expr: e, .. }
+            | LogicalOp::TokenizeMap { expr: e, .. }
+            | LogicalOp::SemiJoin { pred: e, .. }
+            | LogicalOp::AntiJoin { pred: e, .. } => Some(e),
+            _ => None,
+        }
     }
 
     /// Attributes defined (written) anywhere in this plan.
@@ -422,35 +479,11 @@ impl LogicalOp {
         fn scalar_flow(e: &ScalarExpr, defined: &BTreeSet<Attr>, free: &mut BTreeSet<Attr>) {
             use crate::scalar::ScalarExpr as S;
             match e {
-                S::Const(_) | S::Var(_) => {}
                 S::Attr(a) => reference(a, defined, free),
-                S::And(a, b) | S::Or(a, b) => {
-                    scalar_flow(a, defined, free);
-                    scalar_flow(b, defined, free);
-                }
-                S::Compare { lhs, rhs, .. } => {
-                    scalar_flow(lhs, defined, free);
-                    scalar_flow(rhs, defined, free);
-                }
-                S::Arith(_, a, b) => {
-                    scalar_flow(a, defined, free);
-                    scalar_flow(b, defined, free);
-                }
-                S::Not(a)
-                | S::Neg(a)
-                | S::Convert(_, a)
-                | S::NumFn(_, a)
-                | S::NodeFn(_, a)
-                | S::Deref(a)
-                | S::RootOf(a) => scalar_flow(a, defined, free),
+                S::Kernel(k) => reference(&k.source, defined, free),
                 S::Lang(a, ctx) => {
                     scalar_flow(a, defined, free);
                     reference(ctx, defined, free);
-                }
-                S::StrFn(_, args) => {
-                    for a in args {
-                        scalar_flow(a, defined, free);
-                    }
                 }
                 S::Agg(agg) => {
                     // The nested plan is seeded with the current tuple:
@@ -459,6 +492,7 @@ impl LogicalOp {
                     let mut inner_defined = defined.clone();
                     agg.plan.flow(&mut inner_defined, free);
                 }
+                _ => e.operands().for_each(|o| scalar_flow(o, defined, free)),
             }
         }
         match self {

@@ -3,7 +3,8 @@
 //! programs (paper §5.2.2); nested sequence-valued sub-plans are reached
 //! through aggregation expressions (paper §5.2.3).
 
-use xpath_syntax::{ArithOp, CompOp};
+use xmlstore::Axis;
+use xpath_syntax::{ArithOp, CompOp, NodeTest};
 
 use crate::ops::{Attr, LogicalOp};
 use crate::value::Const;
@@ -120,6 +121,41 @@ pub struct AggExpr {
     pub independent: bool,
 }
 
+/// A predicate kernel (DESIGN.md §5 "Predicate kernels"): what the
+/// physical phase makes of a per-candidate aggregate
+/// `𝔄[func](σ[attr θ const](χ[context:source](□) <> Υ[attr:context/axis::test](□)))`
+/// (σ optional) — one walk over the candidate's axis per evaluation.
+#[derive(Clone, Debug, PartialEq)]
+pub struct KernelExpr {
+    /// `Exists` or `Count`.
+    pub func: AggFunc,
+    /// The attribute of the outer tuple holding the candidate.
+    pub source: Attr,
+    /// The replaced step's context attribute (its label only).
+    pub context: Attr,
+    /// The replaced step's result attribute (its label only).
+    pub attr: Attr,
+    /// The axis walked from the candidate.
+    pub axis: Axis,
+    /// The node test.
+    pub test: NodeTest,
+    /// σ's comparison of each node with a constant, if any.
+    pub cmp: Option<ConstCmp>,
+}
+
+/// A kernel's comparison of the node it reached with a constant.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ConstCmp {
+    /// Operator.
+    pub op: CompOp,
+    /// Evaluation mode.
+    pub mode: CmpMode,
+    /// The constant.
+    pub constant: Const,
+    /// The constant is the left operand.
+    pub constant_first: bool,
+}
+
 /// Scalar expressions.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScalarExpr {
@@ -169,6 +205,9 @@ pub enum ScalarExpr {
     RootOf(Box<ScalarExpr>),
     /// Nested aggregation.
     Agg(AggExpr),
+    /// A nested aggregation lowered to a predicate kernel by the physical
+    /// phase.
+    Kernel(Box<KernelExpr>),
 }
 
 impl ScalarExpr {
@@ -201,6 +240,7 @@ impl ScalarExpr {
             ScalarExpr::Attr(a) => f(a),
             ScalarExpr::Lang(a, ctx) => a.any_read(f) || f(ctx),
             ScalarExpr::Agg(agg) => agg.plan.any_read(f),
+            ScalarExpr::Kernel(k) => f(&k.source),
             _ => self.operands().any(|e| e.any_read(f)),
         }
     }
@@ -210,7 +250,9 @@ impl ScalarExpr {
         use ScalarExpr as S;
         let (first, second, rest): (Option<&ScalarExpr>, Option<&ScalarExpr>, &[ScalarExpr]) =
             match self {
-                S::Const(_) | S::Attr(_) | S::Var(_) | S::Agg(_) => (None, None, &[]),
+                S::Const(_) | S::Attr(_) | S::Var(_) | S::Agg(_) | S::Kernel(_) => {
+                    (None, None, &[])
+                }
                 S::And(a, b) | S::Or(a, b) | S::Arith(_, a, b) => (Some(a), Some(b), &[]),
                 S::Compare { lhs, rhs, .. } => (Some(lhs), Some(rhs), &[]),
                 S::Not(a)
@@ -221,6 +263,29 @@ impl ScalarExpr {
                 | S::Deref(a)
                 | S::RootOf(a)
                 | S::Lang(a, _) => (Some(a), None, &[]),
+                S::StrFn(_, args) => (None, None, args),
+            };
+        first.into_iter().chain(second).chain(rest)
+    }
+
+    /// [`ScalarExpr::operands`], mutably.
+    pub fn operands_mut(&mut self) -> impl Iterator<Item = &mut ScalarExpr> {
+        use ScalarExpr as S;
+        let (first, second, rest): (Option<&mut ScalarExpr>, Option<&mut ScalarExpr>, &mut [_]) =
+            match self {
+                S::Const(_) | S::Attr(_) | S::Var(_) | S::Agg(_) | S::Kernel(_) => {
+                    (None, None, &mut [])
+                }
+                S::And(a, b) | S::Or(a, b) | S::Arith(_, a, b) => (Some(a), Some(b), &mut []),
+                S::Compare { lhs, rhs, .. } => (Some(lhs), Some(rhs), &mut []),
+                S::Not(a)
+                | S::Neg(a)
+                | S::Convert(_, a)
+                | S::NumFn(_, a)
+                | S::NodeFn(_, a)
+                | S::Deref(a)
+                | S::RootOf(a)
+                | S::Lang(a, _) => (Some(a), None, &mut []),
                 S::StrFn(_, args) => (None, None, args),
             };
         first.into_iter().chain(second).chain(rest)
@@ -256,6 +321,8 @@ impl std::fmt::Display for ScalarExpr {
             ScalarExpr::Deref(a) => write!(f, "deref({a})"),
             ScalarExpr::RootOf(a) => write!(f, "root({a})"),
             ScalarExpr::Agg(agg) => write!(f, "𝔄[{:?}; {}](…)", agg.func, agg.over),
+            // As the aggregate it replaced, so the subscript reads the same.
+            ScalarExpr::Kernel(k) => write!(f, "𝔄[{:?}; {}](…)", k.func, k.attr),
         }
     }
 }

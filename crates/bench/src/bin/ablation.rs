@@ -172,20 +172,6 @@ fn main() {
     record(&mut results, json_on, "E6c", "split off", split_query, off_ev, &doc, off);
     record(&mut results, json_on, "E6c", "split on", split_query, on_ev, &doc, on);
 
-    // --- E9 (extension): [13]-style Π^D/Sort pruning ----------------------
-    println!("\n# E9: order/duplicate property pruning (extension beyond the paper)");
-    for q in [
-        "/xdoc/child::*/child::*/child::*/attribute::id",
-        "/child::xdoc/descendant::*/attribute::id",
-        "(/xdoc/child::*/child::*)[last()]/attribute::id",
-    ] {
-        let base = time_query(Evaluator::NatixImproved, &doc, q, runs);
-        let ext = time_query(Evaluator::NatixExtended, &doc, q, runs);
-        println!("  {q}\n    improved {:>10} ms | +pruning {:>10} ms", ms(base), ms(ext));
-        record(&mut results, json_on, "E9", "improved", q, Evaluator::NatixImproved, &doc, base);
-        record(&mut results, json_on, "E9", "+pruning", q, Evaluator::NatixExtended, &doc, ext);
-    }
-
     // --- E8: smart aggregation early exit (§5.2.5) -----------------------
     println!("\n# E8: exists() early exit vs full aggregation");
     let exists_query = "/xdoc/descendant::*[descendant::a]/attribute::id";

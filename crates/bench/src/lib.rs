@@ -73,9 +73,6 @@ pub enum Evaluator {
     NatixImproved,
     /// Algebraic engine, canonical translation (§3 only).
     NatixCanonical,
-    /// Algebraic engine, improved + property pruning (beyond-paper
-    /// extension E9).
-    NatixExtended,
     /// Algebraic engine with custom options (ablations).
     NatixWith(TranslateOptions),
     /// Context-list main-memory interpreter (≙ Xalan).
@@ -91,7 +88,6 @@ impl Evaluator {
         match self {
             Evaluator::NatixImproved => "natix",
             Evaluator::NatixCanonical => "natix-canonical",
-            Evaluator::NatixExtended => "natix-extended",
             Evaluator::NatixWith(_) => "natix-custom",
             Evaluator::ContextList => "interp",
             Evaluator::Naive => "naive",
@@ -104,7 +100,6 @@ impl Evaluator {
         match self {
             Evaluator::NatixImproved => Some(TranslateOptions::improved()),
             Evaluator::NatixCanonical => Some(TranslateOptions::canonical()),
-            Evaluator::NatixExtended => Some(TranslateOptions::extended()),
             Evaluator::NatixWith(opts) => Some(*opts),
             Evaluator::ContextList | Evaluator::Naive => None,
         }
@@ -119,9 +114,6 @@ impl Evaluator {
             }
             Evaluator::NatixCanonical => {
                 nqe::evaluate(store, query, &TranslateOptions::canonical()).expect("evaluate")
-            }
-            Evaluator::NatixExtended => {
-                nqe::evaluate(store, query, &TranslateOptions::extended()).expect("evaluate")
             }
             Evaluator::NatixWith(opts) => nqe::evaluate(store, query, opts).expect("evaluate"),
             Evaluator::ContextList => Interpreter::new(store, InterpOptions::context_list())

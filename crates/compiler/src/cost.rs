@@ -49,11 +49,12 @@ use std::collections::HashMap;
 use xmlstore::{Axis, StoreStats};
 use xpath_syntax::{KindTest, NodeTest};
 
-use algebra::explain::op_label;
-use algebra::scalar::AggFunc;
-use algebra::{ConvKind, LogicalOp, ProbeKind, ProbeSpec, ScalarExpr, ScanHint};
+use algebra::explain::{kernel_label, op_label};
+use algebra::scalar::{AggFunc, CmpMode, ConstCmp, KernelExpr};
+use algebra::{Const, LogicalOp, ProbeKind, ProbeSpec, ScalarExpr, ScanHint};
 use xpath_syntax::CompOp;
 
+use crate::physical::kernel_shape;
 use crate::translate::CompiledQuery;
 
 /// Hash probe + key compare per memo access (𝔐 and χ^mat).
@@ -375,16 +376,20 @@ impl Estimator<'_> {
                     cost: l.cost + l.rows * (r.cost * 0.5 + per),
                 }
             }
-            L::UnnestMap { input, context, attr, axis, test, .. } => {
+            L::UnnestMap { input, context, attr, axis, test, set, .. } => {
                 let i = self.est(input, opens, env, rec);
                 let ctx_scope = env.scope.get(context).copied().unwrap_or(self.stats.mean_subtree);
                 let card = self.axis_card(*axis, test, ctx_scope);
                 env.scope.insert(attr.clone(), self.result_scope(*axis, test));
-                env.domain.insert(attr.clone(), self.test_count(*axis, test).max(1.0));
+                let domain = self.test_count(*axis, test).max(1.0);
+                env.domain.insert(attr.clone(), domain);
                 let span = self.scan_span(*axis, ctx_scope);
-                Est {
-                    rows: i.rows * card,
-                    cost: i.cost + i.rows * (span.max(card) + card),
+                let (rows, cost) = (i.rows * card, i.cost + i.rows * (span.max(card) + card));
+                if *set {
+                    // The Π^D it absorbed, priced as a Π^D still.
+                    Est { rows: rows.min(domain), cost: cost + rows * DEDUP_UNIT }
+                } else {
+                    Est { rows, cost }
                 }
             }
             L::TokenizeMap { input, expr, .. } => {
@@ -453,6 +458,19 @@ impl Estimator<'_> {
                 let inner = self.est(&agg.plan, evals * discount, &mut inner_env, rec);
                 1.0 + inner.cost * discount
             }
+            S::Kernel(k) => {
+                // One walk over the candidate's axis; `exists` stops at
+                // the first match, as smart aggregation does.
+                let discount = if k.func == AggFunc::Exists { 0.5 } else { 1.0 };
+                let scope = env.scope.get(&k.source).copied().unwrap_or(self.stats.mean_subtree);
+                let card = self.axis_card(k.axis, &k.test, scope);
+                let sel = if k.cmp.is_some() { CMP_SEL } else { 1.0 };
+                rec.push(OpEstimate {
+                    label: kernel_label(k),
+                    est_tuples: sane(evals * discount * card * sel),
+                });
+                1.0 + self.scan_span(k.axis, scope).max(card) * discount
+            }
             S::And(a, b) | S::Or(a, b) => {
                 // Short-circuit: the second operand runs for part of the
                 // stream only.
@@ -512,13 +530,6 @@ fn sane(v: f64) -> f64 {
     }
 }
 
-fn interval_axis(axis: Axis) -> bool {
-    matches!(
-        axis,
-        Axis::Descendant | Axis::DescendantOrSelf | Axis::Following | Axis::Preceding
-    )
-}
-
 // ========================= the rewrite pass =========================
 
 struct Optimizer<'a> {
@@ -572,11 +583,11 @@ impl Optimizer<'_> {
                     input
                 }
             }
-            L::UnnestMap { input, context, attr, axis, test, hint, probe } => {
+            L::UnnestMap { input, context, attr, axis, test, hint, probe, set } => {
                 let input = self.rewrite(*input, opens, env);
                 let ctx_scope =
                     env.scope.get(&context).copied().unwrap_or(self.est.stats.mean_subtree);
-                let hint = if interval_axis(axis) {
+                let hint = if axis.is_interval() {
                     let span = self.est.scan_span(axis, ctx_scope);
                     let range = RANGE_PROBE + span;
                     let cursor = span * CURSOR_HOP;
@@ -613,6 +624,7 @@ impl Optimizer<'_> {
                     test,
                     hint,
                     probe,
+                    set,
                 }
             }
             L::DJoin { left, right } => {
@@ -810,45 +822,25 @@ impl Optimizer<'_> {
         plan
     }
 
-    fn rewrite_scalar(&mut self, e: ScalarExpr, opens: f64, env: &mut Env) -> ScalarExpr {
-        use ScalarExpr as S;
+    fn rewrite_scalar(&mut self, mut e: ScalarExpr, opens: f64, env: &mut Env) -> ScalarExpr {
+        self.rewrite_nested(&mut e, opens, env);
+        e
+    }
+
+    /// Rewrite the nested plans of `e`; the second operand of `and` /
+    /// `or` runs for part of the stream only.
+    fn rewrite_nested(&mut self, e: &mut ScalarExpr, opens: f64, env: &mut Env) {
         match e {
-            S::Agg(mut agg) => {
+            ScalarExpr::Agg(agg) => {
                 let mut inner_env = env.clone();
-                agg.plan = Box::new(self.rewrite(*agg.plan, opens, &mut inner_env));
-                S::Agg(agg)
+                let plan = std::mem::replace(&mut *agg.plan, LogicalOp::Singleton);
+                *agg.plan = self.rewrite(plan, opens, &mut inner_env);
             }
-            S::And(a, b) => S::And(
-                Box::new(self.rewrite_scalar(*a, opens, env)),
-                Box::new(self.rewrite_scalar(*b, opens * 0.5, env)),
-            ),
-            S::Or(a, b) => S::Or(
-                Box::new(self.rewrite_scalar(*a, opens, env)),
-                Box::new(self.rewrite_scalar(*b, opens * 0.5, env)),
-            ),
-            S::Not(a) => S::Not(Box::new(self.rewrite_scalar(*a, opens, env))),
-            S::Neg(a) => S::Neg(Box::new(self.rewrite_scalar(*a, opens, env))),
-            S::Compare { op, mode, lhs, rhs } => S::Compare {
-                op,
-                mode,
-                lhs: Box::new(self.rewrite_scalar(*lhs, opens, env)),
-                rhs: Box::new(self.rewrite_scalar(*rhs, opens, env)),
-            },
-            S::Arith(op, a, b) => S::Arith(
-                op,
-                Box::new(self.rewrite_scalar(*a, opens, env)),
-                Box::new(self.rewrite_scalar(*b, opens, env)),
-            ),
-            S::Convert(k, a) => S::Convert(k, Box::new(self.rewrite_scalar(*a, opens, env))),
-            S::StrFn(f, args) => {
-                S::StrFn(f, args.into_iter().map(|a| self.rewrite_scalar(a, opens, env)).collect())
+            ScalarExpr::And(a, b) | ScalarExpr::Or(a, b) => {
+                self.rewrite_nested(a, opens, env);
+                self.rewrite_nested(b, opens * 0.5, env);
             }
-            S::NumFn(f, a) => S::NumFn(f, Box::new(self.rewrite_scalar(*a, opens, env))),
-            S::NodeFn(f, a) => S::NodeFn(f, Box::new(self.rewrite_scalar(*a, opens, env))),
-            S::Lang(a, ctx) => S::Lang(Box::new(self.rewrite_scalar(*a, opens, env)), ctx),
-            S::Deref(a) => S::Deref(Box::new(self.rewrite_scalar(*a, opens, env))),
-            S::RootOf(a) => S::RootOf(Box::new(self.rewrite_scalar(*a, opens, env))),
-            leaf @ (S::Const(_) | S::Attr(_) | S::Var(_)) => leaf,
+            _ => e.operands_mut().for_each(|o| self.rewrite_nested(o, opens, env)),
         }
     }
 }
@@ -888,82 +880,36 @@ fn match_probe_site(plan: &LogicalOp) -> Option<(ProbeSpec, &str, &str, Axis, &N
     {
         return None;
     }
-    let spec = match_probe_pred(agg)?;
+    let spec = probe_key(agg)?;
     Some((spec, context.as_str(), attr.as_str(), *axis, test))
 }
 
-/// Match the nested `𝔄[Exists](σ[string(v) = 'c'] ∘ <>(χ[s:cn] ∘ □, Υ[v:s/axis::name] ∘ □))`
-/// aggregate the predicate translation emits for `[@a='v']` / `[e='v']`
-/// and extract the (kind, name, value) probe key.
-fn match_probe_pred(agg: &algebra::AggExpr) -> Option<ProbeSpec> {
-    use LogicalOp as L;
-    if agg.func != AggFunc::Exists {
-        return None;
-    }
-    let L::Select { input, pred } = &*agg.plan else {
+/// The `[@a='v']` / `[e='v']` aggregate as a probe key: the kernel
+/// matcher's shape, narrowed to `exists` from `cn` over one named
+/// attribute or child compared `=` with a string in string mode.
+fn probe_key(agg: &algebra::AggExpr) -> Option<ProbeSpec> {
+    let KernelExpr { func, source, axis, test: NodeTest::Name(name), cmp, .. } = kernel_shape(agg)?
+    else {
         return None;
     };
-    let L::DJoin { left, right } = &**input else {
-        return None;
-    };
-    let L::MapExpr { input: ml, attr: step_ctx, expr: ScalarExpr::Attr(src) } = &**left else {
-        return None;
-    };
-    if !matches!(&**ml, L::Singleton) || src != "cn" {
-        return None;
-    }
-    let L::UnnestMap { input: ui, context, attr, axis, test, probe, .. } = &**right else {
-        return None;
-    };
-    if !matches!(&**ui, L::Singleton) || context != step_ctx || attr != &agg.over || probe.is_some()
-    {
-        return None;
-    }
     let kind = match axis {
         Axis::Attribute => ProbeKind::Attribute,
         Axis::Child => ProbeKind::Element,
         _ => return None,
     };
-    let NodeTest::Name(name) = test else {
+    let Some(ConstCmp {
+        op: CompOp::Eq,
+        mode: CmpMode::Str,
+        constant: Const::Str(value),
+        ..
+    }) = cmp
+    else {
         return None;
     };
-    let value = eq_const_value(pred, &agg.over)?;
-    if value.len() > xmlstore::VALUE_CAP {
-        // The store never indexes over-length values; a probe would
-        // only ever fall back to the scan at runtime.
-        return None;
-    }
-    Some(ProbeSpec { kind, name: name.clone(), value })
-}
-
-/// `string(over) = 'v'` (either operand order) → `v`.
-fn eq_const_value(pred: &ScalarExpr, over: &str) -> Option<String> {
-    let ScalarExpr::Compare { op: CompOp::Eq, lhs, rhs, .. } = pred else {
-        return None;
-    };
-    if is_string_of(lhs, over) {
-        const_str(rhs)
-    } else if is_string_of(rhs, over) {
-        const_str(lhs)
-    } else {
-        None
-    }
-}
-
-fn is_string_of(e: &ScalarExpr, over: &str) -> bool {
-    match e {
-        ScalarExpr::Convert(ConvKind::ToString, a) => {
-            matches!(&**a, ScalarExpr::Attr(x) if x == over)
-        }
-        _ => false,
-    }
-}
-
-fn const_str(e: &ScalarExpr) -> Option<String> {
-    match e {
-        ScalarExpr::Const(algebra::Const::Str(s)) => Some(s.clone()),
-        _ => None,
-    }
+    // The store never indexes over-length values; a probe would only
+    // ever fall back to the scan at runtime.
+    let keyed = func == AggFunc::Exists && source == "cn" && value.len() <= xmlstore::VALUE_CAP;
+    keyed.then_some(ProbeSpec { kind, name, value })
 }
 
 /// Drill back down to the outer Υ a successful [`match_probe_site`]
@@ -994,7 +940,13 @@ mod tests {
     use xmlstore::XmlStore;
 
     use crate::options::TranslateOptions;
-    use crate::pipeline::compile;
+    use crate::translate::translate;
+
+    /// What the pass sees: the paper's translation.
+    fn compile(q: &str, opts: &TranslateOptions) -> Result<CompiledQuery, String> {
+        translate(&xpath_syntax::frontend(q).map_err(|e| e.to_string())?, opts)
+            .map_err(|e| e.to_string())
+    }
 
     fn dblp_stats() -> StoreStats {
         let store = generate_dblp(DblpParams { records: 50, seed: 7 });

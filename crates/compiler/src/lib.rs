@@ -8,6 +8,7 @@
 
 pub mod cost;
 pub mod options;
+pub mod physical;
 pub mod pipeline;
 pub mod properties;
 pub mod trace;

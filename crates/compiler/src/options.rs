@@ -43,10 +43,6 @@ pub struct TranslateOptions {
     /// §4.3.2 — split predicate clauses into cheap/expensive, evaluate
     /// cheap first and memoize expensive clause values (χ^mat).
     pub split_expensive: bool,
-    /// Beyond the paper: prune Π^D/Sort operators proven redundant by the
-    /// order/duplicate property analysis of Hidders & Michiels (the
-    /// refinement §4.1 cites as ref. [13] but skips).
-    pub prune_properties: bool,
     /// DESIGN.md §14 — intra-query parallelism degree. When > 1 the
     /// parallelize pass inserts Exchange operators above parallel-safe
     /// expensive spine segments; 1 (the default and every preset)
@@ -66,7 +62,6 @@ impl TranslateOptions {
             push_dedup: false,
             memoize_inner: false,
             split_expensive: false,
-            prune_properties: false,
             threads: 1,
             optimize: CostMode::Off,
         }
@@ -79,16 +74,9 @@ impl TranslateOptions {
             push_dedup: true,
             memoize_inner: true,
             split_expensive: true,
-            prune_properties: false,
             threads: 1,
             optimize: CostMode::Off,
         }
-    }
-
-    /// The improved translation plus the [13]-style property pruning
-    /// (an extension beyond the paper; see DESIGN.md).
-    pub fn extended() -> TranslateOptions {
-        TranslateOptions { prune_properties: true, ..TranslateOptions::improved() }
     }
 
     /// The improved translation with the cost-based optimizer enabled:
@@ -317,15 +305,12 @@ mod tests {
         assert!(!c.stacked_outer && !c.push_dedup && !c.memoize_inner && !c.split_expensive);
         let i = TranslateOptions::improved();
         assert!(i.stacked_outer && i.push_dedup && i.memoize_inner && i.split_expensive);
-        assert!(!i.prune_properties, "pruning is a beyond-paper extension");
         assert_eq!(TranslateOptions::default(), i);
-        assert!(TranslateOptions::extended().prune_properties);
         assert_eq!(c.threads, 1, "every preset compiles serially");
         assert_eq!(i.threads, 1);
-        assert_eq!(TranslateOptions::extended().with_threads(4).threads, 4);
+        assert_eq!(i.with_threads(4).threads, 4);
         assert_eq!(c.optimize, CostMode::Off, "paper presets never optimize");
         assert_eq!(i.optimize, CostMode::Off);
-        assert_eq!(TranslateOptions::extended().optimize, CostMode::Off);
         let cb = TranslateOptions::cost_based();
         assert_eq!(cb.optimize, CostMode::CostBased);
         assert_eq!(TranslateOptions { optimize: CostMode::Off, ..cb }, i);

@@ -4,8 +4,10 @@
 //! (6) code generation.
 //!
 //! Phases 1–4 live in the `xpath-syntax` crate (normalization runs lazily
-//! per predicate during translation); phase 5 is [`crate::translate`];
-//! phase 6 (physical plan + NVM assembly) is the `nqe` crate.
+//! per predicate during translation); phase 5 is [`crate::translate`]
+//! followed by one ordered list of plan phases ([`run_phases`]), the last
+//! of which, [`crate::physical`], fixes every physical choice; phase 6
+//! (iterators + NVM assembly) is the `nqe` crate, a one-to-one lowering.
 
 use std::time::Instant;
 
@@ -14,6 +16,8 @@ use xpath_syntax::{analyze, fold::fold, frontend, parse, Expr, FrontendError};
 
 use crate::cost::{self, Decision, OptimizerTrace};
 use crate::options::{CostMode, TranslateOptions};
+use crate::physical::physical;
+use crate::properties;
 use crate::trace::{record_fired_rewrites, QueryTrace};
 use crate::translate::{translate, CompileError, CompiledQuery};
 
@@ -60,16 +64,16 @@ impl From<algebra::QueryError> for PipelineError {
     }
 }
 
-/// Compile a query string into the logical algebra.
+/// Compile a query string: the front end, then every phase of
+/// [`run_phases`].
 pub fn compile(query: &str, opts: &TranslateOptions) -> Result<CompiledQuery, PipelineError> {
-    let ast = frontend(query)?;
-    Ok(translate(&ast, opts)?)
+    compile_ast(&frontend(query)?, opts)
 }
 
 /// Compile an already-analyzed AST (used when the caller wants to inspect
 /// or transform the AST between phases).
 pub fn compile_ast(ast: &Expr, opts: &TranslateOptions) -> Result<CompiledQuery, PipelineError> {
-    Ok(translate(ast, opts)?)
+    Ok(run_phases(ast, opts, None, None)?.0)
 }
 
 /// Does the cost-based optimizer pass run for this (options, stats)
@@ -80,17 +84,16 @@ pub fn cost_active(opts: &TranslateOptions, stats: Option<&StoreStats>) -> bool 
 }
 
 /// Compile with document statistics: like [`compile`], plus the
-/// cost-based optimizer pass between translation and property pruning
-/// when [`cost_active`]. Returns the optimizer's record alongside the
-/// plan (`None` when the pass did not run, in which case the produced
-/// plan is byte-identical to [`compile`]'s).
+/// cost-based optimizer pass after translation when [`cost_active`].
+/// Returns the optimizer's record alongside the plan (`None` when the
+/// pass did not run, in which case the produced plan is byte-identical
+/// to [`compile`]'s).
 pub fn compile_with_stats(
     query: &str,
     opts: &TranslateOptions,
     stats: Option<&StoreStats>,
 ) -> Result<(CompiledQuery, Option<OptimizerTrace>), PipelineError> {
-    let ast = frontend(query)?;
-    compile_ast_with_stats(&ast, opts, stats)
+    compile_ast_with_stats(&frontend(query)?, opts, stats)
 }
 
 /// AST-level variant of [`compile_with_stats`].
@@ -99,37 +102,58 @@ pub fn compile_ast_with_stats(
     opts: &TranslateOptions,
     stats: Option<&StoreStats>,
 ) -> Result<(CompiledQuery, Option<OptimizerTrace>), PipelineError> {
-    if !cost_active(opts, stats) {
-        return Ok((translate(ast, opts)?, None));
-    }
-    let stats = stats.expect("cost_active implies stats");
-    // Factor prune/parallelize out of translation (the same split
-    // compile_traced uses, with the same tested equivalence) so the
-    // optimizer sees the raw translated plan.
-    let unpruned = TranslateOptions { prune_properties: false, threads: 1, ..*opts };
-    let compiled = translate(ast, &unpruned)?;
-    let (compiled, trace) = optimize_phase(ast, compiled, opts, stats)?;
-    let compiled = if opts.prune_properties {
-        match compiled {
-            CompiledQuery::Sequence(plan) => {
-                CompiledQuery::Sequence(crate::properties::prune(plan))
-            }
-            CompiledQuery::Scalar(expr) => {
-                CompiledQuery::Scalar(crate::properties::prune_scalar_expr(expr))
-            }
+    run_phases(ast, opts, stats, None)
+}
+
+/// The phases after the front end, in order: translate → optimize (when
+/// [`cost_active`]) → prune → parallelize (when `threads > 1`) →
+/// physical. With a trace, each is timed as its own phase and what it
+/// rewrote is recorded; the produced query is the same either way.
+fn run_phases(
+    ast: &Expr,
+    opts: &TranslateOptions,
+    stats: Option<&StoreStats>,
+    mut trace: Option<&mut QueryTrace>,
+) -> Result<(CompiledQuery, Option<OptimizerTrace>), PipelineError> {
+    let q = timed(&mut trace, "translate", || translate(ast, opts))?;
+    let (q, optimizer) = match stats.filter(|_| cost_active(opts, stats)) {
+        Some(stats) => {
+            let (q, t) = timed(&mut trace, "optimize", || optimize_phase(ast, q, opts, stats))?;
+            (q, Some(t))
         }
+        None => (q, None),
+    };
+    let mut pruned = Vec::new();
+    let q = timed(&mut trace, "prune", || properties::prune_query(q, &mut pruned));
+    let (q, exchanges) = if opts.threads > 1 {
+        timed(&mut trace, "parallelize", || properties::parallelize_query(q, opts.threads))
     } else {
-        compiled
+        (q, 0)
     };
-    let compiled = match compiled {
-        CompiledQuery::Sequence(plan) => {
-            CompiledQuery::Sequence(crate::properties::parallelize(plan, opts.threads).0)
+    let (q, lowered) = timed(&mut trace, "physical", || physical(q));
+    if let Some(trace) = trace {
+        trace.record_plan(&q);
+        trace.pruned_ops = pruned.len();
+        if !pruned.is_empty() {
+            trace.rewrites.push(format!("property-prune ×{}", pruned.len()));
         }
-        CompiledQuery::Scalar(expr) => {
-            CompiledQuery::Scalar(crate::properties::parallelize_scalar(expr, opts.threads).0)
+        trace.pruned_labels = pruned;
+        if exchanges > 0 {
+            trace.rewrites.push(format!("parallelize ×{exchanges}"));
         }
-    };
-    Ok((compiled, Some(trace)))
+        record_fired_rewrites(trace, &q, lowered);
+    }
+    Ok((q, optimizer))
+}
+
+/// Run `phase`, timed as `name` when traced.
+fn timed<T>(trace: &mut Option<&mut QueryTrace>, name: &str, phase: impl FnOnce() -> T) -> T {
+    let t0 = trace.is_some().then(Instant::now);
+    let out = phase();
+    if let (Some(trace), Some(t0)) = (trace, t0) {
+        trace.add_phase(name, t0.elapsed().as_nanos() as u64);
+    }
+    out
 }
 
 /// The cost-based optimizer phase: per-site rewrites over the translated
@@ -144,13 +168,7 @@ fn optimize_phase(
 ) -> Result<(CompiledQuery, OptimizerTrace), PipelineError> {
     let (best, mut decisions) = cost::optimize(compiled, stats);
     let (best, decisions) = if opts.stacked_outer {
-        let alt_opts = TranslateOptions {
-            stacked_outer: false,
-            prune_properties: false,
-            threads: 1,
-            ..*opts
-        };
-        let alt = translate(ast, &alt_opts)?;
+        let alt = translate(ast, &TranslateOptions { stacked_outer: false, ..*opts })?;
         let (alt, alt_decisions) = cost::optimize(alt, stats);
         let est_stacked = cost::estimate_total(&best, stats);
         let est_djoin = cost::estimate_total(&alt, stats);
@@ -182,9 +200,7 @@ fn optimize_phase(
 
 /// Compile with per-phase tracing: each pipeline phase is timed
 /// separately, fired rewrites are recorded and the final plan's
-/// statistics captured. Produces the same query as [`compile`]; the
-/// property-pruning extension runs as its own timed phase so its cost
-/// and effect are visible.
+/// statistics captured. Produces the same query as [`compile`].
 pub fn compile_traced(
     query: &str,
     opts: &TranslateOptions,
@@ -219,74 +235,9 @@ pub fn compile_traced_with_stats(
     }
     trace.add_phase("fold", t0.elapsed().as_nanos() as u64);
 
-    // Translate with the pruning extension and the parallelize pass
-    // factored out so each can be timed as its own phase (normalization
-    // runs lazily per predicate inside translation, per §5.1).
-    let unpruned_opts = TranslateOptions { prune_properties: false, threads: 1, ..*opts };
-    let t0 = Instant::now();
-    let compiled = translate(&folded, &unpruned_opts)?;
-    trace.add_phase("translate", t0.elapsed().as_nanos() as u64);
-
-    trace.record_plan(&compiled);
-    let compiled = if cost_active(opts, stats) {
-        let stats = stats.expect("cost_active implies stats");
-        let t0 = Instant::now();
-        let (optimized, opt_trace) = optimize_phase(&folded, compiled, opts, stats)?;
-        trace.add_phase("optimize", t0.elapsed().as_nanos() as u64);
-        trace.optimizer = Some(opt_trace);
-        trace.record_plan(&optimized);
-        optimized
-    } else {
-        compiled
-    };
-    let compiled = if opts.prune_properties {
-        let ops_before = trace.plan_ops;
-        let t0 = Instant::now();
-        let mut pruned_labels = Vec::new();
-        let pruned = match compiled {
-            CompiledQuery::Sequence(plan) => CompiledQuery::Sequence(
-                crate::properties::prune_with_report(plan, &mut pruned_labels),
-            ),
-            CompiledQuery::Scalar(expr) => CompiledQuery::Scalar(
-                crate::properties::prune_scalar_expr_with_report(expr, &mut pruned_labels),
-            ),
-        };
-        trace.add_phase("prune", t0.elapsed().as_nanos() as u64);
-        trace.record_plan(&pruned);
-        trace.pruned_ops = ops_before.saturating_sub(trace.plan_ops);
-        trace.pruned_labels = pruned_labels;
-        if trace.pruned_ops > 0 {
-            trace.rewrites.push(format!("property-prune (-{} ops)", trace.pruned_ops));
-        }
-        pruned
-    } else {
-        compiled
-    };
-    let compiled = if opts.threads > 1 {
-        let t0 = Instant::now();
-        let inserted;
-        let parallel = match compiled {
-            CompiledQuery::Sequence(plan) => {
-                let (plan, n) = crate::properties::parallelize(plan, opts.threads);
-                inserted = n;
-                CompiledQuery::Sequence(plan)
-            }
-            CompiledQuery::Scalar(expr) => {
-                let (expr, n) = crate::properties::parallelize_scalar(expr, opts.threads);
-                inserted = n;
-                CompiledQuery::Scalar(expr)
-            }
-        };
-        trace.add_phase("parallelize", t0.elapsed().as_nanos() as u64);
-        trace.record_plan(&parallel);
-        if inserted > 0 {
-            trace.rewrites.push(format!("parallelize ×{inserted}"));
-        }
-        parallel
-    } else {
-        compiled
-    };
-    record_fired_rewrites(&mut trace, &compiled);
+    // Normalization runs lazily per predicate inside translation (§5.1).
+    let (compiled, optimizer) = run_phases(&folded, opts, stats, Some(&mut trace))?;
+    trace.optimizer = optimizer;
     Ok((compiled, trace))
 }
 
@@ -296,15 +247,22 @@ mod tests {
     use algebra::explain::explain;
     use algebra::LogicalOp;
 
+    /// The paper's translation of `query` (what the Fig. 2–4 shapes are
+    /// about), before the pipeline's later phases.
+    fn translated(query: &str, opts: &TranslateOptions) -> CompiledQuery {
+        translate(&frontend(query).unwrap(), opts)
+            .unwrap_or_else(|e| panic!("translate `{query}`: {e}"))
+    }
+
     fn seq(query: &str, opts: &TranslateOptions) -> LogicalOp {
-        match compile(query, opts).unwrap_or_else(|e| panic!("compile `{query}`: {e}")) {
+        match translated(query, opts) {
             CompiledQuery::Sequence(p) => p,
             CompiledQuery::Scalar(s) => panic!("expected sequence plan, got scalar {s}"),
         }
     }
 
     fn scal(query: &str, opts: &TranslateOptions) -> algebra::ScalarExpr {
-        match compile(query, opts).unwrap() {
+        match translated(query, opts) {
             CompiledQuery::Scalar(s) => s,
             CompiledQuery::Sequence(p) => panic!("expected scalar, got plan\n{}", explain(&p)),
         }
@@ -505,26 +463,48 @@ mod tests {
 
     #[test]
     fn traced_compile_matches_untraced_and_times_phases() {
+        use xmlstore::gen::{generate_tree, TreeParams};
+        use xmlstore::XmlStore;
+        let store = generate_tree(TreeParams { max_elements: 200, fanout: 4, max_depth: 4 });
+        let stats = store.structural_index().map(|idx| idx.stats());
         for opts in [
             TranslateOptions::canonical(),
             TranslateOptions::improved(),
-            TranslateOptions::extended(),
+            TranslateOptions::cost_based(),
         ] {
-            for q in ["/a/descendant::b[count(c) = 2]/d", "count(/a/b)", "1 + 2"] {
-                let plain = compile(q, &opts).unwrap();
-                let (traced, trace) = compile_traced(q, &opts).unwrap();
+            for q in [
+                "/a/descendant::b[count(c) = 2]/d",
+                "count(/a/b)",
+                "1 + 2",
+                "//a//b",
+            ] {
+                let (plain, _) = compile_with_stats(q, &opts, stats).unwrap();
+                let (traced, trace) = compile_traced_with_stats(q, &opts, stats).unwrap();
                 // Tracing must not change the produced query.
-                let render = |c: &CompiledQuery| match c {
-                    CompiledQuery::Sequence(p) => explain(p),
-                    CompiledQuery::Scalar(s) => s.to_string(),
-                };
-                assert_eq!(render(&plain), render(&traced), "{q}");
+                assert_eq!(plain, traced, "{q}");
                 let names: Vec<&str> = trace.phases.iter().map(|p| p.name.as_str()).collect();
-                assert!(
-                    names.starts_with(&["parse", "semantic", "fold", "translate"]),
-                    "{names:?}"
-                );
-                assert_eq!(names.contains(&"prune"), opts.prune_properties, "{names:?}");
+                let optimized = opts == TranslateOptions::cost_based();
+                let want: &[&str] = if optimized {
+                    &[
+                        "parse",
+                        "semantic",
+                        "fold",
+                        "translate",
+                        "optimize",
+                        "prune",
+                        "physical",
+                    ]
+                } else {
+                    &[
+                        "parse",
+                        "semantic",
+                        "fold",
+                        "translate",
+                        "prune",
+                        "physical",
+                    ]
+                };
+                assert_eq!(names, want, "{opts:?} `{q}`");
                 assert!(trace.plan_ops > 0 || q == "1 + 2", "{q}: {}", trace.plan_ops);
                 assert_eq!(trace.query, q);
             }
@@ -657,7 +637,7 @@ mod tests {
 
     #[test]
     fn traced_prune_names_elided_operators() {
-        let (_, trace) = compile_traced("/a/b/c", &TranslateOptions::extended()).unwrap();
+        let (_, trace) = compile_traced("/a/b/c", &TranslateOptions::improved()).unwrap();
         assert!(trace.pruned_ops > 0);
         assert_eq!(trace.pruned_labels.len(), trace.pruned_ops, "{:?}", trace.pruned_labels);
         assert!(

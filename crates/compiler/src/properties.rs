@@ -26,8 +26,10 @@
 
 use xmlstore::Axis;
 
-use algebra::scalar::ScalarExpr;
+use algebra::scalar::{AggFunc, ScalarExpr};
 use algebra::LogicalOp;
+
+use crate::translate::CompiledQuery;
 
 /// Stream properties of one node attribute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,133 +170,54 @@ pub fn prune(plan: LogicalOp) -> LogicalOp {
     prune_with_report(plan, &mut Vec::new())
 }
 
+/// [`prune_with_report`] over a whole query (a scalar query's nested
+/// plans included).
+pub fn prune_query(q: CompiledQuery, report: &mut Vec<String>) -> CompiledQuery {
+    match q {
+        CompiledQuery::Sequence(plan) => CompiledQuery::Sequence(prune_with_report(plan, report)),
+        CompiledQuery::Scalar(mut e) => {
+            prune_scalar(&mut e, report);
+            CompiledQuery::Scalar(e)
+        }
+    }
+}
+
 /// Like [`prune`], recording the label of every elided operator (in
 /// bottom-up elision order) so EXPLAIN can name each pruned site.
-pub fn prune_with_report(plan: LogicalOp, report: &mut Vec<String>) -> LogicalOp {
-    let plan =
-        map_children(plan, report, |r, c| prune_with_report(c, r), |r, e| prune_scalar(e, r));
-    match plan {
-        LogicalOp::DedupBy { input, attr } => {
-            if props_of(&input, &attr).distinct {
-                report.push(format!("Π^D[{attr}]"));
-                *input
-            } else {
-                LogicalOp::DedupBy { input, attr }
-            }
-        }
-        LogicalOp::SortBy { input, attr } => {
-            if props_of(&input, &attr).ordered {
-                report.push(format!("Sort[{attr}]"));
-                *input
-            } else {
-                LogicalOp::SortBy { input, attr }
-            }
-        }
-        other => other,
+pub fn prune_with_report(mut plan: LogicalOp, report: &mut Vec<String>) -> LogicalOp {
+    prune_in_place(&mut plan, report);
+    plan
+}
+
+fn prune_in_place(plan: &mut LogicalOp, report: &mut Vec<String>) {
+    plan.inputs_mut().for_each(|c| prune_in_place(c, report));
+    if let Some(e) = plan.subscript_mut() {
+        prune_scalar(e, report);
+    }
+    let redundant = match plan {
+        LogicalOp::DedupBy { input, attr } => props_of(input, attr).distinct,
+        LogicalOp::SortBy { input, attr } => props_of(input, attr).ordered,
+        _ => false,
+    };
+    if redundant {
+        report.push(algebra::explain::op_label(plan));
+        let (LogicalOp::DedupBy { input, .. } | LogicalOp::SortBy { input, .. }) =
+            std::mem::replace(plan, LogicalOp::Singleton)
+        else {
+            unreachable!()
+        };
+        *plan = *input;
     }
 }
 
-fn map_children<R>(
-    plan: LogicalOp,
-    r: &mut R,
-    f: fn(&mut R, LogicalOp) -> LogicalOp,
-    g: fn(&mut R, ScalarExpr) -> ScalarExpr,
-) -> LogicalOp {
-    use LogicalOp as L;
-    match plan {
-        L::Singleton => L::Singleton,
-        L::Select { input, pred } => L::Select { input: Box::new(f(r, *input)), pred: g(r, pred) },
-        L::DedupBy { input, attr } => L::DedupBy { input: Box::new(f(r, *input)), attr },
-        L::Rename { input, from, to } => L::Rename { input: Box::new(f(r, *input)), from, to },
-        L::MapExpr { input, attr, expr } => {
-            L::MapExpr { input: Box::new(f(r, *input)), attr, expr: g(r, expr) }
-        }
-        L::CounterMap { input, attr, reset_on } => {
-            L::CounterMap { input: Box::new(f(r, *input)), attr, reset_on }
-        }
-        L::MemoMap { input, attr, expr, key } => {
-            L::MemoMap { input: Box::new(f(r, *input)), attr, expr: g(r, expr), key }
-        }
-        L::DJoin { left, right } => {
-            L::DJoin { left: Box::new(f(r, *left)), right: Box::new(f(r, *right)) }
-        }
-        L::Cross { left, right } => {
-            L::Cross { left: Box::new(f(r, *left)), right: Box::new(f(r, *right)) }
-        }
-        L::SemiJoin { left, right, pred } => L::SemiJoin {
-            left: Box::new(f(r, *left)),
-            right: Box::new(f(r, *right)),
-            pred: g(r, pred),
-        },
-        L::AntiJoin { left, right, pred } => L::AntiJoin {
-            left: Box::new(f(r, *left)),
-            right: Box::new(f(r, *right)),
-            pred: g(r, pred),
-        },
-        L::UnnestMap { input, context, attr, axis, test, hint, probe } => L::UnnestMap {
-            input: Box::new(f(r, *input)),
-            context,
-            attr,
-            axis,
-            test,
-            hint,
-            probe,
-        },
-        L::TokenizeMap { input, attr, expr } => {
-            L::TokenizeMap { input: Box::new(f(r, *input)), attr, expr: g(r, expr) }
-        }
-        L::Concat { parts } => L::Concat { parts: parts.into_iter().map(|p| f(r, p)).collect() },
-        L::SortBy { input, attr } => L::SortBy { input: Box::new(f(r, *input)), attr },
-        L::TmpCs { input, cs, group } => L::TmpCs { input: Box::new(f(r, *input)), cs, group },
-        L::MemoX { input, key } => L::MemoX { input: Box::new(f(r, *input)), key },
-        L::Exchange { source, body, partitions } => L::Exchange {
-            source: Box::new(f(r, *source)),
-            body: Box::new(f(r, *body)),
-            partitions,
-        },
-        L::PartitionSource => L::PartitionSource,
-    }
-}
-
-/// Prune nested plans inside a scalar expression (top-level scalar
-/// queries).
-pub fn prune_scalar_expr(e: ScalarExpr) -> ScalarExpr {
-    prune_scalar(e, &mut Vec::new())
-}
-
-/// Like [`prune_scalar_expr`], recording elided-operator labels.
-pub fn prune_scalar_expr_with_report(e: ScalarExpr, report: &mut Vec<String>) -> ScalarExpr {
-    prune_scalar(e, report)
-}
-
-fn prune_scalar(e: ScalarExpr, rep: &mut Vec<String>) -> ScalarExpr {
-    use ScalarExpr as S;
+/// Prune the nested plans inside a scalar expression.
+fn prune_scalar(e: &mut ScalarExpr, rep: &mut Vec<String>) {
     match e {
-        S::Agg(mut agg) => {
-            agg.plan = Box::new(prune_with_report(*agg.plan, rep));
-            S::Agg(agg)
+        ScalarExpr::Agg(agg) => {
+            let plan = std::mem::replace(&mut *agg.plan, LogicalOp::Singleton);
+            *agg.plan = prune_with_report(plan, rep);
         }
-        S::And(a, b) => S::And(Box::new(prune_scalar(*a, rep)), Box::new(prune_scalar(*b, rep))),
-        S::Or(a, b) => S::Or(Box::new(prune_scalar(*a, rep)), Box::new(prune_scalar(*b, rep))),
-        S::Not(a) => S::Not(Box::new(prune_scalar(*a, rep))),
-        S::Neg(a) => S::Neg(Box::new(prune_scalar(*a, rep))),
-        S::Compare { op, mode, lhs, rhs } => S::Compare {
-            op,
-            mode,
-            lhs: Box::new(prune_scalar(*lhs, rep)),
-            rhs: Box::new(prune_scalar(*rhs, rep)),
-        },
-        S::Arith(op, a, b) => {
-            S::Arith(op, Box::new(prune_scalar(*a, rep)), Box::new(prune_scalar(*b, rep)))
-        }
-        S::Convert(k, a) => S::Convert(k, Box::new(prune_scalar(*a, rep))),
-        S::StrFn(f, args) => S::StrFn(f, args.into_iter().map(|a| prune_scalar(a, rep)).collect()),
-        S::NumFn(f, a) => S::NumFn(f, Box::new(prune_scalar(*a, rep))),
-        S::NodeFn(f, a) => S::NodeFn(f, Box::new(prune_scalar(*a, rep))),
-        S::Lang(a, ctx) => S::Lang(Box::new(prune_scalar(*a, rep)), ctx),
-        S::Deref(a) => S::Deref(Box::new(prune_scalar(*a, rep))),
-        S::RootOf(a) => S::RootOf(Box::new(prune_scalar(*a, rep))),
-        leaf @ (S::Const(_) | S::Attr(_) | S::Var(_)) => leaf,
+        _ => e.operands_mut().for_each(|o| prune_scalar(o, rep)),
     }
 }
 
@@ -369,7 +292,7 @@ fn recursive_axis(axis: Axis) -> bool {
 }
 
 fn scalar_has_plan(e: &ScalarExpr) -> bool {
-    !algebra::explain::scalar_plans(e).is_empty()
+    !algebra::explain::scalar_nested(e).is_empty()
 }
 
 /// Any operator in `plan` (predicates included) that navigates the
@@ -582,56 +505,37 @@ fn par_bottom(plan: LogicalOp, partitions: usize, inserted: &mut usize) -> Logic
 /// tuple (paper §5.2.5), and an Exchange would eagerly evaluate every
 /// partition, defeating the early exit. All other aggregates consume
 /// their whole input, so fanning the plan out is pure gain.
-pub fn parallelize_scalar(e: ScalarExpr, partitions: usize) -> (ScalarExpr, usize) {
+pub fn parallelize_scalar(mut e: ScalarExpr, partitions: usize) -> (ScalarExpr, usize) {
     if partitions < 2 {
         return (e, 0);
     }
     let mut inserted = 0;
-    let e = par_scalar(e, partitions, &mut inserted);
+    par_scalar(&mut e, partitions, &mut inserted);
     (e, inserted)
 }
 
-fn par_scalar(e: ScalarExpr, partitions: usize, inserted: &mut usize) -> ScalarExpr {
-    use algebra::scalar::AggFunc;
-    use ScalarExpr as S;
+/// [`parallelize`] or [`parallelize_scalar`], as the query is.
+pub fn parallelize_query(q: CompiledQuery, partitions: usize) -> (CompiledQuery, usize) {
+    match q {
+        CompiledQuery::Sequence(plan) => {
+            let (plan, n) = parallelize(plan, partitions);
+            (CompiledQuery::Sequence(plan), n)
+        }
+        CompiledQuery::Scalar(e) => {
+            let (e, n) = parallelize_scalar(e, partitions);
+            (CompiledQuery::Scalar(e), n)
+        }
+    }
+}
+
+fn par_scalar(e: &mut ScalarExpr, partitions: usize, inserted: &mut usize) {
     match e {
-        S::Agg(mut agg) => {
-            if agg.func != AggFunc::Exists {
-                agg.plan = Box::new(par_plan(*agg.plan, partitions, inserted));
-            }
-            S::Agg(agg)
+        ScalarExpr::Agg(agg) if agg.func != AggFunc::Exists => {
+            let plan = std::mem::replace(&mut *agg.plan, LogicalOp::Singleton);
+            *agg.plan = par_plan(plan, partitions, inserted);
         }
-        S::And(a, b) => S::And(
-            Box::new(par_scalar(*a, partitions, inserted)),
-            Box::new(par_scalar(*b, partitions, inserted)),
-        ),
-        S::Or(a, b) => S::Or(
-            Box::new(par_scalar(*a, partitions, inserted)),
-            Box::new(par_scalar(*b, partitions, inserted)),
-        ),
-        S::Not(a) => S::Not(Box::new(par_scalar(*a, partitions, inserted))),
-        S::Neg(a) => S::Neg(Box::new(par_scalar(*a, partitions, inserted))),
-        S::Compare { op, mode, lhs, rhs } => S::Compare {
-            op,
-            mode,
-            lhs: Box::new(par_scalar(*lhs, partitions, inserted)),
-            rhs: Box::new(par_scalar(*rhs, partitions, inserted)),
-        },
-        S::Arith(op, a, b) => S::Arith(
-            op,
-            Box::new(par_scalar(*a, partitions, inserted)),
-            Box::new(par_scalar(*b, partitions, inserted)),
-        ),
-        S::Convert(k, a) => S::Convert(k, Box::new(par_scalar(*a, partitions, inserted))),
-        S::StrFn(f, args) => {
-            S::StrFn(f, args.into_iter().map(|a| par_scalar(a, partitions, inserted)).collect())
-        }
-        S::NumFn(f, a) => S::NumFn(f, Box::new(par_scalar(*a, partitions, inserted))),
-        S::NodeFn(f, a) => S::NodeFn(f, Box::new(par_scalar(*a, partitions, inserted))),
-        S::Lang(a, ctx) => S::Lang(Box::new(par_scalar(*a, partitions, inserted)), ctx),
-        S::Deref(a) => S::Deref(Box::new(par_scalar(*a, partitions, inserted))),
-        S::RootOf(a) => S::RootOf(Box::new(par_scalar(*a, partitions, inserted))),
-        leaf @ (S::Const(_) | S::Attr(_) | S::Var(_)) => leaf,
+        ScalarExpr::Agg(_) => {}
+        _ => e.operands_mut().for_each(|o| par_scalar(o, partitions, inserted)),
     }
 }
 

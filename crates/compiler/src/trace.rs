@@ -4,17 +4,18 @@
 //! phases (code generation, execution) are appended by the callers that
 //! run them (the `nqe` crate and the CLI).
 
-use algebra::explain::{nested_plans, scalar_plans};
+use algebra::explain::{scalar_nested, Nested};
 use algebra::{LogicalOp, ScalarExpr};
 
 use crate::cost::OptimizerTrace;
+use crate::physical::Lowered;
 use crate::translate::CompiledQuery;
 
 /// One timed pipeline phase.
 #[derive(Clone, Debug)]
 pub struct PhaseTiming {
-    /// Phase name (`parse`, `semantic`, `fold`, `translate`, `prune`,
-    /// `codegen`, `execute`).
+    /// Phase name (`parse`, `semantic`, `fold`, `translate`, `optimize`,
+    /// `prune`, `parallelize`, `physical`, `codegen`, `execute`).
     pub name: String,
     /// Wall-clock nanoseconds spent in the phase.
     pub nanos: u64,
@@ -30,7 +31,8 @@ pub struct QueryTrace {
     /// Rewrites that actually fired (observed in the output, not merely
     /// enabled), e.g. `constant-fold`, `memoize-inner ×2`.
     pub rewrites: Vec<String>,
-    /// Total operators in the final plan (nested plans included).
+    /// Total operators in the final plan (nested plans and kernels
+    /// included: one per EXPLAIN line).
     pub plan_ops: usize,
     /// Depth of the final plan tree (nested plans included; 0 = empty).
     pub plan_depth: usize,
@@ -60,9 +62,9 @@ impl QueryTrace {
     /// Record the final plan's statistics (operator count, depth,
     /// per-class counts).
     pub fn record_plan(&mut self, q: &CompiledQuery) {
-        let roots: Vec<&LogicalOp> = match q {
-            CompiledQuery::Sequence(plan) => vec![plan],
-            CompiledQuery::Scalar(expr) => scalar_plans(expr),
+        let roots = match q {
+            CompiledQuery::Sequence(plan) => vec![Nested::Plan(plan)],
+            CompiledQuery::Scalar(expr) => scalar_nested(expr),
         };
         let mut counts: Vec<(String, usize)> = Vec::new();
         let mut ops = 0usize;
@@ -131,7 +133,7 @@ impl QueryTrace {
 }
 
 fn walk(
-    plan: &LogicalOp,
+    item: Nested<'_>,
     depth: usize,
     ops: &mut usize,
     max_depth: &mut usize,
@@ -139,16 +141,20 @@ fn walk(
 ) {
     *ops += 1;
     *max_depth = (*max_depth).max(depth);
-    let class = op_class(plan);
+    // A kernel is the Υ it walks, with what it absorbed.
+    let class = match item {
+        Nested::Plan(plan) => op_class(plan),
+        Nested::Kernel(_) => "Υ",
+    };
     match counts.iter_mut().find(|(k, _)| k == class) {
         Some((_, n)) => *n += 1,
         None => counts.push((class.to_owned(), 1)),
     }
-    for c in plan.inputs() {
-        walk(c, depth + 1, ops, max_depth, counts);
-    }
-    for nested in nested_plans(plan) {
-        walk(nested, depth + 1, ops, max_depth, counts);
+    if let Nested::Plan(plan) = item {
+        let nested = plan.subscript().map(scalar_nested).unwrap_or_default();
+        for c in plan.inputs().map(Nested::Plan).chain(nested) {
+            walk(c, depth + 1, ops, max_depth, counts);
+        }
     }
 }
 
@@ -175,8 +181,9 @@ pub fn op_class(plan: &LogicalOp) -> &'static str {
     }
 }
 
-/// Count rewrites observable in the final query and record them.
-pub(crate) fn record_fired_rewrites(trace: &mut QueryTrace, q: &CompiledQuery) {
+/// Count rewrites observable in the final query, plus what the physical
+/// phase rewrote, and record them.
+pub(crate) fn record_fired_rewrites(trace: &mut QueryTrace, q: &CompiledQuery, lowered: Lowered) {
     let memox = trace.op_counts.iter().find(|(k, _)| k == "𝔐").map_or(0, |(_, n)| *n);
     if memox > 0 {
         trace.rewrites.push(format!("memoize-inner ×{memox}"));
@@ -184,6 +191,12 @@ pub(crate) fn record_fired_rewrites(trace: &mut QueryTrace, q: &CompiledQuery) {
     let memomap = trace.op_counts.iter().find(|(k, _)| k == "χ^mat").map_or(0, |(_, n)| *n);
     if memomap > 0 {
         trace.rewrites.push(format!("split-expensive ×{memomap}"));
+    }
+    if lowered.set_steps > 0 {
+        trace.rewrites.push(format!("set-mode ×{}", lowered.set_steps));
+    }
+    if lowered.kernels > 0 {
+        trace.rewrites.push(format!("kernel ×{}", lowered.kernels));
     }
     if let CompiledQuery::Scalar(e) = q {
         if has_smart_agg(e) {
@@ -193,7 +206,12 @@ pub(crate) fn record_fired_rewrites(trace: &mut QueryTrace, q: &CompiledQuery) {
 }
 
 fn has_smart_agg(e: &ScalarExpr) -> bool {
-    matches!(e, ScalarExpr::Agg(a) if a.func == algebra::scalar::AggFunc::Exists)
+    use algebra::scalar::AggFunc::Exists;
+    match e {
+        ScalarExpr::Agg(a) => a.func == Exists,
+        ScalarExpr::Kernel(k) => k.func == Exists,
+        _ => false,
+    }
 }
 
 /// Human format for a nanosecond count (`1.23ms`, `45.6µs`, `789ns`).

@@ -14,7 +14,7 @@ use xpath_syntax::semantic::static_type;
 use xpath_syntax::{CompOp, Expr, PathExpr, PathStart, Predicate, Step, XPathType};
 
 use algebra::scalar::{AggExpr, AggFunc, CmpMode, ConvKind, NodeFn, NumFn, StrFn};
-use algebra::{Attr, LogicalOp, ScalarExpr, ScanHint};
+use algebra::{Attr, LogicalOp, ScalarExpr};
 
 use crate::options::TranslateOptions;
 
@@ -69,7 +69,9 @@ impl ClauseCtx {
     }
 }
 
-/// Translate an analyzed, folded expression into the algebra.
+/// Translate an analyzed, folded expression into the algebra: the
+/// paper's translation and nothing more (the pipeline's later phases
+/// prune, parallelize and fix the physical plan).
 pub fn translate(e: &Expr, opts: &TranslateOptions) -> Result<CompiledQuery, CompileError> {
     let mut tr = Translator { opts: *opts, next_id: 0, in_predicate: false };
     match static_type(e) {
@@ -82,26 +84,9 @@ pub fn translate(e: &Expr, opts: &TranslateOptions) -> Result<CompiledQuery, Com
             } else {
                 LogicalOp::dedup(plan, "cn")
             };
-            let plan = if opts.prune_properties {
-                crate::properties::prune(plan)
-            } else {
-                plan
-            };
-            // Intra-query parallelism last: Exchange placement must see
-            // the final serial plan shape (threads < 2 is the identity).
-            let (plan, _) = crate::properties::parallelize(plan, opts.threads);
             Ok(CompiledQuery::Sequence(plan))
         }
-        _ => {
-            let scalar = tr.t_scalar(e, &ClauseCtx::top())?;
-            let scalar = if opts.prune_properties {
-                crate::properties::prune_scalar_expr(scalar)
-            } else {
-                scalar
-            };
-            let (scalar, _) = crate::properties::parallelize_scalar(scalar, opts.threads);
-            Ok(CompiledQuery::Scalar(scalar))
-        }
+        _ => Ok(CompiledQuery::Scalar(tr.t_scalar(e, &ClauseCtx::top())?)),
     }
 }
 
@@ -349,15 +334,13 @@ impl Translator {
             // unnest-map over the namespace axis produces naturally.
         }
         let ci = self.fresh("c");
-        let mut plan = LogicalOp::UnnestMap {
-            input: Box::new(input),
-            context: ctx.clone(),
-            attr: ci.clone(),
-            axis: step.axis,
-            test: step.node_test.clone(),
-            hint: ScanHint::Auto,
-            probe: None,
-        };
+        let mut plan = LogicalOp::unnest_map(
+            input,
+            ctx.clone(),
+            ci.clone(),
+            step.axis,
+            step.node_test.clone(),
+        );
         for pred in &step.predicates {
             let np = normalize_predicate(pred.expr.clone());
             plan = self.apply_predicate(plan, grouping.clone(), &ci, np)?;

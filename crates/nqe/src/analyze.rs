@@ -15,7 +15,7 @@ use compiler::{
 };
 use xmlstore::{NodeId, XmlStore};
 
-use crate::codegen::{build_physical_profiled, kernel_step, set_mode_label};
+use crate::codegen::build_physical_profiled;
 use crate::governor::ResourceGovernor;
 use crate::json::Json;
 use crate::profile::{fmt_nanos, Profile};
@@ -220,16 +220,12 @@ pub fn execute_observed(
 }
 
 /// Pair the optimizer's pre-execution estimates with the measured
-/// profile, positionally and label-guarded: both walks emit operators in
-/// the same pre-order, so the two lists advance together — but if a
-/// label ever disagrees (a plan-shape drift bug, or a cache entry
+/// profile, positionally and label-guarded: both walk the same physical
+/// plan in the same pre-order, so the two lists advance together — but
+/// if a label ever disagrees (a plan-shape drift bug, or a cache entry
 /// replayed against a different plan) the pair is dropped rather than
-/// reported wrong. A set-mode Υ is one profile entry for two estimates,
-/// its Π^D's and its own: it is paired with the Π^D's, whose output it
-/// produces, and the Υ's estimate is skipped. Reconciliation only
-/// happens when the store's current statistics fingerprint equals the
-/// one the plan was optimized under. A predicate kernel is one entry for
-/// its nested plan's estimates.
+/// reported wrong. Reconciliation only happens when the store's current
+/// statistics fingerprint equals the one the plan was optimized under.
 fn reconcile_cardinalities(
     store: &dyn XmlStore,
     compiled: &compiler::CompiledQuery,
@@ -243,33 +239,19 @@ fn reconcile_cardinalities(
         return Vec::new();
     }
     let estimates = cost::estimate_operators(compiled, stats);
-    let mut estimates = estimates.iter().peekable();
-    let mut checks = Vec::new();
-    for entry in &profile.entries {
-        let Some(est) = estimates.next() else {
-            break;
-        };
-        let fused = estimates
-            .next_if(|step| entry.label == set_mode_label(&step.label, &est.label))
-            .is_some();
-        if let Some(step) = kernel_step(&entry.label) {
-            // A kernel is one entry for its whole nested plan, paired with
-            // the plan's root (whose tuples are its matches); the plan's
-            // other estimates, down to the walked Υ and its □, are skipped.
-            while estimates.next_if(|e| e.label != step).is_some() {}
-            estimates.nth(1);
-        } else if !fused && est.label != entry.label {
-            continue;
-        }
-        let actual = entry.stats.lock().tuples;
-        checks.push(CardinalityCheck {
-            label: entry.label.clone(),
-            est_tuples: est.est_tuples,
-            actual_tuples: actual,
-            error_pct: (est.est_tuples - actual as f64).abs() / (actual as f64).max(1.0) * 100.0,
-        });
-    }
-    checks
+    let paired = profile.entries.iter().zip(estimates).filter(|(e, est)| e.label == est.label);
+    paired
+        .map(|(entry, est)| {
+            let actual = entry.stats.lock().tuples;
+            CardinalityCheck {
+                label: est.label,
+                est_tuples: est.est_tuples,
+                actual_tuples: actual,
+                error_pct: (est.est_tuples - actual as f64).abs() / (actual as f64).max(1.0)
+                    * 100.0,
+            }
+        })
+        .collect()
 }
 
 impl AnalyzeReport {
@@ -719,13 +701,13 @@ mod tests {
         }
     }
 
-    /// A set-mode Υ is one operator in the profile, paired with its Π^D's
+    /// A set-mode Υ is one operator in the plan and the profile, with one
     /// estimate; every row still reconciles, in order.
     #[test]
     fn set_mode_sites_keep_cardinalities_aligned() {
         let store = parse_document("<r><a><b>x</b><b>y</b></a><a><b>x</b></a></r>").unwrap();
         let opts = TranslateOptions::cost_based();
-        for q in ["count(//b)", "//b/ancestor::*"] {
+        for q in ["count(//*/descendant::b)", "//b/ancestor::*"] {
             let (_, rep) =
                 explain_analyze(&store, q, &opts, store.root(), &HashMap::new()).unwrap();
             let labels: Vec<&str> = rep.profile.entries.iter().map(|e| e.label.as_str()).collect();

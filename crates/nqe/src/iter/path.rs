@@ -48,8 +48,8 @@ enum Phase {
     Done,
 }
 
-/// State of a Υ that absorbed the Π^D on its own output (codegen fuses
-/// `Π^D[a](Υ[a:c/axis::test](X))` for the nine ppd axes, DESIGN.md §12
+/// State of a Υ that absorbed the Π^D on its own output (the physical
+/// phase fuses `Π^D[a](Υ[a:c/axis::test](X))` for the nine ppd axes, DESIGN.md §12
 /// "Set-at-a-time steps"): the step runs once per *context set* instead
 /// of once per context, and every result node comes out once, in
 /// document order, on the frame of the input's first tuple.
@@ -192,7 +192,7 @@ impl UnnestMapIter {
     /// once, in ascending document order where the store's index ranks
     /// every context, on the frame of the input's first tuple — so only
     /// plans that read no attribute defined below the step may use it
-    /// (codegen's liveness walk decides, DESIGN.md §12). `hint` steers
+    /// (the compiler's physical phase decides, DESIGN.md §12). `hint` steers
     /// only the fallback's per-context walks.
     pub fn set_at_a_time(
         input: Box<dyn PhysIter>,
@@ -206,14 +206,6 @@ impl UnnestMapIter {
             set: Some(Box::default()),
             ..UnnestMapIter::new(input, ctx, out, axis, test, hint, None)
         }
-    }
-
-    /// True for the axes the interval index can serve as a range scan.
-    pub(crate) fn interval_axis(axis: Axis) -> bool {
-        matches!(
-            axis,
-            Axis::Descendant | Axis::DescendantOrSelf | Axis::Following | Axis::Preceding
-        )
     }
 
     /// Set mode, first `next` of an open: drain the input's context
@@ -267,7 +259,7 @@ impl UnnestMapIter {
             set.phase = Phase::Done;
             return true;
         };
-        if !Self::interval_axis(self.axis) {
+        if !self.axis.is_interval() {
             return self.collect(rt, idx);
         }
         (set.cur, set.end) = (1, 0);
@@ -601,7 +593,7 @@ impl UnnestMapIter {
                     Scan::Range(range)
                 }
                 None => {
-                    if Self::interval_axis(self.axis) && self.hint != ScanHint::Cursor {
+                    if self.axis.is_interval() && self.hint != ScanHint::Cursor {
                         self.cursor_fallbacks += 1;
                     }
                     self.cursor.start(rt.store, self.axis, node);

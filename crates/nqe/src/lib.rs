@@ -7,7 +7,7 @@
 //!   deadline, cancellation) charged by every materialising iterator,
 //! * [`nvm`] — the register VM evaluating subscripts (with nested
 //!   iterator access and smart aggregation),
-//! * [`codegen`] — logical plan → iterators + NVM programs (slot
+//! * [`codegen`] — physical plan → iterators + NVM programs (slot
 //!   resolution through the attribute manager),
 //! * [`exec`] — the executor and the [`exec::evaluate`] convenience entry
 //!   point.

@@ -83,11 +83,7 @@ fn execution_cost(store: &ArenaStore, query: &str) -> (u64, usize) {
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     assert_eq!(out.expect("counted execution"), warm);
-    let kernels = profile
-        .entries
-        .iter()
-        .filter(|e| nqe::codegen::kernel_step(&e.label).is_some())
-        .count();
+    let kernels = profile.entries.iter().filter(|e| e.label.contains(" (kernel, ")).count();
     (allocations, kernels)
 }
 

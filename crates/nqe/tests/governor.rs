@@ -145,19 +145,20 @@ fn tuple_budget_counts_materialized_tuples_only() {
 fn dedup_bitsets_charge_one_word_block_each() {
     // On an indexed store the Π^D seen-sets are rank bitsets of
     // ⌈index len / 64⌉ words, charged once when the first node key
-    // arrives. The improved plan for //b/parent::a carries two of them,
-    // both alive at the peak (descendant-or-self step + parent step),
-    // plus the 2 result node-ids accumulated alongside.
+    // arrives. The canonical plan for //b/parent::a carries one, above
+    // its d-joins (the improved plan's parent step runs in set mode, and
+    // pruning drops its descendant-or-self Π^D), alive at the peak with
+    // the 2 result node-ids accumulated alongside.
     let s = store();
     let idx_len = s.structural_index().expect("arena is indexed").len();
     let bitset_bytes = (idx_len.div_ceil(64) * 8) as u64;
     let node_id = std::mem::size_of::<xmlstore::NodeId>() as u64;
-    let footprint = 2 * bitset_bytes + 2 * node_id;
+    let footprint = bitset_bytes + 2 * node_id;
     let limits = ResourceLimits::unlimited().with_max_memory(footprint);
     let out = nqe::evaluate_governed(
         &s,
         "//b/parent::a",
-        &TranslateOptions::improved(),
+        &TranslateOptions::canonical(),
         &limits,
         s.root(),
         &HashMap::new(),
@@ -168,7 +169,7 @@ fn dedup_bitsets_charge_one_word_block_each() {
     let out = nqe::evaluate_governed(
         &s,
         "//b/parent::a",
-        &TranslateOptions::improved(),
+        &TranslateOptions::canonical(),
         &limits,
         s.root(),
         &HashMap::new(),
@@ -182,21 +183,19 @@ fn dedup_bitsets_charge_one_word_block_each() {
 #[test]
 fn dedup_seen_set_charges_group_keys_without_index() {
     // Hiding the index forces Π^D back onto the hash seen-sets: one
-    // GroupKey per distinct value. The improved plan for //b/parent::a
-    // carries two of them, both alive at the peak: the
-    // descendant-or-self step's (all 10 nodes of the fixture: root,
-    // <r>, 2×<a>, 3×<b>, 3 text nodes) and the parent step's (2 distinct
-    // <a>), plus the 2 result node-ids accumulated alongside.
+    // GroupKey per distinct value. The canonical plan for //b/parent::a
+    // carries one (2 distinct <a>), alive at the peak with the 2 result
+    // node-ids accumulated alongside.
     let s = store();
     let plain = xmlstore::NoIndex(&s);
     let key_bytes = group_key_bytes(&GroupKey::Null);
     let node_id = std::mem::size_of::<xmlstore::NodeId>() as u64;
-    let footprint = 10 * key_bytes + 2 * key_bytes + 2 * node_id;
+    let footprint = 2 * key_bytes + 2 * node_id;
     let limits = ResourceLimits::unlimited().with_max_memory(footprint);
     let out = nqe::evaluate_governed(
         &plain,
         "//b/parent::a",
-        &TranslateOptions::improved(),
+        &TranslateOptions::canonical(),
         &limits,
         plain.root(),
         &HashMap::new(),
@@ -207,7 +206,7 @@ fn dedup_seen_set_charges_group_keys_without_index() {
     let out = nqe::evaluate_governed(
         &plain,
         "//b/parent::a",
-        &TranslateOptions::improved(),
+        &TranslateOptions::canonical(),
         &limits,
         plain.root(),
         &HashMap::new(),

@@ -588,11 +588,7 @@ fn set_mode_step_equals_step_plus_dedup_on_every_ppd_axis() {
                 out.iter().all(|t| matches!(t[2], Value::Num(n) if n == 0.0)),
                 "{axis}: first tuple's frame"
             );
-            let interval = matches!(
-                axis,
-                Axis::Descendant | Axis::DescendantOrSelf | Axis::Following | Axis::Preceding
-            );
-            let charged = 4 * contexts.len() as u64 + if interval { 0 } else { bitset };
+            let charged = 4 * contexts.len() as u64 + if axis.is_interval() { 0 } else { bitset };
             assert_eq!(gov.charged_total(), charged, "{axis} ({hint:?})");
             assert_eq!(gov.transient_bytes(), 0, "{axis}: everything returned at close");
         }

@@ -108,6 +108,17 @@ impl Axis {
         )
     }
 
+    /// The axes whose result from one node is a rank interval of the
+    /// structural index (a subtree or what precedes / follows it), so a
+    /// range scan serves them.
+    #[inline]
+    pub fn is_interval(self) -> bool {
+        matches!(
+            self,
+            Axis::Descendant | Axis::DescendantOrSelf | Axis::Following | Axis::Preceding
+        )
+    }
+
     /// True if, from any single context node, the axis result is guaranteed
     /// duplicate-free *and* in document order already (used by the engines
     /// to skip per-node sorting).

@@ -58,7 +58,6 @@ struct Args {
     profile_json: Option<String>,
     interactive: bool,
     canonical: bool,
-    extended: bool,
     cost_based: bool,
     time: bool,
     threads: usize,
@@ -85,7 +84,6 @@ fn parse_args() -> Result<Args, String> {
         profile_json: None,
         interactive: false,
         canonical: false,
-        extended: false,
         cost_based: false,
         time: false,
         threads: 1,
@@ -110,7 +108,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--interactive" | "-i" => args.interactive = true,
             "--canonical" => args.canonical = true,
-            "--extended" => args.extended = true,
             "--cost-based" => args.cost_based = true,
             "--time" => args.time = true,
             "--threads" => {
@@ -211,7 +208,6 @@ fn print_help() {
          \x20 --profile-json <p>   write the EXPLAIN ANALYZE reports as JSON\n\
          \x20                      (an array, one element per query)\n\
          \x20 --canonical          use the canonical §3 translation\n\
-         \x20 --extended           improved translation + property pruning\n\
          \x20 --cost-based         improved + per-query cost-based selection of\n\
          \x20                      translation alternatives from store statistics\n\
          \x20 --time               print compile-phase + evaluation times\n\
@@ -429,8 +425,6 @@ fn main() {
     }
     let options = if args.canonical {
         TranslateOptions::canonical()
-    } else if args.extended {
-        TranslateOptions::extended()
     } else if args.cost_based {
         TranslateOptions::cost_based()
     } else {

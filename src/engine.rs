@@ -121,7 +121,6 @@ pub fn static_context_hash(opts: &TranslateOptions, limits: &ResourceLimits) -> 
         opts.push_dedup as u64,
         opts.memoize_inner as u64,
         opts.split_expensive as u64,
-        opts.prune_properties as u64,
         (opts.optimize == CostMode::CostBased) as u64,
         opts.threads as u64,
         opt(limits.max_memory_bytes),
@@ -1168,7 +1167,7 @@ impl Session {
         let (plan, _, _) = self.compile_cached_for(store, query)?;
         Ok(match &*plan {
             CompiledQuery::Sequence(p) => algebra::explain::explain(p),
-            CompiledQuery::Scalar(s) => format!("scalar: {s}\n"),
+            CompiledQuery::Scalar(s) => algebra::explain::explain_scalar(s),
         })
     }
 

@@ -390,19 +390,12 @@ impl ClientSession {
                     self.session.options = TranslateOptions::improved().with_threads(threads);
                     Reply::Line("OK options improved".to_owned())
                 }
-                "extended" => {
-                    let threads = self.session.options.threads;
-                    self.session.options = TranslateOptions::extended().with_threads(threads);
-                    Reply::Line("OK options extended".to_owned())
-                }
                 "cost-based" => {
                     let threads = self.session.options.threads;
                     self.session.options = TranslateOptions::cost_based().with_threads(threads);
                     Reply::Line("OK options cost-based".to_owned())
                 }
-                _ => Reply::Line(
-                    "ERR usage options <canonical|improved|extended|cost-based>".to_owned(),
-                ),
+                _ => Reply::Line("ERR usage options <canonical|improved|cost-based>".to_owned()),
             },
             "doc" => {
                 if rest.is_empty() {
@@ -762,7 +755,8 @@ mod tests {
     fn explain_needs_a_selected_document_like_query() {
         let service = service_with_doc();
         let mut c = service.client(None);
-        assert!(c.handle("explain /a/b").text().starts_with("OK plan Π^D[cn]"));
+        // Pruning proves the child chain duplicate-free: no Π^D[cn] on top.
+        assert!(c.handle("explain /a/b").text().starts_with("OK plan Π[cn:c3]"));
         // No document registered ⇒ none selected: both verbs answer alike.
         let empty = QueryService::new(Engine::new(), ServiceConfig { workers: 1, queue_depth: 1 });
         let mut c = empty.client(None);

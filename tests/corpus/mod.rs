@@ -96,7 +96,7 @@ pub const DBLP_QUERIES: &[&str] = &[
 /// processing-instruction and text children.
 pub const PREDICATE_DOC: &str = include_str!("predicates.xml");
 
-/// Predicates over one step — the shapes codegen runs as predicate
+/// Predicates over one step — the shapes the physical phase makes predicate
 /// kernels (DESIGN.md §5 "Predicate kernels") — and their neighbours that
 /// keep a nested plan, for `PREDICATE_DOC` and the generated dblp
 /// documents alike.

@@ -80,9 +80,8 @@ fn dblp_document_all_engines_agree() {
 }
 
 /// Predicate kernels against their nested plans and both interpreters:
-/// every preset (the canonical plan keeps d-joins, improved and extended
-/// memoise, cost-based fuses), on the edge-case document and a generated
-/// one.
+/// every preset (the canonical plan keeps d-joins, improved memoises,
+/// cost-based fuses), on the edge-case document and a generated one.
 #[test]
 fn predicate_corpus_all_engines_agree() {
     let edge = xmlstore::parse_document(PREDICATE_DOC).unwrap();
@@ -91,7 +90,7 @@ fn predicate_corpus_all_engines_agree() {
         run_all(store, PREDICATE_QUERIES);
         for q in PREDICATE_QUERIES {
             let want = nqe::evaluate(store, q, &TranslateOptions::canonical()).unwrap();
-            for opts in [TranslateOptions::extended(), TranslateOptions::cost_based()] {
+            for opts in [TranslateOptions::improved(), TranslateOptions::cost_based()] {
                 let got = nqe::evaluate(store, q, &opts)
                     .unwrap_or_else(|e| panic!("{opts:?} `{q}`: {e}"));
                 assert_eq!(got, want, "{opts:?} vs canonical on `{q}`");
@@ -102,6 +101,41 @@ fn predicate_corpus_all_engines_agree() {
             assert_eq!(naive, want, "naive vs canonical on `{q}`");
         }
     }
+}
+
+/// The physical phase changes how a plan runs, never what it returns:
+/// every corpus query lowered as the phase receives it (Υ + Π^D, nested
+/// predicate plans, χ^mat) and as it leaves it (set-mode steps, kernels,
+/// χ) answers alike, on indexed stores and through set mode's fallback.
+#[test]
+fn physical_phase_preserves_every_corpus_answer() {
+    let tree = generate_tree(TreeParams { max_elements: 300, fanout: 5, max_depth: 4 });
+    let dblp = generate_dblp(DblpParams { records: 100, seed: 11 });
+    let edge = xmlstore::parse_document(PREDICATE_DOC).unwrap();
+    let corpora: [(&ArenaStore, &[&str]); 4] = [
+        (&tree, TREE_QUERIES),
+        (&dblp, DBLP_QUERIES),
+        (&dblp, PREDICATE_QUERIES),
+        (&edge, PREDICATE_QUERIES),
+    ];
+    let vars = std::collections::HashMap::new();
+    let (mut set_steps, mut kernels) = (0, 0);
+    for (store, queries) in corpora {
+        for opts in [TranslateOptions::canonical(), TranslateOptions::improved()] {
+            for q in queries {
+                let ast = xpath_syntax::frontend(q).unwrap();
+                let translated = compiler::translate(&ast, &opts).unwrap();
+                let before = compiler::properties::prune_query(translated, &mut Vec::new());
+                let (after, lowered) = compiler::physical::physical(before.clone());
+                (set_steps, kernels) = (set_steps + lowered.set_steps, kernels + lowered.kernels);
+                for s in [store as &dyn XmlStore, &xmlstore::NoIndex(store)] {
+                    let run = |q| nqe::build_physical(q).execute(s, &vars, s.root());
+                    assert_eq!(run(&after), run(&before), "{opts:?} `{q}`");
+                }
+            }
+        }
+    }
+    assert!(set_steps > 0 && kernels > 0, "{set_steps} set-mode steps, {kernels} kernels");
 }
 
 /// DESIGN.md §14: the parallel plan must be byte-identical to the serial
@@ -136,14 +170,13 @@ fn ablation_combinations_agree() {
         .iter()
         .map(|q| nqe::evaluate(&store, q, &TranslateOptions::improved()).unwrap())
         .collect();
-    for bits in 0..64u32 {
+    for bits in 0..32u32 {
         let opts = TranslateOptions {
             stacked_outer: bits & 1 != 0,
             push_dedup: bits & 2 != 0,
             memoize_inner: bits & 4 != 0,
             split_expensive: bits & 8 != 0,
-            prune_properties: bits & 16 != 0,
-            optimize: if bits & 32 != 0 {
+            optimize: if bits & 16 != 0 {
                 CostMode::CostBased
             } else {
                 CostMode::Off
@@ -262,11 +295,6 @@ fn edge_case_corpus_all_four_evaluators_agree() {
                 "canonical",
                 nqe::evaluate(&store, q, &TranslateOptions::canonical())
                     .unwrap_or_else(|e| panic!("canonical `{q}`: {e}")),
-            ),
-            (
-                "extended",
-                nqe::evaluate(&store, q, &TranslateOptions::extended())
-                    .unwrap_or_else(|e| panic!("extended `{q}`: {e}")),
             ),
             (
                 "context-list",

@@ -13,16 +13,12 @@ use xmlstore::gen::{generate_dblp, generate_tree, DblpParams, TreeParams};
 use xmlstore::XmlStore;
 
 mod corpus;
-use corpus::{DBLP_QUERIES, TREE_QUERIES};
+use corpus::{DBLP_QUERIES, PREDICATE_QUERIES, TREE_QUERIES};
 
 /// The option presets the battery crosses with the cost mode. Each is
 /// compiled twice — `Off` and `CostBased` — and compared query by query.
-fn presets() -> [TranslateOptions; 3] {
-    [
-        TranslateOptions::canonical(),
-        TranslateOptions::improved(),
-        TranslateOptions::extended(),
-    ]
+fn presets() -> [TranslateOptions; 2] {
+    [TranslateOptions::canonical(), TranslateOptions::improved()]
 }
 
 fn assert_cost_mode_is_transparent(store: &dyn XmlStore, queries: &[&str], doc: &str) {
@@ -142,4 +138,89 @@ fn explain_renders_the_cost_based_plan_that_executes() {
     let rendered_ops = text.lines().filter(|l| l.trim() != "(nested)").count();
     let (_, report) = s.analyze(&store, Q).unwrap();
     assert_eq!(rendered_ops, report.trace.plan_ops, "{text}");
+}
+
+/// What runs is what EXPLAIN shows: every physical choice (set-mode
+/// steps, predicate kernels, probes, scan hints) is in the cached plan,
+/// so for every corpus query — Fig. 5 and Fig. 10 among them — under
+/// every preset, on arena and disk-indexed stores, the EXPLAIN ANALYZE
+/// operator labels are `Session::explain`'s lines, in order. Only a
+/// scalar query's synthetic `scalar[…]` profile root has no line of its
+/// own (its `scalar:` line shows the expression instead).
+#[test]
+fn explain_analyze_runs_what_explain_shows() {
+    let tree = generate_tree(TreeParams { max_elements: 300, fanout: 5, max_depth: 4 });
+    let dblp = generate_dblp(DblpParams { records: 100, seed: 42 });
+    let dblp_queries: Vec<&str> = DBLP_QUERIES.iter().chain(PREDICATE_QUERIES).copied().collect();
+    for (arena, queries) in [(&tree, TREE_QUERIES), (&dblp, &dblp_queries[..])] {
+        let tmp = xmlstore::tmp::TempPath::new(".natix");
+        xmlstore::diskstore::create_store_file(arena, tmp.path()).unwrap();
+        let disk = xmlstore::diskstore::DiskStore::open(tmp.path(), 64).unwrap();
+        let stores: [(&dyn XmlStore, &str); 2] = [(arena, "arena"), (&disk, "disk")];
+        for (store, kind) in stores {
+            for opts in [
+                TranslateOptions::canonical(),
+                TranslateOptions::improved(),
+                TranslateOptions::cost_based(),
+            ] {
+                let s = Engine::new().session().with_options(opts);
+                for q in queries {
+                    let text = s.explain(store, q).unwrap_or_else(|e| panic!("`{q}`: {e}"));
+                    let shown: Vec<&str> = text
+                        .lines()
+                        .map(str::trim)
+                        .filter(|l| *l != "(nested)" && !l.starts_with("scalar: "))
+                        .collect();
+                    let (_, report) = s.analyze(store, q).unwrap();
+                    let ran: Vec<&str> = report
+                        .profile
+                        .entries
+                        .iter()
+                        .map(|e| e.label.as_str())
+                        .filter(|l| !l.starts_with("scalar["))
+                        .collect();
+                    assert_eq!(ran, shown, "{kind} {opts:?} `{q}`:\n{text}");
+                }
+            }
+        }
+    }
+}
+
+/// `Session::explain` golden texts: Fig. 10 row 9's predicate as one
+/// kernel row, and Fig. 5 q2's two ppd steps as set-mode rows (the
+/// plan cache holds them, so EXPLAIN shows what EXPLAIN ANALYZE runs).
+#[test]
+fn explain_shows_kernel_and_set_mode_rows() {
+    let s = Engine::new().session();
+    let dblp = generate_dblp(DblpParams { records: 100, seed: 42 });
+    let row9 = s.explain(&dblp, "/dblp/article[year='1991']/@key").unwrap();
+    assert_eq!(
+        row9,
+        "Π[cn:c7]
+  Υ[c7:c3/attribute::key]
+    σ[v6]
+      χ[v6:𝔄[Exists; c5](…)]
+        Π[cn:c3]
+          Υ[c3:c2/child::article]
+            Υ[c2:c1/child::dblp]
+              χ[c1:root(cn)]
+                □
+        (nested)
+          Υ[c5:c4/child::year] (kernel, 𝔄[Exists], = '1991')
+"
+    );
+    let tree = generate_tree(TreeParams { max_elements: 600, fanout: 5, max_depth: 4 });
+    let q2 = "/child::xdoc/descendant::*/preceding-sibling::*/following::*/attribute::id";
+    assert_eq!(
+        s.explain(&tree, q2).unwrap(),
+        "Π[cn:c6]
+  Υ[c6:c5/attribute::id]
+    Υ[c5:c4/following::*] (set, Π^D[c5])
+      Υ[c4:c3/preceding-sibling::*] (set, Π^D[c4])
+        Υ[c3:c2/descendant::*]
+          Υ[c2:c1/child::xdoc]
+            χ[c1:root(cn)]
+              □
+"
+    );
 }

@@ -76,7 +76,7 @@ fn static_context_discriminates_plans() {
     let flavours = [
         eng.session(),
         eng.session().with_options(TranslateOptions::canonical()),
-        eng.session().with_options(TranslateOptions::extended()),
+        eng.session().with_options(TranslateOptions::cost_based()),
         eng.session().with_threads(4),
         eng.session().with_limits(ResourceLimits::unlimited().with_max_tuples(10_000)),
         eng.session().with_limits(ResourceLimits::unlimited().with_max_memory(1 << 30)),

@@ -157,17 +157,14 @@ proptest! {
         let store = make_store(&t);
         let improved = nqe::evaluate(&store, &q, &TranslateOptions::improved());
         let canonical = nqe::evaluate(&store, &q, &TranslateOptions::canonical());
-        let extended = nqe::evaluate(&store, &q, &TranslateOptions::extended());
         let interp = Interpreter::new(&store, InterpOptions::context_list())
             .evaluate(&q, store.root());
-        let (improved, canonical, extended, interp) = (
+        let (improved, canonical, interp) = (
             improved.expect("improved"),
             canonical.expect("canonical"),
-            extended.expect("extended"),
             interp.expect("interp"),
         );
         prop_assert_eq!(nodes_of(&improved), nodes_of(&canonical), "improved vs canonical: {}", q);
-        prop_assert_eq!(nodes_of(&improved), nodes_of(&extended), "improved vs extended: {}", q);
         prop_assert_eq!(nodes_of(&improved), nodes_of(&interp), "algebraic vs interp: {}", q);
     }
 
