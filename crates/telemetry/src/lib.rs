@@ -156,6 +156,9 @@ pub struct EngineMetrics {
     /// folded in at epoch publish: incremental splices + relabels +
     /// full renumbers).
     pub index_repairs_total: Counter,
+    /// `natix_write_batch_clones_total` (write batches that cloned the
+    /// published arena because no retained snapshot was free to reuse).
+    pub write_batch_clones_total: Counter,
     /// `natix_optimizer_decisions_total` (cost-based alternatives
     /// chosen, summed over every optimized compile).
     pub optimizer_decisions_total: Counter,
@@ -204,6 +207,7 @@ impl EngineMetrics {
             store_epoch: reg.gauge("natix_store_epoch"),
             epoch_readers: reg.gauge("natix_epoch_readers"),
             index_repairs_total: reg.counter("natix_index_repairs_total"),
+            write_batch_clones_total: reg.counter("natix_write_batch_clones_total"),
             optimizer_decisions_total: reg.counter("natix_optimizer_decisions_total"),
             optimizer_est_error_pct: reg.histogram("natix_optimizer_est_error_pct"),
         };

@@ -16,7 +16,7 @@
 //! dense.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::fault::RepairFailPoint;
 use crate::index::StructuralIndex;
@@ -119,8 +119,56 @@ pub struct ArenaStore {
     index: StructuralIndex,
     repair_mode: RepairMode,
     repair_stats: RepairStats,
+    /// Incremental repairs attempted since the failpoint was armed.
     repair_attempts: u64,
     repair_failpoint: RepairFailPoint,
+    /// Derived on the first incremental repair; `None` until then and
+    /// after a `renumber`.
+    book: Option<RepairBook>,
+}
+
+/// What keeps removal and move repairs free of whole-document scans.
+#[derive(Clone, Debug, Default)]
+struct RepairBook {
+    /// `depth_counts[d]`: ranked nodes at depth `d` (the document node is
+    /// depth 0), without trailing zeros, so the last index is the
+    /// statistics' `max_depth`.
+    depth_counts: Vec<u64>,
+    /// `id` values that have, or had, more than one owning attribute.
+    /// Any other value has exactly one owner, so its id-index entry
+    /// needs no document-order rescan when that owner leaves or moves.
+    shared_ids: HashSet<Box<str>>,
+}
+
+impl RepairBook {
+    /// Add `rel_counts[i]` nodes at depth `base + i` (remove them when
+    /// `remove`), then drop the empty depths at the bottom.
+    fn shift(&mut self, base: u32, rel_counts: &[u64], remove: bool) {
+        let base = base as usize;
+        if self.depth_counts.len() < base + rel_counts.len() {
+            self.depth_counts.resize(base + rel_counts.len(), 0);
+        }
+        for (i, &c) in rel_counts.iter().enumerate() {
+            let slot = &mut self.depth_counts[base + i];
+            if remove {
+                assert!(
+                    *slot >= c,
+                    "depth histogram holds no node to remove at depth {}",
+                    base + i
+                );
+                *slot -= c;
+            } else {
+                *slot += c;
+            }
+        }
+        while self.depth_counts.last() == Some(&0) {
+            self.depth_counts.pop();
+        }
+    }
+
+    fn max_depth(&self) -> u32 {
+        self.depth_counts.len().saturating_sub(1) as u32
+    }
 }
 
 impl ArenaStore {
@@ -146,9 +194,18 @@ impl ArenaStore {
         self.repair_stats
     }
 
-    /// Arm (or clear) deterministic repair-abort injection.
+    /// Number of `id` values the repair book treats as shared (`None`
+    /// before the first incremental repair derives the book).
+    #[cfg(test)]
+    pub(crate) fn shared_id_count(&self) -> Option<usize> {
+        self.book.as_ref().map(|b| b.shared_ids.len())
+    }
+
+    /// Arm (or clear) deterministic repair-abort injection. Repairs are
+    /// counted from here on, and only while a failpoint is armed.
     pub fn set_repair_failpoint(&mut self, fp: RepairFailPoint) {
         self.repair_failpoint = fp;
+        self.repair_attempts = 0;
     }
 
     #[inline]
@@ -175,6 +232,12 @@ impl ArenaStore {
         data.name = name.map_or(NIL, |x| x.0);
         data.value = value.map(Into::into);
         let idx = self.nodes.len() as u32;
+        // Grow by a sixteenth, not by doubling: write batches keep and
+        // reuse whole stores (the engine's retained snapshots), so a
+        // doubled node array would be carried by every one of them.
+        if self.nodes.len() == self.nodes.capacity() {
+            self.nodes.reserve_exact(self.nodes.len() / 16 + 16);
+        }
         self.nodes.push(data);
         idx
     }
@@ -320,6 +383,7 @@ impl ArenaStore {
         // Structural updates invalidate every interval: re-derive the
         // index from the renumbered tree (tombstones stay unranked).
         self.index = StructuralIndex::build(&*self);
+        self.book = None;
     }
 
     // ----- incremental repair (DESIGN.md §18) -----------------------------
@@ -335,13 +399,56 @@ impl ArenaStore {
     // callers (the engine's `WriteBatch`) must discard the store. That is
     // the point: atomicity lives at the snapshot layer, not here.
 
-    /// Count a repair attempt, honoring the injected abort point.
+    /// Count a repair attempt against an armed failpoint, honoring the
+    /// injected abort point.
     fn note_repair_attempt(&mut self) -> Result<(), UpdateError> {
+        let Some(at) = self.repair_failpoint.fail_repair_at else {
+            return Ok(());
+        };
         self.repair_attempts += 1;
-        if self.repair_failpoint.fail_repair_at == Some(self.repair_attempts) {
+        if self.repair_attempts == at {
             return Err(UpdateError::RepairAborted);
         }
         Ok(())
+    }
+
+    /// The repair book, derived the first time a store needs it (parse
+    /// and build never pay for it). Repairs call this before they touch
+    /// the index, so the book describes the index they start from.
+    fn book(&mut self) -> &mut RepairBook {
+        let book = self.book.take().unwrap_or_else(|| self.derive_book());
+        self.book.insert(book)
+    }
+
+    /// One pass over the index: nodes per depth, and the `id` values
+    /// more than one attribute carries.
+    fn derive_book(&self) -> RepairBook {
+        let id_name = self.names.lookup("id").map(|i| i.0);
+        let mut book = RepairBook::default();
+        let mut owners: HashMap<&str, u32> = HashMap::new();
+        let mut ends: Vec<u32> = Vec::new();
+        for r in 0..self.index.len() as u32 {
+            while ends.last().is_some_and(|&e| r > e) {
+                ends.pop();
+            }
+            let depth = ends.len();
+            if book.depth_counts.len() <= depth {
+                book.depth_counts.resize(depth + 1, 0);
+            }
+            book.depth_counts[depth] += 1;
+            ends.push(r + self.index.size_at(r));
+            if self.index.kind_at(r) == NodeKind::Attribute
+                && id_name.is_some()
+                && self.index.name_at(r).map(|n| n.0) == id_name
+            {
+                if let Some(v) = self.nodes[self.index.node_at(r).index()].value.as_deref() {
+                    *owners.entry(v).or_insert(0) += 1;
+                }
+            }
+        }
+        book.shared_ids =
+            owners.into_iter().filter(|&(_, c)| c > 1).map(|(v, _)| v.into()).collect();
+        book
     }
 
     /// Rank of a node that must be reachable (repair precondition).
@@ -466,6 +573,7 @@ impl ArenaStore {
             return Ok(());
         }
         self.note_repair_attempt()?;
+        self.book();
         let (kind, name) = {
             let d = &self.nodes[n.index()];
             (d.kind, d.name)
@@ -501,11 +609,12 @@ impl ArenaStore {
                 NodeKind::Text => st.text_count += 1,
                 _ => {}
             }
-            if depth > st.max_depth {
-                st.set_max_depth(depth);
-            }
             st.add_subtree_total(elem_anc);
         }
+        let book = self.book();
+        book.shift(depth, &[1], false);
+        let max_depth = book.max_depth();
+        self.index.stats_mut().set_max_depth(max_depth);
         if matches!(kind, NodeKind::Element | NodeKind::Attribute) && name != NIL {
             let t = self.names.text(NameId(name));
             self.index.stats_mut().tag_adjust(t, 1, 0);
@@ -517,7 +626,7 @@ impl ArenaStore {
         self.index.stats_mut().refresh_derived();
         if kind == NodeKind::Attribute && self.names.lookup("id").map(|i| i.0) == Some(name) {
             if let Some(v) = self.nodes[n.index()].value.clone() {
-                self.id_consider(&v, NodeId(self.nodes[n.index()].parent));
+                self.id_add(&v, NodeId(self.nodes[n.index()].parent));
             }
         }
         self.repair_stats.incremental += 1;
@@ -542,6 +651,7 @@ impl ArenaStore {
             return Ok(());
         }
         self.note_repair_attempt()?;
+        self.book();
         let rank = self.rank_checked(n);
         let s = self.index.size_at(rank);
         let count = s + 1;
@@ -566,22 +676,23 @@ impl ArenaStore {
         }
 
         // One pass over the doomed interval: per-kind and per-tag counts,
-        // id entries whose winner lives inside, and whether the document's
-        // max depth might shrink (relative depth via an interval stack).
+        // id entries whose winner lives inside, and nodes per relative
+        // depth (via an interval stack) for the depth histogram.
         let id_name = self.names.lookup("id").map(|i| i.0);
         let (mut node_d, mut elem_d, mut attr_d, mut text_d) = (0u64, 0u64, 0u64, 0u64);
         let mut sub_total_d: i64 = -(elem_anc * i64::from(count));
         let mut tag_deltas: Vec<(u32, i64, i64)> = Vec::new();
         let mut rescan_ids: Vec<Box<str>> = Vec::new();
         let mut ends: Vec<u32> = Vec::new();
-        let mut touches_max = false;
+        let mut rel_counts: Vec<u64> = Vec::new();
         for r in rank..=rank + s {
             while ends.last().is_some_and(|&e| r > e) {
                 ends.pop();
             }
-            if base_depth + ends.len() as u32 >= self.index.stats().max_depth {
-                touches_max = true;
+            if rel_counts.len() <= ends.len() {
+                rel_counts.push(0);
             }
+            rel_counts[ends.len()] += 1;
             ends.push(r + self.index.size_at(r));
             let d = &self.nodes[self.index.node_at(r).index()];
             node_d += 1;
@@ -634,12 +745,13 @@ impl ArenaStore {
             let t = self.names.text(NameId(nm));
             self.index.stats_mut().tag_adjust(t, cd, sd);
         }
-        if touches_max {
-            self.recompute_max_depth();
-        }
+        let book = self.book();
+        book.shift(base_depth, &rel_counts, true);
+        let max_depth = book.max_depth();
+        self.index.stats_mut().set_max_depth(max_depth);
         self.index.stats_mut().refresh_derived();
         for v in rescan_ids {
-            self.id_rescan(&v);
+            self.id_release(&v);
         }
         self.repair_stats.incremental += 1;
         Ok(())
@@ -659,6 +771,7 @@ impl ArenaStore {
             return Ok(());
         }
         self.note_repair_attempt()?;
+        self.book();
         let rank = self.rank_checked(n);
         let s = self.index.size_at(rank);
         let count = s + 1;
@@ -682,17 +795,21 @@ impl ArenaStore {
             a = self.nodes[a as usize].parent;
         }
 
-        // Block scan: deepest relative depth (for max-depth bookkeeping)
-        // and every id value inside (winners may change when ranks move).
+        // Block scan: nodes per relative depth (for the depth histogram)
+        // and every id value inside (a shared value's winner may change
+        // when ranks move; a value with one owner keeps it).
         let id_name = self.names.lookup("id").map(|i| i.0);
-        let mut max_rel = 0u32;
+        let mut rel_counts: Vec<u64> = Vec::new();
         let mut block_ids: Vec<Box<str>> = Vec::new();
         let mut ends: Vec<u32> = Vec::new();
         for r in rank..=rank + s {
             while ends.last().is_some_and(|&e| r > e) {
                 ends.pop();
             }
-            max_rel = max_rel.max(ends.len() as u32);
+            if rel_counts.len() <= ends.len() {
+                rel_counts.push(0);
+            }
+            rel_counts[ends.len()] += 1;
             ends.push(r + self.index.size_at(r));
             let d = &self.nodes[self.index.node_at(r).index()];
             if d.kind == NodeKind::Attribute && Some(d.name) == id_name {
@@ -701,7 +818,6 @@ impl ArenaStore {
                 }
             }
         }
-        let touches_max = old_depth + max_rel >= self.index.stats().max_depth;
 
         let block = self.index.splice_remove(rank, count);
         self.unlink(n);
@@ -740,35 +856,19 @@ impl ArenaStore {
             let t = self.names.text(NameId(nm));
             self.index.stats_mut().tag_adjust(t, 0, i64::from(count));
         }
-        if touches_max {
-            self.recompute_max_depth();
-        } else {
-            let candidate = new_depth + max_rel;
-            if candidate > self.index.stats().max_depth {
-                self.index.stats_mut().set_max_depth(candidate);
-            }
-        }
+        let book = self.book();
+        book.shift(old_depth, &rel_counts, true);
+        book.shift(new_depth, &rel_counts, false);
+        let max_depth = book.max_depth();
+        self.index.stats_mut().set_max_depth(max_depth);
         self.index.stats_mut().refresh_derived();
         for v in block_ids {
-            self.id_rescan(&v);
+            if self.book().shared_ids.contains(&v) {
+                self.id_rescan(&v);
+            }
         }
         self.repair_stats.incremental += 1;
         Ok(())
-    }
-
-    /// Exact max-depth recompute over the interval nesting (only run when
-    /// a removal or move might have taken the deepest node with it).
-    fn recompute_max_depth(&mut self) {
-        let mut ends: Vec<u32> = Vec::new();
-        let mut md = 0u32;
-        for r in 0..self.index.len() as u32 {
-            while ends.last().is_some_and(|&e| r > e) {
-                ends.pop();
-            }
-            md = md.max(ends.len() as u32);
-            ends.push(r + self.index.size_at(r));
-        }
-        self.index.stats_mut().set_max_depth(md);
     }
 
     /// Attach the (unlinked) node `n` as the last child of `parent`.
@@ -804,9 +904,28 @@ impl ArenaStore {
         }
     }
 
+    /// A new `id` attribute carrying `value` now belongs to `owner`: a
+    /// value that already resolves gains a second owner.
+    fn id_add(&mut self, value: &str, owner: NodeId) {
+        if self.id_index.contains_key(value) {
+            self.book().shared_ids.insert(value.into());
+        }
+        self.id_consider(value, owner);
+    }
+
+    /// The winner for `value` lost its `id` attribute: a value with a
+    /// single owner simply stops resolving, a shared one is re-elected.
+    fn id_release(&mut self, value: &str) {
+        if self.book().shared_ids.contains(value) {
+            self.id_rescan(value);
+        } else {
+            self.id_index.remove(value);
+        }
+    }
+
     /// Re-elect the id-index winner for `value` by scanning ranks in
-    /// document order (run only when the current winner was removed or
-    /// relocated — rare, so the linear scan is acceptable).
+    /// document order (run only for shared values whose winner was
+    /// removed or relocated — rare, so the linear scan is acceptable).
     fn id_rescan(&mut self, value: &str) {
         self.id_index.remove(value);
         let Some(id_name) = self.names.lookup("id") else {
@@ -831,16 +950,20 @@ impl ArenaStore {
         let name = self.nodes[attr.index()].name;
         let is_id = name != NIL && self.names.lookup("id").map(|i| i.0) == Some(name);
         let old = self.nodes[attr.index()].value.clone();
+        let rekeys = is_id && self.index.rank_of(attr).is_some() && old.as_deref() != Some(value);
+        if rekeys {
+            // Derived from the owners before the overwrite.
+            self.book();
+        }
         self.set_value_raw(attr, value);
-        if is_id && self.index.rank_of(attr).is_some() {
+        if rekeys {
             let owner = NodeId(self.nodes[attr.index()].parent);
             if let Some(old) = old {
-                if old.as_ref() != value && self.id_index.get(old.as_ref()).copied() == Some(owner)
-                {
-                    self.id_rescan(&old);
+                if self.id_index.get(old.as_ref()).copied() == Some(owner) {
+                    self.id_release(&old);
                 }
             }
-            self.id_consider(value, owner);
+            self.id_add(value, owner);
         }
     }
 }
@@ -1109,6 +1232,7 @@ impl ArenaBuilder {
             repair_stats: RepairStats::default(),
             repair_attempts: 0,
             repair_failpoint: RepairFailPoint::none(),
+            book: None,
         };
         store.index = StructuralIndex::build(&store);
         store

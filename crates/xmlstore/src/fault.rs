@@ -47,12 +47,15 @@ impl IoFailPoint {
 ///
 /// A triggered abort leaves the store's index in an undefined state —
 /// deliberately: the `WriteBatch` layer applies every update to a private
-/// clone and discards the whole clone on any error, so the published
+/// copy and discards the whole copy on any error, so the published
 /// document is untouched. The counter is 1-based and deterministic, like
-/// every other fault point in this codebase.
+/// every other fault point in this codebase. It starts when the failpoint
+/// is armed (`ArenaStore::set_repair_failpoint`), so repairs from a
+/// store's earlier history, or replayed while a write batch brings a
+/// retained snapshot forward, never count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RepairFailPoint {
-    /// Abort the Nth incremental index repair attempted on this store.
+    /// Abort the Nth incremental index repair attempted after arming.
     pub fail_repair_at: Option<u64>,
 }
 

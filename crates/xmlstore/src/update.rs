@@ -94,6 +94,9 @@ pub enum UpdateError {
     WriterConflict(String),
     /// No document with this name is registered.
     UnknownDocument(String),
+    /// The document was re-registered while the write batch ran; the
+    /// batch's updates apply to the replaced document and are refused.
+    DocumentReplaced(String),
     /// An update path selected no target node.
     TargetNotFound(String),
     /// A previous op in this batch failed; the batch only rolls back.
@@ -118,6 +121,7 @@ impl UpdateError {
             UpdateError::ImmutableSnapshot => "immutable-snapshot",
             UpdateError::WriterConflict(_) => "writer-conflict",
             UpdateError::UnknownDocument(_) => "unknown-document",
+            UpdateError::DocumentReplaced(_) => "document-replaced",
             UpdateError::TargetNotFound(_) => "target-not-found",
             UpdateError::BatchPoisoned => "batch-poisoned",
             UpdateError::RepairAborted => "repair-aborted",
@@ -156,6 +160,9 @@ impl std::fmt::Display for UpdateError {
             }
             UpdateError::UnknownDocument(doc) => {
                 write!(f, "no document named '{doc}' is registered")
+            }
+            UpdateError::DocumentReplaced(doc) => {
+                write!(f, "'{doc}' was re-registered while the batch ran; nothing was published")
             }
             UpdateError::TargetNotFound(path) => {
                 write!(f, "no node matches '{path}'")
@@ -629,6 +636,19 @@ mod tests {
     }
 
     #[test]
+    fn repair_failpoint_counts_from_arming() {
+        use crate::fault::RepairFailPoint;
+        let mut s = doc();
+        let r = s.first_child(s.root()).unwrap();
+        // Repairs before the failpoint is armed do not count toward it.
+        s.append_element(r, "c").unwrap();
+        s.append_element(r, "d").unwrap();
+        s.set_repair_failpoint(RepairFailPoint { fail_repair_at: Some(2) });
+        s.append_element(r, "e").unwrap();
+        assert_eq!(s.append_element(r, "f").unwrap_err(), UpdateError::RepairAborted);
+    }
+
+    #[test]
     fn serialize_reparse_roundtrip_after_each_mutation_kind() {
         // After every kind of mutation, serializing and reparsing must
         // reproduce the same serialized form (the store stays a valid
@@ -674,5 +694,90 @@ mod tests {
         let t = TempPath::new(".natix");
         let disk = DiskStore::create_from(&s, t.path(), 4).unwrap();
         assert_eq!(to_xml(&disk), to_xml(&s));
+    }
+
+    /// Every `id` value resolves as a full rebuild of the id index (the
+    /// `renumber` walk over the same node ids) resolves it.
+    fn ids_match_rebuild(s: &ArenaStore, values: &[String]) {
+        let mut rebuilt = s.clone();
+        rebuilt.renumber();
+        for v in values {
+            assert_eq!(s.element_by_id(v), rebuilt.element_by_id(v), "id {v}");
+        }
+    }
+
+    #[test]
+    fn unique_ids_stay_unshared_through_record_removals() {
+        // A DBLP-shaped document: every record owns a unique id and
+        // reaches the document's max depth.
+        let mut b = crate::arena::ArenaBuilder::new();
+        b.start_element("dblp");
+        for i in 0..20 {
+            b.start_element("article");
+            b.attribute("id", &format!("r{i}"));
+            b.start_element("title");
+            b.text("t");
+            b.end_element();
+            b.end_element();
+        }
+        b.end_element();
+        let mut s = b.finish();
+        let values: Vec<String> = (0..20).map(|i| format!("r{i}")).collect();
+        let dblp = s.first_child(s.root()).unwrap();
+        for _ in 0..5 {
+            let record = s.first_child(dblp).unwrap();
+            s.remove_subtree(record).unwrap();
+            let rebuilt = StructuralIndex::build(&s);
+            assert_eq!(s.structural_index().unwrap(), &rebuilt);
+            ids_match_rebuild(&s, &values);
+        }
+        assert_eq!(s.shared_id_count(), Some(0), "unique ids never need a rescan");
+    }
+
+    #[test]
+    fn depth_histogram_and_shared_ids_match_rebuild_under_random_updates() {
+        let mut rng = 0x2026_1017_u64;
+        let mut next = move |n: u64| {
+            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n.max(1)
+        };
+        let mut b = crate::arena::ArenaBuilder::new();
+        b.start_element("r");
+        for i in 0..6 {
+            b.start_element("a");
+            b.attribute("id", &format!("v{}", i % 3));
+            b.start_element("b");
+            b.start_element("c");
+            b.text("deep");
+            b.end_element();
+            b.end_element();
+            b.end_element();
+        }
+        b.end_element();
+        let mut s = b.finish();
+        let values: Vec<String> = (0..5).map(|i| format!("v{i}")).collect();
+        for step in 0..300 {
+            let idx = s.structural_index().unwrap();
+            let target = idx.node_at(next(idx.len() as u64) as u32);
+            let other = idx.node_at(next(idx.len() as u64) as u32);
+            let value = &values[next(values.len() as u64) as usize];
+            // Typed errors (wrong kind, cycle, root occupied) skip the op.
+            let _ = match next(7) {
+                0 => s.append_element(target, "d").map(drop),
+                1 => s.insert_element_before(target, "e").map(drop),
+                2 => s.set_attribute(target, "id", value).map(drop),
+                3 => s.remove_attribute(target, "id").map(drop),
+                4 if idx.len() > 30 => s.remove_subtree(target),
+                5 => s.move_subtree(target, other),
+                _ => s.set_content(target, value),
+            };
+            let rebuilt = StructuralIndex::build(&s);
+            assert_eq!(s.structural_index().unwrap(), &rebuilt, "step {step}");
+            ids_match_rebuild(&s, &values);
+        }
+        assert!(s.repair_stats().incremental > 100, "{:?}", s.repair_stats());
     }
 }

@@ -52,13 +52,17 @@
 //! monotonically increasing epoch number. Readers [`Engine::pin`] the
 //! current snapshot and keep evaluating against it for as long as they
 //! hold the pin — a concurrent writer can never tear their view. A
-//! single writer per document opens a [`WriteBatch`]: a private clone of
-//! the arena store that absorbs updates (with incremental structural-
-//! index repair) while readers keep the old epoch. [`WriteBatch::commit`]
-//! atomically swaps the registry entry to the new snapshot and bumps the
-//! epoch; abort (or drop) discards the clone — the published store is
-//! never in a half-updated state, even when a fault injector aborts the
-//! batch mid-repair. Every batch runs under a [`ResourceGovernor`]:
+//! single writer per document opens a [`WriteBatch`]: a private working
+//! copy of the arena store that absorbs updates (with incremental
+//! structural-index repair) while readers keep the old epoch. The copy is
+//! a superseded snapshot no reader pins any more, brought forward by
+//! replaying the logged ops of the batches committed since, or a clone
+//! of the published snapshot when no retained one is free.
+//! [`WriteBatch::commit`] atomically swaps the registry entry to the new
+//! snapshot, bumps the epoch and retains the superseded one; abort (or
+//! drop) discards the copy — the published store is never in a
+//! half-updated state, even when a fault injector aborts the batch
+//! mid-repair. Every batch runs under a [`ResourceGovernor`]:
 //! each op charges an estimated byte cost, and commit/abort release the
 //! whole charge, so `transient_bytes() == 0` after the batch resolves is
 //! the same machine-checkable no-leak invariant queries have.
@@ -69,7 +73,7 @@
 //! `natix_plan_cache_stale_evictions_total`) instead of lingering until
 //! LRU pressure pushes them out.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Instant;
@@ -480,11 +484,13 @@ impl Admission {
 
 /// Epoch-related metric handles (detached when the engine carries no
 /// telemetry, the `natix_store_epoch`/`natix_epoch_readers`/
-/// `natix_index_repairs_total` series otherwise).
+/// `natix_index_repairs_total`/`natix_write_batch_clones_total` series
+/// otherwise).
 struct EpochMetrics {
     store_epoch: Gauge,
     epoch_readers: Gauge,
     index_repairs: Counter,
+    write_batch_clones: Counter,
 }
 
 impl EpochMetrics {
@@ -494,21 +500,141 @@ impl EpochMetrics {
                 store_epoch: t.metrics.store_epoch.clone(),
                 epoch_readers: t.metrics.epoch_readers.clone(),
                 index_repairs: t.metrics.index_repairs_total.clone(),
+                write_batch_clones: t.metrics.write_batch_clones_total.clone(),
             },
             None => EpochMetrics {
                 store_epoch: Gauge::default(),
                 epoch_readers: Gauge::default(),
                 index_repairs: Counter::default(),
+                write_batch_clones: Counter::default(),
             },
         }
     }
 }
 
-/// A registered document: the immutable snapshot readers share, plus
-/// its epoch number (bumped on every publish).
+/// A registered document: the immutable snapshot readers share, its
+/// epoch number (bumped on every publish), and what its write batches
+/// reuse.
 struct DocEntry {
     doc: Arc<Document>,
     epoch: u64,
+    retired: Mutex<Retired>,
+}
+
+/// Superseded snapshots a batch may reuse. Two suffice: a reader pins
+/// one snapshot at a time, so with one reader at least one of them is
+/// always free.
+const RETAINED_SNAPSHOTS: usize = 2;
+
+/// A retained snapshot further behind the published epoch than this
+/// many batches is let go: replaying more would cost about what a clone
+/// of a 4000-record DBLP arena costs.
+const MAX_REPLAY_BATCHES: u64 = 8;
+
+/// The superseded snapshots of one written document and the op logs
+/// that bring them forward to the published epoch.
+#[derive(Default)]
+struct Retired {
+    /// `(epoch, snapshot)`, oldest first.
+    snapshots: VecDeque<(u64, Arc<Document>)>,
+    /// `(epoch, ops)`: the ops of the batch that turned `epoch` into
+    /// `epoch + 1`, oldest first, from the oldest retained epoch on.
+    logs: VecDeque<(u64, Arc<[LoggedOp]>)>,
+}
+
+impl Retired {
+    /// Take the oldest retained arena snapshot that no reader pins (the
+    /// pool holds its only reference), with the logs to replay onto it.
+    fn reclaim(&mut self) -> Option<(ArenaStore, Vec<Arc<[LoggedOp]>>)> {
+        let i = self.snapshots.iter().position(|(_, doc)| Arc::strong_count(doc) == 1)?;
+        let (epoch, doc) = self.snapshots.remove(i)?;
+        let logs = self.logs.iter().filter(|(e, _)| *e >= epoch).map(|(_, l)| l.clone()).collect();
+        self.trim_logs();
+        match Arc::into_inner(doc)? {
+            Document::Arena(store) => Some((store, logs)),
+            Document::Disk(_) => None,
+        }
+    }
+
+    /// Retain the snapshot `published - 1` superseded by a commit, with
+    /// the ops that led past it. Returns the snapshots let go, for the
+    /// caller to drop outside the registry lock.
+    fn retire(
+        &mut self,
+        doc: Arc<Document>,
+        ops: Arc<[LoggedOp]>,
+        published: u64,
+    ) -> Vec<Arc<Document>> {
+        self.snapshots.push_back((published - 1, doc));
+        self.logs.push_back((published - 1, ops));
+        let mut gone = Vec::new();
+        while self.snapshots.len() > RETAINED_SNAPSHOTS
+            || self.snapshots.front().is_some_and(|(e, _)| published - e > MAX_REPLAY_BATCHES)
+        {
+            gone.extend(self.snapshots.pop_front().map(|(_, doc)| doc));
+        }
+        self.trim_logs();
+        gone
+    }
+
+    /// Drop the logs no retained snapshot needs.
+    fn trim_logs(&mut self) {
+        let oldest = self.snapshots.front().map_or(u64::MAX, |(e, _)| *e);
+        while self.logs.front().is_some_and(|(e, _)| *e < oldest) {
+            self.logs.pop_front();
+        }
+    }
+}
+
+/// One update a committed batch applied, kept so a retained snapshot can
+/// be brought forward by applying it again. Replay is deterministic:
+/// node ids come out identical because new nodes append at the end of
+/// the arena and names intern in op order.
+#[derive(Clone, Debug)]
+enum LoggedOp {
+    SetContent(NodeId, Box<str>),
+    SetAttribute(NodeId, Box<str>, Box<str>),
+    AppendElement(NodeId, Box<str>),
+    AppendText(NodeId, Box<str>),
+    InsertBefore(NodeId, Box<str>),
+    RemoveSubtree(NodeId),
+    RemoveAttribute(NodeId, Box<str>),
+    MoveSubtree(NodeId, NodeId),
+}
+
+impl LoggedOp {
+    fn replay(&self, store: &mut ArenaStore) -> Result<(), UpdateError> {
+        match self {
+            LoggedOp::SetContent(n, c) => store.set_content(*n, c),
+            LoggedOp::SetAttribute(n, name, v) => store.set_attribute(*n, name, v).map(drop),
+            LoggedOp::AppendElement(n, name) => store.append_element(*n, name).map(drop),
+            LoggedOp::AppendText(n, c) => store.append_text(*n, c).map(drop),
+            LoggedOp::InsertBefore(n, name) => store.insert_element_before(*n, name).map(drop),
+            LoggedOp::RemoveSubtree(n) => store.remove_subtree(*n),
+            LoggedOp::RemoveAttribute(n, name) => store.remove_attribute(*n, name).map(drop),
+            LoggedOp::MoveSubtree(n, to) => store.move_subtree(*n, *to),
+        }
+    }
+}
+
+/// Bring a reclaimed snapshot forward to `published` by replaying the
+/// logged batches with the repair failpoint disarmed, then check in O(1)
+/// that it matches: node slots, statistics fingerprint, repair counters.
+/// `None` on any replay error or mismatch (the caller clones instead).
+fn replay(
+    mut store: ArenaStore,
+    logs: &[Arc<[LoggedOp]>],
+    published: &ArenaStore,
+) -> Option<ArenaStore> {
+    store.set_repair_failpoint(RepairFailPoint::none());
+    for op in logs.iter().flat_map(|ops| ops.iter()) {
+        op.replay(&mut store).ok()?;
+    }
+    let fingerprint = |s: &ArenaStore| s.structural_index().map(|i| i.stats().fingerprint);
+    let same = store.node_count() == published.node_count()
+        && fingerprint(&store) == fingerprint(published)
+        && store.repair_stats() == published.repair_stats();
+    same.then_some(store)
 }
 
 /// A reader's pin on one epoch snapshot: holds the `Arc<Document>` the
@@ -615,10 +741,16 @@ impl Engine {
     /// its epoch (readers pinned on the old snapshot keep it alive).
     pub fn register_document(&self, name: &str, doc: Document) -> Arc<Document> {
         let doc = Arc::new(doc);
-        let mut docs = self.documents.write();
-        let epoch = docs.get(name).map_or(1, |e| e.epoch + 1);
-        docs.insert(name.to_owned(), DocEntry { doc: doc.clone(), epoch });
-        self.epoch_metrics.store_epoch.set(epoch);
+        let replaced = {
+            let mut docs = self.documents.write();
+            let epoch = docs.get(name).map_or(1, |e| e.epoch + 1);
+            self.epoch_metrics.store_epoch.set(epoch);
+            let entry = DocEntry { doc: doc.clone(), epoch, retired: Mutex::default() };
+            docs.insert(name.to_owned(), entry)
+        };
+        // The superseded entry (and any snapshots it retained) is freed
+        // outside the registry lock.
+        drop(replaced);
         doc
     }
 
@@ -683,8 +815,11 @@ impl Engine {
     }
 
     /// Open a write batch on the registered arena document `name`: a
-    /// private clone of the current snapshot that absorbs updates while
-    /// readers keep the published epoch. One writer per document —
+    /// private copy of the current snapshot that absorbs updates while
+    /// readers keep the published epoch. The copy is a retained
+    /// superseded snapshot that no reader pins, with the batches
+    /// committed since replayed onto it, or else a clone
+    /// ([`CommitReceipt::base`] says which). One writer per document —
     /// a second concurrent batch is refused with
     /// [`UpdateError::WriterConflict`]. Disk-backed documents are
     /// immutable snapshots ([`UpdateError::ImmutableSnapshot`]).
@@ -693,7 +828,7 @@ impl Engine {
     /// and `failpoint` (alloc-failure/cancellation injection); the
     /// `repair_failpoint` aborts the Nth structural-index repair inside
     /// the working store. Any injected fault poisons the batch: commit
-    /// is refused and the working clone is discarded whole.
+    /// is refused and the working copy is discarded whole.
     pub fn write_batch_with(
         self: &Arc<Engine>,
         name: &str,
@@ -708,36 +843,57 @@ impl Engine {
         let release = |engine: &Engine| {
             engine.writers.lock().remove(name);
         };
-        let (working, base_epoch) = {
-            let docs = self.documents.read();
-            let Some(entry) = docs.get(name) else {
-                release(self);
-                return Err(UpdateError::UnknownDocument(name.to_owned()).into());
-            };
-            match &*entry.doc {
-                Document::Arena(a) => (a.clone(), entry.epoch),
-                Document::Disk(_) => {
-                    release(self);
-                    return Err(UpdateError::ImmutableSnapshot.into());
-                }
-            }
+        let found = self
+            .documents
+            .read()
+            .get(name)
+            .map(|entry| (entry.doc.clone(), entry.epoch, entry.retired.lock().reclaim()));
+        let Some((published, base_epoch, reclaimed)) = found else {
+            release(self);
+            return Err(UpdateError::UnknownDocument(name.to_owned()).into());
         };
-        let mut working = working;
+        let Document::Arena(current) = &*published else {
+            release(self);
+            return Err(UpdateError::ImmutableSnapshot.into());
+        };
+        let reused = reclaimed.and_then(|(store, logs)| {
+            let replayed = logs.len() as u64;
+            replay(store, &logs, current).map(|store| (store, BatchBase::Reclaimed { replayed }))
+        });
+        let (mut working, base) = reused.unwrap_or_else(|| {
+            self.epoch_metrics.write_batch_clones.inc();
+            (current.clone(), BatchBase::Cloned)
+        });
         working.set_repair_failpoint(repair_failpoint);
         let base_repairs = working.repair_stats();
         Ok(WriteBatch {
             engine: self.clone(),
             name: name.to_owned(),
             base_epoch,
+            base,
             base_repairs,
             working: Some(working),
+            log: Vec::new(),
             gov: Arc::new(ResourceGovernor::with_failpoint(limits, failpoint)),
             charged: 0,
-            ops: 0,
             poisoned: false,
             resolved: false,
         })
     }
+}
+
+/// How a write batch obtained its private working store.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BatchBase {
+    /// A clone of the published snapshot: no retained snapshot existed
+    /// or every one was pinned by a reader.
+    Cloned,
+    /// A retained superseded snapshot, brought forward by replaying the
+    /// ops of `replayed` committed batches.
+    Reclaimed {
+        /// Committed batches replayed onto the snapshot.
+        replayed: u64,
+    },
 }
 
 /// What a committed write batch published.
@@ -752,12 +908,14 @@ pub struct CommitReceipt {
     /// Plan-cache entries eagerly evicted because their statistics
     /// fingerprint was superseded by this publish.
     pub stale_plans_evicted: u64,
+    /// How the batch's working store was obtained.
+    pub base: BatchBase,
 }
 
-/// A single-writer batch of updates against a private clone of one
+/// A single-writer batch of updates against a private copy of one
 /// registered arena document (see the module docs). Mirrors the
 /// [`ArenaStore`] update API, plus XPath target selection; commit
-/// publishes the clone as the next epoch snapshot, abort (or drop)
+/// publishes the copy as the next epoch snapshot, abort (or drop)
 /// discards it — readers never observe an intermediate state.
 ///
 /// Budgeting: every op ticks and charges the batch's governor (op cost
@@ -770,12 +928,14 @@ pub struct WriteBatch {
     engine: Arc<Engine>,
     name: String,
     base_epoch: u64,
+    base: BatchBase,
     base_repairs: RepairStats,
     /// `None` only after commit moved the store out (drop runs after).
     working: Option<ArenaStore>,
+    /// The ops applied so far, for later batches to replay.
+    log: Vec<LoggedOp>,
     gov: Arc<ResourceGovernor>,
     charged: u64,
-    ops: u64,
     poisoned: bool,
     resolved: bool,
 }
@@ -785,7 +945,7 @@ impl std::fmt::Debug for WriteBatch {
         f.debug_struct("WriteBatch")
             .field("doc", &self.name)
             .field("base_epoch", &self.base_epoch)
-            .field("ops", &self.ops)
+            .field("ops", &self.log.len())
             .field("poisoned", &self.poisoned)
             .finish_non_exhaustive()
     }
@@ -800,14 +960,14 @@ impl WriteBatch {
         &self.name
     }
 
-    /// The epoch the working clone was taken from.
+    /// The epoch the working store was taken from.
     pub fn base_epoch(&self) -> u64 {
         self.base_epoch
     }
 
     /// Ops applied so far.
     pub fn ops_applied(&self) -> u64 {
-        self.ops
+        self.log.len() as u64
     }
 
     /// Whether an earlier op failed (only rollback is possible).
@@ -874,6 +1034,7 @@ impl WriteBatch {
     fn apply<T>(
         &mut self,
         cost: u64,
+        op: LoggedOp,
         f: impl FnOnce(&mut ArenaStore) -> Result<T, UpdateError>,
     ) -> Result<T, NatixError> {
         if self.poisoned {
@@ -883,7 +1044,7 @@ impl WriteBatch {
         let w = self.working.as_mut().expect("batch not yet resolved");
         match f(w) {
             Ok(v) => {
-                self.ops += 1;
+                self.log.push(op);
                 Ok(v)
             }
             Err(e) => {
@@ -895,7 +1056,8 @@ impl WriteBatch {
 
     /// Replace the content of a text/comment/PI/attribute node.
     pub fn set_content(&mut self, n: NodeId, content: &str) -> Result<(), NatixError> {
-        self.apply(content.len() as u64, |w| w.set_content(n, content))
+        let op = LoggedOp::SetContent(n, content.into());
+        self.apply(content.len() as u64, op, |w| w.set_content(n, content))
     }
 
     /// Set (or add) an attribute on an element.
@@ -905,17 +1067,20 @@ impl WriteBatch {
         name: &str,
         value: &str,
     ) -> Result<NodeId, NatixError> {
-        self.apply((name.len() + value.len()) as u64, |w| w.set_attribute(element, name, value))
+        let op = LoggedOp::SetAttribute(element, name.into(), value.into());
+        self.apply((name.len() + value.len()) as u64, op, |w| w.set_attribute(element, name, value))
     }
 
     /// Append a new element as the last child of `parent`.
     pub fn append_element(&mut self, parent: NodeId, name: &str) -> Result<NodeId, NatixError> {
-        self.apply(name.len() as u64, |w| w.append_element(parent, name))
+        let op = LoggedOp::AppendElement(parent, name.into());
+        self.apply(name.len() as u64, op, |w| w.append_element(parent, name))
     }
 
     /// Append a new text node as the last child of `parent`.
     pub fn append_text(&mut self, parent: NodeId, content: &str) -> Result<NodeId, NatixError> {
-        self.apply(content.len() as u64, |w| w.append_text(parent, content))
+        let op = LoggedOp::AppendText(parent, content.into());
+        self.apply(content.len() as u64, op, |w| w.append_text(parent, content))
     }
 
     /// Insert a new element immediately before `sibling`.
@@ -924,34 +1089,40 @@ impl WriteBatch {
         sibling: NodeId,
         name: &str,
     ) -> Result<NodeId, NatixError> {
-        self.apply(name.len() as u64, |w| w.insert_element_before(sibling, name))
+        let op = LoggedOp::InsertBefore(sibling, name.into());
+        self.apply(name.len() as u64, op, |w| w.insert_element_before(sibling, name))
     }
 
     /// Detach the subtree rooted at `n`.
     pub fn remove_subtree(&mut self, n: NodeId) -> Result<(), NatixError> {
-        self.apply(0, |w| w.remove_subtree(n))
+        self.apply(0, LoggedOp::RemoveSubtree(n), |w| w.remove_subtree(n))
     }
 
     /// Remove an attribute from its element.
     pub fn remove_attribute(&mut self, element: NodeId, name: &str) -> Result<bool, NatixError> {
-        self.apply(name.len() as u64, |w| w.remove_attribute(element, name))
+        let op = LoggedOp::RemoveAttribute(element, name.into());
+        self.apply(name.len() as u64, op, |w| w.remove_attribute(element, name))
     }
 
     /// Relocate the subtree rooted at `n` under `new_parent`.
     pub fn move_subtree(&mut self, n: NodeId, new_parent: NodeId) -> Result<(), NatixError> {
-        self.apply(0, |w| w.move_subtree(n, new_parent))
+        self.apply(0, LoggedOp::MoveSubtree(n, new_parent), |w| w.move_subtree(n, new_parent))
     }
 
     /// Publish the working store as the document's next epoch snapshot.
     /// All-or-nothing: a poisoned batch refuses to commit (the caller
-    /// sees the injected/typed failure, readers never see the clone),
-    /// and the swap itself is a single registry write — concurrent
-    /// readers observe either the old epoch or the new one, never a mix.
+    /// sees the injected/typed failure, readers never see the copy), so
+    /// does a batch whose document was re-registered while it ran
+    /// ([`UpdateError::DocumentReplaced`]), and the swap itself is a
+    /// single registry write — concurrent readers observe either the old
+    /// epoch or the new one, never a mix. The superseded snapshot is
+    /// retained for later batches to reuse, not freed here.
     pub fn commit(mut self) -> Result<CommitReceipt, NatixError> {
         if self.poisoned {
             return Err(UpdateError::BatchPoisoned.into());
         }
-        let working = self.working.take().expect("batch not yet resolved");
+        let mut working = self.working.take().expect("batch not yet resolved");
+        working.set_repair_failpoint(RepairFailPoint::none());
         let end = working.repair_stats();
         let repairs = RepairStats {
             incremental: end.incremental - self.base_repairs.incremental,
@@ -960,25 +1131,38 @@ impl WriteBatch {
         };
         let new_fp = working.structural_index().map_or(0, |i| i.stats().fingerprint);
         let new_doc = Arc::new(Document::Arena(working));
+        let ops: Arc<[LoggedOp]> = std::mem::take(&mut self.log).into();
+        let op_count = ops.len() as u64;
         let published = {
             let mut docs = self.engine.documents.write();
             match docs.get_mut(&self.name) {
                 // The document was dropped from the registry while the
                 // batch ran; nothing to publish onto.
-                None => None,
+                None => Err(UpdateError::UnknownDocument(self.name.clone())),
+                // It was re-registered: publishing would overwrite the new
+                // document with an update of the old one.
+                Some(entry) if entry.epoch != self.base_epoch => {
+                    Err(UpdateError::DocumentReplaced(self.name.clone()))
+                }
                 Some(entry) => {
                     let old_fp =
                         entry.doc.store().structural_index().map_or(0, |i| i.stats().fingerprint);
-                    entry.doc = new_doc;
+                    let old = std::mem::replace(&mut entry.doc, new_doc);
                     entry.epoch += 1;
-                    Some((entry.epoch, old_fp))
+                    let gone = entry.retired.get_mut().retire(old, ops, entry.epoch);
+                    Ok((entry.epoch, old_fp, gone))
                 }
             }
         };
-        let Some((epoch, old_fp)) = published else {
-            self.resolve();
-            return Err(UpdateError::UnknownDocument(self.name.clone()).into());
+        let (epoch, old_fp, gone) = match published {
+            Ok(published) => published,
+            Err(e) => {
+                self.resolve();
+                return Err(e.into());
+            }
         };
+        // Snapshots the pool let go are freed outside the registry lock.
+        drop(gone);
         self.engine.epoch_metrics.store_epoch.set(epoch);
         self.engine
             .epoch_metrics
@@ -990,7 +1174,13 @@ impl WriteBatch {
             0
         };
         self.resolve();
-        Ok(CommitReceipt { epoch, ops: self.ops, repairs, stale_plans_evicted })
+        Ok(CommitReceipt {
+            epoch,
+            ops: op_count,
+            repairs,
+            stale_plans_evicted,
+            base: self.base,
+        })
     }
 
     /// Discard the working store; the published snapshot is untouched.

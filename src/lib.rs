@@ -33,8 +33,8 @@ pub use compiler::{
     TranslateOptions,
 };
 pub use engine::{
-    plan_weight, static_context_hash, CacheStats, CommitReceipt, Engine, EngineConfig, PinnedDoc,
-    PlanCache, Session, WriteBatch,
+    plan_weight, static_context_hash, BatchBase, CacheStats, CommitReceipt, Engine, EngineConfig,
+    PinnedDoc, PlanCache, Session, WriteBatch,
 };
 pub use nqe::{build_physical, AnalyzeReport, FailPoint, Json, PhysicalQuery, ResourceGovernor};
 pub use service::{QueryService, ServiceConfig};

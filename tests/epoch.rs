@@ -11,11 +11,11 @@ use std::sync::Arc;
 
 use natix::service::render_output;
 use natix::{
-    Document, Engine, EngineConfig, FailPoint, NatixError, QueryOutput, RepairFailPoint,
-    ResourceLimits, TranslateOptions, UpdateError,
+    BatchBase, Document, Engine, EngineConfig, FailPoint, NatixError, NodeId, NodeKind,
+    QueryOutput, RepairFailPoint, ResourceLimits, TranslateOptions, UpdateError, XmlStore,
 };
 use telemetry::Telemetry;
-use xmlstore::to_xml;
+use xmlstore::{to_xml, ArenaStore};
 
 fn engine_with(xml: &str) -> Arc<Engine> {
     let engine = Engine::new();
@@ -369,4 +369,251 @@ fn update_protocol_roundtrip() {
     assert_eq!(c.handle("rollback").text(), "OK rolled back ops=1");
     assert_eq!(c.handle("commit").text(), "ERR usage no open write batch");
     assert_eq!(c.handle("rollback").text(), "ERR usage no open write batch");
+}
+
+#[test]
+fn commit_refuses_a_document_re_registered_while_the_batch_ran() {
+    let engine = engine_with("<r><a/></r>");
+    let mut batch = engine.write_batch("main").unwrap();
+    let gov = batch.governor();
+    let r = batch.select_one("/r").unwrap();
+    batch.append_element(r, "b").unwrap();
+    engine.register_document("main", Document::parse("<fresh/>").unwrap());
+    match batch.commit() {
+        Err(NatixError::Update(e @ UpdateError::DocumentReplaced(_))) => {
+            assert_eq!(e.class(), "document-replaced");
+            assert_eq!(e, UpdateError::DocumentReplaced("main".into()));
+        }
+        other => panic!("expected document-replaced, got {other:?}"),
+    }
+    // The re-registration survives, the charge and the writer slot are
+    // released, and the next batch publishes onto the new document.
+    assert_eq!(to_xml(engine.document("main").unwrap().store()), "<fresh/>");
+    assert_eq!(engine.document_epoch("main"), Some(2));
+    assert_eq!(gov.transient_bytes(), 0);
+    let mut retry = engine.write_batch("main").unwrap();
+    let fresh = retry.select_one("/fresh").unwrap();
+    retry.append_element(fresh, "c").unwrap();
+    let receipt = retry.commit().unwrap();
+    assert_eq!(receipt.epoch, 3);
+    assert_eq!(receipt.base, BatchBase::Cloned, "re-registration retains nothing");
+    assert_eq!(to_xml(engine.document("main").unwrap().store()), "<fresh><c/></fresh>");
+}
+
+#[test]
+fn repair_failpoint_fires_in_a_batch_after_earlier_repairs() {
+    let engine = engine_with("<r><a>1</a><b>2</b></r>");
+    let mut first = engine.write_batch("main").unwrap();
+    let r = first.select_one("/r").unwrap();
+    first.append_element(r, "c").unwrap();
+    first.append_element(r, "d").unwrap();
+    first.commit().unwrap();
+    let before_xml = to_xml(engine.document("main").unwrap().store());
+
+    let mut batch = engine
+        .write_batch_with(
+            "main",
+            ResourceLimits::unlimited(),
+            FailPoint::none(),
+            RepairFailPoint { fail_repair_at: Some(2) },
+        )
+        .unwrap();
+    let r = batch.select_one("/r").unwrap();
+    batch.append_element(r, "x").unwrap();
+    match batch.append_element(r, "y") {
+        Err(NatixError::Update(UpdateError::RepairAborted)) => {}
+        other => panic!("the second repair must abort, got {other:?}"),
+    }
+    assert!(matches!(batch.commit(), Err(NatixError::Update(UpdateError::BatchPoisoned))));
+    assert_eq!(engine.document_epoch("main"), Some(2));
+    assert_eq!(to_xml(engine.document("main").unwrap().store()), before_xml);
+}
+
+/// Deterministic splitmix64 (seeded; no external PRNG dependency).
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n.max(1)
+    }
+}
+
+fn arena(doc: &Document) -> &ArenaStore {
+    match doc {
+        Document::Arena(a) => a,
+        Document::Disk(_) => panic!("write batches publish arena snapshots"),
+    }
+}
+
+/// The working store a batch opened on is the published snapshot: same
+/// serialization, index (statistics included), order keys, repair
+/// counters and id resolution.
+fn assert_same_store(working: &ArenaStore, published: &ArenaStore, ids: &[String], ctx: &str) {
+    assert_eq!(to_xml(working), to_xml(published), "{ctx}");
+    let (w, p) = (working.structural_index().unwrap(), published.structural_index().unwrap());
+    assert_eq!(w, p, "{ctx}: structural index");
+    assert_eq!(w.stats(), p.stats(), "{ctx}: statistics");
+    for r in 0..w.len() as u32 {
+        let n = w.node_at(r);
+        assert_eq!(working.order(n), published.order(n), "{ctx}: order key at rank {r}");
+    }
+    assert_eq!(working.repair_stats(), published.repair_stats(), "{ctx}: repair counters");
+    for v in ids {
+        assert_eq!(working.element_by_id(v), published.element_by_id(v), "{ctx}: id {v}");
+    }
+}
+
+fn random_ranked(store: &ArenaStore, rng: &mut Rng) -> NodeId {
+    let idx = store.structural_index().unwrap();
+    idx.node_at(rng.below(idx.len() as u64) as u32)
+}
+
+fn random_element(store: &ArenaStore, rng: &mut Rng) -> Option<NodeId> {
+    (0..20)
+        .map(|_| random_ranked(store, rng))
+        .find(|&n| store.kind(n) == NodeKind::Element && store.parent(n) != Some(store.root()))
+}
+
+fn seed_xml() -> String {
+    let mut xml = String::from("<r>");
+    for i in 0..12 {
+        xml += &format!(r#"<a id="k{}"><b id="k{}">t{i}</b><c/></a>"#, i % 5, i % 7);
+    }
+    xml + "</r>"
+}
+
+/// The replay differential: a seeded run of batches over the whole op
+/// set — duplicate `id` values and subtree moves included — with
+/// aborted, poisoned and refused batches and re-registrations mixed in,
+/// while held reader pins keep random epochs alive. After every open the
+/// working store, however it was obtained, equals the published snapshot.
+#[test]
+fn replayed_working_stores_equal_the_published_snapshot() {
+    let engine = engine_with(&seed_xml());
+    let ids: Vec<String> = (0..9).map(|i| format!("k{i}")).collect();
+    let mut rng = Rng(0x2026_1017_0029);
+    let mut pins = Vec::new();
+    let (mut reclaimed, mut deepest, mut cloned, mut refused) = (0, 0, 0, 0);
+    for step in 0..400 {
+        // Readers pin the current epoch and let go of old ones at random.
+        if rng.below(2) == 0 && pins.len() < 3 {
+            pins.push(engine.pin("main").unwrap());
+        }
+        if rng.below(3) == 0 && !pins.is_empty() {
+            pins.swap_remove(rng.below(pins.len() as u64) as usize);
+        }
+        if rng.below(60) == 0 {
+            let current = engine.document("main").unwrap();
+            engine.register_document("main", Document::parse(&to_xml(current.store())).unwrap());
+        }
+        let mut batch = engine.write_batch("main").unwrap();
+        let published = engine.document("main").unwrap();
+        assert_same_store(batch.store(), arena(&published), &ids, &format!("step {step}"));
+        drop(published);
+
+        for _ in 0..=rng.below(6) {
+            let store = batch.store();
+            let Some(target) = random_element(store, &mut rng) else {
+                continue;
+            };
+            let dest = random_element(store, &mut rng);
+            let id = &ids[rng.below(ids.len() as u64) as usize];
+            let big = store.structural_index().unwrap().len() > 60;
+            let _ = match rng.below(9) {
+                0 => batch.append_element(target, "n").map(drop),
+                1 => batch.append_text(target, "txt").map(drop),
+                2 => batch.insert_element_before(target, "m").map(drop),
+                3 => batch.set_attribute(target, "id", id).map(drop),
+                4 => match store.first_child(target).filter(|&c| store.kind(c) == NodeKind::Text) {
+                    Some(text) => batch.set_content(text, id),
+                    None => batch.set_attribute(target, "x", id).map(drop),
+                },
+                5 if big => batch.remove_subtree(target),
+                6 => batch.remove_attribute(target, "id").map(drop),
+                7 => match dest {
+                    Some(d) if !store.is_ancestor(target, d) && d != target => {
+                        batch.move_subtree(target, d)
+                    }
+                    _ => Ok(()),
+                },
+                // A move under itself: a typed error that poisons the batch.
+                8 if rng.below(4) == 0 => batch.move_subtree(target, target),
+                _ => Ok(()),
+            };
+        }
+        let poisoned = batch.is_poisoned();
+        match rng.below(12) {
+            0 => batch.abort(),
+            1 => {
+                let current = engine.document("main").unwrap();
+                engine
+                    .register_document("main", Document::parse(&to_xml(current.store())).unwrap());
+                assert!(batch.commit().is_err(), "step {step}: a replaced document refuses");
+                refused += 1;
+            }
+            _ if poisoned => {
+                assert!(matches!(
+                    batch.commit(),
+                    Err(NatixError::Update(UpdateError::BatchPoisoned))
+                ));
+            }
+            _ => match batch.commit().unwrap().base {
+                BatchBase::Cloned => cloned += 1,
+                BatchBase::Reclaimed { replayed } => {
+                    reclaimed += 1;
+                    deepest = deepest.max(replayed);
+                }
+            },
+        }
+    }
+    assert!(reclaimed > 100 && cloned > 20 && refused > 10, "{reclaimed} {cloned} {refused}");
+    assert!(deepest >= 4, "the deepest replay covered only {deepest} batches");
+}
+
+/// One reader pinning every published epoch in turn never forces a
+/// clone after the first batch: the snapshot it let go is free again.
+/// A reader one epoch behind costs one more clone, after which two
+/// retained snapshots always leave one free.
+#[test]
+fn a_reader_pinning_every_epoch_in_turn_never_forces_a_clone() {
+    let telemetry = Telemetry::new().shared();
+    let engine = Engine::with_config(EngineConfig::default(), Some(telemetry.clone()));
+    engine.register_document("main", Document::parse(&seed_xml()).unwrap());
+    let batch_on = |engine: &Arc<Engine>, k: usize| {
+        let mut batch = engine.write_batch("main").unwrap();
+        let r = batch.select_one("/r").unwrap();
+        let a = batch.append_element(r, "a").unwrap();
+        batch.set_attribute(a, "id", &format!("new{k}")).unwrap();
+        let gone = batch.select_one("/r/a[2]").unwrap();
+        batch.remove_subtree(gone).unwrap();
+        batch.commit().unwrap()
+    };
+    let mut pin = engine.pin("main").unwrap();
+    for k in 0..12 {
+        let receipt = batch_on(&engine, k);
+        match (k, receipt.base) {
+            (0, BatchBase::Cloned) | (1.., BatchBase::Reclaimed { replayed: 1 }) => {}
+            other => panic!("batch {k}: {other:?}"),
+        }
+        pin = engine.pin("main").unwrap();
+    }
+    assert_eq!(telemetry.registry.value("natix_write_batch_clones_total"), Some(1));
+
+    // The reader now lags: it still holds the superseded epoch when the
+    // next batch opens.
+    for k in 12..24 {
+        let lagging = engine.pin("main").unwrap();
+        batch_on(&engine, k);
+        drop(std::mem::replace(&mut pin, lagging));
+    }
+    drop(pin);
+    assert_eq!(telemetry.registry.value("natix_write_batch_clones_total"), Some(2));
 }
