@@ -1,6 +1,6 @@
-//! Cost-based optimizer pass (ROADMAP open item 1, second half): choose
-//! between the paper's translation alternatives per plan site, using
-//! cardinality estimates seeded from the store's free
+//! Cost-based optimizer pass (DESIGN.md §17): choose between the
+//! paper's translation alternatives per plan site, using cardinality
+//! estimates seeded from the store's free
 //! [`StructuralIndex`](xmlstore::StructuralIndex) statistics
 //! ([`StoreStats`]).
 //!
@@ -8,7 +8,7 @@
 //! Figure 10 shows them trading places with the canonical translation
 //! depending on document shape and predicate selectivity. This pass
 //! runs after translation (before property pruning, so both the traced
-//! and untraced pipelines share it) and makes four families of
+//! and untraced pipelines share it) and makes five families of
 //! decisions, every one a byte-exact inverse of a translation emission
 //! so the rewritten plan is always a plan some `TranslateOptions` could
 //! have produced:
@@ -42,9 +42,10 @@
 //! it produces is surfaced: [`estimate_operators`] emits per-operator
 //! estimates in physical profile order so EXPLAIN ANALYZE can print
 //! estimated vs. actual cardinalities, and every [`Decision`] carries
-//! both sides' costs.
-
-use std::collections::HashMap;
+//! both sides' costs. No other walk formats a label, and probes borrow
+//! the environment instead of copying it (see [`Env::scoped`]); both
+//! keep every floating-point operation in its order, since the
+//! outer-shape choice can tie to the last bit.
 
 use xmlstore::{Axis, StoreStats};
 use xpath_syntax::{KindTest, NodeTest};
@@ -123,28 +124,20 @@ pub struct OpEstimate {
 /// Run the per-site cost-based rewrites over a translated query.
 /// Returns the (possibly) rewritten query and the decisions taken.
 /// Deterministic in (plan, stats): cache-safe.
-pub fn optimize(q: CompiledQuery, stats: &StoreStats) -> (CompiledQuery, Vec<Decision>) {
-    let mut opt = Optimizer { est: Estimator { stats }, decisions: Vec::new() };
+pub fn optimize(mut q: CompiledQuery, stats: &StoreStats) -> (CompiledQuery, Vec<Decision>) {
+    let mut opt = Optimizer { est: Estimator { stats, rec: None }, decisions: Vec::new() };
     let mut env = Env::seed(stats);
-    let q = match q {
-        CompiledQuery::Sequence(plan) => CompiledQuery::Sequence(opt.rewrite(plan, 1.0, &mut env)),
-        CompiledQuery::Scalar(expr) => {
-            CompiledQuery::Scalar(opt.rewrite_scalar(expr, 1.0, &mut env))
-        }
-    };
+    match &mut q {
+        CompiledQuery::Sequence(plan) => opt.rewrite(plan, 1.0, &mut env),
+        CompiledQuery::Scalar(expr) => opt.rewrite_nested(expr, 1.0, &mut env),
+    }
     (q, opt.decisions)
 }
 
 /// Estimated total cost of a query (the pipeline's outer-shape
 /// comparator).
 pub fn estimate_total(q: &CompiledQuery, stats: &StoreStats) -> f64 {
-    let est = Estimator { stats };
-    let mut env = Env::seed(stats);
-    let mut rec = Vec::new();
-    match q {
-        CompiledQuery::Sequence(plan) => est.est(plan, 1.0, &mut env, &mut rec).cost,
-        CompiledQuery::Scalar(expr) => est.pred_cost(expr, 1.0, &mut env, &mut rec),
-    }
+    Estimator { stats, rec: None }.query(q)
 }
 
 /// Per-operator cardinality estimates, in the order the profiled
@@ -152,39 +145,71 @@ pub fn estimate_total(q: &CompiledQuery, stats: &StoreStats) -> f64 {
 /// its synthetic `scalar[…]` root first). EXPLAIN ANALYZE pairs these
 /// positionally (label-checked) with the actual profile.
 pub fn estimate_operators(q: &CompiledQuery, stats: &StoreStats) -> Vec<OpEstimate> {
-    let est = Estimator { stats };
-    let mut env = Env::seed(stats);
     let mut rec = Vec::new();
-    match q {
-        CompiledQuery::Sequence(plan) => {
-            est.est(plan, 1.0, &mut env, &mut rec);
-        }
-        CompiledQuery::Scalar(expr) => {
-            rec.push(OpEstimate { label: format!("scalar[{expr}]"), est_tuples: 1.0 });
-            est.pred_cost(expr, 1.0, &mut env, &mut rec);
-        }
+    if let CompiledQuery::Scalar(expr) = q {
+        rec.push(OpEstimate { label: format!("scalar[{expr}]"), est_tuples: 1.0 });
     }
-    rec
+    let mut est = Estimator { stats, rec: Some(rec) };
+    est.query(q);
+    est.rec.unwrap_or_default()
 }
 
 /// Estimation context threaded along a plan walk: per-attribute mean
-/// subtree size (`scope`) and per-attribute distinct-value domain
-/// (`domain`), plus the tuple count feeding a ▤ leaf inside an
-/// Exchange body.
-#[derive(Clone, Default)]
+/// subtree size (`scope`) and distinct-value domain (`domain`), plus the
+/// tuple count feeding a ▤ leaf inside an Exchange body. Bindings form a
+/// stack in which the newest binding of a name wins, so
+/// [`Env::scoped`] can undo exactly what one estimate bound.
+#[derive(Default)]
 struct Env {
-    scope: HashMap<String, f64>,
-    domain: HashMap<String, f64>,
+    /// The bound names, back to back; each [`Binding`] spans one.
+    names: String,
+    binds: Vec<Binding>,
     partition_rows: f64,
+}
+
+struct Binding {
+    start: usize,
+    end: usize,
+    scope: f64,
+    domain: f64,
 }
 
 impl Env {
     fn seed(stats: &StoreStats) -> Env {
         let mut env = Env::default();
         // The execution context binds cn to a single context node.
-        env.scope.insert("cn".to_owned(), stats.mean_subtree);
-        env.domain.insert("cn".to_owned(), 1.0);
+        env.bind("cn", stats.mean_subtree, 1.0);
         env
+    }
+
+    fn get(&self, name: &str) -> Option<&Binding> {
+        self.binds.iter().rev().find(|b| &self.names[b.start..b.end] == name)
+    }
+
+    fn scope(&self, name: &str) -> Option<f64> {
+        self.get(name).map(|b| b.scope)
+    }
+
+    fn domain(&self, name: &str) -> Option<f64> {
+        self.get(name).map(|b| b.domain)
+    }
+
+    fn bind(&mut self, name: &str, scope: f64, domain: f64) {
+        let start = self.names.len();
+        self.names.push_str(name);
+        self.binds.push(Binding { start, end: self.names.len(), scope, domain });
+    }
+
+    /// Run `f`, then roll back every binding it made and the partition
+    /// rows it set: `f` sees what a copy of the environment would show
+    /// it, and what it changes is discarded as a copy would be.
+    fn scoped<R>(&mut self, f: impl FnOnce(&mut Env) -> R) -> R {
+        let mark = (self.binds.len(), self.names.len(), self.partition_rows);
+        let out = f(self);
+        self.binds.truncate(mark.0);
+        self.names.truncate(mark.1);
+        self.partition_rows = mark.2;
+        out
     }
 }
 
@@ -197,6 +222,9 @@ struct Est {
 
 struct Estimator<'a> {
     stats: &'a StoreStats,
+    /// Per-operator estimates, kept for [`estimate_operators`] only;
+    /// every other walk passes `None` and formats no label.
+    rec: Option<Vec<OpEstimate>>,
 }
 
 impl Estimator<'_> {
@@ -283,151 +311,160 @@ impl Estimator<'_> {
         }
     }
 
+    /// Estimate a whole query from the execution context.
+    fn query(&mut self, q: &CompiledQuery) -> f64 {
+        let mut env = Env::seed(self.stats);
+        match q {
+            CompiledQuery::Sequence(plan) => self.est(plan, 1.0, &mut env).cost,
+            CompiledQuery::Scalar(expr) => self.pred_cost(expr, 1.0, &mut env),
+        }
+    }
+
+    /// Bind the attribute `op` defines, for the estimate and the rewrite
+    /// walk alike: Υ binds its step's result scope and test domain,
+    /// χ[a:root(…)] the whole document, and χ[a:b] and Π[a:b] copy b's
+    /// binding. Other operators bind nothing.
+    fn bind(&self, op: &LogicalOp, env: &mut Env) {
+        use LogicalOp as L;
+        let (attr, scope, domain) = match op {
+            L::UnnestMap { attr, axis, test, .. } => {
+                (attr, self.result_scope(*axis, test), self.test_count(*axis, test).max(1.0))
+            }
+            L::MapExpr { attr, expr: ScalarExpr::RootOf(_), .. } => {
+                (attr, (self.stats.node_count as f64 - 1.0).max(0.0), 1.0)
+            }
+            L::MapExpr { attr: to, expr: ScalarExpr::Attr(from), .. }
+            | L::Rename { from, to, .. } => match env.get(from) {
+                Some(b) => (to, b.scope, b.domain),
+                None => return,
+            },
+            _ => return,
+        };
+        env.bind(attr, scope, domain);
+    }
+
     /// Record + estimate one plan, pre-order (operator, children,
     /// nested), mirroring the profiled physical build.
-    fn est(&self, plan: &LogicalOp, opens: f64, env: &mut Env, rec: &mut Vec<OpEstimate>) -> Est {
-        let slot = rec.len();
-        rec.push(OpEstimate { label: op_label(plan), est_tuples: 0.0 });
-        let e = self.est_inner(plan, opens, env, rec);
-        rec[slot].est_tuples = sane(opens * e.rows);
+    fn est(&mut self, plan: &LogicalOp, opens: f64, env: &mut Env) -> Est {
+        let slot = self.rec.as_mut().map(|rec| {
+            rec.push(OpEstimate { label: op_label(plan), est_tuples: 0.0 });
+            rec.len() - 1
+        });
+        let e = self.est_inner(plan, opens, env);
+        if let (Some(rec), Some(slot)) = (&mut self.rec, slot) {
+            rec[slot].est_tuples = sane(opens * e.rows);
+        }
         Est { rows: sane(e.rows), cost: sane(e.cost) }
     }
 
-    fn est_inner(
-        &self,
-        plan: &LogicalOp,
-        opens: f64,
-        env: &mut Env,
-        rec: &mut Vec<OpEstimate>,
-    ) -> Est {
+    fn est_inner(&mut self, plan: &LogicalOp, opens: f64, env: &mut Env) -> Est {
         use LogicalOp as L;
         match plan {
             L::Singleton => Est { rows: 1.0, cost: 0.0 },
             L::Select { input, pred } => {
-                let i = self.est(input, opens, env, rec);
-                let per = self.pred_cost(pred, opens * i.rows, env, rec);
+                let i = self.est(input, opens, env);
+                let per = self.pred_cost(pred, opens * i.rows, env);
                 Est {
                     rows: i.rows * self.pred_sel(pred),
                     cost: i.cost + i.rows * per,
                 }
             }
             L::DedupBy { input, attr } => {
-                let i = self.est(input, opens, env, rec);
-                let rows = env.domain.get(attr).map_or(i.rows, |d| i.rows.min(*d));
+                let i = self.est(input, opens, env);
+                let rows = env.domain(attr).map_or(i.rows, |d| i.rows.min(d));
                 Est { rows, cost: i.cost + i.rows * DEDUP_UNIT }
             }
-            L::Rename { input, from, to } => {
-                let i = self.est(input, opens, env, rec);
-                if let Some(s) = env.scope.get(from).copied() {
-                    env.scope.insert(to.clone(), s);
-                }
-                if let Some(d) = env.domain.get(from).copied() {
-                    env.domain.insert(to.clone(), d);
-                }
+            L::Rename { input, .. } => {
+                let i = self.est(input, opens, env);
+                self.bind(plan, env);
                 Est { rows: i.rows, cost: i.cost + i.rows * 0.1 }
             }
-            L::MapExpr { input, attr, expr } => {
-                let i = self.est(input, opens, env, rec);
-                match expr {
-                    ScalarExpr::RootOf(_) => {
-                        env.scope
-                            .insert(attr.clone(), (self.stats.node_count as f64 - 1.0).max(0.0));
-                        env.domain.insert(attr.clone(), 1.0);
-                    }
-                    ScalarExpr::Attr(src) => {
-                        if let Some(s) = env.scope.get(src).copied() {
-                            env.scope.insert(attr.clone(), s);
-                        }
-                        if let Some(d) = env.domain.get(src).copied() {
-                            env.domain.insert(attr.clone(), d);
-                        }
-                    }
-                    _ => {}
-                }
-                let per = self.pred_cost(expr, opens * i.rows, env, rec);
+            L::MapExpr { input, expr, .. } => {
+                let i = self.est(input, opens, env);
+                self.bind(plan, env);
+                let per = self.pred_cost(expr, opens * i.rows, env);
                 Est { rows: i.rows, cost: i.cost + i.rows * (0.5 + per) }
             }
             L::CounterMap { input, .. } => {
-                let i = self.est(input, opens, env, rec);
+                let i = self.est(input, opens, env);
                 Est { rows: i.rows, cost: i.cost + i.rows * 0.5 }
             }
             L::MemoMap { input, expr, key, .. } => {
-                let i = self.est(input, opens, env, rec);
+                let i = self.est(input, opens, env);
                 let probes = opens * i.rows;
-                let per = self.pred_cost(expr, probes, env, rec);
-                let (_, distinct) = memo_shape(probes, env.domain.get(key).copied());
+                let per = self.pred_cost(expr, probes, env);
+                let (_, distinct) = memo_shape(probes, env.domain(key));
                 // Total across opens, normalised back to per-open cost.
                 let total = probes * MEMO_LOOKUP + distinct * (per + MEMO_STORE);
                 Est { rows: i.rows, cost: i.cost + total / opens.max(1.0) }
             }
             L::DJoin { left, right } | L::Cross { left, right } => {
-                let l = self.est(left, opens, env, rec);
-                let r = self.est(right, opens * l.rows, env, rec);
+                let l = self.est(left, opens, env);
+                let r = self.est(right, opens * l.rows, env);
                 Est { rows: l.rows * r.rows, cost: l.cost + l.rows * r.cost }
             }
             L::SemiJoin { left, right, pred } | L::AntiJoin { left, right, pred } => {
-                let l = self.est(left, opens, env, rec);
+                let l = self.est(left, opens, env);
                 // The right side is re-opened per left tuple and drained
                 // until the predicate settles — assume half on average.
-                let r = self.est(right, opens * l.rows * 0.5, env, rec);
-                let per = self.pred_cost(pred, opens * l.rows, env, rec);
+                let r = self.est(right, opens * l.rows * 0.5, env);
+                let per = self.pred_cost(pred, opens * l.rows, env);
                 Est {
                     rows: l.rows * 0.5,
                     cost: l.cost + l.rows * (r.cost * 0.5 + per),
                 }
             }
-            L::UnnestMap { input, context, attr, axis, test, set, .. } => {
-                let i = self.est(input, opens, env, rec);
-                let ctx_scope = env.scope.get(context).copied().unwrap_or(self.stats.mean_subtree);
+            L::UnnestMap { input, context, axis, test, set, .. } => {
+                let i = self.est(input, opens, env);
+                let ctx_scope = env.scope(context).unwrap_or(self.stats.mean_subtree);
                 let card = self.axis_card(*axis, test, ctx_scope);
-                env.scope.insert(attr.clone(), self.result_scope(*axis, test));
-                let domain = self.test_count(*axis, test).max(1.0);
-                env.domain.insert(attr.clone(), domain);
+                self.bind(plan, env);
                 let span = self.scan_span(*axis, ctx_scope);
                 let (rows, cost) = (i.rows * card, i.cost + i.rows * (span.max(card) + card));
                 if *set {
                     // The Π^D it absorbed, priced as a Π^D still.
+                    let domain = self.test_count(*axis, test).max(1.0);
                     Est { rows: rows.min(domain), cost: cost + rows * DEDUP_UNIT }
                 } else {
                     Est { rows, cost }
                 }
             }
             L::TokenizeMap { input, expr, .. } => {
-                let i = self.est(input, opens, env, rec);
-                let per = self.pred_cost(expr, opens * i.rows, env, rec);
+                let i = self.est(input, opens, env);
+                let per = self.pred_cost(expr, opens * i.rows, env);
                 Est { rows: i.rows * 3.0, cost: i.cost + i.rows * (per + 3.0) }
             }
             L::Concat { parts } => {
                 let mut rows = 0.0;
                 let mut cost = 0.0;
                 for p in parts {
-                    let e = self.est(p, opens, env, rec);
+                    let e = self.est(p, opens, env);
                     rows += e.rows;
                     cost += e.cost;
                 }
                 Est { rows, cost }
             }
             L::SortBy { input, .. } => {
-                let i = self.est(input, opens, env, rec);
+                let i = self.est(input, opens, env);
                 let cmp = i.rows.max(2.0).log2();
                 Est { rows: i.rows, cost: i.cost + i.rows * SORT_UNIT * cmp }
             }
             L::TmpCs { input, .. } => {
-                let i = self.est(input, opens, env, rec);
+                let i = self.est(input, opens, env);
                 Est { rows: i.rows, cost: i.cost + i.rows * 2.0 }
             }
             L::MemoX { input, key } => {
                 // Cross-open memo: the inner plan actually runs once per
                 // distinct key, not once per open.
-                let (probes, distinct) = memo_shape(opens, env.domain.get(key).copied());
-                let i = self.est(input, distinct.min(opens).max(1.0), env, rec);
+                let (probes, distinct) = memo_shape(opens, env.domain(key));
+                let i = self.est(input, distinct.min(opens).max(1.0), env);
                 let total = probes * MEMO_LOOKUP + distinct * (i.cost + i.rows * MEMO_STORE);
                 Est { rows: i.rows, cost: total / opens.max(1.0) }
             }
             L::Exchange { source, body, .. } => {
-                let s = self.est(source, opens, env, rec);
+                let s = self.est(source, opens, env);
                 env.partition_rows = s.rows;
-                let b = self.est(body, opens, env, rec);
+                let b = self.est(body, opens, env);
                 Est { rows: b.rows, cost: s.cost + b.cost }
             }
             L::PartitionSource => Est { rows: env.partition_rows, cost: 0.0 },
@@ -437,13 +474,7 @@ impl Estimator<'_> {
     /// Per-evaluation cost of a scalar expression; nested plan
     /// estimates are recorded with `evals` opens (the number of times
     /// the expression runs).
-    fn pred_cost(
-        &self,
-        e: &ScalarExpr,
-        evals: f64,
-        env: &mut Env,
-        rec: &mut Vec<OpEstimate>,
-    ) -> f64 {
+    fn pred_cost(&mut self, e: &ScalarExpr, evals: f64, env: &mut Env) -> f64 {
         use ScalarExpr as S;
         match e {
             S::Const(_) | S::Attr(_) | S::Var(_) => 0.1,
@@ -454,39 +485,40 @@ impl Estimator<'_> {
                 } else {
                     1.0
                 };
-                let mut inner_env = env.clone();
-                let inner = self.est(&agg.plan, evals * discount, &mut inner_env, rec);
+                let inner = env.scoped(|env| self.est(&agg.plan, evals * discount, env));
                 1.0 + inner.cost * discount
             }
             S::Kernel(k) => {
                 // One walk over the candidate's axis; `exists` stops at
                 // the first match, as smart aggregation does.
                 let discount = if k.func == AggFunc::Exists { 0.5 } else { 1.0 };
-                let scope = env.scope.get(&k.source).copied().unwrap_or(self.stats.mean_subtree);
+                let scope = env.scope(&k.source).unwrap_or(self.stats.mean_subtree);
                 let card = self.axis_card(k.axis, &k.test, scope);
-                let sel = if k.cmp.is_some() { CMP_SEL } else { 1.0 };
-                rec.push(OpEstimate {
-                    label: kernel_label(k),
-                    est_tuples: sane(evals * discount * card * sel),
-                });
+                if let Some(rec) = &mut self.rec {
+                    let sel = if k.cmp.is_some() { CMP_SEL } else { 1.0 };
+                    rec.push(OpEstimate {
+                        label: kernel_label(k),
+                        est_tuples: sane(evals * discount * card * sel),
+                    });
+                }
                 1.0 + self.scan_span(k.axis, scope).max(card) * discount
             }
             S::And(a, b) | S::Or(a, b) => {
                 // Short-circuit: the second operand runs for part of the
                 // stream only.
-                let ca = self.pred_cost(a, evals, env, rec);
-                let cb = self.pred_cost(b, evals * 0.5, env, rec);
+                let ca = self.pred_cost(a, evals, env);
+                let cb = self.pred_cost(b, evals * 0.5, env);
                 0.1 + ca + cb * 0.5
             }
             S::Compare { lhs, rhs, .. } | S::Arith(_, lhs, rhs) => {
-                0.2 + self.pred_cost(lhs, evals, env, rec) + self.pred_cost(rhs, evals, env, rec)
+                0.2 + self.pred_cost(lhs, evals, env) + self.pred_cost(rhs, evals, env)
             }
             S::Not(a) | S::Neg(a) | S::Convert(_, a) | S::NumFn(_, a) | S::NodeFn(_, a) => {
-                0.1 + self.pred_cost(a, evals, env, rec)
+                0.1 + self.pred_cost(a, evals, env)
             }
-            S::Lang(a, _) | S::Deref(a) | S::RootOf(a) => 0.3 + self.pred_cost(a, evals, env, rec),
+            S::Lang(a, _) | S::Deref(a) | S::RootOf(a) => 0.3 + self.pred_cost(a, evals, env),
             S::StrFn(_, args) => {
-                0.3 + args.iter().map(|a| self.pred_cost(a, evals, env, rec)).sum::<f64>()
+                0.3 + args.iter().map(|a| self.pred_cost(a, evals, env)).sum::<f64>()
             }
         }
     }
@@ -538,239 +570,140 @@ struct Optimizer<'a> {
 }
 
 impl Optimizer<'_> {
-    /// Estimate a subplan without touching the live environment or the
-    /// estimate recording.
-    fn probe(&self, plan: &LogicalOp, opens: f64, env: &Env) -> Est {
-        let mut env = env.clone();
-        let mut rec = Vec::new();
-        self.est.est(plan, opens, &mut env, &mut rec)
+    /// Estimate a subplan without touching the live environment.
+    fn probe(&mut self, plan: &LogicalOp, opens: f64, env: &mut Env) -> Est {
+        env.scoped(|env| self.est.est(plan, opens, env))
     }
 
-    fn rewrite(&mut self, plan: LogicalOp, opens: f64, env: &mut Env) -> LogicalOp {
+    /// Record the decision between two alternatives at `site`; returns
+    /// `take_first`, the side that won.
+    fn decide(
+        &mut self,
+        site: String,
+        rule: &'static str,
+        take_first: bool,
+        first: (&'static str, f64),
+        second: (&'static str, f64),
+    ) -> bool {
+        let ((choice, est_chosen), (_, est_rejected)) = if take_first {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        self.decisions.push(Decision { site, rule, choice, est_chosen, est_rejected });
+        take_first
+    }
+
+    /// Rewrite `plan` in place, input first, so every probe sees the
+    /// environment its input's rewrite left behind.
+    fn rewrite(&mut self, plan: &mut LogicalOp, opens: f64, env: &mut Env) {
         use LogicalOp as L;
         match plan {
             L::Select { input, pred } => {
-                let input = self.rewrite(*input, opens, env);
-                let in_rows = self.probe(&input, opens, env).rows;
-                let pred = self.rewrite_scalar(pred, opens * in_rows, env);
-                let fused = self.try_fuse_split(input, pred, opens, env);
-                self.try_index_probe(fused, env)
+                self.rewrite(input, opens, env);
+                let in_rows = self.probe(input, opens, env).rows;
+                self.rewrite_nested(pred, opens * in_rows, env);
+                self.try_fuse_split(plan, opens, env);
+                self.try_index_probe(plan, env);
             }
             L::MemoX { input, key } => {
-                let input = self.rewrite(*input, opens, env);
-                let inner = self.probe(&input, 1.0, env);
-                let (probes, distinct) = memo_shape(opens, env.domain.get(&key).copied());
+                self.rewrite(input, opens, env);
+                let inner = self.probe(input, 1.0, env);
+                let (probes, distinct) = memo_shape(opens, env.domain(key));
                 let keep = probes * MEMO_LOOKUP + distinct * (inner.cost + inner.rows * MEMO_STORE);
                 let drop = probes * inner.cost;
                 let site = format!("𝔐[{key}]");
-                if keep <= drop {
-                    self.decisions.push(Decision {
-                        site,
-                        rule: "memoize-inner",
-                        choice: "keep",
-                        est_chosen: keep,
-                        est_rejected: drop,
-                    });
-                    L::MemoX { input: Box::new(input), key }
-                } else {
-                    self.decisions.push(Decision {
-                        site,
-                        rule: "memoize-inner",
-                        choice: "drop",
-                        est_chosen: drop,
-                        est_rejected: keep,
-                    });
-                    input
+                let (k, d) = (("keep", keep), ("drop", drop));
+                if !self.decide(site, "memoize-inner", keep <= drop, k, d) {
+                    *plan = std::mem::replace(&mut **input, L::Singleton);
                 }
             }
-            L::UnnestMap { input, context, attr, axis, test, hint, probe, set } => {
-                let input = self.rewrite(*input, opens, env);
-                let ctx_scope =
-                    env.scope.get(&context).copied().unwrap_or(self.est.stats.mean_subtree);
-                let hint = if axis.is_interval() {
-                    let span = self.est.scan_span(axis, ctx_scope);
+            L::UnnestMap { input, context, attr, axis, test, hint, .. } => {
+                self.rewrite(input, opens, env);
+                if axis.is_interval() {
+                    let ctx_scope = env.scope(context).unwrap_or(self.est.stats.mean_subtree);
+                    let span = self.est.scan_span(*axis, ctx_scope);
                     let range = RANGE_PROBE + span;
                     let cursor = span * CURSOR_HOP;
                     let site = format!("Υ[{attr}:{context}/{axis}::{test}]");
-                    if cursor < range {
-                        self.decisions.push(Decision {
-                            site,
-                            rule: "scan-kernel",
-                            choice: "cursor",
-                            est_chosen: cursor,
-                            est_rejected: range,
-                        });
+                    let (c, r) = (("cursor", cursor), ("range", range));
+                    *hint = if self.decide(site, "scan-kernel", cursor < range, c, r) {
                         ScanHint::Cursor
                     } else {
-                        self.decisions.push(Decision {
-                            site,
-                            rule: "scan-kernel",
-                            choice: "range",
-                            est_chosen: range,
-                            est_rejected: cursor,
-                        });
                         ScanHint::Range
-                    }
-                } else {
-                    hint
-                };
-                env.scope.insert(attr.clone(), self.est.result_scope(axis, &test));
-                env.domain.insert(attr.clone(), self.est.test_count(axis, &test).max(1.0));
-                L::UnnestMap {
-                    input: Box::new(input),
-                    context,
-                    attr,
-                    axis,
-                    test,
-                    hint,
-                    probe,
-                    set,
+                    };
+                }
+                self.est.bind(plan, env);
+            }
+            L::DJoin { left, right } | L::Cross { left, right } => {
+                self.rewrite(left, opens, env);
+                let l_rows = self.probe(left, opens, env).rows;
+                self.rewrite(right, opens * l_rows, env);
+            }
+            L::SemiJoin { left, right, pred } | L::AntiJoin { left, right, pred } => {
+                self.rewrite(left, opens, env);
+                let l_rows = self.probe(left, opens, env).rows;
+                self.rewrite(right, opens * l_rows, env);
+                self.rewrite_nested(pred, opens * l_rows, env);
+            }
+            L::MemoMap { input, expr, .. } | L::TokenizeMap { input, expr, .. } => {
+                self.rewrite(input, opens, env);
+                let in_rows = self.probe(input, opens, env).rows;
+                self.rewrite_nested(expr, opens * in_rows, env);
+            }
+            L::MapExpr { input, .. } => {
+                self.rewrite(input, opens, env);
+                let in_rows = self.probe(input, opens, env).rows;
+                self.est.bind(plan, env);
+                if let L::MapExpr { expr, .. } = plan {
+                    self.rewrite_nested(expr, opens * in_rows, env);
                 }
             }
-            L::DJoin { left, right } => {
-                let left = self.rewrite(*left, opens, env);
-                let l_rows = self.probe(&left, opens, env).rows;
-                let right = self.rewrite(*right, opens * l_rows, env);
-                L::DJoin { left: Box::new(left), right: Box::new(right) }
+            L::Rename { input, .. } => {
+                self.rewrite(input, opens, env);
+                self.est.bind(plan, env);
             }
-            L::Cross { left, right } => {
-                let left = self.rewrite(*left, opens, env);
-                let l_rows = self.probe(&left, opens, env).rows;
-                let right = self.rewrite(*right, opens * l_rows, env);
-                L::Cross { left: Box::new(left), right: Box::new(right) }
+            L::DedupBy { input, .. }
+            | L::CounterMap { input, .. }
+            | L::SortBy { input, .. }
+            | L::TmpCs { input, .. } => self.rewrite(input, opens, env),
+            L::Concat { parts } => parts.iter_mut().for_each(|p| self.rewrite(p, opens, env)),
+            L::Exchange { source, body, .. } => {
+                self.rewrite(source, opens, env);
+                self.rewrite(body, opens, env);
             }
-            L::SemiJoin { left, right, pred } => {
-                let left = self.rewrite(*left, opens, env);
-                let l_rows = self.probe(&left, opens, env).rows;
-                let right = self.rewrite(*right, opens * l_rows, env);
-                let pred = self.rewrite_scalar(pred, opens * l_rows, env);
-                L::SemiJoin { left: Box::new(left), right: Box::new(right), pred }
-            }
-            L::AntiJoin { left, right, pred } => {
-                let left = self.rewrite(*left, opens, env);
-                let l_rows = self.probe(&left, opens, env).rows;
-                let right = self.rewrite(*right, opens * l_rows, env);
-                let pred = self.rewrite_scalar(pred, opens * l_rows, env);
-                L::AntiJoin { left: Box::new(left), right: Box::new(right), pred }
-            }
-            L::MemoMap { input, attr, expr, key } => {
-                let input = self.rewrite(*input, opens, env);
-                let in_rows = self.probe(&input, opens, env).rows;
-                let expr = self.rewrite_scalar(expr, opens * in_rows, env);
-                L::MemoMap { input: Box::new(input), attr, expr, key }
-            }
-            L::MapExpr { input, attr, expr } => {
-                let input = self.rewrite(*input, opens, env);
-                let in_rows = self.probe(&input, opens, env).rows;
-                match &expr {
-                    ScalarExpr::RootOf(_) => {
-                        env.scope.insert(
-                            attr.clone(),
-                            (self.est.stats.node_count as f64 - 1.0).max(0.0),
-                        );
-                        env.domain.insert(attr.clone(), 1.0);
-                    }
-                    ScalarExpr::Attr(src) => {
-                        if let Some(s) = env.scope.get(src).copied() {
-                            env.scope.insert(attr.clone(), s);
-                        }
-                        if let Some(d) = env.domain.get(src).copied() {
-                            env.domain.insert(attr.clone(), d);
-                        }
-                    }
-                    _ => {}
-                }
-                let expr = self.rewrite_scalar(expr, opens * in_rows, env);
-                L::MapExpr { input: Box::new(input), attr, expr }
-            }
-            L::Rename { input, from, to } => {
-                let input = self.rewrite(*input, opens, env);
-                if let Some(s) = env.scope.get(&from).copied() {
-                    env.scope.insert(to.clone(), s);
-                }
-                if let Some(d) = env.domain.get(&from).copied() {
-                    env.domain.insert(to.clone(), d);
-                }
-                L::Rename { input: Box::new(input), from, to }
-            }
-            L::DedupBy { input, attr } => {
-                L::DedupBy { input: Box::new(self.rewrite(*input, opens, env)), attr }
-            }
-            L::CounterMap { input, attr, reset_on } => L::CounterMap {
-                input: Box::new(self.rewrite(*input, opens, env)),
-                attr,
-                reset_on,
-            },
-            L::TokenizeMap { input, attr, expr } => {
-                let input = self.rewrite(*input, opens, env);
-                let in_rows = self.probe(&input, opens, env).rows;
-                let expr = self.rewrite_scalar(expr, opens * in_rows, env);
-                L::TokenizeMap { input: Box::new(input), attr, expr }
-            }
-            L::Concat { parts } => L::Concat {
-                parts: parts.into_iter().map(|p| self.rewrite(p, opens, env)).collect(),
-            },
-            L::SortBy { input, attr } => {
-                L::SortBy { input: Box::new(self.rewrite(*input, opens, env)), attr }
-            }
-            L::TmpCs { input, cs, group } => {
-                L::TmpCs { input: Box::new(self.rewrite(*input, opens, env)), cs, group }
-            }
-            L::Exchange { source, body, partitions } => L::Exchange {
-                source: Box::new(self.rewrite(*source, opens, env)),
-                body: Box::new(self.rewrite(*body, opens, env)),
-                partitions,
-            },
-            leaf @ (L::Singleton | L::PartitionSource) => leaf,
+            L::Singleton | L::PartitionSource => {}
         }
     }
 
     /// The split-expensive inverse: `σ[v] ∘ χ^mat[v:e key k]` → `σ[e]`
     /// when the memo cannot pay for itself. Byte-exact: the fused form
     /// is precisely the `split_expensive: false` emission.
-    fn try_fuse_split(
-        &mut self,
-        input: LogicalOp,
-        pred: ScalarExpr,
-        opens: f64,
-        env: &Env,
-    ) -> LogicalOp {
+    fn try_fuse_split(&mut self, plan: &mut LogicalOp, opens: f64, env: &mut Env) {
         use LogicalOp as L;
-        let (inner, attr, expr, key) = match (input, pred) {
-            (L::MemoMap { input, attr, expr, key }, ScalarExpr::Attr(v)) if v == attr => {
-                (input, attr, expr, key)
-            }
-            (input, pred) => return L::Select { input: Box::new(input), pred },
+        let L::Select { input, pred } = plan else {
+            return;
         };
-        let i = self.probe(&inner, opens, env);
-        let (probes, distinct) = memo_shape(opens * i.rows, env.domain.get(&key).copied());
-        let mut env2 = env.clone();
-        let mut rec = Vec::new();
-        let per = self.est.pred_cost(&expr, probes, &mut env2, &mut rec);
+        let L::MemoMap { input: inner, attr, expr, key } = &mut **input else {
+            return;
+        };
+        if !matches!(pred, ScalarExpr::Attr(v) if v == attr) {
+            return;
+        }
+        let i = self.probe(inner, opens, env);
+        let (probes, distinct) = memo_shape(opens * i.rows, env.domain(key));
+        let per = env.scoped(|env| self.est.pred_cost(expr, probes, env));
         let split = probes * MEMO_LOOKUP + distinct * (per + MEMO_STORE);
         let unsplit = probes * per;
         let site = format!("χ^mat[{attr}:{expr} key {key}]");
-        if split <= unsplit {
-            self.decisions.push(Decision {
-                site,
-                rule: "split-expensive",
-                choice: "keep",
-                est_chosen: split,
-                est_rejected: unsplit,
-            });
-            L::Select {
-                input: Box::new(L::MemoMap { input: inner, attr: attr.clone(), expr, key }),
-                pred: ScalarExpr::Attr(attr),
+        let (k, f) = (("keep", split), ("fuse", unsplit));
+        if !self.decide(site, "split-expensive", split <= unsplit, k, f) {
+            if let L::MemoMap { input: inner, expr, .. } =
+                std::mem::replace(&mut **input, L::Singleton)
+            {
+                *input = inner;
+                *pred = expr;
             }
-        } else {
-            self.decisions.push(Decision {
-                site,
-                rule: "split-expensive",
-                choice: "fuse",
-                est_chosen: unsplit,
-                est_rejected: split,
-            });
-            L::Select { input: inner, pred: expr }
         }
     }
 
@@ -784,11 +717,11 @@ impl Optimizer<'_> {
     /// The probe is a candidate pre-filter only — stores without a
     /// content index reject it at runtime and the kernel falls back to
     /// the plain scan, so the predicate always stays in the plan.
-    fn try_index_probe(&mut self, mut plan: LogicalOp, env: &Env) -> LogicalOp {
-        let Some((spec, context, attr, axis, test)) = match_probe_site(&plan) else {
-            return plan;
+    fn try_index_probe(&mut self, plan: &mut LogicalOp, env: &Env) {
+        let Some((spec, context, attr, axis, test)) = match_probe_site(plan) else {
+            return;
         };
-        let ctx_scope = env.scope.get(context).copied().unwrap_or(self.est.stats.mean_subtree);
+        let ctx_scope = env.scope(context).unwrap_or(self.est.stats.mean_subtree);
         let card = self.est.axis_card(axis, test, ctx_scope);
         let span = self.est.scan_span(axis, ctx_scope);
         let scan = span.max(card) + card;
@@ -801,41 +734,16 @@ impl Optimizer<'_> {
         let candidates = self.est.stats.tag_count(&spec.name) as f64 * EQ_SEL * window;
         let probe = RANGE_PROBE + candidates;
         let site = format!("Υ[{attr}:{context}/{axis}::{test}]");
-        if probe <= scan {
-            self.decisions.push(Decision {
-                site,
-                rule: "index-probe",
-                choice: "probe",
-                est_chosen: probe,
-                est_rejected: scan,
-            });
-            set_probe(&mut plan, spec);
-        } else {
-            self.decisions.push(Decision {
-                site,
-                rule: "index-probe",
-                choice: "scan",
-                est_chosen: scan,
-                est_rejected: probe,
-            });
+        if self.decide(site, "index-probe", probe <= scan, ("probe", probe), ("scan", scan)) {
+            set_probe(plan, spec);
         }
-        plan
-    }
-
-    fn rewrite_scalar(&mut self, mut e: ScalarExpr, opens: f64, env: &mut Env) -> ScalarExpr {
-        self.rewrite_nested(&mut e, opens, env);
-        e
     }
 
     /// Rewrite the nested plans of `e`; the second operand of `and` /
     /// `or` runs for part of the stream only.
     fn rewrite_nested(&mut self, e: &mut ScalarExpr, opens: f64, env: &mut Env) {
         match e {
-            ScalarExpr::Agg(agg) => {
-                let mut inner_env = env.clone();
-                let plan = std::mem::replace(&mut *agg.plan, LogicalOp::Singleton);
-                *agg.plan = self.rewrite(plan, opens, &mut inner_env);
-            }
+            ScalarExpr::Agg(agg) => env.scoped(|env| self.rewrite(&mut agg.plan, opens, env)),
             ScalarExpr::And(a, b) | ScalarExpr::Or(a, b) => {
                 self.rewrite_nested(a, opens, env);
                 self.rewrite_nested(b, opens * 0.5, env);

@@ -5,10 +5,13 @@
 //! query runs, never *what* it returns. Run in CI as the
 //! `optimizer-differential` job under a fixed `PROPTEST_SEED`.
 
+use std::fmt::Write as _;
+
 use proptest::prelude::*;
 
-use compiler::{CostMode, TranslateOptions};
-use natix::{Document, Engine, EngineConfig, Telemetry};
+use compiler::{CompiledQuery, CostMode, TranslateOptions};
+use natix::explain::{explain, explain_scalar};
+use natix::{expr_hash, Document, Engine, EngineConfig, Telemetry};
 use xmlstore::gen::{generate_dblp, generate_tree, DblpParams, TreeParams};
 use xmlstore::XmlStore;
 
@@ -223,4 +226,68 @@ fn explain_shows_kernel_and_set_mode_rows() {
               □
 "
     );
+}
+
+/// The cost pass, pinned bit for bit. For every corpus query over a
+/// generated tree and DBLP at 50 and 4 000 records, with the stacked
+/// outer path on and off: each decision (rule, choice, both costs as
+/// `f64` bits, site), an FNV digest of the final plan's EXPLAIN, and one
+/// of its per-operator estimates (labels and bits). The golden file is
+/// never regenerated: a walk that reorders one floating-point operation
+/// flips the 4 000-record outer-shape tie of
+/// `/dblp/inproceedings[@key='conf/er/LockemannM91']/title` and fails
+/// here.
+#[test]
+fn cost_pass_is_pinned() {
+    const GOLDEN: &str = include_str!("corpus/cost_pass.golden");
+    let tree = generate_tree(TreeParams { max_elements: 300, fanout: 5, max_depth: 4 });
+    let small = generate_dblp(DblpParams { records: 50, seed: 42 });
+    let large = generate_dblp(DblpParams { records: 4000, seed: 42 });
+    let dblp_queries: Vec<&str> = DBLP_QUERIES.iter().chain(PREDICATE_QUERIES).copied().collect();
+    let mut got = String::new();
+    for (doc, store, queries) in [
+        ("tree", &tree, TREE_QUERIES),
+        ("dblp50", &small, &dblp_queries[..]),
+        ("dblp4000", &large, &dblp_queries[..]),
+    ] {
+        let stats = store.structural_index().expect("generated stores are indexed").stats();
+        for stacked_outer in [true, false] {
+            let opts = TranslateOptions { stacked_outer, ..TranslateOptions::cost_based() };
+            for q in queries {
+                let (plan, trace) = compiler::compile_with_stats(q, &opts, Some(stats))
+                    .unwrap_or_else(|e| panic!("`{q}`: {e}"));
+                let shown = match &plan {
+                    CompiledQuery::Sequence(p) => explain(p),
+                    CompiledQuery::Scalar(s) => explain_scalar(s),
+                };
+                let mut estimates = String::new();
+                for e in compiler::cost::estimate_operators(&plan, stats) {
+                    writeln!(estimates, "{} {:016x}", e.label, e.est_tuples.to_bits()).unwrap();
+                }
+                writeln!(
+                    got,
+                    "{doc} stacked={stacked_outer} {q} explain={:016x} estimates={:016x}",
+                    expr_hash(&shown),
+                    expr_hash(&estimates)
+                )
+                .unwrap();
+                for d in trace.expect("the cost pass ran").decisions {
+                    writeln!(
+                        got,
+                        "  {} {} {:016x} {:016x} {}",
+                        d.rule,
+                        d.choice,
+                        d.est_chosen.to_bits(),
+                        d.est_rejected.to_bits(),
+                        d.site
+                    )
+                    .unwrap();
+                }
+            }
+        }
+    }
+    for (i, (want, got)) in GOLDEN.lines().zip(got.lines()).enumerate() {
+        assert_eq!(got, want, "cost pass diverges from the golden file at line {}", i + 1);
+    }
+    assert_eq!(got.lines().count(), GOLDEN.lines().count(), "golden file length");
 }
