@@ -65,8 +65,6 @@ pub fn op_label(plan: &LogicalOp) -> String {
             None => format!("Tmp^cs[{cs}]"),
         },
         LogicalOp::MemoX { key, .. } => format!("𝔐[{key}]"),
-        LogicalOp::Exchange { partitions, .. } => format!("⇶[{partitions}]"),
-        LogicalOp::PartitionSource => "▤".to_owned(),
     }
 }
 

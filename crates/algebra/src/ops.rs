@@ -238,24 +238,6 @@ pub enum LogicalOp {
         /// Key attribute (the context node handed in by the d-join).
         key: Attr,
     },
-    /// ⇶ — Exchange: evaluate `source` serially, split its output into
-    /// contiguous partitions, evaluate a replica of `body` per partition
-    /// on a scoped worker pool, and concatenate partition outputs back in
-    /// source order (so the result is byte-identical to the serial
-    /// pipeline `body ∘ source`). Inserted by the parallelize pass
-    /// (DESIGN.md §14); never produced by translation.
-    Exchange {
-        /// The partitioned stream, evaluated serially by the coordinator.
-        source: Box<LogicalOp>,
-        /// The parallel segment; consumes its partition through exactly
-        /// one [`LogicalOp::PartitionSource`] leaf on its spine.
-        body: Box<LogicalOp>,
-        /// Requested degree of parallelism.
-        partitions: usize,
-    },
-    /// ▤ — the body-side leaf of an Exchange: yields the tuples of the
-    /// worker's current partition, in source order.
-    PartitionSource,
 }
 
 impl LogicalOp {
@@ -299,16 +281,11 @@ impl LogicalOp {
         LogicalOp::DJoin { left: Box::new(left), right: Box::new(right) }
     }
 
-    /// Convenience constructor for ⇶.
-    pub fn exchange(source: LogicalOp, body: LogicalOp, partitions: usize) -> LogicalOp {
-        LogicalOp::Exchange { source: Box::new(source), body: Box::new(body), partitions }
-    }
-
     /// Direct child operators.
     pub fn inputs(&self) -> impl Iterator<Item = &LogicalOp> {
         let (first, second, parts): (Option<&LogicalOp>, Option<&LogicalOp>, &[LogicalOp]) =
             match self {
-                LogicalOp::Singleton | LogicalOp::PartitionSource => (None, None, &[]),
+                LogicalOp::Singleton => (None, None, &[]),
                 LogicalOp::Select { input, .. }
                 | LogicalOp::DedupBy { input, .. }
                 | LogicalOp::Rename { input, .. }
@@ -324,7 +301,6 @@ impl LogicalOp {
                 | LogicalOp::Cross { left, right }
                 | LogicalOp::SemiJoin { left, right, .. }
                 | LogicalOp::AntiJoin { left, right, .. } => (Some(left), Some(right), &[]),
-                LogicalOp::Exchange { source, body, .. } => (Some(source), Some(body), &[]),
                 LogicalOp::Concat { parts } => (None, None, parts),
             };
         first.into_iter().chain(second).chain(parts)
@@ -334,7 +310,7 @@ impl LogicalOp {
     pub fn inputs_mut(&mut self) -> impl Iterator<Item = &mut LogicalOp> {
         type Children<'a> = (Option<&'a mut LogicalOp>, Option<&'a mut LogicalOp>);
         let ((first, second), parts): (Children<'_>, &mut [LogicalOp]) = match self {
-            LogicalOp::Singleton | LogicalOp::PartitionSource => ((None, None), &mut []),
+            LogicalOp::Singleton => ((None, None), &mut []),
             LogicalOp::Select { input, .. }
             | LogicalOp::DedupBy { input, .. }
             | LogicalOp::Rename { input, .. }
@@ -350,7 +326,6 @@ impl LogicalOp {
             | LogicalOp::Cross { left, right }
             | LogicalOp::SemiJoin { left, right, .. }
             | LogicalOp::AntiJoin { left, right, .. } => ((Some(left), Some(right)), &mut []),
-            LogicalOp::Exchange { source, body, .. } => ((Some(source), Some(body)), &mut []),
             LogicalOp::Concat { parts } => ((None, None), parts),
         };
         first.into_iter().chain(second).chain(parts)
@@ -446,9 +421,7 @@ impl LogicalOp {
             LogicalOp::Singleton
             | LogicalOp::DJoin { .. }
             | LogicalOp::Cross { .. }
-            | LogicalOp::Concat { .. }
-            | LogicalOp::Exchange { .. }
-            | LogicalOp::PartitionSource => false,
+            | LogicalOp::Concat { .. } => false,
         }
     }
 
@@ -496,14 +469,7 @@ impl LogicalOp {
             }
         }
         match self {
-            LogicalOp::Singleton | LogicalOp::PartitionSource => {}
-            LogicalOp::Exchange { source, body, .. } => {
-                // The body pipeline continues the source pipeline: a
-                // partition tuple carries exactly what a source output
-                // tuple carries.
-                source.flow(defined, free);
-                body.flow(defined, free);
-            }
+            LogicalOp::Singleton => {}
             LogicalOp::Select { input, pred } => {
                 input.flow(defined, free);
                 scalar_flow(pred, defined, free);

@@ -17,9 +17,9 @@ pub enum Value {
     Bool(bool),
     /// IEEE-754 double.
     Num(f64),
-    /// String (shared — cloning a tuple must be cheap, and the Exchange
-    /// operator hands tuples across worker threads, so the payload is
-    /// atomically reference-counted).
+    /// String (shared — cloning a tuple must be cheap). The count is
+    /// atomic, so values stay `Send`; whether an `Rc` payload pays off in
+    /// the single-threaded engine is an open measurement.
     Str(Arc<str>),
     /// A document node.
     Node(NodeId),

@@ -155,16 +155,14 @@ pub fn estimate_operators(q: &CompiledQuery, stats: &StoreStats) -> Vec<OpEstima
 }
 
 /// Estimation context threaded along a plan walk: per-attribute mean
-/// subtree size (`scope`) and distinct-value domain (`domain`), plus the
-/// tuple count feeding a ▤ leaf inside an Exchange body. Bindings form a
-/// stack in which the newest binding of a name wins, so
+/// subtree size (`scope`) and distinct-value domain (`domain`). Bindings
+/// form a stack in which the newest binding of a name wins, so
 /// [`Env::scoped`] can undo exactly what one estimate bound.
 #[derive(Default)]
 struct Env {
     /// The bound names, back to back; each [`Binding`] spans one.
     names: String,
     binds: Vec<Binding>,
-    partition_rows: f64,
 }
 
 struct Binding {
@@ -200,15 +198,14 @@ impl Env {
         self.binds.push(Binding { start, end: self.names.len(), scope, domain });
     }
 
-    /// Run `f`, then roll back every binding it made and the partition
-    /// rows it set: `f` sees what a copy of the environment would show
-    /// it, and what it changes is discarded as a copy would be.
+    /// Run `f`, then roll back every binding it made: `f` sees what a
+    /// copy of the environment would show it, and what it changes is
+    /// discarded as a copy would be.
     fn scoped<R>(&mut self, f: impl FnOnce(&mut Env) -> R) -> R {
-        let mark = (self.binds.len(), self.names.len(), self.partition_rows);
+        let mark = (self.binds.len(), self.names.len());
         let out = f(self);
         self.binds.truncate(mark.0);
         self.names.truncate(mark.1);
-        self.partition_rows = mark.2;
         out
     }
 }
@@ -461,13 +458,6 @@ impl Estimator<'_> {
                 let total = probes * MEMO_LOOKUP + distinct * (i.cost + i.rows * MEMO_STORE);
                 Est { rows: i.rows, cost: total / opens.max(1.0) }
             }
-            L::Exchange { source, body, .. } => {
-                let s = self.est(source, opens, env);
-                env.partition_rows = s.rows;
-                let b = self.est(body, opens, env);
-                Est { rows: b.rows, cost: s.cost + b.cost }
-            }
-            L::PartitionSource => Est { rows: env.partition_rows, cost: 0.0 },
         }
     }
 
@@ -668,11 +658,7 @@ impl Optimizer<'_> {
             | L::SortBy { input, .. }
             | L::TmpCs { input, .. } => self.rewrite(input, opens, env),
             L::Concat { parts } => parts.iter_mut().for_each(|p| self.rewrite(p, opens, env)),
-            L::Exchange { source, body, .. } => {
-                self.rewrite(source, opens, env);
-                self.rewrite(body, opens, env);
-            }
-            L::Singleton | L::PartitionSource => {}
+            L::Singleton => {}
         }
     }
 

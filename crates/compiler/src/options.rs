@@ -43,11 +43,6 @@ pub struct TranslateOptions {
     /// §4.3.2 — split predicate clauses into cheap/expensive, evaluate
     /// cheap first and memoize expensive clause values (χ^mat).
     pub split_expensive: bool,
-    /// DESIGN.md §14 — intra-query parallelism degree. When > 1 the
-    /// parallelize pass inserts Exchange operators above parallel-safe
-    /// expensive spine segments; 1 (the default and every preset)
-    /// compiles the exact serial plan, with no Exchange anywhere.
-    pub threads: usize,
     /// Cost-based optimizer pass over the translated plan; `Off` in
     /// every preset so the paper translations stay byte-exact.
     pub optimize: CostMode,
@@ -62,7 +57,6 @@ impl TranslateOptions {
             push_dedup: false,
             memoize_inner: false,
             split_expensive: false,
-            threads: 1,
             optimize: CostMode::Off,
         }
     }
@@ -74,7 +68,6 @@ impl TranslateOptions {
             push_dedup: true,
             memoize_inner: true,
             split_expensive: true,
-            threads: 1,
             optimize: CostMode::Off,
         }
     }
@@ -91,14 +84,6 @@ impl TranslateOptions {
     /// Builder: cost-based optimizer mode.
     pub fn with_optimize(mut self, mode: CostMode) -> TranslateOptions {
         self.optimize = mode;
-        self
-    }
-
-    /// Builder: intra-query parallelism degree (0 is normalised to the
-    /// machine's available parallelism by the execution surfaces; here 0
-    /// just means "pick later" and compiles serially).
-    pub fn with_threads(mut self, threads: usize) -> TranslateOptions {
-        self.threads = threads;
         self
     }
 }
@@ -306,9 +291,6 @@ mod tests {
         let i = TranslateOptions::improved();
         assert!(i.stacked_outer && i.push_dedup && i.memoize_inner && i.split_expensive);
         assert_eq!(TranslateOptions::default(), i);
-        assert_eq!(c.threads, 1, "every preset compiles serially");
-        assert_eq!(i.threads, 1);
-        assert_eq!(i.with_threads(4).threads, 4);
         assert_eq!(c.optimize, CostMode::Off, "paper presets never optimize");
         assert_eq!(i.optimize, CostMode::Off);
         let cb = TranslateOptions::cost_based();

@@ -1,5 +1,5 @@
 //! The physical phase, last of the compiler (paper §5.1: translate →
-//! optimize → prune → parallelize → physical). It decides once, on the
+//! optimize → prune → physical). It decides once, on the
 //! plan, what code generation then lowers one to one, so EXPLAIN shows
 //! it, the cost pass prices it and the plan cache holds it:
 //!
@@ -190,8 +190,8 @@ fn fusable_sites(q: &CompiledQuery) -> Vec<&LogicalOp> {
     match q {
         CompiledQuery::Sequence(plan) => {
             // The executor reads the result from `cn`.
-            let end = Above { reader: Reader::Result("cn"), up: None, source: None };
-            walk(plan, &end, None, &mut sites);
+            let end = Above { reader: Reader::Result("cn"), up: None };
+            walk(plan, &end, &mut sites);
         }
         CompiledQuery::Scalar(expr) => walk_aggs(expr, &mut sites),
     }
@@ -202,8 +202,6 @@ fn fusable_sites(q: &CompiledQuery) -> Vec<&LogicalOp> {
 struct Above<'s, 'p> {
     reader: Reader<'p>,
     up: Option<&'s Above<'s, 'p>>,
-    /// What a ▤ leaf in the stream this consumer reads stands for.
-    source: Option<&'p LogicalOp>,
 }
 
 #[derive(Clone, Copy)]
@@ -243,7 +241,7 @@ impl Above<'_, '_> {
     fn defines(&self, attr: &str) -> bool {
         match self.reader {
             Reader::Op(op) => op.own_attr().is_some_and(|a| a == attr),
-            Reader::Seeded(plan) => plan_defines_any(plan, None, &mut |a| a == attr),
+            Reader::Seeded(plan) => plan_defines_any(plan, &mut |a| a == attr),
             Reader::Result(_) | Reader::Seam => false,
         }
     }
@@ -258,7 +256,7 @@ impl Above<'_, '_> {
     }
 }
 
-/// May the stream `below` produces (▤ standing for `source`), once a Π^D
+/// May the stream `below` produces, once a Π^D
 /// on `key` has dropped its repeats, reach the consumers from `above` up
 /// in any order, each `key` on the frame of any of its tuples? The
 /// consumers up to the first Π^D above must not
@@ -271,27 +269,24 @@ impl Above<'_, '_> {
 ///
 /// That Π^D ends the check if the same holds for it, with its own key —
 /// a permuted input then changes its output only in ways its consumers
-/// cannot tell either. Exchanges are transparent: under the Π^D above
-/// its merge, an Exchange equals its body run over its whole source
-/// (DESIGN.md §14).
+/// cannot tell either.
 fn permutable<'p>(
     key: &str,
     below: &'p LogicalOp,
-    source: Option<&'p LogicalOp>,
     above: &Above<'_, 'p>,
     sites: &[&'p LogicalOp],
 ) -> bool {
     let mut seam = false;
     for here in above.chain() {
         let reads_below = |d: &str| here.reads(d) && above.last_definer(d, here).is_none();
-        if plan_defines_any(below, source, &mut |d| d != key && reads_below(d)) {
+        if plan_defines_any(below, &mut |d| d != key && reads_below(d)) {
             return false;
         }
         match here.reader {
             Reader::Seam | Reader::Op(LogicalOp::SortBy { .. }) => seam = true,
             Reader::Op(op @ LogicalOp::DedupBy { input, attr }) => {
                 return sites.iter().any(|s| std::ptr::eq(*s, op))
-                    || here.up.is_none_or(|up| permutable(attr, input, here.source, up, sites));
+                    || here.up.is_none_or(|up| permutable(attr, input, up, sites));
             }
             Reader::Op(
                 LogicalOp::CounterMap { reset_on: group, .. }
@@ -320,37 +315,26 @@ fn keyed(g: &str, key: &str, above: &Above<'_, '_>, here: &Above<'_, '_>) -> boo
     }
 }
 
-/// Record the fusable sites of `op`'s subtree. `source` is what an
-/// Exchange body's ▤ leaf stands for.
-fn walk<'p>(
-    op: &'p LogicalOp,
-    above: &Above<'_, 'p>,
-    source: Option<&'p LogicalOp>,
-    sites: &mut Vec<&'p LogicalOp>,
-) {
+/// Record the fusable sites of `op`'s subtree.
+fn walk<'p>(op: &'p LogicalOp, above: &Above<'_, 'p>, sites: &mut Vec<&'p LogicalOp>) {
     use LogicalOp as L;
     if let L::DedupBy { input, attr } = op {
         if let L::UnnestMap { attr: a, axis, probe: None, .. } = &**input {
-            if a == attr && axis.is_ppd() && permutable(attr, input, source, above, sites) {
+            if a == attr && axis.is_ppd() && permutable(attr, input, above, sites) {
                 sites.push(op);
             }
         }
     }
-    let here = Above { reader: Reader::Op(op), up: Some(above), source };
-    let seam = Above { reader: Reader::Seam, up: Some(above), source };
+    let here = Above { reader: Reader::Op(op), up: Some(above) };
+    let seam = Above { reader: Reader::Seam, up: Some(above) };
     match op {
         L::Singleton => {}
-        L::PartitionSource => {
-            if let Some(s) = source {
-                walk(s, above, None, sites);
-            }
-        }
         L::Select { input, pred: e }
         | L::MapExpr { input, expr: e, .. }
         | L::MemoMap { input, expr: e, .. }
         | L::TokenizeMap { input, expr: e, .. } => {
             walk_aggs(e, sites);
-            walk(input, &here, source, sites);
+            walk(input, &here, sites);
         }
         L::DedupBy { input, .. }
         | L::Rename { input, .. }
@@ -358,19 +342,18 @@ fn walk<'p>(
         | L::UnnestMap { input, .. }
         | L::SortBy { input, .. }
         | L::TmpCs { input, .. }
-        | L::MemoX { input, .. } => walk(input, &here, source, sites),
+        | L::MemoX { input, .. } => walk(input, &here, sites),
         L::DJoin { left, right } | L::Cross { left, right } => {
-            walk(right, &seam, source, sites);
-            let seeded = Above { reader: Reader::Seeded(right), up: Some(above), source };
-            walk(left, &seeded, source, sites);
+            walk(right, &seam, sites);
+            let seeded = Above { reader: Reader::Seeded(right), up: Some(above) };
+            walk(left, &seeded, sites);
         }
         L::SemiJoin { left, right, pred } | L::AntiJoin { left, right, pred } => {
             walk_aggs(pred, sites);
-            walk(left, &here, source, sites);
-            walk(right, &Above { reader: Reader::Op(op), up: None, source }, source, sites);
+            walk(left, &here, sites);
+            walk(right, &Above { reader: Reader::Op(op), up: None }, sites);
         }
-        L::Concat { parts } => parts.iter().for_each(|part| walk(part, &seam, source, sites)),
-        L::Exchange { source: s, body, .. } => walk(body, above, Some(s), sites),
+        L::Concat { parts } => parts.iter().for_each(|part| walk(part, &seam, sites)),
     }
 }
 
@@ -378,32 +361,18 @@ fn walk<'p>(
 fn walk_aggs<'p>(e: &'p ScalarExpr, sites: &mut Vec<&'p LogicalOp>) {
     match e {
         ScalarExpr::Agg(agg) => {
-            let end = Above { reader: Reader::Result(&agg.over), up: None, source: None };
-            walk(&agg.plan, &end, None, sites);
+            let end = Above { reader: Reader::Result(&agg.over), up: None };
+            walk(&agg.plan, &end, sites);
         }
         _ => e.operands().for_each(|o| walk_aggs(o, sites)),
     }
 }
 
-/// `f` over the attributes `plan` defines (▤ standing for `source`)
-/// until it returns true. Nested aggregate plans run in frames of their
-/// own, so their definitions never reach `plan`'s output.
-fn plan_defines_any(
-    plan: &LogicalOp,
-    source: Option<&LogicalOp>,
-    f: &mut dyn FnMut(&str) -> bool,
-) -> bool {
-    use LogicalOp as L;
-    if plan.own_attr().is_some_and(|a| f(a)) {
-        return true;
-    }
-    match plan {
-        L::PartitionSource => source.is_some_and(|s| plan_defines_any(s, None, f)),
-        L::Exchange { source: s, body, .. } => {
-            plan_defines_any(s, source, f) || plan_defines_any(body, Some(s), f)
-        }
-        _ => plan.inputs().any(|c| plan_defines_any(c, source, f)),
-    }
+/// `f` over the attributes `plan` defines until it returns true. Nested
+/// aggregate plans run in frames of their own, so their definitions
+/// never reach `plan`'s output.
+fn plan_defines_any(plan: &LogicalOp, f: &mut dyn FnMut(&str) -> bool) -> bool {
+    plan.own_attr().is_some_and(|a| f(a)) || plan.inputs().any(|c| plan_defines_any(c, f))
 }
 
 #[cfg(test)]
@@ -643,13 +612,6 @@ mod tests {
         };
         assert_eq!(semi("c2"), 1, "the predicate reads the match side's result");
         assert_eq!(semi("c1"), 0, "…or an attribute the match side defines below the step");
-    }
-
-    #[test]
-    fn exchange_bodies_fuse_per_chunk() {
-        let q = compile(FIG5[0], &TranslateOptions::improved().with_threads(2)).unwrap();
-        assert!(explained(&q).contains('⇶'), "an Exchange was placed");
-        assert!(!set_rows(&q).is_empty());
     }
 
     /// The kernel rows of a query's compiled plan, and whether a χ^mat

@@ -106,9 +106,9 @@ pub fn compile_ast_with_stats(
 }
 
 /// The phases after the front end, in order: translate → optimize (when
-/// [`cost_active`]) → prune → parallelize (when `threads > 1`) →
-/// physical. With a trace, each is timed as its own phase and what it
-/// rewrote is recorded; the produced query is the same either way.
+/// [`cost_active`]) → prune → physical. With a trace, each is timed as
+/// its own phase and what it rewrote is recorded; the produced query is
+/// the same either way.
 fn run_phases(
     ast: &Expr,
     opts: &TranslateOptions,
@@ -125,11 +125,6 @@ fn run_phases(
     };
     let mut pruned = Vec::new();
     let q = timed(&mut trace, "prune", || properties::prune_query(q, &mut pruned));
-    let (q, exchanges) = if opts.threads > 1 {
-        timed(&mut trace, "parallelize", || properties::parallelize_query(q, opts.threads))
-    } else {
-        (q, 0)
-    };
     let (q, lowered) = timed(&mut trace, "physical", || physical(q));
     if let Some(trace) = trace {
         trace.record_plan(&q);
@@ -138,9 +133,6 @@ fn run_phases(
             trace.rewrites.push(format!("property-prune ×{}", pruned.len()));
         }
         trace.pruned_labels = pruned;
-        if exchanges > 0 {
-            trace.rewrites.push(format!("parallelize ×{exchanges}"));
-        }
         record_fired_rewrites(trace, &q, lowered);
     }
     Ok((q, optimizer))
@@ -545,45 +537,6 @@ mod tests {
             "{:?}",
             trace.rewrites
         );
-    }
-
-    #[test]
-    fn threads_one_takes_exact_serial_path() {
-        // Satellite of DESIGN.md §14: --threads 1 must compile the
-        // byte-identical serial plan — no Exchange anywhere, structural
-        // plan equality with the default options.
-        for q in [
-            "//a//b",
-            "/a/b[c]",
-            "count(//a[b])",
-            "/dblp/article[year='1991']/@key",
-        ] {
-            let serial = compile(q, &TranslateOptions::improved()).unwrap();
-            let one = compile(q, &TranslateOptions::improved().with_threads(1)).unwrap();
-            assert_eq!(serial, one, "{q}");
-            let zero = compile(q, &TranslateOptions::improved().with_threads(0)).unwrap();
-            assert_eq!(serial, zero, "{q}");
-        }
-    }
-
-    #[test]
-    fn threads_many_inserts_exchange_and_traces_phase() {
-        let opts = TranslateOptions::improved().with_threads(4);
-        let (compiled, trace) = compile_traced("//a//b", &opts).unwrap();
-        let text = match &compiled {
-            CompiledQuery::Sequence(p) => explain(p),
-            CompiledQuery::Scalar(s) => s.to_string(),
-        };
-        assert!(text.contains("⇶[4]"), "{text}");
-        assert!(trace.phases.iter().any(|p| p.name == "parallelize"), "{:?}", trace.phases);
-        assert!(
-            trace.rewrites.iter().any(|r| r.starts_with("parallelize ×")),
-            "{:?}",
-            trace.rewrites
-        );
-        // Tracing must not change the produced query.
-        let plain = compile("//a//b", &opts).unwrap();
-        assert_eq!(plain, compiled);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::translate::CompiledQuery;
 #[derive(Clone, Debug)]
 pub struct PhaseTiming {
     /// Phase name (`parse`, `semantic`, `fold`, `translate`, `optimize`,
-    /// `prune`, `parallelize`, `physical`, `codegen`, `execute`).
+    /// `prune`, `physical`, `codegen`, `execute`).
     pub name: String,
     /// Wall-clock nanoseconds spent in the phase.
     pub nanos: u64,
@@ -176,8 +176,6 @@ pub fn op_class(plan: &LogicalOp) -> &'static str {
         LogicalOp::SortBy { .. } => "Sort",
         LogicalOp::TmpCs { .. } => "Tmp^cs",
         LogicalOp::MemoX { .. } => "𝔐",
-        LogicalOp::Exchange { .. } => "⇶",
-        LogicalOp::PartitionSource => "▤",
     }
 }
 

@@ -71,7 +71,7 @@ impl ClauseCtx {
 
 /// Translate an analyzed, folded expression into the algebra: the
 /// paper's translation and nothing more (the pipeline's later phases
-/// prune, parallelize and fix the physical plan).
+/// prune and fix the physical plan).
 pub fn translate(e: &Expr, opts: &TranslateOptions) -> Result<CompiledQuery, CompileError> {
     let mut tr = Translator { opts: *opts, next_id: 0, in_predicate: false };
     match static_type(e) {

@@ -318,29 +318,6 @@ impl AnalyzeReport {
                 s.verify_ns as f64 / 1e6,
             ));
         }
-        for (i, stats) in self.profile.parallel.iter().enumerate() {
-            let p = stats.lock();
-            let max = p.worker_tuples.iter().copied().max().unwrap_or(0);
-            let avg = if p.workers > 0 {
-                p.worker_tuples.iter().sum::<u64>() as f64 / p.workers as f64
-            } else {
-                0.0
-            };
-            let imbalance = if avg > 0.0 { max as f64 / avg } else { 1.0 };
-            out.push_str(&format!(
-                "parallel[{i}]: {} workers, {} partitions, {} source tuples, \
-                 merge {}, {} run(s)\n",
-                p.workers,
-                p.partitions,
-                p.source_tuples,
-                fmt_nanos(p.merge_nanos),
-                p.runs,
-            ));
-            out.push_str(&format!(
-                "  worker tuples: {:?} (imbalance {imbalance:.2}×), chunks claimed: {:?}\n",
-                p.worker_tuples, p.worker_chunks,
-            ));
-        }
         if !self.cardinality.is_empty() {
             out.push_str("optimizer cardinalities (est vs actual):\n");
             let label_w =
@@ -383,10 +360,6 @@ impl AnalyzeReport {
     ///   "storage": {"page_hits": 0, "pages_read": 0, "evictions": 0,
     ///               "pages_verified": 0, "checksum_failures": 0,
     ///               "io_ms": 0.0, "verify_ms": 0.0},
-    ///   "parallel": [{"workers": 4, "partitions": 16,
-    ///                 "source_tuples": 500, "worker_tuples": [120, ...],
-    ///                 "worker_chunks": [4, ...], "merge_nanos": 123,
-    ///                 "runs": 1}],
     ///   "optimizer": {"stats_fingerprint": "0x00000304998a8f1b",
     ///                 "decisions": [{"rule": "memo-keep-or-drop",
     ///                                "site": "𝔐[c1]", "choice": "keep",
@@ -434,29 +407,6 @@ impl AnalyzeReport {
                     ])
                 })
                 .unwrap_or(Json::Null),
-        ));
-        root.push((
-            "parallel".to_owned(),
-            Json::Arr(
-                self.profile
-                    .parallel
-                    .iter()
-                    .map(|stats| {
-                        let p = stats.lock();
-                        let per_worker =
-                            |v: &[u64]| Json::Arr(v.iter().map(|n| Json::Num(*n as f64)).collect());
-                        Json::obj(vec![
-                            ("workers", Json::Num(p.workers as f64)),
-                            ("partitions", Json::Num(p.partitions as f64)),
-                            ("source_tuples", Json::Num(p.source_tuples as f64)),
-                            ("worker_tuples", per_worker(&p.worker_tuples)),
-                            ("worker_chunks", per_worker(&p.worker_chunks)),
-                            ("merge_nanos", Json::Num(p.merge_nanos as f64)),
-                            ("runs", Json::Num(p.runs as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
         ));
         root.push((
             "optimizer".to_owned(),
@@ -644,29 +594,6 @@ mod tests {
         assert_eq!(out, QueryOutput::Num(3.0));
         assert_eq!(rep.profile.entries.len(), 1, "synthetic scalar root expected");
         assert_eq!(rep.profile.entries[0].stats.lock().opens, 1);
-    }
-
-    #[test]
-    fn parallel_section_reports_exchange() {
-        let store = parse_document("<r><a><b>x</b><b>y</b></a><a><b>x</b></a></r>").unwrap();
-        let opts = TranslateOptions::improved().with_threads(4);
-        let (out, rep) =
-            explain_analyze(&store, "/r/a/descendant::b", &opts, store.root(), &HashMap::new())
-                .unwrap();
-        assert!(matches!(out, QueryOutput::Nodes(ref ns) if ns.len() == 3), "{out:?}");
-        assert_eq!(rep.profile.parallel.len(), 1, "one Exchange expected");
-        let text = rep.text();
-        assert!(text.contains("parallel[0]: 4 workers"), "{text}");
-        assert!(text.contains("worker tuples:"), "{text}");
-        let json = rep.to_json();
-        let par = json.get("parallel").and_then(Json::as_arr).unwrap();
-        assert_eq!(par.len(), 1);
-        assert_eq!(par[0].get("workers").and_then(Json::as_num), Some(4.0));
-        assert_eq!(par[0].get("worker_tuples").and_then(Json::as_arr).map(|a| a.len()), Some(4));
-        // Serial plans keep the section empty (and the JSON array too).
-        let (_, serial) = run("/r/a/descendant::b");
-        assert!(serial.profile.parallel.is_empty());
-        assert!(!serial.text().contains("parallel["));
     }
 
     #[test]

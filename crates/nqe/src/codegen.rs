@@ -15,10 +15,9 @@ use algebra::{ConvKind, LogicalOp};
 use compiler::CompiledQuery;
 
 use crate::iter::{
-    CompiledPred, ConcatIter, CounterIter, DJoinIter, DedupIter, ExchangeIter, KernelCmp, MapIter,
-    MemoMapIter, MemoXIter, NestedEval, ParallelStats, PartitionFeed, PartitionSourceIter,
-    PhysIter, PredKernel, RenameCopyIter, SelectIter, SemiJoinIter, SharedMemo, SingletonIter,
-    SortIter, TmpCsIter, TokenizeIter, UnnestMapIter,
+    CompiledPred, ConcatIter, CounterIter, DJoinIter, DedupIter, KernelCmp, MapIter, MemoMapIter,
+    MemoXIter, NestedEval, PhysIter, PredKernel, RenameCopyIter, SelectIter, SemiJoinIter,
+    SingletonIter, SortIter, TmpCsIter, TokenizeIter, UnnestMapIter,
 };
 use crate::nvm::{Instr, Program, Reg};
 use crate::profile::{OpStats, Profile, ProfileEntry, ProfiledIter, SharedStats};
@@ -137,36 +136,13 @@ struct Codegen<'m> {
     mgr: &'m mut AttrManager,
     profile: Option<Profile>,
     depth: usize,
-    /// Set while lowering an Exchange body replica: the feed its ▤ leaf
-    /// reads chunks from.
-    partition_feed: Option<Arc<PartitionFeed>>,
-    /// Set while lowering Exchange body replicas: shared MemoX tables,
-    /// keyed by occurrence order (every replica traverses the same body
-    /// plan, so the k-th MemoX of each replica shares table k).
-    memos: Option<MemoRegistry>,
     /// The `$` variables emitted so far, each once.
     vars: Vec<String>,
 }
 
-/// Occurrence-ordered registry of MemoX tables shared across the body
-/// replicas of one Exchange.
-#[derive(Default)]
-struct MemoRegistry {
-    tables: Vec<Arc<SharedMemo>>,
-    next: usize,
-    replica: usize,
-}
-
 impl<'m> Codegen<'m> {
     fn new(mgr: &'m mut AttrManager, profile: Option<Profile>) -> Codegen<'m> {
-        Codegen {
-            mgr,
-            profile,
-            depth: 0,
-            partition_feed: None,
-            memos: None,
-            vars: Vec::new(),
-        }
+        Codegen { mgr, profile, depth: 0, vars: Vec::new() }
     }
 
     fn build_iter(&mut self, op: &LogicalOp) -> Box<dyn PhysIter> {
@@ -279,91 +255,9 @@ impl<'m> Codegen<'m> {
             LogicalOp::MemoX { input, key } => {
                 let input = self.build_iter(input);
                 let key = self.mgr.slot(key);
-                match self.memos.as_mut() {
-                    Some(reg) => {
-                        if reg.next == reg.tables.len() {
-                            reg.tables.push(Arc::new(SharedMemo::new()));
-                        }
-                        let table = reg.tables[reg.next].clone();
-                        reg.next += 1;
-                        Box::new(MemoXIter::new_shared(input, key, table, reg.replica == 0))
-                    }
-                    None => Box::new(MemoXIter::new(input, key)),
-                }
-            }
-            LogicalOp::Exchange { source, body, partitions } => {
-                self.build_exchange(source, body, (*partitions).max(2))
-            }
-            LogicalOp::PartitionSource => {
-                let feed =
-                    self.partition_feed.clone().expect("PartitionSource outside an Exchange body");
-                Box::new(PartitionSourceIter::new(feed))
+                Box::new(MemoXIter::new(input, key))
             }
         }
-    }
-
-    /// Lower an Exchange: build the source normally, then one full body
-    /// replica per worker. With profiling on, each replica records into
-    /// its own shard profile (the traversal is identical across
-    /// replicas, so shard entries align 1:1) and the main profile gets
-    /// one display row per body operator, refreshed to the shard sum
-    /// after every parallel run.
-    fn build_exchange(
-        &mut self,
-        source: &LogicalOp,
-        body: &LogicalOp,
-        workers: usize,
-    ) -> Box<dyn PhysIter> {
-        let source = self.build_iter(source);
-        let mut registry = MemoRegistry::default();
-        let mut replicas: Vec<(Box<dyn PhysIter>, Arc<PartitionFeed>)> =
-            Vec::with_capacity(workers);
-        let mut shards: Vec<Vec<SharedStats>> = Vec::new();
-        let mut rows: Vec<(String, usize)> = Vec::new();
-        for w in 0..workers {
-            registry.next = 0;
-            registry.replica = w;
-            let feed = Arc::new(PartitionFeed::new());
-            let mut sub = Codegen {
-                partition_feed: Some(feed.clone()),
-                memos: Some(registry),
-                vars: std::mem::take(&mut self.vars),
-                ..Codegen::new(&mut *self.mgr, self.profile.as_ref().map(|_| Profile::default()))
-            };
-            let body_iter = sub.build_iter(body);
-            let sub_profile = sub.profile.take();
-            registry = sub.memos.take().expect("registry survives the replica build");
-            self.vars = sub.vars;
-            if let Some(p) = sub_profile {
-                if w == 0 {
-                    rows = p.entries.iter().map(|e| (e.label.clone(), e.depth)).collect();
-                }
-                shards.push(p.entries.into_iter().map(|e| e.stats).collect());
-            }
-            replicas.push((body_iter, feed));
-        }
-        let base_depth = self.depth;
-        let display: Vec<SharedStats> = match self.profile.as_mut() {
-            Some(p) => rows
-                .iter()
-                .map(|(label, depth)| {
-                    let stats: SharedStats = Arc::new(Mutex::new(OpStats::default()));
-                    p.entries.push(ProfileEntry {
-                        label: label.clone(),
-                        depth: base_depth + depth,
-                        stats: stats.clone(),
-                    });
-                    stats
-                })
-                .collect(),
-            None => Vec::new(),
-        };
-        let stats = self.profile.as_mut().map(|p| {
-            let s = Arc::new(Mutex::new(ParallelStats::new(workers)));
-            p.parallel.push(s.clone());
-            s
-        });
-        Box::new(ExchangeIter::new(source, replicas, display, shards, stats))
     }
 
     fn build_semi(

@@ -26,12 +26,13 @@
 //!   wall clock and the atomic cancel token are only consulted every
 //!   `tick_interval` ticks (default [`DEFAULT_TICK_INTERVAL`]), keeping
 //!   the per-tuple cost to two relaxed atomic bumps.
-//! * The governor is shared by every Exchange worker thread (DESIGN.md
-//!   §14): all counters are atomics, a failed charge is *never applied*
-//!   (a compare-and-swap loop rejects over-limit charges without touching
-//!   the usage counter, so the high-water mark stays exact even under
-//!   concurrency), and the first trip wins — later trips from other
-//!   workers are dropped.
+//! * The governor is `Sync`: the service cancels a running query from
+//!   another thread, and the engine's plan-cache budget is one governor
+//!   behind a lock every connection thread takes. All counters are
+//!   atomics, a failed charge is *never applied* (a compare-and-swap
+//!   loop rejects over-limit charges without touching the usage counter,
+//!   so the high-water mark stays exact even under concurrency), and the
+//!   first trip wins — a later trip is dropped.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,9 +66,9 @@ impl FailPoint {
     }
 }
 
-/// The shared per-execution budget. One governor serves every worker of a
-/// parallel (Exchange) execution, so the counters are atomics; serial
-/// plans pay only uncontended relaxed operations.
+/// The per-execution budget. It is `Sync` (see the module docs), so the
+/// counters are atomics; a query pays only uncontended relaxed
+/// operations.
 pub struct ResourceGovernor {
     limits: ResourceLimits,
     deadline: Option<Instant>,
@@ -136,8 +137,7 @@ impl ResourceGovernor {
     }
 
     /// The error that stopped execution, if any. The first trip wins —
-    /// in a parallel execution, later trips from other workers are
-    /// dropped.
+    /// a later one (say a cancel racing a memory trip) is dropped.
     pub fn error(&self) -> Option<QueryError> {
         self.error.lock().clone()
     }
@@ -155,7 +155,7 @@ impl ResourceGovernor {
     /// governor already tripped — the caller must stop producing. An
     /// over-limit charge is rejected by the compare-and-swap loop before
     /// it is ever applied, so `mem_used`/`high_water` stay exact under
-    /// concurrent workers.
+    /// concurrency.
     pub fn charge(&self, bytes: u64) -> bool {
         if self.tripped.load(Ordering::Acquire) {
             return false;
@@ -234,9 +234,8 @@ impl ResourceGovernor {
 
     /// One cooperative scheduling point. Deadline and cancellation are
     /// examined every `tick_interval` ticks. Returns `false` when the
-    /// caller must stop producing. In a parallel execution every worker
-    /// ticks the same governor, so each worker observes deadline,
-    /// cancellation and storage faults within one interval.
+    /// caller must stop producing. A cancel raised from another thread
+    /// is observed within one interval.
     pub fn tick(&self) -> bool {
         if self.tripped.load(Ordering::Acquire) {
             return false;
@@ -355,20 +354,6 @@ impl ChargeLedger {
     pub fn release_all(&mut self, gov: &ResourceGovernor) {
         let b = std::mem::take(&mut self.held);
         gov.release(b);
-    }
-
-    /// Adopt another ledger's holdings without touching the governor:
-    /// the bytes were already charged through `other` (Exchange workers
-    /// charge through private ledgers that the coordinator absorbs after
-    /// the join, so releases keep flowing through exactly one owner).
-    pub fn absorb(&mut self, other: ChargeLedger) {
-        self.held += other.held;
-        self.committed += other.committed;
-        self.charged += other.charged;
-        let now = self.held + self.committed;
-        if now > self.peak {
-            self.peak = now;
-        }
     }
 
     /// Commit every transient byte as persistent cache state (MemoX

@@ -8,8 +8,8 @@
 //! [`AnalyzeReport`] into the registry ([`Telemetry::record_query`]) —
 //! that single entry point is what the `natix` facade calls after every
 //! query, so every layer's existing per-query counters (compile-phase
-//! trace, operator profile, governor accounting, buffer-manager deltas,
-//! Exchange statistics) aggregate into engine lifetime totals without
+//! trace, operator profile, governor accounting, buffer-manager deltas)
+//! aggregate into engine lifetime totals without
 //! new instrumentation inside the operators themselves.
 //!
 //! Ownership: the registry lives on the engine value, not in a process
@@ -117,17 +117,6 @@ pub struct EngineMetrics {
     pub page_read_nanos_total: Counter,
     /// `natix_page_verify_nanos_total` (time in CRC32C trailer checks).
     pub page_verify_nanos_total: Counter,
-    /// `natix_exchange_runs_total` (Exchange open/drain cycles).
-    pub exchange_runs_total: Counter,
-    /// `natix_exchange_source_tuples_total`.
-    pub exchange_source_tuples_total: Counter,
-    /// `natix_exchange_worker_tuples_total`.
-    pub exchange_worker_tuples_total: Counter,
-    /// `natix_exchange_chunks_claimed_total` (work-stealing claims).
-    pub exchange_chunks_claimed_total: Counter,
-    /// `natix_exchange_imbalance_hundredths` (per-run max/avg worker
-    /// tuples, ×100: 100 = perfectly balanced).
-    pub exchange_imbalance_hundredths: Histogram,
     /// `natix_plan_cache_hits_total` (compiled-plan cache lookups served
     /// from the cache).
     pub plan_cache_hits_total: Counter,
@@ -191,11 +180,6 @@ impl EngineMetrics {
             checksum_failures_total: reg.counter("natix_checksum_failures_total"),
             page_read_nanos_total: reg.counter("natix_page_read_nanos_total"),
             page_verify_nanos_total: reg.counter("natix_page_verify_nanos_total"),
-            exchange_runs_total: reg.counter("natix_exchange_runs_total"),
-            exchange_source_tuples_total: reg.counter("natix_exchange_source_tuples_total"),
-            exchange_worker_tuples_total: reg.counter("natix_exchange_worker_tuples_total"),
-            exchange_chunks_claimed_total: reg.counter("natix_exchange_chunks_claimed_total"),
-            exchange_imbalance_hundredths: reg.histogram("natix_exchange_imbalance_hundredths"),
             plan_cache_hits_total: reg.counter("natix_plan_cache_hits_total"),
             plan_cache_misses_total: reg.counter("natix_plan_cache_misses_total"),
             plan_cache_evictions_total: reg.counter("natix_plan_cache_evictions_total"),
@@ -396,24 +380,6 @@ impl Telemetry {
             m.checksum_failures_total.add(s.checksum_failures);
             m.page_read_nanos_total.add(s.read_ns);
             m.page_verify_nanos_total.add(s.verify_ns);
-        }
-
-        // Exchange statistics (profiled parallel runs only).
-        for stats in &report.profile.parallel {
-            let p = stats.lock();
-            m.exchange_runs_total.add(p.runs);
-            m.exchange_source_tuples_total.add(p.source_tuples);
-            m.exchange_worker_tuples_total.add(p.worker_tuples.iter().sum());
-            m.exchange_chunks_claimed_total.add(p.worker_chunks.iter().sum());
-            let max = p.worker_tuples.iter().copied().max().unwrap_or(0);
-            let avg = if p.workers > 0 {
-                p.worker_tuples.iter().sum::<u64>() as f64 / p.workers as f64
-            } else {
-                0.0
-            };
-            if avg > 0.0 {
-                m.exchange_imbalance_hundredths.record((max as f64 * 100.0 / avg) as u64);
-            }
         }
 
         // Outcome.

@@ -148,10 +148,10 @@ impl std::fmt::Debug for PagePin {
 /// manager). All navigation used by the physical algebra goes through this
 /// trait, so plans are storage-agnostic.
 ///
-/// `Sync` is a supertrait: the Exchange operator shares one store across
-/// its worker threads. Both implementations already qualify — the arena
-/// is immutable after build, and the disk store's buffer manager and
-/// fault latch are lock-protected.
+/// `Sync` is a supertrait: the engine shares one registered document
+/// across the service's connection threads. Both implementations
+/// already qualify — the arena is immutable after build, and the disk
+/// store's buffer manager and fault latch are lock-protected.
 pub trait XmlStore: Sync {
     /// The document node (always [`NodeId::DOCUMENT`]).
     fn root(&self) -> NodeId {

@@ -192,11 +192,9 @@ pub fn substring_before(a: &str, b: &str) -> String {
     }
 }
 
-/// `substring-after(a, b)`.
+/// `substring-after(a, b)`. An empty `b` occurs at offset 0, so the
+/// answer is all of `a` (XPath 1.0 §4.2).
 pub fn substring_after(a: &str, b: &str) -> String {
-    if b.is_empty() {
-        return String::new();
-    }
     match a.find(b) {
         Some(i) => a[i + b.len()..].to_owned(),
         None => String::new(),
@@ -293,7 +291,7 @@ mod tests {
         assert_eq!(substring_before("abc", "x"), "");
         assert_eq!(substring_after("abc", "x"), "");
         assert_eq!(substring_before("abc", ""), "");
-        assert_eq!(substring_after("abc", ""), "");
+        assert_eq!(substring_after("abc", ""), "abc");
     }
 
     #[test]

@@ -60,7 +60,6 @@ struct Args {
     canonical: bool,
     cost_based: bool,
     time: bool,
-    threads: usize,
     limits: ResourceLimits,
     metrics_out: Option<String>,
     query_log: Option<String>,
@@ -86,7 +85,6 @@ fn parse_args() -> Result<Args, String> {
         canonical: false,
         cost_based: false,
         time: false,
-        threads: 1,
         limits: ResourceLimits::unlimited(),
         metrics_out: None,
         query_log: None,
@@ -110,10 +108,6 @@ fn parse_args() -> Result<Args, String> {
             "--canonical" => args.canonical = true,
             "--cost-based" => args.cost_based = true,
             "--time" => args.time = true,
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a count (0 = all cores)")?;
-                args.threads = parse_threads(&v)?;
-            }
             "--max-mem" => {
                 let v = it.next().ok_or("--max-mem needs a size (e.g. 16MiB)")?;
                 args.limits.max_memory_bytes = Some(parse_mem_size(&v)?);
@@ -189,12 +183,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Parse a `--threads`/`:threads` count (`Session::with_threads` resolves
-/// `0` to "all cores").
-fn parse_threads(v: &str) -> Result<usize, String> {
-    v.parse().map_err(|_| format!("threads: `{v}` is not a number"))
-}
-
 fn print_help() {
     println!(
         "natix-cli — algebraic XPath 1.0 processing\n\n\
@@ -211,8 +199,6 @@ fn print_help() {
          \x20 --cost-based         improved + per-query cost-based selection of\n\
          \x20                      translation alternatives from store statistics\n\
          \x20 --time               print compile-phase + evaluation times\n\
-         \x20 --threads <n>        worker threads for parallel execution\n\
-         \x20                      (1 = serial, 0 = all cores; see DESIGN.md §14)\n\
          \x20 --max-mem <size>     memory budget per query (16MiB, 512k, 1g, …)\n\
          \x20 --timeout <dur>      deadline per query (500ms, 2s, 1m, …)\n\
          \x20 --max-tuples <n>     cap on materialized tuples per query\n\
@@ -463,16 +449,12 @@ fn main() {
         Some(telemetry.clone()),
     );
     let doc = shared.register_document("main", doc);
-    let mut engine = shared
-        .session()
-        .with_options(options)
-        .with_threads(args.threads)
-        .with_limits(args.limits);
+    let mut engine = shared.session().with_options(options).with_limits(args.limits);
 
     if let Some(spec) = &args.serve {
         // Serving mode: line protocol over stdio or TCP loopback. Each
         // client session starts with default options/limits and adjusts
-        // them with the `options`/`limits`/`threads` protocol verbs.
+        // them with the `options`/`limits` protocol verbs.
         let service = QueryService::new(
             shared.clone(),
             ServiceConfig { workers: args.workers, queue_depth: args.queue_depth },
@@ -538,7 +520,7 @@ fn main() {
     if args.interactive || (args.queries.is_empty() && args.persist.is_none()) {
         println!(
             "natix ({} nodes loaded) — enter XPath, `:explain <q>`, `:profile <q>`, \
-             `:analyze <q>`, `:limits [spec]`, `:threads [n]`, `:metrics [reset]`, \
+             `:analyze <q>`, `:limits [spec]`, `:metrics [reset]`, \
              `:cache [clear]`, `:slowlog`, or `:quit`",
             doc.store().node_count()
         );
@@ -558,17 +540,7 @@ fn main() {
             if line == ":quit" || line == ":q" {
                 break;
             }
-            if line == ":threads" {
-                println!("threads: {}", engine.options.threads);
-            } else if let Some(n) = line.strip_prefix(":threads ") {
-                match parse_threads(n.trim()) {
-                    Ok(n) => {
-                        engine = engine.with_threads(n);
-                        println!("threads: {}", engine.options.threads);
-                    }
-                    Err(e) => eprintln!("error: {e}"),
-                }
-            } else if line == ":limits" {
+            if line == ":limits" {
                 println!("{}", render_limits(&engine.limits));
             } else if let Some(spec) = line.strip_prefix(":limits ") {
                 match apply_limits_directive(&mut engine.limits, spec.trim()) {

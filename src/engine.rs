@@ -18,12 +18,10 @@
 //! executables keyed by expression + static-context hash" design of the
 //! XPath 2.0 exemplar (SNIPPETS.md Snippet 1). The static context is
 //! everything that influences what `compile` produces or how a query is
-//! admitted: the full [`TranslateOptions`] (including the parallelism
-//! degree and the [`CostMode`] — a plan compiled for 4 threads contains
-//! Exchange operators a serial plan must not share) and the session's
-//! [`ResourceLimits`] (two sessions with different budgets never share a
-//! cache entry, so per-session admission behaviour can never leak across
-//! clients through the cache).
+//! admitted: the full [`TranslateOptions`] (the four §4 switches and the
+//! [`CostMode`]) and the session's [`ResourceLimits`] (two sessions with
+//! different budgets never share a cache entry, so per-session admission
+//! behaviour can never leak across clients through the cache).
 //!
 //! The statistics fingerprint is the third key component: a cost-based
 //! plan is shaped by the statistics of the store it was optimized for, so
@@ -113,7 +111,7 @@ fn fnv_words(words: impl IntoIterator<Item = u64>) -> u64 {
 /// The static-context hash of a cache key: a digest of everything beside
 /// the expression text that determines the compiled plan or the budget
 /// it runs under. Sessions differing in *any* translation option,
-/// thread count, execution budget or parse limit hash differently and
+/// execution budget or parse limit hash differently and
 /// therefore never share plans (asserted by `tests/plancache.rs`).
 pub fn static_context_hash(opts: &TranslateOptions, limits: &ResourceLimits) -> u64 {
     // `None` folds as the sentinel u64::MAX, distinct from any real value
@@ -126,7 +124,6 @@ pub fn static_context_hash(opts: &TranslateOptions, limits: &ResourceLimits) -> 
         opts.memoize_inner as u64,
         opts.split_expensive as u64,
         (opts.optimize == CostMode::CostBased) as u64,
-        opts.threads as u64,
         opt(limits.max_memory_bytes),
         opt(limits.max_tuples),
         opt(limits.timeout.map(|t| t.as_nanos().min(u64::MAX as u128) as u64)),
@@ -1250,15 +1247,10 @@ impl Session {
         self
     }
 
-    /// This session with a worker-thread count for intra-query parallel
-    /// execution (`1` = serial, `0` = all cores).
-    pub fn with_threads(mut self, threads: usize) -> Session {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-        } else {
-            threads
-        };
-        self.options = self.options.with_threads(threads);
+    /// Returns `self` unchanged: execution is serial. Kept only because
+    /// `benchmark/src/workloads/read.rs` still calls it; ROADMAP item 1
+    /// deletes both.
+    pub fn with_threads(self, _threads: usize) -> Session {
         self
     }
 
@@ -1417,7 +1409,6 @@ mod tests {
         assert_eq!(h, static_context_hash(&base, &unlimited), "deterministic");
         assert_ne!(h, static_context_hash(&TranslateOptions::canonical(), &unlimited));
         assert_ne!(h, static_context_hash(&TranslateOptions::cost_based(), &unlimited));
-        assert_ne!(h, static_context_hash(&base.with_threads(4), &unlimited));
         assert_ne!(h, static_context_hash(&base, &unlimited.with_max_tuples(10)));
         assert_ne!(h, static_context_hash(&base, &unlimited.with_max_parse_depth(5)));
     }

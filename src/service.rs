@@ -367,32 +367,17 @@ impl ClientSession {
                     Err(e) => Reply::Line(format!("ERR usage {e}")),
                 }
             }
-            "threads" => {
-                if rest.is_empty() {
-                    return Reply::Line(format!("OK threads {}", self.session.options.threads));
-                }
-                match rest.parse::<usize>() {
-                    Ok(n) => {
-                        self.session = self.session.clone().with_threads(n);
-                        Reply::Line(format!("OK threads {}", self.session.options.threads))
-                    }
-                    Err(_) => Reply::Line(format!("ERR usage threads: `{rest}` is not a number")),
-                }
-            }
             "options" => match rest {
                 "canonical" => {
-                    let threads = self.session.options.threads;
-                    self.session.options = TranslateOptions::canonical().with_threads(threads);
+                    self.session.options = TranslateOptions::canonical();
                     Reply::Line("OK options canonical".to_owned())
                 }
                 "improved" => {
-                    let threads = self.session.options.threads;
-                    self.session.options = TranslateOptions::improved().with_threads(threads);
+                    self.session.options = TranslateOptions::improved();
                     Reply::Line("OK options improved".to_owned())
                 }
                 "cost-based" => {
-                    let threads = self.session.options.threads;
-                    self.session.options = TranslateOptions::cost_based().with_threads(threads);
+                    self.session.options = TranslateOptions::cost_based();
                     Reply::Line("OK options cost-based".to_owned())
                 }
                 _ => Reply::Line("ERR usage options <canonical|improved|cost-based>".to_owned()),

@@ -1,7 +1,8 @@
 //! XPath 1.0 conformance suite: a table of queries with expected results,
 //! executed by the improved translation, the canonical translation, and
 //! the context-list interpreter. Every row must agree with the expectation
-//! on all three evaluators.
+//! on all three evaluators; an error row must fail on all three with a
+//! message naming the fault.
 
 use interp::{InterpOptions, Interpreter};
 use natix::{Document, Engine, QueryOutput, TranslateOptions};
@@ -28,33 +29,40 @@ enum Want {
     Num(f64),
     Str(&'static str),
     Bool(bool),
+    /// Every evaluator returns `Err`, and its message contains this.
+    Error(&'static str),
 }
 
 fn check(doc: &Document, q: &str, want: &Want) {
-    let engines: Vec<(String, QueryOutput)> = vec![
+    let engines: Vec<(&str, Result<QueryOutput, String>)> = vec![
         (
-            "improved".into(),
-            Engine::new()
-                .session()
-                .evaluate(doc.store(), q)
-                .unwrap_or_else(|e| panic!("{q}: {e}")),
+            "improved",
+            Engine::new().session().evaluate(doc.store(), q).map_err(|e| e.to_string()),
         ),
         (
-            "canonical".into(),
+            "canonical",
             Engine::new()
                 .session()
                 .with_options(TranslateOptions::canonical())
                 .evaluate(doc.store(), q)
-                .unwrap_or_else(|e| panic!("{q}: {e}")),
+                .map_err(|e| e.to_string()),
         ),
-        ("interp".into(), {
+        ("interp", {
             let store = doc.store();
             Interpreter::new(store, InterpOptions::context_list())
                 .evaluate(q, store.root())
-                .unwrap_or_else(|e| panic!("{q}: {e}"))
+                .map_err(|e| e.to_string())
         }),
     ];
     for (name, got) in engines {
+        if let Want::Error(fragment) = want {
+            match got {
+                Err(e) => assert!(e.contains(fragment), "{name}: {q} -> `{e}` lacks `{fragment}`"),
+                Ok(v) => panic!("{name}: {q} -> {v:?}, expected an error"),
+            }
+            continue;
+        }
+        let got = got.unwrap_or_else(|e| panic!("{name}: {q}: {e}"));
         match want {
             Want::Strings(exp) => {
                 let got_strings: Vec<String> = got
@@ -72,6 +80,7 @@ fn check(doc: &Document, q: &str, want: &Want) {
             Want::Num(x) => assert_eq!(got, QueryOutput::Num(*x), "{name}: {q}"),
             Want::Str(s) => assert_eq!(got, QueryOutput::Str((*s).into()), "{name}: {q}"),
             Want::Bool(b) => assert_eq!(got, QueryOutput::Bool(*b), "{name}: {q}"),
+            Want::Error(_) => unreachable!(),
         }
     }
 }
@@ -148,6 +157,8 @@ fn cases() -> Vec<(&'static str, Want)> {
         ("substring('hello', 2, 3)", Str("ell")),
         ("substring-before('a=b', '=')", Str("a")),
         ("substring-after('a=b', '=')", Str("b")),
+        ("substring-after('abc', '')", Str("abc")),
+        ("substring-before('abc', '')", Str("")),
         ("normalize-space('  a   b  ')", Str("a b")),
         ("translate('abcabc', 'ab', 'BA')", Str("BAcBAc")),
         ("string-length('çedilla')", Num(7.0)),
@@ -239,6 +250,12 @@ fn cases() -> Vec<(&'static str, Want)> {
         ("//item[position() = 2 + 1]/@sku", Strings(&["f3"])),
         ("//item[position() = last() div 2 + 0.5]/@sku", Strings(&["f2"])),
         ("(//item)[position() = last() - 3]/@sku", Strings(&["f2"])),
+        // --- typed errors ----------------------------------------------------------
+        ("foo(1)", Error("unknown function `foo()`")),
+        ("count()", Error("`count()` needs at least 1 argument(s), got 0")),
+        ("count(1, 2)", Error("`count()` takes at most 1 argument(s), got 2")),
+        ("concat(\"a\")", Error("`concat()` needs at least 2 argument(s), got 1")),
+        ("$undefined", Error("unbound variable $undefined")),
     ]
 }
 

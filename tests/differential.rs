@@ -138,28 +138,6 @@ fn physical_phase_preserves_every_corpus_answer() {
     assert!(set_steps > 0 && kernels > 0, "{set_steps} set-mode steps, {kernels} kernels");
 }
 
-/// DESIGN.md §14: the parallel plan must be byte-identical to the serial
-/// one — Exchange merges chunk results in source order and every body
-/// operator is partition transparent, so no tolerance is granted.
-#[test]
-fn parallel_threads_agree_with_serial() {
-    let tree = generate_tree(TreeParams { max_elements: 500, fanout: 10, max_depth: 3 });
-    let dblp = generate_dblp(DblpParams { records: 300, seed: 11 });
-    let corpora: [(&dyn XmlStore, &[&str]); 2] = [(&tree, TREE_QUERIES), (&dblp, DBLP_QUERIES)];
-    for (store, queries) in corpora {
-        for q in queries {
-            let serial = nqe::evaluate(store, q, &TranslateOptions::improved())
-                .unwrap_or_else(|e| panic!("serial `{q}`: {e}"));
-            for threads in [2, 4, 8] {
-                let opts = TranslateOptions::improved().with_threads(threads);
-                let par = nqe::evaluate(store, q, &opts)
-                    .unwrap_or_else(|e| panic!("threads={threads} `{q}`: {e}"));
-                assert_eq!(par, serial, "threads={threads} on `{q}`");
-            }
-        }
-    }
-}
-
 #[test]
 fn ablation_combinations_agree() {
     // Every combination of the four §4 improvements — with and without
@@ -181,7 +159,6 @@ fn ablation_combinations_agree() {
             } else {
                 CostMode::Off
             },
-            threads: 1,
         };
         for (q, expect) in TREE_QUERIES.iter().zip(&reference) {
             let got =

@@ -435,84 +435,3 @@ fn check_set_mode_on_three_stores(
     prop_assert!(!disk.storage_tripped());
     Ok(())
 }
-
-/// Body of `parallel_governed_runs_trip_typed_and_leak_nothing` (hoisted:
-/// the vendored `proptest!` macro overflows its recursion limit on long
-/// bodies). A parallel plan runs under a tight budget; whether a worker or
-/// the coordinator trips it, the error must be the typed one and the
-/// governor must hold zero transient bytes afterwards (DESIGN.md §14's
-/// first-error-wins unwind).
-fn check_governed_parallel(
-    store: &ArenaStore,
-    q: &str,
-    threads: usize,
-    mem: Option<u64>,
-    tuples: Option<u64>,
-) -> Result<(), proptest::prelude::TestCaseError> {
-    use nqe::ResourceGovernor;
-    let opts = TranslateOptions::improved().with_threads(threads);
-    let oracle = nqe::evaluate(store, q, &TranslateOptions::improved()).expect("serial oracle");
-    let compiled = compiler::compile(q, &opts).expect("compiles");
-    let mut phys = nqe::build_physical(&compiled);
-    let limits = compiler::ResourceLimits {
-        max_memory_bytes: mem,
-        max_tuples: tuples,
-        ..compiler::ResourceLimits::unlimited()
-    };
-    let gov = ResourceGovernor::new(limits);
-    let out = phys.execute_governed(store, &std::collections::HashMap::new(), store.root(), &gov);
-    prop_assert_eq!(gov.transient_bytes(), 0, "leaked transient charges: {}", q);
-    match out {
-        Ok(got) => prop_assert_eq!(nodes_of(&got), nodes_of(&oracle), "wrong answer: {}", q),
-        Err(e) => prop_assert!(
-            matches!(
-                e,
-                algebra::QueryError::MemoryExceeded { .. }
-                    | algebra::QueryError::TuplesExceeded { .. }
-            ),
-            "budget trip must surface typed on {}: {:?}",
-            q,
-            e
-        ),
-    }
-    Ok(())
-}
-
-// Parallel execution properties (DESIGN.md §14): Exchange must be
-// invisible in every answer and in every governor postcondition.
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
-
-    // Parallel execution is a pure optimisation: for threads ∈ {2, 4, 8}
-    // the answer must be byte-identical to the serial engine on random
-    // documents × random queries (the planner decides per query whether
-    // an Exchange pays off; both outcomes are exercised).
-    #[test]
-    fn parallel_and_serial_engines_agree(
-        t in tree_strategy(),
-        q in query_strategy(),
-        threads in prop_oneof![Just(2usize), Just(4), Just(8)],
-    ) {
-        let store = make_store(&t);
-        let serial = nqe::evaluate(&store, &q, &TranslateOptions::improved()).expect("serial");
-        let opts = TranslateOptions::improved().with_threads(threads);
-        let par = nqe::evaluate(&store, &q, &opts).expect("parallel");
-        prop_assert_eq!(
-            nodes_of(&par), nodes_of(&serial),
-            "threads={} vs serial: {}", threads, q
-        );
-    }
-
-    // Governed parallel runs: random tight memory/tuple budgets make
-    // workers trip mid-partition. 0 on a channel means "unlimited".
-    #[test]
-    fn parallel_governed_runs_trip_typed_and_leak_nothing(
-        t in tree_strategy(),
-        q in query_strategy(),
-        threads in prop_oneof![Just(2usize), Just(4)],
-        mem in (0u64..4096).prop_map(|v| (v > 0).then_some(v)),
-        tuples in (0u64..200).prop_map(|v| (v > 0).then_some(v)),
-    ) {
-        check_governed_parallel(&make_store(&t), &q, threads, mem, tuples)?;
-    }
-}

@@ -391,3 +391,16 @@ fn session_clone_shares_engine_but_copies_limits() {
     // The clone's limits never leaked back into the original.
     assert!(base.evaluate(doc.store(), "/dblp/article/title | /dblp/article/year").is_ok());
 }
+
+/// Execution is serial and the protocol has no `threads` verb: the line
+/// falls through to a query, which does not parse, so the client gets a
+/// typed compile error and its session is unchanged.
+#[test]
+fn threads_is_not_a_verb() {
+    let (engine, _doc) = shared_engine(10);
+    let service = QueryService::new(engine, ServiceConfig { workers: 1, queue_depth: 4 });
+    let mut c = service.client(Some("dblp"));
+    let r = c.handle("threads 4").text().to_owned();
+    assert!(r.starts_with("ERR compile "), "{r}");
+    assert_eq!(c.handle("count(/dblp/article)").text(), "OK num 5");
+}
