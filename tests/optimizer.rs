@@ -291,3 +291,40 @@ fn cost_pass_is_pinned() {
     }
     assert_eq!(got.lines().count(), GOLDEN.lines().count(), "golden file length");
 }
+
+/// The plans of the two `CostMode::Off` presets, pinned. For every corpus
+/// query under `canonical()` and `improved()`: an FNV digest of the final
+/// plan's EXPLAIN, its set-mode and kernel row counts, the fired
+/// rewrites in order and the label of every pruned Π^D or Sort. Which
+/// operators pruning elides and set mode fuses, and what the trace
+/// reports of it, may not change without this file changing with it.
+#[test]
+fn off_preset_plans_are_pinned() {
+    const GOLDEN: &str = include_str!("corpus/off_plans.golden");
+    let mut got = String::new();
+    for (name, opts) in ["canonical", "improved"].into_iter().zip(presets()) {
+        for q in TREE_QUERIES.iter().chain(DBLP_QUERIES).chain(PREDICATE_QUERIES) {
+            let (plan, trace) =
+                compiler::compile_traced(q, &opts).unwrap_or_else(|e| panic!("`{q}`: {e}"));
+            let shown = match &plan {
+                CompiledQuery::Sequence(p) => explain(p),
+                CompiledQuery::Scalar(s) => explain_scalar(s),
+            };
+            let rows = |tag: &str| shown.lines().filter(|l| l.contains(tag)).count();
+            writeln!(
+                got,
+                "{name} {q} explain={:016x} set={} kernel={}\n  rewrites [{}]\n  pruned [{}]",
+                expr_hash(&shown),
+                rows(" (set, "),
+                rows(" (kernel, "),
+                trace.rewrites.join(", "),
+                trace.pruned_labels.join(", ")
+            )
+            .unwrap();
+        }
+    }
+    for (i, (want, got)) in GOLDEN.lines().zip(got.lines()).enumerate() {
+        assert_eq!(got, want, "plans diverge from the golden file at line {}", i + 1);
+    }
+    assert_eq!(got.lines().count(), GOLDEN.lines().count(), "golden file length");
+}
