@@ -10,7 +10,6 @@ pub mod cost;
 pub mod options;
 pub mod physical;
 pub mod pipeline;
-pub mod properties;
 pub mod trace;
 pub mod translate;
 

@@ -1,23 +1,30 @@
 //! The physical phase, last of the compiler (paper §5.1: translate →
-//! optimize → prune → physical). It decides once, on the
-//! plan, what code generation then lowers one to one, so EXPLAIN shows
-//! it, the cost pass prices it and the plan cache holds it:
+//! optimize → physical). It decides once, on the plan, what code
+//! generation then lowers one to one, so EXPLAIN shows it, the cost pass
+//! prices it and the plan cache holds it:
 //!
-//! - a fusable `Π^D[a](Υ[a:c/ppd::t](X))` becomes one set-mode Υ
-//!   (DESIGN.md §12 "Set-at-a-time steps"), its scan hint reset to
+//! - a Π^D or Sort whose input already guarantees distinctness or order
+//!   ([`props_of`]) is elided;
+//! - a surviving fusable `Π^D[a](Υ[a:c/ppd::t](X))` becomes one set-mode
+//!   Υ (DESIGN.md §12 "Set-at-a-time steps"), its scan hint reset to
 //!   `Auto`, since set mode takes none;
 //! - a kernel-shaped aggregate becomes a [`ScalarExpr::Kernel`]
 //!   (DESIGN.md §5 "Predicate kernels");
 //! - a χ^mat whose aggregates all became kernels becomes a χ.
 
+use algebra::explain::op_label;
 use algebra::scalar::{AggExpr, AggFunc, CmpMode, ConstCmp, KernelExpr};
 use algebra::{ConvKind, LogicalOp, ScalarExpr, ScanHint};
+use xmlstore::Axis;
 
 use crate::translate::CompiledQuery;
 
 /// What [`physical`] rewrote.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Lowered {
+    /// Labels of the elided Π^D and Sort operators, bottom-up (`Π^D[cn]`,
+    /// `Sort[u1]`, …).
+    pub pruned: Vec<String>,
     /// Π^D operators folded into a set-mode Υ.
     pub set_steps: usize,
     /// Aggregates turned into kernels.
@@ -26,31 +33,23 @@ pub struct Lowered {
 
 /// Run the physical phase over a query.
 pub fn physical(mut q: CompiledQuery) -> (CompiledQuery, Lowered) {
-    // Decided on the whole plan first, then rewritten in place: the
-    // sites' addresses stay valid because every operator below a
-    // rewritten one keeps its box.
-    let sites: Vec<*const LogicalOp> =
-        fusable_sites(&q).into_iter().map(|s| s as *const _).collect();
-    let mut done = Lowered { set_steps: sites.len(), kernels: 0 };
+    // Decided on the whole plan first, then rewritten bottom-up: each
+    // operator is looked up before anything moves it.
+    let fates: Vec<(*const LogicalOp, Fate)> =
+        decide(&q).into_iter().map(|(op, fate)| (op as *const _, fate)).collect();
+    let mut done = Lowered::default();
     match &mut q {
-        CompiledQuery::Sequence(plan) => lower(plan, &sites, &mut done.kernels),
-        CompiledQuery::Scalar(e) => lower_scalar(e, &sites, &mut done.kernels),
+        CompiledQuery::Sequence(plan) => lower(plan, &fates, &mut done),
+        CompiledQuery::Scalar(e) => lower_scalar(e, &fates, &mut done),
     }
     (q, done)
 }
 
-fn lower(op: &mut LogicalOp, sites: &[*const LogicalOp], kernels: &mut usize) {
-    if sites.contains(&(op as *const LogicalOp)) {
-        let LogicalOp::DedupBy { input, .. } = std::mem::replace(op, LogicalOp::Singleton) else {
-            unreachable!("a set site is a Π^D");
-        };
-        *op = *input;
-        if let LogicalOp::UnnestMap { hint, set, .. } = op {
-            (*hint, *set) = (ScanHint::Auto, true);
-        }
-    }
+fn lower(op: &mut LogicalOp, fates: &[(*const LogicalOp, Fate)], done: &mut Lowered) {
+    let fate = fates.iter().find(|(site, _)| std::ptr::eq(*site, &*op)).map(|&(_, f)| f);
+    op.inputs_mut().for_each(|c| lower(c, fates, done));
     if let Some(e) = op.subscript_mut() {
-        lower_scalar(e, sites, kernels);
+        lower_scalar(e, fates, done);
     }
     if matches!(op, LogicalOp::MemoMap { expr, .. } if kernels_only(expr)) {
         // A hit would save one bounded walk per kernel, and the keys (the
@@ -63,19 +62,162 @@ fn lower(op: &mut LogicalOp, sites: &[*const LogicalOp], kernels: &mut usize) {
         };
         *op = LogicalOp::MapExpr { input, attr, expr };
     }
-    op.inputs_mut().for_each(|c| lower(c, sites, kernels));
+    let Some(fate) = fate else { return };
+    match fate {
+        Fate::Elided => done.pruned.push(op_label(op)),
+        Fate::Fused => done.set_steps += 1,
+    }
+    let (LogicalOp::DedupBy { input, .. } | LogicalOp::SortBy { input, .. }) =
+        std::mem::replace(op, LogicalOp::Singleton)
+    else {
+        unreachable!("only a Π^D or a Sort has a fate");
+    };
+    *op = *input;
+    if let (Fate::Fused, LogicalOp::UnnestMap { hint, set, .. }) = (fate, op) {
+        (*hint, *set) = (ScanHint::Auto, true);
+    }
 }
 
-fn lower_scalar(e: &mut ScalarExpr, sites: &[*const LogicalOp], kernels: &mut usize) {
+fn lower_scalar(e: &mut ScalarExpr, fates: &[(*const LogicalOp, Fate)], done: &mut Lowered) {
     let ScalarExpr::Agg(agg) = e else {
-        return e.operands_mut().for_each(|o| lower_scalar(o, sites, kernels));
+        return e.operands_mut().for_each(|o| lower_scalar(o, fates, done));
     };
-    match kernel_shape(agg) {
-        Some(kernel) => {
-            *kernels += 1;
-            *e = ScalarExpr::Kernel(Box::new(kernel));
+    // Pruned first, so the shape is matched on the pruned nested plan.
+    lower(&mut agg.plan, fates, done);
+    if let Some(kernel) = kernel_shape(agg) {
+        done.kernels += 1;
+        *e = ScalarExpr::Kernel(Box::new(kernel));
+    }
+}
+
+// ===================== Order and duplicate properties =====================
+//
+// In the spirit of Hidders & Michiels ("Avoiding unnecessary ordering
+// operations in XPath", paper ref. [13]) — the refinement the paper
+// mentions in §4.1 but skips. A conservative three-flag lattice is
+// inferred per result attribute and elides provably redundant Π^D and
+// Sort operators. The flags describe the stream of values of one node
+// attribute:
+// * `distinct` — no node occurs twice,
+// * `ordered`  — non-decreasing document order,
+// * `disjoint` — no node is an ancestor of another.
+//
+// Key transitions (all proofs rely on the preorder property: if
+// `p1 < p2` and `p2 ∉ subtree(p1)`, the whole subtree of `p1` precedes
+// `p2`):
+// * `child`      (d, o, j) → (d, o∧j∧d, j)
+// * `attribute`  (d, o, j) → (d, o, ⊤)
+// * `self`       (d, o, j) → (d, o, j)
+// * `descendant[-or-self]` (d, o, j) → (d∧j, o∧j∧d, ⊥)
+// * from a statically single input stream (at most one context tuple):
+//   `following-sibling` → (⊤, ⊤, ⊤), `preceding-sibling` → (⊤, ⊥, ⊤)
+//   (reverse document order), `parent` → (⊤, ⊤, ⊤). These do NOT
+//   generalise to multi-context streams — siblings of two distinct
+//   disjoint contexts can interleave and repeat, and parents of disjoint
+//   siblings coincide (see the counterexample tests).
+// * every other axis → ⊥ (conservative)
+
+/// Stream properties of one node attribute, and whether the stream is
+/// statically single.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Props {
+    /// Duplicate-free.
+    pub distinct: bool,
+    /// Non-decreasing document order.
+    pub ordered: bool,
+    /// No ancestor/descendant pairs.
+    pub disjoint: bool,
+    /// At most one tuple, whatever the attribute: the input on which the
+    /// sibling and parent transitions keep their guarantees.
+    pub single: bool,
+}
+
+impl Props {
+    /// Every guarantee: the one tuple of □.
+    pub(crate) const ALL: Props =
+        Props { distinct: true, ordered: true, disjoint: true, single: true };
+
+    /// No guarantee.
+    pub(crate) const NONE: Props = Props {
+        distinct: false,
+        ordered: false,
+        disjoint: false,
+        single: false,
+    };
+}
+
+/// The properties of a step's results, from those of its context
+/// attribute. A step's result stream is never statically single.
+fn axis_transition(axis: Axis, p: Props) -> Props {
+    let (distinct, ordered, disjoint) = match axis {
+        // From a statically single input, the siblings of one node are
+        // pairwise disjoint and duplicate-free; following-sibling emits
+        // them in document order, preceding-sibling in reverse; the
+        // parent of one node is at most one node. None of this holds
+        // for multi-context streams, however distinct/disjoint — two
+        // disjoint siblings' following-siblings overlap and restart,
+        // and disjoint siblings share a parent (counterexample tests
+        // below).
+        Axis::FollowingSibling | Axis::Parent if p.single => (true, true, true),
+        Axis::PrecedingSibling if p.single => (true, false, true),
+        // Duplicate parents interleave their (repeated) child runs, so
+        // order needs distinctness as well as disjointness.
+        Axis::Child => (p.distinct, p.ordered && p.disjoint && p.distinct, p.disjoint),
+        Axis::Attribute => (p.distinct, p.ordered, true),
+        Axis::SelfAxis => (p.distinct, p.ordered, p.disjoint),
+        Axis::Descendant | Axis::DescendantOrSelf => {
+            (p.distinct && p.disjoint, p.ordered && p.disjoint && p.distinct, false)
         }
-        None => lower(&mut agg.plan, sites, kernels),
+        _ => (false, false, false),
+    };
+    Props { distinct, ordered, disjoint, single: false }
+}
+
+/// Infer the properties of `attr`'s value stream at the output of
+/// `plan`. A Π^D or Sort the phase elides changes no attribute's
+/// properties, so the phase asks on the plan before eliding anything.
+pub(crate) fn props_of(plan: &LogicalOp, attr: &str) -> Props {
+    use LogicalOp as L;
+    match plan {
+        L::Singleton => Props::ALL,
+        // Filters keep subsequences; tuple-extending maps keep the
+        // stream; both preserve every property.
+        L::Select { input, .. }
+        | L::CounterMap { input, .. }
+        | L::MemoMap { input, .. }
+        | L::TmpCs { input, .. }
+        | L::MemoX { input, .. } => props_of(input, attr),
+        L::DedupBy { input, attr: a } => {
+            let p = props_of(input, attr);
+            Props { distinct: p.distinct || a == attr, ..p }
+        }
+        L::SortBy { input, attr: a } => {
+            let p = props_of(input, attr);
+            Props { ordered: p.ordered || a == attr, ..p }
+        }
+        L::Rename { input, from, to } => props_of(input, if to == attr { from } else { attr }),
+        L::MapExpr { input, attr: a, expr } if a == attr => match expr {
+            // Alias of another attribute.
+            ScalarExpr::Attr(b) => props_of(input, b),
+            // root(cn) maps every tuple to the same node: guarantees hold
+            // only for single-tuple inputs.
+            ScalarExpr::RootOf(_) if matches!(**input, L::Singleton) => Props::ALL,
+            _ => Props { single: props_of(input, attr).single, ..Props::NONE },
+        },
+        L::MapExpr { input, .. } => props_of(input, attr),
+        L::UnnestMap { input, context, attr: a, axis, .. } if a == attr => {
+            axis_transition(*axis, props_of(input, context))
+        }
+        L::SemiJoin { left, .. } | L::AntiJoin { left, .. } => {
+            Props { single: props_of(left, attr).single, ..Props::NONE }
+        }
+        // A step expands the stream, so its other attributes repeat;
+        // joins, unions and tokenisation give no guarantees.
+        L::UnnestMap { .. }
+        | L::DJoin { .. }
+        | L::Cross { .. }
+        | L::Concat { .. }
+        | L::TokenizeMap { .. } => Props::NONE,
     }
 }
 
@@ -87,8 +229,9 @@ fn lower_scalar(e: &mut ScalarExpr, sites: &[*const LogicalOp], kernels: &mut us
 // kernels' oracle.
 
 /// `agg` as a kernel, if it is one: not independent, `Exists` or `Count`,
-/// over one probe-free step on an axis Υ walks with its cursor (not the
-/// four interval axes its range scans serve), optionally under one σ
+/// over one probe-free, per-context step (not one a Π^D fused into) on
+/// an axis Υ walks with its cursor (not the four interval axes its range
+/// scans serve), optionally under one σ
 /// comparing the step's node with a constant, aggregating the step's
 /// attribute. The cost pass's probe rule narrows this one matcher.
 pub(crate) fn kernel_shape(agg: &AggExpr) -> Option<KernelExpr> {
@@ -106,7 +249,16 @@ pub(crate) fn kernel_shape(agg: &AggExpr) -> Option<KernelExpr> {
     let L::MapExpr { input: seed, attr: c, expr: ScalarExpr::Attr(source) } = &**left else {
         return None;
     };
-    let L::UnnestMap { input: leaf, context, attr: o, axis, test, probe: None, .. } = &**right
+    let L::UnnestMap {
+        input: leaf,
+        context,
+        attr: o,
+        axis,
+        test,
+        probe: None,
+        set: false,
+        ..
+    } = &**right
     else {
         return None;
     };
@@ -182,20 +334,30 @@ fn kernels_only(e: &ScalarExpr) -> bool {
 // differ in the attributes X defines; a site is fused only where no
 // consumer above can tell ([`permutable`]). One walk down the plan,
 // carrying the chain of consumers above the current operator on the
-// stack, decides that per site; it allocates only when it finds one.
+// stack, decides the fate of every Π^D and Sort; it allocates only when
+// it finds one that is not kept.
 
-/// The Π^D operators of `q` that become a set-mode Υ.
-fn fusable_sites(q: &CompiledQuery) -> Vec<&LogicalOp> {
-    let mut sites = Vec::new();
+/// What becomes of a Π^D or Sort the phase does not keep.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fate {
+    /// Its input already guarantees what it would establish.
+    Elided,
+    /// A Π^D folded into the set-mode Υ below it.
+    Fused,
+}
+
+/// The Π^D and Sort operators of `q` that are not kept, with their fate.
+fn decide(q: &CompiledQuery) -> Vec<(&LogicalOp, Fate)> {
+    let mut fates = Vec::new();
     match q {
         CompiledQuery::Sequence(plan) => {
             // The executor reads the result from `cn`.
             let end = Above { reader: Reader::Result("cn"), up: None };
-            walk(plan, &end, &mut sites);
+            walk(plan, &end, &mut fates);
         }
-        CompiledQuery::Scalar(expr) => walk_aggs(expr, &mut sites),
+        CompiledQuery::Scalar(expr) => walk_aggs(expr, &mut fates),
     }
-    sites
+    fates
 }
 
 /// One consumer of a stream, and the consumers of *its* output.
@@ -269,12 +431,13 @@ impl Above<'_, '_> {
 ///
 /// That Π^D ends the check if the same holds for it, with its own key —
 /// a permuted input then changes its output only in ways its consumers
-/// cannot tell either.
+/// cannot tell either. An elided operator is no consumer: the chain
+/// skips it.
 fn permutable<'p>(
     key: &str,
     below: &'p LogicalOp,
     above: &Above<'_, 'p>,
-    sites: &[&'p LogicalOp],
+    fates: &[(&'p LogicalOp, Fate)],
 ) -> bool {
     let mut seam = false;
     for here in above.chain() {
@@ -285,8 +448,9 @@ fn permutable<'p>(
         match here.reader {
             Reader::Seam | Reader::Op(LogicalOp::SortBy { .. }) => seam = true,
             Reader::Op(op @ LogicalOp::DedupBy { input, attr }) => {
-                return sites.iter().any(|s| std::ptr::eq(*s, op))
-                    || here.up.is_none_or(|up| permutable(attr, input, up, sites));
+                // In the chain, a Π^D with a fate is a fused one.
+                return fates.iter().any(|(s, _)| std::ptr::eq(*s, op))
+                    || here.up.is_none_or(|up| permutable(attr, input, up, fates));
             }
             Reader::Op(
                 LogicalOp::CounterMap { reset_on: group, .. }
@@ -315,14 +479,21 @@ fn keyed(g: &str, key: &str, above: &Above<'_, '_>, here: &Above<'_, '_>) -> boo
     }
 }
 
-/// Record the fusable sites of `op`'s subtree.
-fn walk<'p>(op: &'p LogicalOp, above: &Above<'_, 'p>, sites: &mut Vec<&'p LogicalOp>) {
+/// Record the fate of every Π^D and Sort of `op`'s subtree.
+fn walk<'p>(op: &'p LogicalOp, above: &Above<'_, 'p>, fates: &mut Vec<(&'p LogicalOp, Fate)>) {
     use LogicalOp as L;
-    if let L::DedupBy { input, attr } = op {
-        if let L::UnnestMap { attr: a, axis, probe: None, .. } = &**input {
-            if a == attr && axis.is_ppd() && permutable(attr, input, above, sites) {
-                sites.push(op);
-            }
+    if let L::DedupBy { input, attr } | L::SortBy { input, attr } = op {
+        let dedup = matches!(op, L::DedupBy { .. });
+        let p = props_of(input, attr);
+        if (dedup && p.distinct) || (!dedup && p.ordered) {
+            // Its input runs in its place, for the same consumers.
+            fates.push((op, Fate::Elided));
+            return walk(input, above, fates);
+        }
+        let step = matches!(&**input, L::UnnestMap { attr: a, axis, probe: None, .. }
+            if a == attr && axis.is_ppd());
+        if dedup && step && permutable(attr, input, above, fates) {
+            fates.push((op, Fate::Fused));
         }
     }
     let here = Above { reader: Reader::Op(op), up: Some(above) };
@@ -333,8 +504,8 @@ fn walk<'p>(op: &'p LogicalOp, above: &Above<'_, 'p>, sites: &mut Vec<&'p Logica
         | L::MapExpr { input, expr: e, .. }
         | L::MemoMap { input, expr: e, .. }
         | L::TokenizeMap { input, expr: e, .. } => {
-            walk_aggs(e, sites);
-            walk(input, &here, sites);
+            walk_aggs(e, fates);
+            walk(input, &here, fates);
         }
         L::DedupBy { input, .. }
         | L::Rename { input, .. }
@@ -342,29 +513,29 @@ fn walk<'p>(op: &'p LogicalOp, above: &Above<'_, 'p>, sites: &mut Vec<&'p Logica
         | L::UnnestMap { input, .. }
         | L::SortBy { input, .. }
         | L::TmpCs { input, .. }
-        | L::MemoX { input, .. } => walk(input, &here, sites),
+        | L::MemoX { input, .. } => walk(input, &here, fates),
         L::DJoin { left, right } | L::Cross { left, right } => {
-            walk(right, &seam, sites);
+            walk(right, &seam, fates);
             let seeded = Above { reader: Reader::Seeded(right), up: Some(above) };
-            walk(left, &seeded, sites);
+            walk(left, &seeded, fates);
         }
         L::SemiJoin { left, right, pred } | L::AntiJoin { left, right, pred } => {
-            walk_aggs(pred, sites);
-            walk(left, &here, sites);
-            walk(right, &Above { reader: Reader::Op(op), up: None }, sites);
+            walk_aggs(pred, fates);
+            walk(left, &here, fates);
+            walk(right, &Above { reader: Reader::Op(op), up: None }, fates);
         }
-        L::Concat { parts } => parts.iter().for_each(|part| walk(part, &seam, sites)),
+        L::Concat { parts } => parts.iter().for_each(|part| walk(part, &seam, fates)),
     }
 }
 
 /// Walk the nested plans of a subscript; each ends at its aggregate.
-fn walk_aggs<'p>(e: &'p ScalarExpr, sites: &mut Vec<&'p LogicalOp>) {
+fn walk_aggs<'p>(e: &'p ScalarExpr, fates: &mut Vec<(&'p LogicalOp, Fate)>) {
     match e {
         ScalarExpr::Agg(agg) => {
             let end = Above { reader: Reader::Result(&agg.over), up: None };
-            walk(&agg.plan, &end, sites);
+            walk(&agg.plan, &end, fates);
         }
-        _ => e.operands().for_each(|o| walk_aggs(o, sites)),
+        _ => e.operands().for_each(|o| walk_aggs(o, fates)),
     }
 }
 
@@ -415,15 +586,29 @@ mod tests {
         set_rows(&compile(q, opts).unwrap()).len()
     }
 
-    /// `Π^D[c2](Υ[c2:c1/descendant::*](χ[c1:root(cn)](□)))`.
+    /// The Π^D operators of `q` the walk fuses.
+    fn fused(q: &CompiledQuery) -> usize {
+        decide(q).iter().filter(|(_, fate)| *fate == Fate::Fused).count()
+    }
+
+    /// The EXPLAIN text of `q`'s improved translation after the phase.
+    fn lowered(q: &str) -> String {
+        let opts = TranslateOptions::improved();
+        explained(&physical(translate(&xpath_syntax::frontend(q).unwrap(), &opts).unwrap()).0)
+    }
+
+    /// `Π^D[c2](Υ[c2:c1/descendant::*](Υ[c1:c0/descendant-or-self::*](χ[c0:root(cn)](□))))`:
+    /// the contexts c1 nest, so the Π^D is not elided.
     fn site() -> LogicalOp {
         let start = LogicalOp::map(
             LogicalOp::Singleton,
-            "c1",
+            "c0",
             ScalarExpr::RootOf(Box::new(ScalarExpr::attr("cn"))),
         );
+        let contexts =
+            LogicalOp::unnest_map(start, "c0", "c1", Axis::DescendantOrSelf, NodeTest::Wildcard);
         LogicalOp::dedup(
-            LogicalOp::unnest_map(start, "c1", "c2", Axis::Descendant, NodeTest::Wildcard),
+            LogicalOp::unnest_map(contexts, "c1", "c2", Axis::Descendant, NodeTest::Wildcard),
             "c2",
         )
     }
@@ -482,9 +667,9 @@ mod tests {
         let canonical = TranslateOptions::canonical();
         for q in FIG5.iter().chain(&more) {
             let plan = translate(&xpath_syntax::frontend(q).unwrap(), &canonical).unwrap();
-            let found = fusable_sites(&plan);
+            let found = decide(&plan);
             assert!(found.is_empty(), "`{q}`");
-            assert_eq!(found.capacity(), 0, "`{q}`: no site, no allocation");
+            assert_eq!(found.capacity(), 0, "`{q}`: nothing elided or fused, no allocation");
             assert_eq!(sites(q, &canonical), 0, "`{q}`");
         }
     }
@@ -493,16 +678,16 @@ mod tests {
     fn a_read_of_an_attribute_defined_below_the_step_blocks_fusion() {
         // χ[v:c1] above the Π^D reads the step's context attribute.
         let reads_context = LogicalOp::map(site(), "v", ScalarExpr::attr("c1"));
-        assert!(fusable_sites(&to_cn(reads_context, "c2")).is_empty());
+        assert_eq!(fused(&to_cn(reads_context, "c2")), 0);
         // Reading the step's own result is fine.
         let reads_result = LogicalOp::map(site(), "v", ScalarExpr::attr("c2"));
-        assert_eq!(fusable_sites(&to_cn(reads_result, "c2")).len(), 1);
+        assert_eq!(fused(&to_cn(reads_result, "c2")), 1);
         // So is a read the plan's end makes of the result alone.
-        assert_eq!(fusable_sites(&to_cn(site(), "c2")).len(), 1);
+        assert_eq!(fused(&to_cn(site(), "c2")), 1);
         // And a read of c1 once χ[c1:0] has redefined it.
         let redefined = LogicalOp::map(site(), "c1", ScalarExpr::num(0.0));
         let reads_new = LogicalOp::map(redefined, "v", ScalarExpr::attr("c1"));
-        assert_eq!(fusable_sites(&to_cn(reads_new, "c2")).len(), 1);
+        assert_eq!(fused(&to_cn(reads_new, "c2")), 1);
     }
 
     #[test]
@@ -511,7 +696,7 @@ mod tests {
             unreachable!()
         };
         let with = |f: &dyn Fn(LogicalOp) -> LogicalOp| {
-            fusable_sites(&to_cn(LogicalOp::dedup(f((*input).clone()), "c2"), "c2")).len()
+            fused(&to_cn(LogicalOp::dedup(f((*input).clone()), "c2"), "c2"))
         };
         assert_eq!(with(&|step| step), 1);
         let probed = |mut step| {
@@ -532,7 +717,7 @@ mod tests {
     /// `site()` under `Υ[c3:c2/axis::*]` and `above`, read out through `c3`.
     fn under(axis: Axis, above: impl FnOnce(LogicalOp) -> LogicalOp) -> usize {
         let step = LogicalOp::unnest_map(site(), "c2", "c3", axis, NodeTest::Wildcard);
-        fusable_sites(&to_cn(above(step), "c3")).len()
+        fused(&to_cn(above(step), "c3"))
     }
 
     fn counter(input: LogicalOp, reset_on: Option<&str>) -> LogicalOp {
@@ -564,7 +749,7 @@ mod tests {
         assert_eq!(under(Axis::Child, sorted), 0, "a sort");
         let start = LogicalOp::map(LogicalOp::Singleton, "c0", ScalarExpr::attr("cn"));
         let per_tuple = counter(LogicalOp::djoin(start, site()), Some("c2"));
-        assert_eq!(fusable_sites(&to_cn(per_tuple, "c2")).len(), 0, "one run per left tuple");
+        assert_eq!(fused(&to_cn(per_tuple, "c2")), 0, "one run per left tuple");
     }
 
     #[test]
@@ -601,14 +786,14 @@ mod tests {
             "c2",
         );
         let djoin = LogicalOp::djoin(start.clone(), dependent);
-        assert_eq!(fusable_sites(&to_cn(djoin, "c2")).len(), 1);
+        assert_eq!(fused(&to_cn(djoin, "c2")), 1);
         let semi = |pred_attr: &str| {
             let plan = LogicalOp::SemiJoin {
                 left: Box::new(start.clone()),
                 right: Box::new(site()),
                 pred: ScalarExpr::attr(pred_attr),
             };
-            fusable_sites(&to_cn(plan, "c1")).len()
+            fused(&to_cn(plan, "c1"))
         };
         assert_eq!(semi("c2"), 1, "the predicate reads the match side's result");
         assert_eq!(semi("c1"), 0, "…or an attribute the match side defines below the step");
@@ -662,5 +847,167 @@ mod tests {
         ] {
             assert_eq!(kernel_rows(q, &improved), (0, true), "`{q}`");
         }
+    }
+
+    #[test]
+    fn child_chain_is_distinct_and_ordered() {
+        // The final dedup is elided.
+        let text = lowered("/a/b/c");
+        assert!(!text.contains("Π^D"), "{text}");
+    }
+
+    #[test]
+    fn attribute_step_preserves_order() {
+        let text = lowered("/a/b/@id");
+        assert!(!text.contains("Π^D"), "{text}");
+    }
+
+    #[test]
+    fn descendant_from_root_is_distinct() {
+        // A single descendant step from the (singleton) root: distinct,
+        // so both the pushed and the final dedups go away.
+        let text = lowered("/descendant::a");
+        assert!(!text.contains("Π^D"), "{text}");
+    }
+
+    #[test]
+    fn double_slash_keeps_child_distinct_but_not_parent_paths() {
+        // //a = descendant-or-self::node()/child::a: child of nested
+        // contexts stays distinct (single parent per node).
+        let text = lowered("//a");
+        assert!(!text.contains("Π^D"), "{text}");
+        // parent::* genuinely produces duplicates: dedup must survive
+        // (here as a set-mode step).
+        let text = lowered("/a/b/parent::*");
+        assert!(text.contains("Π^D"), "{text}");
+    }
+
+    #[test]
+    fn descendant_of_nested_contexts_keeps_dedup() {
+        // //a//b: the second descendant step starts from possibly nested
+        // a's — duplicates are possible, dedup must stay.
+        let text = lowered("//a//b");
+        assert!(text.contains("Π^D"), "{text}");
+    }
+
+    #[test]
+    fn filter_sort_pruned_on_ordered_input() {
+        // (/a/b)[2] sorts before the positional predicate; a child chain
+        // is already ordered.
+        let text = lowered("(/a/b)[2]");
+        assert!(!text.contains("Sort["), "{text}");
+        // A union is not provably ordered: Sort must stay.
+        let text = lowered("(/a/b | /a/c)[2]");
+        assert!(text.contains("Sort["), "{text}");
+    }
+
+    /// `Props::ALL` on more than one tuple.
+    const MANY: Props = Props { single: false, ..Props::ALL };
+
+    #[test]
+    fn transition_table() {
+        let child = axis_transition(Axis::Child, MANY);
+        assert!(child.distinct && child.ordered && child.disjoint);
+        let desc = axis_transition(Axis::Descendant, MANY);
+        assert!(desc.distinct && desc.ordered && !desc.disjoint);
+        let child_of_desc = axis_transition(Axis::Child, desc);
+        assert!(child_of_desc.distinct && !child_of_desc.ordered);
+        let attr = axis_transition(Axis::Attribute, desc);
+        assert!(attr.distinct && attr.ordered && attr.disjoint);
+        let anc = axis_transition(Axis::Ancestor, Props::ALL);
+        assert_eq!(anc, Props::NONE);
+    }
+
+    #[test]
+    fn sibling_and_parent_transitions_from_singleton_input() {
+        // Hand-computed: one context node c. following-sibling::* emits
+        // c's later siblings left-to-right — document order, pairwise
+        // disjoint (siblings never nest), no repeats.
+        let fs = axis_transition(Axis::FollowingSibling, Props::ALL);
+        assert_eq!(fs, MANY);
+        // preceding-sibling::* emits earlier siblings right-to-left:
+        // REVERSE document order — distinct and disjoint but not ordered.
+        let ps = axis_transition(Axis::PrecedingSibling, Props::ALL);
+        assert_eq!(ps, Props { ordered: false, ..MANY });
+        // parent of one node is at most one node: all three hold (but
+        // the step's stream is not statically single).
+        assert_eq!(axis_transition(Axis::Parent, Props::ALL), MANY);
+    }
+
+    #[test]
+    fn sibling_and_parent_transitions_stay_bottom_for_multi_context() {
+        // Counterexamples against the naive "preserve distinct∧disjoint"
+        // generalisation. Document <r><a/><b/><c/></r>:
+        // * contexts (a, b) are distinct∧disjoint∧ordered, yet their
+        //   following-siblings are b,c (from a) then c (from b) — the
+        //   stream b,c,c repeats c and restarts after c: neither
+        //   distinct nor ordered.
+        // * parents of (a, b) are r, r — duplicates.
+        for axis in [Axis::FollowingSibling, Axis::PrecedingSibling, Axis::Parent] {
+            // Best possible input properties, but more than one context
+            // tuple: no guarantees survive.
+            assert_eq!(axis_transition(axis, MANY), Props::NONE, "{axis:?}");
+        }
+    }
+
+    #[test]
+    fn single_holds_through_filters_and_maps_of_one_tuple_only() {
+        let root = LogicalOp::map(
+            LogicalOp::Singleton,
+            "c1",
+            ScalarExpr::RootOf(Box::new(ScalarExpr::attr("cn"))),
+        );
+        let filtered = LogicalOp::select(root.clone(), ScalarExpr::boolean(true));
+        assert_eq!(props_of(&filtered, "c1"), Props::ALL);
+        // Other attributes of the one tuple: nothing known but `single`.
+        let other = LogicalOp::map(filtered, "v", ScalarExpr::num(1.0));
+        assert_eq!(props_of(&other, "v"), Props { single: true, ..Props::NONE });
+        let semi = LogicalOp::SemiJoin {
+            left: Box::new(other),
+            right: Box::new(root.clone()),
+            pred: ScalarExpr::boolean(true),
+        };
+        assert_eq!(props_of(&semi, "c1"), Props { single: true, ..Props::NONE });
+        // A step expands the stream.
+        let step = LogicalOp::unnest_map(root, "c1", "c2", Axis::Child, NodeTest::Wildcard);
+        assert!(!props_of(&step, "c2").single);
+    }
+
+    #[test]
+    fn parent_of_singleton_context_prunes_dedup() {
+        // A top-level relative step runs against the single execution
+        // context node: statically ≤ 1 context tuple.
+        for q in ["parent::*", "following-sibling::*"] {
+            let text = lowered(q);
+            assert!(!text.contains("Π^D"), "{q}:\n{text}");
+        }
+    }
+
+    #[test]
+    fn multi_context_sibling_and_parent_keep_dedup() {
+        // /a/b yields statically many contexts: the counterexamples
+        // above are reachable, so Π^D must survive.
+        for q in [
+            "/a/b/parent::*",
+            "/a/b/following-sibling::*",
+            "/a/b/preceding-sibling::*",
+        ] {
+            let text = lowered(q);
+            assert!(text.contains("Π^D"), "{q}:\n{text}");
+        }
+    }
+
+    #[test]
+    fn the_phase_names_elided_operators() {
+        let improved = TranslateOptions::improved();
+        let pruned = |q: &str| {
+            physical(translate(&xpath_syntax::frontend(q).unwrap(), &improved).unwrap())
+                .1
+                .pruned
+        };
+        assert_eq!(pruned("/a/b/c"), ["Π^D[cn]"]);
+        // Nested plans report too, and an unprunable plan reports nothing.
+        assert!(!pruned("/a/b[parent::x]").is_empty(), "child-chain dedups inside get named");
+        assert!(pruned("/a/b/parent::*").is_empty());
     }
 }

@@ -17,7 +17,6 @@ use xpath_syntax::{analyze, fold::fold, frontend, parse, Expr, FrontendError};
 use crate::cost::{self, Decision, OptimizerTrace};
 use crate::options::{CostMode, TranslateOptions};
 use crate::physical::physical;
-use crate::properties;
 use crate::trace::{record_fired_rewrites, QueryTrace};
 use crate::translate::{translate, CompileError, CompiledQuery};
 
@@ -106,7 +105,7 @@ pub fn compile_ast_with_stats(
 }
 
 /// The phases after the front end, in order: translate → optimize (when
-/// [`cost_active`]) → prune → physical. With a trace, each is timed as
+/// [`cost_active`]) → physical. With a trace, each is timed as
 /// its own phase and what it rewrote is recorded; the produced query is
 /// the same either way.
 fn run_phases(
@@ -123,16 +122,9 @@ fn run_phases(
         }
         None => (q, None),
     };
-    let mut pruned = Vec::new();
-    let q = timed(&mut trace, "prune", || properties::prune_query(q, &mut pruned));
     let (q, lowered) = timed(&mut trace, "physical", || physical(q));
     if let Some(trace) = trace {
         trace.record_plan(&q);
-        trace.pruned_ops = pruned.len();
-        if !pruned.is_empty() {
-            trace.rewrites.push(format!("property-prune ×{}", pruned.len()));
-        }
-        trace.pruned_labels = pruned;
         record_fired_rewrites(trace, &q, lowered);
     }
     Ok((q, optimizer))
@@ -482,18 +474,10 @@ mod tests {
                         "fold",
                         "translate",
                         "optimize",
-                        "prune",
                         "physical",
                     ]
                 } else {
-                    &[
-                        "parse",
-                        "semantic",
-                        "fold",
-                        "translate",
-                        "prune",
-                        "physical",
-                    ]
+                    &["parse", "semantic", "fold", "translate", "physical"]
                 };
                 assert_eq!(names, want, "{opts:?} `{q}`");
                 assert!(trace.plan_ops > 0 || q == "1 + 2", "{q}: {}", trace.plan_ops);

@@ -15,7 +15,7 @@ use crate::translate::CompiledQuery;
 #[derive(Clone, Debug)]
 pub struct PhaseTiming {
     /// Phase name (`parse`, `semantic`, `fold`, `translate`, `optimize`,
-    /// `prune`, `physical`, `codegen`, `execute`).
+    /// `physical`, `codegen`, `execute`).
     pub name: String,
     /// Wall-clock nanoseconds spent in the phase.
     pub nanos: u64,
@@ -38,10 +38,10 @@ pub struct QueryTrace {
     pub plan_depth: usize,
     /// Operator counts by class, descending (`[("Υ", 4), ("Π^D", 2)]`).
     pub op_counts: Vec<(String, usize)>,
-    /// Operators removed by the property-based pruning extension.
+    /// Π^D and Sort operators the physical phase elided.
     pub pruned_ops: usize,
-    /// Labels of the operators the pruning extension elided, one per
-    /// site in bottom-up elision order (`Π^D[cn]`, `Sort[u1]`, …).
+    /// Labels of the operators the physical phase elided, one per site,
+    /// bottom-up (`Π^D[cn]`, `Sort[u1]`, …).
     pub pruned_labels: Vec<String>,
     /// The cost-based optimizer's record (`None` when the pass did not
     /// run: `CostMode::Off`, or no statistics available).
@@ -182,6 +182,11 @@ pub fn op_class(plan: &LogicalOp) -> &'static str {
 /// Count rewrites observable in the final query, plus what the physical
 /// phase rewrote, and record them.
 pub(crate) fn record_fired_rewrites(trace: &mut QueryTrace, q: &CompiledQuery, lowered: Lowered) {
+    trace.pruned_ops = lowered.pruned.len();
+    if !lowered.pruned.is_empty() {
+        trace.rewrites.push(format!("property-prune ×{}", lowered.pruned.len()));
+    }
+    trace.pruned_labels = lowered.pruned;
     let memox = trace.op_counts.iter().find(|(k, _)| k == "𝔐").map_or(0, |(_, n)| *n);
     if memox > 0 {
         trace.rewrites.push(format!("memoize-inner ×{memox}"));

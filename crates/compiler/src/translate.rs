@@ -70,8 +70,8 @@ impl ClauseCtx {
 }
 
 /// Translate an analyzed, folded expression into the algebra: the
-/// paper's translation and nothing more (the pipeline's later phases
-/// prune and fix the physical plan).
+/// paper's translation and nothing more (the physical phase prunes it
+/// and fixes its physical choices).
 pub fn translate(e: &Expr, opts: &TranslateOptions) -> Result<CompiledQuery, CompileError> {
     let mut tr = Translator { opts: *opts, next_id: 0, in_predicate: false };
     match static_type(e) {

@@ -401,7 +401,11 @@ impl<'a> Interpreter<'a> {
             "local-name" | "name" => {
                 let ns = self.eval_nodeset_arg(&args[0], ctx)?;
                 let first = ns.iter().min_by_key(|&&n| self.store.order(n));
-                QueryOutput::Str(first.map(|&n| self.store.node_name(n)).unwrap_or_default())
+                let qname = first.map(|&n| self.store.node_name(n)).unwrap_or_default();
+                QueryOutput::Str(match name {
+                    "local-name" => xvalue::local_name(&qname).to_owned(),
+                    _ => qname,
+                })
             }
             "namespace-uri" => QueryOutput::Str(String::new()),
             "string" => QueryOutput::Str(self.eval_str(&args[0], ctx)?),

@@ -145,7 +145,10 @@ pub fn run(
             Instr::NodeOp { f, dst, a } => {
                 regs[*dst] = Value::Str(
                     match (&regs[*a], f) {
-                        (Value::Node(n), NodeFn::Name | NodeFn::LocalName) => store.node_name(*n),
+                        (Value::Node(n), NodeFn::Name) => store.node_name(*n),
+                        (Value::Node(n), NodeFn::LocalName) => {
+                            xvalue::local_name(&store.node_name(*n)).to_owned()
+                        }
                         // Names are stored verbatim (no namespace expansion).
                         (Value::Node(_), NodeFn::NamespaceUri) => String::new(),
                         _ => String::new(),

@@ -35,13 +35,12 @@ pub use registry::{parse_exposition, Counter, Gauge, MetricsRegistry};
 
 /// The compile/execute pipeline phases, pre-registered so the exposition
 /// shows a stable series set from the first scrape.
-const PHASES: [&str; 9] = [
+const PHASES: [&str; 8] = [
     "parse",
     "semantic",
     "fold",
     "translate",
     "optimize",
-    "prune",
     "physical",
     "codegen",
     "execute",

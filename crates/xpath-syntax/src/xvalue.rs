@@ -206,6 +206,12 @@ pub fn string_length(s: &str) -> f64 {
     s.chars().count() as f64
 }
 
+/// `local-name()` of a stored name: the text after the prefix's `:`
+/// (names are stored verbatim, with no prefix expansion).
+pub fn local_name(qname: &str) -> &str {
+    qname.split_once(':').map_or(qname, |(_, local)| local)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

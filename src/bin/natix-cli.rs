@@ -444,7 +444,6 @@ fn main() {
         EngineConfig {
             cache_entries: args.cache_entries,
             cache_bytes: args.cache_bytes,
-            max_concurrent: 0,
         },
         Some(telemetry.clone()),
     );

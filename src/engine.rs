@@ -1,9 +1,9 @@
 //! The `Engine`/`Session` split (DESIGN.md §16): one shared, thread-safe
 //! [`Engine`] owning everything that outlives a client — the document
-//! registry (stores and their buffer pools), the [`Telemetry`] bundle,
-//! the compiled-plan cache and the admission gate — and cheap per-client
-//! [`Session`] values carrying what is client-local: translation options,
-//! resource limits, and the session's current document.
+//! registry (stores and their buffer pools), the [`Telemetry`] bundle
+//! and the compiled-plan cache — and cheap per-client [`Session`] values
+//! carrying what is client-local: translation options, resource limits,
+//! and the session's current document.
 //!
 //! Sessions are the only evaluation façade: one-shot embedders write
 //! `Engine::new().session()`, and the serving surfaces (the CLI, its
@@ -73,7 +73,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use compiler::{
@@ -153,16 +153,11 @@ pub struct EngineConfig {
     /// Plan-cache byte budget, charged per [`plan_weight`] against the
     /// cache's resource governor.
     pub cache_bytes: u64,
-    /// Admission gate: queries executing concurrently across all
-    /// sessions (`0` = unbounded). The query service layers its bounded
-    /// worker pool on top; this cap also protects embedders driving
-    /// sessions from their own threads.
-    pub max_concurrent: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
-        EngineConfig { cache_entries: 256, cache_bytes: 8 << 20, max_concurrent: 0 }
+        EngineConfig { cache_entries: 256, cache_bytes: 8 << 20 }
     }
 }
 
@@ -424,61 +419,6 @@ impl PlanCache {
     }
 }
 
-/// A counting semaphore gating concurrent query execution (admission
-/// control). `max == 0` disables the gate.
-struct Admission {
-    max: usize,
-    inflight: StdMutex<usize>,
-    freed: Condvar,
-}
-
-/// An admission slot; releases on drop.
-pub struct AdmitPermit<'a> {
-    gate: Option<&'a Admission>,
-}
-
-impl Drop for AdmitPermit<'_> {
-    fn drop(&mut self) {
-        if let Some(gate) = self.gate {
-            let mut n = gate.inflight.lock().expect("admission mutex");
-            *n -= 1;
-            gate.freed.notify_one();
-        }
-    }
-}
-
-impl Admission {
-    fn new(max: usize) -> Admission {
-        Admission { max, inflight: StdMutex::new(0), freed: Condvar::new() }
-    }
-
-    /// Block until a slot frees up.
-    fn admit(&self) -> AdmitPermit<'_> {
-        if self.max == 0 {
-            return AdmitPermit { gate: None };
-        }
-        let mut n = self.inflight.lock().expect("admission mutex");
-        while *n >= self.max {
-            n = self.freed.wait(n).expect("admission mutex");
-        }
-        *n += 1;
-        AdmitPermit { gate: Some(self) }
-    }
-
-    /// A slot if one is free right now.
-    fn try_admit(&self) -> Option<AdmitPermit<'_>> {
-        if self.max == 0 {
-            return Some(AdmitPermit { gate: None });
-        }
-        let mut n = self.inflight.lock().expect("admission mutex");
-        if *n >= self.max {
-            return None;
-        }
-        *n += 1;
-        Some(AdmitPermit { gate: Some(self) })
-    }
-}
-
 /// Epoch-related metric handles (detached when the engine carries no
 /// telemetry, the `natix_store_epoch`/`natix_epoch_readers`/
 /// `natix_index_repairs_total`/`natix_write_batch_clones_total` series
@@ -663,14 +603,13 @@ impl Drop for PinnedDoc {
 }
 
 /// The shared, thread-safe engine: document registry, telemetry, plan
-/// cache, admission gate. Wrap it in an [`Arc`] and mint a [`Session`]
-/// per client; everything on the engine is interior-mutable and safe
-/// under concurrent sessions.
+/// cache. Wrap it in an [`Arc`] and mint a [`Session`] per client;
+/// everything on the engine is interior-mutable and safe under
+/// concurrent sessions.
 pub struct Engine {
     config: EngineConfig,
     telemetry: Option<Arc<Telemetry>>,
     plan_cache: PlanCache,
-    admission: Admission,
     documents: RwLock<HashMap<String, DocEntry>>,
     /// Names with an open [`WriteBatch`] (single writer per document).
     writers: Mutex<HashSet<String>>,
@@ -704,7 +643,6 @@ impl Engine {
         };
         Arc::new(Engine {
             plan_cache: PlanCache::new(&config, counters),
-            admission: Admission::new(config.max_concurrent),
             documents: RwLock::new(HashMap::new()),
             writers: Mutex::new(HashSet::new()),
             epoch_metrics: EpochMetrics::new(telemetry.as_ref()),
@@ -788,16 +726,6 @@ impl Engine {
     /// The plan cache itself (tests hand-drive eviction sequences).
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
-    }
-
-    /// Block until the admission gate grants a slot.
-    pub fn admit(&self) -> AdmitPermit<'_> {
-        self.admission.admit()
-    }
-
-    /// A slot if the gate has one free right now (`None` = saturated).
-    pub fn try_admit(&self) -> Option<AdmitPermit<'_>> {
-        self.admission.try_admit()
     }
 
     /// Open a [`WriteBatch`] on `name` with an unlimited budget and no
@@ -1292,8 +1220,7 @@ impl Session {
     }
 
     /// The telemetry-integrated execution core shared by every session
-    /// entry point: admission, cached compile, governed execution,
-    /// registry fold.
+    /// entry point: cached compile, governed execution, registry fold.
     fn observe(
         &self,
         store: &dyn XmlStore,
@@ -1302,7 +1229,6 @@ impl Session {
         vars: &HashMap<String, Value>,
         profiled: bool,
     ) -> Result<(Result<QueryOutput, QueryError>, AnalyzeReport), NatixError> {
-        let _permit = self.engine.admit();
         let t0 = Instant::now();
         let (plan, trace, _hit) = match self.compile_cached_for(store, query) {
             Ok(v) => v,
@@ -1422,17 +1348,5 @@ mod tests {
         assert_eq!(s.evaluate(doc.store(), "string(/a/b)").unwrap(), QueryOutput::Str("x".into()));
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-    }
-
-    #[test]
-    fn admission_gate_counts() {
-        let engine = Engine::with_config(
-            EngineConfig { max_concurrent: 1, ..EngineConfig::default() },
-            None,
-        );
-        let p1 = engine.try_admit().expect("first slot");
-        assert!(engine.try_admit().is_none(), "gate of 1 is saturated");
-        drop(p1);
-        assert!(engine.try_admit().is_some(), "slot released on drop");
     }
 }

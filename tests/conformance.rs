@@ -15,7 +15,7 @@ const FIXTURE: &str = r#"<shop xml:lang="en">
   </dept>
   <dept name="tools">
     <item sku="t1" price="9.99"><name>hammer</name><stock>3</stock></item>
-    <item sku="t2" price="14.50"><name>saw</name><stock>7</stock></item>
+    <item sku="t2" price="14.50"><name>saw</name><stock>7</stock><p:x xmlns:p="urn:p" p:a="1"/></item>
   </dept>
   <note id="n1">check <b>stock</b> weekly</note>
   <!-- end of catalog -->
@@ -172,6 +172,15 @@ fn cases() -> Vec<(&'static str, Want)> {
         ("number(//item[1]/stock) + 1", Num(11.0)),
         ("name(//*[@sku='t1'])", Str("item")),
         ("local-name(//*[@sku='t1'])", Str("item")),
+        // Names are stored verbatim; local-name() drops the prefix, name()
+        // keeps the whole QName.
+        ("local-name(//item[@sku='t2']/*[3])", Str("x")),
+        ("name(//item[@sku='t2']/*[3])", Str("p:x")),
+        ("local-name(//item[@sku='t2']/*[3]/@p:a)", Str("a")),
+        ("name(//item[@sku='t2']/*[3]/@p:a)", Str("p:a")),
+        ("count(//*[local-name() = 'x'])", Num(1.0)),
+        ("local-name(/shop/@xml:lang)", Str("lang")),
+        ("name(/shop/@xml:lang)", Str("xml:lang")),
         ("namespace-uri(//item[1])", Str("")),
         // lang() from the document node is false (no ancestor element);
         // within the tree the root's xml:lang applies.

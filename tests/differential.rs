@@ -104,9 +104,10 @@ fn predicate_corpus_all_engines_agree() {
 }
 
 /// The physical phase changes how a plan runs, never what it returns:
-/// every corpus query lowered as the phase receives it (Υ + Π^D, nested
-/// predicate plans, χ^mat) and as it leaves it (set-mode steps, kernels,
-/// χ) answers alike, on indexed stores and through set mode's fallback.
+/// every corpus query lowered as the translation leaves it (every Π^D
+/// and Sort, Υ + Π^D, nested predicate plans, χ^mat) and as the phase
+/// leaves it (redundant Π^D and Sort elided, set-mode steps, kernels, χ)
+/// answers alike, on indexed stores and through set mode's fallback.
 #[test]
 fn physical_phase_preserves_every_corpus_answer() {
     let tree = generate_tree(TreeParams { max_elements: 300, fanout: 5, max_depth: 4 });
@@ -119,14 +120,14 @@ fn physical_phase_preserves_every_corpus_answer() {
         (&edge, PREDICATE_QUERIES),
     ];
     let vars = std::collections::HashMap::new();
-    let (mut set_steps, mut kernels) = (0, 0);
+    let (mut pruned, mut set_steps, mut kernels) = (0, 0, 0);
     for (store, queries) in corpora {
         for opts in [TranslateOptions::canonical(), TranslateOptions::improved()] {
             for q in queries {
                 let ast = xpath_syntax::frontend(q).unwrap();
-                let translated = compiler::translate(&ast, &opts).unwrap();
-                let before = compiler::properties::prune_query(translated, &mut Vec::new());
+                let before = compiler::translate(&ast, &opts).unwrap();
                 let (after, lowered) = compiler::physical::physical(before.clone());
+                pruned += lowered.pruned.len();
                 (set_steps, kernels) = (set_steps + lowered.set_steps, kernels + lowered.kernels);
                 for s in [store as &dyn XmlStore, &xmlstore::NoIndex(store)] {
                     let run = |q| nqe::build_physical(q).execute(s, &vars, s.root());
@@ -135,7 +136,10 @@ fn physical_phase_preserves_every_corpus_answer() {
             }
         }
     }
-    assert!(set_steps > 0 && kernels > 0, "{set_steps} set-mode steps, {kernels} kernels");
+    assert!(
+        pruned > 0 && set_steps > 0 && kernels > 0,
+        "{pruned} elided, {set_steps} set-mode steps, {kernels} kernels"
+    );
 }
 
 #[test]

@@ -26,14 +26,8 @@ const QUERIES: [&str; 8] = [
 ];
 
 fn engine(entries: usize, bytes: u64) -> (Arc<Engine>, Arc<Document>) {
-    let eng = Engine::with_config(
-        EngineConfig {
-            cache_entries: entries,
-            cache_bytes: bytes,
-            max_concurrent: 0,
-        },
-        None,
-    );
+    let eng =
+        Engine::with_config(EngineConfig { cache_entries: entries, cache_bytes: bytes }, None);
     let doc = eng.register_document(
         "dblp",
         Document::Arena(generate_dblp(DblpParams { records: 30, seed: 42 })),

@@ -298,10 +298,7 @@ fn rand_query_strategy() -> impl Strategy<Value = String> {
 /// Hoisted body (the vendored `proptest!` macro overflows its recursion
 /// limit on long inline bodies).
 fn random_corpus_differential(t: &RandTree, queries: &[String]) {
-    let engine = Engine::with_config(
-        EngineConfig { cache_entries: 8, cache_bytes: 1 << 20, max_concurrent: 0 },
-        None,
-    );
+    let engine = Engine::with_config(EngineConfig { cache_entries: 8, cache_bytes: 1 << 20 }, None);
     let mut b = ArenaBuilder::new();
     b.start_element("r");
     build_rand(t, &mut b);
