@@ -2,7 +2,7 @@
 //! notation (Fig. 2–4), for diagnostics and plan-shape tests. Every label
 //! is also the EXPLAIN ANALYZE label of the operator the plan lowers to.
 
-use crate::ops::{LogicalOp, ScanHint};
+use crate::ops::LogicalOp;
 use crate::scalar::{KernelExpr, ScalarExpr};
 
 /// Render a plan as an indented operator tree.
@@ -39,14 +39,8 @@ pub fn op_label(plan: &LogicalOp) -> String {
         LogicalOp::Cross { .. } => "×".to_owned(),
         LogicalOp::SemiJoin { pred, .. } => format!("⋉[{pred}]"),
         LogicalOp::AntiJoin { pred, .. } => format!("▷[{pred}]"),
-        LogicalOp::UnnestMap { context, attr, axis, test, hint, probe, set, .. } => {
-            let mut label = match hint {
-                // `Auto` renders exactly as before the hint existed, so
-                // every `CostMode::Off` plan keeps its historical label.
-                ScanHint::Auto => format!("Υ[{attr}:{context}/{axis}::{test}]"),
-                ScanHint::Range => format!("Υ[{attr}:{context}/{axis}::{test} hint=range]"),
-                ScanHint::Cursor => format!("Υ[{attr}:{context}/{axis}::{test} hint=cursor]"),
-            };
+        LogicalOp::UnnestMap { context, attr, axis, test, probe, set, .. } => {
+            let mut label = format!("Υ[{attr}:{context}/{axis}::{test}]");
             if let Some(p) = probe {
                 label.pop();
                 label.push_str(&format!(" probe={p}]"));

@@ -17,25 +17,6 @@ use crate::scalar::ScalarExpr;
 /// Symbolic attribute name (`cn`, `c1`, `cp`, `cs`, …).
 pub type Attr = String;
 
-/// Physical-kernel hint on an [`LogicalOp::UnnestMap`]: which axis
-/// kernel the executor should bind. `Auto` (the translation default)
-/// lets the runtime probe the structural index per context node; the
-/// cost-based optimizer pins `Cursor` where the estimated scan span
-/// dwarfs the axis output, making the pointer-chasing cursor cheaper
-/// than a near-empty range scan.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScanHint {
-    /// Runtime decides per context node (range scan when the index
-    /// offers one, cursor otherwise).
-    #[default]
-    Auto,
-    /// Prefer the index range scan (the runtime still falls back to a
-    /// cursor when no index exists).
-    Range,
-    /// Skip the index probe and walk the axis with a cursor.
-    Cursor,
-}
-
 /// What a content-index probe addresses (mirrors
 /// `xmlstore::ContentKind` without a crate dependency).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -184,9 +165,6 @@ pub enum LogicalOp {
         axis: Axis,
         /// The node test.
         test: NodeTest,
-        /// Physical axis-kernel hint (`Auto` unless the optimizer pinned
-        /// a kernel).
-        hint: ScanHint,
         /// Content-index probe pinned by the cost-based optimizer
         /// (`None` unless an equality predicate above this Υ was
         /// recognised as index-answerable).
@@ -255,7 +233,6 @@ impl LogicalOp {
             attr: attr.into(),
             axis,
             test,
-            hint: ScanHint::Auto,
             probe: None,
             set: false,
         }

@@ -7,11 +7,11 @@
 //! The paper applies its §4 improvements unconditionally; its own
 //! Figure 10 shows them trading places with the canonical translation
 //! depending on document shape and predicate selectivity. This pass
-//! runs after translation (before property pruning, so both the traced
-//! and untraced pipelines share it) and makes five families of
+//! runs after translation (before the physical phase, so both the traced
+//! and untraced pipelines share it) and makes three families of
 //! decisions, every one a byte-exact inverse of a translation emission
-//! so the rewritten plan is always a plan some `TranslateOptions` could
-//! have produced:
+//! or a pre-filter annotation, so the rewritten plan always returns what
+//! the translated one does:
 //!
 //! * **memoize-inner** — drop a `𝔐` (MemoX) around an inner relative
 //!   path when the estimated number of distinct memo keys approaches
@@ -21,9 +21,6 @@
 //! * **split-expensive** — fuse `σ[v] ∘ χ^mat[v:e]` back into `σ[e]`
 //!   when the expensive clause is estimated cheap relative to the memo
 //!   table's per-probe hashing and per-entry materialisation.
-//! * **scan-kernel** — pin the Υ axis kernel (`hint=range|cursor`) on
-//!   the four interval axes by estimated scan span: tiny spans are
-//!   cheaper to walk by pointer than to probe the index for.
 //! * **index-probe** — annotate the Υ under a `step[@a='v']` /
 //!   `step[e='v']` predicate with a [`ProbeSpec`] when the store's
 //!   persistent content index is estimated to enumerate fewer
@@ -31,9 +28,11 @@
 //!   pre-filter hint: stores without a content index (or with the name
 //!   uncovered) fall back to the plain scan at runtime, so the
 //!   predicate is never removed.
-//! * **outer-shape** — (driven by the pipeline, which owns the AST)
-//!   estimate the stacked §4.2.1 outer-path plan against the canonical
-//!   d-join §3 plan and keep the cheaper whole-query shape.
+//!
+//! The outer path keeps the shape the translation gave it (stacked,
+//! §4.2.1, in every preset but the canonical one): the model cannot
+//! price the §3 d-join apart from it (equal, or two ULPs apart at most,
+//! on every pinned query), so the pass does not choose between them.
 //!
 //! The estimator is deliberately simple — per-axis output-cardinality
 //! formulas over tag counts, mean fan-out, mean subtree sizes, and a
@@ -43,16 +42,14 @@
 //! estimates in physical profile order so EXPLAIN ANALYZE can print
 //! estimated vs. actual cardinalities, and every [`Decision`] carries
 //! both sides' costs. No other walk formats a label, and probes borrow
-//! the environment instead of copying it (see [`Env::scoped`]); both
-//! keep every floating-point operation in its order, since the
-//! outer-shape choice can tie to the last bit.
+//! the environment instead of copying it (see [`Env::scoped`]).
 
 use xmlstore::{Axis, StoreStats};
 use xpath_syntax::{KindTest, NodeTest};
 
 use algebra::explain::{kernel_label, op_label};
 use algebra::scalar::{AggFunc, CmpMode, ConstCmp, KernelExpr};
-use algebra::{Const, LogicalOp, ProbeKind, ProbeSpec, ScalarExpr, ScanHint};
+use algebra::{Const, LogicalOp, ProbeKind, ProbeSpec, ScalarExpr};
 use xpath_syntax::CompOp;
 
 use crate::physical::kernel_shape;
@@ -66,12 +63,9 @@ const MEMO_STORE: f64 = 4.0;
 const DEDUP_UNIT: f64 = 2.0;
 /// Per-tuple-per-comparison unit of Sort.
 const SORT_UNIT: f64 = 4.0;
-/// Fixed cost of setting up one index range scan (rank lookup +
-/// interval arithmetic) per context node.
+/// Fixed cost of setting up one content-index probe window per context
+/// node: a rank lookup and interval arithmetic.
 const RANGE_PROBE: f64 = 4.0;
-/// Per-hop cost of the pointer-chasing cursor relative to the range
-/// scan's dense-array advance (1.0).
-const CURSOR_HOP: f64 = 2.0;
 /// Selectivity of a comparison predicate.
 const CMP_SEL: f64 = 0.25;
 /// Selectivity of an equality against a constant over a content-indexed
@@ -88,11 +82,10 @@ const DEFAULT_SEL: f64 = 0.5;
 pub struct Decision {
     /// Operator label at the decision site (`𝔐[c1]`, `χ^mat[…]`, …).
     pub site: String,
-    /// Decision family: `memoize-inner`, `split-expensive`,
-    /// `scan-kernel`, `index-probe` or `outer-shape`.
+    /// Decision family: `memoize-inner`, `split-expensive` or
+    /// `index-probe`.
     pub rule: &'static str,
-    /// What was chosen (`keep`, `drop`, `fuse`, `range`, `cursor`,
-    /// `probe`, `scan`, `stacked`, `d-join`).
+    /// What was chosen (`keep`, `drop`, `fuse`, `probe`, `scan`).
     pub choice: &'static str,
     /// Estimated cost of the chosen alternative.
     pub est_chosen: f64,
@@ -134,12 +127,6 @@ pub fn optimize(mut q: CompiledQuery, stats: &StoreStats) -> (CompiledQuery, Vec
     (q, opt.decisions)
 }
 
-/// Estimated total cost of a query (the pipeline's outer-shape
-/// comparator).
-pub fn estimate_total(q: &CompiledQuery, stats: &StoreStats) -> f64 {
-    Estimator { stats, rec: None }.query(q)
-}
-
 /// Per-operator cardinality estimates, in the order the profiled
 /// physical build registers operators (pre-order; a scalar query gets
 /// its synthetic `scalar[…]` root first). EXPLAIN ANALYZE pairs these
@@ -150,7 +137,15 @@ pub fn estimate_operators(q: &CompiledQuery, stats: &StoreStats) -> Vec<OpEstima
         rec.push(OpEstimate { label: format!("scalar[{expr}]"), est_tuples: 1.0 });
     }
     let mut est = Estimator { stats, rec: Some(rec) };
-    est.query(q);
+    let mut env = Env::seed(stats);
+    match q {
+        CompiledQuery::Sequence(plan) => {
+            est.est(plan, 1.0, &mut env);
+        }
+        CompiledQuery::Scalar(expr) => {
+            est.pred_cost(expr, 1.0, &mut env);
+        }
+    }
     est.rec.unwrap_or_default()
 }
 
@@ -305,15 +300,6 @@ impl Estimator<'_> {
                 }
                 NodeTest::Kind(_) => 0.0,
             },
-        }
-    }
-
-    /// Estimate a whole query from the execution context.
-    fn query(&mut self, q: &CompiledQuery) -> f64 {
-        let mut env = Env::seed(self.stats);
-        match q {
-            CompiledQuery::Sequence(plan) => self.est(plan, 1.0, &mut env).cost,
-            CompiledQuery::Scalar(expr) => self.pred_cost(expr, 1.0, &mut env),
         }
     }
 
@@ -608,21 +594,8 @@ impl Optimizer<'_> {
                     *plan = std::mem::replace(&mut **input, L::Singleton);
                 }
             }
-            L::UnnestMap { input, context, attr, axis, test, hint, .. } => {
+            L::UnnestMap { input, .. } => {
                 self.rewrite(input, opens, env);
-                if axis.is_interval() {
-                    let ctx_scope = env.scope(context).unwrap_or(self.est.stats.mean_subtree);
-                    let span = self.est.scan_span(*axis, ctx_scope);
-                    let range = RANGE_PROBE + span;
-                    let cursor = span * CURSOR_HOP;
-                    let site = format!("Υ[{attr}:{context}/{axis}::{test}]");
-                    let (c, r) = (("cursor", cursor), ("range", range));
-                    *hint = if self.decide(site, "scan-kernel", cursor < range, c, r) {
-                        ScanHint::Cursor
-                    } else {
-                        ScanHint::Range
-                    };
-                }
                 self.est.bind(plan, env);
             }
             L::DJoin { left, right } | L::Cross { left, right } => {
@@ -852,8 +825,10 @@ mod tests {
         let small = generate_dblp(DblpParams { records: 5, seed: 7 });
         let large = generate_dblp(DblpParams { records: 100, seed: 7 });
         let q = compile("/dblp/article/title", &TranslateOptions::improved()).unwrap();
-        let cs = estimate_total(&q, small.structural_index().unwrap().stats());
-        let cl = estimate_total(&q, large.structural_index().unwrap().stats());
+        let root = |store: &dyn XmlStore| {
+            estimate_operators(&q, store.structural_index().unwrap().stats())[0].est_tuples
+        };
+        let (cs, cl) = (root(&small), root(&large));
         assert!(cl > cs, "bigger document, bigger estimate ({cs} vs {cl})");
     }
 
@@ -889,20 +864,10 @@ mod tests {
         let q =
             compile("/dblp/article[author/text()]/title", &TranslateOptions::improved()).unwrap();
         let (opt, decisions) = optimize(q, &stats);
-        assert!(!decisions.is_empty(), "at least the scan/memo sites decide");
+        assert!(!decisions.is_empty(), "at least the memo sites decide");
         for d in &decisions {
             assert!(d.est_chosen <= d.est_rejected, "chosen side must be the cheaper: {d:?}");
-            assert!(
-                matches!(
-                    d.rule,
-                    "memoize-inner"
-                        | "split-expensive"
-                        | "scan-kernel"
-                        | "index-probe"
-                        | "outer-shape"
-                ),
-                "{d:?}"
-            );
+            assert!(matches!(d.rule, "memoize-inner" | "split-expensive" | "index-probe"), "{d:?}");
         }
         // Whatever was decided, the result is still a valid plan.
         match opt {
@@ -962,7 +927,7 @@ mod tests {
         let memo = decisions.iter().find(|d| d.rule == "memoize-inner");
         if let Some(d) = memo {
             if d.choice == "drop" {
-                // After also fusing/rehinting `off` the shapes must agree;
+                // After also fusing `off` the shapes must agree;
                 // compare through a fresh optimize of the off-plan, which
                 // has no MemoX to decide about.
                 let (off_opt, off_decisions) = optimize(off, &stats);

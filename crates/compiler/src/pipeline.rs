@@ -14,7 +14,7 @@ use std::time::Instant;
 use xmlstore::StoreStats;
 use xpath_syntax::{analyze, fold::fold, frontend, parse, Expr, FrontendError};
 
-use crate::cost::{self, Decision, OptimizerTrace};
+use crate::cost::{self, OptimizerTrace};
 use crate::options::{CostMode, TranslateOptions};
 use crate::physical::physical;
 use crate::trace::{record_fired_rewrites, QueryTrace};
@@ -117,8 +117,8 @@ fn run_phases(
     let q = timed(&mut trace, "translate", || translate(ast, opts))?;
     let (q, optimizer) = match stats.filter(|_| cost_active(opts, stats)) {
         Some(stats) => {
-            let (q, t) = timed(&mut trace, "optimize", || optimize_phase(ast, q, opts, stats))?;
-            (q, Some(t))
+            let (q, decisions) = timed(&mut trace, "optimize", || cost::optimize(q, stats));
+            (q, Some(OptimizerTrace { stats_fingerprint: stats.fingerprint, decisions }))
         }
         None => (q, None),
     };
@@ -138,48 +138,6 @@ fn timed<T>(trace: &mut Option<&mut QueryTrace>, name: &str, phase: impl FnOnce(
         trace.add_phase(name, t0.elapsed().as_nanos() as u64);
     }
     out
-}
-
-/// The cost-based optimizer phase: per-site rewrites over the translated
-/// plan, plus the whole-query outer-shape decision (stacked §4.2.1 vs.
-/// canonical d-join §3), which needs the AST to translate the
-/// alternative.
-fn optimize_phase(
-    ast: &Expr,
-    compiled: CompiledQuery,
-    opts: &TranslateOptions,
-    stats: &StoreStats,
-) -> Result<(CompiledQuery, OptimizerTrace), PipelineError> {
-    let (best, mut decisions) = cost::optimize(compiled, stats);
-    let (best, decisions) = if opts.stacked_outer {
-        let alt = translate(ast, &TranslateOptions { stacked_outer: false, ..*opts })?;
-        let (alt, alt_decisions) = cost::optimize(alt, stats);
-        let est_stacked = cost::estimate_total(&best, stats);
-        let est_djoin = cost::estimate_total(&alt, stats);
-        if est_djoin < est_stacked {
-            let mut decisions = alt_decisions;
-            decisions.push(Decision {
-                site: "outer path".to_owned(),
-                rule: "outer-shape",
-                choice: "d-join",
-                est_chosen: est_djoin,
-                est_rejected: est_stacked,
-            });
-            (alt, decisions)
-        } else {
-            decisions.push(Decision {
-                site: "outer path".to_owned(),
-                rule: "outer-shape",
-                choice: "stacked",
-                est_chosen: est_stacked,
-                est_rejected: est_djoin,
-            });
-            (best, decisions)
-        }
-    } else {
-        (best, decisions)
-    };
-    Ok((best, OptimizerTrace { stats_fingerprint: stats.fingerprint, decisions }))
 }
 
 /// Compile with per-phase tracing: each pipeline phase is timed
@@ -568,9 +526,6 @@ mod tests {
             assert_eq!(ot, tt, "{q}");
             assert_eq!(ot.stats_fingerprint, stats.fingerprint);
             assert!(trace.phases.iter().any(|p| p.name == "optimize"), "{:?}", trace.phases);
-            // Every path query makes at least a scan-kernel or outer-shape
-            // decision.
-            assert!(!ot.decisions.is_empty(), "{q}");
         }
     }
 

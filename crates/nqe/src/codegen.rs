@@ -220,15 +220,15 @@ impl<'m> Codegen<'m> {
             }
             LogicalOp::SemiJoin { left, right, pred } => self.build_semi(left, right, pred, false),
             LogicalOp::AntiJoin { left, right, pred } => self.build_semi(left, right, pred, true),
-            LogicalOp::UnnestMap { input, context, attr, axis, test, hint, probe, set } => {
+            LogicalOp::UnnestMap { input, context, attr, axis, test, probe, set } => {
                 let input = self.build_iter(input);
                 let ctx = self.mgr.slot(context);
                 let out = self.mgr.slot(attr);
                 let (axis, test) = (*axis, test.clone());
                 Box::new(if *set {
-                    UnnestMapIter::set_at_a_time(input, ctx, out, axis, test, *hint)
+                    UnnestMapIter::set_at_a_time(input, ctx, out, axis, test)
                 } else {
-                    UnnestMapIter::new(input, ctx, out, axis, test, *hint, probe.clone())
+                    UnnestMapIter::new(input, ctx, out, axis, test, probe.clone())
                 })
             }
             LogicalOp::TokenizeMap { input, attr, expr } => {

@@ -7,7 +7,7 @@ use xmlstore::{Axis, AxisCursor, ContentKind, NodeId, NodeKind, RangeScan, Struc
 use xpath_syntax::NodeTest;
 
 use algebra::attrmgr::Slot;
-use algebra::{ProbeKind, ProbeSpec, ScanHint, Tuple, Value};
+use algebra::{ProbeKind, ProbeSpec, Tuple, Value};
 
 use crate::exec::Runtime;
 use crate::governor::{tuple_bytes, ChargeLedger};
@@ -118,9 +118,6 @@ pub struct UnnestMapIter {
     out: Slot,
     axis: Axis,
     test: NodeTest,
-    /// Optimizer kernel hint: `Cursor` skips the per-context index probe
-    /// entirely; `Auto`/`Range` probe the index and fall back.
-    hint: ScanHint,
     /// Content-index pre-filter (`step[@a='v']` / `step[e='v']`): when
     /// the store's persistent content index covers the key, candidates
     /// come from its postings instead of an axis scan. A lossless
@@ -163,7 +160,6 @@ impl UnnestMapIter {
         out: Slot,
         axis: Axis,
         test: NodeTest,
-        hint: ScanHint,
         probe: Option<ProbeSpec>,
     ) -> UnnestMapIter {
         UnnestMapIter {
@@ -172,7 +168,6 @@ impl UnnestMapIter {
             out,
             axis,
             test,
-            hint,
             probe,
             postings: None,
             resolved: None,
@@ -192,19 +187,17 @@ impl UnnestMapIter {
     /// once, in ascending document order where the store's index ranks
     /// every context, on the frame of the input's first tuple — so only
     /// plans that read no attribute defined below the step may use it
-    /// (the compiler's physical phase decides, DESIGN.md §12). `hint` steers
-    /// only the fallback's per-context walks.
+    /// (the compiler's physical phase decides, DESIGN.md §12).
     pub fn set_at_a_time(
         input: Box<dyn PhysIter>,
         ctx: Slot,
         out: Slot,
         axis: Axis,
         test: NodeTest,
-        hint: ScanHint,
     ) -> UnnestMapIter {
         UnnestMapIter {
             set: Some(Box::default()),
-            ..UnnestMapIter::new(input, ctx, out, axis, test, hint, None)
+            ..UnnestMapIter::new(input, ctx, out, axis, test, None)
         }
     }
 
@@ -579,21 +572,15 @@ impl UnnestMapIter {
                     }
                 }
             }
-            // A `Cursor` hint skips the index probe: the optimizer
-            // estimated the scan span to dwarf the axis output, so the
-            // cursor is the chosen kernel, not a fallback.
-            let probed = if self.hint == ScanHint::Cursor {
-                None
-            } else {
-                rt.store.structural_index().and_then(|idx| idx.range_scan(self.axis, node))
-            };
+            let probed =
+                rt.store.structural_index().and_then(|idx| idx.range_scan(self.axis, node));
             let scan = match probed {
                 Some(range) => {
                     self.range_scans += 1;
                     Scan::Range(range)
                 }
                 None => {
-                    if self.axis.is_interval() && self.hint != ScanHint::Cursor {
+                    if self.axis.is_interval() {
                         self.cursor_fallbacks += 1;
                     }
                     self.cursor.start(rt.store, self.axis, node);

@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use algebra::{QueryError, ScanHint, Tuple, Value};
+use algebra::{QueryError, Tuple, Value};
 use compiler::{ResourceLimits, TranslateOptions};
 use xmlstore::{parse_document, ArenaStore, Axis, XmlStore};
 use xpath_syntax::NodeTest;
@@ -28,15 +28,7 @@ fn seed(store: &ArenaStore) -> Tuple {
 }
 
 fn unnest(ctx: usize, out: usize, axis: Axis, test: NodeTest) -> Box<dyn PhysIter> {
-    Box::new(UnnestMapIter::new(
-        Box::new(SingletonIter::new()),
-        ctx,
-        out,
-        axis,
-        test,
-        ScanHint::Auto,
-        None,
-    ))
+    Box::new(UnnestMapIter::new(Box::new(SingletonIter::new()), ctx, out, axis, test, None))
 }
 
 fn drain(it: &mut dyn PhysIter, rt: &Runtime<'_>, seed: &Tuple) -> Vec<Tuple> {

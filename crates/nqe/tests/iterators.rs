@@ -5,8 +5,8 @@
 use std::collections::HashMap;
 
 use algebra::scalar::{AggFunc, CmpMode};
-use algebra::{ScanHint, Tuple, Value};
-use xmlstore::{parse_document, ArenaStore, Axis, XmlStore};
+use algebra::{Tuple, Value};
+use xmlstore::{parse_document, ArenaStore, Axis, NoIndex, XmlStore};
 use xpath_syntax::{CompOp, NodeTest};
 
 use nqe::iter::{
@@ -49,15 +49,7 @@ fn drain(it: &mut dyn PhysIter, rt: &Runtime<'_>, seed: &Tuple) -> Vec<Tuple> {
 }
 
 fn unnest(ctx: usize, out: usize, axis: Axis, test: NodeTest) -> Box<dyn PhysIter> {
-    Box::new(UnnestMapIter::new(
-        Box::new(SingletonIter::new()),
-        ctx,
-        out,
-        axis,
-        test,
-        ScanHint::Auto,
-        None,
-    ))
+    Box::new(UnnestMapIter::new(Box::new(SingletonIter::new()), ctx, out, axis, test, None))
 }
 
 #[test]
@@ -102,7 +94,6 @@ fn djoin_reopens_dependent_side_per_left_tuple() {
         2,
         Axis::Child,
         NodeTest::Name("b".into()),
-        ScanHint::Auto,
         None,
     ));
     let mut join = DJoinIter::new(left, right);
@@ -122,15 +113,8 @@ fn counter_resets_on_group_change() {
     let gov = ResourceGovernor::unlimited();
     let rt = rt(&s, &vars, &gov);
     let left = unnest(0, 1, Axis::Descendant, NodeTest::Name("a".into()));
-    let step = Box::new(UnnestMapIter::new(
-        left,
-        1,
-        2,
-        Axis::Child,
-        NodeTest::Name("b".into()),
-        ScanHint::Auto,
-        None,
-    ));
+    let step =
+        Box::new(UnnestMapIter::new(left, 1, 2, Axis::Child, NodeTest::Name("b".into()), None));
     let mut counter = CounterIter::new(step, 3, Some(1));
     let out = drain(&mut counter, &rt, &seed(&s));
     let positions: Vec<f64> = out
@@ -150,15 +134,8 @@ fn tmpcs_annotates_group_sizes() {
     let gov = ResourceGovernor::unlimited();
     let rt = rt(&s, &vars, &gov);
     let left = unnest(0, 1, Axis::Descendant, NodeTest::Name("a".into()));
-    let step = Box::new(UnnestMapIter::new(
-        left,
-        1,
-        2,
-        Axis::Child,
-        NodeTest::Name("b".into()),
-        ScanHint::Auto,
-        None,
-    ));
+    let step =
+        Box::new(UnnestMapIter::new(left, 1, 2, Axis::Child, NodeTest::Name("b".into()), None));
     let mut tmpcs = TmpCsIter::new(step, 3, Some(1));
     let out = drain(&mut tmpcs, &rt, &seed(&s));
     let sizes: Vec<f64> = out
@@ -171,15 +148,8 @@ fn tmpcs_annotates_group_sizes() {
     assert_eq!(sizes, [2.0, 2.0, 1.0], "per-context sizes");
     // Ungrouped variant counts the whole input (Tmp^cs).
     let left = unnest(0, 1, Axis::Descendant, NodeTest::Name("a".into()));
-    let step = Box::new(UnnestMapIter::new(
-        left,
-        1,
-        2,
-        Axis::Child,
-        NodeTest::Name("b".into()),
-        ScanHint::Auto,
-        None,
-    ));
+    let step =
+        Box::new(UnnestMapIter::new(left, 1, 2, Axis::Child, NodeTest::Name("b".into()), None));
     let mut tmpcs = TmpCsIter::new(step, 3, None);
     let out = drain(&mut tmpcs, &rt, &seed(&s));
     assert!(out.iter().all(|t| matches!(t[3], Value::Num(n) if n == 3.0)));
@@ -193,15 +163,7 @@ fn dedup_keeps_first_occurrence() {
     let rt = rt(&s, &vars, &gov);
     // b/parent::a produces each <a> per child b.
     let bs = unnest(0, 1, Axis::Descendant, NodeTest::Name("b".into()));
-    let parents = Box::new(UnnestMapIter::new(
-        bs,
-        1,
-        2,
-        Axis::Parent,
-        NodeTest::Wildcard,
-        ScanHint::Auto,
-        None,
-    ));
+    let parents = Box::new(UnnestMapIter::new(bs, 1, 2, Axis::Parent, NodeTest::Wildcard, None));
     let mut dedup = DedupIter::new(parents, 2);
     let out = drain(&mut dedup, &rt, &seed(&s));
     assert_eq!(out.len(), 2, "three b-parents collapse to two distinct <a>");
@@ -225,7 +187,6 @@ fn sort_establishes_document_order() {
         2,
         Axis::Preceding,
         NodeTest::Name("b".into()),
-        ScanHint::Auto,
         None,
     ));
     let mut sort = SortIter::new(prec, 2);
@@ -393,15 +354,8 @@ fn nested_predicate_rebinding_cn_does_not_leak_into_the_outer_frame() {
             vec![],
         ),
     );
-    let step = UnnestMapIter::new(
-        Box::new(rebind),
-        0,
-        2,
-        Axis::Child,
-        NodeTest::Name("b".into()),
-        ScanHint::Auto,
-        None,
-    );
+    let step =
+        UnnestMapIter::new(Box::new(rebind), 0, 2, Axis::Child, NodeTest::Name("b".into()), None);
     let outer = unnest(0, 1, Axis::Descendant, NodeTest::Name("a".into()));
     let mut select = SelectIter::new(outer, nested_pred(Box::new(step), 2, AggFunc::Exists));
     let out = drain(&mut select, &rt, &seed(&s));
@@ -423,8 +377,7 @@ fn memox_replay_does_not_overwrite_the_outer_binding() {
     // b children (slot 2) through 𝔐 keyed on slot 1 into slot 4, so the
     // second count is a replay of rows recorded while slot 3 held b₁.
     let bs = unnest(0, 3, Axis::Descendant, NodeTest::Name("b".into()));
-    let parents =
-        UnnestMapIter::new(bs, 3, 1, Axis::Parent, NodeTest::Wildcard, ScanHint::Auto, None);
+    let parents = UnnestMapIter::new(bs, 3, 1, Axis::Parent, NodeTest::Wildcard, None);
     let children = unnest(1, 2, Axis::Child, NodeTest::Name("b".into()));
     let memo = MemoXIter::new(children, 1);
     let mut map =
@@ -531,8 +484,8 @@ impl PhysIter for Feed {
 /// contexts inside each other and includes an attribute: the same nodes,
 /// in ascending document order, all on the first input tuple's frame;
 /// the ledger charges exactly 4 bytes per context, plus one ⌈n/64⌉-word
-/// bitset on the collect-mode axes (whatever the scan hint), and returns
-/// all of it at close.
+/// bitset on the collect-mode axes, and returns all of it at close. The
+/// oracle walks the store without its index, one cursor per context.
 #[test]
 fn set_mode_step_equals_step_plus_dedup_on_every_ppd_axis() {
     let s = parse_document(
@@ -567,31 +520,31 @@ fn set_mode_step_equals_step_plus_dedup_on_every_ppd_axis() {
         NodeTest::Kind(xpath_syntax::KindTest::Node),
     ];
     for (axis, test) in ppd.iter().flat_map(|&a| tests.iter().map(move |t| (a, t))) {
-        for hint in [ScanHint::Auto, ScanHint::Cursor] {
-            let feed = || Box::new(Feed(contexts.clone(), 0));
-            let oracle_gov = ResourceGovernor::unlimited();
-            let step = UnnestMapIter::new(feed(), 0, 1, axis, test.clone(), hint, None);
-            let mut dedup = DedupIter::new(Box::new(step), 1);
-            let mut want: Vec<_> = drain(&mut dedup, &rt(&s, &vars, &oracle_gov), &seed(&s))
-                .iter()
-                .map(|t| t[1].as_node().unwrap())
-                .collect();
-            want.sort_by_key(|&n| idx.rank_of(n));
+        let feed = || Box::new(Feed(contexts.clone(), 0));
+        let oracle_gov = ResourceGovernor::unlimited();
+        let unindexed = NoIndex(&s);
+        let oracle_rt = Runtime { store: &unindexed, vars: &vars, gov: &oracle_gov };
+        let step = UnnestMapIter::new(feed(), 0, 1, axis, test.clone(), None);
+        let mut dedup = DedupIter::new(Box::new(step), 1);
+        let mut want: Vec<_> = drain(&mut dedup, &oracle_rt, &seed(&s))
+            .iter()
+            .map(|t| t[1].as_node().unwrap())
+            .collect();
+        want.sort_by_key(|&n| idx.rank_of(n));
 
-            let gov = ResourceGovernor::unlimited();
-            let mut set = UnnestMapIter::set_at_a_time(feed(), 0, 1, axis, test.clone(), hint);
-            let out = drain(&mut set, &rt(&s, &vars, &gov), &seed(&s));
-            let got: Vec<_> = out.iter().map(|t| t[1].as_node().unwrap()).collect();
-            assert_eq!(got, want, "{axis}::{test} ({hint:?})");
-            assert!(!got.is_empty(), "{axis}: the fixture reaches something");
-            assert!(
-                out.iter().all(|t| matches!(t[2], Value::Num(n) if n == 0.0)),
-                "{axis}: first tuple's frame"
-            );
-            let charged = 4 * contexts.len() as u64 + if axis.is_interval() { 0 } else { bitset };
-            assert_eq!(gov.charged_total(), charged, "{axis} ({hint:?})");
-            assert_eq!(gov.transient_bytes(), 0, "{axis}: everything returned at close");
-        }
+        let gov = ResourceGovernor::unlimited();
+        let mut set = UnnestMapIter::set_at_a_time(feed(), 0, 1, axis, test.clone());
+        let out = drain(&mut set, &rt(&s, &vars, &gov), &seed(&s));
+        let got: Vec<_> = out.iter().map(|t| t[1].as_node().unwrap()).collect();
+        assert_eq!(got, want, "{axis}::{test}");
+        assert!(!got.is_empty(), "{axis}: the fixture reaches something");
+        assert!(
+            out.iter().all(|t| matches!(t[2], Value::Num(n) if n == 0.0)),
+            "{axis}: first tuple's frame"
+        );
+        let charged = 4 * contexts.len() as u64 + if axis.is_interval() { 0 } else { bitset };
+        assert_eq!(gov.charged_total(), charged, "{axis}");
+        assert_eq!(gov.transient_bytes(), 0, "{axis}: everything returned at close");
     }
 }
 
@@ -625,10 +578,9 @@ fn set_mode_falls_back_on_an_unranked_context() {
             ns.sort();
             ns
         };
-        let step = UnnestMapIter::new(feed(), 0, 1, axis, NodeTest::Wildcard, ScanHint::Auto, None);
+        let step = UnnestMapIter::new(feed(), 0, 1, axis, NodeTest::Wildcard, None);
         let want = nodes(drain(&mut DedupIter::new(Box::new(step), 1), &rt, &seed(&s)));
-        let mut set =
-            UnnestMapIter::set_at_a_time(feed(), 0, 1, axis, NodeTest::Wildcard, ScanHint::Auto);
+        let mut set = UnnestMapIter::set_at_a_time(feed(), 0, 1, axis, NodeTest::Wildcard);
         let got = drain(&mut set, &rt, &seed(&s));
         assert_eq!(nodes(got.clone()), want, "{axis}");
         assert_eq!(got.len(), want.len(), "{axis}: no repeats");

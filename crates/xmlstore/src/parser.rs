@@ -423,7 +423,11 @@ pub fn parse_document_with_limits(
                             cur.take_until(if quote == b'"' { "\"" } else { "'" })?.to_owned();
                         cur.bump(); // closing quote
                         let value = decode_entities(&raw, &cur, limits, &mut expansions)?;
-                        builder.attribute(&aname, &value);
+                        // A namespace declaration is not an attribute
+                        // (XPath 1.0 §5.3); it still counts toward the limit.
+                        if aname != "xmlns" && !aname.starts_with("xmlns:") {
+                            builder.attribute(&aname, &value);
+                        }
                     }
                     _ => return cur.err("malformed start tag"),
                 }
@@ -572,6 +576,9 @@ mod tests {
         assert!(parse_document_with_limits("<a x='1' y='2'/>", &limits).is_ok());
         let err = parse_document_with_limits("<a x='1' y='2' z='3'/>", &limits).unwrap_err();
         assert!(err.message.contains("attributes"), "{err}");
+        // Namespace declarations are no attributes, but still count.
+        let err = parse_document_with_limits("<a xmlns='u' xmlns:p='v' x='1'/>", &limits);
+        assert!(err.unwrap_err().message.contains("attributes"));
     }
 
     #[test]

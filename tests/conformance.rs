@@ -22,6 +22,10 @@ const FIXTURE: &str = r#"<shop xml:lang="en">
   <?audit on?>
 </shop>"#;
 
+/// Namespace declarations are not attributes (XPath 1.0 §5.3), and the
+/// `namespace` axis yields no nodes (README's documented deviation).
+const NS_FIXTURE: &str = r#"<r xmlns="urn:d" xmlns:p="urn:p" a="1"/>"#;
+
 /// Expected result forms.
 enum Want {
     Strings(&'static [&'static str]),
@@ -268,22 +272,38 @@ fn cases() -> Vec<(&'static str, Want)> {
     ]
 }
 
+fn ns_cases() -> Vec<(&'static str, Want)> {
+    use Want::*;
+    vec![
+        ("count(/r/@*)", Num(1.0)),
+        ("name(/r/@*[1])", Str("a")),
+        ("count(/r/namespace::*)", Num(0.0)),
+    ]
+}
+
+fn suites() -> [(&'static str, Vec<(&'static str, Want)>); 2] {
+    [(FIXTURE, cases()), (NS_FIXTURE, ns_cases())]
+}
+
 #[test]
 fn conformance_suite() {
-    let doc = Document::parse(FIXTURE).unwrap();
-    let all = cases();
-    assert!(all.len() >= 90, "suite should stay comprehensive");
-    for (q, want) in &all {
-        check(&doc, q, want);
+    assert!(cases().len() >= 90, "suite should stay comprehensive");
+    for (fixture, cases) in suites() {
+        let doc = Document::parse(fixture).unwrap();
+        for (q, want) in &cases {
+            check(&doc, q, want);
+        }
     }
 }
 
 #[test]
 fn conformance_suite_on_disk_store() {
-    let arena = Document::parse(FIXTURE).unwrap();
-    let path = xmlstore::tmp::TempPath::new(".natix");
-    let doc = arena.persist(path.path(), 4).unwrap();
-    for (q, want) in &cases() {
-        check(&doc, q, want);
+    for (fixture, cases) in suites() {
+        let arena = Document::parse(fixture).unwrap();
+        let path = xmlstore::tmp::TempPath::new(".natix");
+        let doc = arena.persist(path.path(), 4).unwrap();
+        for (q, want) in &cases {
+            check(&doc, q, want);
+        }
     }
 }

@@ -144,7 +144,7 @@ fn explain_renders_the_cost_based_plan_that_executes() {
 }
 
 /// What runs is what EXPLAIN shows: every physical choice (set-mode
-/// steps, predicate kernels, probes, scan hints) is in the cached plan,
+/// steps, predicate kernels, probes) is in the cached plan,
 /// so for every corpus query — Fig. 5 and Fig. 10 among them — under
 /// every preset, on arena and disk-indexed stores, the EXPLAIN ANALYZE
 /// operator labels are `Session::explain`'s lines, in order. Only a
@@ -232,11 +232,10 @@ fn explain_shows_kernel_and_set_mode_rows() {
 /// generated tree and DBLP at 50 and 4 000 records, with the stacked
 /// outer path on and off: each decision (rule, choice, both costs as
 /// `f64` bits, site), an FNV digest of the final plan's EXPLAIN, and one
-/// of its per-operator estimates (labels and bits). The golden file is
-/// never regenerated: a walk that reorders one floating-point operation
-/// flips the 4 000-record outer-shape tie of
-/// `/dblp/inproceedings[@key='conf/er/LockemannM91']/title` and fails
-/// here.
+/// of its per-operator estimates (labels and bits). A change to a rule,
+/// a constant or the estimator fails here; the golden file changes only
+/// with a change that means to move a plan or an estimate, and the
+/// change says which lines moved and why.
 #[test]
 fn cost_pass_is_pinned() {
     const GOLDEN: &str = include_str!("corpus/cost_pass.golden");
