@@ -2,6 +2,8 @@
 //! notation (Fig. 2–4), for diagnostics and plan-shape tests. Every label
 //! is also the EXPLAIN ANALYZE label of the operator the plan lowers to.
 
+use std::cmp::Ordering;
+
 use crate::ops::LogicalOp;
 use crate::scalar::{KernelExpr, ScalarExpr};
 
@@ -39,7 +41,7 @@ pub fn op_label(plan: &LogicalOp) -> String {
         LogicalOp::Cross { .. } => "×".to_owned(),
         LogicalOp::SemiJoin { pred, .. } => format!("⋉[{pred}]"),
         LogicalOp::AntiJoin { pred, .. } => format!("▷[{pred}]"),
-        LogicalOp::UnnestMap { context, attr, axis, test, probe, set, .. } => {
+        LogicalOp::UnnestMap { context, attr, axis, test, probe, set, reverse, .. } => {
             let mut label = format!("Υ[{attr}:{context}/{axis}::{test}]");
             if let Some(p) = probe {
                 label.pop();
@@ -48,6 +50,9 @@ pub fn op_label(plan: &LogicalOp) -> String {
             if *set {
                 // Still a Υ first, then the Π^D it absorbed.
                 label.push_str(&format!(" (set, Π^D[{attr}])"));
+            }
+            if *reverse {
+                label.push_str(" (reverse)");
             }
             label
         }
@@ -58,6 +63,22 @@ pub fn op_label(plan: &LogicalOp) -> String {
             Some(g) => format!("Tmp^cs[{cs} by {g}]"),
             None => format!("Tmp^cs[{cs}]"),
         },
+        LogicalOp::Window { lo, hi, from_end, group, .. } => {
+            // A σ first, so it reads (and is classed) as the selection it
+            // replaced: `σ[window 3 by c2]`, `σ[window 1..99]`,
+            // `σ[window last-10 by c2]`, `σ[window none by c2]`.
+            let positions = match (*from_end, lo.cmp(hi)) {
+                (_, Ordering::Greater) => "none".to_owned(),
+                (false, Ordering::Equal) => format!("{lo}"),
+                (false, Ordering::Less) => format!("{lo}..{hi}"),
+                (true, _) if *lo == 1 => "last".to_owned(),
+                (true, _) => format!("last-{}", lo - 1),
+            };
+            match group {
+                Some(g) => format!("σ[window {positions} by {g}]"),
+                None => format!("σ[window {positions}]"),
+            }
+        }
         LogicalOp::MemoX { key, .. } => format!("𝔐[{key}]"),
     }
 }

@@ -173,6 +173,10 @@ pub enum LogicalOp {
         /// work of the `Π^D[attr]` it replaced, emitting each node once
         /// (DESIGN.md §12 "Set-at-a-time steps").
         set: bool,
+        /// Reversed, written by the physical phase for a tail window
+        /// above: a child step walks each context's children from the
+        /// last one back (DESIGN.md §12 "Positional windows").
+        reverse: bool,
     },
     /// Υ_{t:tokenize(e)} — unnest a whitespace-tokenised string (used only
     /// by the `id()` translation on non-node-set input, §3.6.3).
@@ -208,6 +212,26 @@ pub enum LogicalOp {
         /// whole input (`Tmp^cs`). A single implementation covers both.
         group: Option<Attr>,
     },
+    /// W — a positional window: `σ[cp θ k](χ[cp:counter++](X))` (and with
+    /// `last()`, over Tmp^cs as well) as one operator, written by the
+    /// physical phase (DESIGN.md §12 "Positional windows"). Keeps the
+    /// tuples at positions `lo..=hi` of each group (none when `lo > hi`)
+    /// and stops the group after `hi`; defines no attribute.
+    Window {
+        /// Input sequence (what the counter counted).
+        input: Box<LogicalOp>,
+        /// First kept position, 1-based.
+        lo: u64,
+        /// Last kept position.
+        hi: u64,
+        /// Positions count back from the group's last tuple: the Υ below
+        /// runs reversed. Such a tail window keeps one position
+        /// (`lo == hi`).
+        from_end: bool,
+        /// Group attribute (the counter's reset); `None` counts the whole
+        /// input.
+        group: Option<Attr>,
+    },
     /// 𝔐 — MemoX: memoise the producer sequence keyed by the free
     /// variable (§4.2.2).
     MemoX {
@@ -235,6 +259,7 @@ impl LogicalOp {
             test,
             probe: None,
             set: false,
+            reverse: false,
         }
     }
 
@@ -273,6 +298,7 @@ impl LogicalOp {
                 | LogicalOp::TokenizeMap { input, .. }
                 | LogicalOp::SortBy { input, .. }
                 | LogicalOp::TmpCs { input, .. }
+                | LogicalOp::Window { input, .. }
                 | LogicalOp::MemoX { input, .. } => (Some(input), None, &[]),
                 LogicalOp::DJoin { left, right }
                 | LogicalOp::Cross { left, right }
@@ -298,6 +324,7 @@ impl LogicalOp {
             | LogicalOp::TokenizeMap { input, .. }
             | LogicalOp::SortBy { input, .. }
             | LogicalOp::TmpCs { input, .. }
+            | LogicalOp::Window { input, .. }
             | LogicalOp::MemoX { input, .. } => ((Some(input), None), &mut []),
             LogicalOp::DJoin { left, right }
             | LogicalOp::Cross { left, right }
@@ -392,9 +419,9 @@ impl LogicalOp {
             | LogicalOp::Rename { from: a, .. }
             | LogicalOp::UnnestMap { context: a, .. }
             | LogicalOp::MemoX { key: a, .. } => f(a),
-            LogicalOp::CounterMap { reset_on: g, .. } | LogicalOp::TmpCs { group: g, .. } => {
-                g.as_deref().is_some_and(f)
-            }
+            LogicalOp::CounterMap { reset_on: g, .. }
+            | LogicalOp::TmpCs { group: g, .. }
+            | LogicalOp::Window { group: g, .. } => g.as_deref().is_some_and(f),
             LogicalOp::Singleton
             | LogicalOp::DJoin { .. }
             | LogicalOp::Cross { .. }
@@ -518,6 +545,12 @@ impl LogicalOp {
                     reference(g, defined, free);
                 }
                 defined.insert(cs.clone());
+            }
+            LogicalOp::Window { input, group, .. } => {
+                input.flow(defined, free);
+                if let Some(g) = group {
+                    reference(g, defined, free);
+                }
             }
             LogicalOp::MemoX { input, key } => {
                 input.flow(defined, free);

@@ -118,7 +118,8 @@ pub struct OpEstimate {
 /// Returns the (possibly) rewritten query and the decisions taken.
 /// Deterministic in (plan, stats): cache-safe.
 pub fn optimize(mut q: CompiledQuery, stats: &StoreStats) -> (CompiledQuery, Vec<Decision>) {
-    let mut opt = Optimizer { est: Estimator { stats, rec: None }, decisions: Vec::new() };
+    let est = Estimator { stats, rec: None, cap: None };
+    let mut opt = Optimizer { est, decisions: Vec::new() };
     let mut env = Env::seed(stats);
     match &mut q {
         CompiledQuery::Sequence(plan) => opt.rewrite(plan, 1.0, &mut env),
@@ -136,7 +137,7 @@ pub fn estimate_operators(q: &CompiledQuery, stats: &StoreStats) -> Vec<OpEstima
     if let CompiledQuery::Scalar(expr) = q {
         rec.push(OpEstimate { label: format!("scalar[{expr}]"), est_tuples: 1.0 });
     }
-    let mut est = Estimator { stats, rec: Some(rec) };
+    let mut est = Estimator { stats, rec: Some(rec), cap: None };
     let mut env = Env::seed(stats);
     match q {
         CompiledQuery::Sequence(plan) => {
@@ -217,6 +218,9 @@ struct Estimator<'a> {
     /// Per-operator estimates, kept for [`estimate_operators`] only;
     /// every other walk passes `None` and formats no label.
     rec: Option<Vec<OpEstimate>>,
+    /// A window's per-group cap on the results of the step it stops, on
+    /// its way down to that step.
+    cap: Option<f64>,
 }
 
 impl Estimator<'_> {
@@ -333,6 +337,17 @@ impl Estimator<'_> {
             rec.push(OpEstimate { label: op_label(plan), est_tuples: 0.0 });
             rec.len() - 1
         });
+        // The cap passes σ (to keep the same survivors), χ, χ^mat and Π;
+        // a Υ spends it, any other operator drops it.
+        let cap = self.cap.take();
+        self.cap = match plan {
+            LogicalOp::Select { pred, .. } => cap.map(|c| c / self.pred_sel(pred)),
+            LogicalOp::MapExpr { .. }
+            | LogicalOp::MemoMap { .. }
+            | LogicalOp::Rename { .. }
+            | LogicalOp::UnnestMap { .. } => cap,
+            _ => None,
+        };
         let e = self.est_inner(plan, opens, env);
         if let (Some(rec), Some(slot)) = (&mut self.rec, slot) {
             rec[slot].est_tuples = sane(opens * e.rows);
@@ -398,11 +413,15 @@ impl Estimator<'_> {
                 }
             }
             L::UnnestMap { input, context, axis, test, set, .. } => {
+                let cap = self.cap.take().unwrap_or(f64::INFINITY);
                 let i = self.est(input, opens, env);
                 let ctx_scope = env.scope(context).unwrap_or(self.stats.mean_subtree);
-                let card = self.axis_card(*axis, test, ctx_scope);
+                let full = self.axis_card(*axis, test, ctx_scope);
+                // Under a window the scan stops once the cap is reached.
+                let card = full.min(cap);
+                let read = if full > 0.0 { card / full } else { 1.0 };
                 self.bind(plan, env);
-                let span = self.scan_span(*axis, ctx_scope);
+                let span = self.scan_span(*axis, ctx_scope) * read;
                 let (rows, cost) = (i.rows * card, i.cost + i.rows * (span.max(card) + card));
                 if *set {
                     // The Π^D it absorbed, priced as a Π^D still.
@@ -436,6 +455,23 @@ impl Estimator<'_> {
                 let i = self.est(input, opens, env);
                 Est { rows: i.rows, cost: i.cost + i.rows * 2.0 }
             }
+            L::Window { input, lo, hi, group, .. } => {
+                // Item 9's truncation model: the step below yields at
+                // most `hi` per context (a tail window counts from the
+                // end), and each group keeps positions `lo..=hi` of them.
+                self.cap = Some(*hi as f64);
+                let i = self.est(input, opens, env);
+                self.cap = None;
+                let groups = match group {
+                    Some(_) => self.window_groups(input, opens, env).max(1.0),
+                    None => 1.0,
+                };
+                let read = (i.rows / groups).min(*hi as f64);
+                Est {
+                    rows: groups * (read - (*lo as f64 - 1.0)).max(0.0),
+                    cost: i.cost + i.rows * 0.5,
+                }
+            }
             L::MemoX { input, key } => {
                 // Cross-open memo: the inner plan actually runs once per
                 // distinct key, not once per open.
@@ -445,6 +481,27 @@ impl Estimator<'_> {
                 Est { rows: i.rows, cost: total / opens.max(1.0) }
             }
         }
+    }
+
+    /// Context tuples per open of the step a window stops: what its
+    /// groups are. Estimated off the record, as the window's input
+    /// already recorded that subplan.
+    fn window_groups(&mut self, mut x: &LogicalOp, opens: f64, env: &mut Env) -> f64 {
+        use LogicalOp as L;
+        while let L::Select { input, .. }
+        | L::MapExpr { input, .. }
+        | L::MemoMap { input, .. }
+        | L::Rename { input, .. } = x
+        {
+            x = input;
+        }
+        let L::UnnestMap { input, .. } = x else {
+            return 1.0;
+        };
+        let rec = self.rec.take();
+        let contexts = env.scoped(|env| self.est(input, opens, env)).rows;
+        self.rec = rec;
+        contexts
     }
 
     /// Per-evaluation cost of a scalar expression; nested plan
@@ -629,7 +686,8 @@ impl Optimizer<'_> {
             L::DedupBy { input, .. }
             | L::CounterMap { input, .. }
             | L::SortBy { input, .. }
-            | L::TmpCs { input, .. } => self.rewrite(input, opens, env),
+            | L::TmpCs { input, .. }
+            | L::Window { input, .. } => self.rewrite(input, opens, env),
             L::Concat { parts } => parts.iter_mut().for_each(|p| self.rewrite(p, opens, env)),
             L::Singleton => {}
         }

@@ -9,12 +9,16 @@
 //!   Υ (DESIGN.md §12 "Set-at-a-time steps");
 //! - a kernel-shaped aggregate becomes a [`ScalarExpr::Kernel`]
 //!   (DESIGN.md §5 "Predicate kernels");
-//! - a χ^mat whose aggregates all became kernels becomes a χ.
+//! - a χ^mat whose aggregates all became kernels becomes a χ;
+//! - a σ keeping a window of positions over its counter (and Tmp^cs)
+//!   becomes one window operator, with the child step below it reversed
+//!   when it counts from the end (DESIGN.md §12 "Positional windows").
 
 use algebra::explain::op_label;
 use algebra::scalar::{AggExpr, AggFunc, CmpMode, ConstCmp, KernelExpr};
-use algebra::{ConvKind, LogicalOp, ScalarExpr};
+use algebra::{Const, ConvKind, LogicalOp, ScalarExpr};
 use xmlstore::Axis;
+use xpath_syntax::{ArithOp, CompOp};
 
 use crate::translate::CompiledQuery;
 
@@ -28,6 +32,11 @@ pub struct Lowered {
     pub set_steps: usize,
     /// Aggregates turned into kernels.
     pub kernels: usize,
+    /// Positional windows counting from each group's start.
+    pub head_windows: usize,
+    /// Positional windows counting from each group's end, over a
+    /// reversed child step.
+    pub tail_windows: usize,
 }
 
 /// Run the physical phase over a query.
@@ -65,6 +74,7 @@ fn lower(op: &mut LogicalOp, fates: &[(*const LogicalOp, Fate)], done: &mut Lowe
     match fate {
         Fate::Elided => done.pruned.push(op_label(op)),
         Fate::Fused => done.set_steps += 1,
+        Fate::Window(w) => return lower_window(op, w, done),
     }
     let (LogicalOp::DedupBy { input, .. } | LogicalOp::SortBy { input, .. }) =
         std::mem::replace(op, LogicalOp::Singleton)
@@ -182,6 +192,7 @@ pub(crate) fn props_of(plan: &LogicalOp, attr: &str) -> Props {
         // Filters keep subsequences; tuple-extending maps keep the
         // stream; both preserve every property.
         L::Select { input, .. }
+        | L::Window { input, .. }
         | L::CounterMap { input, .. }
         | L::MemoMap { input, .. }
         | L::TmpCs { input, .. }
@@ -204,8 +215,9 @@ pub(crate) fn props_of(plan: &LogicalOp, attr: &str) -> Props {
             _ => Props { single: props_of(input, attr).single, ..Props::NONE },
         },
         L::MapExpr { input, .. } => props_of(input, attr),
-        L::UnnestMap { input, context, attr: a, axis, .. } if a == attr => {
-            axis_transition(*axis, props_of(input, context))
+        L::UnnestMap { input, context, attr: a, axis, reverse, .. } if a == attr => {
+            let p = axis_transition(*axis, props_of(input, context));
+            Props { ordered: p.ordered && !reverse, ..p }
         }
         L::SemiJoin { left, .. } | L::AntiJoin { left, .. } => {
             Props { single: props_of(left, attr).single, ..Props::NONE }
@@ -325,6 +337,188 @@ fn kernels_only(e: &ScalarExpr) -> bool {
     all(e, &mut found) && found
 }
 
+// ===================== Positional windows =====================
+//
+// `σ[cp θ k](χ[cp:counter++ reset g](X))` keeps a prefix of each group,
+// `σ[cp = cs − k](Tmp^cs[cs by g](χ[cp:counter++ reset g](X)))` one tuple
+// counted from the group's end. Both run as one window operator that
+// stops the group once past its last kept position: the Υ at the bottom
+// of X drops the rest of its context's scan. For a tail window that Υ is
+// a child step walking each context's children backwards, so the
+// window's count is the position from the end and Tmp^cs goes.
+
+/// Positions a window keeps, `lo..=hi`, counted from each group's start
+/// or (tail windows) from its end.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Window {
+    lo: u64,
+    hi: u64,
+    from_end: bool,
+}
+
+/// `op` as a window, if it is one whose consumers cannot tell: a σ
+/// holding one positional clause over its counter (and Tmp^cs), no
+/// consumer above reading the position or size, the counter reset by the
+/// context of the step the window stops (or by nothing). A tail window
+/// needs that step to be a child step whose contexts are distinct (one
+/// run per group) or, without a reset, a single one.
+fn window_shape(op: &LogicalOp, above: &Above<'_, '_>) -> Option<Window> {
+    use LogicalOp as L;
+    let L::Select { input, pred } = op else {
+        return None;
+    };
+    let (counter, cs) = match &**input {
+        L::TmpCs { input, cs, group } => (&**input, Some((cs, group))),
+        other => (other, None),
+    };
+    let L::CounterMap { input: x, attr: cp, reset_on: group } = counter else {
+        return None;
+    };
+    let window = match cs {
+        None => head_bounds(pred, cp)?,
+        Some((cs, g)) if g == group => tail_bounds(pred, cp, cs)?,
+        Some(_) => return None,
+    };
+    if above.chain().any(|c| c.reads(cp) || cs.is_some_and(|(cs, _)| c.reads(cs))) {
+        return None;
+    }
+    let group = group.as_deref();
+    match (windowed_step(x, group)?, window.from_end, group) {
+        (_, false, None) => Some(window),
+        (L::UnnestMap { context, set: false, .. }, false, Some(g)) if context == g => Some(window),
+        (L::UnnestMap { input, context, axis: Axis::Child, set: false, .. }, true, g) => {
+            let contexts = props_of(input, context);
+            let one_run = match g {
+                Some(g) => g == context && contexts.distinct,
+                None => contexts.single,
+            };
+            one_run.then_some(window)
+        }
+        _ => None,
+    }
+}
+
+/// `cp θ k` or `k θ cp` with θ one of `=`, `<`, `<=` (as the position
+/// reads) and `k` a numeric constant: the positions it keeps, an empty
+/// window (`lo > hi`) when it keeps none. The constant's value never
+/// decides whether a σ becomes a window, so re-drawn literals keep a
+/// plan's shape.
+fn head_bounds(pred: &ScalarExpr, cp: &str) -> Option<Window> {
+    let (op, k) = match position_compare(pred, cp)? {
+        (op, ScalarExpr::Const(Const::Num(k)), false) => (op, *k),
+        (op, ScalarExpr::Const(Const::Num(k)), true) => (op.flip(), *k),
+        _ => return None,
+    };
+    // `as` saturates, NaN and negatives to 0: `position() < 1e300` keeps
+    // every position, `[0]`, `[2.5]` and `[position() < 1]` none.
+    let (lo, hi) = match op {
+        CompOp::Eq if k >= 1.0 && k.fract() == 0.0 => (k as u64, k as u64),
+        CompOp::Eq => (1, 0),
+        CompOp::Lt => (1, (k.ceil() - 1.0) as u64),
+        CompOp::Le => (1, k.floor() as u64),
+        _ => return None,
+    };
+    Some(Window { lo, hi, from_end: false })
+}
+
+/// `cp = cs` or `cp = cs − k` (either operand order) with `k` a numeric
+/// constant: the one position it keeps, counted from the end, or none
+/// when `k` is negative or fractional.
+fn tail_bounds(pred: &ScalarExpr, cp: &str, cs: &str) -> Option<Window> {
+    let (CompOp::Eq, other, _) = position_compare(pred, cp)? else {
+        return None;
+    };
+    let back = match other {
+        ScalarExpr::Attr(a) if a == cs => 0.0,
+        ScalarExpr::Arith(ArithOp::Sub, a, k) => match (&**a, &**k) {
+            (ScalarExpr::Attr(a), ScalarExpr::Const(Const::Num(k))) if a == cs => *k,
+            _ => return None,
+        },
+        _ => return None,
+    };
+    let (lo, hi) = if back >= 0.0 && back.fract() == 0.0 {
+        let at = (back as u64).saturating_add(1);
+        (at, at)
+    } else {
+        (1, 0)
+    };
+    Some(Window { lo, hi, from_end: true })
+}
+
+/// A numeric comparison of the bare position `cp` with something else:
+/// the operator, the other operand and whether `cp` is on the right.
+fn position_compare<'e>(pred: &'e ScalarExpr, cp: &str) -> Option<(CompOp, &'e ScalarExpr, bool)> {
+    let ScalarExpr::Compare { op, mode: CmpMode::Num | CmpMode::Dyn, lhs, rhs } = pred else {
+        return None;
+    };
+    let is_cp = |e: &ScalarExpr| matches!(e, ScalarExpr::Attr(a) if a == cp);
+    if is_cp(lhs) {
+        Some((*op, rhs, false))
+    } else if is_cp(rhs) {
+        Some((*op, lhs, true))
+    } else {
+        None
+    }
+}
+
+/// The operator a window's skips reach from the counter's input `x`:
+/// the first one below σ, χ, χ^mat and Π (and below a Π^D or Sort the
+/// phase elides), none of which may define `group`. Those pass a skip
+/// on, and keep no state across tuples that a reversed step could upset.
+fn windowed_step<'p>(mut x: &'p LogicalOp, group: Option<&str>) -> Option<&'p LogicalOp> {
+    use LogicalOp as L;
+    loop {
+        x = match x {
+            L::Select { input, .. }
+            | L::MapExpr { input, .. }
+            | L::MemoMap { input, .. }
+            | L::Rename { input, .. } => {
+                if group.is_some_and(|g| x.own_attr().is_some_and(|a| a == g)) {
+                    return None;
+                }
+                input
+            }
+            L::DedupBy { input, attr } if props_of(input, attr).distinct => input,
+            L::SortBy { input, attr } if props_of(input, attr).ordered => input,
+            _ => return Some(x),
+        };
+    }
+}
+
+/// Rewrite the σ at `op` (and its counter, and Tmp^cs) into a window;
+/// reverse the child step under a tail window. Runs after `op`'s inputs
+/// were lowered, so only σ, χ, χ^mat and Π stand between.
+fn lower_window(op: &mut LogicalOp, w: Window, done: &mut Lowered) {
+    use LogicalOp as L;
+    let L::Select { input, .. } = std::mem::replace(op, L::Singleton) else {
+        unreachable!("only a σ becomes a window");
+    };
+    let counter = match *input {
+        L::TmpCs { input, .. } => input,
+        other => Box::new(other),
+    };
+    let L::CounterMap { mut input, reset_on: group, .. } = *counter else {
+        unreachable!("a window's σ counts");
+    };
+    if w.from_end {
+        done.tail_windows += 1;
+        let mut x = &mut *input;
+        loop {
+            x = match x {
+                L::Select { input, .. }
+                | L::MapExpr { input, .. }
+                | L::MemoMap { input, .. }
+                | L::Rename { input, .. } => input,
+                L::UnnestMap { reverse, .. } => break *reverse = true,
+                _ => unreachable!("a tail window stops a child step"),
+            };
+        }
+    } else {
+        done.head_windows += 1;
+    }
+    *op = L::Window { input, lo: w.lo, hi: w.hi, from_end: w.from_end, group };
+}
+
 // ===================== Set-at-a-time sites =====================
 //
 // `Π^D[a](Υ[a:c/axis::test](X))` over a ppd axis runs as one set-mode Υ,
@@ -336,16 +530,19 @@ fn kernels_only(e: &ScalarExpr) -> bool {
 // stack, decides the fate of every Π^D and Sort; it allocates only when
 // it finds one that is not kept.
 
-/// What becomes of a Π^D or Sort the phase does not keep.
+/// What becomes of a Π^D, Sort or σ the phase does not keep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Fate {
     /// Its input already guarantees what it would establish.
     Elided,
     /// A Π^D folded into the set-mode Υ below it.
     Fused,
+    /// A positional σ that runs as a window.
+    Window(Window),
 }
 
-/// The Π^D and Sort operators of `q` that are not kept, with their fate.
+/// The Π^D, Sort and σ operators of `q` that are not kept, with their
+/// fate.
 fn decide(q: &CompiledQuery) -> Vec<(&LogicalOp, Fate)> {
     let mut fates = Vec::new();
     match q {
@@ -478,7 +675,8 @@ fn keyed(g: &str, key: &str, above: &Above<'_, '_>, here: &Above<'_, '_>) -> boo
     }
 }
 
-/// Record the fate of every Π^D and Sort of `op`'s subtree.
+/// Record the fate of every Π^D, Sort and positional σ of `op`'s
+/// subtree.
 fn walk<'p>(op: &'p LogicalOp, above: &Above<'_, 'p>, fates: &mut Vec<(&'p LogicalOp, Fate)>) {
     use LogicalOp as L;
     if let L::DedupBy { input, attr } | L::SortBy { input, attr } = op {
@@ -494,6 +692,9 @@ fn walk<'p>(op: &'p LogicalOp, above: &Above<'_, 'p>, fates: &mut Vec<(&'p Logic
         if dedup && step && permutable(attr, input, above, fates) {
             fates.push((op, Fate::Fused));
         }
+    }
+    if let Some(window) = window_shape(op, above) {
+        fates.push((op, Fate::Window(window)));
     }
     let here = Above { reader: Reader::Op(op), up: Some(above) };
     let seam = Above { reader: Reader::Seam, up: Some(above) };
@@ -512,6 +713,7 @@ fn walk<'p>(op: &'p LogicalOp, above: &Above<'_, 'p>, fates: &mut Vec<(&'p Logic
         | L::UnnestMap { input, .. }
         | L::SortBy { input, .. }
         | L::TmpCs { input, .. }
+        | L::Window { input, .. }
         | L::MemoX { input, .. } => walk(input, &here, fates),
         L::DJoin { left, right } | L::Cross { left, right } => {
             walk(right, &seam, fates);
@@ -841,6 +1043,150 @@ mod tests {
         ] {
             assert_eq!(kernel_rows(q, &improved), (0, true), "`{q}`");
         }
+    }
+
+    /// The window rows of `q`'s compiled plan, and its reversed steps.
+    fn window_rows(q: &str, opts: &TranslateOptions) -> (Vec<String>, usize) {
+        let text = explained(&compile(q, opts).unwrap());
+        let labels = || text.lines().map(str::trim);
+        (
+            labels().filter(|l| l.starts_with("σ[window ")).map(str::to_owned).collect(),
+            labels().filter(|l| l.ends_with(" (reverse)")).count(),
+        )
+    }
+
+    #[test]
+    fn fig10_positional_rows_run_as_windows() {
+        let improved = TranslateOptions::improved();
+        let rows = [
+            ("/dblp/article[position() = 3]/title", "σ[window 3 by c2]", 0),
+            ("/dblp/article[position() < 100]/title", "σ[window 1..99 by c2]", 0),
+            ("/dblp/article[position() = last()]/title", "σ[window last by c2]", 1),
+            ("/dblp/article[position()=last()-10]/title", "σ[window last-10 by c2]", 1),
+            (
+                "/dblp/inproceedings[author='Guido Moerkotte'][position()=last()]/title",
+                "σ[window last by c2]",
+                1,
+            ),
+        ];
+        for (q, label, reversed) in rows {
+            assert_eq!(window_rows(q, &improved), (vec![label.to_owned()], reversed), "`{q}`");
+            // The canonical plan counts per d-join evaluation: no group.
+            let (canonical, rev) = window_rows(q, &TranslateOptions::canonical());
+            let ungrouped = label.replace(" by c2", "");
+            assert_eq!((canonical, rev), (vec![ungrouped], reversed), "`{q}` canonical");
+        }
+        // Either operand order; `<=` and a fractional bound.
+        assert_eq!(window_rows("/a/b[3 > position()]", &improved).0, ["σ[window 1..2 by c2]"]);
+        assert_eq!(window_rows("/a/b[position() <= 2.5]", &improved).0, ["σ[window 1..2 by c2]"]);
+        assert_eq!(window_rows("/a/b[last() = position()]", &improved).1, 1);
+        // A filter expression without reset ends its stream past `hi`.
+        assert_eq!(window_rows("(//b)[4]", &improved).0, ["σ[window 4]"]);
+        // A constant keeping no position is still a window, an empty one:
+        // the constant's value never changes the plan's shape.
+        for q in [
+            "/a/b[0]",
+            "/a/b[2.5]",
+            "/a/b[position() < 1]",
+            "/a/b[position() = number('x')]",
+            "/a/b[last() - 0.5]",
+        ] {
+            let reversed = usize::from(q.contains("last()"));
+            let want = (vec!["σ[window none by c2]".to_owned()], reversed);
+            assert_eq!(window_rows(q, &improved), want, "`{q}`");
+        }
+    }
+
+    #[test]
+    fn other_positional_shapes_keep_their_plan() {
+        let improved = TranslateOptions::improved();
+        for q in [
+            // Not a window of positions.
+            "/a/b[position() mod 3 = 1]",
+            "/a/b[position() >= last()]",
+            "/a/b[last() + 1]",
+            "/a/b[-1]",
+            // The whole filtered sequence is one group, across contexts.
+            "(//c)[last()]",
+            // Not a child step: the reversed scan walks children only.
+            "//b/preceding-sibling::*[last()]",
+            "//b/ancestor::*[last()]",
+        ] {
+            assert_eq!(window_rows(q, &improved), (vec![], 0), "`{q}`");
+            assert!(lowered(q).contains("σ[("), "`{q}` keeps its σ");
+        }
+    }
+
+    /// `σ[cp = 2](χ[cp:counter++ reset g](Υ[c2:c1/child::*](contexts)))`.
+    fn head(contexts: LogicalOp, reset_on: Option<&str>) -> LogicalOp {
+        let step = LogicalOp::unnest_map(contexts, "c1", "c2", Axis::Child, NodeTest::Wildcard);
+        let pred = ScalarExpr::Compare {
+            op: xpath_syntax::CompOp::Eq,
+            mode: CmpMode::Num,
+            lhs: Box::new(ScalarExpr::attr("cp")),
+            rhs: Box::new(ScalarExpr::num(2.0)),
+        };
+        LogicalOp::select(counter(step, reset_on), pred)
+    }
+
+    fn windows(plan: LogicalOp) -> usize {
+        let q = to_cn(plan, "c2");
+        decide(&q).iter().filter(|(_, fate)| matches!(fate, Fate::Window(_))).count()
+    }
+
+    #[test]
+    fn a_window_needs_its_position_unread_and_its_step_reset_by_the_context() {
+        let root = || {
+            LogicalOp::map(
+                LogicalOp::Singleton,
+                "c1",
+                ScalarExpr::RootOf(Box::new(ScalarExpr::attr("cn"))),
+            )
+        };
+        assert_eq!(windows(head(root(), Some("c1"))), 1);
+        assert_eq!(windows(head(root(), None)), 1);
+        // A consumer above reads the position.
+        assert_eq!(
+            windows(LogicalOp::map(head(root(), Some("c1")), "v", ScalarExpr::attr("cp"))),
+            0
+        );
+        // Reset by an attribute other than the step's context: a skip
+        // would drop the rest of the step's scan, not of the group.
+        assert_eq!(windows(head(root(), Some("c2"))), 0);
+    }
+
+    #[test]
+    fn a_tail_window_needs_one_run_per_group() {
+        // `σ[cp = cs](Tmp^cs(χ[cp:counter++](Υ[c2:c1/child::*](contexts))))`.
+        let tail = |contexts: LogicalOp, group: Option<&str>| {
+            let LogicalOp::Select { input, .. } = head(contexts, group) else {
+                unreachable!()
+            };
+            let tmp = LogicalOp::TmpCs { input, cs: "cs".into(), group: group.map(Into::into) };
+            let pred = ScalarExpr::Compare {
+                op: xpath_syntax::CompOp::Eq,
+                mode: CmpMode::Num,
+                lhs: Box::new(ScalarExpr::attr("cp")),
+                rhs: Box::new(ScalarExpr::attr("cs")),
+            };
+            windows(LogicalOp::select(tmp, pred))
+        };
+        let root = |attr: &str| {
+            let root = ScalarExpr::RootOf(Box::new(ScalarExpr::attr("cn")));
+            LogicalOp::map(LogicalOp::Singleton, attr, root)
+        };
+        assert_eq!(tail(root("c1"), Some("c1")), 1);
+        assert_eq!(tail(root("c1"), None), 1, "one context: the whole input is its run");
+        // The root's children as contexts: distinct, one run each, but
+        // many of them for an ungrouped count.
+        let kids = |attr: &str| {
+            LogicalOp::unnest_map(root("r"), "r", attr, Axis::Child, NodeTest::Wildcard)
+        };
+        assert_eq!(tail(kids("c1"), Some("c1")), 1);
+        assert_eq!(tail(kids("c1"), None), 0);
+        // Their parents repeat: a group may span two runs.
+        let parents = LogicalOp::unnest_map(kids("k"), "k", "c1", Axis::Parent, NodeTest::Wildcard);
+        assert_eq!(tail(parents, Some("c1")), 0);
     }
 
     #[test]

@@ -162,7 +162,7 @@ fn walk(
 pub fn op_class(plan: &LogicalOp) -> &'static str {
     match plan {
         LogicalOp::Singleton => "□",
-        LogicalOp::Select { .. } => "σ",
+        LogicalOp::Select { .. } | LogicalOp::Window { .. } => "σ",
         LogicalOp::DedupBy { .. } => "Π^D",
         LogicalOp::Rename { .. } => "Π",
         LogicalOp::MapExpr { .. } | LogicalOp::CounterMap { .. } => "χ",
@@ -200,6 +200,10 @@ pub(crate) fn record_fired_rewrites(trace: &mut QueryTrace, q: &CompiledQuery, l
     }
     if lowered.kernels > 0 {
         trace.rewrites.push(format!("kernel ×{}", lowered.kernels));
+    }
+    let windows = lowered.head_windows + lowered.tail_windows;
+    if windows > 0 {
+        trace.rewrites.push(format!("window ×{windows}"));
     }
     if let CompiledQuery::Scalar(e) = q {
         if has_smart_agg(e) {

@@ -17,7 +17,7 @@ use compiler::CompiledQuery;
 use crate::iter::{
     CompiledPred, ConcatIter, CounterIter, DJoinIter, DedupIter, KernelCmp, MapIter, MemoMapIter,
     MemoXIter, NestedEval, PhysIter, PredKernel, RenameCopyIter, SelectIter, SemiJoinIter,
-    SingletonIter, SortIter, TmpCsIter, TokenizeIter, UnnestMapIter,
+    SingletonIter, SortIter, TmpCsIter, TokenizeIter, UnnestMapIter, WindowIter,
 };
 use crate::nvm::{Instr, Program, Reg};
 use crate::profile::{OpStats, Profile, ProfileEntry, ProfiledIter, SharedStats};
@@ -220,13 +220,15 @@ impl<'m> Codegen<'m> {
             }
             LogicalOp::SemiJoin { left, right, pred } => self.build_semi(left, right, pred, false),
             LogicalOp::AntiJoin { left, right, pred } => self.build_semi(left, right, pred, true),
-            LogicalOp::UnnestMap { input, context, attr, axis, test, probe, set } => {
+            LogicalOp::UnnestMap { input, context, attr, axis, test, probe, set, reverse } => {
                 let input = self.build_iter(input);
                 let ctx = self.mgr.slot(context);
                 let out = self.mgr.slot(attr);
                 let (axis, test) = (*axis, test.clone());
                 Box::new(if *set {
                     UnnestMapIter::set_at_a_time(input, ctx, out, axis, test)
+                } else if *reverse {
+                    UnnestMapIter::new(input, ctx, out, axis, test, probe.clone()).reversed()
                 } else {
                     UnnestMapIter::new(input, ctx, out, axis, test, probe.clone())
                 })
@@ -251,6 +253,11 @@ impl<'m> Codegen<'m> {
                 let cs = self.mgr.slot(cs);
                 let group = group.as_ref().map(|g| self.mgr.slot(g));
                 Box::new(TmpCsIter::new(input, cs, group))
+            }
+            LogicalOp::Window { input, lo, hi, group, .. } => {
+                let input = self.build_iter(input);
+                let group = group.as_ref().map(|g| self.mgr.slot(g));
+                Box::new(WindowIter::new(input, *lo, *hi, group))
             }
             LogicalOp::MemoX { input, key } => {
                 let input = self.build_iter(input);

@@ -1,5 +1,6 @@
 //! Tuple-at-a-time pipeline operators: □, σ, χ, renaming copies, the
-//! positional counter map (with group reset, §4.3.1) and ⊕.
+//! positional counter map (with group reset, §4.3.1), the positional
+//! window that replaces it under a positional σ, and ⊕.
 
 use algebra::attrmgr::Slot;
 use algebra::{Tuple, Value};
@@ -75,6 +76,10 @@ impl PhysIter for SelectIter {
         }
     }
 
+    fn skip_group(&mut self) {
+        self.input.skip_group();
+    }
+
     fn close(&mut self, rt: &Runtime<'_>) {
         self.input.close(rt);
         self.pred.release();
@@ -106,6 +111,10 @@ impl PhysIter for MapIter {
         }
         out[self.out] = self.expr.eval(rt, out);
         true
+    }
+
+    fn skip_group(&mut self) {
+        self.input.skip_group();
     }
 
     fn close(&mut self, rt: &Runtime<'_>) {
@@ -140,6 +149,10 @@ impl PhysIter for RenameCopyIter {
         }
         out[self.to] = out[self.from].clone();
         true
+    }
+
+    fn skip_group(&mut self) {
+        self.input.skip_group();
     }
 
     fn close(&mut self, rt: &Runtime<'_>) {
@@ -185,6 +198,78 @@ impl PhysIter for CounterIter {
         self.count += 1.0;
         out[self.out] = Value::Num(self.count);
         true
+    }
+
+    fn close(&mut self, rt: &Runtime<'_>) {
+        self.input.close(rt);
+    }
+}
+
+/// W — a positional window (DESIGN.md §12 "Positional windows"): counts
+/// each group's tuples as [`CounterIter`] does and keeps positions
+/// `lo..=hi`. Past `hi` it skips the rest of the group (its input's
+/// [`PhysIter::skip_group`]), or ends the stream when it counts the whole
+/// input. Below a tail window the Υ runs reversed, so the count is the
+/// position from the group's end.
+pub struct WindowIter {
+    input: Box<dyn PhysIter>,
+    lo: u64,
+    hi: u64,
+    group: Option<Slot>,
+    count: u64,
+    last_group: Option<GroupKey>,
+    /// The window is empty, or it has no group and `hi` was reached: the
+    /// stream is over.
+    done: bool,
+}
+
+impl WindowIter {
+    /// New window keeping positions `lo..=hi` (1-based) of each group.
+    pub fn new(input: Box<dyn PhysIter>, lo: u64, hi: u64, group: Option<Slot>) -> WindowIter {
+        WindowIter {
+            input,
+            lo,
+            hi,
+            group,
+            count: 0,
+            last_group: None,
+            done: false,
+        }
+    }
+}
+
+impl PhysIter for WindowIter {
+    fn open(&mut self, rt: &Runtime<'_>, seed: &Tuple) {
+        self.input.open(rt, seed);
+        self.count = 0;
+        self.last_group = None;
+        // An empty window keeps nothing of any group.
+        self.done = self.lo > self.hi;
+    }
+
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
+        loop {
+            if self.done || !rt.gov.tick() || !self.input.next(rt, out) {
+                return false;
+            }
+            if let Some(slot) = self.group {
+                let key = GroupKey::of(out.get(slot).unwrap_or(&Value::Null), rt);
+                if self.last_group.as_ref() != Some(&key) {
+                    self.count = 0;
+                    self.last_group = Some(key);
+                }
+            }
+            self.count += 1;
+            if self.count >= self.hi {
+                match self.group {
+                    Some(_) => self.input.skip_group(),
+                    None => self.done = true,
+                }
+            }
+            if (self.lo..=self.hi).contains(&self.count) {
+                return true;
+            }
+        }
     }
 
     fn close(&mut self, rt: &Runtime<'_>) {

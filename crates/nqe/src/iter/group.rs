@@ -607,6 +607,10 @@ impl PhysIter for MemoMapIter {
         true
     }
 
+    fn skip_group(&mut self) {
+        self.input.skip_group();
+    }
+
     fn close(&mut self, rt: &Runtime<'_>) {
         self.input.close(rt);
         self.expr.release();

@@ -19,7 +19,9 @@ mod kernel;
 mod nodetest;
 mod path;
 
-pub use basic::{ConcatIter, CounterIter, MapIter, RenameCopyIter, SelectIter, SingletonIter};
+pub use basic::{
+    ConcatIter, CounterIter, MapIter, RenameCopyIter, SelectIter, SingletonIter, WindowIter,
+};
 pub use group::{DedupIter, MemoMapIter, MemoXIter, SortIter, TmpCsIter};
 pub use join::{DJoinIter, SemiJoinIter};
 pub(crate) use kernel::KernelCmp;
@@ -49,6 +51,15 @@ pub trait PhysIter {
     /// "stopped by the budget", not exhaustion — the executor turns the
     /// trip into a typed error after closing.
     fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool;
+
+    /// Drop what is left of the current group: the tuples still to come
+    /// from the context of the tuple `next` returned last. A positional
+    /// window calls it past its last kept position (DESIGN.md §12
+    /// "Positional windows"); σ, χ and Π hand it to their input, a
+    /// per-context Υ ends its current scan, and every other operator
+    /// ignores it (default), which costs the window its shortcut but
+    /// never a tuple.
+    fn skip_group(&mut self) {}
 
     /// Release per-evaluation state and return any transient governor
     /// charges (default: nothing to do — Rust drops buffers with the

@@ -140,6 +140,9 @@ pub struct UnnestMapIter {
     cursor: AxisCursor,
     /// Set mode's state; `None` for the per-context Υ.
     set: Option<Box<SetStep>>,
+    /// Walk each context's children from the last one back (a child step
+    /// under a tail window, [`UnnestMapIter::reversed`]).
+    reverse: bool,
     /// Statistics: context nodes (set mode: kept contexts) served by an
     /// interval range scan.
     pub range_scans: u64,
@@ -175,6 +178,7 @@ impl UnnestMapIter {
             scan: None,
             cursor: AxisCursor::default(),
             set: None,
+            reverse: false,
             range_scans: 0,
             cursor_fallbacks: 0,
             index_probes: 0,
@@ -199,6 +203,14 @@ impl UnnestMapIter {
             set: Some(Box::default()),
             ..UnnestMapIter::new(input, ctx, out, axis, test, None)
         }
+    }
+
+    /// This per-context child step, walking each context's children in
+    /// reverse document order (the physical phase reverses the step
+    /// under a tail window, DESIGN.md §12 "Positional windows").
+    pub fn reversed(self) -> UnnestMapIter {
+        debug_assert!(self.axis == Axis::Child && self.set.is_none());
+        UnnestMapIter { reverse: true, ..self }
     }
 
     /// Set mode, first `next` of an open: drain the input's context
@@ -454,6 +466,13 @@ impl PhysIter for UnnestMapIter {
         false
     }
 
+    fn skip_group(&mut self) {
+        // Per context only: a set-mode Υ's output has no context groups.
+        if self.set.is_none() {
+            self.scan = None;
+        }
+    }
+
     fn close(&mut self, rt: &Runtime<'_>) {
         self.input.close(rt);
         self.scan = None;
@@ -557,7 +576,7 @@ impl UnnestMapIter {
                     self.postings = Some(rt.store.content_probe(kind, &spec.name, &spec.value));
                 }
                 if let Some(Some(post)) = &self.postings {
-                    if let Some(cands) = probe_window(
+                    if let Some(mut cands) = probe_window(
                         rt,
                         post,
                         spec.kind,
@@ -567,6 +586,9 @@ impl UnnestMapIter {
                         &mut self.probe_postings,
                     ) {
                         self.index_probes += 1;
+                        if self.reverse {
+                            cands.reverse();
+                        }
                         self.scan = Some(Scan::Probe(cands.into_iter()));
                         continue;
                     }
@@ -578,6 +600,12 @@ impl UnnestMapIter {
                 Some(range) => {
                     self.range_scans += 1;
                     Scan::Range(range)
+                }
+                // Child steps take no range scan: a reversed one starts
+                // here, at the context's last child.
+                None if self.reverse => {
+                    self.cursor.start_children_reversed(rt.store, node);
+                    Scan::Cursor
                 }
                 None => {
                     if self.axis.is_interval() {

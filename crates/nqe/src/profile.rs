@@ -182,6 +182,10 @@ impl PhysIter for ProfiledIter {
         produced
     }
 
+    fn skip_group(&mut self) {
+        self.inner.skip_group();
+    }
+
     fn close(&mut self, rt: &Runtime<'_>) {
         let t0 = Instant::now();
         self.inner.close(rt);

@@ -211,7 +211,8 @@ fn dedup_seen_set_charges_group_keys_without_index() {
 
 #[test]
 fn profiler_gauges_reconcile_with_governor_accounting() {
-    // Dominant-materializer plan: the step's positional Tmp^cs is the only
+    // Dominant-materializer plan (`>=`: `position()=last()` runs as a tail
+    // window, which buffers nothing): the step's positional Tmp^cs is the only
     // operator parking tuples while the budget peaks, so its mem_peak gauge
     // equals the governor's high-water mark; and cumulative charges are
     // conserved — the per-operator mem_charged gauges plus the result
@@ -220,7 +221,7 @@ fn profiler_gauges_reconcile_with_governor_accounting() {
     let limits = ResourceLimits::unlimited();
     let (out, report) = nqe::explain_analyze_governed(
         &s,
-        "/r/a/b[position()=last()]",
+        "/r/a/b[position()>=last()]",
         &TranslateOptions::improved(),
         &limits,
         s.root(),

@@ -289,6 +289,13 @@ impl AxisCursor {
         };
     }
 
+    /// Re-aim at the children of `n` in reverse document order: from its
+    /// last child back over the preceding siblings (a tail window's
+    /// reversed child step).
+    pub fn start_children_reversed(&mut self, store: &dyn XmlStore, n: NodeId) {
+        self.state = State::PrevSiblings(store.node(n, &mut self.pin).last_child());
+    }
+
     /// Stop walking and let the held page go.
     pub fn release(&mut self) {
         self.state = State::Done;

@@ -48,7 +48,7 @@
 //! `ERR <class> …` response, never a worker panic.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
@@ -627,10 +627,21 @@ impl ServerHandle {
     }
 
     fn shutdown_inner(&mut self) {
+        let Some(h) = self.accept_thread.take() else {
+            return;
+        };
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
+        // The accept loop blocks in `accept`: one connection wakes it to
+        // see the flag (through loopback when bound to every address).
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        let _ = h.join();
     }
 }
 
@@ -646,30 +657,26 @@ impl Drop for ServerHandle {
 pub fn serve_tcp(service: Arc<QueryService>, addr: &str) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let stop = shutdown.clone();
     let accept_thread =
         std::thread::Builder::new().name("natix-accept".to_owned()).spawn(move || {
             let mut clients: Vec<JoinHandle<()>> = Vec::new();
-            while !stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let service = service.clone();
-                        clients.push(
-                            std::thread::Builder::new()
-                                .name("natix-client".to_owned())
-                                .spawn(move || {
-                                    let _ = serve_connection(&service, stream);
-                                })
-                                .expect("spawn client thread"),
-                        );
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
+            // A blocking accept: a client is served as soon as it
+            // connects, and `stop` connects once to end the loop.
+            while let Ok((stream, _)) = listener.accept() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
                 }
+                let service = service.clone();
+                clients.push(
+                    std::thread::Builder::new()
+                        .name("natix-client".to_owned())
+                        .spawn(move || {
+                            let _ = serve_connection(&service, stream);
+                        })
+                        .expect("spawn client thread"),
+                );
             }
             for c in clients {
                 let _ = c.join();
@@ -679,7 +686,6 @@ pub fn serve_tcp(service: Arc<QueryService>, addr: &str) -> std::io::Result<Serv
 }
 
 fn serve_connection(service: &Arc<QueryService>, stream: TcpStream) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
     let reader = BufReader::new(stream.try_clone()?);
     let mut client = service.client(None);

@@ -127,6 +127,29 @@ fn cases() -> Vec<(&'static str, Want)> {
         ("(//item)[last()]/@sku", Strings(&["t2"])),
         ("(//item)[position() mod 2 = 0]/@sku", Strings(&["f2", "t1"])),
         ("//item[@sku='f3']/preceding-sibling::item[1]/@sku", Strings(&["f2"])),
+        // --- positional windows (XPath 1.0 §2.4) --------------------------
+        ("/shop/dept/item[0]", Count(0)),
+        ("/shop/dept/item[-1]", Count(0)),
+        ("/shop/dept/item[2.5]", Count(0)),
+        ("/shop/dept/item[position() <= 2.5]/@sku", Strings(&["f1", "f2", "t1", "t2"])),
+        ("/shop/dept/item[position() = number('x')]", Count(0)),
+        ("/shop/dept/item[3]/@sku", Strings(&["f3"])),
+        ("/shop/dept/item[4]", Count(0)),
+        ("/shop/dept/item[position() < 100]", Count(5)),
+        ("count(/shop/dept/item[position() < 3])", Num(4.0)),
+        ("/shop/dept/item[last() - 2]/@sku", Strings(&["f1"])),
+        ("/shop/dept/item[last() - 3]", Count(0)),
+        ("/shop/dept/item[last() - 0.5]", Count(0)),
+        ("/shop/dept/item[last() + 1]", Count(0)),
+        ("//item[@sku='f3']/preceding-sibling::*[last()]/@sku", Strings(&["f1"])),
+        ("name(//b/ancestor::*[1])", Str("note")),
+        ("name(//b/ancestor::*[last()])", Str("shop")),
+        ("/shop/dept/item[stock > 5][last()]/@sku", Strings(&["f3", "t2"])),
+        ("/shop/dept/item[stock > 5][1]/@sku", Strings(&["f1", "t2"])),
+        ("/shop/dept/item[position() = last()][position()]/@sku", Strings(&["f3", "t2"])),
+        ("name(/shop/dept[2]/item[2]/*[last()])", Str("p:x")),
+        ("/shop/note/node()[last()]", Strings(&[" weekly"])),
+        ("(//item)[last() - 1]/@sku", Strings(&["t1"])),
         // --- predicates --------------------------------------------------
         ("//item[stock > 5]/@sku", Strings(&["f1", "f3", "t2"])),
         ("//item[stock = 0]/name", Strings(&["mango"])),

@@ -97,8 +97,9 @@ pub const DBLP_QUERIES: &[&str] = &[
 pub const PREDICATE_DOC: &str = include_str!("predicates.xml");
 
 /// Predicates over one step — the shapes the physical phase makes predicate
-/// kernels (DESIGN.md §5 "Predicate kernels") — and their neighbours that
-/// keep a nested plan, for `PREDICATE_DOC` and the generated dblp
+/// kernels (DESIGN.md §5 "Predicate kernels") or positional windows
+/// (DESIGN.md §12 "Positional windows") — and their neighbours that keep
+/// a nested plan or a counter, for `PREDICATE_DOC` and the generated dblp
 /// documents alike.
 pub const PREDICATE_QUERIES: &[&str] = &[
     // Child = literal, string and number mode, either operand order.
@@ -150,6 +151,25 @@ pub const PREDICATE_QUERIES: &[&str] = &[
     "/dblp/*[author[2]]/@key",
     "/dblp/*[sum(year) > 1990]/@key",
     "count(/dblp/*[year=1991])",
+    // Positional windows (XPath 1.0 §2.4), and their neighbours that keep
+    // the counter and Tmp^cs.
+    "/dblp/*[0]/@key",
+    "/dblp/*[-1]/@key",
+    "/dblp/*[2.5]/@key",
+    "/dblp/*[position() <= 2.5]/@key",
+    "/dblp/*[position() = number('x')]/@key",
+    "/dblp/*[9]/@key",
+    "/dblp/*/author[position() < 2]",
+    "/dblp/*/node()[3]",
+    "/dblp/*/*[last()]",
+    "/dblp/*/year[last()]",
+    "/dblp/*[last() - 9]/@key",
+    "/dblp/*[last() - 0.5]/@key",
+    "/dblp/*[last() + 1]/@key",
+    "//author/preceding-sibling::*[1]",
+    "//i/ancestor::*[last()]",
+    "/dblp/*[author][last()]/@key",
+    "/dblp/*[position() = last()][position()]/@key",
 ];
 
 /// The nine axes that reach one node from several contexts: the ones a

@@ -515,7 +515,7 @@ fn no_frame_stays_pinned_after_a_query_ends_however_it_ends() {
         ),
         (
             "tuple limit",
-            "/dblp/article[position() = last()]/title",
+            "/dblp/article[position() >= last()]/title",
             ResourceGovernor::new(ResourceLimits { max_tuples: Some(50), ..unlimited() }),
         ),
         (

@@ -105,9 +105,10 @@ fn predicate_corpus_all_engines_agree() {
 
 /// The physical phase changes how a plan runs, never what it returns:
 /// every corpus query lowered as the translation leaves it (every Π^D
-/// and Sort, Υ + Π^D, nested predicate plans, χ^mat) and as the phase
-/// leaves it (redundant Π^D and Sort elided, set-mode steps, kernels, χ)
-/// answers alike, on indexed stores and through set mode's fallback.
+/// and Sort, Υ + Π^D, nested predicate plans, χ^mat, counters and
+/// Tmp^cs) and as the phase leaves it (redundant Π^D and Sort elided,
+/// set-mode steps, kernels, χ, positional windows) answers alike, on
+/// indexed stores and through set mode's fallback.
 #[test]
 fn physical_phase_preserves_every_corpus_answer() {
     let tree = generate_tree(TreeParams { max_elements: 300, fanout: 5, max_depth: 4 });
@@ -120,7 +121,7 @@ fn physical_phase_preserves_every_corpus_answer() {
         (&edge, PREDICATE_QUERIES),
     ];
     let vars = std::collections::HashMap::new();
-    let (mut pruned, mut set_steps, mut kernels) = (0, 0, 0);
+    let (mut pruned, mut set_steps, mut kernels, mut heads, mut tails) = (0, 0, 0, 0, 0);
     for (store, queries) in corpora {
         for opts in [TranslateOptions::canonical(), TranslateOptions::improved()] {
             for q in queries {
@@ -129,6 +130,7 @@ fn physical_phase_preserves_every_corpus_answer() {
                 let (after, lowered) = compiler::physical::physical(before.clone());
                 pruned += lowered.pruned.len();
                 (set_steps, kernels) = (set_steps + lowered.set_steps, kernels + lowered.kernels);
+                (heads, tails) = (heads + lowered.head_windows, tails + lowered.tail_windows);
                 for s in [store as &dyn XmlStore, &xmlstore::NoIndex(store)] {
                     let run = |q| nqe::build_physical(q).execute(s, &vars, s.root());
                     assert_eq!(run(&after), run(&before), "{opts:?} `{q}`");
@@ -137,8 +139,9 @@ fn physical_phase_preserves_every_corpus_answer() {
         }
     }
     assert!(
-        pruned > 0 && set_steps > 0 && kernels > 0,
-        "{pruned} elided, {set_steps} set-mode steps, {kernels} kernels"
+        pruned > 0 && set_steps > 0 && kernels > 0 && heads > 0 && tails > 0,
+        "{pruned} elided, {set_steps} set-mode steps, {kernels} kernels, \
+         {heads} head and {tails} tail windows"
     );
 }
 
@@ -377,7 +380,9 @@ fn cancel_at_every_tick(
 
 /// Fig. 10's predicate rows, whose predicates run as kernels under every
 /// preset, cancelled at each single tick: a kernel walk stops where its
-/// cursor stopped, and the query ends cancelled or right.
+/// cursor stopped, and the query ends cancelled or right. Every record
+/// is a candidate, except in row 13, whose tail window stops at the last
+/// match.
 #[test]
 fn fault_injection_sweep_over_predicate_kernels() {
     let store = generate_dblp(DblpParams { records: 40, seed: 11 });
@@ -385,9 +390,52 @@ fn fault_injection_sweep_over_predicate_kernels() {
         let oracle = nqe::evaluate(&store, q, &TranslateOptions::canonical()).unwrap();
         for opts in [TranslateOptions::canonical(), TranslateOptions::improved()] {
             let ticks = cancel_at_every_tick(&store, q, &opts, &oracle);
-            assert!(ticks > 40, "`{q}`: {ticks} ticks for 40 records");
+            let windowed = q.contains("last()");
+            assert!(windowed || ticks > 40, "`{q}`: {ticks} ticks for 40 records");
         }
     }
+}
+
+/// The corpus rows whose plans run a positional window (Fig. 10 rows
+/// 3–6 and 13 among them), under both presets, with a failed charge at
+/// each single charge and a cancel at each single tick: a window that
+/// skips the rest of a scan, or a reversed step, stops cancelled or
+/// right, nothing leaked.
+#[test]
+fn fault_injection_sweep_over_positional_windows() {
+    let tree = generate_tree(TreeParams { max_elements: 60, fanout: 3, max_depth: 3 });
+    let dblp = generate_dblp(DblpParams { records: 40, seed: 11 });
+    let mut swept = 0;
+    for (store, queries) in [(&tree, TREE_QUERIES), (&dblp, DBLP_QUERIES)] {
+        for opts in [TranslateOptions::canonical(), TranslateOptions::improved()] {
+            for q in queries {
+                let shown = match compiler::compile(q, &opts).unwrap() {
+                    compiler::CompiledQuery::Sequence(p) => algebra::explain::explain(&p),
+                    compiler::CompiledQuery::Scalar(e) => algebra::explain::explain_scalar(&e),
+                };
+                if !shown.contains("σ[window ") {
+                    continue;
+                }
+                swept += 1;
+                let oracle = nqe::evaluate(store, q, &TranslateOptions::canonical()).unwrap();
+                for charge in 1.. {
+                    let fp = nqe::FailPoint { fail_at_alloc: Some(charge), cancel_at_tick: None };
+                    match run_injected(store, q, &opts, fp) {
+                        Ok(out) => {
+                            assert!(outputs_agree(&out, &oracle), "charge {charge} on `{q}`");
+                            break;
+                        }
+                        Err(e) => assert!(
+                            matches!(e, algebra::QueryError::MemoryExceeded { .. }),
+                            "charge {charge} on `{q}`: {e:?}"
+                        ),
+                    }
+                }
+                cancel_at_every_tick(store, q, &opts, &oracle);
+            }
+        }
+    }
+    assert!(swept >= 10, "{swept} windowed plans");
 }
 
 /// Deterministic fault sweep: budget exhaustion at the Nth allocation and

@@ -27,7 +27,8 @@ fn blowup_doc(width: usize) -> xmlstore::ArenaStore {
 }
 
 /// CI smoke test: the canonical plan for a positional predicate buffers
-/// the whole context sequence in Tmp^cs; on a wide blow-up document a
+/// the whole context sequence in Tmp^cs (`position()>=last()`: with `=`,
+/// a tail window answers it and buffers nothing); on a wide blow-up document a
 /// 16 MiB cap must surface as a typed MemoryExceeded — not an OOM, not a
 /// panic, not a wrong answer.
 #[test]
@@ -36,7 +37,7 @@ fn blowup_canonical_plan_trips_16mib_memory_cap() {
     let limits = ResourceLimits::unlimited().with_max_memory(16 * 1024 * 1024);
     let out = nqe::evaluate_governed(
         &store,
-        "/r/a/b[position()=last()]",
+        "/r/a/b[position()>=last()]",
         &TranslateOptions::canonical(),
         &limits,
         store.root(),
@@ -52,7 +53,7 @@ fn blowup_canonical_plan_trips_16mib_memory_cap() {
     let small = blowup_doc(64);
     let out = nqe::evaluate_governed(
         &small,
-        "/r/a/b[position()=last()]",
+        "/r/a/b[position()>=last()]",
         &TranslateOptions::canonical(),
         &limits,
         small.root(),
@@ -75,7 +76,7 @@ fn blowup_family_tuple_budget_separates_translations() {
     for _ in 0..9 {
         q.push_str("/parent::a/child::b");
     }
-    q.push_str("[position()=last()]");
+    q.push_str("[position()>=last()]");
     let limits = ResourceLimits::unlimited()
         .with_max_memory(16 * 1024 * 1024)
         .with_max_tuples(500_000);
@@ -166,7 +167,7 @@ fn expired_deadline_trips() {
 #[test]
 fn facade_engine_surfaces_resource_errors() {
     let doc = Document::parse("<r><a><b/><b/><b/></a></r>").unwrap();
-    let q = "/r/a/b[position()=last()]";
+    let q = "/r/a/b[position()>=last()]";
     let session = Engine::new()
         .session()
         .with_limits(ResourceLimits::unlimited().with_max_memory(8));

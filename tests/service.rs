@@ -214,6 +214,48 @@ fn tcp_loopback_serves_concurrent_clients() {
     handle.stop();
 }
 
+/// `stop` ends a server no client ever reached: the blocking accept is
+/// woken by a connection of its own, through loopback when the server is
+/// bound to every address.
+#[test]
+fn stop_returns_when_no_client_ever_connected() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let service =
+            QueryService::new(Engine::new(), ServiceConfig { workers: 1, queue_depth: 4 });
+        let handle = natix::service::serve_tcp(service, bind).expect("bind");
+        let (done, stopped) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            handle.stop();
+            done.send(()).unwrap();
+        });
+        let waited = stopped.recv_timeout(std::time::Duration::from_secs(10));
+        assert!(waited.is_ok(), "`stop` on {bind} did not return");
+    }
+}
+
+/// A client that connects the moment `serve_tcp` returns is served.
+#[test]
+fn a_client_connecting_at_once_gets_its_reply() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let engine = Engine::new();
+    engine.register_document(
+        "dblp",
+        Document::Arena(generate_dblp(DblpParams { records: 20, seed: 42 })),
+    );
+    let service = QueryService::new(engine, ServiceConfig { workers: 1, queue_depth: 4 });
+    let handle = natix::service::serve_tcp(service, "127.0.0.1:0").expect("bind loopback");
+    let mut stream = std::net::TcpStream::connect(handle.addr).expect("connect");
+    writeln!(stream, "count(/dblp/article)").expect("send");
+    let mut line = String::new();
+    BufReader::new(stream.try_clone().expect("clone"))
+        .read_line(&mut line)
+        .expect("recv");
+    assert!(line.starts_with("OK num "), "{line:?}");
+    writeln!(stream, "quit").expect("send");
+    handle.stop();
+}
+
 /// A reply must leave in one segment. Written as body then newline with
 /// Nagle on, the newline waits for the client's ACK of the body, and a
 /// client that reads to the newline before it sends anything delays that

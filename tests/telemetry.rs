@@ -230,12 +230,13 @@ fn governor_trips_count_per_error_class() {
     let t = Telemetry::new().shared();
     // The canonical translation buffers the context sequence for the
     // positional predicate, charging one tuple per buffered row — which
-    // blows the 50-tuple cap on a 200-record document.
+    // blows the 50-tuple cap on a 200-record document (`>=`: `=` runs as
+    // a tail window, which buffers nothing).
     let engine = observed(&t)
         .with_options(TranslateOptions::canonical())
         .with_limits(ResourceLimits::unlimited().with_max_tuples(50));
 
-    let out = engine.evaluate(&store, "/dblp/article[position()=last()]/title");
+    let out = engine.evaluate(&store, "/dblp/article[position()>=last()]/title");
     assert!(out.is_err(), "tuple cap must trip");
     assert_eq!(registry_value(&t, "natix_query_errors_total{class=\"tuples\"}"), 1);
     assert_eq!(registry_value(&t, "natix_queries_total"), 1);

@@ -258,3 +258,64 @@ fn set_mode_steps_agree_after_committed_write_batches() {
         corpus::check_set_mode(store, &contexts).unwrap_or_else(|e| panic!("round {round}: {e}"));
     }
 }
+
+/// Positional windows over published snapshots after random committed
+/// `WriteBatch`es that insert, remove and move records: the reversed
+/// child step walks the `last_child`/`prev_sibling` links the batches
+/// repaired, and a head window skips along the forward ones. Each
+/// windowed row answers as the interpreter and as the translated plan
+/// without the physical phase (counter, σ and Tmp^cs) do.
+#[test]
+fn positional_windows_agree_after_committed_write_batches() {
+    use natix::{Document, Engine};
+    use xmlstore::gen::{generate_dblp, DblpParams};
+    const WINDOWED: &[&str] = &[
+        "/dblp/article[position() = 3]/title",
+        "/dblp/article[position() < 10]/title",
+        "/dblp/article[position() = last()]/title",
+        "/dblp/article[position()=last()-10]/title",
+        "/dblp/inproceedings[author='Guido Moerkotte'][position()=last()]/title",
+        "/dblp/*[last()]/@key",
+        "/dblp/*/author[last()]",
+        "/dblp/*/*[position() <= 2]",
+    ];
+    let engine = Engine::new();
+    engine.register_document(
+        "doc",
+        Document::Arena(generate_dblp(DblpParams { records: 60, seed: 7 })),
+    );
+    let session = engine.session();
+    let vars = std::collections::HashMap::new();
+    let mut rng = Rng(0x3d_2026_1019);
+    for round in 0..6 {
+        let mut batch = engine.write_batch("doc").unwrap();
+        let dblp = batch.store().first_child(batch.store().root()).unwrap();
+        for _ in 0..12 {
+            let record = random_inner_element(batch.store(), &mut rng);
+            let name = ["article", "inproceedings", "author"][rng.below(3) as usize];
+            let done = match rng.below(4) {
+                0 => batch.append_element(dblp, name).map(drop),
+                1 => batch.insert_element_before(record, name).map(drop),
+                2 => batch.remove_subtree(record),
+                _ => batch.move_subtree(record, dblp),
+            };
+            done.expect("valid update");
+        }
+        batch.commit().expect("commit");
+        let doc = engine.document("doc").unwrap();
+        let Document::Arena(store) = &*doc else {
+            panic!("batches publish arena snapshots");
+        };
+        let mut windows = 0;
+        for q in WINDOWED {
+            let windowed = session.evaluate(store, q).unwrap();
+            assert_eq!(windowed, agree(store, q), "round {round} `{q}`");
+            let ast = xpath_syntax::frontend(q).unwrap();
+            let translated = compiler::translate(&ast, &TranslateOptions::improved()).unwrap();
+            let unwindowed = nqe::build_physical(&translated).execute(store, &vars, store.root());
+            assert_eq!(Ok(windowed), unwindowed, "round {round} `{q}`");
+            windows += usize::from(session.explain(store, q).unwrap().contains("σ[window "));
+        }
+        assert_eq!(windows, WINDOWED.len(), "round {round}: every row runs a window");
+    }
+}
