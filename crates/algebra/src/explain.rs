@@ -4,7 +4,7 @@
 
 use std::cmp::Ordering;
 
-use crate::ops::LogicalOp;
+use crate::ops::{LogicalOp, StepMode};
 use crate::scalar::{KernelExpr, ScalarExpr};
 
 /// Render a plan as an indented operator tree.
@@ -41,18 +41,18 @@ pub fn op_label(plan: &LogicalOp) -> String {
         LogicalOp::Cross { .. } => "×".to_owned(),
         LogicalOp::SemiJoin { pred, .. } => format!("⋉[{pred}]"),
         LogicalOp::AntiJoin { pred, .. } => format!("▷[{pred}]"),
-        LogicalOp::UnnestMap { context, attr, axis, test, probe, set, reverse, .. } => {
+        LogicalOp::UnnestMap { context, attr, axis, test, probe, mode, .. } => {
             let mut label = format!("Υ[{attr}:{context}/{axis}::{test}]");
             if let Some(p) = probe {
                 label.pop();
                 label.push_str(&format!(" probe={p}]"));
             }
-            if *set {
+            match mode {
+                StepMode::PerContext => {}
                 // Still a Υ first, then the Π^D it absorbed.
-                label.push_str(&format!(" (set, Π^D[{attr}])"));
-            }
-            if *reverse {
-                label.push_str(" (reverse)");
+                StepMode::Set => label.push_str(&format!(" (set, Π^D[{attr}])")),
+                StepMode::Reverse => label.push_str(" (reverse)"),
+                StepMode::Lookup => label.push_str(" (lookup)"),
             }
             label
         }

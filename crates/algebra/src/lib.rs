@@ -19,7 +19,7 @@ pub mod value;
 pub use attrmgr::{AttrManager, Slot};
 pub use docorder::DocOrderKeys;
 pub use explain::explain;
-pub use ops::{Attr, LogicalOp, ProbeKind, ProbeSpec};
+pub use ops::{Attr, LogicalOp, ProbeKind, ProbeSpec, StepMode};
 pub use scalar::{
     AggExpr, AggFunc, CmpMode, ConstCmp, ConvKind, KernelExpr, NodeFn, NumFn, ScalarExpr, StrFn,
 };

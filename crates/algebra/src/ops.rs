@@ -27,6 +27,24 @@ pub enum ProbeKind {
     Element,
 }
 
+/// How a Υ runs, decided by the physical phase (DESIGN.md §12).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum StepMode {
+    /// One axis walk per context, as translated.
+    #[default]
+    PerContext,
+    /// Set mode: the Υ also does the work of the `Π^D[attr]` it
+    /// replaced, emitting each node once ("Set-at-a-time steps").
+    Set,
+    /// A child step under a tail window, walking each context's children
+    /// from the last one back ("Positional windows").
+    Reverse,
+    /// A step that reaches at most one node per context
+    /// (`attribute::QName`, `parent::test`, `self::test`): one store
+    /// lookup per context, no axis walk ("Lookup steps").
+    Lookup,
+}
+
 /// A content-index probe pinned on an [`LogicalOp::UnnestMap`] by the
 /// cost-based optimizer: the Υ's predicate demands an exact
 /// `name = value` match, so the runtime can intersect the context's
@@ -169,14 +187,8 @@ pub enum LogicalOp {
         /// (`None` unless an equality predicate above this Υ was
         /// recognised as index-answerable).
         probe: Option<ProbeSpec>,
-        /// Set mode, written by the physical phase: this Υ also does the
-        /// work of the `Π^D[attr]` it replaced, emitting each node once
-        /// (DESIGN.md §12 "Set-at-a-time steps").
-        set: bool,
-        /// Reversed, written by the physical phase for a tail window
-        /// above: a child step walks each context's children from the
-        /// last one back (DESIGN.md §12 "Positional windows").
-        reverse: bool,
+        /// How the step runs, written by the physical phase.
+        mode: StepMode,
     },
     /// Υ_{t:tokenize(e)} — unnest a whitespace-tokenised string (used only
     /// by the `id()` translation on non-node-set input, §3.6.3).
@@ -258,8 +270,7 @@ impl LogicalOp {
             axis,
             test,
             probe: None,
-            set: false,
-            reverse: false,
+            mode: StepMode::PerContext,
         }
     }
 

@@ -49,7 +49,7 @@ use xpath_syntax::{KindTest, NodeTest};
 
 use algebra::explain::{kernel_label, op_label};
 use algebra::scalar::{AggFunc, CmpMode, ConstCmp, KernelExpr};
-use algebra::{Const, LogicalOp, ProbeKind, ProbeSpec, ScalarExpr};
+use algebra::{Const, LogicalOp, ProbeKind, ProbeSpec, ScalarExpr, StepMode};
 use xpath_syntax::CompOp;
 
 use crate::physical::kernel_shape;
@@ -122,7 +122,7 @@ pub fn optimize(mut q: CompiledQuery, stats: &StoreStats) -> (CompiledQuery, Vec
     let mut opt = Optimizer { est, decisions: Vec::new() };
     let mut env = Env::seed(stats);
     match &mut q {
-        CompiledQuery::Sequence(plan) => opt.rewrite(plan, 1.0, &mut env),
+        CompiledQuery::Sequence { plan, .. } => opt.rewrite(plan, 1.0, &mut env),
         CompiledQuery::Scalar(expr) => opt.rewrite_nested(expr, 1.0, &mut env),
     }
     (q, opt.decisions)
@@ -140,7 +140,7 @@ pub fn estimate_operators(q: &CompiledQuery, stats: &StoreStats) -> Vec<OpEstima
     let mut est = Estimator { stats, rec: Some(rec), cap: None };
     let mut env = Env::seed(stats);
     match q {
-        CompiledQuery::Sequence(plan) => {
+        CompiledQuery::Sequence { plan, .. } => {
             est.est(plan, 1.0, &mut env);
         }
         CompiledQuery::Scalar(expr) => {
@@ -412,7 +412,7 @@ impl Estimator<'_> {
                     cost: l.cost + l.rows * (r.cost * 0.5 + per),
                 }
             }
-            L::UnnestMap { input, context, axis, test, set, .. } => {
+            L::UnnestMap { input, context, axis, test, mode, .. } => {
                 let cap = self.cap.take().unwrap_or(f64::INFINITY);
                 let i = self.est(input, opens, env);
                 let ctx_scope = env.scope(context).unwrap_or(self.stats.mean_subtree);
@@ -423,7 +423,7 @@ impl Estimator<'_> {
                 self.bind(plan, env);
                 let span = self.scan_span(*axis, ctx_scope) * read;
                 let (rows, cost) = (i.rows * card, i.cost + i.rows * (span.max(card) + card));
-                if *set {
+                if *mode == StepMode::Set {
                     // The Π^D it absorbed, priced as a Π^D still.
                     let domain = self.test_count(*axis, test).max(1.0);
                     Est { rows: rows.min(domain), cost: cost + rows * DEDUP_UNIT }
@@ -929,8 +929,8 @@ mod tests {
         }
         // Whatever was decided, the result is still a valid plan.
         match opt {
-            CompiledQuery::Sequence(p) => {
-                assert!(p.op_count() > 0);
+            CompiledQuery::Sequence { plan, .. } => {
+                assert!(plan.op_count() > 0);
             }
             CompiledQuery::Scalar(_) => panic!("path query is sequence-valued"),
         }
@@ -950,7 +950,7 @@ mod tests {
                 .find(|d| d.rule == "index-probe")
                 .unwrap_or_else(|| panic!("{query}: no index-probe decision in {decisions:?}"));
             assert_eq!(d.choice, "probe", "{query}: dblp root is a hub, probe must win: {d:?}");
-            let CompiledQuery::Sequence(plan) = opt else {
+            let CompiledQuery::Sequence { plan, .. } = opt else {
                 panic!("sequence query")
             };
             let text = algebra::explain(&plan);
@@ -966,7 +966,7 @@ mod tests {
             compile("/dblp/article[author/text()]/title", &TranslateOptions::improved()).unwrap();
         let (opt, decisions) = optimize(q, &stats);
         assert!(decisions.iter().all(|d| d.rule != "index-probe"), "{decisions:?}");
-        let CompiledQuery::Sequence(plan) = opt else {
+        let CompiledQuery::Sequence { plan, .. } = opt else {
             panic!("sequence query")
         };
         assert!(!algebra::explain(&plan).contains("probe="));

@@ -12,13 +12,13 @@ use std::time::Duration;
 ///
 /// `Off` (the default and every paper preset) compiles exactly the plan
 /// the translation flags dictate — byte-identical to the engine before
-/// the optimizer existed. `CostBased` re-examines the translation's
-/// unconditional choices (MemoX, χ^mat split, stacked vs. d-join outer
-/// paths, range-scan vs. cursor axis kernels) against cardinality
-/// estimates seeded from the store's [`StructuralIndex`] statistics and
-/// keeps each one only where the estimates say it pays. Without store
-/// statistics (no index, or compile without a store) `CostBased`
-/// degrades to `Off`.
+/// the optimizer existed. `CostBased` re-examines two of the
+/// translation's unconditional choices (MemoX, the χ^mat split) and
+/// whether a value predicate's step probes the content index, against
+/// cardinality estimates seeded from the store's [`StructuralIndex`]
+/// statistics, and keeps each one only where the estimates say it pays.
+/// Without store statistics (no index, or compile without a store)
+/// `CostBased` degrades to `Off`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CostMode {
     /// No optimizer pass: translation flags decide everything.

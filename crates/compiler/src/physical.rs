@@ -12,13 +12,18 @@
 //! - a χ^mat whose aggregates all became kernels becomes a χ;
 //! - a σ keeping a window of positions over its counter (and Tmp^cs)
 //!   becomes one window operator, with the child step below it reversed
-//!   when it counts from the end (DESIGN.md §12 "Positional windows").
+//!   when it counts from the end (DESIGN.md §12 "Positional windows");
+//! - a per-context step reaching at most one node per context becomes a
+//!   lookup (DESIGN.md §12 "Lookup steps");
+//! - the executor reads a sequence's result from below the top `Π[cn:…]`,
+//!   and does not sort it where [`props_of`] proves it in document order
+//!   without repeats (DESIGN.md §12 "Result sink").
 
 use algebra::explain::op_label;
 use algebra::scalar::{AggExpr, AggFunc, CmpMode, ConstCmp, KernelExpr};
-use algebra::{Const, ConvKind, LogicalOp, ScalarExpr};
+use algebra::{Attr, Const, ConvKind, LogicalOp, ScalarExpr, StepMode};
 use xmlstore::Axis;
-use xpath_syntax::{ArithOp, CompOp};
+use xpath_syntax::{ArithOp, CompOp, NodeTest};
 
 use crate::translate::CompiledQuery;
 
@@ -47,10 +52,40 @@ pub fn physical(mut q: CompiledQuery) -> (CompiledQuery, Lowered) {
         decide(&q).into_iter().map(|(op, fate)| (op as *const _, fate)).collect();
     let mut done = Lowered::default();
     match &mut q {
-        CompiledQuery::Sequence(plan) => lower(plan, &fates, &mut done),
+        CompiledQuery::Sequence { plan, result, ordered } => {
+            lower(plan, &fates, &mut done);
+            *ordered = sink(plan, result);
+        }
         CompiledQuery::Scalar(e) => lower_scalar(e, &fates, &mut done),
     }
     (q, done)
+}
+
+/// Point the executor at the result: below a top `Π[result:…]`, which
+/// would copy every result into `result`. Whether the plan delivers it
+/// in document order, each node once.
+fn sink(plan: &mut LogicalOp, result: &mut Attr) -> bool {
+    if matches!(plan, LogicalOp::Rename { to, .. } if to == result) {
+        let LogicalOp::Rename { input, from, .. } = std::mem::replace(plan, LogicalOp::Singleton)
+        else {
+            unreachable!()
+        };
+        (*plan, *result) = (*input, from);
+    }
+    let p = props_of(plan, result);
+    p.ordered && p.distinct
+}
+
+/// Does a per-context step reach at most one node from each context?
+/// Parent and self do on every test; an attribute step does on a name,
+/// as no start-tag holds an attribute name twice (XML 1.0 §3.1, which
+/// the parser enforces).
+fn one_node_per_context(axis: Axis, test: &NodeTest) -> bool {
+    match axis {
+        Axis::Parent | Axis::SelfAxis => true,
+        Axis::Attribute => matches!(test, NodeTest::Name(_)),
+        _ => false,
+    }
 }
 
 fn lower(op: &mut LogicalOp, fates: &[(*const LogicalOp, Fate)], done: &mut Lowered) {
@@ -70,7 +105,14 @@ fn lower(op: &mut LogicalOp, fates: &[(*const LogicalOp, Fate)], done: &mut Lowe
         };
         *op = LogicalOp::MapExpr { input, attr, expr };
     }
-    let Some(fate) = fate else { return };
+    let Some(fate) = fate else {
+        if let LogicalOp::UnnestMap { axis, test, probe: None, mode, .. } = op {
+            if *mode == StepMode::PerContext && one_node_per_context(*axis, test) {
+                *mode = StepMode::Lookup;
+            }
+        }
+        return;
+    };
     match fate {
         Fate::Elided => done.pruned.push(op_label(op)),
         Fate::Fused => done.set_steps += 1,
@@ -82,8 +124,8 @@ fn lower(op: &mut LogicalOp, fates: &[(*const LogicalOp, Fate)], done: &mut Lowe
         unreachable!("only a Π^D or a Sort has a fate");
     };
     *op = *input;
-    if let (Fate::Fused, LogicalOp::UnnestMap { set, .. }) = (fate, op) {
-        *set = true;
+    if let (Fate::Fused, LogicalOp::UnnestMap { mode, .. }) = (fate, op) {
+        *mode = StepMode::Set;
     }
 }
 
@@ -215,9 +257,12 @@ pub(crate) fn props_of(plan: &LogicalOp, attr: &str) -> Props {
             _ => Props { single: props_of(input, attr).single, ..Props::NONE },
         },
         L::MapExpr { input, .. } => props_of(input, attr),
-        L::UnnestMap { input, context, attr: a, axis, reverse, .. } if a == attr => {
+        // A lookup and a set-mode step give at least what the step gives
+        // per context: the former is that step, the latter drops its
+        // repeats (and, on an index, sorts it).
+        L::UnnestMap { input, context, attr: a, axis, mode, .. } if a == attr => {
             let p = axis_transition(*axis, props_of(input, context));
-            Props { ordered: p.ordered && !reverse, ..p }
+            Props { ordered: p.ordered && *mode != StepMode::Reverse, ..p }
         }
         L::SemiJoin { left, .. } | L::AntiJoin { left, .. } => {
             Props { single: props_of(left, attr).single, ..Props::NONE }
@@ -240,9 +285,9 @@ pub(crate) fn props_of(plan: &LogicalOp, attr: &str) -> Props {
 // kernels' oracle.
 
 /// `agg` as a kernel, if it is one: not independent, `Exists` or `Count`,
-/// over one probe-free, per-context step (not one a Π^D fused into) on
-/// an axis Υ walks with its cursor (not the four interval axes its range
-/// scans serve), optionally under one σ
+/// over one probe-free step run per context or as a lookup (not one a
+/// Π^D fused into) on an axis Υ walks with its cursor (not the four
+/// interval axes its range scans serve), optionally under one σ
 /// comparing the step's node with a constant, aggregating the step's
 /// attribute. The cost pass's probe rule narrows this one matcher.
 pub(crate) fn kernel_shape(agg: &AggExpr) -> Option<KernelExpr> {
@@ -267,7 +312,7 @@ pub(crate) fn kernel_shape(agg: &AggExpr) -> Option<KernelExpr> {
         axis,
         test,
         probe: None,
-        set: false,
+        mode: StepMode::PerContext | StepMode::Lookup,
         ..
     } = &**right
     else {
@@ -385,8 +430,22 @@ fn window_shape(op: &LogicalOp, above: &Above<'_, '_>) -> Option<Window> {
     let group = group.as_deref();
     match (windowed_step(x, group)?, window.from_end, group) {
         (_, false, None) => Some(window),
-        (L::UnnestMap { context, set: false, .. }, false, Some(g)) if context == g => Some(window),
-        (L::UnnestMap { input, context, axis: Axis::Child, set: false, .. }, true, g) => {
+        (L::UnnestMap { context, mode: StepMode::PerContext, .. }, false, Some(g))
+            if context == g =>
+        {
+            Some(window)
+        }
+        (
+            L::UnnestMap {
+                input,
+                context,
+                axis: Axis::Child,
+                mode: StepMode::PerContext,
+                ..
+            },
+            true,
+            g,
+        ) => {
             let contexts = props_of(input, context);
             let one_run = match g {
                 Some(g) => g == context && contexts.distinct,
@@ -486,8 +545,9 @@ fn windowed_step<'p>(mut x: &'p LogicalOp, group: Option<&str>) -> Option<&'p Lo
 }
 
 /// Rewrite the σ at `op` (and its counter, and Tmp^cs) into a window;
-/// reverse the child step under a tail window. Runs after `op`'s inputs
-/// were lowered, so only σ, χ, χ^mat and Π stand between.
+/// reverse the child step under a tail window, and run the step under a
+/// head window per context (a lookup has no scan to stop). Runs after
+/// `op`'s inputs were lowered, so only σ, χ, χ^mat and Π stand between.
 fn lower_window(op: &mut LogicalOp, w: Window, done: &mut Lowered) {
     use LogicalOp as L;
     let L::Select { input, .. } = std::mem::replace(op, L::Singleton) else {
@@ -502,19 +562,23 @@ fn lower_window(op: &mut LogicalOp, w: Window, done: &mut Lowered) {
     };
     if w.from_end {
         done.tail_windows += 1;
-        let mut x = &mut *input;
-        loop {
-            x = match x {
-                L::Select { input, .. }
-                | L::MapExpr { input, .. }
-                | L::MemoMap { input, .. }
-                | L::Rename { input, .. } => input,
-                L::UnnestMap { reverse, .. } => break *reverse = true,
-                _ => unreachable!("a tail window stops a child step"),
-            };
-        }
     } else {
         done.head_windows += 1;
+    }
+    let mut x = &mut *input;
+    loop {
+        x = match x {
+            L::Select { input, .. }
+            | L::MapExpr { input, .. }
+            | L::MemoMap { input, .. }
+            | L::Rename { input, .. } => input,
+            L::UnnestMap { mode, .. } if w.from_end => break *mode = StepMode::Reverse,
+            L::UnnestMap { mode: mode @ StepMode::Lookup, .. } => {
+                break *mode = StepMode::PerContext
+            }
+            _ if w.from_end => unreachable!("a tail window stops a child step"),
+            _ => break,
+        };
     }
     *op = L::Window { input, lo: w.lo, hi: w.hi, from_end: w.from_end, group };
 }
@@ -546,9 +610,9 @@ enum Fate {
 fn decide(q: &CompiledQuery) -> Vec<(&LogicalOp, Fate)> {
     let mut fates = Vec::new();
     match q {
-        CompiledQuery::Sequence(plan) => {
-            // The executor reads the result from `cn`.
-            let end = Above { reader: Reader::Result("cn"), up: None };
+        CompiledQuery::Sequence { plan, result, .. } => {
+            // The executor reads the result from `result`.
+            let end = Above { reader: Reader::Result(result), up: None };
             walk(plan, &end, &mut fates);
         }
         CompiledQuery::Scalar(expr) => walk_aggs(expr, &mut fates),
@@ -769,7 +833,7 @@ mod tests {
     /// The EXPLAIN text of a compiled query.
     fn explained(q: &CompiledQuery) -> String {
         match q {
-            CompiledQuery::Sequence(plan) => explain(plan),
+            CompiledQuery::Sequence { plan, .. } => explain(plan),
             CompiledQuery::Scalar(e) => explain_scalar(e),
         }
     }
@@ -815,7 +879,7 @@ mod tests {
     }
 
     fn to_cn(plan: LogicalOp, from: &str) -> CompiledQuery {
-        CompiledQuery::Sequence(LogicalOp::Rename {
+        CompiledQuery::sequence(LogicalOp::Rename {
             input: Box::new(plan),
             from: from.into(),
             to: "cn".into(),
@@ -1187,6 +1251,60 @@ mod tests {
         // Their parents repeat: a group may span two runs.
         let parents = LogicalOp::unnest_map(kids("k"), "k", "c1", Axis::Parent, NodeTest::Wildcard);
         assert_eq!(tail(parents, Some("c1")), 0);
+    }
+
+    /// The lookup rows of `q`'s improved plan.
+    fn lookup_rows(q: &str) -> Vec<String> {
+        let text = lowered(q);
+        text.lines()
+            .map(str::trim)
+            .filter(|l| l.ends_with(" (lookup)"))
+            .map(Into::into)
+            .collect()
+    }
+
+    #[test]
+    fn steps_reaching_one_node_per_context_run_as_lookups() {
+        assert_eq!(lookup_rows("/a/b/@id"), ["Υ[c4:c3/attribute::id] (lookup)"]);
+        assert_eq!(lookup_rows("/a/b/self::b"), ["Υ[c4:c3/self::b] (lookup)"]);
+        assert_eq!(lookup_rows("parent::node()"), ["Υ[c2:c1/parent::node()] (lookup)"]);
+        // In a nested plan, and in the canonical d-join chain.
+        assert_eq!(lookup_rows("/a/b[../@c = 1]").len(), 2);
+        let canonical = TranslateOptions::canonical();
+        let q =
+            physical(translate(&xpath_syntax::frontend("/a/b/@id").unwrap(), &canonical).unwrap());
+        assert!(explained(&q.0).contains("Υ[c4:c3/attribute::id] (lookup)"));
+        // Every attribute, any attribute node, a parent step under its
+        // fused Π^D, a step under a window: scans as before.
+        for q in [
+            "/a/@*",
+            "/a/attribute::node()",
+            "/a/b/..",
+            "/a/@id[1]",
+            "/a/b/child::c",
+        ] {
+            assert_eq!(lookup_rows(q), Vec::<String>::new(), "`{q}`");
+        }
+        assert!(lowered("/a/@id[1]").contains("σ[window 1 by c2]"));
+    }
+
+    #[test]
+    fn the_sink_reads_below_the_top_rename_and_sorts_only_unproved_results() {
+        let improved = TranslateOptions::improved();
+        let sink = |q: &str| {
+            let q = physical(translate(&xpath_syntax::frontend(q).unwrap(), &improved).unwrap()).0;
+            let CompiledQuery::Sequence { plan, result, ordered } = q else {
+                panic!("a sequence")
+            };
+            (op_label(&plan), result, ordered)
+        };
+        assert_eq!(sink("/a/b/@id"), ("Υ[c4:c3/attribute::id] (lookup)".into(), "c4".into(), true));
+        // Proved distinct but not ordered: children of nested contexts.
+        assert!(!sink("//a//b").2);
+        // A union keeps its Π^D on top, and is sorted.
+        assert_eq!(sink("/a/b | /a/c"), ("Π^D[u1]".into(), "u1".into(), false));
+        // A set-mode step's output, as the lattice sees it per context.
+        assert!(!sink(FIG5[3]).2);
     }
 
     #[test]

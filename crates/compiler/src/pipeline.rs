@@ -197,7 +197,7 @@ mod tests {
 
     fn seq(query: &str, opts: &TranslateOptions) -> LogicalOp {
         match translated(query, opts) {
-            CompiledQuery::Sequence(p) => p,
+            CompiledQuery::Sequence { plan, .. } => plan,
             CompiledQuery::Scalar(s) => panic!("expected sequence plan, got scalar {s}"),
         }
     }
@@ -205,7 +205,9 @@ mod tests {
     fn scal(query: &str, opts: &TranslateOptions) -> algebra::ScalarExpr {
         match translated(query, opts) {
             CompiledQuery::Scalar(s) => s,
-            CompiledQuery::Sequence(p) => panic!("expected scalar, got plan\n{}", explain(&p)),
+            CompiledQuery::Sequence { plan, .. } => {
+                panic!("expected scalar, got plan\n{}", explain(&plan))
+            }
         }
     }
 

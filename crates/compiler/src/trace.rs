@@ -63,7 +63,7 @@ impl QueryTrace {
     /// per-class counts).
     pub fn record_plan(&mut self, q: &CompiledQuery) {
         let roots = match q {
-            CompiledQuery::Sequence(plan) => vec![Nested::Plan(plan)],
+            CompiledQuery::Sequence { plan, .. } => vec![Nested::Plan(plan)],
             CompiledQuery::Scalar(expr) => scalar_nested(expr),
         };
         let mut counts: Vec<(String, usize)> = Vec::new();

@@ -40,11 +40,28 @@ fn err<T>(message: impl Into<String>) -> Result<T, CompileError> {
 /// A fully translated query.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CompiledQuery {
-    /// Sequence-valued: the plan's result nodes are in attribute `cn`,
-    /// duplicate-free.
-    Sequence(LogicalOp),
+    /// Sequence-valued: the plan's result nodes, duplicate-free.
+    Sequence {
+        /// The plan.
+        plan: LogicalOp,
+        /// The attribute holding the result nodes: `cn` as translated;
+        /// the physical phase names the one below a top `Π[cn:…]` it
+        /// removes.
+        result: Attr,
+        /// The result arrives in document order, each node once: proved
+        /// by the physical phase, so the executor does not sort it.
+        ordered: bool,
+    },
     /// Scalar-valued (boolean/number/string); may embed nested plans.
     Scalar(ScalarExpr),
+}
+
+impl CompiledQuery {
+    /// A sequence-valued query as translated: results in `cn`, sorted
+    /// by the executor.
+    pub fn sequence(plan: LogicalOp) -> CompiledQuery {
+        CompiledQuery::Sequence { plan, result: "cn".into(), ordered: false }
+    }
 }
 
 /// Positional context of the clause being translated: which attributes
@@ -84,7 +101,7 @@ pub fn translate(e: &Expr, opts: &TranslateOptions) -> Result<CompiledQuery, Com
             } else {
                 LogicalOp::dedup(plan, "cn")
             };
-            Ok(CompiledQuery::Sequence(plan))
+            Ok(CompiledQuery::sequence(plan))
         }
         _ => Ok(CompiledQuery::Scalar(tr.t_scalar(e, &ClauseCtx::top())?)),
     }

@@ -11,13 +11,13 @@ use parking_lot::Mutex;
 use algebra::attrmgr::{AttrManager, Slot};
 use algebra::explain::{kernel_label, op_label};
 use algebra::scalar::{CmpMode, KernelExpr, ScalarExpr};
-use algebra::{ConvKind, LogicalOp};
+use algebra::{ConvKind, LogicalOp, StepMode};
 use compiler::CompiledQuery;
 
 use crate::iter::{
-    CompiledPred, ConcatIter, CounterIter, DJoinIter, DedupIter, KernelCmp, MapIter, MemoMapIter,
-    MemoXIter, NestedEval, PhysIter, PredKernel, RenameCopyIter, SelectIter, SemiJoinIter,
-    SingletonIter, SortIter, TmpCsIter, TokenizeIter, UnnestMapIter, WindowIter,
+    CompiledPred, ConcatIter, CounterIter, DJoinIter, DedupIter, KernelCmp, LookupIter, MapIter,
+    MemoMapIter, MemoXIter, NestedEval, PhysIter, PredKernel, RenameCopyIter, SelectIter,
+    SemiJoinIter, SingletonIter, SortIter, TmpCsIter, TokenizeIter, UnnestMapIter, WindowIter,
 };
 use crate::nvm::{Instr, Program, Reg};
 use crate::profile::{OpStats, Profile, ProfileEntry, ProfiledIter, SharedStats};
@@ -43,6 +43,11 @@ pub enum PhysicalQuery {
         root: Box<dyn PhysIter>,
         /// Frame layout.
         frame: FrameInfo,
+        /// The slot holding the result nodes.
+        result: Slot,
+        /// The plan delivers its result in document order without
+        /// repeats: the executor does not sort it.
+        ordered: bool,
         /// The `$` variables the plan reads, each once (empty, and
         /// unallocated, when it reads none).
         vars: Vec<String>,
@@ -77,13 +82,15 @@ pub fn build_physical_profiled(q: &CompiledQuery) -> (PhysicalQuery, Profile) {
 
 fn build(q: &CompiledQuery, profile: Option<Profile>) -> (PhysicalQuery, Option<Profile>) {
     match q {
-        CompiledQuery::Sequence(plan) => {
+        CompiledQuery::Sequence { plan, result, ordered } => {
             let mut mgr = AttrManager::for_plan(plan);
             let mut cg = Codegen::new(&mut mgr, profile);
             let root = cg.build_iter(plan);
             let (profile, vars) = (cg.profile.take(), cg.vars);
+            let result = mgr.slot(result);
             let frame = finish_frame(&mut mgr);
-            (PhysicalQuery::Sequence { root, frame, vars }, profile)
+            let ordered = *ordered;
+            (PhysicalQuery::Sequence { root, frame, result, ordered, vars }, profile)
         }
         CompiledQuery::Scalar(expr) => {
             // Reuse the plan-wide assignment analysis by wrapping the
@@ -220,18 +227,23 @@ impl<'m> Codegen<'m> {
             }
             LogicalOp::SemiJoin { left, right, pred } => self.build_semi(left, right, pred, false),
             LogicalOp::AntiJoin { left, right, pred } => self.build_semi(left, right, pred, true),
-            LogicalOp::UnnestMap { input, context, attr, axis, test, probe, set, reverse } => {
+            LogicalOp::UnnestMap { input, context, attr, axis, test, probe, mode } => {
                 let input = self.build_iter(input);
                 let ctx = self.mgr.slot(context);
                 let out = self.mgr.slot(attr);
                 let (axis, test) = (*axis, test.clone());
-                Box::new(if *set {
-                    UnnestMapIter::set_at_a_time(input, ctx, out, axis, test)
-                } else if *reverse {
-                    UnnestMapIter::new(input, ctx, out, axis, test, probe.clone()).reversed()
-                } else {
-                    UnnestMapIter::new(input, ctx, out, axis, test, probe.clone())
-                })
+                match mode {
+                    StepMode::PerContext => {
+                        Box::new(UnnestMapIter::new(input, ctx, out, axis, test, probe.clone()))
+                    }
+                    StepMode::Set => {
+                        Box::new(UnnestMapIter::set_at_a_time(input, ctx, out, axis, test))
+                    }
+                    StepMode::Reverse => Box::new(
+                        UnnestMapIter::new(input, ctx, out, axis, test, probe.clone()).reversed(),
+                    ),
+                    StepMode::Lookup => Box::new(LookupIter::new(input, ctx, out, axis, test)),
+                }
             }
             LogicalOp::TokenizeMap { input, attr, expr } => {
                 let input = self.build_iter(input);

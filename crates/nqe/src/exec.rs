@@ -77,7 +77,7 @@ impl PhysicalQuery {
         // must not poison this one.
         store.take_storage_fault();
         match self {
-            PhysicalQuery::Sequence { root, frame, .. } => {
+            PhysicalQuery::Sequence { root, frame, result, ordered, .. } => {
                 let mut seed: Tuple = vec![Value::Null; frame.width];
                 seed[frame.cn] = Value::Node(ctx);
                 seed[frame.cp] = Value::Num(1.0);
@@ -85,17 +85,28 @@ impl PhysicalQuery {
                 root.open(&rt, &seed);
                 // The result accumulator is a materialisation like any
                 // other: charge it so unbounded node-sets cannot evade
-                // the budget by reaching the top of the plan.
+                // the budget by reaching the top of the plan. A block of
+                // nodes per charge, the rest before the plan closes: a
+                // charge per node cost more than the sort.
+                const BLOCK: usize = 64;
+                const NODE: u64 = std::mem::size_of::<NodeId>() as u64;
                 let mut ledger = ChargeLedger::new();
                 let mut nodes: Vec<NodeId> = Vec::new();
+                let mut charged = 0;
                 let mut t = Tuple::new();
                 while gov.ok() && !store.storage_tripped() && root.next(&rt, &mut t) {
-                    if let Some(n) = t[frame.cn].as_node() {
-                        if !ledger.charge(gov, std::mem::size_of::<NodeId>() as u64) {
-                            break;
-                        }
+                    if let Some(n) = t[*result].as_node() {
                         nodes.push(n);
+                        if nodes.len() - charged == BLOCK {
+                            if !ledger.charge(gov, BLOCK as u64 * NODE) {
+                                break;
+                            }
+                            charged = nodes.len();
+                        }
                     }
+                }
+                if gov.ok() && nodes.len() > charged {
+                    ledger.charge(gov, (nodes.len() - charged) as u64 * NODE);
                 }
                 root.close(&rt);
                 ledger.release_all(gov);
@@ -103,8 +114,11 @@ impl PhysicalQuery {
                     return Err(e);
                 }
                 // XPath 1.0 node-sets are unordered (paper §2.1); we
-                // return document order for determinism.
-                algebra::docorder::sort_dedup(&mut nodes, store);
+                // return document order for determinism, as the plan
+                // delivers it where the compiler proved so.
+                if !*ordered {
+                    algebra::docorder::sort_dedup(&mut nodes, store);
+                }
                 // Checked last: the document-order sort reads `order()`
                 // and can itself hit a damaged page.
                 if let Some(e) = storage_err(store) {

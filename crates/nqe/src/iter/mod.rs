@@ -26,7 +26,7 @@ pub use group::{DedupIter, MemoMapIter, MemoXIter, SortIter, TmpCsIter};
 pub use join::{DJoinIter, SemiJoinIter};
 pub(crate) use kernel::KernelCmp;
 pub use kernel::PredKernel;
-pub use path::{TokenizeIter, UnnestMapIter};
+pub use path::{LookupIter, TokenizeIter, UnnestMapIter};
 
 use algebra::attrmgr::Slot;
 use algebra::scalar::AggFunc;

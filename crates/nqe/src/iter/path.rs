@@ -1,9 +1,12 @@
-//! Navigation operators: Υ (unnest-map over an axis + node test, §3.2)
-//! and the tokenising unnest used by `id()` (§3.6.3).
+//! Navigation operators: Υ (unnest-map over an axis + node test, §3.2),
+//! Υ as a lookup where a step reaches at most one node per context, and
+//! the tokenising unnest used by `id()` (§3.6.3).
 
 use std::collections::VecDeque;
 
-use xmlstore::{Axis, AxisCursor, ContentKind, NodeId, NodeKind, RangeScan, StructuralIndex};
+use xmlstore::{
+    Axis, AxisCursor, ContentKind, NodeId, NodeKind, PagePin, RangeScan, StructuralIndex,
+};
 use xpath_syntax::NodeTest;
 
 use algebra::attrmgr::Slot;
@@ -617,6 +620,117 @@ impl UnnestMapIter {
             };
             self.scan = Some(scan);
         }
+    }
+}
+
+/// Υ as a lookup (the physical phase decides, DESIGN.md §12 "Lookup
+/// steps"): a per-context step on an axis that reaches at most one node
+/// from each context — `attribute::QName`, `parent::test`, `self::test`.
+/// Each input tuple arrives straight in `out`; one lookup in the store
+/// finds its node, which goes into the step's slot in place, and a
+/// context without one drops the tuple. No scan state and no frame of
+/// its own. Records are read through [`xmlstore::XmlStore::node`] on a
+/// held page, as the axis cursor reads them, so a paged store pays one
+/// buffer-manager call per page change.
+pub struct LookupIter {
+    input: Box<dyn PhysIter>,
+    ctx: Slot,
+    out: Slot,
+    axis: Axis,
+    test: NodeTest,
+    resolved: Option<ResolvedTest>,
+    /// The page of the record read last, let go in `close`.
+    pin: PagePin,
+}
+
+impl LookupIter {
+    /// New lookup; `axis` is `attribute` (with a name test), `parent` or
+    /// `self`.
+    pub fn new(
+        input: Box<dyn PhysIter>,
+        ctx: Slot,
+        out: Slot,
+        axis: Axis,
+        test: NodeTest,
+    ) -> LookupIter {
+        debug_assert!(matches!(
+            (axis, &test),
+            (Axis::Parent | Axis::SelfAxis, _) | (Axis::Attribute, NodeTest::Name(_))
+        ));
+        LookupIter {
+            input,
+            ctx,
+            out,
+            axis,
+            test,
+            resolved: None,
+            pin: PagePin::default(),
+        }
+    }
+
+    /// The node the step reaches from `n`, if it passes the test.
+    fn find(&mut self, rt: &Runtime<'_>, n: NodeId) -> Option<NodeId> {
+        let (store, pin) = (rt.store, &mut self.pin);
+        let resolved = self.resolved.as_ref().expect("opened");
+        let rec = store.node(n, pin);
+        let (hit, rec) = match self.axis {
+            Axis::SelfAxis => (n, rec),
+            Axis::Parent => {
+                let p = rec.parent()?;
+                (p, store.node(p, pin))
+            }
+            _ => {
+                // The element's attributes, up to the one of the test's
+                // name: no other carries it.
+                if rec.kind() != NodeKind::Element {
+                    return None;
+                }
+                let mut next = rec.first_attribute();
+                while let Some(a) = next {
+                    let rec = store.node(a, pin);
+                    if resolved.matches(rec.kind(), rec.name(), rt) {
+                        return Some(a);
+                    }
+                    next = rec.next_sibling();
+                }
+                return None;
+            }
+        };
+        resolved.matches(rec.kind(), rec.name(), rt).then_some(hit)
+    }
+}
+
+impl PhysIter for LookupIter {
+    fn open(&mut self, rt: &Runtime<'_>, seed: &Tuple) {
+        self.input.open(rt, seed);
+        if self.resolved.is_none() {
+            self.resolved = Some(ResolvedTest::resolve(&self.test, self.axis, rt));
+        }
+    }
+
+    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
+        if matches!(self.resolved, Some(ResolvedTest::Impossible)) {
+            return false;
+        }
+        while self.input.next(rt, out) {
+            // One tick per context, as for a scan that finds nothing.
+            if !rt.gov.tick() {
+                return false;
+            }
+            let Some(n) = out.get(self.ctx).and_then(|v| v.as_node()) else {
+                continue; // unbound context yields nothing
+            };
+            if let Some(hit) = self.find(rt, n) {
+                out[self.out] = Value::Node(hit);
+                return true;
+            }
+        }
+        false
+    }
+
+    fn close(&mut self, rt: &Runtime<'_>) {
+        self.input.close(rt);
+        self.pin.release();
     }
 }
 

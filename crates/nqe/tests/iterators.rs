@@ -10,8 +10,8 @@ use xmlstore::{parse_document, ArenaStore, Axis, NoIndex, XmlStore};
 use xpath_syntax::{CompOp, NodeTest};
 
 use nqe::iter::{
-    CompiledPred, ConcatIter, CounterIter, DJoinIter, DedupIter, MapIter, MemoXIter, NestedEval,
-    PhysIter, SelectIter, SingletonIter, SortIter, TmpCsIter, UnnestMapIter,
+    CompiledPred, ConcatIter, CounterIter, DJoinIter, DedupIter, LookupIter, MapIter, MemoXIter,
+    NestedEval, PhysIter, SelectIter, SingletonIter, SortIter, TmpCsIter, UnnestMapIter,
 };
 use nqe::nvm::{Instr, Program};
 use nqe::{ResourceGovernor, Runtime};
@@ -592,5 +592,52 @@ fn set_mode_falls_back_on_an_unranked_context() {
         let gauge = |name: &str| gauges.iter().find(|(k, _)| *k == name).map(|&(_, v)| v);
         assert_eq!(gauge("contexts_kept"), Some(0), "{axis}: {gauges:?}");
         assert!(gauge("bitset_keys") > Some(0), "{axis}: {gauges:?}");
+    }
+}
+
+/// The lookup against the per-context Υ it replaces, from every node of
+/// a document with attributes, comments, processing instructions and
+/// text (and an unbound context), on the three lookup axes and their
+/// node tests: the same tuples in the same order, one governor tick per
+/// context, nothing charged.
+#[test]
+fn lookup_steps_equal_per_context_scans() {
+    let s = parse_document(
+        r#"<r id="1" x="2"><a id="3"><!--c--><?p d?>t<b x="4"/></a><p:q p:id="5" id="6"/></r>"#,
+    )
+    .unwrap();
+    let mut contexts: Vec<Value> =
+        (0..s.node_count() as u32).map(|i| Value::Node(xmlstore::NodeId(i))).collect();
+    contexts.push(Value::Null);
+    let vars = HashMap::new();
+    let kinds = [
+        NodeTest::Kind(xpath_syntax::KindTest::Node),
+        NodeTest::Kind(xpath_syntax::KindTest::Text),
+        NodeTest::Kind(xpath_syntax::KindTest::Comment),
+        NodeTest::Kind(xpath_syntax::KindTest::Pi(None)),
+        NodeTest::Wildcard,
+        NodeTest::NsWildcard("p".into()),
+        NodeTest::Name("a".into()),
+        NodeTest::Name("r".into()),
+        NodeTest::Name("missing".into()),
+    ];
+    let names = ["id", "x", "p:id", "missing"].map(|n| (Axis::Attribute, NodeTest::Name(n.into())));
+    let steps = [Axis::Parent, Axis::SelfAxis]
+        .into_iter()
+        .flat_map(|axis| kinds.iter().map(move |t| (axis, t.clone())))
+        .chain(names);
+    for (axis, test) in steps {
+        let feed = || Box::new(Feed(contexts.clone(), 0));
+        let gov = ResourceGovernor::unlimited();
+        let mut scan = UnnestMapIter::new(feed(), 0, 1, axis, test.clone(), None);
+        let want = drain(&mut scan, &rt(&s, &vars, &gov), &seed(&s));
+        let gov = ResourceGovernor::unlimited();
+        let mut lookup = LookupIter::new(feed(), 0, 1, axis, test.clone());
+        let got = drain(&mut lookup, &rt(&s, &vars, &gov), &seed(&s));
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{axis}::{test}");
+        let unknown = matches!(&test, NodeTest::Name(n) if n == "missing");
+        let ticks = if unknown { 0 } else { contexts.len() as u64 };
+        assert_eq!(gov.ticks_seen(), ticks, "{axis}::{test}: a tick per context");
+        assert_eq!(gov.charged_total(), 0, "{axis}::{test}");
     }
 }

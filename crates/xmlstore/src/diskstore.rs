@@ -1350,12 +1350,14 @@ impl DiskStore {
             // buffer-manager call per node page.
             Region::Nodes => {
                 let mut pin = PagePin::default();
+                let mut names = Vec::new();
                 for i in 0..self.layout.node_count() {
                     let n = NodeId(i);
-                    self.try_node(n, &mut pin)?;
+                    let rec = self.try_node(n, &mut pin)?;
                     if let Some(head) = value_head(self.record(n, &mut pin)?) {
                         report.string_bytes += self.try_read_string(head)?.len() as u64;
                     }
+                    self.verify_attribute_names(n, rec.first_attribute(), &mut pin, &mut names)?;
                     report.nodes += 1;
                 }
             }
@@ -1382,6 +1384,42 @@ impl DiskStore {
             }
         }
         Ok(())
+    }
+
+    /// No attribute name twice on element `n` (XML 1.0 §3.1): the parser
+    /// enforces it, and a lookup step (DESIGN.md §12) finds one attribute
+    /// by name where a scan would find each. Files written before the
+    /// parser enforced it may hold such an element.
+    fn verify_attribute_names(
+        &self,
+        n: NodeId,
+        first: Option<NodeId>,
+        pin: &mut PagePin,
+        names: &mut Vec<NameId>,
+    ) -> Result<(), DiskError> {
+        names.clear();
+        let (page, slot) = self.node_coord(n);
+        let mut next = first;
+        for _ in 0..=self.layout.node_count() {
+            let Some(a) = next else {
+                return Ok(());
+            };
+            let rec = self.try_node(a, pin)?;
+            if let Some(id) = rec.name() {
+                if names.contains(&id) {
+                    let msg =
+                        format!("element {n} holds attribute `{}` twice", self.names.text(id));
+                    return Err(DiskError::corrupt_at_slot(msg, page, slot));
+                }
+                names.push(id);
+            }
+            next = rec.next_sibling();
+        }
+        Err(DiskError::corrupt_at_slot(
+            format!("attribute chain of element {n} loops"),
+            page,
+            slot,
+        ))
     }
 
     /// The first storage fault recorded by infallible navigation, if any
@@ -1831,6 +1869,28 @@ mod tests {
         // its name is uncovered and contributes no key.
         assert_eq!(report.content_keys, 2);
         assert_eq!(report.postings, 2);
+    }
+
+    /// A page file written before the parser rejected duplicate
+    /// attributes may hold one; the builder still makes one.
+    #[test]
+    fn verify_reports_a_duplicate_attribute_name() {
+        let mut b = crate::arena::ArenaBuilder::new();
+        b.start_element("r");
+        b.start_element("a");
+        b.attribute("id", "1");
+        b.attribute("x", "");
+        b.attribute("id", "2");
+        b.end_element();
+        b.end_element();
+        let t = TempPath::new(".natix");
+        let disk = DiskStore::create_from(&b.finish(), t.path(), 4).unwrap();
+        let Err(err @ DiskError::Corrupt { slot: Some(_), .. }) = disk.verify() else {
+            panic!("a duplicate attribute name must fail verification");
+        };
+        assert!(err.to_string().contains("holds attribute `id` twice"), "{err}");
+        let (_t, fine) = roundtrip(r#"<r id="1"><a id="2" x="" y=""/></r>"#);
+        assert!(fine.verify().is_ok());
     }
 
     #[test]

@@ -290,6 +290,8 @@ pub fn parse_document_with_limits(
     let mut cur = Cursor::new(input);
     let mut builder = ArenaBuilder::new();
     let mut open: Vec<String> = Vec::new();
+    // The attribute names of the start tag being read.
+    let mut attr_names: Vec<&str> = Vec::new();
     let mut seen_root = false;
     let mut expansions = 0u64;
 
@@ -389,6 +391,7 @@ pub fn parse_document_with_limits(
             open.push(name);
             // Attributes.
             let mut attr_count = 0usize;
+            attr_names.clear();
             loop {
                 cur.skip_ws();
                 match cur.peek() {
@@ -411,7 +414,12 @@ pub fn parse_document_with_limits(
                                 limits.max_attrs
                             ));
                         }
-                        let aname = cur.name_limited(limits)?.to_owned();
+                        let aname = cur.name_limited(limits)?;
+                        // XML 1.0 §3.1 (WFC: Unique Att Spec). Steps that
+                        // look an attribute up by name rely on it.
+                        if attr_names.contains(&aname) {
+                            return cur.err(format!("duplicate attribute `{aname}`"));
+                        }
                         cur.skip_ws();
                         cur.expect("=")?;
                         cur.skip_ws();
@@ -426,8 +434,9 @@ pub fn parse_document_with_limits(
                         // A namespace declaration is not an attribute
                         // (XPath 1.0 §5.3); it still counts toward the limit.
                         if aname != "xmlns" && !aname.starts_with("xmlns:") {
-                            builder.attribute(&aname, &value);
+                            builder.attribute(aname, &value);
                         }
+                        attr_names.push(aname);
                     }
                     _ => return cur.err("malformed start tag"),
                 }
@@ -579,6 +588,20 @@ mod tests {
         // Namespace declarations are no attributes, but still count.
         let err = parse_document_with_limits("<a xmlns='u' xmlns:p='v' x='1'/>", &limits);
         assert!(err.unwrap_err().message.contains("attributes"));
+    }
+
+    #[test]
+    fn duplicate_attributes_are_rejected() {
+        for doc in [
+            "<a x='1' x='2'/>",
+            "<r><a id='1' b='' id='2'></a></r>",
+            "<a xmlns='u' xmlns='v'/>",
+        ] {
+            let err = parse_document(doc).unwrap_err();
+            assert!(err.message.contains("duplicate attribute"), "{doc}: {err}");
+        }
+        // The same name on two elements, or with another prefix, is fine.
+        assert!(parse_document("<r a='1'><s a='2' p:a='3'/></r>").is_ok());
     }
 
     #[test]

@@ -411,9 +411,15 @@ mod tests {
         assert_eq!(s.attribute_value(a, "x").as_deref(), Some("2"));
         s.set_attribute(a, "y", "new").unwrap();
         assert_eq!(s.attribute_value(a, "y").as_deref(), Some("new"));
+        // Overwriting keeps one attribute per name (XML 1.0 §3.1): a
+        // lookup step finds the attribute by name alone.
+        s.set_attribute(a, "y", "newer").unwrap();
+        let names: Vec<String> =
+            axis_nodes(&s, Axis::Attribute, a).into_iter().map(|n| s.node_name(n)).collect();
+        assert_eq!(names, ["x", "y"]);
         orders_valid(&s);
         index_matches_rebuild(&s);
-        assert_eq!(to_xml(&s), r#"<r><a x="2" y="new">one</a><b>two</b></r>"#);
+        assert_eq!(to_xml(&s), r#"<r><a x="2" y="newer">one</a><b>two</b></r>"#);
     }
 
     #[test]

@@ -1274,7 +1274,7 @@ impl Session {
     pub fn explain(&self, store: &dyn XmlStore, query: &str) -> Result<String, NatixError> {
         let (plan, _, _) = self.compile_cached_for(store, query)?;
         Ok(match &*plan {
-            CompiledQuery::Sequence(p) => algebra::explain::explain(p),
+            CompiledQuery::Sequence { plan, .. } => algebra::explain::explain(plan),
             CompiledQuery::Scalar(s) => algebra::explain::explain_scalar(s),
         })
     }

@@ -746,8 +746,9 @@ mod tests {
     fn explain_needs_a_selected_document_like_query() {
         let service = service_with_doc();
         let mut c = service.client(None);
-        // Pruning proves the child chain duplicate-free: no Π^D[cn] on top.
-        assert!(c.handle("explain /a/b").text().starts_with("OK plan Π[cn:c3]"));
+        // Pruning proves the child chain duplicate-free: no Π^D[cn] on
+        // top, and the executor reads the result from the last step.
+        assert!(c.handle("explain /a/b").text().starts_with("OK plan Υ[c3:c2/child::b]"));
         // No document registered ⇒ none selected: both verbs answer alike.
         let empty = QueryService::new(Engine::new(), ServiceConfig { workers: 1, queue_depth: 1 });
         let mut c = empty.client(None);

@@ -121,6 +121,18 @@ fn xml_parse_error_exits_3() {
 }
 
 #[test]
+fn duplicate_attribute_exits_3() {
+    let doc = write_doc("dup-attr.xml", r#"<r><a id="1" id="2"/></r>"#);
+    let out = cli().arg(&doc).arg("count(/r/a/@id)").output().unwrap();
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("duplicate attribute `id`"),
+        "{out:?}"
+    );
+    std::fs::remove_file(&doc).ok();
+}
+
+#[test]
 fn depth_limit_exits_3_with_typed_error() {
     let mut xml = String::new();
     for _ in 0..64 {

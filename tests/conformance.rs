@@ -107,6 +107,18 @@ fn cases() -> Vec<(&'static str, Want)> {
         ("//name/self::name", Count(5)),
         ("/shop/dept/item/descendant-or-self::item", Count(5)),
         ("//item/..", Count(2)),
+        // --- steps reaching at most one node per context ----------------
+        ("//name/@sku", Count(0)),
+        ("//text()/@sku", Count(0)),
+        ("//@sku/@sku", Count(0)),
+        ("/@sku", Count(0)),
+        ("/parent::node()", Count(0)),
+        ("/shop/../..", Count(0)),
+        ("//@price/..", Count(5)),
+        ("//@price/self::node()", Count(5)),
+        ("//@price/self::item", Count(0)),
+        ("//stock/./../../@name", Strings(&["fruit", "tools"])),
+        ("string(//item[@price='9.99']/parent::dept/@name)", Str("tools")),
         ("/shop//item", Count(5)),
         // --- node tests -------------------------------------------------
         ("/shop/note/text()", Strings(&["check ", " weekly"])),
@@ -316,6 +328,16 @@ fn conformance_suite() {
         for (q, want) in &cases {
             check(&doc, q, want);
         }
+    }
+}
+
+/// XML 1.0 §3.1 (WFC: Unique Att Spec): no attribute name twice in one
+/// start-tag; a parse error, not a document with two `@id`.
+#[test]
+fn duplicate_attributes_are_not_well_formed() {
+    for xml in [r#"<r><a id="1" id="2"/></r>"#, r#"<r a='x' b='' a='x'/>"#] {
+        let err = Document::parse(xml).map(drop).unwrap_err().to_string();
+        assert!(err.contains("duplicate attribute"), "{xml}: {err}");
     }
 }
 

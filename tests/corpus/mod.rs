@@ -3,9 +3,10 @@
 //! exercising every axis, positional machinery, nested predicates,
 //! scalars and unions, plus 17 dblp-shaped queries matching the
 //! generated bibliography documents (root `dblp`,
-//! `article`/`inproceedings` records), and the predicate-kernel queries
-//! with their edge-case document. At the bottom, the axis-level
-//! oracle for set-mode steps ([`check_set_mode`]), shared by
+//! `article`/`inproceedings` records), the predicate-kernel queries with
+//! their edge-case document, and the lookup-step queries with theirs. At
+//! the bottom, the axis-level oracle for set-mode steps
+//! ([`check_set_mode`]), shared by
 //! `tests/property.rs` and `tests/updates.rs`. Not every test binary
 //! uses every part, hence the allow.
 #![allow(dead_code)]
@@ -170,6 +171,72 @@ pub const PREDICATE_QUERIES: &[&str] = &[
     "//i/ancestor::*[last()]",
     "/dblp/*[author][last()]/@key",
     "/dblp/*[position() = last()][position()]/@key",
+];
+
+/// A document for steps that reach at most one node per context: elements
+/// with and without `id`, attributes of one name on different elements,
+/// text, comment and processing-instruction children.
+pub const LOOKUP_DOC: &str = r#"<r id="r1" x="rx">
+  <a id="a1" x="ax"><b>t1</b><b id="b2"/>text<c id="c1"><x id="x1" x="xx"/></c></a>
+  <a><!--c--><b id="b3" y="1"/><?pi data?></a>
+  <x x="only"/>
+</r>"#;
+
+/// Queries whose steps the physical phase runs as lookups
+/// (`attribute::QName`, `parent::test`, `self::test`, DESIGN.md §12
+/// "Lookup steps") from every kind of context, and their neighbours that
+/// keep the per-context scan (`@*`, `attribute::node()`, a step under a
+/// positional window), for `LOOKUP_DOC` and the generated trees alike.
+pub const LOOKUP_QUERIES: &[&str] = &[
+    // `@id` on elements that lack it, and from text, attribute, comment,
+    // processing-instruction and root contexts.
+    "//*/@id",
+    "//b/@id",
+    "//a/@id",
+    "//x/@x",
+    "/@id",
+    "//text()/@id",
+    "//@id/@id",
+    "//comment()/@id",
+    "//processing-instruction()/@id",
+    "count(//b/@id)",
+    // The parent of the root, of attributes, of repeated contexts.
+    "/parent::node()",
+    "count(/parent::node())",
+    "/*/parent::node()",
+    "//b/parent::a/@id",
+    "//@id/parent::*",
+    "//@x/parent::x/@id",
+    "//b/parent::*/parent::*/@x",
+    "count(//b/..)",
+    // `self` on elements, attributes and other nodes.
+    "//@x/self::x",
+    "//@x/self::node()",
+    "//*/self::x/@x",
+    "//b/self::b/@id",
+    "//text()/self::text()",
+    "//node()/self::comment()",
+    // `..` and `.` chains.
+    "//c/../../.",
+    "//b/./../.",
+    "//x/../../..",
+    "//b/.././b/@id",
+    "/r/./a/../x/@x",
+    "//x/./@x/..",
+    // Not lookups: every attribute, or any attribute node.
+    "//a/@*",
+    "//a/attribute::node()",
+    "//*[@*]/@*",
+    "count(//@*)",
+    // Lookups in predicates, and a lookup step under a window (which
+    // keeps its scan).
+    "//b[../@id]/@id",
+    "//*[parent::a]/@id",
+    "//*[self::b or self::x]/@id",
+    "//*[@id = 'b3']/../@id",
+    "(//b/..)[2]/@id",
+    "//a/@id[1]",
+    "//*/@x[last()]",
 ];
 
 /// The nine axes that reach one node from several contexts: the ones a

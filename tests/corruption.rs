@@ -219,10 +219,12 @@ fn pin_failure_at_every_point_unwinds_typed_with_no_leaked_charges() {
     create_store_file(&arena, t.path()).unwrap();
 
     // Both predicates run as kernels, so the failing pin lands in their
-    // cursor walks as well as in the steps around them.
-    for q in [
-        "count(//entry[@seq = '250'])",
-        "count(//entry[text = 'message 7'])",
+    // cursor walks as well as in the steps around them; the third query's
+    // `..` and `@seq` run as lookups.
+    for (q, runs) in [
+        ("count(//entry[@seq = '250'])", " (kernel, "),
+        ("count(//entry[text = 'message 7'])", " (kernel, "),
+        ("//text/../@seq", " (lookup)"),
     ] {
         // Count pins deterministically: a 1-frame buffer makes every probe
         // repin, and hits+misses is exactly the pin count.
@@ -256,10 +258,7 @@ fn pin_failure_at_every_point_unwinds_typed_with_no_leaked_charges() {
             )
             .unwrap();
             let mut labels = report.profile.entries.iter().map(|e| e.label.as_str());
-            assert!(
-                labels.any(|l| l.contains(" (kernel, ")),
-                "`{q}` runs its predicate as a kernel"
-            );
+            assert!(labels.any(|l| l.contains(runs)), "`{q}` runs a step `{runs}`");
             match out {
                 Err(QueryError::Storage { io, ref detail }) => {
                     assert!(io, "an injected read error is an I/O fault: {detail}");
@@ -501,8 +500,9 @@ fn no_frame_stays_pinned_after_a_query_ends_however_it_ends() {
     let t = TempPath::new(".natix");
     create_store_file(&arena, t.path()).unwrap();
     let unlimited = ResourceLimits::unlimited;
-    let cases: [(&str, &str, ResourceGovernor); 5] = [
+    let cases: [(&str, &str, ResourceGovernor); 6] = [
         ("completes", "/dblp/article/title", ResourceGovernor::unlimited()),
+        ("lookups complete", "/dblp/*/title/../@key", ResourceGovernor::unlimited()),
         (
             "kernel completes",
             "/dblp/*[author='Guido Moerkotte']/title",
@@ -539,7 +539,10 @@ fn no_frame_stays_pinned_after_a_query_ends_however_it_ends() {
         match (what, out) {
             ("tuple limit", Err(QueryError::TuplesExceeded { .. })) => {}
             ("cancelled", Err(QueryError::Cancelled)) => {}
-            ("completes" | "kernel completes" | "stops early", Ok(QueryOutput::Nodes(nodes))) => {
+            (
+                "completes" | "lookups complete" | "kernel completes" | "stops early",
+                Ok(QueryOutput::Nodes(nodes)),
+            ) => {
                 assert!(!nodes.is_empty(), "{what}")
             }
             (_, other) => panic!("{what}: ended with {:?}", other.map(|_| "an answer")),

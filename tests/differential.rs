@@ -9,7 +9,9 @@ use xmlstore::gen::{generate_dblp, generate_tree, DblpParams, TreeParams};
 use xmlstore::{ArenaStore, XmlStore};
 
 mod corpus;
-use corpus::{DBLP_QUERIES, PREDICATE_DOC, PREDICATE_QUERIES, TREE_QUERIES};
+use corpus::{
+    DBLP_QUERIES, LOOKUP_DOC, LOOKUP_QUERIES, PREDICATE_DOC, PREDICATE_QUERIES, TREE_QUERIES,
+};
 
 fn run_all(store: &ArenaStore, queries: &[&str]) {
     for q in queries {
@@ -23,6 +25,12 @@ fn run_all(store: &ArenaStore, queries: &[&str]) {
             .unwrap_or_else(|e| panic!("interp `{q}`: {e}"));
         assert_eq!(improved, cl, "algebraic vs interpreter on `{q}`");
     }
+}
+
+#[test]
+fn lookup_steps_all_engines_agree() {
+    run_all(&xmlstore::parse_document(LOOKUP_DOC).unwrap(), LOOKUP_QUERIES);
+    run_all(&generate_tree(TreeParams::small(200)), LOOKUP_QUERIES);
 }
 
 #[test]
@@ -107,21 +115,29 @@ fn predicate_corpus_all_engines_agree() {
 /// every corpus query lowered as the translation leaves it (every Π^D
 /// and Sort, Υ + Π^D, nested predicate plans, χ^mat, counters and
 /// Tmp^cs) and as the phase leaves it (redundant Π^D and Sort elided,
-/// set-mode steps, kernels, χ, positional windows) answers alike, on
-/// indexed stores and through set mode's fallback.
+/// set-mode steps, kernels, χ, positional windows, lookups, the result
+/// read unsorted from below the top Π) answers alike, on indexed stores
+/// and through set mode's fallback. Two more columns: the lowered plan
+/// with its lookups run as the per-context scans they replaced, and,
+/// where the executor skips the sort, its output against `sort_dedup` of
+/// the same output.
 #[test]
 fn physical_phase_preserves_every_corpus_answer() {
     let tree = generate_tree(TreeParams { max_elements: 300, fanout: 5, max_depth: 4 });
     let dblp = generate_dblp(DblpParams { records: 100, seed: 11 });
     let edge = xmlstore::parse_document(PREDICATE_DOC).unwrap();
-    let corpora: [(&ArenaStore, &[&str]); 4] = [
+    let lookup = xmlstore::parse_document(LOOKUP_DOC).unwrap();
+    let corpora: [(&ArenaStore, &[&str]); 6] = [
         (&tree, TREE_QUERIES),
         (&dblp, DBLP_QUERIES),
         (&dblp, PREDICATE_QUERIES),
         (&edge, PREDICATE_QUERIES),
+        (&lookup, LOOKUP_QUERIES),
+        (&tree, LOOKUP_QUERIES),
     ];
     let vars = std::collections::HashMap::new();
     let (mut pruned, mut set_steps, mut kernels, mut heads, mut tails) = (0, 0, 0, 0, 0);
+    let (mut lookups, mut unsorted) = (0, 0);
     for (store, queries) in corpora {
         for opts in [TranslateOptions::canonical(), TranslateOptions::improved()] {
             for q in queries {
@@ -131,9 +147,21 @@ fn physical_phase_preserves_every_corpus_answer() {
                 pruned += lowered.pruned.len();
                 (set_steps, kernels) = (set_steps + lowered.set_steps, kernels + lowered.kernels);
                 (heads, tails) = (heads + lowered.head_windows, tails + lowered.tail_windows);
+                let mut scans = after.clone();
+                lookups += lookups_as_scans(&mut scans);
+                let ordered =
+                    matches!(after, compiler::CompiledQuery::Sequence { ordered: true, .. });
+                unsorted += usize::from(ordered);
                 for s in [store as &dyn XmlStore, &xmlstore::NoIndex(store)] {
                     let run = |q| nqe::build_physical(q).execute(s, &vars, s.root());
-                    assert_eq!(run(&after), run(&before), "{opts:?} `{q}`");
+                    let got = run(&after);
+                    assert_eq!(got, run(&before), "{opts:?} `{q}`");
+                    assert_eq!(got, run(&scans), "{opts:?} `{q}`: lookups against scans");
+                    if let (true, Ok(QueryOutput::Nodes(nodes))) = (ordered, &got) {
+                        let mut sorted = nodes.clone();
+                        algebra::docorder::sort_dedup(&mut sorted, s);
+                        assert_eq!(nodes, &sorted, "{opts:?} `{q}`: the sink skipped the sort");
+                    }
                 }
             }
         }
@@ -143,6 +171,31 @@ fn physical_phase_preserves_every_corpus_answer() {
         "{pruned} elided, {set_steps} set-mode steps, {kernels} kernels, \
          {heads} head and {tails} tail windows"
     );
+    assert!(lookups > 0 && unsorted > 0, "{lookups} lookups, {unsorted} unsorted results");
+}
+
+/// Run every lookup of `q` as the plain per-context Υ it replaced; how
+/// many there were.
+fn lookups_as_scans(q: &mut compiler::CompiledQuery) -> usize {
+    use algebra::{LogicalOp, ScalarExpr, StepMode};
+    fn plan(p: &mut LogicalOp) -> usize {
+        let mut n = 0;
+        if let LogicalOp::UnnestMap { mode: mode @ StepMode::Lookup, .. } = p {
+            *mode = StepMode::PerContext;
+            n += 1;
+        }
+        n + p.subscript_mut().map_or(0, expr) + p.inputs_mut().map(plan).sum::<usize>()
+    }
+    fn expr(e: &mut ScalarExpr) -> usize {
+        match e {
+            ScalarExpr::Agg(agg) => plan(&mut agg.plan),
+            e => e.operands_mut().map(expr).sum(),
+        }
+    }
+    match q {
+        compiler::CompiledQuery::Sequence { plan: p, .. } => plan(p),
+        compiler::CompiledQuery::Scalar(e) => expr(e),
+    }
 }
 
 #[test]
@@ -307,7 +360,7 @@ fn edge_case_corpus_all_four_evaluators_agree() {
 /// check the contract: the result is either the correct answer or a typed
 /// error — never a panic, never a wrong answer, never leaked temp state.
 fn run_injected(
-    store: &ArenaStore,
+    store: &dyn XmlStore,
     q: &str,
     opts: &TranslateOptions,
     fp: nqe::FailPoint,
@@ -354,7 +407,7 @@ fn fault_injection_sweep_over_set_mode_steps() {
 /// `q` cancelled at each single tick of its execution: cancelled, or the
 /// right answer, nothing leaked. The number of ticks the run took.
 fn cancel_at_every_tick(
-    store: &ArenaStore,
+    store: &dyn XmlStore,
     q: &str,
     opts: &TranslateOptions,
     oracle: &QueryOutput,
@@ -376,6 +429,51 @@ fn cancel_at_every_tick(
         }
     }
     ticks
+}
+
+/// The lookup rows, and Fig. 5 q4 (its parent step runs set-at-a-time,
+/// its final `@id` as a lookup), on the arena and on a page file, under
+/// both presets, with a failed charge at each single charge and a cancel
+/// at each single tick: a lookup stops cancelled or right, nothing
+/// leaked.
+#[test]
+fn fault_injection_sweep_over_lookup_steps() {
+    let arena = xmlstore::parse_document(LOOKUP_DOC).unwrap();
+    let file = xmlstore::tmp::TempPath::new(".natix");
+    let disk = xmlstore::diskstore::DiskStore::create_from(&arena, file.path(), 2).unwrap();
+    let tree = generate_tree(TreeParams { max_elements: 60, fanout: 3, max_depth: 3 });
+    let mut swept = 0;
+    for (store, queries) in [
+        (&arena as &dyn XmlStore, LOOKUP_QUERIES),
+        (&disk, LOOKUP_QUERIES),
+        (&tree, &TREE_QUERIES[3..4]),
+    ] {
+        for opts in [TranslateOptions::canonical(), TranslateOptions::improved()] {
+            for q in queries {
+                let mut compiled = compiler::compile(q, &opts).unwrap();
+                if lookups_as_scans(&mut compiled) == 0 {
+                    continue;
+                }
+                swept += 1;
+                let oracle = nqe::evaluate(store, q, &TranslateOptions::canonical()).unwrap();
+                for charge in 1.. {
+                    let fp = nqe::FailPoint { fail_at_alloc: Some(charge), cancel_at_tick: None };
+                    match run_injected(store, q, &opts, fp) {
+                        Ok(out) => {
+                            assert!(outputs_agree(&out, &oracle), "charge {charge} on `{q}`");
+                            break;
+                        }
+                        Err(e) => assert!(
+                            matches!(e, algebra::QueryError::MemoryExceeded { .. }),
+                            "charge {charge} on `{q}`: {e:?}"
+                        ),
+                    }
+                }
+                cancel_at_every_tick(store, q, &opts, &oracle);
+            }
+        }
+    }
+    assert!(swept >= 60, "{swept} plans with lookups");
 }
 
 /// Fig. 10's predicate rows, whose predicates run as kernels under every
@@ -410,7 +508,9 @@ fn fault_injection_sweep_over_positional_windows() {
         for opts in [TranslateOptions::canonical(), TranslateOptions::improved()] {
             for q in queries {
                 let shown = match compiler::compile(q, &opts).unwrap() {
-                    compiler::CompiledQuery::Sequence(p) => algebra::explain::explain(&p),
+                    compiler::CompiledQuery::Sequence { plan, .. } => {
+                        algebra::explain::explain(&plan)
+                    }
                     compiler::CompiledQuery::Scalar(e) => algebra::explain::explain_scalar(&e),
                 };
                 if !shown.contains("σ[window ") {

@@ -129,7 +129,7 @@ fn explain_renders_the_cost_based_plan_that_executes() {
 
     let text = s.explain(&store, Q).unwrap();
     let (plan, _, _) = s.compile_cached_for(&store, Q).unwrap();
-    let natix::CompiledQuery::Sequence(plan) = &*plan else {
+    let natix::CompiledQuery::Sequence { plan, .. } = &*plan else {
         panic!("`{Q}` compiles to a sequence plan");
     };
     assert_eq!(text, natix::explain::explain(plan), "explain renders the cached plan");
@@ -190,8 +190,10 @@ fn explain_analyze_runs_what_explain_shows() {
 }
 
 /// `Session::explain` golden texts: Fig. 10 row 9's predicate as one
-/// kernel row, and Fig. 5 q2's two ppd steps as set-mode rows (the
-/// plan cache holds them, so EXPLAIN shows what EXPLAIN ANALYZE runs).
+/// kernel row, Fig. 5 q2's two ppd steps as set-mode rows, and both
+/// final attribute steps as lookups read by the executor without a top
+/// `Π[cn:…]` (the plan cache holds them, so EXPLAIN shows what EXPLAIN
+/// ANALYZE runs).
 #[test]
 fn explain_shows_kernel_and_set_mode_rows() {
     let s = Engine::new().session();
@@ -199,31 +201,29 @@ fn explain_shows_kernel_and_set_mode_rows() {
     let row9 = s.explain(&dblp, "/dblp/article[year='1991']/@key").unwrap();
     assert_eq!(
         row9,
-        "Π[cn:c7]
-  Υ[c7:c3/attribute::key]
-    σ[v6]
-      χ[v6:𝔄[Exists; c5](…)]
-        Π[cn:c3]
-          Υ[c3:c2/child::article]
-            Υ[c2:c1/child::dblp]
-              χ[c1:root(cn)]
-                □
-        (nested)
-          Υ[c5:c4/child::year] (kernel, 𝔄[Exists], = '1991')
+        "Υ[c7:c3/attribute::key] (lookup)
+  σ[v6]
+    χ[v6:𝔄[Exists; c5](…)]
+      Π[cn:c3]
+        Υ[c3:c2/child::article]
+          Υ[c2:c1/child::dblp]
+            χ[c1:root(cn)]
+              □
+      (nested)
+        Υ[c5:c4/child::year] (kernel, 𝔄[Exists], = '1991')
 "
     );
     let tree = generate_tree(TreeParams { max_elements: 600, fanout: 5, max_depth: 4 });
     let q2 = "/child::xdoc/descendant::*/preceding-sibling::*/following::*/attribute::id";
     assert_eq!(
         s.explain(&tree, q2).unwrap(),
-        "Π[cn:c6]
-  Υ[c6:c5/attribute::id]
-    Υ[c5:c4/following::*] (set, Π^D[c5])
-      Υ[c4:c3/preceding-sibling::*] (set, Π^D[c4])
-        Υ[c3:c2/descendant::*]
-          Υ[c2:c1/child::xdoc]
-            χ[c1:root(cn)]
-              □
+        "Υ[c6:c5/attribute::id] (lookup)
+  Υ[c5:c4/following::*] (set, Π^D[c5])
+    Υ[c4:c3/preceding-sibling::*] (set, Π^D[c4])
+      Υ[c3:c2/descendant::*]
+        Υ[c2:c1/child::xdoc]
+          χ[c1:root(cn)]
+            □
 "
     );
 }
@@ -256,7 +256,7 @@ fn cost_pass_is_pinned() {
                 let (plan, trace) = compiler::compile_with_stats(q, &opts, Some(stats))
                     .unwrap_or_else(|e| panic!("`{q}`: {e}"));
                 let shown = match &plan {
-                    CompiledQuery::Sequence(p) => explain(p),
+                    CompiledQuery::Sequence { plan, .. } => explain(plan),
                     CompiledQuery::Scalar(s) => explain_scalar(s),
                 };
                 let mut estimates = String::new();
@@ -306,7 +306,7 @@ fn off_preset_plans_are_pinned() {
             let (plan, trace) =
                 compiler::compile_traced(q, &opts).unwrap_or_else(|e| panic!("`{q}`: {e}"));
             let shown = match &plan {
-                CompiledQuery::Sequence(p) => explain(p),
+                CompiledQuery::Sequence { plan, .. } => explain(plan),
                 CompiledQuery::Scalar(s) => explain_scalar(s),
             };
             let rows = |tag: &str| shown.lines().filter(|l| l.contains(tag)).count();

@@ -319,3 +319,54 @@ fn positional_windows_agree_after_committed_write_batches() {
         assert_eq!(windows, WINDOWED.len(), "round {round}: every row runs a window");
     }
 }
+
+/// Lookup steps over published snapshots after random committed
+/// `WriteBatch`es that set, overwrite and remove attributes and insert
+/// and remove elements: `@name` finds the one attribute of that name the
+/// batches left, `..` and `self::` follow the repaired links. Each row
+/// answers as the interpreter and as the translated plan without the
+/// physical phase (per-context scans, the result sorted) do.
+#[test]
+fn lookup_steps_agree_after_committed_write_batches() {
+    use natix::{Document, Engine};
+    use xmlstore::gen::{generate_tree, TreeParams};
+    let engine = Engine::new();
+    let tree = generate_tree(TreeParams { max_elements: 80, fanout: 4, max_depth: 3 });
+    engine.register_document("doc", Document::Arena(tree));
+    let session = engine.session();
+    let vars = std::collections::HashMap::new();
+    let mut rng = Rng(0x100c_2026_1020);
+    for round in 0..6 {
+        let mut batch = engine.write_batch("doc").unwrap();
+        for _ in 0..12 {
+            let target = random_inner_element(batch.store(), &mut rng);
+            let name = ["tag", "id", "x"][rng.below(3) as usize];
+            let value = ["v", "w"][rng.below(2) as usize];
+            let done = match rng.below(5) {
+                0 | 1 => batch.set_attribute(target, name, value).map(drop),
+                2 => batch.remove_attribute(target, name).map(drop),
+                3 => batch.append_element(target, "a").map(drop),
+                _ => batch.remove_subtree(target),
+            };
+            done.expect("valid update");
+        }
+        batch.commit().expect("commit");
+        let doc = engine.document("doc").unwrap();
+        let Document::Arena(store) = &*doc else {
+            panic!("batches publish arena snapshots");
+        };
+        for q in corpus::LOOKUP_QUERIES
+            .iter()
+            .chain(["//@tag/..", "//*[@tag = 'w']/@tag"].iter())
+        {
+            let got = session.evaluate(store, q).unwrap();
+            assert_eq!(got, agree(store, q), "round {round} `{q}`");
+            let ast = xpath_syntax::frontend(q).unwrap();
+            let translated = compiler::translate(&ast, &TranslateOptions::improved()).unwrap();
+            let scans = nqe::build_physical(&translated).execute(store, &vars, store.root());
+            assert_eq!(Ok(got), scans, "round {round} `{q}`");
+        }
+        let shown = session.explain(store, "//*/@tag").unwrap();
+        assert!(shown.contains("(lookup)"), "round {round}: {shown}");
+    }
+}
