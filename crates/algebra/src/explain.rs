@@ -34,9 +34,6 @@ pub fn op_label(plan: &LogicalOp) -> String {
             Some(g) => format!("χ[{attr}:counter++ reset {g}]"),
             None => format!("χ[{attr}:counter++]"),
         },
-        LogicalOp::MemoMap { attr, expr, key, .. } => {
-            format!("χ^mat[{attr}:{expr} key {key}]")
-        }
         LogicalOp::DJoin { .. } => "<>".to_owned(),
         LogicalOp::Cross { .. } => "×".to_owned(),
         LogicalOp::SemiJoin { pred, .. } => format!("⋉[{pred}]"),
@@ -79,7 +76,6 @@ pub fn op_label(plan: &LogicalOp) -> String {
                 None => format!("σ[window {positions}]"),
             }
         }
-        LogicalOp::MemoX { key, .. } => format!("𝔐[{key}]"),
     }
 }
 

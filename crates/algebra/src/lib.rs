@@ -3,7 +3,7 @@
 //!
 //! * [`value`] — the universe: atomic XPath values, nodes, tuple sequences,
 //! * [`ops`] — the sequence-valued operator IR (σ, Π^D, χ, d-join, ⋉, ▷,
-//!   Υ, ⊕, Sort, Tmp^cs, 𝔐, …),
+//!   Υ, ⊕, Sort, Tmp^cs, …),
 //! * [`scalar`] — the subscript language (with nested aggregations 𝔄),
 //! * [`attrmgr`] — attribute-name → register-slot resolution with safe
 //!   aliasing for renames (paper §5.1),

@@ -1,5 +1,5 @@
 //! Logical operator IR — the sequence-valued operators of the target
-//! algebra (paper Fig. 1 plus the special operators Tmp^cs and MemoX).
+//! algebra (paper Fig. 1 plus the special operator Tmp^cs).
 //!
 //! Plans are trees of [`LogicalOp`]; scalar subscripts are
 //! [`ScalarExpr`](crate::scalar::ScalarExpr)s, which may themselves embed
@@ -49,7 +49,7 @@ pub enum StepMode {
 /// cost-based optimizer: the Υ's predicate demands an exact
 /// `name = value` match, so the runtime can intersect the context's
 /// subtree interval with the index postings instead of scanning the
-/// axis. Purely an access-path annotation — the σ/χ^mat predicate above
+/// axis. Purely an access-path annotation — the σ predicate above
 /// the Υ still re-checks every emitted tuple, so an unindexed store (or
 /// an uncovered key) degrades to the plain scan with identical results.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -123,19 +123,6 @@ pub enum LogicalOp {
         /// counts the whole input (canonical translation — each dependent
         /// d-join evaluation is a fresh pipeline anyway).
         reset_on: Option<Attr>,
-    },
-    /// χ^mat — memoizing map for expensive predicates (§4.3.2, after
-    /// Hellerstein & Naughton): like `MapExpr` but caches results keyed by
-    /// the `key` attribute.
-    MemoMap {
-        /// Input sequence.
-        input: Box<LogicalOp>,
-        /// Defined attribute.
-        attr: Attr,
-        /// The (expensive) scalar subscript.
-        expr: ScalarExpr,
-        /// Cache key attribute.
-        key: Attr,
     },
     /// `<>` — dependency join: for each left tuple, evaluate the dependent
     /// right side with the left tuple's bindings (§3.1.1).
@@ -244,14 +231,6 @@ pub enum LogicalOp {
         /// input.
         group: Option<Attr>,
     },
-    /// 𝔐 — MemoX: memoise the producer sequence keyed by the free
-    /// variable (§4.2.2).
-    MemoX {
-        /// Producer (typically the translation of an inner path).
-        input: Box<LogicalOp>,
-        /// Key attribute (the context node handed in by the d-join).
-        key: Attr,
-    },
 }
 
 impl LogicalOp {
@@ -304,13 +283,11 @@ impl LogicalOp {
                 | LogicalOp::Rename { input, .. }
                 | LogicalOp::MapExpr { input, .. }
                 | LogicalOp::CounterMap { input, .. }
-                | LogicalOp::MemoMap { input, .. }
                 | LogicalOp::UnnestMap { input, .. }
                 | LogicalOp::TokenizeMap { input, .. }
                 | LogicalOp::SortBy { input, .. }
                 | LogicalOp::TmpCs { input, .. }
-                | LogicalOp::Window { input, .. }
-                | LogicalOp::MemoX { input, .. } => (Some(input), None, &[]),
+                | LogicalOp::Window { input, .. } => (Some(input), None, &[]),
                 LogicalOp::DJoin { left, right }
                 | LogicalOp::Cross { left, right }
                 | LogicalOp::SemiJoin { left, right, .. }
@@ -330,13 +307,11 @@ impl LogicalOp {
             | LogicalOp::Rename { input, .. }
             | LogicalOp::MapExpr { input, .. }
             | LogicalOp::CounterMap { input, .. }
-            | LogicalOp::MemoMap { input, .. }
             | LogicalOp::UnnestMap { input, .. }
             | LogicalOp::TokenizeMap { input, .. }
             | LogicalOp::SortBy { input, .. }
             | LogicalOp::TmpCs { input, .. }
-            | LogicalOp::Window { input, .. }
-            | LogicalOp::MemoX { input, .. } => ((Some(input), None), &mut []),
+            | LogicalOp::Window { input, .. } => ((Some(input), None), &mut []),
             LogicalOp::DJoin { left, right }
             | LogicalOp::Cross { left, right }
             | LogicalOp::SemiJoin { left, right, .. }
@@ -351,7 +326,6 @@ impl LogicalOp {
         match self {
             LogicalOp::Select { pred: e, .. }
             | LogicalOp::MapExpr { expr: e, .. }
-            | LogicalOp::MemoMap { expr: e, .. }
             | LogicalOp::TokenizeMap { expr: e, .. }
             | LogicalOp::SemiJoin { pred: e, .. }
             | LogicalOp::AntiJoin { pred: e, .. } => Some(e),
@@ -364,7 +338,6 @@ impl LogicalOp {
         match self {
             LogicalOp::Select { pred: e, .. }
             | LogicalOp::MapExpr { expr: e, .. }
-            | LogicalOp::MemoMap { expr: e, .. }
             | LogicalOp::TokenizeMap { expr: e, .. }
             | LogicalOp::SemiJoin { pred: e, .. }
             | LogicalOp::AntiJoin { pred: e, .. } => Some(e),
@@ -394,7 +367,6 @@ impl LogicalOp {
             LogicalOp::Rename { to: a, .. }
             | LogicalOp::MapExpr { attr: a, .. }
             | LogicalOp::CounterMap { attr: a, .. }
-            | LogicalOp::MemoMap { attr: a, .. }
             | LogicalOp::UnnestMap { attr: a, .. }
             | LogicalOp::TokenizeMap { attr: a, .. }
             | LogicalOp::TmpCs { cs: a, .. } => Some(a),
@@ -424,12 +396,10 @@ impl LogicalOp {
             | LogicalOp::TokenizeMap { expr: e, .. }
             | LogicalOp::SemiJoin { pred: e, .. }
             | LogicalOp::AntiJoin { pred: e, .. } => e.any_read(f),
-            LogicalOp::MemoMap { expr, key, .. } => expr.any_read(f) || f(key),
             LogicalOp::DedupBy { attr: a, .. }
             | LogicalOp::SortBy { attr: a, .. }
             | LogicalOp::Rename { from: a, .. }
-            | LogicalOp::UnnestMap { context: a, .. }
-            | LogicalOp::MemoX { key: a, .. } => f(a),
+            | LogicalOp::UnnestMap { context: a, .. } => f(a),
             LogicalOp::CounterMap { reset_on: g, .. }
             | LogicalOp::TmpCs { group: g, .. }
             | LogicalOp::Window { group: g, .. } => g.as_deref().is_some_and(f),
@@ -511,12 +481,6 @@ impl LogicalOp {
                 }
                 defined.insert(attr.clone());
             }
-            LogicalOp::MemoMap { input, attr, expr, key } => {
-                input.flow(defined, free);
-                scalar_flow(expr, defined, free);
-                reference(key, defined, free);
-                defined.insert(attr.clone());
-            }
             LogicalOp::DJoin { left, right } | LogicalOp::Cross { left, right } => {
                 // The dependent side's pipeline continues the left tuple.
                 left.flow(defined, free);
@@ -562,10 +526,6 @@ impl LogicalOp {
                 if let Some(g) = group {
                     reference(g, defined, free);
                 }
-            }
-            LogicalOp::MemoX { input, key } => {
-                input.flow(defined, free);
-                reference(key, defined, free);
             }
         }
     }

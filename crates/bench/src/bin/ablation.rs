@@ -3,15 +3,13 @@
 //!
 //! * duplicate-elimination pushdown (§4.1),
 //! * stacked translation of outer paths (§4.2.1),
-//! * MemoX memoization of inner paths (§4.2.2),
-//! * cheap/expensive predicate splitting with χ^mat (§4.3.2),
+//! * the stacked inner paths that the §4.2.2 and §4.3.2 memo shapes ran
+//!   (E6b, E6b′, E6c; the improved translation only),
 //! * exists() early exit vs full count.
 //!
 //! With `--json <path>` the harness additionally writes a results file
 //! with, per measured variant, the timing and a per-operator
-//! EXPLAIN ANALYZE profile under that variant's own translation options
-//! (so e.g. the MemoX hit/miss gauges are directly comparable between
-//! the memo-on and memo-off rows).
+//! EXPLAIN ANALYZE profile under that variant's own translation options.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin ablation [--elems N] [--runs N] [--json out.json]
@@ -102,33 +100,28 @@ fn main() {
         }
     }
 
-    // --- E6b: MemoX on inner paths (§4.2.2 motivating query shape) ------
-    println!("\n# E6b: MemoX memoization of inner relative paths");
-    let no_memo = TranslateOptions { memoize_inner: false, ..TranslateOptions::improved() };
-    for memo_query in [
+    // --- E6b: inner paths whose contexts repeat (§4.2.2's shape) ---------
+    println!("\n# E6b: stacked inner relative paths");
+    let improved = Evaluator::NatixWith(TranslateOptions::improved());
+    for inner_query in [
         // The paper's motivating shape: the same `c` elements are reached
         // from many outer contexts, so their `following::*` tails repeat.
         "/xdoc/descendant::*[count(descendant::c/following::*) > 0]/attribute::id",
         // Repeat-heavy inside the inner path itself: parent::* collapses
-        // many c's onto few repeated parents, and the memoized tail is a
-        // scan-heavy, low-cardinality subtree filter — replay is nearly
-        // free while recomputation rescans the subtree per duplicate.
+        // many c's onto few repeated parents, each deduplicated before the
+        // scan-heavy, low-cardinality subtree filter runs.
         "/xdoc/child::*[count(descendant::c/parent::*/descendant::*[@id = 'none']) = 0]/attribute::id",
     ] {
-        println!("query: {memo_query}");
-        let off_ev = Evaluator::NatixWith(no_memo);
-        let on_ev = Evaluator::NatixWith(TranslateOptions::improved());
-        let off = time_query(off_ev, &doc, memo_query, runs);
-        let on = time_query(on_ev, &doc, memo_query, runs);
-        println!("  memo off  {:>10} ms", ms(off));
-        println!("  memo on   {:>10} ms", ms(on));
-        record(&mut results, json_on, "E6b", "memo off", memo_query, off_ev, &doc, off);
-        record(&mut results, json_on, "E6b", "memo on", memo_query, on_ev, &doc, on);
+        println!("query: {inner_query}");
+        let t = time_query(improved, &doc, inner_query, runs);
+        println!("  improved  {:>10} ms", ms(t));
+        record(&mut results, json_on, "E6b", "improved", inner_query, improved, &doc, t);
     }
 
-    // --- E6b': inner paths cannot be deduped between steps (§4.2.2), so
-    // duplicate contexts inside predicates multiply; MemoX is what keeps
-    // them polynomial. Same width-4 family as E7, but inside a predicate.
+    // --- E6b': duplicate contexts inside predicates multiply unless the
+    // inner path deduplicates between steps; the stacked inner path does,
+    // as E7's outer path does. Same width-4 family as E7, but inside a
+    // predicate.
     println!("\n# E6b': blow-up family inside a predicate (width 4)");
     let blowup_doc = {
         let mut b = ArenaBuilder::new();
@@ -142,35 +135,27 @@ fn main() {
         b.end_element();
         b.finish()
     };
-    println!("pairs,memo_off_ms,memo_on_ms");
+    println!("pairs,improved_ms");
     for pairs in [4usize, 6, 8] {
         let mut inner = String::from("parent::a/child::b");
         for _ in 1..pairs {
             inner.push_str("/parent::a/child::b");
         }
         let q = format!("/r/a/b[count({inner}) > 0]");
-        let off_ev = Evaluator::NatixWith(no_memo);
-        let on_ev = Evaluator::NatixWith(TranslateOptions::improved());
-        let off = time_query(off_ev, &blowup_doc, &q, 1);
-        let on = time_query(on_ev, &blowup_doc, &q, 1);
-        println!("{pairs},{},{}", ms(off), ms(on));
-        record(&mut results, json_on, "E6b'", "memo off", &q, off_ev, &blowup_doc, off);
-        record(&mut results, json_on, "E6b'", "memo on", &q, on_ev, &blowup_doc, on);
+        let t = time_query(improved, &blowup_doc, &q, runs);
+        println!("{pairs},{}", ms(t));
+        record(&mut results, json_on, "E6b'", "improved", &q, improved, &blowup_doc, t);
     }
 
-    // --- E6c: expensive-predicate splitting (§4.3.2) ---------------------
-    println!("\n# E6c: cheap/expensive predicate splitting (χ^mat)");
+    // --- E6c: an expensive clause over a duplicate-heavy step (§4.3.2's
+    // shape): the step's Π^D sits below its position-free predicates, so
+    // each runs once per distinct node.
+    println!("\n# E6c: expensive predicate over a ppd step");
     let split_query = "/xdoc/descendant::*/parent::*[count(descendant::*) > 3][@id]/attribute::id";
-    let no_split = TranslateOptions { split_expensive: false, ..TranslateOptions::improved() };
     println!("query: {split_query}");
-    let off_ev = Evaluator::NatixWith(no_split);
-    let on_ev = Evaluator::NatixWith(TranslateOptions::improved());
-    let off = time_query(off_ev, &doc, split_query, runs);
-    let on = time_query(on_ev, &doc, split_query, runs);
-    println!("  split off {:>10} ms", ms(off));
-    println!("  split on  {:>10} ms", ms(on));
-    record(&mut results, json_on, "E6c", "split off", split_query, off_ev, &doc, off);
-    record(&mut results, json_on, "E6c", "split on", split_query, on_ev, &doc, on);
+    let t = time_query(improved, &doc, split_query, runs);
+    println!("  improved  {:>10} ms", ms(t));
+    record(&mut results, json_on, "E6c", "improved", split_query, improved, &doc, t);
 
     // --- E8: smart aggregation early exit (§5.2.5) -----------------------
     println!("\n# E8: exists() early exit vs full aggregation");

@@ -4,23 +4,11 @@
 //! [`StructuralIndex`](xmlstore::StructuralIndex) statistics
 //! ([`StoreStats`]).
 //!
-//! The paper applies its §4 improvements unconditionally; its own
-//! Figure 10 shows them trading places with the canonical translation
-//! depending on document shape and predicate selectivity. This pass
-//! runs after translation (before the physical phase, so both the traced
-//! and untraced pipelines share it) and makes three families of
-//! decisions, every one a byte-exact inverse of a translation emission
-//! or a pre-filter annotation, so the rewritten plan always returns what
-//! the translated one does:
+//! This pass runs after translation (before the physical phase, so both
+//! the traced and untraced pipelines share it) and makes one family of
+//! decisions, a pre-filter annotation, so the rewritten plan always
+//! returns what the translated one does:
 //!
-//! * **memoize-inner** — drop a `𝔐` (MemoX) around an inner relative
-//!   path when the estimated number of distinct memo keys approaches
-//!   the number of probes (every probe a miss: bookkeeping with no
-//!   reuse), keep it when key reuse times the inner cost beats the
-//!   lookup overhead.
-//! * **split-expensive** — fuse `σ[v] ∘ χ^mat[v:e]` back into `σ[e]`
-//!   when the expensive clause is estimated cheap relative to the memo
-//!   table's per-probe hashing and per-entry materialisation.
 //! * **index-probe** — annotate the Υ under a `step[@a='v']` /
 //!   `step[e='v']` predicate with a [`ProbeSpec`] when the store's
 //!   persistent content index is estimated to enumerate fewer
@@ -55,10 +43,6 @@ use xpath_syntax::CompOp;
 use crate::physical::kernel_shape;
 use crate::translate::CompiledQuery;
 
-/// Hash probe + key compare per memo access (𝔐 and χ^mat).
-const MEMO_LOOKUP: f64 = 3.0;
-/// Per distinct memo entry: result clone + table growth.
-const MEMO_STORE: f64 = 4.0;
 /// Per-tuple hash-set insert of Π^D.
 const DEDUP_UNIT: f64 = 2.0;
 /// Per-tuple-per-comparison unit of Sort.
@@ -80,12 +64,11 @@ const DEFAULT_SEL: f64 = 0.5;
 /// "visible and checkable" contract: EXPLAIN ANALYZE prints these.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Decision {
-    /// Operator label at the decision site (`𝔐[c1]`, `χ^mat[…]`, …).
+    /// Operator label at the decision site (`Υ[c3:c2/child::article]`).
     pub site: String,
-    /// Decision family: `memoize-inner`, `split-expensive` or
-    /// `index-probe`.
+    /// Decision family: `index-probe`.
     pub rule: &'static str,
-    /// What was chosen (`keep`, `drop`, `fuse`, `probe`, `scan`).
+    /// What was chosen (`probe` or `scan`).
     pub choice: &'static str,
     /// Estimated cost of the chosen alternative.
     pub est_chosen: f64,
@@ -337,15 +320,14 @@ impl Estimator<'_> {
             rec.push(OpEstimate { label: op_label(plan), est_tuples: 0.0 });
             rec.len() - 1
         });
-        // The cap passes σ (to keep the same survivors), χ, χ^mat and Π;
-        // a Υ spends it, any other operator drops it.
+        // The cap passes σ (to keep the same survivors), χ and Π; a Υ
+        // spends it, any other operator drops it.
         let cap = self.cap.take();
         self.cap = match plan {
             LogicalOp::Select { pred, .. } => cap.map(|c| c / self.pred_sel(pred)),
-            LogicalOp::MapExpr { .. }
-            | LogicalOp::MemoMap { .. }
-            | LogicalOp::Rename { .. }
-            | LogicalOp::UnnestMap { .. } => cap,
+            LogicalOp::MapExpr { .. } | LogicalOp::Rename { .. } | LogicalOp::UnnestMap { .. } => {
+                cap
+            }
             _ => None,
         };
         let e = self.est_inner(plan, opens, env);
@@ -386,15 +368,6 @@ impl Estimator<'_> {
             L::CounterMap { input, .. } => {
                 let i = self.est(input, opens, env);
                 Est { rows: i.rows, cost: i.cost + i.rows * 0.5 }
-            }
-            L::MemoMap { input, expr, key, .. } => {
-                let i = self.est(input, opens, env);
-                let probes = opens * i.rows;
-                let per = self.pred_cost(expr, probes, env);
-                let (_, distinct) = memo_shape(probes, env.domain(key));
-                // Total across opens, normalised back to per-open cost.
-                let total = probes * MEMO_LOOKUP + distinct * (per + MEMO_STORE);
-                Est { rows: i.rows, cost: i.cost + total / opens.max(1.0) }
             }
             L::DJoin { left, right } | L::Cross { left, right } => {
                 let l = self.est(left, opens, env);
@@ -472,14 +445,6 @@ impl Estimator<'_> {
                     cost: i.cost + i.rows * 0.5,
                 }
             }
-            L::MemoX { input, key } => {
-                // Cross-open memo: the inner plan actually runs once per
-                // distinct key, not once per open.
-                let (probes, distinct) = memo_shape(opens, env.domain(key));
-                let i = self.est(input, distinct.min(opens).max(1.0), env);
-                let total = probes * MEMO_LOOKUP + distinct * (i.cost + i.rows * MEMO_STORE);
-                Est { rows: i.rows, cost: total / opens.max(1.0) }
-            }
         }
     }
 
@@ -488,11 +453,7 @@ impl Estimator<'_> {
     /// already recorded that subplan.
     fn window_groups(&mut self, mut x: &LogicalOp, opens: f64, env: &mut Env) -> f64 {
         use LogicalOp as L;
-        while let L::Select { input, .. }
-        | L::MapExpr { input, .. }
-        | L::MemoMap { input, .. }
-        | L::Rename { input, .. } = x
-        {
+        while let L::Select { input, .. } | L::MapExpr { input, .. } | L::Rename { input, .. } = x {
             x = input;
         }
         let L::UnnestMap { input, .. } = x else {
@@ -580,13 +541,6 @@ impl Estimator<'_> {
     }
 }
 
-/// Probe count and estimated distinct keys of a memo structure.
-fn memo_shape(probes: f64, domain: Option<f64>) -> (f64, f64) {
-    let probes = probes.max(1.0);
-    let distinct = domain.unwrap_or(probes).max(1.0).min(probes);
-    (probes, distinct)
-}
-
 fn sane(v: f64) -> f64 {
     if v.is_finite() {
         v.clamp(0.0, 1e15)
@@ -636,20 +590,7 @@ impl Optimizer<'_> {
                 self.rewrite(input, opens, env);
                 let in_rows = self.probe(input, opens, env).rows;
                 self.rewrite_nested(pred, opens * in_rows, env);
-                self.try_fuse_split(plan, opens, env);
                 self.try_index_probe(plan, env);
-            }
-            L::MemoX { input, key } => {
-                self.rewrite(input, opens, env);
-                let inner = self.probe(input, 1.0, env);
-                let (probes, distinct) = memo_shape(opens, env.domain(key));
-                let keep = probes * MEMO_LOOKUP + distinct * (inner.cost + inner.rows * MEMO_STORE);
-                let drop = probes * inner.cost;
-                let site = format!("𝔐[{key}]");
-                let (k, d) = (("keep", keep), ("drop", drop));
-                if !self.decide(site, "memoize-inner", keep <= drop, k, d) {
-                    *plan = std::mem::replace(&mut **input, L::Singleton);
-                }
             }
             L::UnnestMap { input, .. } => {
                 self.rewrite(input, opens, env);
@@ -666,7 +607,7 @@ impl Optimizer<'_> {
                 self.rewrite(right, opens * l_rows, env);
                 self.rewrite_nested(pred, opens * l_rows, env);
             }
-            L::MemoMap { input, expr, .. } | L::TokenizeMap { input, expr, .. } => {
+            L::TokenizeMap { input, expr, .. } => {
                 self.rewrite(input, opens, env);
                 let in_rows = self.probe(input, opens, env).rows;
                 self.rewrite_nested(expr, opens * in_rows, env);
@@ -693,44 +634,13 @@ impl Optimizer<'_> {
         }
     }
 
-    /// The split-expensive inverse: `σ[v] ∘ χ^mat[v:e key k]` → `σ[e]`
-    /// when the memo cannot pay for itself. Byte-exact: the fused form
-    /// is precisely the `split_expensive: false` emission.
-    fn try_fuse_split(&mut self, plan: &mut LogicalOp, opens: f64, env: &mut Env) {
-        use LogicalOp as L;
-        let L::Select { input, pred } = plan else {
-            return;
-        };
-        let L::MemoMap { input: inner, attr, expr, key } = &mut **input else {
-            return;
-        };
-        if !matches!(pred, ScalarExpr::Attr(v) if v == attr) {
-            return;
-        }
-        let i = self.probe(inner, opens, env);
-        let (probes, distinct) = memo_shape(opens * i.rows, env.domain(key));
-        let per = env.scoped(|env| self.est.pred_cost(expr, probes, env));
-        let split = probes * MEMO_LOOKUP + distinct * (per + MEMO_STORE);
-        let unsplit = probes * per;
-        let site = format!("χ^mat[{attr}:{expr} key {key}]");
-        let (k, f) = (("keep", split), ("fuse", unsplit));
-        if !self.decide(site, "split-expensive", split <= unsplit, k, f) {
-            if let L::MemoMap { input: inner, expr, .. } =
-                std::mem::replace(&mut **input, L::Singleton)
-            {
-                *input = inner;
-                *pred = expr;
-            }
-        }
-    }
-
     /// The content-index pre-filter: annotate the Υ feeding a
     /// `step[@a='v']` / `step[e='v']` predicate with a [`ProbeSpec`]
     /// when the persistent content index is expected to enumerate fewer
-    /// candidates than the axis scan visits nodes. Recognises both the
-    /// fused (`σ[𝔄] ∘ Π[cn:u] ∘ Υ`) and kept-split
-    /// (`σ[m] ∘ χ^mat[m:𝔄 key u] ∘ Π[cn:u] ∘ Υ`) emissions of the
-    /// improved translation; anything else passes through untouched.
+    /// candidates than the axis scan visits nodes. Recognises
+    /// `σ[𝔄] ∘ Π[cn:u] ∘ Υ`, with the step's Π^D between Π and Υ where
+    /// the translation deduplicates before the predicate; anything else
+    /// passes through untouched.
     /// The probe is a candidate pre-filter only — stores without a
     /// content index reject it at runtime and the kernel falls back to
     /// the plain scan, so the predicate always stays in the plan.
@@ -776,27 +686,16 @@ impl Optimizer<'_> {
 /// for cost estimation. `None` when the plan is any other shape.
 fn match_probe_site(plan: &LogicalOp) -> Option<(ProbeSpec, &str, &str, Axis, &NodeTest)> {
     use LogicalOp as L;
-    let L::Select { input, pred } = plan else {
+    let L::Select { input, pred: ScalarExpr::Agg(agg) } = plan else {
         return None;
     };
-    // Both emissions end in `Π[cn:u] ∘ Υ[u:…]`; the kept-split form has
-    // the χ^mat (keyed on u) between σ and Π.
-    let (rename, agg, memo_key) = match (&**input, pred) {
-        (L::MemoMap { input, attr, expr: ScalarExpr::Agg(a), key }, ScalarExpr::Attr(v))
-            if v == attr =>
-        {
-            (&**input, a, Some(key.as_str()))
-        }
-        (r @ L::Rename { .. }, ScalarExpr::Agg(a)) => (r, a, None),
-        _ => return None,
-    };
-    let L::Rename { input, from, to } = rename else {
+    let L::Rename { input, from, to } = &**input else {
         return None;
     };
-    if to != "cn" || memo_key.is_some_and(|k| k != from) {
+    if to != "cn" {
         return None;
     }
-    let L::UnnestMap { context, attr, axis, test, probe, .. } = &**input else {
+    let L::UnnestMap { context, attr, axis, test, probe, .. } = below_dedup(input, from) else {
         return None;
     };
     if attr != from
@@ -845,16 +744,23 @@ fn set_probe(plan: &mut LogicalOp, spec: ProbeSpec) {
     let L::Select { input, .. } = plan else {
         return;
     };
-    let rename = match &mut **input {
-        L::MemoMap { input, .. } => &mut **input,
-        r @ L::Rename { .. } => r,
-        _ => return,
-    };
-    let L::Rename { input, .. } = rename else {
+    let L::Rename { input, .. } = &mut **input else {
         return;
     };
-    if let L::UnnestMap { probe, .. } = &mut **input {
+    let step = match &mut **input {
+        L::DedupBy { input, .. } => &mut **input,
+        other => other,
+    };
+    if let L::UnnestMap { probe, .. } = step {
         *probe = Some(spec);
+    }
+}
+
+/// `op`, or its input if `op` is the step's own `Π^D[attr]`.
+fn below_dedup<'p>(op: &'p LogicalOp, attr: &str) -> &'p LogicalOp {
+    match op {
+        LogicalOp::DedupBy { input, attr: a } if a == attr => input,
+        _ => op,
     }
 }
 
@@ -915,17 +821,16 @@ mod tests {
     }
 
     #[test]
-    fn optimize_records_decisions_and_preserves_off_mode_inverses() {
+    fn optimize_records_decisions_and_keeps_the_cheaper_side() {
         let stats = dblp_stats();
-        // A nested-path predicate: improved translation memoizes the
-        // inner path (𝔐) and splits the expensive clause (χ^mat).
         let q =
-            compile("/dblp/article[author/text()]/title", &TranslateOptions::improved()).unwrap();
+            compile("/dblp/article[@key='x'][author/text()]/title", &TranslateOptions::improved())
+                .unwrap();
         let (opt, decisions) = optimize(q, &stats);
-        assert!(!decisions.is_empty(), "at least the memo sites decide");
+        assert!(!decisions.is_empty(), "the probe site decides");
         for d in &decisions {
             assert!(d.est_chosen <= d.est_rejected, "chosen side must be the cheaper: {d:?}");
-            assert!(matches!(d.rule, "memoize-inner" | "split-expensive" | "index-probe"), "{d:?}");
+            assert_eq!(d.rule, "index-probe", "{d:?}");
         }
         // Whatever was decided, the result is still a valid plan.
         match opt {
@@ -942,6 +847,8 @@ mod tests {
         for (query, rendered) in [
             ("/dblp/article[@key='x']/title", "probe=@key='x'"),
             ("/dblp/article[year='2002']/author", "probe=year='2002'"),
+            // A ppd step's Π^D sits between its Υ and the predicate.
+            ("/dblp/descendant::article[@key='x']/title", "probe=@key='x'"),
         ] {
             let q = compile(query, &TranslateOptions::improved()).unwrap();
             let (opt, decisions) = optimize(q, &stats);
@@ -970,28 +877,5 @@ mod tests {
             panic!("sequence query")
         };
         assert!(!algebra::explain(&plan).contains("probe="));
-    }
-
-    #[test]
-    fn memo_drop_is_the_exact_memoize_off_emission() {
-        let stats = dblp_stats();
-        let on = compile("//article[author/text()]", &TranslateOptions::improved()).unwrap();
-        let off = compile(
-            "//article[author/text()]",
-            &TranslateOptions { memoize_inner: false, ..TranslateOptions::improved() },
-        )
-        .unwrap();
-        let (opt, decisions) = optimize(on, &stats);
-        let memo = decisions.iter().find(|d| d.rule == "memoize-inner");
-        if let Some(d) = memo {
-            if d.choice == "drop" {
-                // After also fusing `off` the shapes must agree;
-                // compare through a fresh optimize of the off-plan, which
-                // has no MemoX to decide about.
-                let (off_opt, off_decisions) = optimize(off, &stats);
-                assert!(off_decisions.iter().all(|d| d.rule != "memoize-inner"));
-                assert_eq!(opt, off_opt, "drop must reproduce the memoize_inner=false plan");
-            }
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Translation switches and execution resource limits. The canonical
 //! translation (paper §3) and the improved translation (paper §4) are
-//! points in the translation option space; the individual flags exist so
-//! the ablation benchmarks can isolate each improvement.
+//! the two presets; their two flags differ in plan shape, not in
+//! results, which is what the differential suites check flag by flag.
 //! [`ResourceLimits`] is the per-query execution budget plumbed from the
 //! user surfaces (CLI `--max-mem`/`--timeout`, REPL `:limits`, bench
 //! harnesses) down to the `nqe` resource governor (DESIGN.md §11).
@@ -11,14 +11,11 @@ use std::time::Duration;
 /// Whether the post-translation cost-based optimizer pass runs.
 ///
 /// `Off` (the default and every paper preset) compiles exactly the plan
-/// the translation flags dictate — byte-identical to the engine before
-/// the optimizer existed. `CostBased` re-examines two of the
-/// translation's unconditional choices (MemoX, the χ^mat split) and
+/// the translation flags dictate. `CostBased` decides one thing more:
 /// whether a value predicate's step probes the content index, against
 /// cardinality estimates seeded from the store's [`StructuralIndex`]
-/// statistics, and keeps each one only where the estimates say it pays.
-/// Without store statistics (no index, or compile without a store)
-/// `CostBased` degrades to `Off`.
+/// statistics. Without store statistics (no index, or compile without a
+/// store) `CostBased` degrades to `Off`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CostMode {
     /// No optimizer pass: translation flags decide everything.
@@ -32,17 +29,13 @@ pub enum CostMode {
 /// Options controlling the translation into the algebra.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TranslateOptions {
-    /// §4.2.1 — stacked translation of outer paths: steps consume the
-    /// previous step's output directly instead of going through d-joins.
+    /// §4.2.1 — stacked translation of outer paths, and of inner paths of
+    /// two or more steps: steps consume the previous step's output
+    /// directly instead of going through d-joins.
     pub stacked_outer: bool,
     /// §4.1 — duplicate elimination pushed after every ppd step instead of
     /// only once at the top.
     pub push_dedup: bool,
-    /// §4.2.2 — memoize inner (predicate) relative paths with MemoX.
-    pub memoize_inner: bool,
-    /// §4.3.2 — split predicate clauses into cheap/expensive, evaluate
-    /// cheap first and memoize expensive clause values (χ^mat).
-    pub split_expensive: bool,
     /// Cost-based optimizer pass over the translated plan; `Off` in
     /// every preset so the paper translations stay byte-exact.
     pub optimize: CostMode,
@@ -50,13 +43,11 @@ pub struct TranslateOptions {
 
 impl TranslateOptions {
     /// The canonical translation of paper §3: d-joins everywhere, one
-    /// final duplicate elimination, no memoization.
+    /// final duplicate elimination.
     pub fn canonical() -> TranslateOptions {
         TranslateOptions {
             stacked_outer: false,
             push_dedup: false,
-            memoize_inner: false,
-            split_expensive: false,
             optimize: CostMode::Off,
         }
     }
@@ -66,14 +57,12 @@ impl TranslateOptions {
         TranslateOptions {
             stacked_outer: true,
             push_dedup: true,
-            memoize_inner: true,
-            split_expensive: true,
             optimize: CostMode::Off,
         }
     }
 
     /// The improved translation with the cost-based optimizer enabled:
-    /// §4's rewrites become per-site decisions instead of defaults.
+    /// index probes become per-site decisions.
     pub fn cost_based() -> TranslateOptions {
         TranslateOptions {
             optimize: CostMode::CostBased,
@@ -100,8 +89,8 @@ impl Default for TranslateOptions {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct ResourceLimits {
     /// Cap on the bytes held by materializing operators (Sort, Tmp^cs,
-    /// MemoX, χ^mat, ⋉/▷ inner materialisation, Π^D seen-sets, result
-    /// accumulation); `None` is unlimited.
+    /// ⋉/▷ inner materialisation, Π^D seen-sets, result accumulation);
+    /// `None` is unlimited.
     pub max_memory_bytes: Option<u64>,
     /// Cap on the total tuples materialized across all operators.
     pub max_tuples: Option<u64>,
@@ -287,9 +276,9 @@ mod tests {
     #[test]
     fn presets() {
         let c = TranslateOptions::canonical();
-        assert!(!c.stacked_outer && !c.push_dedup && !c.memoize_inner && !c.split_expensive);
+        assert!(!c.stacked_outer && !c.push_dedup);
         let i = TranslateOptions::improved();
-        assert!(i.stacked_outer && i.push_dedup && i.memoize_inner && i.split_expensive);
+        assert!(i.stacked_outer && i.push_dedup);
         assert_eq!(TranslateOptions::default(), i);
         assert_eq!(c.optimize, CostMode::Off, "paper presets never optimize");
         assert_eq!(i.optimize, CostMode::Off);

@@ -9,7 +9,6 @@
 //!   Υ (DESIGN.md §12 "Set-at-a-time steps");
 //! - a kernel-shaped aggregate becomes a [`ScalarExpr::Kernel`]
 //!   (DESIGN.md §5 "Predicate kernels");
-//! - a χ^mat whose aggregates all became kernels becomes a χ;
 //! - a σ keeping a window of positions over its counter (and Tmp^cs)
 //!   becomes one window operator, with the child step below it reversed
 //!   when it counts from the end (DESIGN.md §12 "Positional windows");
@@ -93,17 +92,6 @@ fn lower(op: &mut LogicalOp, fates: &[(*const LogicalOp, Fate)], done: &mut Lowe
     op.inputs_mut().for_each(|c| lower(c, fates, done));
     if let Some(e) = op.subscript_mut() {
         lower_scalar(e, fates, done);
-    }
-    if matches!(op, LogicalOp::MemoMap { expr, .. } if kernels_only(expr)) {
-        // A hit would save one bounded walk per kernel, and the keys (the
-        // candidates) barely repeat: hashing and storing every value
-        // costs more than it saves.
-        let LogicalOp::MemoMap { input, attr, expr, .. } =
-            std::mem::replace(op, LogicalOp::Singleton)
-        else {
-            unreachable!()
-        };
-        *op = LogicalOp::MapExpr { input, attr, expr };
     }
     let Some(fate) = fate else {
         if let LogicalOp::UnnestMap { axis, test, probe: None, mode, .. } = op {
@@ -236,9 +224,7 @@ pub(crate) fn props_of(plan: &LogicalOp, attr: &str) -> Props {
         L::Select { input, .. }
         | L::Window { input, .. }
         | L::CounterMap { input, .. }
-        | L::MemoMap { input, .. }
-        | L::TmpCs { input, .. }
-        | L::MemoX { input, .. } => props_of(input, attr),
+        | L::TmpCs { input, .. } => props_of(input, attr),
         L::DedupBy { input, attr: a } => {
             let p = props_of(input, attr);
             Props { distinct: p.distinct || a == attr, ..p }
@@ -363,23 +349,6 @@ fn const_compare(pred: &ScalarExpr, o: &str) -> Option<ConstCmp> {
         constant: constant.clone(),
         constant_first,
     })
-}
-
-/// Does `e` (lowered) hold a kernel, and no aggregate left with a nested
-/// plan? A χ^mat over such a subscript runs as a plain χ.
-fn kernels_only(e: &ScalarExpr) -> bool {
-    fn all(e: &ScalarExpr, found: &mut bool) -> bool {
-        match e {
-            ScalarExpr::Kernel(_) => {
-                *found = true;
-                true
-            }
-            ScalarExpr::Agg(_) => false,
-            _ => e.operands().all(|o| all(o, found)),
-        }
-    }
-    let mut found = false;
-    all(e, &mut found) && found
 }
 
 // ===================== Positional windows =====================
@@ -521,17 +490,14 @@ fn position_compare<'e>(pred: &'e ScalarExpr, cp: &str) -> Option<(CompOp, &'e S
 }
 
 /// The operator a window's skips reach from the counter's input `x`:
-/// the first one below σ, χ, χ^mat and Π (and below a Π^D or Sort the
+/// the first one below σ, χ and Π (and below a Π^D or Sort the
 /// phase elides), none of which may define `group`. Those pass a skip
 /// on, and keep no state across tuples that a reversed step could upset.
 fn windowed_step<'p>(mut x: &'p LogicalOp, group: Option<&str>) -> Option<&'p LogicalOp> {
     use LogicalOp as L;
     loop {
         x = match x {
-            L::Select { input, .. }
-            | L::MapExpr { input, .. }
-            | L::MemoMap { input, .. }
-            | L::Rename { input, .. } => {
+            L::Select { input, .. } | L::MapExpr { input, .. } | L::Rename { input, .. } => {
                 if group.is_some_and(|g| x.own_attr().is_some_and(|a| a == g)) {
                     return None;
                 }
@@ -547,7 +513,7 @@ fn windowed_step<'p>(mut x: &'p LogicalOp, group: Option<&str>) -> Option<&'p Lo
 /// Rewrite the σ at `op` (and its counter, and Tmp^cs) into a window;
 /// reverse the child step under a tail window, and run the step under a
 /// head window per context (a lookup has no scan to stop). Runs after
-/// `op`'s inputs were lowered, so only σ, χ, χ^mat and Π stand between.
+/// `op`'s inputs were lowered, so only σ, χ and Π stand between.
 fn lower_window(op: &mut LogicalOp, w: Window, done: &mut Lowered) {
     use LogicalOp as L;
     let L::Select { input, .. } = std::mem::replace(op, L::Singleton) else {
@@ -568,10 +534,7 @@ fn lower_window(op: &mut LogicalOp, w: Window, done: &mut Lowered) {
     let mut x = &mut *input;
     loop {
         x = match x {
-            L::Select { input, .. }
-            | L::MapExpr { input, .. }
-            | L::MemoMap { input, .. }
-            | L::Rename { input, .. } => input,
+            L::Select { input, .. } | L::MapExpr { input, .. } | L::Rename { input, .. } => input,
             L::UnnestMap { mode, .. } if w.from_end => break *mode = StepMode::Reverse,
             L::UnnestMap { mode: mode @ StepMode::Lookup, .. } => {
                 break *mode = StepMode::PerContext
@@ -766,7 +729,6 @@ fn walk<'p>(op: &'p LogicalOp, above: &Above<'_, 'p>, fates: &mut Vec<(&'p Logic
         L::Singleton => {}
         L::Select { input, pred: e }
         | L::MapExpr { input, expr: e, .. }
-        | L::MemoMap { input, expr: e, .. }
         | L::TokenizeMap { input, expr: e, .. } => {
             walk_aggs(e, fates);
             walk(input, &here, fates);
@@ -777,8 +739,7 @@ fn walk<'p>(op: &'p LogicalOp, above: &Above<'_, 'p>, fates: &mut Vec<(&'p Logic
         | L::UnnestMap { input, .. }
         | L::SortBy { input, .. }
         | L::TmpCs { input, .. }
-        | L::Window { input, .. }
-        | L::MemoX { input, .. } => walk(input, &here, fates),
+        | L::Window { input, .. } => walk(input, &here, fates),
         L::DJoin { left, right } | L::Cross { left, right } => {
             walk(right, &seam, fates);
             let seeded = Above { reader: Reader::Seeded(right), up: Some(above) };
@@ -1059,15 +1020,12 @@ mod tests {
         assert_eq!(semi("c1"), 0, "…or an attribute the match side defines below the step");
     }
 
-    /// The kernel rows of a query's compiled plan, and whether a χ^mat
-    /// is left in it.
-    fn kernel_rows(q: &str, opts: &TranslateOptions) -> (usize, bool) {
-        let text = explained(&compile(q, opts).unwrap());
-        let labels = || text.lines().map(str::trim);
-        (
-            labels().filter(|l| l.contains(" (kernel, ")).count(),
-            labels().any(|l| l.starts_with("χ^mat")),
-        )
+    /// The kernel rows of a query's compiled plan.
+    fn kernel_rows(q: &str, opts: &TranslateOptions) -> usize {
+        explained(&compile(q, opts).unwrap())
+            .lines()
+            .filter(|l| l.contains(" (kernel, "))
+            .count()
     }
 
     #[test]
@@ -1090,14 +1048,14 @@ mod tests {
         for opts in [TranslateOptions::canonical(), TranslateOptions::improved()] {
             for (row, q) in FIG10.iter().enumerate() {
                 let want = usize::from(row >= 7);
-                assert_eq!(kernel_rows(q, &opts), (want, false), "row {} `{q}` {opts:?}", row + 1);
+                assert_eq!(kernel_rows(q, &opts), want, "row {} `{q}` {opts:?}", row + 1);
             }
         }
-        // Two kernels in one subscript; and what keeps its nested plan
-        // (and so its χ^mat): a path, a descendant step, a positional
-        // predicate inside, a sum, a parent step under its Π^D.
+        // Two kernels in one subscript; and what keeps its nested plan: a
+        // path, a descendant step, a positional predicate inside, a sum, a
+        // parent step under its Π^D.
         let improved = TranslateOptions::improved();
-        assert_eq!(kernel_rows("/dblp/*[year='1991' and author]/@key", &improved), (2, false));
+        assert_eq!(kernel_rows("/dblp/*[year='1991' and author]/@key", &improved), 2);
         for q in [
             "/dblp/*[.//i='M']/@key",
             "/dblp/*[descendant::author]/@key",
@@ -1105,7 +1063,7 @@ mod tests {
             "/dblp/*[sum(year) > 1990]/@key",
             "//i[parent::author='Guido Moerkotte']",
         ] {
-            assert_eq!(kernel_rows(q, &improved), (0, true), "`{q}`");
+            assert_eq!(kernel_rows(q, &improved), 0, "`{q}`");
         }
     }
 

@@ -267,26 +267,29 @@ mod tests {
     }
 
     #[test]
-    fn nested_path_predicate_rebinds_cn_and_memoizes() {
+    fn nested_path_predicate_rebinds_cn_and_stacks() {
         let plan = seq(
             "/a/descendant::b[count(descendant::c/following::*) = 1000]",
             &TranslateOptions::improved(),
         );
         let text = explain(&plan);
         assert!(text.contains("Π[cn:"), "cn rebinding expected:\n{text}");
-        assert!(text.contains("𝔐["), "MemoX expected for inner path:\n{text}");
-        assert!(text.contains("χ^mat"), "expensive clause memoised:\n{text}");
+        // The two-step inner path is one stacked pipeline with a Π^D
+        // after each of its ppd steps, and no d-join.
+        assert!(!text.contains("<>"), "stacked inner path expected:\n{text}");
+        let nested = &text[text.find("(nested)").expect("a nested plan")..];
+        assert_eq!(nested.matches("Π^D[").count(), 2, "{text}");
     }
 
     #[test]
-    fn canonical_no_memox() {
+    fn canonical_inner_path_is_a_djoin_chain() {
         let plan = seq(
             "/a/descendant::b[count(descendant::c/following::*) = 1000]",
             &TranslateOptions::canonical(),
         );
         let text = explain(&plan);
-        assert!(!text.contains("𝔐["), "{text}");
-        assert!(!text.contains("χ^mat"), "{text}");
+        let nested = &text[text.find("(nested)").expect("a nested plan")..];
+        assert_eq!(nested.matches("<>").count(), 2, "{text}");
     }
 
     #[test]
@@ -367,11 +370,16 @@ mod tests {
     }
 
     #[test]
-    fn relative_inner_path_keeps_djoin_shape() {
-        let plan = seq("/a/b[descendant::c/following::d]", &TranslateOptions::improved());
-        let text = explain(&plan);
-        let nested_start = text.find("(nested)").expect("nested plan rendered");
-        assert!(text[nested_start..].contains("<>"), "{text}");
+    fn relative_inner_paths_stack_from_two_steps() {
+        let nested = |q: &str| {
+            let text = explain(&seq(q, &TranslateOptions::improved()));
+            text[text.find("(nested)").expect("nested plan rendered")..].to_owned()
+        };
+        // One step keeps the d-join the predicate kernels read.
+        let one = nested("/a/b[descendant::c]");
+        assert!(one.contains("<>"), "{one}");
+        let two = nested("/a/b[descendant::c/following::d]");
+        assert!(!two.contains("<>"), "{two}");
     }
 
     #[test]
@@ -454,22 +462,14 @@ mod tests {
         // A query with nothing constant folds nothing.
         let (_, trace) = compile_traced("/a/b[c = 'x']", &TranslateOptions::improved()).unwrap();
         assert!(!trace.rewrites.iter().any(|r| r == "constant-fold"), "{:?}", trace.rewrites);
-        // An inner relative path gets memoized under the improved options…
+        // A stacked inner path runs its steps in set mode under the
+        // improved options…
         let (_, trace) = compile_traced(
             "/a/descendant::b[count(descendant::c/following::*) = 1000]",
             &TranslateOptions::improved(),
         )
         .unwrap();
-        assert!(
-            trace.rewrites.iter().any(|r| r.starts_with("memoize-inner")),
-            "{:?}",
-            trace.rewrites
-        );
-        assert!(
-            trace.rewrites.iter().any(|r| r.starts_with("split-expensive")),
-            "{:?}",
-            trace.rewrites
-        );
+        assert!(trace.rewrites.iter().any(|r| r.starts_with("set-mode")), "{:?}", trace.rewrites);
         // …but not under the canonical ones.
         let (_, trace) = compile_traced(
             "/a/descendant::b[count(descendant::c/following::*) = 1000]",
@@ -477,7 +477,7 @@ mod tests {
         )
         .unwrap();
         assert!(
-            !trace.rewrites.iter().any(|r| r.starts_with("memoize-inner")),
+            !trace.rewrites.iter().any(|r| r.starts_with("set-mode")),
             "{:?}",
             trace.rewrites
         );

@@ -29,7 +29,7 @@ pub struct QueryTrace {
     /// Timed phases, in execution order.
     pub phases: Vec<PhaseTiming>,
     /// Rewrites that actually fired (observed in the output, not merely
-    /// enabled), e.g. `constant-fold`, `memoize-inner ×2`.
+    /// enabled), e.g. `constant-fold`, `set-mode ×2`.
     pub rewrites: Vec<String>,
     /// Total operators in the final plan (nested plans and kernels
     /// included: one per EXPLAIN line).
@@ -166,7 +166,6 @@ pub fn op_class(plan: &LogicalOp) -> &'static str {
         LogicalOp::DedupBy { .. } => "Π^D",
         LogicalOp::Rename { .. } => "Π",
         LogicalOp::MapExpr { .. } | LogicalOp::CounterMap { .. } => "χ",
-        LogicalOp::MemoMap { .. } => "χ^mat",
         LogicalOp::DJoin { .. } => "<>",
         LogicalOp::Cross { .. } => "×",
         LogicalOp::SemiJoin { .. } => "⋉",
@@ -175,7 +174,6 @@ pub fn op_class(plan: &LogicalOp) -> &'static str {
         LogicalOp::Concat { .. } => "⊕",
         LogicalOp::SortBy { .. } => "Sort",
         LogicalOp::TmpCs { .. } => "Tmp^cs",
-        LogicalOp::MemoX { .. } => "𝔐",
     }
 }
 
@@ -187,14 +185,6 @@ pub(crate) fn record_fired_rewrites(trace: &mut QueryTrace, q: &CompiledQuery, l
         trace.rewrites.push(format!("property-prune ×{}", lowered.pruned.len()));
     }
     trace.pruned_labels = lowered.pruned;
-    let memox = trace.op_counts.iter().find(|(k, _)| k == "𝔐").map_or(0, |(_, n)| *n);
-    if memox > 0 {
-        trace.rewrites.push(format!("memoize-inner ×{memox}"));
-    }
-    let memomap = trace.op_counts.iter().find(|(k, _)| k == "χ^mat").map_or(0, |(_, n)| *n);
-    if memomap > 0 {
-        trace.rewrites.push(format!("split-expensive ×{memomap}"));
-    }
     if lowered.set_steps > 0 {
         trace.rewrites.push(format!("set-mode ×{}", lowered.set_steps));
     }

@@ -1,6 +1,6 @@
 //! The translation 𝒯[·] of XPath into the algebra (paper §3) with the
-//! §4 improvements (stacked outer paths, duplicate-elimination pushdown,
-//! MemoX for inner paths, cheap/expensive predicate splitting).
+//! §4 improvements (stacked paths, duplicate-elimination pushdown,
+//! cheap clauses first).
 //!
 //! Conventions (paper §2.2.2/§3.1): sequence-valued translations bind
 //! their result nodes to an attribute returned alongside the plan; the
@@ -246,24 +246,24 @@ impl Translator {
             return Ok((plan, cur));
         }
 
-        // §4.2.2: relative inner paths keep the d-join shape (with MemoX);
-        // outer paths and absolute inner paths may use the stacked form.
-        let stackable = self.opts.stacked_outer
-            && (!self.in_predicate || !matches!(p.start, PathStart::ContextNode));
+        // §4.2.1: outer paths, absolute inner paths and relative inner
+        // paths of two or more steps take the stacked form. A nested plan
+        // is opened once per outer context, so the stacked form is exact
+        // inside it; an inner path deduplicates after every ppd step, which
+        // keeps it polynomial. One-step relative inner paths keep the
+        // d-join shape that the predicate kernels read.
+        let relative_inner = self.in_predicate && matches!(p.start, PathStart::ContextNode);
+        let stackable = self.opts.stacked_outer && (!relative_inner || p.steps.len() > 1);
 
         if stackable {
+            let dedup_each = self.opts.push_dedup || self.in_predicate;
             let mut undeduped_dups = false;
             for step in &p.steps {
                 let grouping = Some(cur.clone());
-                let (p2, ci) = self.step_over(plan, &cur, step, grouping)?;
+                let dedup = step.axis.is_ppd() && dedup_each;
+                let (p2, ci) = self.step_over(plan, &cur, step, grouping, dedup)?;
                 plan = p2;
-                if step.axis.is_ppd() {
-                    if self.opts.push_dedup {
-                        plan = LogicalOp::dedup(plan, ci.clone());
-                    } else {
-                        undeduped_dups = true;
-                    }
-                }
+                undeduped_dups |= step.axis.is_ppd() && !dedup;
                 cur = ci;
             }
             if undeduped_dups {
@@ -276,7 +276,7 @@ impl Translator {
             // lets §4.1 push Π^D between steps over the full stream.
             let mut undeduped_dups = false;
             for step in &p.steps {
-                let (dep, ci) = self.step_over(LogicalOp::Singleton, &cur, step, None)?;
+                let (dep, ci) = self.step_over(LogicalOp::Singleton, &cur, step, None, false)?;
                 plan = LogicalOp::djoin(plan, dep);
                 if step.axis.is_ppd() {
                     if self.opts.push_dedup {
@@ -292,7 +292,7 @@ impl Translator {
             }
             Ok((plan, cur))
         } else {
-            // Relative inner paths: right-deep 𝒯[s] <𝔐(𝒯[π1])> (§4.2.2).
+            // Relative inner paths: right-deep 𝒯[s] <𝒯[π1]> (§4.2.2).
             let (steps_plan, result) = self.t_steps_djoin(&cur, &p.steps)?;
             plan = LogicalOp::djoin(plan, steps_plan);
             // The path-level Π^D (always present in 𝒯[π], §3.1.1) — needed
@@ -304,8 +304,7 @@ impl Translator {
         }
     }
 
-    /// Canonical d-join chain over `steps`, with the §4.2.2 memoization:
-    /// `𝒯[s/π1] = 𝒯[s] <𝔐(𝒯[π1])>` when the feeding step is ppd.
+    /// Canonical d-join chain over `steps`: `𝒯[s/π1] = 𝒯[s] <𝒯[π1]>`.
     ///
     /// The returned plan has `ctx` free.
     fn t_steps_djoin(
@@ -313,16 +312,11 @@ impl Translator {
         ctx: &Attr,
         steps: &[Step],
     ) -> Result<(LogicalOp, Attr), CompileError> {
-        let (first, c1) = self.step_over(LogicalOp::Singleton, ctx, &steps[0], None)?;
+        let (first, c1) = self.step_over(LogicalOp::Singleton, ctx, &steps[0], None, false)?;
         if steps.len() == 1 {
             return Ok((first, c1));
         }
         let (rest, result) = self.t_steps_djoin(&c1, &steps[1..])?;
-        let rest = if steps[0].axis.is_ppd() && self.opts.memoize_inner {
-            LogicalOp::MemoX { input: Box::new(rest), key: c1.clone() }
-        } else {
-            rest
-        };
         let mut plan = LogicalOp::djoin(first, rest);
         // §4.2.2: Π^D at every level that can see duplicates. Without the
         // improvement, duplicates survive to the path's final Π^D only.
@@ -337,13 +331,17 @@ impl Translator {
     /// §3.2/§3.3 — one location step over `input`: Υ then predicates.
     /// `grouping` is the context attribute for positional machinery
     /// (stacked translation, §4.3.1); `None` in dependent d-join branches,
-    /// where every evaluation is a fresh pipeline.
+    /// where every evaluation is a fresh pipeline. `dedup` adds the step's
+    /// §4.1 Π^D: directly above the Υ when no predicate reads `cp` or
+    /// `cs` (σ then commutes with it, and each predicate runs once per
+    /// distinct node), else above the predicates.
     fn step_over(
         &mut self,
         input: LogicalOp,
         ctx: &Attr,
         step: &Step,
         grouping: Option<Attr>,
+        dedup: bool,
     ) -> Result<(LogicalOp, Attr), CompileError> {
         if step.axis == Axis::Namespace {
             // Accepted syntactically; the stores materialise no namespace
@@ -358,9 +356,17 @@ impl Translator {
             step.axis,
             step.node_test.clone(),
         );
-        for pred in &step.predicates {
-            let np = normalize_predicate(pred.expr.clone());
+        let norms: Vec<NormPredicate> =
+            step.predicates.iter().map(|p| normalize_predicate(p.expr.clone())).collect();
+        let dedup_first = dedup && norms.iter().all(|np| !np.uses_position);
+        if dedup_first {
+            plan = LogicalOp::dedup(plan, ci.clone());
+        }
+        for np in norms {
             plan = self.apply_predicate(plan, grouping.clone(), &ci, np)?;
+        }
+        if dedup && !dedup_first {
+            plan = LogicalOp::dedup(plan, ci.clone());
         }
         Ok((plan, ci))
     }
@@ -368,7 +374,7 @@ impl Translator {
     /// Φ — the predicate filtering functor (§3.3, §4.3).
     ///
     /// Operator order (bottom-up): [Π cn:node] → [χ cp:counter++] →
-    /// [Tmp^cs] → σ(cheap clauses) → χ^mat+σ(expensive clauses).
+    /// [Tmp^cs] → σ(cheap clauses) → σ(expensive clauses).
     ///
     /// Note on Tmp^cs placement: the paper's §4.3.2 formula runs the cheap
     /// non-last selections *before* Tmp^cs; that changes what `last()`
@@ -415,20 +421,7 @@ impl Translator {
         let result = (|| {
             for clause in &np.clauses {
                 let pred = self.t_scalar(&clause.expr, &cctx)?;
-                if clause.expensive && self.opts.split_expensive {
-                    // §4.3.2: materialise the expensive value per context
-                    // node, then select on the memoised attribute.
-                    let v = self.fresh("v");
-                    plan = LogicalOp::MemoMap {
-                        input: Box::new(plan),
-                        attr: v.clone(),
-                        expr: pred,
-                        key: node_attr.clone(),
-                    };
-                    plan = LogicalOp::select(plan, ScalarExpr::attr(v));
-                } else {
-                    plan = LogicalOp::select(plan, pred);
-                }
+                plan = LogicalOp::select(plan, pred);
             }
             Ok(std::mem::replace(&mut plan, LogicalOp::Singleton))
         })();

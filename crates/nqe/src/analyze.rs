@@ -32,8 +32,9 @@ pub struct ResourceReport {
     pub charged_bytes: u64,
     /// Tuples counted against the tuple budget.
     pub tuples_charged: u64,
-    /// Transient bytes still held after the plan closed — non-zero means
-    /// leaked temp state (asserted zero by the fault-injection tests).
+    /// Bytes still held after the plan closed (the governor's
+    /// `mem_used`) — non-zero means leaked temp state (asserted zero by
+    /// the fault-injection tests).
     pub transient_bytes: u64,
     /// The typed error that stopped execution, if the governor tripped.
     pub error: Option<QueryError>,
@@ -46,7 +47,7 @@ impl ResourceReport {
             high_water_bytes: gov.high_water(),
             charged_bytes: gov.charged_total(),
             tuples_charged: gov.tuples_charged(),
-            transient_bytes: gov.transient_bytes(),
+            transient_bytes: gov.mem_used(),
             error: gov.error(),
         }
     }
@@ -350,7 +351,7 @@ impl AnalyzeReport {
     /// {
     ///   "query": "...",
     ///   "phases": [{"name": "parse", "nanos": 123}, ...],
-    ///   "rewrites": ["memoize-inner ×1", ...],
+    ///   "rewrites": ["set-mode ×1", ...],
     ///   "plan": {"ops": 12, "depth": 5,
     ///            "op_counts": {"Υ": 4, ...}, "pruned_ops": 0},
     ///   "operators": [{"label": "Π^D[cn]", "depth": 0, "opens": 1,
@@ -361,8 +362,9 @@ impl AnalyzeReport {
     ///               "pages_verified": 0, "checksum_failures": 0,
     ///               "io_ms": 0.0, "verify_ms": 0.0},
     ///   "optimizer": {"stats_fingerprint": "0x00000304998a8f1b",
-    ///                 "decisions": [{"rule": "memo-keep-or-drop",
-    ///                                "site": "𝔐[c1]", "choice": "keep",
+    ///                 "decisions": [{"rule": "index-probe",
+    ///                                "site": "Υ[c3:c2/child::article]",
+    ///                                "choice": "probe",
     ///                                "est_chosen": 40.0,
     ///                                "est_rejected": 160.0}],
     ///                 "cardinalities": [{"label": "Π^D[cn]",

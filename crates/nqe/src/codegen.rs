@@ -16,8 +16,8 @@ use compiler::CompiledQuery;
 
 use crate::iter::{
     CompiledPred, ConcatIter, CounterIter, DJoinIter, DedupIter, KernelCmp, LookupIter, MapIter,
-    MemoMapIter, MemoXIter, NestedEval, PhysIter, PredKernel, RenameCopyIter, SelectIter,
-    SemiJoinIter, SingletonIter, SortIter, TmpCsIter, TokenizeIter, UnnestMapIter, WindowIter,
+    NestedEval, PhysIter, PredKernel, RenameCopyIter, SelectIter, SemiJoinIter, SingletonIter,
+    SortIter, TmpCsIter, TokenizeIter, UnnestMapIter, WindowIter,
 };
 use crate::nvm::{Instr, Program, Reg};
 use crate::profile::{OpStats, Profile, ProfileEntry, ProfiledIter, SharedStats};
@@ -211,13 +211,6 @@ impl<'m> Codegen<'m> {
                 let reset = reset_on.as_ref().map(|a| self.mgr.slot(a));
                 Box::new(CounterIter::new(input, out, reset))
             }
-            LogicalOp::MemoMap { input, attr, expr, key } => {
-                let input = self.build_iter(input);
-                let out = self.mgr.slot(attr);
-                let key = self.mgr.slot(key);
-                let expr = self.compile_pred(expr);
-                Box::new(MemoMapIter::new(input, out, key, expr))
-            }
             LogicalOp::DJoin { left, right } | LogicalOp::Cross { left, right } => {
                 // A cross product is a d-join whose dependent side happens
                 // to have no free attributes.
@@ -270,11 +263,6 @@ impl<'m> Codegen<'m> {
                 let input = self.build_iter(input);
                 let group = group.as_ref().map(|g| self.mgr.slot(g));
                 Box::new(WindowIter::new(input, *lo, *hi, group))
-            }
-            LogicalOp::MemoX { input, key } => {
-                let input = self.build_iter(input);
-                let key = self.mgr.slot(key);
-                Box::new(MemoXIter::new(input, key))
             }
         }
     }

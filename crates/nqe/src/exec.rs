@@ -36,8 +36,8 @@ impl PhysicalQuery {
     /// while reading a paged store surfaces as [`QueryError::Storage`].
     ///
     /// A `PhysicalQuery` is bound to one store: node tests resolve
-    /// interned names and memo tables key on node identities on first
-    /// execution, so reuse the object only against the same store.
+    /// interned names on first execution, so reuse the object only
+    /// against the same store.
     pub fn execute(
         &mut self,
         store: &dyn XmlStore,
@@ -56,7 +56,7 @@ impl PhysicalQuery {
     /// in a paged store) unwind the same way: the store records the first
     /// fault and returns inert values, the tuple loop notices the trip,
     /// the plan closes, and the fault surfaces as
-    /// [`QueryError::Storage`] with `transient_bytes() == 0`.
+    /// [`QueryError::Storage`] with `mem_used() == 0`.
     pub fn execute_governed(
         &mut self,
         store: &dyn XmlStore,

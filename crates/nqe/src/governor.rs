@@ -7,20 +7,18 @@
 //!
 //! Charging model:
 //!
-//! * Operators that buffer tuples (Sort, Tmp^cs, MemoX recordings, ⋉/▷
-//!   match-side materialisation, tokenizer fan-out, Π^D seen-sets, χ^mat
-//!   caches, the executor's result accumulator) own a [`ChargeLedger`] and
+//! * Operators that buffer tuples (Sort, Tmp^cs, ⋉/▷ match-side
+//!   materialisation, tokenizer fan-out, Π^D seen-sets, the executor's
+//!   result accumulator) own a [`ChargeLedger`] and
 //!   charge the estimated byte footprint of what they hold. Streamed
 //!   tuples in flight between operators are *not* charged — only parked
 //!   bytes count, which is what actually scales with the document.
 //! * A failed charge is rolled back: it is not added to the usage counter,
 //!   so the governor's high-water mark is exact (tests hand-compute it).
-//! * Charges start *transient* and are released when the owning buffer is
-//!   drained or the operator closes. Caches that survive re-opens (MemoX
-//!   tables, χ^mat entries) are *committed*: still counted against the
-//!   budget, but excluded from [`ResourceGovernor::transient_bytes`], so
-//!   `transient_bytes() == 0` after the plan closes is a machine-checkable
-//!   "no leaked temp state" invariant.
+//! * Charges are released when the owning buffer is drained or the
+//!   operator closes, so `mem_used() == 0` after the plan closes is a
+//!   machine-checkable "no leaked temp state" invariant
+//!   ([`ResourceGovernor::mem_used`]).
 //! * Deadline and cancellation are observed at governor *ticks*, placed in
 //!   every loop that can run unboundedly without returning a tuple. The
 //!   wall clock and the atomic cancel token are only consulted every
@@ -76,7 +74,6 @@ pub struct ResourceGovernor {
     cancel: Arc<AtomicBool>,
     failpoint: FailPoint,
     mem_used: AtomicU64,
-    transient_used: AtomicU64,
     mem_peak: AtomicU64,
     charged_total: AtomicU64,
     tuples: AtomicU64,
@@ -109,7 +106,6 @@ impl ResourceGovernor {
             cancel: Arc::new(AtomicBool::new(false)),
             failpoint,
             mem_used: AtomicU64::new(0),
-            transient_used: AtomicU64::new(0),
             mem_peak: AtomicU64::new(0),
             charged_total: AtomicU64::new(0),
             tuples: AtomicU64::new(0),
@@ -185,7 +181,6 @@ impl ResourceGovernor {
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
-                    self.transient_used.fetch_add(bytes, Ordering::Relaxed);
                     self.charged_total.fetch_add(bytes, Ordering::Relaxed);
                     self.mem_peak.fetch_max(new_used, Ordering::Relaxed);
                     return true;
@@ -218,17 +213,6 @@ impl ResourceGovernor {
     pub fn release(&self, bytes: u64) {
         let _ = self
             .mem_used
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(bytes)));
-        let _ = self
-            .transient_used
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(bytes)));
-    }
-
-    /// Reclassify `bytes` from transient to persistent: still held (memo
-    /// tables survive re-opens) but no longer expected back at close.
-    pub fn commit(&self, bytes: u64) {
-        let _ = self
-            .transient_used
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(bytes)));
     }
 
@@ -281,16 +265,11 @@ impl ResourceGovernor {
         self.charged_total.load(Ordering::Relaxed)
     }
 
-    /// Bytes currently held against the budget.
+    /// Bytes currently held against the budget. Zero after a plan closes
+    /// cleanly — the "no leaked temp state" invariant the fault-injection
+    /// tests assert.
     pub fn mem_used(&self) -> u64 {
         self.mem_used.load(Ordering::Relaxed)
-    }
-
-    /// Currently held bytes that have *not* been committed as persistent
-    /// cache state. Zero after a plan closes cleanly — the "no leaked
-    /// temp state" invariant the fault-injection tests assert.
-    pub fn transient_bytes(&self) -> u64 {
-        self.transient_used.load(Ordering::Relaxed)
     }
 
     /// Tuples counted against the tuple budget.
@@ -311,7 +290,6 @@ impl ResourceGovernor {
 #[derive(Debug, Default)]
 pub struct ChargeLedger {
     held: u64,
-    committed: u64,
     peak: u64,
     charged: u64,
 }
@@ -330,10 +308,7 @@ impl ChargeLedger {
         }
         self.held += bytes;
         self.charged += bytes;
-        let now = self.held + self.committed;
-        if now > self.peak {
-            self.peak = now;
-        }
+        self.peak = self.peak.max(self.held);
         true
     }
 
@@ -343,30 +318,23 @@ impl ChargeLedger {
         gov.charge_tuples(1) && self.charge(gov, tuple_bytes(t))
     }
 
-    /// Release `bytes` of transient holdings (clamped to what is held).
+    /// Release `bytes` of this operator's holdings (clamped to what is
+    /// held).
     pub fn release(&mut self, gov: &ResourceGovernor, bytes: u64) {
         let b = bytes.min(self.held);
         self.held -= b;
         gov.release(b);
     }
 
-    /// Release every transient byte this operator holds.
+    /// Release every byte this operator holds.
     pub fn release_all(&mut self, gov: &ResourceGovernor) {
         let b = std::mem::take(&mut self.held);
         gov.release(b);
     }
 
-    /// Commit every transient byte as persistent cache state (MemoX
-    /// tables, χ^mat entries): still held, no longer released at close.
-    pub fn commit_all(&mut self, gov: &ResourceGovernor) {
-        let b = std::mem::take(&mut self.held);
-        self.committed += b;
-        gov.commit(b);
-    }
-
-    /// Bytes currently held (transient + committed).
+    /// Bytes currently held.
     pub fn held(&self) -> u64 {
-        self.held + self.committed
+        self.held
     }
 
     /// This operator's high-water mark.
@@ -403,7 +371,7 @@ pub fn tuple_bytes(t: &Tuple) -> u64 {
     t.iter().map(value_bytes).sum()
 }
 
-/// Estimated footprint of one grouping key (Π^D seen-sets, memo keys).
+/// Estimated footprint of one grouping key (Π^D seen-sets).
 pub fn group_key_bytes(k: &GroupKey) -> u64 {
     let base = std::mem::size_of::<GroupKey>() as u64;
     match k {
@@ -444,16 +412,13 @@ mod tests {
     }
 
     #[test]
-    fn release_and_commit_classification() {
+    fn release_returns_bytes_and_keeps_the_peak() {
         let gov = ResourceGovernor::unlimited();
         assert!(gov.charge(70));
-        assert_eq!(gov.transient_bytes(), 70);
-        gov.commit(30);
-        assert_eq!(gov.transient_bytes(), 40);
-        assert_eq!(gov.mem_used(), 70, "commit keeps bytes held");
         gov.release(40);
-        assert_eq!(gov.transient_bytes(), 0);
         assert_eq!(gov.mem_used(), 30);
+        gov.release(40);
+        assert_eq!(gov.mem_used(), 0, "a release clamps at zero");
         assert_eq!(gov.high_water(), 70);
         assert_eq!(gov.charged_total(), 70);
     }
@@ -541,7 +506,6 @@ mod tests {
         assert!(gauges.contains(&("mem_peak", 80)));
         ledger.release_all(&gov);
         assert_eq!(gov.mem_used(), 0);
-        assert_eq!(gov.transient_bytes(), 0);
     }
 
     #[test]

@@ -1,14 +1,11 @@
-//! Materialising operators: duplicate elimination, document-order sort,
-//! the context-size operator Tmp^cs/Tmp^cs_c (§5.2.4), the MemoX
-//! sequence memo (§4.2.2) and the memoizing map χ^mat (§4.3.2).
+//! Materialising operators: duplicate elimination, document-order sort
+//! and the context-size operator Tmp^cs/Tmp^cs_c (§5.2.4).
 //!
 //! Every buffer here is charged against the runtime's resource governor
 //! (DESIGN.md §11): tuples are charged as they are parked and released as
-//! they are handed downstream or the operator closes; memo/cache state
-//! that survives re-opens is committed as persistent instead of released.
+//! they are handed downstream or the operator closes.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::collections::{HashSet, VecDeque};
 
 use xmlstore::StructuralIndex;
 
@@ -16,8 +13,8 @@ use algebra::attrmgr::Slot;
 use algebra::{Tuple, Value};
 
 use crate::exec::Runtime;
-use crate::governor::{group_key_bytes, tuple_bytes, value_bytes, ChargeLedger, ResourceGovernor};
-use crate::iter::{CompiledPred, Gauge, GroupKey, PhysIter};
+use crate::governor::{group_key_bytes, tuple_bytes, ChargeLedger, ResourceGovernor};
+use crate::iter::{Gauge, GroupKey, PhysIter};
 
 /// The seen-set behind every duplicate elimination — Π^D and set-mode Υ
 /// (DESIGN.md §12) share it. Nodes the store's index ranks land in a
@@ -425,201 +422,6 @@ impl PhysIter for TmpCsIter {
     fn gauges(&self, out: &mut Vec<Gauge>) {
         out.push(("materialized", self.materialized));
         out.push(("groups", self.groups));
-        self.ledger.gauges(out);
-    }
-}
-
-/// 𝔐 — MemoX (§4.2.2): memoise the producer's tuple sequence keyed by
-/// the free variable (context node) bound at `open`. A cache hit replays
-/// the stored sequence without engaging the producer. Partially consumed
-/// evaluations are not cached (early exit must stay correct).
-pub struct MemoXIter {
-    input: Box<dyn PhysIter>,
-    key: Slot,
-    table: HashMap<GroupKey, Arc<Vec<Tuple>>>,
-    mode: MemoMode,
-    ledger: ChargeLedger,
-    /// Statistics: cache hits (observable for tests/ablations).
-    pub hits: u64,
-    /// Statistics: cache misses.
-    pub misses: u64,
-    /// Statistics: total tuples held by the memo table.
-    pub stored_tuples: u64,
-}
-
-enum MemoMode {
-    Idle,
-    Replay { seq: Arc<Vec<Tuple>>, pos: usize },
-    Record { key: GroupKey, acc: Vec<Tuple> },
-}
-
-impl MemoXIter {
-    /// New MemoX.
-    pub fn new(input: Box<dyn PhysIter>, key: Slot) -> MemoXIter {
-        MemoXIter {
-            input,
-            key,
-            table: HashMap::new(),
-            mode: MemoMode::Idle,
-            ledger: ChargeLedger::new(),
-            hits: 0,
-            misses: 0,
-            stored_tuples: 0,
-        }
-    }
-}
-
-impl PhysIter for MemoXIter {
-    fn open(&mut self, rt: &Runtime<'_>, seed: &Tuple) {
-        let key = GroupKey::of(seed.get(self.key).unwrap_or(&Value::Null), rt);
-        if let Some(seq) = self.table.get(&key).cloned() {
-            self.hits += 1;
-            self.mode = MemoMode::Replay { seq, pos: 0 };
-        } else {
-            self.misses += 1;
-            self.input.open(rt, seed);
-            self.mode = MemoMode::Record { key, acc: Vec::new() };
-        }
-    }
-
-    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
-        if !rt.gov.tick() {
-            return false;
-        }
-        match &mut self.mode {
-            MemoMode::Idle => false,
-            MemoMode::Replay { seq, pos } => match seq.get(*pos) {
-                Some(t) => {
-                    out.clone_from(t);
-                    *pos += 1;
-                    true
-                }
-                None => false,
-            },
-            MemoMode::Record { key, acc } => {
-                if self.input.next(rt, out) {
-                    if !self.ledger.charge_tuple(rt.gov, out) {
-                        return false;
-                    }
-                    acc.push(out.clone());
-                    return true;
-                }
-                if !rt.gov.ok() {
-                    // The producer stopped because the governor
-                    // tripped, not because the sequence ended — do
-                    // not memoise the truncated recording.
-                    return false;
-                }
-                let key = key.clone();
-                let acc = std::mem::take(acc);
-                self.stored_tuples += acc.len() as u64;
-                self.table.insert(key, Arc::new(acc));
-                // The table entry survives re-opens: reclassify its
-                // bytes as persistent.
-                self.ledger.commit_all(rt.gov);
-                self.input.close(rt);
-                self.mode = MemoMode::Idle;
-                false
-            }
-        }
-    }
-
-    fn close(&mut self, rt: &Runtime<'_>) {
-        // A close before exhaustion discards the partial recording (and
-        // returns its transient charge).
-        if matches!(self.mode, MemoMode::Record { .. }) {
-            self.input.close(rt);
-            self.ledger.release_all(rt.gov);
-        }
-        self.mode = MemoMode::Idle;
-    }
-
-    fn gauges(&self, out: &mut Vec<Gauge>) {
-        out.push(("memo_hits", self.hits));
-        out.push(("memo_misses", self.misses));
-        out.push(("memo_entries", self.table.len() as u64));
-        out.push(("memo_tuples", self.stored_tuples));
-        self.ledger.gauges(out);
-    }
-}
-
-/// χ^mat — memoizing map for expensive predicate clauses (§4.3.2, after
-/// Hellerstein & Naughton): caches the subscript value per key attribute.
-pub struct MemoMapIter {
-    input: Box<dyn PhysIter>,
-    out: Slot,
-    key: Slot,
-    expr: CompiledPred,
-    cache: HashMap<GroupKey, Value>,
-    ledger: ChargeLedger,
-    /// Statistics: cache hits.
-    pub hits: u64,
-    /// Statistics: cache misses (subscript evaluations).
-    pub misses: u64,
-}
-
-impl MemoMapIter {
-    /// New memoizing map.
-    pub fn new(input: Box<dyn PhysIter>, out: Slot, key: Slot, expr: CompiledPred) -> MemoMapIter {
-        MemoMapIter {
-            input,
-            out,
-            key,
-            expr,
-            cache: HashMap::new(),
-            ledger: ChargeLedger::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
-impl PhysIter for MemoMapIter {
-    fn open(&mut self, rt: &Runtime<'_>, seed: &Tuple) {
-        self.input.open(rt, seed);
-    }
-
-    fn next(&mut self, rt: &Runtime<'_>, out: &mut Tuple) -> bool {
-        if !self.input.next(rt, out) {
-            return false;
-        }
-        let key = GroupKey::of(out.get(self.key).unwrap_or(&Value::Null), rt);
-        let v = match self.cache.get(&key) {
-            Some(v) => {
-                self.hits += 1;
-                v.clone()
-            }
-            None => {
-                self.misses += 1;
-                let v = self.expr.eval(rt, out);
-                // The cache entry survives re-opens and closes: charge
-                // it as persistent.
-                let bytes = group_key_bytes(&key) + value_bytes(&v);
-                if !self.ledger.charge(rt.gov, bytes) {
-                    return false;
-                }
-                self.ledger.commit_all(rt.gov);
-                self.cache.insert(key, v.clone());
-                v
-            }
-        };
-        out[self.out] = v;
-        true
-    }
-
-    fn skip_group(&mut self) {
-        self.input.skip_group();
-    }
-
-    fn close(&mut self, rt: &Runtime<'_>) {
-        self.input.close(rt);
-        self.expr.release();
-    }
-
-    fn gauges(&self, out: &mut Vec<Gauge>) {
-        out.push(("memo_hits", self.hits));
-        out.push(("memo_misses", self.misses));
-        out.push(("memo_entries", self.cache.len() as u64));
         self.ledger.gauges(out);
     }
 }

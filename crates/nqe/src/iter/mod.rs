@@ -9,8 +9,7 @@
 //! buffer on to their input; an operator that needs an input tuple for
 //! several outputs keeps one frame of its own and copies it out with
 //! `clone_from`, which reuses the buffer's allocation. Frames are still
-//! copied, never shared: a nested plan rebinds `cn` in *its* frame, and a
-//! 𝔐 replay carries the bindings it was recorded under.
+//! copied, never shared: a nested plan rebinds `cn` in *its* frame.
 
 mod basic;
 mod group;
@@ -22,7 +21,7 @@ mod path;
 pub use basic::{
     ConcatIter, CounterIter, MapIter, RenameCopyIter, SelectIter, SingletonIter, WindowIter,
 };
-pub use group::{DedupIter, MemoMapIter, MemoXIter, SortIter, TmpCsIter};
+pub use group::{DedupIter, SortIter, TmpCsIter};
 pub use join::{DJoinIter, SemiJoinIter};
 pub(crate) use kernel::KernelCmp;
 pub use kernel::PredKernel;
@@ -36,13 +35,13 @@ use crate::exec::Runtime;
 use crate::nvm::{self, Program};
 
 /// One operator-specific metric: a static name and a counter value
-/// (e.g. `("memo_hits", 42)`).
+/// (e.g. `("materialized", 42)`).
 pub type Gauge = (&'static str, u64);
 
 /// The iterator interface of the physical algebra.
 pub trait PhysIter {
     /// (Re-)start the iterator with an outer binding tuple. Caches
-    /// (MemoX, χ^mat, independent aggregates) survive re-opens.
+    /// (independent aggregates) survive re-opens.
     fn open(&mut self, rt: &Runtime<'_>, seed: &Tuple);
 
     /// Write the next tuple into `out` (whatever it held is overwritten)

@@ -34,9 +34,9 @@ pub struct OpStats {
     /// subtree (its `open`/`next`/`close` calls, children included —
     /// children run nested within the parent's calls).
     pub nanos: u64,
-    /// Operator-specific gauges (MemoX hits/misses, Tmp^cs
-    /// materialisation, Sort input sizes, d-join re-opens, …), refreshed
-    /// every time the operator is closed.
+    /// Operator-specific gauges (Tmp^cs materialisation, Sort input
+    /// sizes, d-join re-opens, …), refreshed every time the operator is
+    /// closed.
     pub gauges: Vec<Gauge>,
 }
 

@@ -1,6 +1,6 @@
 //! Allocation regression test for the frame protocol (DESIGN.md §5):
 //! executing a plan must not allocate per tuple. A plan's buffers —
-//! operator frames, NVM registers, kernel cursors, memo tables, the
+//! operator frames, NVM registers, kernel cursors, Π^D seen-sets, the
 //! result vector — are set up once per execution or grow by doubling, so
 //! the allocation count of an execution is O(operators + log n) while
 //! its candidate count (and the tuple count of a nested plan per
@@ -66,8 +66,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// its profile rows that are predicate kernels. The query ran once
 /// before, so whatever the process sets up lazily exists; the plan itself
 /// is freshly built, outside the counted region — a plan that ran before
-/// may answer its predicates from a χ^mat cache and leave the nested
-/// pipeline unexercised.
+/// may answer an independent predicate from its cached value and leave
+/// the nested pipeline unexercised.
 fn execution_cost(store: &ArenaStore, query: &str) -> (u64, usize) {
     let vars = HashMap::new();
     let compiled = compiler::compile(query, &TranslateOptions::improved()).expect("compiles");

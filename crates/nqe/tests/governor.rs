@@ -65,7 +65,7 @@ fn sort_trips_at_footprint_minus_one_and_clears_at_footprint() {
     assert_eq!(out.len(), 3);
     assert!(gov.ok());
     assert_eq!(gov.high_water(), footprint, "peak equals the hand-computed footprint");
-    assert_eq!(gov.transient_bytes(), 0, "everything released at close");
+    assert_eq!(gov.mem_used(), 0, "everything released at close");
 
     // One byte short: the third charge is refused and rolled back, so the
     // high-water mark stays at two tuples.
@@ -82,7 +82,7 @@ fn sort_trips_at_footprint_minus_one_and_clears_at_footprint() {
         other => panic!("expected MemoryExceeded, got {other:?}"),
     }
     assert_eq!(gov.high_water(), 2 * frame_bytes(), "failed charge rolled back");
-    assert_eq!(gov.transient_bytes(), 0, "no leaked charges after close");
+    assert_eq!(gov.mem_used(), 0, "no leaked charges after close");
 }
 
 #[test]
@@ -110,7 +110,7 @@ fn tmpcs_trips_at_footprint_minus_one_and_clears_at_footprint() {
     assert!(out.is_empty());
     assert!(matches!(gov.error(), Some(QueryError::MemoryExceeded { .. })));
     assert_eq!(gov.high_water(), 2 * frame_bytes());
-    assert_eq!(gov.transient_bytes(), 0);
+    assert_eq!(gov.mem_used(), 0);
 }
 
 #[test]

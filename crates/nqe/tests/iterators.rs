@@ -10,8 +10,8 @@ use xmlstore::{parse_document, ArenaStore, Axis, NoIndex, XmlStore};
 use xpath_syntax::{CompOp, NodeTest};
 
 use nqe::iter::{
-    CompiledPred, ConcatIter, CounterIter, DJoinIter, DedupIter, LookupIter, MapIter, MemoXIter,
-    NestedEval, PhysIter, SelectIter, SingletonIter, SortIter, TmpCsIter, UnnestMapIter,
+    CompiledPred, ConcatIter, CounterIter, DJoinIter, DedupIter, LookupIter, MapIter, NestedEval,
+    PhysIter, SelectIter, SingletonIter, SortIter, TmpCsIter, UnnestMapIter,
 };
 use nqe::nvm::{Instr, Program};
 use nqe::{ResourceGovernor, Runtime};
@@ -236,51 +236,6 @@ fn concat_chains_parts_with_same_seed() {
 }
 
 #[test]
-fn memox_replays_on_key_hits() {
-    let s = store();
-    let vars = HashMap::new();
-    let gov = ResourceGovernor::unlimited();
-    let rt = rt(&s, &vars, &gov);
-    let inner = unnest(1, 2, Axis::Child, NodeTest::Name("b".into()));
-    let mut memo = MemoXIter::new(inner, 1);
-
-    // Seed with the first <a>.
-    let a1 = {
-        let mut it = unnest(0, 1, Axis::Descendant, NodeTest::Name("a".into()));
-        drain(it.as_mut(), &rt, &seed(&s))[0].clone()
-    };
-    let first = drain(&mut memo, &rt, &a1);
-    assert_eq!(first.len(), 2);
-    assert_eq!((memo.hits, memo.misses), (0, 1));
-    // Same key again: served from the table.
-    let again = drain(&mut memo, &rt, &a1);
-    assert_eq!(again.len(), 2);
-    assert_eq!((memo.hits, memo.misses), (1, 1));
-}
-
-#[test]
-fn memox_discards_partial_recordings() {
-    let s = store();
-    let vars = HashMap::new();
-    let gov = ResourceGovernor::unlimited();
-    let rt = rt(&s, &vars, &gov);
-    let inner = unnest(1, 2, Axis::Child, NodeTest::Name("b".into()));
-    let mut memo = MemoXIter::new(inner, 1);
-    let a1 = {
-        let mut it = unnest(0, 1, Axis::Descendant, NodeTest::Name("a".into()));
-        drain(it.as_mut(), &rt, &seed(&s))[0].clone()
-    };
-    // Early exit: take one tuple, close.
-    memo.open(&rt, &a1);
-    assert!(memo.next(&rt, &mut Tuple::new()));
-    memo.close(&rt);
-    // The partial sequence must not have been cached.
-    let full = drain(&mut memo, &rt, &a1);
-    assert_eq!(full.len(), 2);
-    assert_eq!(memo.misses, 2, "second open is a miss again");
-}
-
-#[test]
 fn nested_eval_aggregates_and_caches_independent_plans() {
     let s = store();
     let vars = HashMap::new();
@@ -364,33 +319,6 @@ fn nested_predicate_rebinding_cn_does_not_leak_into_the_outer_frame() {
         assert_eq!(t[0].as_node(), Some(s.root()), "outer cn survives the nested rebinding");
         assert!(t[2].is_null(), "the nested step's output stays in the nested frame");
     }
-}
-
-#[test]
-fn memox_replay_does_not_overwrite_the_outer_binding() {
-    let s = store();
-    let vars = HashMap::new();
-    let gov = ResourceGovernor::unlimited();
-    let rt = rt(&s, &vars, &gov);
-    // Outer: every b (slot 3) with its parent a (slot 1): the first two
-    // tuples share the memo key a₁ but bind different b's. χ counts a's
-    // b children (slot 2) through 𝔐 keyed on slot 1 into slot 4, so the
-    // second count is a replay of rows recorded while slot 3 held b₁.
-    let bs = unnest(0, 3, Axis::Descendant, NodeTest::Name("b".into()));
-    let parents = UnnestMapIter::new(bs, 3, 1, Axis::Parent, NodeTest::Wildcard, None);
-    let children = unnest(1, 2, Axis::Child, NodeTest::Name("b".into()));
-    let memo = MemoXIter::new(children, 1);
-    let mut map =
-        MapIter::new(Box::new(parents), 4, nested_pred(Box::new(memo), 2, AggFunc::Count));
-    let mut wide = seed(&s);
-    wide.push(Value::Null);
-    let out = drain(&mut map, &rt, &wide);
-    let text = |v: &Value| s.string_value(v.as_node().expect("node"));
-    let bound: Vec<String> = out.iter().map(|t| text(&t[3])).collect();
-    assert_eq!(bound, ["1", "2", "3"], "each tuple keeps the b it was produced for");
-    let counts: Vec<f64> = out.iter().map(|t| t[4].to_num(&s)).collect();
-    assert_eq!(counts, [2.0, 2.0, 1.0]);
-    assert!(out.iter().all(|t| t[2].is_null()), "replayed rows stay in the nested frame");
 }
 
 #[test]
@@ -544,7 +472,7 @@ fn set_mode_step_equals_step_plus_dedup_on_every_ppd_axis() {
         );
         let charged = 4 * contexts.len() as u64 + if axis.is_interval() { 0 } else { bitset };
         assert_eq!(gov.charged_total(), charged, "{axis}");
-        assert_eq!(gov.transient_bytes(), 0, "{axis}: everything returned at close");
+        assert_eq!(gov.mem_used(), 0, "{axis}: everything returned at close");
     }
 }
 
@@ -584,7 +512,7 @@ fn set_mode_falls_back_on_an_unranked_context() {
         let got = drain(&mut set, &rt, &seed(&s));
         assert_eq!(nodes(got.clone()), want, "{axis}");
         assert_eq!(got.len(), want.len(), "{axis}: no repeats");
-        assert_eq!(gov.transient_bytes(), 0);
+        assert_eq!(gov.mem_used(), 0);
         // The per-context walks ran instead of the set pass: no context
         // was kept for one, the seen-set filtered their output.
         let mut gauges = Vec::new();

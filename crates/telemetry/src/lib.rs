@@ -438,8 +438,8 @@ impl Telemetry {
     }
 }
 
-/// Split a fired-rewrite label (`"memoize-inner ×2"`) into its name and
-/// count (`("memoize-inner", 2)`; labels without a count mean 1).
+/// Split a fired-rewrite label (`"set-mode ×2"`) into its name and
+/// count (`("set-mode", 2)`; labels without a count mean 1).
 fn split_rewrite(label: &str) -> (&str, u64) {
     match label.rsplit_once(" ×") {
         Some((name, n)) => (name, n.parse().unwrap_or(1)),
@@ -453,7 +453,7 @@ mod tests {
 
     #[test]
     fn split_rewrite_labels() {
-        assert_eq!(split_rewrite("memoize-inner ×2"), ("memoize-inner", 2));
+        assert_eq!(split_rewrite("set-mode ×2"), ("set-mode", 2));
         assert_eq!(split_rewrite("constant-fold"), ("constant-fold", 1));
         assert_eq!(split_rewrite("smart-aggregation"), ("smart-aggregation", 1));
     }

@@ -62,7 +62,7 @@
 //! half-updated state, even when a fault injector aborts the batch
 //! mid-repair. Every batch runs under a [`ResourceGovernor`]:
 //! each op charges an estimated byte cost, and commit/abort release the
-//! whole charge, so `transient_bytes() == 0` after the batch resolves is
+//! whole charge, so `mem_used() == 0` after the batch resolves is
 //! the same machine-checkable no-leak invariant queries have.
 //!
 //! Publishing a new epoch also invalidates derived state eagerly: plan
@@ -121,8 +121,6 @@ pub fn static_context_hash(opts: &TranslateOptions, limits: &ResourceLimits) -> 
     fnv_words([
         opts.stacked_outer as u64,
         opts.push_dedup as u64,
-        opts.memoize_inner as u64,
-        opts.split_expensive as u64,
         (opts.optimize == CostMode::CostBased) as u64,
         opt(limits.max_memory_bytes),
         opt(limits.max_tuples),
@@ -845,7 +843,7 @@ pub struct CommitReceipt {
 ///
 /// Budgeting: every op ticks and charges the batch's governor (op cost
 /// = a fixed overhead plus the payload length); commit and abort both
-/// release the whole charge, so `governor().transient_bytes() == 0`
+/// release the whole charge, so `governor().mem_used() == 0`
 /// once the batch resolves — the no-leak invariant the fault-injection
 /// suite asserts under injected alloc failures, cancellation and
 /// repair aborts.
@@ -900,7 +898,7 @@ impl WriteBatch {
         self.poisoned
     }
 
-    /// The batch's governor (fault tests assert `transient_bytes() == 0`
+    /// The batch's governor (fault tests assert `mem_used() == 0`
     /// after the batch resolves).
     pub fn governor(&self) -> Arc<ResourceGovernor> {
         self.gov.clone()

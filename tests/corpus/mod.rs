@@ -4,7 +4,8 @@
 //! scalars and unions, plus 17 dblp-shaped queries matching the
 //! generated bibliography documents (root `dblp`,
 //! `article`/`inproceedings` records), the predicate-kernel queries with
-//! their edge-case document, and the lookup-step queries with theirs. At
+//! their edge-case document, the lookup-step queries with theirs, and the
+//! multi-step inner-path queries with theirs. At
 //! the bottom, the axis-level oracle for set-mode steps
 //! ([`check_set_mode`]), shared by
 //! `tests/property.rs` and `tests/updates.rs`. Not every test binary
@@ -69,6 +70,31 @@ pub const TREE_QUERIES: &[&str] = &[
     "count(//c/parent::*/child::c)",
     "(//b/parent::*)[position() < 3]/@id",
 ];
+
+/// Predicates over inner relative paths of two or more steps, which the
+/// improved translation stacks with a Π^D after each ppd step, and their
+/// neighbours: the `ablation` bin's E6b queries, E6b′ at four pairs (on
+/// [`INNER_PATH_DOC`]), E6c, a positional clause after an expensive one
+/// over repeated contexts, positional predicates inside the inner path,
+/// and `string()`/`number()` over one. For the generated tree documents
+/// and `INNER_PATH_DOC`.
+pub const INNER_PATH_QUERIES: &[&str] = &[
+    "/xdoc/descendant::*[count(descendant::c/following::*) > 0]/attribute::id",
+    "/xdoc/child::*[count(descendant::c/parent::*/descendant::*[@id = 'none']) = 0]/attribute::id",
+    "/r/a/b[count(parent::a/child::b/parent::a/child::b/parent::a/child::b/parent::a/child::b) > 0]",
+    "/xdoc/descendant::*/parent::*[count(descendant::*) > 3][@id]/attribute::id",
+    "/xdoc/descendant::*/parent::*[count(descendant::*) > 3][1]/@id",
+    "/xdoc/descendant::*/parent::*[count(descendant::*) > 3][last()]/@id",
+    "//*[a/b[1]]/@id",
+    "//*[ancestor::*/c[last()]]/@id",
+    "//*[string(*/@id) = '5']/@id",
+    "//*[number(ancestor::*/@id) < 3]/@id",
+    "//b[string(ancestor::*/following-sibling::*/@id) != '']/@id",
+    "count(//*[*/*/parent::*/*])",
+];
+
+/// The width-4 blow-up document of E6b′ and E7: four `b` under one `a`.
+pub const INNER_PATH_DOC: &str = "<r><a><b/><b/><b/><b/></a></r>";
 
 /// Queries matching the generated dblp documents.
 pub const DBLP_QUERIES: &[&str] = &[
@@ -283,9 +309,9 @@ fn step_nodes(step: &mut dyn PhysIter, store: &dyn XmlStore) -> Result<Vec<NodeI
         out.push(t[1].as_node().ok_or("step emitted a non-node")?);
     }
     step.close(&rt);
-    match gov.transient_bytes() {
+    match gov.mem_used() {
         0 => Ok(out),
-        n => Err(format!("{n} transient bytes left after close")),
+        n => Err(format!("{n} bytes left held after close")),
     }
 }
 

@@ -10,7 +10,8 @@ use xmlstore::{ArenaStore, XmlStore};
 
 mod corpus;
 use corpus::{
-    DBLP_QUERIES, LOOKUP_DOC, LOOKUP_QUERIES, PREDICATE_DOC, PREDICATE_QUERIES, TREE_QUERIES,
+    DBLP_QUERIES, INNER_PATH_DOC, INNER_PATH_QUERIES, LOOKUP_DOC, LOOKUP_QUERIES, PREDICATE_DOC,
+    PREDICATE_QUERIES, TREE_QUERIES,
 };
 
 fn run_all(store: &ArenaStore, queries: &[&str]) {
@@ -87,9 +88,32 @@ fn dblp_document_all_engines_agree() {
     run_all(&store, DBLP_QUERIES);
 }
 
+/// Stacked inner paths against the canonical d-join chains, the
+/// cost-based plans and both interpreters, on a generated tree and the
+/// width-4 blow-up document.
+#[test]
+fn inner_path_corpus_all_engines_agree() {
+    let tree = generate_tree(TreeParams { max_elements: 80, fanout: 4, max_depth: 3 });
+    let blowup = xmlstore::parse_document(INNER_PATH_DOC).unwrap();
+    for store in [&tree, &blowup] {
+        run_all(store, INNER_PATH_QUERIES);
+        for q in INNER_PATH_QUERIES {
+            let want = nqe::evaluate(store, q, &TranslateOptions::canonical()).unwrap();
+            let got = nqe::evaluate(store, q, &TranslateOptions::cost_based())
+                .unwrap_or_else(|e| panic!("cost-based `{q}`: {e}"));
+            assert_eq!(got, want, "cost-based vs canonical on `{q}`");
+            let naive = Interpreter::new(store, InterpOptions::naive())
+                .evaluate(q, store.root())
+                .unwrap_or_else(|e| panic!("naive `{q}`: {e}"));
+            assert_eq!(naive, want, "naive vs canonical on `{q}`");
+        }
+    }
+}
+
 /// Predicate kernels against their nested plans and both interpreters:
-/// every preset (the canonical plan keeps d-joins, improved memoises,
-/// cost-based fuses), on the edge-case document and a generated one.
+/// every preset (the canonical plan keeps d-joins, improved stacks
+/// multi-step inner paths, cost-based probes), on the edge-case document
+/// and a generated one.
 #[test]
 fn predicate_corpus_all_engines_agree() {
     let edge = xmlstore::parse_document(PREDICATE_DOC).unwrap();
@@ -113,9 +137,9 @@ fn predicate_corpus_all_engines_agree() {
 
 /// The physical phase changes how a plan runs, never what it returns:
 /// every corpus query lowered as the translation leaves it (every Π^D
-/// and Sort, Υ + Π^D, nested predicate plans, χ^mat, counters and
-/// Tmp^cs) and as the phase leaves it (redundant Π^D and Sort elided,
-/// set-mode steps, kernels, χ, positional windows, lookups, the result
+/// and Sort, Υ + Π^D, nested predicate plans, counters and Tmp^cs) and
+/// as the phase leaves it (redundant Π^D and Sort elided, set-mode
+/// steps, kernels, positional windows, lookups, the result
 /// read unsorted from below the top Π) answers alike, on indexed stores
 /// and through set mode's fallback. Two more columns: the lowered plan
 /// with its lookups run as the per-context scans they replaced, and,
@@ -127,8 +151,9 @@ fn physical_phase_preserves_every_corpus_answer() {
     let dblp = generate_dblp(DblpParams { records: 100, seed: 11 });
     let edge = xmlstore::parse_document(PREDICATE_DOC).unwrap();
     let lookup = xmlstore::parse_document(LOOKUP_DOC).unwrap();
-    let corpora: [(&ArenaStore, &[&str]); 6] = [
+    let corpora: [(&ArenaStore, &[&str]); 7] = [
         (&tree, TREE_QUERIES),
+        (&tree, INNER_PATH_QUERIES),
         (&dblp, DBLP_QUERIES),
         (&dblp, PREDICATE_QUERIES),
         (&edge, PREDICATE_QUERIES),
@@ -200,21 +225,19 @@ fn lookups_as_scans(q: &mut compiler::CompiledQuery) -> usize {
 
 #[test]
 fn ablation_combinations_agree() {
-    // Every combination of the four §4 improvements — with and without
-    // the cost-based optimizer on top — must preserve semantics; only
+    // Every combination of the two §4 flags — with and without the
+    // cost-based optimizer on top — must preserve semantics; only
     // performance may change.
     let store = generate_tree(TreeParams { max_elements: 120, fanout: 4, max_depth: 3 });
     let reference: Vec<QueryOutput> = TREE_QUERIES
         .iter()
         .map(|q| nqe::evaluate(&store, q, &TranslateOptions::improved()).unwrap())
         .collect();
-    for bits in 0..32u32 {
+    for bits in 0..8u32 {
         let opts = TranslateOptions {
             stacked_outer: bits & 1 != 0,
             push_dedup: bits & 2 != 0,
-            memoize_inner: bits & 4 != 0,
-            split_expensive: bits & 8 != 0,
-            optimize: if bits & 16 != 0 {
+            optimize: if bits & 4 != 0 {
                 CostMode::CostBased
             } else {
                 CostMode::Off
@@ -369,7 +392,7 @@ fn run_injected(
     let mut phys = nqe::build_physical(&compiled);
     let gov = nqe::ResourceGovernor::with_failpoint(compiler::ResourceLimits::unlimited(), fp);
     let out = phys.execute_governed(store, &std::collections::HashMap::new(), store.root(), &gov);
-    assert_eq!(gov.transient_bytes(), 0, "leaked transient charges on `{q}` ({fp:?})");
+    assert_eq!(gov.mem_used(), 0, "leaked transient charges on `{q}` ({fp:?})");
     out
 }
 

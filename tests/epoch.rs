@@ -224,7 +224,7 @@ fn injected_faults_discard_the_batch_whole() {
         // did not move, and no transient governor state leaked.
         assert_eq!(engine.document_epoch("main"), Some(1), "{label}");
         assert_eq!(to_xml(engine.document("main").unwrap().store()), before_xml, "{label}");
-        assert_eq!(gov.transient_bytes(), 0, "{label}: governor leak");
+        assert_eq!(gov.mem_used(), 0, "{label}: governor leak");
 
         // The writer slot is free again and a clean batch succeeds.
         let mut retry = engine.write_batch("main").unwrap();
@@ -233,7 +233,7 @@ fn injected_faults_discard_the_batch_whole() {
         retry.append_element(r, "c").unwrap();
         let receipt = retry.commit().unwrap();
         assert_eq!(receipt.epoch, 2, "{label}: retry after fault publishes");
-        assert_eq!(retry_gov.transient_bytes(), 0, "{label}");
+        assert_eq!(retry_gov.mem_used(), 0, "{label}");
     }
 }
 
@@ -246,9 +246,9 @@ fn commit_releases_governor_and_counts_repairs() {
     batch.append_element(r, "c").unwrap();
     let a = batch.select_one("/r/a").unwrap();
     batch.remove_subtree(a).unwrap();
-    assert!(gov.transient_bytes() > 0, "open batch holds its op charges");
+    assert!(gov.mem_used() > 0, "open batch holds its op charges");
     let receipt = batch.commit().unwrap();
-    assert_eq!(gov.transient_bytes(), 0, "commit releases the whole charge");
+    assert_eq!(gov.mem_used(), 0, "commit releases the whole charge");
     assert_eq!(receipt.repairs.incremental, 2);
     assert_eq!(receipt.repairs.full_renumbers, 0);
 }
@@ -390,7 +390,7 @@ fn commit_refuses_a_document_re_registered_while_the_batch_ran() {
     // released, and the next batch publishes onto the new document.
     assert_eq!(to_xml(engine.document("main").unwrap().store()), "<fresh/>");
     assert_eq!(engine.document_epoch("main"), Some(2));
-    assert_eq!(gov.transient_bytes(), 0);
+    assert_eq!(gov.mem_used(), 0);
     let mut retry = engine.write_batch("main").unwrap();
     let fresh = retry.select_one("/fresh").unwrap();
     retry.append_element(fresh, "c").unwrap();

@@ -106,6 +106,35 @@ fn blowup_family_tuple_budget_separates_translations() {
     assert!(improved.is_ok(), "improved stays inside the budget: {improved:?}");
 }
 
+/// The same family inside a predicate: the improved translation stacks
+/// the inner path with a Π^D after every `parent::a` step, so each outer
+/// `b` sees one `a` per pair, and the query finishes inside the budget
+/// the canonical outer path trips above.
+#[test]
+fn blowup_inner_path_stays_inside_the_tuple_budget() {
+    let store = blowup_doc(4);
+    let mut q = String::from("/r/a/b[count(parent::a/child::b");
+    for _ in 0..9 {
+        q.push_str("/parent::a/child::b");
+    }
+    q.push_str(") > 0]");
+    let limits = ResourceLimits::unlimited()
+        .with_max_memory(16 * 1024 * 1024)
+        .with_max_tuples(500_000);
+    let improved = nqe::evaluate_governed(
+        &store,
+        &q,
+        &TranslateOptions::improved(),
+        &limits,
+        store.root(),
+        &HashMap::new(),
+    );
+    match improved {
+        Ok(out) => assert_eq!(out.as_nodes().map(|n| n.len()), Some(4), "every b qualifies"),
+        Err(e) => panic!("improved stays inside the budget: {e}"),
+    }
+}
+
 /// A pre-raised cancellation token stops execution at the very first
 /// cooperative check — before any tuple flows.
 #[test]
@@ -117,7 +146,7 @@ fn pre_raised_cancellation_stops_immediately() {
     gov.cancel_handle().store(true, std::sync::atomic::Ordering::Relaxed);
     let out = phys.execute_governed(&store, &HashMap::new(), store.root(), &gov);
     assert!(matches!(out, Err(QueryError::Cancelled)), "{out:?}");
-    assert_eq!(gov.transient_bytes(), 0, "nothing held after the unwind");
+    assert_eq!(gov.mem_used(), 0, "nothing held after the unwind");
 }
 
 /// A token raised mid-flight (at the Nth tick, via the fault-injection
@@ -140,7 +169,7 @@ fn mid_flight_cancellation_observed_within_one_interval() {
         "observed {} ticks for a token raised at 101 (interval {interval})",
         gov.ticks_seen()
     );
-    assert_eq!(gov.transient_bytes(), 0);
+    assert_eq!(gov.mem_used(), 0);
 }
 
 /// An already-expired deadline surfaces as DeadlineExceeded.

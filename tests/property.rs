@@ -258,7 +258,7 @@ proptest! {
             store.root(),
             &gov,
         );
-        prop_assert_eq!(gov.transient_bytes(), 0, "leaked transient charges: {}", q);
+        prop_assert_eq!(gov.mem_used(), 0, "leaked transient charges: {}", q);
         match out {
             // If the query survived the injection, the answer must be the
             // ungoverned one (node-set queries: derived PartialEq is safe).
